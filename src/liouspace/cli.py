@@ -1,10 +1,12 @@
 """Scenario runner: configuration, deterministic execution, CSV + manifest.
 
-Subcommands: superop, evolve, propagator, jc, bipartite, validate.
-Parameters resolve as defaults < config file < command-line flags; the
-fully resolved configuration is echoed into the JSON run manifest, which
-references every emitted data file.  Exit codes: 0 success, 1 validation
-failure, 2 numerical-guard abort, 64 usage error.
+Subcommands: superop, evolve, propagator, jc, bipartite, validate; the
+last runs every check of the `validate.CHECKS` registry.  Only propagator
+draws random numbers, so only it takes a seed.  Parameters resolve as
+defaults < config file < command-line flags; the fully resolved
+configuration is echoed into the JSON run manifest, which references every
+emitted data file.  Exit codes: 0 success, 1 validation failure,
+2 numerical-guard abort, 64 usage error.
 """
 
 from __future__ import annotations
@@ -49,7 +51,6 @@ DEFAULTS: dict[str, dict] = {
         "kind": "cl",
         "grid_n": 64,
         "grid_span": 4.0,
-        "seed": 0,
     },
     "evolve": {
         "potential": "quartic:0.1",
@@ -66,7 +67,6 @@ DEFAULTS: dict[str, dict] = {
         "hbar": 1.0,
         "mass": 1.0,
         "n_out": 50,
-        "seed": 0,
     },
     "propagator": {
         "lam": 0.5,
@@ -87,7 +87,6 @@ DEFAULTS: dict[str, dict] = {
         "t": 10.0,
         "steps": 200,
         "init": "e0",
-        "seed": 0,
     },
     "bipartite": {
         "n_levels": 4,
@@ -97,9 +96,8 @@ DEFAULTS: dict[str, dict] = {
         "alpha1": "0",
         "alpha2": "0",
         "omega": 1.0,
-        "seed": 0,
     },
-    "validate": {"seed": 0},
+    "validate": {},
 }
 
 
@@ -186,19 +184,6 @@ def _parse_complex_pair(text: str) -> complex:
     return complex(re_part, im_part)
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return "%.17g" % value
-    return str(value)
-
-
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
-
-
 class RunContext:
     """Collects outputs, checks and timings for the manifest."""
 
@@ -220,12 +205,13 @@ class RunContext:
             "scenario": self.scenario,
             "version": __version__,
             "config": {"scenario": self.scenario, **self.params},
-            "seed": self.params.get("seed", 0),
             "outputs": self.outputs,
             "checks": {k: bool(v) for k, v in self.checks.items()},
             "notes": self.notes,
             "wall_seconds": time.perf_counter() - self._t0,
         }
+        if "seed" in self.params:
+            manifest["seed"] = self.params["seed"]
         path = self.outdir / f"{self.scenario}_manifest.json"
         path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
         return path
@@ -293,10 +279,10 @@ def run_evolve(ctx: RunContext) -> int:
         max_tr_drift = max(max_tr_drift, abs(superspace.trace(sd) - rows[0][1]))
         max_herm = max(max_herm, sd.hermiticity_defect())
         max_boundary = max(max_boundary, evolution.boundary_mass(sd.values))
-    _write_csv(
+    serialize.write_csv(
         ctx.path("evolve_series.csv"),
-        ["t", "trace", "x_mean", "p_mean", "x2_mean", "purity"],
         rows,
+        header=["t", "trace", "x_mean", "p_mean", "x2_mean", "purity"],
     )
     serialize.save_super_density(ctx.outdir / "evolve_final", sd, hbar, mass)
     ctx.outputs += ["evolve_final.csv", "evolve_final.json"]
@@ -346,9 +332,10 @@ def run_propagator(ctx: RunContext) -> int:
                 abs(g_cl - num_cl), abs(g_qm - num_qm),
             )
         )
-    _write_csv(
+    serialize.write_csv(
         ctx.path("propagator_points.csv"),
-        [
+        rows,
+        header=[
             "Q_f", "q_f", "Q_i", "q_i", "T",
             "G0_re", "G0_im", "gamma_qm_re", "gamma_qm_im",
             "gamma_cl_re", "gamma_cl_im",
@@ -356,7 +343,6 @@ def run_propagator(ctx: RunContext) -> int:
             "numeric_cl_re", "numeric_cl_im", "numeric_qm_re", "numeric_qm_im",
             "abs_err_cl", "abs_err_qm",
         ],
-        rows,
     )
     worst = max(max(r[-1], r[-2]) for r in rows)
     scale = max(abs(complex(r[9], r[10])) for r in rows)
@@ -394,10 +380,10 @@ def run_jc(ctx: RunContext) -> int:
                 float(np.trace(rho @ rho).real),
             )
         )
-    _write_csv(
+    serialize.write_csv(
         ctx.path("jc_series.csv"),
-        ["t", "P_e", "abs_rho_eg00", "trace", "purity"],
         rows,
+        header=["t", "P_e", "abs_rho_eg00", "trace", "purity"],
     )
     ctx.checks["trace_conserved_1e-8"] = max_drift < 1e-8
     return EXIT_OK
@@ -411,18 +397,18 @@ def run_bipartite(ctx: RunContext) -> int:
     )
     t_grid = np.linspace(0.0, float(p["t"]), int(p["steps"]) + 1)
     rows = entangle.compare_cl_qm_entanglement(basis, float(p["lam"]), rho0, t_grid)
-    _write_csv(
+    serialize.write_csv(
         ctx.path("bipartite_series.csv"),
-        [
-            "t", "purity_cl", "purity_qm", "min_eig_cl", "min_eig_qm",
-            "trace_drift_cl", "trace_drift_qm",
-        ],
         [
             (
                 r.t, r.purity_cl, r.purity_qm, r.min_eig_cl, r.min_eig_qm,
                 r.trace_drift_cl, r.trace_drift_qm,
             )
             for r in rows
+        ],
+        header=[
+            "t", "purity_cl", "purity_qm", "min_eig_cl", "min_eig_qm",
+            "trace_drift_cl", "trace_drift_qm",
         ],
     )
     ctx.checks["trace_conserved_1e-8"] = max(
@@ -442,7 +428,9 @@ def run_validate(ctx: RunContext) -> int:
         rows.append((res.name, status, res.detail))
         ctx.checks[res.name] = res.passed
     print(f"{n_pass}/{len(results)} checks passed")
-    _write_csv(ctx.path("validate_report.csv"), ["check", "status", "detail"], rows)
+    serialize.write_csv(
+        ctx.path("validate_report.csv"), rows, header=["check", "status", "detail"]
+    )
     return EXIT_OK if n_pass == len(results) else EXIT_VALIDATION
 
 
@@ -498,8 +486,6 @@ def run(argv=None) -> int:
         ) / scenario
         outdir.mkdir(parents=True, exist_ok=True)
         ctx = RunContext(scenario, params, outdir)
-        if "LIOUSPACE_THREADS" in os.environ:
-            ctx.notes.append(f"thread request: {os.environ['LIOUSPACE_THREADS']}")
         code = RUNNERS[scenario](ctx)
         ctx.write_manifest()
         return code

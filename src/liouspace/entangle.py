@@ -27,6 +27,7 @@ import numpy as np
 from .errors import TruncationLeak
 from .liouvillian import BasisLiouvillian, build_basis_liouvillian
 from .evolution import ExactEvolver
+from .jaynescummings import coherent_field_density, fock_annihilation
 from .potential import MonomialClass, classify_bipartite_terms
 
 
@@ -49,8 +50,7 @@ class BipartiteBasis:
 
     def position_operator(self) -> np.ndarray:
         """Single-mode x = sqrt(hbar / 2 m omega) (a + a')."""
-        n = self.n_levels
-        a = np.diag(np.sqrt(np.arange(1, n)), k=1)
+        a = fock_annihilation(self.n_levels - 1)
         return np.sqrt(self.hbar / (2.0 * self.mass * self.omega)) * (a + a.T)
 
     def free_hamiltonian(self) -> np.ndarray:
@@ -199,23 +199,10 @@ def compare_cl_qm_entanglement(
     return rows
 
 
-def coherent_ladder_state(n_levels: int, alpha: complex) -> np.ndarray:
-    """Truncated coherent state density for one subsystem."""
-    n = np.arange(n_levels)
-    log_fact = np.cumsum(np.log(np.maximum(n, 1)))
-    if alpha == 0:
-        psi = np.zeros(n_levels, dtype=complex)
-        psi[0] = 1.0
-    else:
-        psi = np.exp(-0.5 * abs(alpha) ** 2 + n * np.log(complex(alpha)) - 0.5 * log_fact)
-        psi = psi / np.linalg.norm(psi)
-    return np.outer(psi, psi.conj())
-
-
 def separable_state(
     basis: BipartiteBasis, alpha1: complex = 0.0, alpha2: complex = 0.0
 ) -> np.ndarray:
     return np.kron(
-        coherent_ladder_state(basis.n_levels, alpha1),
-        coherent_ladder_state(basis.n_levels, alpha2),
+        coherent_field_density(alpha1, basis.n_levels - 1),
+        coherent_field_density(alpha2, basis.n_levels - 1),
     )

@@ -21,7 +21,7 @@ import scipy.linalg
 from .errors import EnergyDriftExceeded
 from .liouvillian import BasisLiouvillian, GridLiouvillian, build_grid_liouvillian
 from .potential import PolynomialPotential, SuperPotentialKind
-from .superspace import SuperDensity, SuperGrid
+from .superspace import SuperDensity, SuperGrid, is_hermitian
 
 BOUNDARY_MASS_TOL = 1e-10
 
@@ -53,14 +53,9 @@ def _dense_of(liouville) -> tuple[np.ndarray, float]:
     return liouville.dense(), liouville.hbar
 
 
-def _is_hermitian_matrix(mat: np.ndarray) -> bool:
-    scale = max(float(np.max(np.abs(mat))), 1e-300)
-    return bool(np.max(np.abs(mat - mat.conj().T)) <= 1e-12 * scale)
-
-
 def _expi(mat: np.ndarray, prefactor: complex) -> np.ndarray:
     """exp(prefactor * mat), via eigendecomposition for Hermitian mat."""
-    if _is_hermitian_matrix(mat):
+    if is_hermitian(mat):
         w, u = np.linalg.eigh(mat)
         return (u * np.exp(prefactor * w)) @ u.conj().T
     return scipy.linalg.expm(prefactor * mat)
@@ -82,7 +77,7 @@ class ExactEvolver:
 
     def __init__(self, liouville) -> None:
         self._dense, self.hbar = _dense_of(liouville)
-        self._hermitian = _is_hermitian_matrix(self._dense)
+        self._hermitian = is_hermitian(self._dense)
         if self._hermitian:
             self._w, self._u = np.linalg.eigh(self._dense)
         else:
@@ -151,7 +146,7 @@ def evolve_interaction_picture(
         raise ValueError("config.hbar must match the operator's hbar")
     pert = perturbation if callable(perturbation) else (lambda _t, _m=perturbation: _m)
 
-    hermitian = _is_hermitian_matrix(dense0)
+    hermitian = is_hermitian(dense0)
     if hermitian:
         w, u = np.linalg.eigh(dense0)
         uinv = u.conj().T

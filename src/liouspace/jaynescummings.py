@@ -26,6 +26,7 @@ import numpy as np
 from .errors import NonHermitianAssembly, NotConverged, NotFactorized, TruncationLeak
 from .liouvillian import BasisLiouvillian, build_basis_liouvillian
 from .evolution import evolve_exact
+from .potential import coulomb_e_of_radii
 
 ATOM_G, ATOM_E = 0, 1
 
@@ -56,7 +57,8 @@ class JCParams:
 
 
 def fock_annihilation(n_max: int) -> np.ndarray:
-    return np.diag(np.sqrt(np.arange(1, n_max + 1)), k=1).astype(complex)
+    """Real ladder operator a on Fock levels 0..n_max."""
+    return np.diag(np.sqrt(np.arange(1, n_max + 1)), k=1)
 
 
 def build_jc_hamiltonian(p: JCParams) -> np.ndarray:
@@ -450,10 +452,12 @@ def coulomb_superop_element(
         r_sum = np.linalg.norm(q_pts + k_pts, axis=-1)
         ok = (r_q > eps_reg) & (r_k > eps_reg) & (r_sum > eps_reg)
         n_excluded += int(np.sum(~ok))
-        r_q = np.maximum(r_q, eps_reg)
-        r_k = np.maximum(r_k, eps_reg)
-        r_sum = np.maximum(r_sum, eps_reg)
-        e_val = 4.0 * e2 * (r_q**2 - r_k**2) / r_sum**3 + e2 / r_q - e2 / r_k
+        e_val = coulomb_e_of_radii(
+            e2,
+            np.maximum(r_q, eps_reg),
+            np.maximum(r_k, eps_reg),
+            np.maximum(r_sum, eps_reg),
+        )
         f = (
             np.conj(hydrogen_psi(a, q_pts))
             * hydrogen_psi(c, q_pts)

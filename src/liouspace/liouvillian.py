@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DimensionTooLarge, NonHermitianInput
 from .potential import PolynomialPotential, SuperPotentialKind, e_superoperator, super_potential
-from .superspace import SuperGrid
+from .superspace import SuperGrid, is_hermitian
 
 MAX_DENSE_VEC_DIM = 4096
 
@@ -68,10 +68,6 @@ class GridLiouvillian:
     @property
     def n(self) -> int:
         return self.grid.n
-
-    @property
-    def is_hermitian(self) -> bool:
-        return True  # commutator with real-symmetric H plus real diagonal
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
         """L rho = (H_Q - H_q + E) rho with the spectral kinetic term."""
@@ -118,14 +114,6 @@ class BasisLiouvillian:
     def n(self) -> int:
         return self.h.shape[0]
 
-    @property
-    def is_hermitian(self) -> bool:
-        if self.s_add is None:
-            return True
-        dev = np.max(np.abs(self.s_add - self.s_add.conj().T))
-        scale = max(float(np.max(np.abs(self.s_add))), 1e-300)
-        return bool(dev <= 1e-12 * scale)
-
     def apply(self, rho: np.ndarray) -> np.ndarray:
         out = self.h @ rho - rho @ self.h
         if self.s_add is not None:
@@ -161,8 +149,7 @@ def build_basis_liouvillian(
     hbar: float = 1.0,
 ) -> BasisLiouvillian:
     h = np.asarray(h, dtype=complex)
-    scale = max(float(np.max(np.abs(h))), 1e-300)
-    if np.max(np.abs(h - h.conj().T)) > 1e-12 * scale:
+    if not is_hermitian(h):
         raise NonHermitianInput("Hamiltonian is not Hermitian to 1e-12")
     if s_add is not None:
         s_add = np.asarray(s_add, dtype=complex)

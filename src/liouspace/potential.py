@@ -159,7 +159,11 @@ def coulomb_e_superoperator(pot: CoulombPotential, q_bra, q_ket, eps_reg: float 
         raise SingularRegion(
             f"evaluation inside the excluded shell (eps_reg={eps_reg:g})"
         )
-    e2 = pot.e2
+    return coulomb_e_of_radii(pot.e2, r_bra, r_ket, r_sum)
+
+
+def coulomb_e_of_radii(e2: float, r_bra, r_ket, r_sum):
+    """Coulomb E from the radii |Q|, |q| and |Q + q|, with no singularity guard."""
     return 4.0 * e2 * (r_bra**2 - r_ket**2) / r_sum**3 + e2 / r_bra - e2 / r_ket
 
 

@@ -18,11 +18,14 @@ from .superspace import PhaseDensity, PhaseGrid, SuperDensity, SuperGrid
 _FMT = "%.17g"
 
 
-def _write_rows(path: Path, rows) -> None:
+def write_csv(path, rows, header=None) -> None:
+    """CSV with LF line endings; floats as %.17g, other cells as str."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
+        writer = csv.writer(fh, lineterminator="\n")
+        if header is not None:
+            writer.writerow(header)
         for row in rows:
-            writer.writerow([_FMT % v for v in row])
+            writer.writerow([_FMT % v if isinstance(v, float) else v for v in row])
 
 
 def _interleave(mat: np.ndarray):
@@ -38,7 +41,7 @@ def save_super_density(
     base = Path(base_path)
     csv_path = base.with_suffix(".csv")
     meta_path = base.with_suffix(".json")
-    _write_rows(csv_path, _interleave(sd.values))
+    write_csv(csv_path, _interleave(sd.values))
     meta = {
         "kind": "super_density",
         "q_min": sd.grid.q_min,
@@ -66,7 +69,7 @@ def save_phase_density(
     base = Path(base_path)
     csv_path = base.with_suffix(".csv")
     meta_path = base.with_suffix(".json")
-    _write_rows(csv_path, pd.values)
+    write_csv(csv_path, pd.values)
     g = pd.grid
     meta = {
         "kind": "phase_density",
@@ -97,11 +100,11 @@ def load_phase_density(base_path) -> tuple[PhaseDensity, dict]:
 def save_complex_matrix(path, mat: np.ndarray) -> Path:
     """Dense operator export (re/im interleaved), e.g. Liouvillians or E."""
     path = Path(path)
-    _write_rows(path, _interleave(np.asarray(mat, dtype=complex)))
+    write_csv(path, _interleave(np.asarray(mat, dtype=complex)))
     return path
 
 
 def save_real_matrix(path, mat: np.ndarray) -> Path:
     path = Path(path)
-    _write_rows(path, np.asarray(mat, dtype=float))
+    write_csv(path, np.asarray(mat, dtype=float))
     return path

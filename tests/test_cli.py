@@ -1,12 +1,15 @@
+import csv
 import json
 
 import numpy as np
 import pytest
 
+from liouspace import validate
 from liouspace.cli import (
     EXIT_GUARD,
     EXIT_OK,
     EXIT_USAGE,
+    EXIT_VALIDATION,
     parse_config,
     parse_potential_spec,
     run,
@@ -19,6 +22,21 @@ def read_csv(path):
     header = lines[0].split(",")
     rows = [[v for v in line.split(",")] for line in lines[1:]]
     return header, rows
+
+
+def stub_check(ok):
+    return lambda: (ok, "detail, with commas, like real checks")
+
+
+def run_validate(tmp_path, monkeypatch, checks):
+    """Run `validate` over stub checks; the real ones run in test_acceptance."""
+    monkeypatch.setattr(validate, "CHECKS", checks)
+    code = run(["validate", "--outdir", str(tmp_path)])
+    with open(tmp_path / "validate" / "validate_report.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert all(len(row) == 3 for row in rows)
+    manifest = json.loads((tmp_path / "validate" / "validate_manifest.json").read_text())
+    return code, rows, manifest
 
 
 class TestParseConfig:
@@ -209,11 +227,33 @@ class TestScenarios:
         cfg.write_text(json.dumps({"scenario": "jc", "warp": 9}))
         assert run(["jc", "--config", str(cfg), "--outdir", str(tmp_path)]) == EXIT_USAGE
 
-    def test_validate_passes_on_correct_build(self, tmp_path):
-        code = run(["validate", "--outdir", str(tmp_path)])
+    def test_validate_passes_on_correct_build(self, tmp_path, monkeypatch):
+        checks = [("first", stub_check(True)), ("second", stub_check(True))]
+        code, rows, manifest = run_validate(tmp_path, monkeypatch, checks)
         assert code == EXIT_OK
-        report = (tmp_path / "validate" / "validate_report.csv").read_text()
-        assert "FAIL" not in report
+        assert rows[0] == ["check", "status", "detail"]
+        assert [row[1] for row in rows[1:]] == ["PASS", "PASS"]
+        assert manifest["checks"] == {"first": True, "second": True}
+
+    def test_validate_failure_exits_1(self, tmp_path, monkeypatch):
+        checks = [("first", stub_check(True)), ("second", stub_check(False))]
+        code, rows, manifest = run_validate(tmp_path, monkeypatch, checks)
+        assert code == EXIT_VALIDATION
+        assert rows[2][:2] == ["second", "FAIL"]
+        assert manifest["checks"] == {"first": True, "second": False}
+
+    def test_seed_rejected_where_unused(self, tmp_path):
+        assert run(["evolve", "--seed", "3", "--outdir", str(tmp_path)]) == EXIT_USAGE
+
+    def test_manifest_records_only_applied_settings(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("LIOUSPACE_THREADS", "3")
+        code = run(["superop", "--grid-n", "16", "--outdir", str(tmp_path)])
+        assert code == EXIT_OK
+        manifest = json.loads(
+            (tmp_path / "superop" / "superop_manifest.json").read_text()
+        )
+        assert not any("thread request" in note for note in manifest["notes"])
+        assert "seed" not in manifest
 
     def test_outdir_env_var(self, tmp_path, monkeypatch):
         monkeypatch.setenv("LIOUSPACE_OUTDIR", str(tmp_path / "env_out"))

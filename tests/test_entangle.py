@@ -6,7 +6,6 @@ from liouspace.entangle import (
     ComparisonRow,
     build_bipartite_liouvillian,
     compare_cl_qm_entanglement,
-    coherent_ladder_state,
     entanglement_metrics,
     interaction_terms,
     pure_bra_polynomial,
@@ -16,6 +15,7 @@ from liouspace.entangle import (
 )
 from liouspace.errors import TruncationLeak
 from liouspace.evolution import ExactEvolver
+from liouspace.jaynescummings import coherent_field_density
 from liouspace.potential import MonomialClass, SuperPotentialKind
 
 CROSS_CLASSES = {
@@ -80,8 +80,8 @@ class TestGenerators:
 
 class TestReducedDensity:
     def test_product_state_recovers_factor(self, basis4):
-        rho1 = coherent_ladder_state(4, 0.4)
-        rho2 = coherent_ladder_state(4, -0.7)
+        rho1 = coherent_field_density(0.4, 3)
+        rho2 = coherent_field_density(-0.7, 3)
         rho = np.kron(rho1, rho2)
         np.testing.assert_allclose(reduced_density(rho, 1, 4), rho1, atol=1e-12)
         np.testing.assert_allclose(reduced_density(rho, 2, 4), rho2, atol=1e-12)

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from liouspace.evolution import (
     CharacteristicsEnsemble,
     EvolutionConfig,
     EvolveMethod,
+    ExactEvolver,
     boundary_mass,
     evolve_characteristics,
     evolve_exact,
@@ -70,6 +73,14 @@ class TestEvolveExact:
         rho = evolve_exact(op, sd.values, 2.0)
         assert np.trace(rho).real * grid.dq == pytest.approx(trace(sd), abs=1e-8)
         assert np.max(np.abs(rho - rho.conj().T)) < 1e-8
+
+    @pytest.mark.parametrize("defect, hermitian", [(0.5e-12, True), (2e-12, False)])
+    def test_hermiticity_tolerance_selects_path(self, defect, hermitian):
+        # relative defect max|L - L^H| / max|L| == defect exactly
+        dense = np.diag([1.0, -0.5, 0.25]).astype(complex)
+        dense[0, 1] = defect
+        ev = ExactEvolver(SimpleNamespace(dense=lambda: dense, hbar=1.0))
+        assert ev._hermitian is hermitian  # eigh route, else expm per call
 
     def test_hbar_enters_evolution(self):
         liou = build_basis_liouvillian(np.diag([0.0, 1.0]), hbar=2.0)

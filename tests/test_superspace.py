@@ -159,6 +159,18 @@ class TestMoments:
         assert expect_x(sd) == pytest.approx(0.0, abs=1e-10)
         assert expect_p(sd) == pytest.approx(0.0, abs=1e-10)
 
+    @pytest.mark.parametrize("defect, ok", [(0.5e-6, True), (2e-6, False)])
+    def test_hermiticity_tolerance(self, defect, ok):
+        # relative defect max|rho - rho^H| / max|rho| == defect exactly
+        vals = np.eye(4, dtype=complex)
+        vals[0, 1] = defect
+        sd = SuperDensity(SuperGrid.centered(2.0, 4), vals)
+        if ok:
+            expect_x(sd)
+        else:
+            with pytest.raises(HermiticityViolation):
+                expect_x(sd)
+
     def test_hbar_scaling_of_momentum(self):
         grid = SuperGrid.centered(8.0, 64)
         sd = gaussian_super_density(grid, 0.0, 1.2, 0.6, 0.5, hbar=0.5)
