@@ -17,6 +17,7 @@ from liouspace.entangle import (
     compare_cl_qm_entanglement,
     separable_state,
 )
+from liouspace.serialize import write_csv
 
 LAM = 0.0002
 N_LEVELS = 4
@@ -31,13 +32,11 @@ def main() -> None:
     rows = compare_cl_qm_entanglement(
         basis, LAM, rho0, np.linspace(0.0, T_END, N_OUT + 1)
     )
-    with open(out, "w") as fh:
-        fh.write("t,purity_cl,purity_qm,min_eig_cl,min_eig_qm\n")
-        for r in rows:
-            fh.write(
-                f"{r.t:.10g},{r.purity_cl:.12g},{r.purity_qm:.12g},"
-                f"{r.min_eig_cl:.6g},{r.min_eig_qm:.6g}\n"
-            )
+    write_csv(
+        out,
+        [(r.t, r.purity_cl, r.purity_qm, r.min_eig_cl, r.min_eig_qm) for r in rows],
+        header=["t", "purity_cl", "purity_qm", "min_eig_cl", "min_eig_qm"],
+    )
     drop_cl = 1.0 - min(r.purity_cl for r in rows)
     drop_qm = 1.0 - min(r.purity_qm for r in rows)
     print(f"wrote {out}; max purity drop: cl {drop_cl:.3e}, qm {drop_qm:.3e}")

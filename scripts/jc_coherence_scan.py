@@ -21,6 +21,7 @@ from liouspace.jaynescummings import (
     excited_population,
     jc_liouvillian,
 )
+from liouspace.serialize import write_csv
 
 EPS_VALUES = [0.0, 0.02j, 0.05j, 0.05 + 0.05j]
 D_EG = 0.05
@@ -45,17 +46,15 @@ def main() -> None:
             coh = abs(rho.reshape(2, f, 2, f)[ATOM_E, 0, ATOM_G, 0])
             rows.append((excited_population(rho, N_MAX), coh))
         series.append(rows)
-    with open(out, "w") as fh:
-        header = ["t"]
-        for eps in EPS_VALUES:
-            tag = f"{eps.real:g}_{eps.imag:g}"
-            header += [f"P_e[eps={tag}]", f"coh[eps={tag}]"]
-        fh.write(",".join(header) + "\n")
-        for i, t in enumerate(times):
-            cells = [f"{t:.10g}"]
-            for rows in series:
-                cells += [f"{rows[i][0]:.10g}", f"{rows[i][1]:.10g}"]
-            fh.write(",".join(cells) + "\n")
+    header = ["t"]
+    for eps in EPS_VALUES:
+        tag = f"{eps.real:g}_{eps.imag:g}"
+        header += [f"P_e[eps={tag}]", f"coh[eps={tag}]"]
+    write_csv(
+        out,
+        [(float(t), *(v for rows in series for v in rows[i])) for i, t in enumerate(times)],
+        header=header,
+    )
     print(f"wrote {out} ({len(EPS_VALUES)} superoperator settings)")
 
 

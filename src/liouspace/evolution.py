@@ -200,6 +200,8 @@ def evolve_trotter(
     kind: SuperPotentialKind,
     rho0: SuperDensity,
     config: EvolutionConfig,
+    *,
+    observe: Callable[[int, SuperDensity], None] | None = None,
 ) -> SuperDensity:
     """Split-step evolution alternating exact kinetic and potential phases.
 
@@ -207,6 +209,11 @@ def evolve_trotter(
     path integral: the kinetic factor is diagonal in the 2-d Fourier dual
     of (Q, q), the potential + E factor is diagonal in (Q, q).  Lie
     splitting is first order, Strang second order.
+
+    ``observe(k, state)``, if given, is called after every step k =
+    1..n_steps with the state at t0 + k dt, bit-identical to the result of
+    a separate k-step call with the same dt; it must not modify the state.
+    Generator and phases are built once per call: one call covers a run.
     """
     if config.method not in (EvolveMethod.TROTTER_LIE, EvolveMethod.TROTTER_STRANG):
         raise ValueError("config.method must be a Trotter variant")
@@ -218,19 +225,21 @@ def evolve_trotter(
         )
     op = build_grid_liouvillian(v, grid, kind, mass=config.mass, hbar=config.hbar)
     dt = (config.t1 - config.t0) / config.n_steps
-    k2 = (2.0 * np.pi * np.fft.fftfreq(grid.n, grid.dq)) ** 2
-    kin_gen = (config.hbar / (2.0 * config.mass)) * (k2[:, None] - k2[None, :])
-    kin_phase = np.exp(-1j * dt * kin_gen)
+    kin_phase = np.exp(-1j * dt * (op.kinetic_diag / config.hbar))
     pot_gen = (op.potential_diag + op.e_diag) / config.hbar
-    rho = rho0.values.copy()
-    if config.method is EvolveMethod.TROTTER_LIE:
+    lie = config.method is EvolveMethod.TROTTER_LIE
+    if lie:
         pot_phase = np.exp(-1j * dt * pot_gen)
-        for _ in range(config.n_steps):
-            rho = np.fft.ifft2(kin_phase * np.fft.fft2(pot_phase * rho))
     else:
         half = np.exp(-0.5j * dt * pot_gen)
-        for _ in range(config.n_steps):
+    rho = rho0.values.copy()
+    for k in range(1, config.n_steps + 1):
+        if lie:
+            rho = np.fft.ifft2(kin_phase * np.fft.fft2(pot_phase * rho))
+        else:
             rho = half * np.fft.ifft2(kin_phase * np.fft.fft2(half * rho))
+        if observe is not None:
+            observe(k, SuperDensity(grid, rho))
     return SuperDensity(grid, rho)
 
 

@@ -125,8 +125,11 @@ def jc_superoperator_matrix(p: JCParams) -> np.ndarray | None:
     """Vectorized (row-major) matrix of the atomic superoperator E-hat.
 
     (E rho)_{ab|nn'} = sum_{cd} E_{ab,cd} rho_{cd|nn'}; the Fock factor is
-    the identity.  Hermiticity of the evolution is guaranteed by the
-    enforced relations E_{ge,ge} = -conj(E_{eg,eg}), E_{gg,ee} = -conj(E_{ee,gg}).
+    the identity.  The enforced relations E_{ge,ge} = -conj(E_{eg,eg}) and
+    E_{gg,ee} = -conj(E_{ee,gg}) only keep rho Hermitian.  The generator is
+    Hermitian, and the evolution unitary, only for real eps_egeg and
+    eps_eegg = 0.  Im eps_egeg < 0 damps the eg coherence as
+    exp(Im eps_egeg t / hbar), and Im eps_egeg > 0 amplifies it.
     """
     elements = {
         (ATOM_E, ATOM_G, ATOM_E, ATOM_G): complex(p.eps_egeg),

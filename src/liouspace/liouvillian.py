@@ -50,6 +50,7 @@ class GridLiouvillian:
     hbar: float = 1.0
     potential_diag: np.ndarray = field(init=False)
     e_diag: np.ndarray = field(init=False)
+    kinetic_diag: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
         pts = self.grid.points
@@ -63,7 +64,9 @@ class GridLiouvillian:
             self.e_diag = 0.5 * (e - e.T)  # enforce exact antisymmetry
         else:
             self.e_diag = np.zeros((self.grid.n, self.grid.n))
-        self._k2 = _wavenumbers(self.grid.n, self.grid.dq) ** 2
+        # kinetic part of H_Q - H_q, diagonal in the Fourier dual of (Q, q)
+        k2 = _wavenumbers(self.grid.n, self.grid.dq) ** 2
+        self.kinetic_diag = (self.hbar**2 / (2.0 * self.mass)) * (k2[:, None] - k2[None, :])
 
     @property
     def n(self) -> int:
@@ -71,9 +74,7 @@ class GridLiouvillian:
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
         """L rho = (H_Q - H_q + E) rho with the spectral kinetic term."""
-        coef = self.hbar**2 / (2.0 * self.mass)
-        spec = np.fft.fft2(rho)
-        kin = np.fft.ifft2(coef * (self._k2[:, None] - self._k2[None, :]) * spec)
+        kin = np.fft.ifft2(self.kinetic_diag * np.fft.fft2(rho))
         return kin + (self.potential_diag + self.e_diag) * rho
 
     def h_matrix(self) -> np.ndarray:

@@ -183,21 +183,20 @@ def _conservation_suite() -> tuple[bool, str]:
     # grid scenarios: quartic CL and QM, harmonic CL
     grid = superspace.SuperGrid.centered(8.0, 128)
     sd0 = superspace.gaussian_super_density(grid, 1.0, 0.0, 0.4, 0.6)
-    cfg = evolution.EvolutionConfig(t1=1.0, n_steps=100, method=evolution.EvolveMethod.TROTTER_STRANG)
-    with warnings.catch_warnings():
-        # from t = 1 on, the CL densities reach the grid boundary; the
-        # drifts below are what this check bounds
-        warnings.filterwarnings("ignore", message="initial density")
-        for v, kind in (
-            (PolynomialPotential.quartic(0.1), SuperPotentialKind.CL),
-            (PolynomialPotential.quartic(0.1), SuperPotentialKind.QM),
-            (PolynomialPotential.harmonic(1.0), SuperPotentialKind.CL),
-        ):
-            sd = sd0
-            for _ in range(10):
-                sd = evolution.evolve_trotter(v, grid, kind, sd, cfg)
-                worst_tr = max(worst_tr, abs(superspace.trace(sd) - 1.0))
-                worst_h = max(worst_h, sd.hermiticity_defect())
+    cfg = evolution.EvolutionConfig(t1=10.0, n_steps=1000, method=evolution.EvolveMethod.TROTTER_STRANG)
+
+    def observe(k, sd):
+        nonlocal worst_tr, worst_h
+        if k % 100 == 0:
+            worst_tr = max(worst_tr, abs(superspace.trace(sd) - 1.0))
+            worst_h = max(worst_h, sd.hermiticity_defect())
+
+    for v, kind in (
+        (PolynomialPotential.quartic(0.1), SuperPotentialKind.CL),
+        (PolynomialPotential.quartic(0.1), SuperPotentialKind.QM),
+        (PolynomialPotential.harmonic(1.0), SuperPotentialKind.CL),
+    ):
+        evolution.evolve_trotter(v, grid, kind, sd0, cfg, observe=observe)
 
     def track(ev, rho0):
         nonlocal worst_tr, worst_h

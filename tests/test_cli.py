@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from liouspace import validate
+from liouspace import evolution, validate
 from liouspace.cli import (
     EXIT_GUARD,
     EXIT_OK,
@@ -162,6 +162,54 @@ class TestScenarios:
         for row in rows:
             t, p_e = float(row[0]), float(row[1])
             assert p_e == pytest.approx(np.cos(0.05 * t) ** 2, abs=1e-6)
+
+    def test_evolve_builds_generator_once(self, tmp_path, monkeypatch):
+        calls = []
+        build = evolution.build_grid_liouvillian
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(evolution, "build_grid_liouvillian", counted)
+        code = run(
+            ["evolve", "--grid-n", "32", "--steps", "20", "--n-out", "5",
+             "--outdir", str(tmp_path)]
+        )
+        assert code == EXIT_OK
+        assert len(calls) == 1
+        header, rows = read_csv(tmp_path / "evolve" / "evolve_series.csv")
+        assert [float(r[0]) for r in rows] == pytest.approx([0.0, 0.1, 0.2, 0.3, 0.4, 0.5])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["evolve", "--n-out", "0"],
+            ["evolve", "--steps", "210", "--n-out", "50"],
+            ["evolve", "--n-out", "300"],
+            ["evolve", "--t", "0"],
+            ["evolve", "--grid-n", "63"],
+            ["evolve", "--method", "rk4"],
+            ["jc", "--n-max", "0"],
+            ["jc", "--init", "x5"],
+            ["bipartite", "--n-levels", "1"],
+            ["bipartite", "--alpha1", "abc"],
+        ],
+        ids=" ".join,
+    )
+    def test_bad_scenario_input_is_usage_error(self, tmp_path, argv):
+        assert run(argv + ["--outdir", str(tmp_path)]) == EXIT_USAGE
+
+    @pytest.mark.parametrize(
+        "eps, bounded", [("0,0", True), ("0.01,-0.02", True), ("0.01,0.02", False)]
+    )
+    def test_jc_purity_check(self, tmp_path, eps, bounded):
+        # Im eps > 0 amplifies the eg coherence, so purity exceeds 1
+        code = run(["jc", "--eps", eps, "--steps", "20", "--outdir", str(tmp_path)])
+        assert code == EXIT_OK
+        manifest = json.loads((tmp_path / "jc" / "jc_manifest.json").read_text())
+        assert manifest["checks"]["purity_at_most_1_1e-8"] is bounded
+        assert manifest["checks"]["trace_conserved_1e-8"]
 
     def test_jc_guard_abort(self, tmp_path):
         code = run(

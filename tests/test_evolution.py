@@ -289,6 +289,25 @@ class TestTrotter:
         assert abs(trace(out) - trace(sd)) < 1e-8
         assert out.hermiticity_defect() < 1e-8
 
+    @pytest.mark.parametrize("method", [EvolveMethod.TROTTER_STRANG, EvolveMethod.TROTTER_LIE])
+    def test_observed_states_equal_separate_runs(self, method):
+        grid = SuperGrid.centered(8.0, 64)
+        v = PolynomialPotential.quartic(0.1)
+        sd = gaussian_super_density(grid, 1.0, 0.0, 0.5, 0.6)
+        dt = 0.0625  # a power of 2, so k dt / k == dt exactly
+        seen = {}
+        cfg = EvolutionConfig(t1=8 * dt, n_steps=8, method=method)
+        final = evolve_trotter(
+            v, grid, SuperPotentialKind.CL, sd, cfg,
+            observe=lambda k, state: seen.setdefault(k, state.values.copy()),
+        )
+        assert list(seen) == list(range(1, 9))
+        assert np.array_equal(seen[8], final.values)
+        for k in (1, 3, 8):
+            cfg_k = EvolutionConfig(t1=k * dt, n_steps=k, method=method)
+            alone = evolve_trotter(v, grid, SuperPotentialKind.CL, sd, cfg_k)
+            assert np.array_equal(seen[k], alone.values)
+
     def test_boundary_warning(self):
         grid = SuperGrid.centered(3.0, 32)
         sd = gaussian_super_density(grid, 1.5, 0.0, 0.8, 0.3)
