@@ -4,6 +4,9 @@
 Sweeps the superoperator element E_{eg,eg} at fixed dipole coupling and
 records how the |e,0><g,0| coherence magnitude and the excited-state
 population respond; E = 0 reproduces the pure quantum Rabi oscillation.
+The sweep keeps Im eps <= 0, which damps the eg coherence: Im eps > 0
+amplifies it, and the coherence then grows past the 0.5 that any density
+matrix allows.
 
 Usage: python scripts/jc_coherence_scan.py [out.csv]
 """
@@ -23,7 +26,7 @@ from liouspace.jaynescummings import (
 )
 from liouspace.serialize import write_csv
 
-EPS_VALUES = [0.0, 0.02j, 0.05j, 0.05 + 0.05j]
+EPS_VALUES = [0, complex(0, -0.02), complex(0, -0.05), complex(0.05, -0.05)]
 D_EG = 0.05
 N_MAX = 4
 T_END = 60.0

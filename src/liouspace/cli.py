@@ -193,6 +193,10 @@ class RunContext:
         self.outputs: list[str] = []
         self.checks: dict[str, bool] = {}
         self.notes: list[str] = []
+        # set by the scenarios that evolve a generator: what solved it, and
+        # the dimension of the vectorized density it acts on
+        self.solver_path: str | dict[str, str] | None = None
+        self.generator_dim: int | None = None
         self._t0 = time.perf_counter()
 
     def path(self, name: str) -> Path:
@@ -211,6 +215,9 @@ class RunContext:
         }
         if "seed" in self.params:
             manifest["seed"] = self.params["seed"]
+        if self.solver_path is not None:
+            manifest["solver_path"] = self.solver_path
+            manifest["generator_dim"] = self.generator_dim
         path = self.outdir / f"{self.scenario}_manifest.json"
         path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
         return path
@@ -269,6 +276,7 @@ def run_evolve(ctx: RunContext) -> int:
         max_boundary = max(max_boundary, evolution.boundary_mass(state.values))
 
     sd = evolution.evolve_trotter(v, grid, kind, sd, cfg, observe=observe)
+    ctx.solver_path, ctx.generator_dim = method.value, grid.n**2
     serialize.write_csv(
         ctx.path("evolve_series.csv"),
         rows,
@@ -354,6 +362,9 @@ def run_jc(ctx: RunContext) -> int:
     jc.check_fock_truncation(rho0, params.n_max)
     evolver = evolution.ExactEvolver(jc.jc_liouvillian(params))
     f = params.fock_dim
+    # ExactEvolver diagonalises a Hermitian generator and calls expm otherwise
+    ctx.solver_path = "eigh" if evolver._hermitian else "expm"
+    ctx.generator_dim = (2 * f) ** 2
     rows = []
     max_drift = 0.0
     for t in np.linspace(0.0, float(p["t"]), int(p["steps"]) + 1):
@@ -389,6 +400,8 @@ def run_bipartite(ctx: RunContext) -> int:
     )
     t_grid = np.linspace(0.0, float(p["t"]), int(p["steps"]) + 1)
     rows = entangle.compare_cl_qm_entanglement(basis, float(p["lam"]), rho0, t_grid)
+    ctx.solver_path = {"cl": "expm_multiply", "qm": "eigh"}
+    ctx.generator_dim = basis.dim**2
     serialize.write_csv(
         ctx.path("bipartite_series.csv"),
         [

@@ -13,6 +13,22 @@ so inter-space cross terms act on one subsystem from the left and the
 other from the right simultaneously.  The CL - QM generator difference
 is then exactly the operator sum of the non-pure monomials.
 
+The dense generators built here serve audits and spectra; evolution goes
+through N x N pieces instead (N = n_levels^2).  The QM kind is the
+commutator with one N x N matrix, so one N x N eigendecomposition evolves
+it.  For the CL kind, every monomial acts through powers of the *truncated*
+position matrix X, and X = V diag(xi) V^T, so each power is diagonal in the
+eigenbasis of X: with R = V (x) V,
+
+    sum_m c_m (X1^i X2^k) rho (X1^j X2^l) = R (Phi o (R^T rho R)) R^T,
+
+    Phi_(ab),(cd) = superpotential(Q1 = xi_a, q1 = xi_c, Q2 = xi_b, q2 = xi_d),
+
+which is exact in the truncated basis, not a quadrature (the
+discrete-variable idea of Light, Hamilton & Lill, J. Chem. Phys. 82,
+1985).  The free part is the commutator with the diagonal H0.  This action
+is propagated matrix-free by ``evolution.evolve_uniform_grid``.
+
 No quantitative "inter-space entanglement" measure is defined here: the
 module reports the generator audit, standard intra-space metrics
 (reduced purity, spectra) and their CL/QM differences as raw data.
@@ -21,14 +37,20 @@ module reports the generator audit, standard intra-space metrics
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .errors import TruncationLeak
+from .evolution import evolve_uniform_grid
 from .liouvillian import BasisLiouvillian, build_basis_liouvillian
-from .evolution import ExactEvolver
 from .jaynescummings import coherent_field_density, fock_annihilation
-from .potential import MonomialClass, classify_bipartite_terms
+from .potential import (
+    MonomialClass,
+    SuperPotentialKind,
+    bipartite_super_potential,
+    classify_bipartite_terms,
+)
 
 
 @dataclass(frozen=True)
@@ -114,6 +136,64 @@ def build_bipartite_liouvillian(
     return build_basis_liouvillian(h0, s_add=s_add, hbar=basis.hbar)
 
 
+def _cl_action(
+    basis: BipartiteBasis, lam: float
+) -> tuple[Callable[[np.ndarray], np.ndarray], float]:
+    """The structured CL action on N x N matrices, and its trace sum(Phi)."""
+    e = np.diag(basis.free_hamiltonian()).real
+    de = e[:, None] - e[None, :]
+    xi, v = np.linalg.eigh(basis.position_operator())
+    r = np.kron(v, v)
+    bra1 = np.repeat(xi, basis.n_levels)[:, None]  # xi_a of the joint index (a, b)
+    bra2 = np.tile(xi, basis.n_levels)[:, None]  # xi_b
+    phi = bipartite_super_potential(lam, bra1, bra1.T, bra2, bra2.T)
+    return (lambda rho: de * rho + r @ (phi * (r.T @ rho @ r)) @ r.T), float(np.sum(phi))
+
+
+def _qm_eigensystem(basis: BipartiteBasis, lam: float) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of H0 + W, whose commutator is the QM generator."""
+    return np.linalg.eigh(basis.free_hamiltonian() + pure_bra_polynomial(basis, lam))
+
+
+def bipartite_action(
+    basis: BipartiteBasis, lam: float, kind
+) -> Callable[[np.ndarray], np.ndarray]:
+    """rho -> L rho from N x N pieces; equals the dense generator's action.
+
+    CL: Delta E o rho + R (Phi o (R^T rho R)) R^T.  QM: the commutator
+    with H0 + W through its eigenpairs (w, u), u ((w_a - w_b) o u' rho u) u'.
+    """
+    if SuperPotentialKind(kind) is SuperPotentialKind.CL:
+        return _cl_action(basis, lam)[0]
+    w, u = _qm_eigensystem(basis, lam)
+    dw = w[:, None] - w[None, :]
+    return lambda rho: u @ (dw * (u.conj().T @ rho @ u)) @ u.conj().T
+
+
+def evolve_bipartite(
+    basis: BipartiteBasis, lam: float, kind, rho0: np.ndarray, t_grid
+) -> np.ndarray:
+    """rho(t) for every t of the grid, shape (len(t_grid), N, N).
+
+    QM: u (e^{-i w t / hbar} o (u' rho0 u) o e^{+i w t / hbar}) u' from the
+    N x N eigendecomposition.  CL: the structured action under
+    ``evolve_uniform_grid``, so ``t_grid`` must be evenly spaced (ValueError
+    otherwise).
+    """
+    dim, hbar = basis.dim, basis.hbar
+    rho0 = np.asarray(rho0, dtype=complex)
+    if SuperPotentialKind(kind) is SuperPotentialKind.QM:
+        w, u = _qm_eigensystem(basis, lam)
+        phases = np.exp(-1j * np.outer(np.asarray(t_grid, dtype=float), w) / hbar)
+        rot = phases[:, :, None] * (u.conj().T @ rho0 @ u) * phases.conj()[:, None, :]
+        return u @ rot @ u.conj().T
+    act, trace = _cl_action(basis, lam)
+    vecs = evolve_uniform_grid(
+        lambda vec: act(vec.reshape(dim, dim)).reshape(-1), trace, rho0, t_grid, hbar=hbar
+    )
+    return vecs.reshape(-1, dim, dim)
+
+
 def reduced_density(rho: np.ndarray, subsystem: int, n_levels: int) -> np.ndarray:
     """Partial trace over the other subsystem (subsystem is 1 or 2)."""
     blocks = np.asarray(rho).reshape(n_levels, n_levels, n_levels, n_levels)
@@ -166,17 +246,14 @@ def compare_cl_qm_entanglement(
 ) -> list[ComparisonRow]:
     """Evolve rho0 under both generators and report metrics per time.
 
-    Raises TruncationLeak if either run populates the top ladder level of
-    a subsystem beyond ``leak_threshold``.
+    ``t_grid`` must be evenly spaced (ValueError otherwise).  Raises
+    TruncationLeak if either run populates the top ladder level of a
+    subsystem beyond ``leak_threshold``.
     """
-    from .potential import SuperPotentialKind
-
-    ev_cl = ExactEvolver(build_bipartite_liouvillian(basis, lam, SuperPotentialKind.CL))
-    ev_qm = ExactEvolver(build_bipartite_liouvillian(basis, lam, SuperPotentialKind.QM))
+    states_cl = evolve_bipartite(basis, lam, SuperPotentialKind.CL, rho0, t_grid)
+    states_qm = evolve_bipartite(basis, lam, SuperPotentialKind.QM, rho0, t_grid)
     rows = []
-    for t in t_grid:
-        rho_cl = ev_cl.propagate(rho0, float(t))
-        rho_qm = ev_qm.propagate(rho0, float(t))
+    for t, rho_cl, rho_qm in zip(t_grid, states_cl, states_qm):
         for tag, rho in (("cl", rho_cl), ("qm", rho_qm)):
             leak = abs(top_level_population(rho, basis.n_levels))
             if leak > leak_threshold:

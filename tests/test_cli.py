@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from liouspace import evolution, validate
+from liouspace import evolution, liouvillian, validate
 from liouspace.cli import (
     EXIT_GUARD,
     EXIT_OK,
@@ -256,6 +256,44 @@ class TestScenarios:
         assert header[0] == "t"
         assert float(rows[-1][1]) <= 1.0 + 1e-12
 
+    def test_bipartite_beyond_dense_size(self, tmp_path, monkeypatch):
+        """n_levels 9 is a 6561-dim vectorized density, above the dense cap:
+        the run evolves without ever forming a dense generator."""
+
+        def refuse(self):
+            raise AssertionError("bipartite formed a dense generator")
+
+        monkeypatch.setattr(liouvillian.BasisLiouvillian, "dense", refuse)
+        code = run(
+            ["bipartite", "--n-levels", "9", "--steps", "10", "--outdir", str(tmp_path)]
+        )
+        assert code == EXIT_OK
+        manifest = json.loads(
+            (tmp_path / "bipartite" / "bipartite_manifest.json").read_text()
+        )
+        assert manifest["checks"]["trace_conserved_1e-8"]
+
+    @pytest.mark.parametrize(
+        "argv, solver_path, generator_dim",
+        [
+            (["evolve", "--grid-n", "32", "--steps", "20", "--n-out", "5"],
+             "trotter_strang", 32**2),
+            (["evolve", "--grid-n", "32", "--steps", "20", "--n-out", "5",
+              "--method", "lie"], "trotter_lie", 32**2),
+            (["jc", "--n-max", "3", "--steps", "5"], "eigh", 4 * 4**2),
+            (["jc", "--n-max", "3", "--steps", "5", "--eps", "0.01,-0.02"], "expm", 4 * 4**2),
+            (["bipartite", "--steps", "5"], {"cl": "expm_multiply", "qm": "eigh"}, 4**4),
+        ],
+        ids=lambda v: " ".join(v) if isinstance(v, list) else None,
+    )
+    def test_manifest_records_solver(self, tmp_path, argv, solver_path, generator_dim):
+        assert run(argv + ["--outdir", str(tmp_path)]) == EXIT_OK
+        manifest = json.loads(
+            (tmp_path / argv[0] / f"{argv[0]}_manifest.json").read_text()
+        )
+        assert manifest["solver_path"] == solver_path
+        assert manifest["generator_dim"] == generator_dim
+
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"scenario": "jc", "d": 0.05, "t": 5.0, "steps": 10}))
@@ -302,6 +340,7 @@ class TestScenarios:
         )
         assert not any("thread request" in note for note in manifest["notes"])
         assert "seed" not in manifest
+        assert "solver_path" not in manifest and "generator_dim" not in manifest
 
     def test_outdir_env_var(self, tmp_path, monkeypatch):
         monkeypatch.setenv("LIOUSPACE_OUTDIR", str(tmp_path / "env_out"))

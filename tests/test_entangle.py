@@ -7,6 +7,7 @@ from liouspace.entangle import (
     build_bipartite_liouvillian,
     compare_cl_qm_entanglement,
     entanglement_metrics,
+    evolve_bipartite,
     interaction_terms,
     pure_bra_polynomial,
     reduced_density,
@@ -176,10 +177,30 @@ class TestCompare:
         with pytest.raises(TruncationLeak):
             compare_cl_qm_entanglement(basis, 0.2, rho0, np.linspace(0, 2, 5))
 
+    def test_non_uniform_grid_rejected(self, basis4):
+        rho0 = separable_state(basis4)
+        with pytest.raises(ValueError, match="evenly spaced"):
+            compare_cl_qm_entanglement(basis4, 0.0003, rho0, [0.0, 0.5, 2.0])
+
     def test_top_level_population_of_ground_state(self, basis4):
         assert top_level_population(separable_state(basis4), 4) == pytest.approx(
             0.0, abs=1e-15
         )
+
+
+class TestStructuredEvolution:
+    @pytest.mark.parametrize("n_levels", [3, 4])
+    @pytest.mark.parametrize("lam", [3e-4, 0.05, 0.3])
+    @pytest.mark.parametrize("kind", list(SuperPotentialKind))
+    def test_states_equal_dense_exact_evolution(self, n_levels, lam, kind):
+        basis = BipartiteBasis(n_levels=n_levels)
+        rho0 = separable_state(basis, 0.2, -0.1)
+        ev = ExactEvolver(build_bipartite_liouvillian(basis, lam, kind))
+        times = np.linspace(0.0, 3.0, 13)
+        states = evolve_bipartite(basis, lam, kind, rho0, times)
+        assert states.shape == (13, basis.dim, basis.dim)
+        for t, rho in zip(times, states):
+            np.testing.assert_allclose(rho, ev.propagate(rho0, float(t)), rtol=0, atol=1e-12)
 
 
 class TestHermiticityAndTrace:

@@ -2,6 +2,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from liouspace.errors import EnergyDriftExceeded
 from liouspace.evolution import (
@@ -15,6 +16,7 @@ from liouspace.evolution import (
     evolve_interaction_picture,
     evolve_ordered,
     evolve_trotter,
+    evolve_uniform_grid,
     gaussian_ensemble,
 )
 from liouspace.liouvillian import build_basis_liouvillian, build_grid_liouvillian
@@ -88,6 +90,38 @@ class TestEvolveExact:
         assert rho[1, 0] == pytest.approx(
             np.exp(-0.5j) * two_level_density()[1, 0], abs=1e-12
         )
+
+
+class TestEvolveUniformGrid:
+    @pytest.mark.parametrize(
+        "t_grid",
+        [
+            np.linspace(0.0, 3.0, 13),
+            np.linspace(10.0, 10.2, 3),  # late start: shorter than its offset
+            np.linspace(0.0, -1.0, 5),  # backwards in time
+            np.linspace(5.0, 1.0, 9),
+            [3.0],
+            [0.0],
+        ],
+        ids=["forward", "late-start", "backward", "offset-backward", "one-time", "zero"],
+    )
+    def test_matches_dense_exponential(self, t_grid):
+        rng = np.random.Generator(np.random.Philox(31))
+        gen = random_hermitian(rng, 9)
+        vec0 = rng.normal(size=9) + 1j * rng.normal(size=9)
+        hbar = 0.7
+        out = evolve_uniform_grid(lambda v: gen @ v, np.trace(gen).real, vec0, t_grid, hbar)
+        assert out.shape == (len(t_grid), 9)
+        for t, vec in zip(t_grid, out):
+            want = scipy.linalg.expm(-1j * gen * t / hbar) @ vec0
+            # rounding of either route grows with the phase ||L|| t / hbar
+            tol = 1e-13 * max(1.0, np.linalg.norm(gen, 2) * abs(t) / hbar)
+            np.testing.assert_allclose(vec, want, rtol=0, atol=tol)
+
+    @pytest.mark.parametrize("t_grid", [[0.0, 0.5, 2.0], []])
+    def test_uneven_or_empty_grid_rejected(self, t_grid):
+        with pytest.raises(ValueError):
+            evolve_uniform_grid(lambda v: v, 1.0, np.ones(1), t_grid)
 
 
 class TestEvolveOrdered:

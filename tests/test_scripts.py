@@ -32,7 +32,7 @@ def load_script(name):
             "jc_coherence_scan", 1.0, 2,
             ["t"] + [
                 f"{col}[eps={tag}]"
-                for tag in ("0_0", "0_0.02", "0_0.05", "0.05_0.05")
+                for tag in ("0_0", "0_-0.02", "0_-0.05", "0.05_-0.05")
                 for col in ("P_e", "coh")
             ],
         ),
@@ -54,3 +54,18 @@ def test_script_writes_csv(tmp_path, monkeypatch, name, t_end, n_out, header):
     assert all(len(row) == len(header) for row in rows[1:])
     assert float(rows[-1][0]) == pytest.approx(t_end, rel=1e-12)
     assert all(float(cell) == float(cell) for row in rows[1:] for cell in row)  # no NaN
+
+
+def test_jc_coherence_scan_stays_a_density(tmp_path, monkeypatch):
+    """Over the full time span, no swept eps lets |rho_eg00| exceed the 0.5
+    any density matrix allows."""
+    module = load_script("jc_coherence_scan")
+    monkeypatch.setattr(module, "N_OUT", 6)
+    out = tmp_path / "scan.csv"
+    monkeypatch.setattr(sys, "argv", ["jc_coherence_scan", str(out)])
+    module.main()
+    with open(out, newline="") as fh:
+        rows = list(csv.reader(fh))
+    coh = [i for i, col in enumerate(rows[0]) if col.startswith("coh[")]
+    assert len(coh) == len(module.EPS_VALUES)
+    assert max(float(row[i]) for row in rows[1:] for i in coh) <= 0.5
