@@ -16,13 +16,12 @@ import sys
 import numpy as np
 
 from liouspace import JCParams
-from liouspace.evolution import ExactEvolver
 from liouspace.jaynescummings import (
     ATOM_E,
     ATOM_G,
     coherent_field_density,
+    evolve_jc,
     excited_population,
-    jc_liouvillian,
 )
 from liouspace.serialize import write_csv
 
@@ -41,14 +40,11 @@ def main() -> None:
     series = []
     for eps in EPS_VALUES:
         p = JCParams(omega_e=1.0, omega=1.0, d_eg=D_EG, n_max=N_MAX, eps_egeg=eps)
-        ev = ExactEvolver(jc_liouvillian(p))
         f = N_MAX + 1
-        rows = []
-        for t in times:
-            rho = ev.propagate(rho0, float(t))
-            coh = abs(rho.reshape(2, f, 2, f)[ATOM_E, 0, ATOM_G, 0])
-            rows.append((excited_population(rho, N_MAX), coh))
-        series.append(rows)
+        series.append([
+            (excited_population(rho, N_MAX), abs(rho.reshape(2, f, 2, f)[ATOM_E, 0, ATOM_G, 0]))
+            for rho in evolve_jc(p, rho0, times)
+        ])
     header = ["t"]
     for eps in EPS_VALUES:
         tag = f"{eps.real:g}_{eps.imag:g}"

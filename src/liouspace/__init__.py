@@ -101,8 +101,8 @@ from .jaynescummings import (
     build_jc_hamiltonian,
     build_multilevel_hamiltonian,
     coulomb_superop_element,
+    evolve_jc,
     hydrogen_psi,
-    jc_evolve_exact,
     jc_evolve_first_order,
     jc_liouvillian,
 )

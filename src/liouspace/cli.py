@@ -360,15 +360,14 @@ def run_jc(ctx: RunContext) -> int:
     )
     rho0 = jc.initial_jc_state(str(p["init"]), params.n_max)
     jc.check_fock_truncation(rho0, params.n_max)
-    evolver = evolution.ExactEvolver(jc.jc_liouvillian(params))
+    t_grid = np.linspace(0.0, float(p["t"]), int(p["steps"]) + 1)
+    states = jc.evolve_jc(params, rho0, t_grid)
     f = params.fock_dim
-    # ExactEvolver diagonalises a Hermitian generator and calls expm otherwise
-    ctx.solver_path = "eigh" if evolver._hermitian else "expm"
-    ctx.generator_dim = (2 * f) ** 2
+    ctx.solver_path = "eigh" if params.hermitian else "expm_multiply"
+    ctx.generator_dim = params.dim**2
     rows = []
     max_drift = 0.0
-    for t in np.linspace(0.0, float(p["t"]), int(p["steps"]) + 1):
-        rho = evolver.propagate(rho0, float(t))
+    for t, rho in zip(t_grid, states):
         jc.check_fock_truncation(rho, params.n_max)
         tr = float(np.trace(rho).real)
         max_drift = max(max_drift, abs(tr - 1.0))

@@ -42,7 +42,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import TruncationLeak
-from .evolution import evolve_uniform_grid
+from .evolution import evolve_commutator, evolve_uniform_grid
 from .liouvillian import BasisLiouvillian, build_basis_liouvillian
 from .jaynescummings import coherent_field_density, fock_annihilation
 from .potential import (
@@ -150,24 +150,17 @@ def _cl_action(
     return (lambda rho: de * rho + r @ (phi * (r.T @ rho @ r)) @ r.T), float(np.sum(phi))
 
 
-def _qm_eigensystem(basis: BipartiteBasis, lam: float) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs of H0 + W, whose commutator is the QM generator."""
-    return np.linalg.eigh(basis.free_hamiltonian() + pure_bra_polynomial(basis, lam))
-
-
 def bipartite_action(
     basis: BipartiteBasis, lam: float, kind
 ) -> Callable[[np.ndarray], np.ndarray]:
     """rho -> L rho from N x N pieces; equals the dense generator's action.
 
     CL: Delta E o rho + R (Phi o (R^T rho R)) R^T.  QM: the commutator
-    with H0 + W through its eigenpairs (w, u), u ((w_a - w_b) o u' rho u) u'.
+    with H0 + W.
     """
     if SuperPotentialKind(kind) is SuperPotentialKind.CL:
         return _cl_action(basis, lam)[0]
-    w, u = _qm_eigensystem(basis, lam)
-    dw = w[:, None] - w[None, :]
-    return lambda rho: u @ (dw * (u.conj().T @ rho @ u)) @ u.conj().T
+    return build_bipartite_liouvillian(basis, lam, kind).apply
 
 
 def evolve_bipartite(
@@ -175,23 +168,15 @@ def evolve_bipartite(
 ) -> np.ndarray:
     """rho(t) for every t of the grid, shape (len(t_grid), N, N).
 
-    QM: u (e^{-i w t / hbar} o (u' rho0 u) o e^{+i w t / hbar}) u' from the
-    N x N eigendecomposition.  CL: the structured action under
-    ``evolve_uniform_grid``, so ``t_grid`` must be evenly spaced (ValueError
-    otherwise).
+    QM: ``evolution.evolve_commutator`` with H0 + W.  CL: the structured
+    action under ``evolve_uniform_grid``, so ``t_grid`` must be evenly
+    spaced (ValueError otherwise).
     """
-    dim, hbar = basis.dim, basis.hbar
-    rho0 = np.asarray(rho0, dtype=complex)
     if SuperPotentialKind(kind) is SuperPotentialKind.QM:
-        w, u = _qm_eigensystem(basis, lam)
-        phases = np.exp(-1j * np.outer(np.asarray(t_grid, dtype=float), w) / hbar)
-        rot = phases[:, :, None] * (u.conj().T @ rho0 @ u) * phases.conj()[:, None, :]
-        return u @ rot @ u.conj().T
+        h = build_bipartite_liouvillian(basis, lam, kind).h
+        return evolve_commutator(h, rho0, t_grid, basis.hbar)
     act, trace = _cl_action(basis, lam)
-    vecs = evolve_uniform_grid(
-        lambda vec: act(vec.reshape(dim, dim)).reshape(-1), trace, rho0, t_grid, hbar=hbar
-    )
-    return vecs.reshape(-1, dim, dim)
+    return evolve_uniform_grid(act, act, trace, rho0, t_grid, hbar=basis.hbar)
 
 
 def reduced_density(rho: np.ndarray, subsystem: int, n_levels: int) -> np.ndarray:

@@ -1,7 +1,8 @@
 """Time evolution of density matrices.
 
 Covers the exact exponential exp(-i L t / hbar) for dense superoperators,
-its matrix-free action on one vector over a uniform time grid, a midpoint
+commutator evolution from one N x N eigh, the matrix-free action of any
+generator over a uniform time grid, a midpoint
 time-ordered product for time-dependent generators, the interaction
 picture (with optional truncation at first perturbative order),
 split-step Trotter evolution on (Q, q) grids, and the classical
@@ -29,7 +30,6 @@ BOUNDARY_MASS_TOL = 1e-10
 
 
 class EvolveMethod(enum.Enum):
-    MATRIX_EXP = "matrix_exp"
     TROTTER_LIE = "trotter_lie"
     TROTTER_STRANG = "trotter_strang"
     RK4 = "rk4"
@@ -51,10 +51,6 @@ class EvolutionConfig:
             raise ValueError("n_steps must be >= 1")
 
 
-def _dense_of(liouville) -> tuple[np.ndarray, float]:
-    return liouville.dense(), liouville.hbar
-
-
 def _expi(mat: np.ndarray, prefactor: complex) -> np.ndarray:
     """exp(prefactor * mat), via eigendecomposition for Hermitian mat."""
     if is_hermitian(mat):
@@ -69,47 +65,62 @@ def evolve_exact(
     t: float,
 ) -> np.ndarray:
     """rho(t) = exp(-i L t / hbar) rho(0) through the dense superoperator."""
-    dense, hbar = _dense_of(liouville)
-    u = _expi(dense, -1j * t / hbar)
-    return (u @ np.asarray(rho0, dtype=complex).reshape(-1)).reshape(rho0.shape)
+    return ExactEvolver(liouville).propagate(rho0, t)
 
 
 class ExactEvolver:
     """Reusable exact propagator for time series from one diagonalization."""
 
     def __init__(self, liouville) -> None:
-        self._dense, self.hbar = _dense_of(liouville)
+        self._dense, self.hbar = liouville.dense(), liouville.hbar
         self._hermitian = is_hermitian(self._dense)
         if self._hermitian:
             self._w, self._u = np.linalg.eigh(self._dense)
         else:
             self._w = self._u = None
 
+    def matrix(self, t: float) -> np.ndarray:
+        """The dense propagator exp(-i L t / hbar)."""
+        if self._hermitian:
+            return (self._u * np.exp(-1j * self._w * t / self.hbar)) @ self._u.conj().T
+        return scipy.linalg.expm(-1j * self._dense * t / self.hbar)
+
     def propagate(self, rho0: np.ndarray, t: float) -> np.ndarray:
         vec = np.asarray(rho0, dtype=complex).reshape(-1)
-        if self._hermitian:
-            phases = np.exp(-1j * self._w * t / self.hbar)
-            out = self._u @ (phases * (self._u.conj().T @ vec))
-        else:
-            out = scipy.linalg.expm(-1j * self._dense * t / self.hbar) @ vec
-        return out.reshape(rho0.shape)
+        return (self.matrix(t) @ vec).reshape(rho0.shape)
+
+
+def evolve_commutator(h: np.ndarray, rho0: np.ndarray, t_grid, hbar: float) -> np.ndarray:
+    """rho(t) = e^{-i h t / hbar} rho0 e^{+i h t / hbar} at every t of t_grid,
+    shape (len(t_grid), N, N), for Hermitian N x N h: with one eigh
+    h = u diag(w) u', rho(t) = u (e^{-i w t / hbar} o (u' rho0 u) o e^{+i w t / hbar}) u'.
+    """
+    w, u = np.linalg.eigh(h)
+    phases = np.exp(-1j * np.outer(np.asarray(t_grid, dtype=float), w) / hbar)
+    # two (len(t_grid), N, N) buffers at a time: long grids stay lean
+    states = phases[:, :, None] * (u.conj().T @ np.asarray(rho0, dtype=complex) @ u)
+    states *= phases.conj()[:, None, :]
+    return np.matmul(u @ states, u.conj().T, out=states)
 
 
 def evolve_uniform_grid(
     apply: Callable[[np.ndarray], np.ndarray],
-    trace: float,
+    adjoint: Callable[[np.ndarray], np.ndarray],
+    trace: complex,
     vec0: np.ndarray,
     t_grid,
     hbar: float = 1.0,
 ) -> np.ndarray:
     """exp(-i L t / hbar) vec0 at every t of a uniform grid, without forming L.
 
-    ``apply(v)`` is L v for a Hermitian L of trace ``trace``, acting on a flat
-    vector.  The truncated Taylor scheme of Al-Mohy & Higham (SIAM J. Sci.
-    Comput. 33, 2011), as scipy's ``expm_multiply``, steps the whole grid at
-    double-precision tolerance; its norm estimates draw from numpy's global
-    random state.  Returns an array of shape (len(t_grid), vec0.size).
-    Raises ValueError unless ``t_grid`` is non-empty and evenly spaced.
+    ``apply(x)`` is L x, ``adjoint(x)`` is L^H x for x shaped as vec0, and
+    ``trace`` is tr L.  The truncated Taylor scheme of Al-Mohy & Higham
+    (SIAM J. Sci. Comput. 33, 2011), as scipy's ``expm_multiply``, steps the
+    whole grid at double-precision tolerance.  Its 1-norm estimates call
+    ``adjoint`` and draw from numpy's global random stream, so they run
+    under a fixed seed, and the caller's stream is restored.  Returns shape
+    (len(t_grid), *vec0.shape).  Raises ValueError unless ``t_grid`` is
+    non-empty and evenly spaced.
     """
     t_grid = np.asarray(t_grid, dtype=float).reshape(-1)
     if t_grid.size == 0:
@@ -117,8 +128,8 @@ def evolve_uniform_grid(
     even = np.linspace(t_grid[0], t_grid[-1], t_grid.size)
     if np.max(np.abs(t_grid - even)) > 1e-12 * max(1.0, float(np.max(np.abs(t_grid)))):
         raise ValueError("t_grid must be evenly spaced")
-    vec0 = np.asarray(vec0, dtype=complex).reshape(-1)
-    n = vec0.size
+    vec0 = np.asarray(vec0, dtype=complex)
+    shape, n = vec0.shape, vec0.size
 
     def from_zero(vec: np.ndarray, stop: float, num: int) -> np.ndarray:
         # The scheme only steps forward from 0: a later start reuses the
@@ -127,8 +138,8 @@ def evolve_uniform_grid(
         sign = -1.0 if stop < 0 else 1.0
         gen = scipy.sparse.linalg.LinearOperator(
             (n, n),
-            matvec=lambda v: (-1j * sign / hbar) * apply(v.reshape(-1)).reshape(v.shape),
-            rmatvec=lambda v: (1j * sign / hbar) * apply(v.reshape(-1)).reshape(v.shape),
+            matvec=lambda v: (-1j * sign / hbar) * apply(v.reshape(shape)).reshape(v.shape),
+            rmatvec=lambda v: (1j * sign / hbar) * adjoint(v.reshape(shape)).reshape(v.shape),
             dtype=complex,
         )
         return scipy.sparse.linalg.expm_multiply(
@@ -136,11 +147,17 @@ def evolve_uniform_grid(
             traceA=(-1j * sign / hbar) * trace,
         )
 
-    if t_grid[0] != 0.0:
-        vec0 = from_zero(vec0, t_grid[0], 2)[-1]
-    # expm_multiply needs two samples; a single time is the end of [t, t]
-    out = from_zero(vec0, t_grid[-1] - t_grid[0], max(t_grid.size, 2))
-    return out[-t_grid.size:]
+    caller_state = np.random.get_state()
+    try:
+        np.random.seed(0)
+        vec0 = vec0.reshape(-1)
+        if t_grid[0] != 0.0:
+            vec0 = from_zero(vec0, t_grid[0], 2)[-1]
+        # expm_multiply needs two samples; a single time is the end of [t, t]
+        out = from_zero(vec0, t_grid[-1] - t_grid[0], max(t_grid.size, 2))
+    finally:
+        np.random.set_state(caller_state)
+    return out[-t_grid.size:].reshape(-1, *shape)
 
 
 def evolve_ordered(
@@ -191,31 +208,13 @@ def evolve_interaction_picture(
     first order in L' (order=1), which is the starting point of
     perturbation theory.
     """
-    dense0, hbar = _dense_of(liouville0)
-    if hbar != config.hbar:
+    ev = ExactEvolver(liouville0)
+    if ev.hbar != config.hbar:
         raise ValueError("config.hbar must match the operator's hbar")
     pert = perturbation if callable(perturbation) else (lambda _t, _m=perturbation: _m)
 
-    hermitian = is_hermitian(dense0)
-    if hermitian:
-        w, u = np.linalg.eigh(dense0)
-        uinv = u.conj().T
-
-        def u0(tau: float) -> np.ndarray:
-            return (u * np.exp(-1j * w * (tau - config.t0) / hbar)) @ uinv
-
-        def u0_inv(tau: float) -> np.ndarray:
-            return (u * np.exp(1j * w * (tau - config.t0) / hbar)) @ uinv
-
-    else:
-        def u0(tau: float) -> np.ndarray:
-            return scipy.linalg.expm(-1j * dense0 * (tau - config.t0) / hbar)
-
-        def u0_inv(tau: float) -> np.ndarray:
-            return scipy.linalg.expm(1j * dense0 * (tau - config.t0) / hbar)
-
     def family_rotated(tau: float) -> np.ndarray:
-        return u0_inv(tau) @ pert(tau) @ u0(tau)
+        return ev.matrix(config.t0 - tau) @ pert(tau) @ ev.matrix(tau - config.t0)
 
     vec0 = np.asarray(rho0, dtype=complex).reshape(-1)
     if order is None:
@@ -226,10 +225,10 @@ def evolve_interaction_picture(
         first = np.zeros((vec0.size, vec0.size), dtype=complex)
         for j in range(config.n_steps):
             first += family_rotated(config.t0 + (j + 0.5) * dt)
-        vec_i = vec0 - (1j * dt / hbar) * (first @ vec0)
+        vec_i = vec0 - (1j * dt / ev.hbar) * (first @ vec0)
     else:
         raise ValueError("order must be None or 1")
-    return (u0(config.t1) @ vec_i).reshape(rho0.shape)
+    return (ev.matrix(config.t1 - config.t0) @ vec_i).reshape(rho0.shape)
 
 
 def boundary_mass(values: np.ndarray) -> float:

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import NonHermitianAssembly, NotConverged, NotFactorized, TruncationLeak
 from .liouvillian import BasisLiouvillian, build_basis_liouvillian
-from .evolution import evolve_exact
+from .evolution import evolve_commutator, evolve_uniform_grid
 from .potential import coulomb_e_of_radii
 
 ATOM_G, ATOM_E = 0, 1
@@ -54,6 +54,11 @@ class JCParams:
     @property
     def dim(self) -> int:
         return 2 * self.fock_dim
+
+    @property
+    def hermitian(self) -> bool:
+        """Real eps_egeg and eps_eegg == 0: see ``jc_element_table``."""
+        return self.eps_egeg.imag == 0.0 and self.eps_eegg == 0.0
 
 
 def fock_annihilation(n_max: int) -> np.ndarray:
@@ -121,37 +126,36 @@ def rotating_wave_projection(h: np.ndarray, n_levels: int, n_max: int) -> np.nda
     return np.where(mask, h, 0.0)
 
 
-def jc_superoperator_matrix(p: JCParams) -> np.ndarray | None:
-    """Vectorized (row-major) matrix of the atomic superoperator E-hat.
+def jc_element_table(p: JCParams) -> np.ndarray:
+    """E_{ab,cd} on the atom indices, as an array indexed [a, b, c, d].
 
     (E rho)_{ab|nn'} = sum_{cd} E_{ab,cd} rho_{cd|nn'}; the Fock factor is
     the identity.  The enforced relations E_{ge,ge} = -conj(E_{eg,eg}) and
-    E_{gg,ee} = -conj(E_{ee,gg}) only keep rho Hermitian.  The generator is
-    Hermitian, and the evolution unitary, only for real eps_egeg and
-    eps_eegg = 0.  Im eps_egeg < 0 damps the eg coherence as
-    exp(Im eps_egeg t / hbar), and Im eps_egeg > 0 amplifies it.
+    E_{gg,ee} = -conj(E_{ee,gg}) only keep rho Hermitian.  The Hermitian
+    part of E-hat is Re(eps_egeg) [P_e (x) 1, .], a shift of omega_e; the
+    rest, i Im(eps_egeg) on both coherence blocks and the whole (ee, gg)
+    pair, is anti-Hermitian.  So the generator is Hermitian only for real
+    eps_egeg and eps_eegg = 0 (``JCParams.hermitian``).  Im eps_egeg < 0
+    damps the eg coherence as exp(Im eps_egeg t / hbar), and
+    Im eps_egeg > 0 amplifies it.
     """
-    elements = {
-        (ATOM_E, ATOM_G, ATOM_E, ATOM_G): complex(p.eps_egeg),
-        (ATOM_G, ATOM_E, ATOM_G, ATOM_E): -np.conj(complex(p.eps_egeg)),
-        (ATOM_E, ATOM_E, ATOM_G, ATOM_G): complex(p.eps_eegg),
-        (ATOM_G, ATOM_G, ATOM_E, ATOM_E): -np.conj(complex(p.eps_eegg)),
-    }
-    if all(val == 0.0 for val in elements.values()):
+    table = np.zeros((2, 2, 2, 2), dtype=complex)
+    table[ATOM_E, ATOM_G, ATOM_E, ATOM_G] = p.eps_egeg
+    table[ATOM_G, ATOM_E, ATOM_G, ATOM_E] = -np.conj(p.eps_egeg)
+    table[ATOM_E, ATOM_E, ATOM_G, ATOM_G] = p.eps_eegg
+    table[ATOM_G, ATOM_G, ATOM_E, ATOM_E] = -np.conj(p.eps_eegg)
+    return table
+
+
+def jc_superoperator_matrix(p: JCParams) -> np.ndarray | None:
+    """Vectorized (row-major) matrix of E-hat (see ``jc_element_table``),
+    or None when every element vanishes; for audits and spectra."""
+    table = jc_element_table(p)
+    if not table.any():
         return None
-    f = p.fock_dim
-    eye_f = np.eye(f)
-    dim = p.dim
-    s = np.zeros((dim * dim, dim * dim), dtype=complex)
-    for (a, b, c, d), val in elements.items():
-        if val == 0.0:
-            continue
-        e_ac = np.zeros((2, 2))
-        e_ac[a, c] = 1.0
-        e_bd = np.zeros((2, 2))
-        e_bd[b, d] = 1.0
-        s += val * np.kron(np.kron(e_ac, eye_f), np.kron(e_bd, eye_f))
-    return s
+    eye_f = np.eye(p.fock_dim)
+    s = np.einsum("abcd,nm,kl->anbkcmdl", table, eye_f, eye_f)
+    return s.reshape(p.dim**2, p.dim**2)
 
 
 def jc_liouvillian(p: JCParams) -> BasisLiouvillian:
@@ -160,9 +164,30 @@ def jc_liouvillian(p: JCParams) -> BasisLiouvillian:
     )
 
 
-def jc_evolve_exact(p: JCParams, rho0: np.ndarray, t: float) -> np.ndarray:
-    """Evolution under i hbar d/dt rho = [H_JC, rho] + E-hat rho."""
-    return evolve_exact(jc_liouvillian(p), rho0, t)
+def evolve_jc(p: JCParams, rho0: np.ndarray, t_grid) -> np.ndarray:
+    """rho(t) under i hbar d/dt rho = [H_JC, rho] + E-hat rho at every t of
+    t_grid, shape (len(t_grid), dim, dim), from dim x dim pieces only.
+
+    For ``p.hermitian`` E-hat is Re(eps_egeg) [P_e (x) 1, .]: the commutator
+    with H_JC at omega_e + Re(eps_egeg), by ``evolve_commutator``.  Otherwise
+    ``evolve_uniform_grid`` steps the action, E-hat acting on the atom
+    indices only, and t_grid must be evenly spaced (ValueError otherwise).
+    """
+    h = build_jc_hamiltonian(p)
+    f = p.fock_dim
+    if p.hermitian:
+        shift = p.eps_egeg.real * np.kron(np.diag([0.0, 1.0]), np.eye(f))
+        return evolve_commutator(h + shift, rho0, t_grid, p.hbar)
+    table = jc_element_table(p)
+
+    def action(elements: np.ndarray):
+        return lambda rho: h @ rho - rho @ h + np.einsum(
+            "abcd,cndm->anbm", elements, rho.reshape(2, f, 2, f)
+        ).reshape(rho.shape)
+
+    adjoint = table.conj().transpose(2, 3, 0, 1)
+    trace = f**2 * np.einsum("abab->", table)  # the commutator is traceless
+    return evolve_uniform_grid(action(table), action(adjoint), trace, rho0, t_grid, p.hbar)
 
 
 def atom_field_factors(rho: np.ndarray, n_max: int) -> tuple[np.ndarray, np.ndarray]:

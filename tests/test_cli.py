@@ -273,6 +273,20 @@ class TestScenarios:
         )
         assert manifest["checks"]["trace_conserved_1e-8"]
 
+    @pytest.mark.parametrize("eps", ["0.01,0", "0.01,-0.02"])
+    def test_jc_beyond_dense_size(self, tmp_path, monkeypatch, eps):
+        """n_max 40 is a 6724-dim vectorized density, above the dense cap:
+        both jc routes evolve without forming a dense generator."""
+
+        def refuse(self):
+            raise AssertionError("jc formed a dense generator")
+
+        monkeypatch.setattr(liouvillian.BasisLiouvillian, "dense", refuse)
+        argv = ["jc", "--n-max", "40", "--steps", "10", "--eps", eps]
+        assert run(argv + ["--outdir", str(tmp_path)]) == EXIT_OK
+        manifest = json.loads((tmp_path / "jc" / "jc_manifest.json").read_text())
+        assert manifest["checks"]["trace_conserved_1e-8"]
+
     @pytest.mark.parametrize(
         "argv, solver_path, generator_dim",
         [
@@ -281,7 +295,8 @@ class TestScenarios:
             (["evolve", "--grid-n", "32", "--steps", "20", "--n-out", "5",
               "--method", "lie"], "trotter_lie", 32**2),
             (["jc", "--n-max", "3", "--steps", "5"], "eigh", 4 * 4**2),
-            (["jc", "--n-max", "3", "--steps", "5", "--eps", "0.01,-0.02"], "expm", 4 * 4**2),
+            (["jc", "--n-max", "3", "--steps", "5", "--eps", "0.01,-0.02"], "expm_multiply",
+             4 * 4**2),
             (["bipartite", "--steps", "5"], {"cl": "expm_multiply", "qm": "eigh"}, 4**4),
         ],
         ids=lambda v: " ".join(v) if isinstance(v, list) else None,

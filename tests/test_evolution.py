@@ -92,7 +92,20 @@ class TestEvolveExact:
         )
 
 
+def random_generator(rng, n, hermitian):
+    """A Hermitian generator, or one with a non-normal non-Hermitian part."""
+    gen = random_hermitian(rng, n)
+    if not hermitian:
+        gen = gen + 0.05 * (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    return gen
+
+
+def uniform_grid_args(gen, vec0, t_grid):
+    return (lambda v: gen @ v, lambda v: gen.conj().T @ v, np.trace(gen), vec0, t_grid)
+
+
 class TestEvolveUniformGrid:
+    @pytest.mark.parametrize("hermitian", [True, False], ids=["hermitian", "non-hermitian"])
     @pytest.mark.parametrize(
         "t_grid",
         [
@@ -105,23 +118,39 @@ class TestEvolveUniformGrid:
         ],
         ids=["forward", "late-start", "backward", "offset-backward", "one-time", "zero"],
     )
-    def test_matches_dense_exponential(self, t_grid):
+    def test_matches_dense_exponential(self, t_grid, hermitian):
         rng = np.random.Generator(np.random.Philox(31))
-        gen = random_hermitian(rng, 9)
+        gen = random_generator(rng, 9, hermitian)
         vec0 = rng.normal(size=9) + 1j * rng.normal(size=9)
         hbar = 0.7
-        out = evolve_uniform_grid(lambda v: gen @ v, np.trace(gen).real, vec0, t_grid, hbar)
+        out = evolve_uniform_grid(*uniform_grid_args(gen, vec0, t_grid), hbar)
         assert out.shape == (len(t_grid), 9)
         for t, vec in zip(t_grid, out):
             want = scipy.linalg.expm(-1j * gen * t / hbar) @ vec0
-            # rounding of either route grows with the phase ||L|| t / hbar
+            # rounding of either route grows with the phase ||L|| t / hbar,
+            # and with the norm for a non-unitary evolution
             tol = 1e-13 * max(1.0, np.linalg.norm(gen, 2) * abs(t) / hbar)
+            tol *= np.linalg.norm(want) / np.linalg.norm(vec0)
             np.testing.assert_allclose(vec, want, rtol=0, atol=tol)
+
+    def test_global_random_state_untouched_and_irrelevant(self):
+        rng = np.random.Generator(np.random.Philox(33))
+        gen = random_generator(rng, 40, False)
+        vec0 = rng.normal(size=40) + 1j * rng.normal(size=40)
+        outs = []
+        for seed in (1, 2):
+            np.random.seed(seed)
+            before = np.random.get_state()
+            outs.append(evolve_uniform_grid(*uniform_grid_args(gen, vec0, np.linspace(0, 3, 7))))
+            after = np.random.get_state()
+            assert before[0] == after[0] and before[2:] == after[2:]
+            np.testing.assert_array_equal(before[1], after[1])
+        np.testing.assert_array_equal(outs[0], outs[1])
 
     @pytest.mark.parametrize("t_grid", [[0.0, 0.5, 2.0], []])
     def test_uneven_or_empty_grid_rejected(self, t_grid):
         with pytest.raises(ValueError):
-            evolve_uniform_grid(lambda v: v, 1.0, np.ones(1), t_grid)
+            evolve_uniform_grid(lambda v: v, lambda v: v, 1.0, np.ones(1), t_grid)
 
 
 class TestEvolveOrdered:

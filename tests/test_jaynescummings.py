@@ -22,12 +22,14 @@ from liouspace.jaynescummings import (
     coulomb_superop_element,
     excited_population,
     hydrogen_psi,
+    evolve_jc,
     initial_jc_state,
-    jc_evolve_exact,
     jc_evolve_first_order,
     jc_liouvillian,
     rotating_wave_projection,
 )
+from liouspace.evolution import ExactEvolver
+from liouspace.liouvillian import build_basis_liouvillian
 
 S1 = HydrogenState(1, 0, 0)
 S2 = HydrogenState(2, 0, 0)
@@ -102,8 +104,8 @@ class TestExactEvolution:
         # resonant doublet {|e,0>, |g,1>}: P_e(t) = cos^2(d t)
         p = JCParams(omega_e=1.0, omega=1.0, d_eg=0.05, n_max=4)
         rho0 = initial_jc_state("e0", p.n_max)
-        for t in np.linspace(0.0, np.pi / 0.05, 13):
-            rho = jc_evolve_exact(p, rho0, float(t))
+        times = np.linspace(0.0, np.pi / 0.05, 13)
+        for t, rho in zip(times, evolve_jc(p, rho0, times)):
             assert excited_population(rho, p.n_max) == pytest.approx(
                 np.cos(0.05 * t) ** 2, abs=1e-6
             )
@@ -116,7 +118,7 @@ class TestExactEvolution:
         atom = np.array([[0.5, 0.3], [0.3, 0.5]], dtype=complex)
         rho0 = np.kron(atom, np.diag([1.0, 0.0, 0.0]).astype(complex))
         for t in (0.5, 1.5):
-            rho = jc_evolve_exact(p, rho0, t)
+            rho = evolve_jc(p, rho0, [t])[0]
             got = abs(rho.reshape(2, 3, 2, 3)[ATOM_E, 0, ATOM_G, 0])
             assert got == pytest.approx(0.3 * np.exp(kappa * t), abs=1e-10)
 
@@ -125,8 +127,7 @@ class TestExactEvolution:
             omega_e=1.1, omega=0.9, d_eg=0.08, n_max=4, eps_egeg=0.05 * (1 + 1j)
         )
         rho0 = initial_jc_state("e1", p.n_max)
-        for t in np.linspace(0.0, 10.0, 11):
-            rho = jc_evolve_exact(p, rho0, float(t))
+        for rho in evolve_jc(p, rho0, np.linspace(0.0, 10.0, 11)):
             assert abs(np.trace(rho).real - 1.0) < 1e-8
             assert np.max(np.abs(rho - rho.conj().T)) < 1e-8
 
@@ -136,10 +137,8 @@ class TestExactEvolution:
         base = dict(omega_e=1.2, omega=0.7, d_eg=0.0, n_max=3)
         atom = np.array([[0.55, 0.2 - 0.3j], [0.2 + 0.3j, 0.45]])
         rho0 = np.kron(atom, coherent_field_density(0.5, 3))
-        rho_plain = jc_evolve_exact(JCParams(**base), rho0, 2.0)
-        rho_eps = jc_evolve_exact(
-            JCParams(**base, eps_egeg=0.4 + 0.2j), rho0, 2.0
-        )
+        rho_plain = evolve_jc(JCParams(**base), rho0, [2.0])[0]
+        rho_eps = evolve_jc(JCParams(**base, eps_egeg=0.4 + 0.2j), rho0, [2.0])[0]
         f = 4
         for a in (ATOM_G, ATOM_E):
             block_plain = rho_plain.reshape(2, f, 2, f)[a, :, a, :]
@@ -151,6 +150,33 @@ class TestExactEvolution:
         assert jc_liouvillian(p0).s_add is None
         p1 = JCParams(omega_e=1.0, omega=1.0, d_eg=0.1, n_max=2, eps_egeg=0.1j)
         assert jc_liouvillian(p1).s_add is not None
+
+    @pytest.mark.parametrize("eps_eegg", [0.0, 0.03 + 0.01j])
+    @pytest.mark.parametrize("eps_egeg", [0.0, 0.01, 0.3, 0.01 - 0.02j, 0.05 + 0.05j])
+    @pytest.mark.parametrize("n_max", [3, 6])
+    def test_structured_route_matches_dense(self, n_max, eps_egeg, eps_eegg):
+        p = JCParams(
+            omega_e=1.1, omega=0.9, d_eg=0.08, n_max=n_max,
+            eps_egeg=eps_egeg, eps_eegg=eps_eegg,
+        )
+        atom = np.array([[0.4, 0.2 - 0.3j], [0.2 + 0.3j, 0.6]])
+        rho0 = np.kron(atom, coherent_field_density(0.5, n_max))
+        ev = ExactEvolver(jc_liouvillian(p))
+        times = np.linspace(0.0, 5.0, 11)
+        states = evolve_jc(p, rho0, times)
+        assert states.shape == (11, p.dim, p.dim)
+        for t, rho in zip(times, states):
+            np.testing.assert_allclose(rho, ev.propagate(rho0, float(t)), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("eps", [0.0, 0.01, -0.3])
+    def test_real_eps_is_an_omega_e_shift(self, eps):
+        p = JCParams(omega_e=1.1, omega=0.9, d_eg=0.08, n_max=3, eps_egeg=eps)
+        proj_e = np.kron(np.diag([0.0, 1.0]), np.eye(p.fock_dim))
+        shifted = build_basis_liouvillian(build_jc_hamiltonian(p) + eps * proj_e)
+        assert p.hermitian
+        np.testing.assert_allclose(
+            jc_liouvillian(p).dense(), shifted.dense(), rtol=0, atol=1e-14
+        )
 
 
 class TestFirstOrder:
@@ -184,7 +210,7 @@ class TestFirstOrder:
             np.diag([0.4, 0.6]).astype(complex), coherent_field_density(0.4, 4)
         )
         devs = [
-            np.max(np.abs(jc_evolve_first_order(p, rho0, t) - jc_evolve_exact(p, rho0, t)))
+            np.max(np.abs(jc_evolve_first_order(p, rho0, t) - evolve_jc(p, rho0, [t])[0]))
             for t in (0.4, 0.2, 0.1)
         ]
         assert devs[0] / devs[1] == pytest.approx(4.0, abs=0.8)
@@ -198,7 +224,7 @@ class TestFirstOrder:
         atom = np.array([[0.6, 0.25 + 0.1j], [0.25 - 0.1j, 0.4]])
         rho0 = np.kron(atom, coherent_field_density(0.3, 3))
         devs = [
-            np.max(np.abs(jc_evolve_first_order(p, rho0, t) - jc_evolve_exact(p, rho0, t)))
+            np.max(np.abs(jc_evolve_first_order(p, rho0, t) - evolve_jc(p, rho0, [t])[0]))
             for t in (0.4, 0.2, 0.1)
         ]
         assert devs[0] / devs[1] == pytest.approx(4.0, abs=0.8)
@@ -244,7 +270,7 @@ class TestInteractionPictureSplit:
             liou0 = jc_liouvillian(p_free)
             pert = jc_liouvillian(p_full).dense() - liou0.dense()
             got = evolve_interaction_picture(liou0, pert, rho0, cfg, order=1)
-            want = jc_evolve_exact(p_full, rho0, 1.0)
+            want = evolve_jc(p_full, rho0, [1.0])[0]
             errs.append(float(np.max(np.abs(got - want))))
         slope = np.polyfit(np.log(couplings), np.log(errs), 1)[0]
         assert slope == pytest.approx(2.0, abs=0.15)
