@@ -19,7 +19,6 @@ from .errors import (
     GridMismatch,
     HermiticityViolation,
     LiouspaceError,
-    NonHermitianAssembly,
     NonHermitianInput,
     NonpositiveTime,
     NotConverged,
@@ -56,7 +55,6 @@ from .superspace import (
     gaussian_super_density,
     phase_to_super,
     purity,
-    spectrum_report,
     super_to_phase,
     trace,
 )
@@ -75,7 +73,6 @@ from .evolution import (
     ExactEvolver,
     evolve_characteristics,
     evolve_exact,
-    evolve_interaction_picture,
     evolve_ordered,
     evolve_trotter,
     gaussian_ensemble,
@@ -84,9 +81,7 @@ from .superprop import (
     FirstOrderCoefficients,
     PropagatorPoint,
     apply_free_superpropagator,
-    apply_kernel,
     dyson_first_order_numeric,
-    dyson_iterate,
     first_order_coefficients,
     first_order_superpropagator,
     free_propagator,
@@ -99,7 +94,6 @@ from .jaynescummings import (
     JCParams,
     MCResult,
     build_jc_hamiltonian,
-    build_multilevel_hamiltonian,
     coulomb_superop_element,
     evolve_jc,
     hydrogen_psi,

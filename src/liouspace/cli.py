@@ -5,8 +5,9 @@ last runs every check of the `validate.CHECKS` registry.  Only propagator
 draws random numbers, so only it takes a seed.  Parameters resolve as
 defaults < config file < command-line flags; the fully resolved
 configuration is echoed into the JSON run manifest, which references every
-emitted data file.  Exit codes: 0 success, 1 validation failure,
-2 numerical-guard abort, 64 usage error.
+emitted data file.  Exit codes: 0 success, 1 validation failure (some
+manifest check is false; the manifest is still written), 2 numerical-guard
+abort, 64 usage error.
 """
 
 from __future__ import annotations
@@ -223,7 +224,7 @@ class RunContext:
         return path
 
 
-def run_superop(ctx: RunContext) -> int:
+def run_superop(ctx: RunContext) -> None:
     p = ctx.params
     v = parse_potential_spec(p["potential"])
     grid = SuperGrid.centered(float(p["grid_span"]), int(p["grid_n"]))
@@ -234,15 +235,15 @@ def run_superop(ctx: RunContext) -> int:
         serialize.save_complex_matrix(ctx.path("superop_liouvillian.csv"), op.dense())
     else:
         ctx.notes.append("dense Liouvillian export skipped (grid_n > 16)")
-    ctx.checks["e_vanishes_identically"] = e_vanishes_identically(v)
+    # a property of the potential, not a pass/fail result
+    ctx.notes.append(f"e_vanishes_identically = {e_vanishes_identically(v)}")
     ctx.checks["e_antisymmetric"] = bool(
         np.max(np.abs(op.e_diag + op.e_diag.T)) < 1e-12
     )
     ctx.notes.append(f"max |E| on grid = {float(np.max(np.abs(op.e_diag))):.6g}")
-    return EXIT_OK
 
 
-def run_evolve(ctx: RunContext) -> int:
+def run_evolve(ctx: RunContext) -> None:
     p = ctx.params
     t_end, steps, n_out = float(p["t"]), int(p["steps"]), int(p["n_out"])
     if not 1 <= n_out <= steps or steps % n_out:
@@ -290,7 +291,6 @@ def run_evolve(ctx: RunContext) -> int:
     ctx.notes.append(
         f"periodic grid truncation; max boundary mass {max_boundary:.3e}"
     )
-    return EXIT_OK
 
 
 def _series_row(t: float, sd, hbar: float):
@@ -304,7 +304,7 @@ def _series_row(t: float, sd, hbar: float):
     )
 
 
-def run_propagator(ctx: RunContext) -> int:
+def run_propagator(ctx: RunContext) -> None:
     p = ctx.params
     rng = np.random.Generator(np.random.Philox(int(p["seed"])))
     lam, t_end = float(p["lam"]), float(p["t"])
@@ -345,18 +345,20 @@ def run_propagator(ctx: RunContext) -> int:
     worst = max(max(r[-1], r[-2]) for r in rows)
     scale = max(abs(complex(r[9], r[10])) for r in rows)
     ctx.checks["first_order_matches_dyson_1e-3"] = worst < 1e-3 * max(scale, 1e-30)
-    return EXIT_OK
 
 
-def run_jc(ctx: RunContext) -> int:
+def run_jc(ctx: RunContext) -> None:
     p = ctx.params
+    if _parse_complex_pair(p["eps_eegg"]) != 0:
+        raise UsageError(
+            "eps_eegg must be 0,0: E_ee,gg alone breaks the trace sum rule sum_a E_aa,cd = 0"
+        )
     params = jc.JCParams(
         omega_e=float(p["omega_e"]),
         omega=float(p["omega"]),
         d_eg=float(p["d"]),
         n_max=int(p["n_max"]),
         eps_egeg=_parse_complex_pair(p["eps"]),
-        eps_eegg=_parse_complex_pair(p["eps_eegg"]),
     )
     rho0 = jc.initial_jc_state(str(p["init"]), params.n_max)
     jc.check_fock_truncation(rho0, params.n_max)
@@ -388,10 +390,9 @@ def run_jc(ctx: RunContext) -> int:
     ctx.checks["trace_conserved_1e-8"] = max_drift < 1e-8
     # a complex eps makes the generator non-Hermitian and can raise purity
     ctx.checks["purity_at_most_1_1e-8"] = max(row[4] for row in rows) <= 1.0 + 1e-8
-    return EXIT_OK
 
 
-def run_bipartite(ctx: RunContext) -> int:
+def run_bipartite(ctx: RunContext) -> None:
     p = ctx.params
     basis = entangle.BipartiteBasis(n_levels=int(p["n_levels"]), omega=float(p["omega"]))
     rho0 = entangle.separable_state(
@@ -418,24 +419,20 @@ def run_bipartite(ctx: RunContext) -> int:
     ctx.checks["trace_conserved_1e-8"] = max(
         max(r.trace_drift_cl, r.trace_drift_qm) for r in rows
     ) < 1e-8
-    return EXIT_OK
 
 
-def run_validate(ctx: RunContext) -> int:
+def run_validate(ctx: RunContext) -> None:
     results = validate_mod.run_validation()
     rows = []
-    n_pass = 0
     for res in results:
         status = "PASS" if res.passed else "FAIL"
-        n_pass += res.passed
         print(f"{status}  {res.name}: {res.detail}")
         rows.append((res.name, status, res.detail))
         ctx.checks[res.name] = res.passed
-    print(f"{n_pass}/{len(results)} checks passed")
+    print(f"{sum(ctx.checks.values())}/{len(results)} checks passed")
     serialize.write_csv(
         ctx.path("validate_report.csv"), rows, header=["check", "status", "detail"]
     )
-    return EXIT_OK if n_pass == len(results) else EXIT_VALIDATION
 
 
 RUNNERS = {
@@ -490,9 +487,9 @@ def run(argv=None) -> int:
         ) / scenario
         outdir.mkdir(parents=True, exist_ok=True)
         ctx = RunContext(scenario, params, outdir)
-        code = RUNNERS[scenario](ctx)
+        RUNNERS[scenario](ctx)
         ctx.write_manifest()
-        return code
+        return EXIT_OK if all(ctx.checks.values()) else EXIT_VALIDATION
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

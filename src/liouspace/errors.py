@@ -17,10 +17,6 @@ class NonHermitianInput(LiouspaceError):
     """A Hamiltonian argument is not Hermitian."""
 
 
-class NonHermitianAssembly(LiouspaceError):
-    """Input dipole data would assemble a non-Hermitian Hamiltonian."""
-
-
 class SingularRegion(LiouspaceError):
     """Evaluation point lies inside the excluded Coulomb singular shell."""
 

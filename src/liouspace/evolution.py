@@ -2,10 +2,9 @@
 
 Covers the exact exponential exp(-i L t / hbar) for dense superoperators,
 commutator evolution from one N x N eigh, the matrix-free action of any
-generator over a uniform time grid, a midpoint
-time-ordered product for time-dependent generators, the interaction
-picture (with optional truncation at first perturbative order),
-split-step Trotter evolution on (Q, q) grids, and the classical
+generator over a uniform time grid, a classical RK4 integrator for
+time-dependent generators (an oracle for the exact routes), split-step
+Trotter evolution on (Q, q) grids, and the classical
 method-of-characteristics ensemble, which serves as the independent
 oracle for the grid dynamics.
 """
@@ -51,14 +50,6 @@ class EvolutionConfig:
             raise ValueError("n_steps must be >= 1")
 
 
-def _expi(mat: np.ndarray, prefactor: complex) -> np.ndarray:
-    """exp(prefactor * mat), via eigendecomposition for Hermitian mat."""
-    if is_hermitian(mat):
-        w, u = np.linalg.eigh(mat)
-        return (u * np.exp(prefactor * w)) @ u.conj().T
-    return scipy.linalg.expm(prefactor * mat)
-
-
 def evolve_exact(
     liouville: Union[BasisLiouvillian, GridLiouvillian],
     rho0: np.ndarray,
@@ -79,15 +70,13 @@ class ExactEvolver:
         else:
             self._w = self._u = None
 
-    def matrix(self, t: float) -> np.ndarray:
-        """The dense propagator exp(-i L t / hbar)."""
-        if self._hermitian:
-            return (self._u * np.exp(-1j * self._w * t / self.hbar)) @ self._u.conj().T
-        return scipy.linalg.expm(-1j * self._dense * t / self.hbar)
-
     def propagate(self, rho0: np.ndarray, t: float) -> np.ndarray:
         vec = np.asarray(rho0, dtype=complex).reshape(-1)
-        return (self.matrix(t) @ vec).reshape(rho0.shape)
+        if self._hermitian:
+            prop = (self._u * np.exp(-1j * self._w * t / self.hbar)) @ self._u.conj().T
+        else:
+            prop = scipy.linalg.expm(-1j * self._dense * t / self.hbar)
+        return (prop @ vec).reshape(rho0.shape)
 
 
 def evolve_commutator(h: np.ndarray, rho0: np.ndarray, t_grid, hbar: float) -> np.ndarray:
@@ -165,70 +154,31 @@ def evolve_ordered(
     rho0: np.ndarray,
     config: EvolutionConfig,
 ) -> np.ndarray:
-    """Time-ordered evolution by a midpoint-exponential product (order 2).
+    """Time-ordered evolution by the classical RK4 integrator (order 4).
 
-    ``family(t)`` returns the dense generator (energy units) at time t.
-    With method RK4 the vectorized equation is integrated classically
-    instead of exponentiated per substep.
+    ``family(t)`` returns the generator (energy units) at time t, dense or
+    sparse; the vectorized equation i hbar d/dt vec = L(t) vec is integrated
+    in ``config.n_steps`` equal steps.  Raises ValueError unless
+    ``config.method`` is RK4.
     """
+    if config.method is not EvolveMethod.RK4:
+        raise ValueError("config.method must be RK4")
     shape = np.asarray(rho0).shape
     vec = np.asarray(rho0, dtype=complex).reshape(-1)
     dt = (config.t1 - config.t0) / config.n_steps
-    if config.method is EvolveMethod.RK4:
-        def rhs(t, v):
-            return -1j * (family(t) @ v) / config.hbar
 
-        t = config.t0
-        for _ in range(config.n_steps):
-            k1 = rhs(t, vec)
-            k2 = rhs(t + dt / 2, vec + dt / 2 * k1)
-            k3 = rhs(t + dt / 2, vec + dt / 2 * k2)
-            k4 = rhs(t + dt, vec + dt * k3)
-            vec = vec + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-            t += dt
-        return vec.reshape(shape)
-    for j in range(config.n_steps):
-        t_mid = config.t0 + (j + 0.5) * dt
-        vec = _expi(family(t_mid), -1j * dt / config.hbar) @ vec
+    def rhs(t, v):
+        return -1j * (family(t) @ v) / config.hbar
+
+    t = config.t0
+    for _ in range(config.n_steps):
+        k1 = rhs(t, vec)
+        k2 = rhs(t + dt / 2, vec + dt / 2 * k1)
+        k3 = rhs(t + dt / 2, vec + dt / 2 * k2)
+        k4 = rhs(t + dt, vec + dt * k3)
+        vec = vec + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        t += dt
     return vec.reshape(shape)
-
-
-def evolve_interaction_picture(
-    liouville0,
-    perturbation: Union[np.ndarray, Callable[[float], np.ndarray]],
-    rho0: np.ndarray,
-    config: EvolutionConfig,
-    order: int | None = None,
-) -> np.ndarray:
-    """Evolution with L = L0 + L' in the Liouville-space interaction picture.
-
-    L0 is exponentiated exactly; the rotated-frame generator
-    L'_I(tau) = U0(tau)^-1 L'(tau) U0(tau) is integrated by the ordered
-    product (order=None), or the time-ordered exponential is truncated at
-    first order in L' (order=1), which is the starting point of
-    perturbation theory.
-    """
-    ev = ExactEvolver(liouville0)
-    if ev.hbar != config.hbar:
-        raise ValueError("config.hbar must match the operator's hbar")
-    pert = perturbation if callable(perturbation) else (lambda _t, _m=perturbation: _m)
-
-    def family_rotated(tau: float) -> np.ndarray:
-        return ev.matrix(config.t0 - tau) @ pert(tau) @ ev.matrix(tau - config.t0)
-
-    vec0 = np.asarray(rho0, dtype=complex).reshape(-1)
-    if order is None:
-        rho_i = evolve_ordered(family_rotated, rho0, config)
-        vec_i = rho_i.reshape(-1)
-    elif order == 1:
-        dt = (config.t1 - config.t0) / config.n_steps
-        first = np.zeros((vec0.size, vec0.size), dtype=complex)
-        for j in range(config.n_steps):
-            first += family_rotated(config.t0 + (j + 0.5) * dt)
-        vec_i = vec0 - (1j * dt / ev.hbar) * (first @ vec0)
-    else:
-        raise ValueError("order must be None or 1")
-    return (ev.matrix(config.t1 - config.t0) @ vec_i).reshape(rho0.shape)
 
 
 def boundary_mass(values: np.ndarray) -> float:

@@ -6,10 +6,11 @@ The two-level-atom / single-cavity-mode Hamiltonian is
 
 with the ground level at zero energy.  The classical evolution differs
 from the von Neumann equation by a superoperator acting on the atomic
-indices only; in the two-level subspace its only possibly nonzero matrix
-elements are E_{eg,eg}, E_{ge,ge} = -conj(E_{eg,eg}) and the (ee,gg)
-pair, which vanishes for the cavity-QED states of interest and defaults
-to zero.
+indices only; in the two-level subspace the model keeps E_{eg,eg} and
+E_{ge,ge} = -conj(E_{eg,eg}).  The (ee, gg) pair is left out: E(Q, Q) = 0
+gives the trace sum rule sum_a E_{aa,cd} = 0, which the two-level
+truncation breaks with E_{ee,gg} alone, so that element would not keep the
+trace.
 
 Matrix elements E_{ab,cd} over hydrogen-like orbitals are estimated by
 importance-sampled Monte Carlo over the six-dimensional (Q, q) domain;
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonHermitianAssembly, NotConverged, NotFactorized, TruncationLeak
+from .errors import NotConverged, NotFactorized, TruncationLeak
 from .liouvillian import BasisLiouvillian, build_basis_liouvillian
 from .evolution import evolve_commutator, evolve_uniform_grid
 from .potential import coulomb_e_of_radii
@@ -40,7 +41,6 @@ class JCParams:
     d_eg: float
     n_max: int
     eps_egeg: complex = 0.0
-    eps_eegg: complex = 0.0
     hbar: float = 1.0
 
     def __post_init__(self) -> None:
@@ -57,8 +57,8 @@ class JCParams:
 
     @property
     def hermitian(self) -> bool:
-        """Real eps_egeg and eps_eegg == 0: see ``jc_element_table``."""
-        return self.eps_egeg.imag == 0.0 and self.eps_eegg == 0.0
+        """Real eps_egeg: see ``jc_element_table``."""
+        return self.eps_egeg.imag == 0.0
 
 
 def fock_annihilation(n_max: int) -> np.ndarray:
@@ -84,66 +84,22 @@ def build_jc_hamiltonian(p: JCParams) -> np.ndarray:
     return h
 
 
-def build_multilevel_hamiltonian(
-    level_freqs, dipoles, omega: float, n_max: int
-) -> np.ndarray:
-    """H = sum_i w_i |i><i| + omega (a'a + 1/2) + i sum_{i!=j} d_ij (a - a') |i><j|.
-
-    Hermiticity requires a real symmetric dipole matrix; violations raise
-    NonHermitianAssembly.
-    """
-    freqs = np.asarray(level_freqs, dtype=float)
-    d = np.asarray(dipoles)
-    n_lev = freqs.size
-    if d.shape != (n_lev, n_lev):
-        raise ValueError("dipole matrix shape must match the level count")
-    if np.max(np.abs(np.imag(d))) > 0 or np.max(np.abs(d - d.T)) > 1e-12 * max(
-        1.0, float(np.max(np.abs(d)))
-    ):
-        raise NonHermitianAssembly("dipole amplitudes must be real with d_ij = d_ji")
-    d = np.real(d)
-    f = n_max + 1
-    a = fock_annihilation(n_max)
-    number = np.diag(np.arange(f, dtype=float))
-    h = np.kron(np.diag(freqs), np.eye(f)).astype(complex)
-    h += omega * np.kron(np.eye(n_lev), number + 0.5 * np.eye(f))
-    a_minus_adag = a - a.conj().T
-    for i in range(n_lev):
-        for j in range(n_lev):
-            if i == j or d[i, j] == 0.0:
-                continue
-            e_ij = np.zeros((n_lev, n_lev))
-            e_ij[i, j] = 1.0
-            h += 1j * d[i, j] * np.kron(e_ij, a_minus_adag)
-    return h
-
-
-def rotating_wave_projection(h: np.ndarray, n_levels: int, n_max: int) -> np.ndarray:
-    """Keep only excitation-conserving elements (level index + photon number)."""
-    f = n_max + 1
-    exc = (np.repeat(np.arange(n_levels), f) + np.tile(np.arange(f), n_levels)).astype(int)
-    mask = exc[:, None] == exc[None, :]
-    return np.where(mask, h, 0.0)
-
-
 def jc_element_table(p: JCParams) -> np.ndarray:
     """E_{ab,cd} on the atom indices, as an array indexed [a, b, c, d].
 
     (E rho)_{ab|nn'} = sum_{cd} E_{ab,cd} rho_{cd|nn'}; the Fock factor is
-    the identity.  The enforced relations E_{ge,ge} = -conj(E_{eg,eg}) and
-    E_{gg,ee} = -conj(E_{ee,gg}) only keep rho Hermitian.  The Hermitian
-    part of E-hat is Re(eps_egeg) [P_e (x) 1, .], a shift of omega_e; the
-    rest, i Im(eps_egeg) on both coherence blocks and the whole (ee, gg)
-    pair, is anti-Hermitian.  So the generator is Hermitian only for real
-    eps_egeg and eps_eegg = 0 (``JCParams.hermitian``).  Im eps_egeg < 0
+    the identity.  The enforced relation E_{ge,ge} = -conj(E_{eg,eg}) only
+    keeps rho Hermitian.  The Hermitian part of E-hat is
+    Re(eps_egeg) [P_e (x) 1, .], a shift of omega_e; the rest,
+    i Im(eps_egeg) on both coherence blocks, is anti-Hermitian.  So the
+    generator is Hermitian only for real eps_egeg (``JCParams.hermitian``).
+    No element acts on the populations, so the trace is kept.  Im eps_egeg < 0
     damps the eg coherence as exp(Im eps_egeg t / hbar), and
     Im eps_egeg > 0 amplifies it.
     """
     table = np.zeros((2, 2, 2, 2), dtype=complex)
     table[ATOM_E, ATOM_G, ATOM_E, ATOM_G] = p.eps_egeg
     table[ATOM_G, ATOM_E, ATOM_G, ATOM_E] = -np.conj(p.eps_egeg)
-    table[ATOM_E, ATOM_E, ATOM_G, ATOM_G] = p.eps_eegg
-    table[ATOM_G, ATOM_G, ATOM_E, ATOM_E] = -np.conj(p.eps_eegg)
     return table
 
 

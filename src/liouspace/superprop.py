@@ -14,8 +14,7 @@ with (C1, C2) = (1, 0) for quantum and (1/2, 1/2) for classical
 dynamics.  ``dyson_first_order_numeric`` evaluates the defining triple
 integral independently: the oscillatory-Gaussian x and y integrals are
 reduced exactly to complex Gaussian moments, leaving one smooth time
-integral for adaptive quadrature.  ``dyson_iterate`` realizes the Dyson
-integral equation order by order on a small grid.
+integral for adaptive quadrature.
 """
 
 from __future__ import annotations
@@ -26,13 +25,8 @@ from math import comb
 import numpy as np
 from scipy.integrate import quad
 
-from .errors import DimensionTooLarge, NonpositiveTime, QuadratureNotConverged
-from .potential import (
-    PolynomialPotential,
-    SuperPotentialKind,
-    super_potential,
-    super_potential_monomials,
-)
+from .errors import NonpositiveTime, QuadratureNotConverged
+from .potential import PolynomialPotential, SuperPotentialKind, super_potential_monomials
 from .superspace import SuperDensity, SuperGrid
 
 
@@ -220,94 +214,4 @@ def apply_free_superpropagator(
     """rho(T) = dq^2 * G rho(0) G^dagger with the pointwise free kernel."""
     g = free_superpropagator_matrix(sd.grid, duration, mass, hbar)
     out = sd.grid.dq**2 * (g @ sd.values @ g.conj().T)
-    return SuperDensity(sd.grid, out)
-
-
-MAX_KERNEL_GRID = 32
-
-
-def band_limited_free_matrix(
-    grid: SuperGrid, duration: float, mass: float = 1.0, hbar: float = 1.0
-) -> np.ndarray:
-    """Grid-exact single-axis free propagator exp(-i p^2 T / 2 m hbar).
-
-    This is the unitary the split-step kinetic substep exponentiates; for
-    durations the grid resolves, its entries approach dq * G0 pointwise.
-    """
-    n = grid.n
-    k2 = (2.0 * np.pi * np.fft.fftfreq(n, grid.dq)) ** 2
-    phases = np.exp(-1j * hbar * k2 * duration / (2.0 * mass))
-    return np.fft.ifft(phases[:, None] * np.fft.fft(np.eye(n), axis=0), axis=0)
-
-
-def dyson_iterate(
-    grid: SuperGrid,
-    v: PolynomialPotential,
-    kind: SuperPotentialKind,
-    n_orders: int,
-    duration: float,
-    n_tau: int = 24,
-    mass: float = 1.0,
-    hbar: float = 1.0,
-) -> np.ndarray:
-    """Fixed-order truncation of the Dyson equation as a 4-index grid kernel.
-
-    Returns K[a, b, c, d] ~ G(Q_a, q_b; T | Q_c, q_d; 0) with the
-    convention rho(T) = dq^2 * sum_{c,d} K[a,b,c,d] rho0[c,d].  The free
-    kernels are the band-limited grid unitaries (pointwise sampling of the
-    oscillatory continuum kernel does not converge on desk grids; the
-    kernel is meaningful through its action on band-limited states).  The
-    time integral uses midpoint nodes; intermediate kernels are built
-    recursively order by order.
-    """
-    if grid.n > MAX_KERNEL_GRID:
-        raise DimensionTooLarge(f"kernel grid limited to n <= {MAX_KERNEL_GRID}")
-    if duration <= 0:
-        raise NonpositiveTime("T must be positive")
-    if n_orders < 0:
-        raise ValueError("n_orders must be >= 0")
-    n = grid.n
-    pts = grid.points
-    v_super = np.asarray(
-        super_potential(v, kind, pts[:, None], pts[None, :]), dtype=float
-    )
-    d_tau = duration / n_tau
-    taus = (np.arange(n_tau) + 0.5) * d_tau
-
-    def free_op(t: float) -> np.ndarray:
-        u = band_limited_free_matrix(grid, t, mass, hbar)
-        return np.einsum("ac,bd->abcd", u, u.conj())
-
-    def propagate(t: float, kern: np.ndarray) -> np.ndarray:
-        """K0(t) o (V * kern) in operator units (no measure factors)."""
-        u = band_limited_free_matrix(grid, t, mass, hbar)
-        w = v_super[:, :, None, None] * kern
-        half = np.tensordot(u, w, axes=([1], [0]))  # (a, y, c, d)
-        out = np.tensordot(u.conj(), half, axes=([1], [1]))  # (b, a, c, d)
-        return out.transpose(1, 0, 2, 3)
-
-    total = free_op(duration)
-    if n_orders > 0:
-        factor = -1j * d_tau / hbar
-        prev = [free_op(t) for t in taus]  # order-0 operators at the nodes
-        for order in range(n_orders):
-            final = np.zeros((n, n, n, n), dtype=complex)
-            for m_idx in range(n_tau):
-                final += propagate(duration - taus[m_idx], prev[m_idx])
-            total = total + factor * final
-            if order == n_orders - 1:
-                break
-            # order k at the nodes from order k-1 at strictly earlier nodes
-            current = []
-            for l_idx in range(n_tau):
-                acc = np.zeros((n, n, n, n), dtype=complex)
-                for m_idx in range(l_idx):
-                    acc += propagate(taus[l_idx] - taus[m_idx], prev[m_idx])
-                current.append(factor * acc)
-            prev = current
-    return total / grid.dq**2
-
-
-def apply_kernel(kernel: np.ndarray, sd: SuperDensity) -> SuperDensity:
-    out = sd.grid.dq**2 * np.einsum("abcd,cd->ab", kernel, sd.values)
     return SuperDensity(sd.grid, out)

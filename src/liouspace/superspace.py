@@ -322,19 +322,6 @@ def expect_x2(sd: SuperDensity) -> float:
     return float(val.real)
 
 
-def spectrum_report(sd: SuperDensity) -> np.ndarray:
-    """Eigenvalues of the discretized operator rho * dq, sorted descending.
-
-    Classical inputs may legitimately produce eigenvalues outside [0, 1];
-    they are reported, never clipped.
-    """
-    if not is_hermitian(sd.values, HERMITICITY_TOL):
-        raise HermiticityViolation("density is not Hermitian")
-    sym = 0.5 * (sd.values + sd.values.conj().T)
-    eig = np.linalg.eigvalsh(sym * sd.grid.dq)
-    return eig[::-1]
-
-
 def gaussian_phase_density(
     grid: PhaseGrid,
     x0: float,

@@ -2,12 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from liouspace.errors import (
-    NonHermitianAssembly,
-    NotConverged,
-    NotFactorized,
-    TruncationLeak,
-)
+from liouspace.errors import NotConverged, NotFactorized, TruncationLeak
 from liouspace.jaynescummings import (
     ATOM_E,
     ATOM_G,
@@ -16,7 +11,6 @@ from liouspace.jaynescummings import (
     _radial,
     atom_field_factors,
     build_jc_hamiltonian,
-    build_multilevel_hamiltonian,
     check_fock_truncation,
     coherent_field_density,
     coulomb_superop_element,
@@ -26,7 +20,6 @@ from liouspace.jaynescummings import (
     initial_jc_state,
     jc_evolve_first_order,
     jc_liouvillian,
-    rotating_wave_projection,
 )
 from liouspace.evolution import ExactEvolver
 from liouspace.liouvillian import build_basis_liouvillian
@@ -76,27 +69,6 @@ class TestHamiltonian:
         p = JCParams(omega_e=1.2, omega=0.8, d_eg=0.3, n_max=5)
         h = build_jc_hamiltonian(p)
         assert np.max(np.abs(h - h.conj().T)) == 0.0
-
-    def test_multilevel_rwa_projection_recovers_jc(self):
-        d = 0.07
-        h_ml = build_multilevel_hamiltonian([0.0, 1.3], [[0, d], [d, 0]], 1.1, 3)
-        h_rwa = rotating_wave_projection(h_ml, 2, 3)
-        h_jc = build_jc_hamiltonian(JCParams(omega_e=1.3, omega=1.1, d_eg=d, n_max=3))
-        np.testing.assert_array_equal(h_rwa, h_jc)
-
-    def test_multilevel_zero_dipoles_diagonal(self):
-        h = build_multilevel_hamiltonian([0.0, 1.0, 2.0], np.zeros((3, 3)), 0.9, 2)
-        assert np.max(np.abs(h - np.diag(np.diag(h)))) == 0.0
-
-    def test_multilevel_three_levels_real_spectrum(self):
-        d = np.array([[0.0, 0.1, 0.05], [0.1, 0.0, 0.2], [0.05, 0.2, 0.0]])
-        h = build_multilevel_hamiltonian([0.0, 1.0, 2.3], d, 1.0, 2)
-        eig = np.linalg.eigvals(h)
-        assert np.max(np.abs(eig.imag)) < 1e-12
-
-    def test_asymmetric_dipoles_rejected(self):
-        with pytest.raises(NonHermitianAssembly):
-            build_multilevel_hamiltonian([0.0, 1.0], [[0, 0.1], [0.2, 0]], 1.0, 2)
 
 
 class TestExactEvolution:
@@ -151,14 +123,10 @@ class TestExactEvolution:
         p1 = JCParams(omega_e=1.0, omega=1.0, d_eg=0.1, n_max=2, eps_egeg=0.1j)
         assert jc_liouvillian(p1).s_add is not None
 
-    @pytest.mark.parametrize("eps_eegg", [0.0, 0.03 + 0.01j])
     @pytest.mark.parametrize("eps_egeg", [0.0, 0.01, 0.3, 0.01 - 0.02j, 0.05 + 0.05j])
     @pytest.mark.parametrize("n_max", [3, 6])
-    def test_structured_route_matches_dense(self, n_max, eps_egeg, eps_eegg):
-        p = JCParams(
-            omega_e=1.1, omega=0.9, d_eg=0.08, n_max=n_max,
-            eps_egeg=eps_egeg, eps_eegg=eps_eegg,
-        )
+    def test_structured_route_matches_dense(self, n_max, eps_egeg):
+        p = JCParams(omega_e=1.1, omega=0.9, d_eg=0.08, n_max=n_max, eps_egeg=eps_egeg)
         atom = np.array([[0.4, 0.2 - 0.3j], [0.2 + 0.3j, 0.6]])
         rho0 = np.kron(atom, coherent_field_density(0.5, n_max))
         ev = ExactEvolver(jc_liouvillian(p))
@@ -245,35 +213,6 @@ class TestFirstOrder:
         rho_a, rho_f = atom_field_factors(np.kron(atom, field), 3)
         np.testing.assert_allclose(rho_a, atom, atol=1e-14)
         np.testing.assert_allclose(rho_f, field, atol=1e-14)
-
-
-class TestInteractionPictureSplit:
-    def test_first_order_deviation_scales_as_coupling_squared(self):
-        """Free JC part vs (dipole + superoperator) perturbation: the
-        first-order interaction-picture result deviates from the exact
-        evolution with log-log slope 2 in the coupling strength."""
-        from liouspace.evolution import EvolutionConfig, evolve_interaction_picture
-        from liouspace.liouvillian import build_basis_liouvillian
-
-        rho0 = np.kron(
-            np.array([[0.5, 0.3], [0.3, 0.5]], dtype=complex),
-            coherent_field_density(0.4, 3),
-        )
-        cfg = EvolutionConfig(t1=1.0, n_steps=64)
-        couplings = np.array([0.02, 0.05, 0.1, 0.2])
-        errs = []
-        for g in couplings:
-            p_free = JCParams(omega_e=1.1, omega=0.9, d_eg=0.0, n_max=3)
-            p_full = JCParams(
-                omega_e=1.1, omega=0.9, d_eg=g, n_max=3, eps_egeg=g * (0.4 + 0.6j)
-            )
-            liou0 = jc_liouvillian(p_free)
-            pert = jc_liouvillian(p_full).dense() - liou0.dense()
-            got = evolve_interaction_picture(liou0, pert, rho0, cfg, order=1)
-            want = evolve_jc(p_full, rho0, [1.0])[0]
-            errs.append(float(np.max(np.abs(got - want))))
-        slope = np.polyfit(np.log(couplings), np.log(errs), 1)[0]
-        assert slope == pytest.approx(2.0, abs=0.15)
 
 
 class TestGuards:

@@ -1,0 +1,62 @@
+"""Package-wide structure checks."""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "liouspace"
+
+# Public names that no program code uses, each kept for a stated reason.
+ALLOWED_UNUSED = {
+    # the documented file-format round trip: written by the CLI, read back
+    # by users of its output files
+    "save_phase_density": "file-format round trip",
+    "load_phase_density": "file-format round trip",
+    "load_super_density": "file-format round trip",
+    # the guarded 3-vector front of the Coulomb E, checked against the
+    # definition of E(Q, q) in test_potential
+    "coulomb_e_superoperator": "guarded front of the Coulomb E formula",
+}
+
+
+def _parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _public_definitions() -> dict[str, str]:
+    """Top-level public functions and classes of the package, by module."""
+    found = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for node in _parse(path).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                found[node.name] = path.name
+    return found
+
+
+def _used_names() -> set[str]:
+    """Every name read as a bare name or an attribute in src, scripts or bench."""
+    used = set()
+    for top in ("src", "scripts", "bench"):
+        for path in (ROOT / top).rglob("*.py"):
+            for node in ast.walk(_parse(path)):
+                if isinstance(node, ast.Name):
+                    used.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    used.add(node.attr)
+    return used
+
+
+def test_every_public_definition_is_reached_by_program_code():
+    """A library function serves a scenario, a check, a script or the
+    benchmark; code that only tests reach is dead weight."""
+    used = _used_names()
+    defined = _public_definitions()
+    unreached = sorted(
+        f"{module}:{name}"
+        for name, module in defined.items()
+        if name not in used and name not in ALLOWED_UNUSED
+    )
+    assert unreached == []
+    assert set(ALLOWED_UNUSED) <= set(defined)

@@ -1,15 +1,13 @@
 import numpy as np
 import pytest
 
-from liouspace.errors import DimensionTooLarge, NonpositiveTime
+from liouspace.errors import NonpositiveTime
 from liouspace.evolution import EvolutionConfig, EvolveMethod, evolve_trotter
 from liouspace.potential import PolynomialPotential, SuperPotentialKind
 from liouspace.superprop import (
     PropagatorPoint,
     apply_free_superpropagator,
-    apply_kernel,
     dyson_first_order_numeric,
-    dyson_iterate,
     first_order_coefficients,
     first_order_superpropagator,
     free_moment_integral,
@@ -19,52 +17,6 @@ from liouspace.superprop import (
     gamma_qm,
 )
 from liouspace.superspace import SuperGrid, expect_p, expect_x, gaussian_super_density
-
-
-def closed_form_correction_field(grid, lam, kind, duration, sd):
-    """Apply the closed-form first-order correction kernel to a state."""
-    p = grid.points
-    coef = first_order_coefficients(kind)
-    n = grid.n
-    corr = np.zeros((n, n), dtype=complex)
-    g = free_propagator(p[:, None], p[None, :], duration)
-    q_f = p[:, None, None, None]
-    k_f = p[None, :, None, None]
-    q_i = p[None, None, :, None]
-    k_i = p[None, None, None, :]
-
-    def p4(a, b):
-        return a**4 + a**3 * b + a**2 * b**2 + a * b**3 + b**4
-
-    def bracket(a, b):
-        return (duration / 5.0) * (
-            0.5j * duration * (3 * a**2 + 4 * a * b + 3 * b**2) + p4(a, b)
-        )
-
-    g_qm = bracket(q_f, q_i) - np.conj(bracket(k_f, k_i))
-    sym = 3 * q_f * k_f + 2 * q_f * k_i + 2 * q_i * k_f + 3 * q_i * k_i
-
-    def brk(a, ap, b, bp):
-        return (
-            a**3 * (4 * b + bp)
-            + a**2 * ap * (3 * b + 2 * bp)
-            + a * ap**2 * (2 * b + 3 * bp)
-            + ap**3 * (b + 4 * bp)
-        )
-
-    g_cl = (duration / 5.0) * (
-        1j * duration * sym
-        + 0.5 * brk(q_f, q_i, k_f, k_i)
-        - 0.5 * brk(k_f, k_i, q_f, q_i)
-    )
-    kernel = (
-        g[:, None, :, None]
-        * g.conj()[None, :, None, :]
-        * (-1j * lam)
-        * (coef.c1 * g_qm + coef.c2 * g_cl)
-    )
-    corr = np.einsum("abcd,cd->ab", kernel, sd.values) * grid.dq**2
-    return corr
 
 
 class TestFreePropagator:
@@ -227,72 +179,3 @@ class TestFirstOrder:
         # k = 0 reduces to the semigroup identity: M_0 / G0(total) = 1
         val = free_moment_integral(0.7, -0.2, 0.4, 0.9, 0, 1.0, 1.0)
         assert val == pytest.approx(1.0, abs=1e-14)
-
-
-@pytest.mark.filterwarnings("ignore:initial density")
-class TestDysonIterate:
-    def test_order_zero_is_free_kernel(self):
-        """The order-0 kernel is the band-limited free superpropagator:
-        exactly the one-step free split-step evolution, and close to the
-        pointwise analytic kernel action at resolved durations."""
-        grid = SuperGrid.centered(5.5, 24)
-        v = PolynomialPotential.quartic(0.02)
-        sd = gaussian_super_density(grid, 0.0, 0.0, 0.7, 0.75)
-        k0 = dyson_iterate(grid, v, SuperPotentialKind.CL, 0, 1.0, n_tau=4)
-        out = apply_kernel(k0, sd)
-        cfg = EvolutionConfig(t1=1.0, n_steps=1, method=EvolveMethod.TROTTER_STRANG)
-        ref = evolve_trotter(
-            PolynomialPotential.free(), grid, SuperPotentialKind.CL, sd, cfg
-        )
-        np.testing.assert_allclose(out.values, ref.values, atol=1e-13)
-        pointwise = apply_free_superpropagator(sd, 1.0)
-        scale = np.max(np.abs(out.values))
-        assert np.max(np.abs(out.values - pointwise.values)) < 5e-3 * scale
-
-    @pytest.mark.parametrize("kind", list(SuperPotentialKind))
-    def test_order_one_matches_closed_form(self, kind):
-        """First-order kernel action on a band-limited state vs the closed
-        form, in the relative L2 norm of the correction field."""
-        grid = SuperGrid.centered(7.0, 32)
-        lam, duration = 0.02, 1.0
-        v = PolynomialPotential.quartic(lam)
-        sd = gaussian_super_density(grid, 0.0, 0.0, 0.7, 0.5)
-        k0 = dyson_iterate(grid, v, kind, 0, duration, n_tau=4)
-        k1 = dyson_iterate(grid, v, kind, 1, duration, n_tau=16)
-        corr = np.einsum("abcd,cd->ab", k1 - k0, sd.values) * grid.dq**2
-        want = closed_form_correction_field(grid, lam, kind, duration, sd)
-        rel = np.linalg.norm(corr - want) / np.linalg.norm(want)
-        assert rel < 1e-2
-
-    def test_error_monotone_in_order(self):
-        """At small lam*T each added Dyson order moves the propagated state
-        closer to the converged split-step evolution."""
-        grid = SuperGrid.centered(5.5, 20)
-        lam, duration = 0.02, 1.0
-        v = PolynomialPotential.quartic(lam)
-        kind = SuperPotentialKind.CL
-        sd = gaussian_super_density(grid, 0.0, 0.0, 0.7, 0.75)
-        cfg = EvolutionConfig(
-            t1=duration, n_steps=400, method=EvolveMethod.TROTTER_STRANG
-        )
-        ref = evolve_trotter(v, grid, kind, sd, cfg)
-        errs = []
-        for order in (0, 1, 2):
-            kern = dyson_iterate(grid, v, kind, order, duration, n_tau=12)
-            out = apply_kernel(kern, sd)
-            errs.append(np.max(np.abs(out.values - ref.values)))
-        assert errs[0] > errs[1] > errs[2]
-
-    def test_large_grid_rejected(self):
-        grid = SuperGrid.centered(5.0, 64)
-        with pytest.raises(DimensionTooLarge):
-            dyson_iterate(
-                grid, PolynomialPotential.quartic(0.1), SuperPotentialKind.CL, 1, 1.0
-            )
-
-    def test_nonpositive_time_rejected(self):
-        grid = SuperGrid.centered(5.0, 16)
-        with pytest.raises(NonpositiveTime):
-            dyson_iterate(
-                grid, PolynomialPotential.quartic(0.1), SuperPotentialKind.CL, 1, 0.0
-            )

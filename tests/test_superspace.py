@@ -17,7 +17,6 @@ from liouspace.superspace import (
     gaussian_super_density,
     phase_to_super,
     purity,
-    spectrum_report,
     super_to_phase,
     trace,
 )
@@ -175,35 +174,6 @@ class TestMoments:
         grid = SuperGrid.centered(8.0, 64)
         sd = gaussian_super_density(grid, 0.0, 1.2, 0.6, 0.5, hbar=0.5)
         assert expect_p(sd, hbar=0.5) == pytest.approx(1.2, abs=1e-4)
-
-
-class TestSpectrum:
-    def test_rank_one_pure_state(self, grid64):
-        pts = grid64.points
-        psi = np.exp(-0.5 * pts**2)
-        psi = psi / np.sqrt(np.sum(np.abs(psi) ** 2) * grid64.dq)
-        sd = SuperDensity(grid64, np.outer(psi, psi.conj()))
-        eig = spectrum_report(sd)
-        assert eig[0] == pytest.approx(1.0, abs=1e-8)
-        assert np.max(np.abs(eig[1:])) < 1e-8
-
-    def test_sharp_classical_state_has_negative_eigenvalue(self, grid64):
-        """Two sharp classical peaks violate the uncertainty bound
-        sigma_x sigma_p >= hbar/2, so the operator cannot be positive."""
-        a = gaussian_super_density(grid64, -1.5, 0.0, 0.3, 0.3).values
-        b = gaussian_super_density(grid64, 1.5, 0.0, 0.3, 0.3).values
-        sd = SuperDensity(grid64, 0.5 * (a + b))
-        eig = spectrum_report(sd)
-        assert eig[-1] < -1e-3
-        assert eig.sum() == pytest.approx(trace(sd), abs=1e-8)
-
-    def test_zero_density(self, grid64):
-        eig = spectrum_report(SuperDensity(grid64, np.zeros((64, 64))))
-        np.testing.assert_allclose(eig, 0.0)
-
-    def test_eigenvalue_sum_equals_trace(self, grid64):
-        sd = gaussian_super_density(grid64, 0.4, 0.3, 0.5, 0.9)
-        assert spectrum_report(sd).sum() == pytest.approx(trace(sd), abs=1e-8)
 
 
 class TestPurity:
