@@ -12,6 +12,7 @@ from liouspace.evolution import (
     ExactEvolver,
     boundary_mass,
     evolve_characteristics,
+    evolve_commutator,
     evolve_exact,
     evolve_ordered,
     evolve_trotter,
@@ -152,11 +153,116 @@ class TestEvolveUniformGrid:
             evolve_uniform_grid(lambda v: v, lambda v: v, 1.0, np.ones(1), t_grid)
 
 
-class TestEvolveOrdered:
-    def test_rejects_non_rk4_method(self):
-        liou = build_basis_liouvillian(np.diag([0.0, 1.0]).astype(complex))
+class TestEvolutionConfig:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [dict(t1=0.0), dict(t1=1.0, t0=2.0), dict(t1=1.0, n_steps=0)],
+        ids=["empty-interval", "reversed-interval", "no-steps"],
+    )
+    def test_invalid_config_rejected(self, kwargs):
         with pytest.raises(ValueError):
-            evolve_ordered(lambda t: liou.dense(), two_level_density(), EvolutionConfig(t1=1.0))
+            EvolutionConfig(**kwargs)
+
+
+class TestEvolveCommutator:
+    def test_matches_dense_exact_evolution(self):
+        rng = np.random.Generator(np.random.Philox(51))
+        h = random_hermitian(rng, 4)
+        rho0 = random_hermitian(rng, 4)
+        hbar = 0.6
+        ev = ExactEvolver(build_basis_liouvillian(h, hbar=hbar))
+        times = np.array([0.0, 0.4, 1.3, -0.7])
+        states = evolve_commutator(h, rho0, times, hbar)
+        assert states.shape == (4, 4, 4)
+        for t, rho in zip(times, states):
+            np.testing.assert_allclose(rho, ev.propagate(rho0, t), rtol=0, atol=1e-12)
+
+    def test_keeps_spectrum_of_the_state(self):
+        # a unitary conjugation: the eigenvalues of rho are invariant
+        rng = np.random.Generator(np.random.Philox(52))
+        h = random_hermitian(rng, 5)
+        rho0 = random_hermitian(rng, 5)
+        for rho in evolve_commutator(h, rho0, np.linspace(0.0, 4.0, 5), 1.0):
+            np.testing.assert_allclose(
+                np.linalg.eigvalsh(rho), np.linalg.eigvalsh(rho0), rtol=0, atol=1e-12
+            )
+
+
+class TestEvolveOrdered:
+    @pytest.mark.parametrize("method", [EvolveMethod.TROTTER_STRANG, EvolveMethod.TROTTER_LIE])
+    def test_rejects_non_rk4_method(self, method):
+        liou = build_basis_liouvillian(np.diag([0.0, 1.0]).astype(complex))
+        cfg = EvolutionConfig(t1=1.0, method=method)
+        with pytest.raises(ValueError):
+            evolve_ordered(lambda t: liou.dense(), two_level_density(), cfg)
+
+    def test_time_independent_matches_exact(self):
+        rng = np.random.Generator(np.random.Philox(43))
+        h = random_hermitian(rng, 3)
+        liou = build_basis_liouvillian(h)
+        rho0 = random_hermitian(rng, 3)
+        cfg = EvolutionConfig(t1=1.5, n_steps=256, method=EvolveMethod.RK4)
+        got = evolve_ordered(lambda t: liou.dense(), rho0, cfg)
+        want = evolve_exact(liou, rho0, 1.5)
+        assert np.max(np.abs(got - want)) < 1e-7
+
+    def test_commuting_family_matches_scalar_quadrature(self):
+        """L(t) = f(t) L0: the ordered exponential is exp(-i (int f) L0),
+        with the integral from an independent adaptive quadrature."""
+        from scipy.integrate import quad
+
+        rng = np.random.Generator(np.random.Philox(44))
+        h = random_hermitian(rng, 3)
+        liou = build_basis_liouvillian(h)
+        dense = liou.dense()
+        f = lambda t: 1.0 + 0.5 * np.sin(3.0 * t)
+        rho0 = random_hermitian(rng, 3)
+        cfg = EvolutionConfig(t1=1.0, n_steps=512, method=EvolveMethod.RK4)
+        got = evolve_ordered(lambda t: f(t) * dense, rho0, cfg)
+        eff_t, _ = quad(f, 0.0, 1.0)
+        want = evolve_exact(liou, rho0, eff_t)
+        assert np.max(np.abs(got - want)) < 1e-9
+
+    def test_nonzero_start_composes(self):
+        # U(2, 0) = U(2, 1) U(1, 0) for a driven, non-commuting family
+        l0 = build_basis_liouvillian(np.diag([0.0, 1.0]).astype(complex)).dense()
+        l1 = build_basis_liouvillian(np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)).dense()
+        family = lambda t: l0 + np.sin(2.0 * t) * l1
+        rho0 = two_level_density()
+        rk4 = EvolveMethod.RK4
+        first = evolve_ordered(family, rho0, EvolutionConfig(t1=1.0, n_steps=256, method=rk4))
+        second = evolve_ordered(
+            family, first, EvolutionConfig(t1=2.0, t0=1.0, n_steps=256, method=rk4)
+        )
+        whole = evolve_ordered(family, rho0, EvolutionConfig(t1=2.0, n_steps=512, method=rk4))
+        np.testing.assert_allclose(second, whole, rtol=0, atol=1e-12)
+
+    def test_sparse_family_matches_dense(self):
+        import scipy.sparse
+
+        rng = np.random.Generator(np.random.Philox(47))
+        dense = build_basis_liouvillian(random_hermitian(rng, 3)).dense()
+        sparse = scipy.sparse.csr_matrix(dense)
+        rho0 = random_hermitian(rng, 3)
+        cfg = EvolutionConfig(t1=0.8, n_steps=64, method=EvolveMethod.RK4)
+        got = evolve_ordered(lambda t: (1.0 + t) * sparse, rho0, cfg)
+        want = evolve_ordered(lambda t: (1.0 + t) * dense, rho0, cfg)
+        assert got.shape == rho0.shape
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+
+    def test_hbar_rescales_time(self):
+        # i hbar d/dt rho = L rho: hbar = 2 over time t is hbar = 1 over t / 2
+        rng = np.random.Generator(np.random.Philox(48))
+        dense = build_basis_liouvillian(random_hermitian(rng, 3)).dense()
+        rho0 = random_hermitian(rng, 3)
+        rk4 = EvolveMethod.RK4
+        slow = evolve_ordered(
+            lambda t: dense, rho0, EvolutionConfig(t1=2.0, n_steps=64, method=rk4, hbar=2.0)
+        )
+        fast = evolve_ordered(
+            lambda t: dense, rho0, EvolutionConfig(t1=1.0, n_steps=64, method=rk4)
+        )
+        np.testing.assert_allclose(slow, fast, rtol=0, atol=1e-13)
 
     def test_fourth_order_convergence_on_driven_two_level(self):
         h0 = np.diag([0.0, 1.0]).astype(complex)
@@ -272,6 +378,13 @@ class TestTrotter:
             alone = evolve_trotter(v, grid, SuperPotentialKind.CL, sd, cfg_k)
             assert np.array_equal(seen[k], alone.values)
 
+    def test_rejects_rk4_method(self):
+        grid = SuperGrid.centered(8.0, 32)
+        sd = gaussian_super_density(grid, 0.0, 0.0, 0.6, 0.6)
+        cfg = EvolutionConfig(t1=0.1, n_steps=2, method=EvolveMethod.RK4)
+        with pytest.raises(ValueError):
+            evolve_trotter(PolynomialPotential.free(), grid, SuperPotentialKind.CL, sd, cfg)
+
     def test_boundary_warning(self):
         grid = SuperGrid.centered(3.0, 32)
         sd = gaussian_super_density(grid, 1.5, 0.0, 0.8, 0.3)
@@ -327,6 +440,25 @@ class TestCharacteristics:
             CharacteristicsEnsemble(
                 x=np.zeros(3), p=np.zeros(3), weights=np.ones(3)
             )
+
+    def test_shapes_must_match(self):
+        with pytest.raises(ValueError):
+            CharacteristicsEnsemble(
+                x=np.zeros(3), p=np.zeros(2), weights=np.full(3, 1.0 / 3.0)
+            )
+
+    def test_zero_time_returns_ensemble(self):
+        ens = gaussian_ensemble(64, 0.2, 0.1, 0.5, 0.5, seed=4)
+        assert evolve_characteristics(PolynomialPotential.quartic(0.1), ens, 0.0) is ens
+
+    def test_sobol_rounds_up_to_power_of_two(self):
+        ens = gaussian_ensemble(1000, 0.0, 0.0, 1.0, 1.0, seed=6)
+        assert ens.x.size == 1024
+        assert ens.weights.sum() == pytest.approx(1.0, abs=1e-12)
+
+    def test_unknown_sampler_rejected(self):
+        with pytest.raises(ValueError, match="sampler"):
+            gaussian_ensemble(16, 0.0, 0.0, 1.0, 1.0, sampler="halton")
 
     def test_harmonic_period_returns_to_start(self):
         v = PolynomialPotential.harmonic(1.0)

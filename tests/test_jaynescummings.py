@@ -19,6 +19,7 @@ from liouspace.jaynescummings import (
     evolve_jc,
     initial_jc_state,
     jc_evolve_first_order,
+    jc_element_table,
     jc_liouvillian,
 )
 from liouspace.evolution import ExactEvolver
@@ -64,6 +65,20 @@ class TestHamiltonian:
             assert blocks[ATOM_E, n, ATOM_G, n + 1] == pytest.approx(
                 1j * 0.07 * np.sqrt(n + 1), abs=1e-14
             )
+
+    def test_empty_fock_space_rejected(self):
+        with pytest.raises(ValueError):
+            JCParams(omega_e=1.0, omega=1.0, d_eg=0.1, n_max=0)
+
+    @pytest.mark.parametrize("eps_egeg", [0.3, 0.01 - 0.02j, 0.05 + 0.05j])
+    def test_element_table_keeps_trace_and_hermiticity(self, eps_egeg):
+        table = jc_element_table(
+            JCParams(omega_e=1.0, omega=1.0, d_eg=0.1, n_max=2, eps_egeg=eps_egeg)
+        )
+        # trace sum rule sum_a E_{aa,cd} = 0, from E(Q, Q) = 0
+        np.testing.assert_array_equal(np.einsum("aacd->cd", table), 0.0)
+        # E_{ab,cd} = -conj(E_{ba,dc}) keeps rho Hermitian
+        np.testing.assert_array_equal(table, -table.transpose(1, 0, 3, 2).conj())
 
     def test_hermitian_exactly(self):
         p = JCParams(omega_e=1.2, omega=0.8, d_eg=0.3, n_max=5)
@@ -136,6 +151,11 @@ class TestExactEvolution:
         for t, rho in zip(times, states):
             np.testing.assert_allclose(rho, ev.propagate(rho0, float(t)), rtol=0, atol=1e-12)
 
+    def test_non_hermitian_route_needs_even_grid(self):
+        p = JCParams(omega_e=1.0, omega=1.0, d_eg=0.1, n_max=2, eps_egeg=0.1j)
+        with pytest.raises(ValueError, match="evenly"):
+            evolve_jc(p, initial_jc_state("e0", 2), [0.0, 0.5, 2.0])
+
     @pytest.mark.parametrize("eps", [0.0, 0.01, -0.3])
     def test_real_eps_is_an_omega_e_shift(self, eps):
         p = JCParams(omega_e=1.1, omega=0.9, d_eg=0.08, n_max=3, eps_egeg=eps)
@@ -198,6 +218,30 @@ class TestFirstOrder:
         assert devs[0] / devs[1] == pytest.approx(4.0, abs=0.8)
         assert devs[1] / devs[2] == pytest.approx(4.0, abs=0.8)
 
+    def test_deviation_scales_as_coupling_squared_at_resonance(self):
+        """At resonance the d_eg t term is the exact first-order dipole term
+        and (1 - i t E_egeg) the exact first-order superoperator term, so at
+        fixed t the deviation from the exact evolution has log-log slope 2
+        in the coupling strength (atom in populations, coherent field)."""
+        rho0 = np.kron(
+            np.diag([0.4, 0.6]).astype(complex), coherent_field_density(0.4, 4)
+        )
+        couplings = np.array([0.02, 0.05, 0.1, 0.2])
+        errs = []
+        for g in couplings:
+            p = JCParams(
+                omega_e=0.9, omega=0.9, d_eg=g, n_max=4, eps_egeg=g * (0.4 + 0.6j)
+            )
+            got = jc_evolve_first_order(p, rho0, 1.0)
+            errs.append(float(np.max(np.abs(got - evolve_jc(p, rho0, [1.0])[0]))))
+        slope = np.polyfit(np.log(couplings), np.log(errs), 1)[0]
+        assert slope == pytest.approx(2.0, abs=0.15)
+
+    def test_negative_time_rejected(self):
+        p = JCParams(omega_e=1.0, omega=1.0, d_eg=0.01, n_max=2)
+        with pytest.raises(ValueError):
+            jc_evolve_first_order(p, initial_jc_state("e0", 2), -0.1)
+
     def test_entangled_initial_state_rejected(self):
         p = JCParams(omega_e=1.0, omega=1.0, d_eg=0.01, n_max=1)
         bell = np.zeros((4, 4), dtype=complex)
@@ -235,6 +279,21 @@ class TestGuards:
             initial_jc_state("x2", 2)
 
 
+    def test_photon_number_outside_truncation_rejected(self):
+        with pytest.raises(ValueError, match="truncated"):
+            initial_jc_state("e3", 2)
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.7, 0.5j])
+    def test_coherent_field_is_pure_with_poisson_mean(self, alpha):
+        n_max = 20
+        rho = coherent_field_density(alpha, n_max)
+        assert np.trace(rho).real == pytest.approx(1.0, abs=1e-14)
+        assert np.max(np.abs(rho - rho.conj().T)) < 1e-15
+        np.testing.assert_allclose(rho @ rho, rho, rtol=0, atol=1e-14)
+        mean_n = float(np.real(np.sum(np.arange(n_max + 1) * np.diag(rho))))
+        assert mean_n == pytest.approx(abs(alpha) ** 2, abs=1e-12)
+
+
 class TestHydrogenStates:
     def test_quantum_number_validation(self):
         with pytest.raises(ValueError):
@@ -248,6 +307,10 @@ class TestHydrogenStates:
         assert S1.parity == 1
         assert P2.parity == -1
         assert HydrogenState(3, 2, 1).parity == 1
+
+    def test_unbundled_radial_function_rejected(self):
+        with pytest.raises(ValueError, match="radial"):
+            _radial(4, 0, np.ones(3))
 
     def test_orbitals_normalized_by_mc(self):
         rng = np.random.Generator(np.random.Philox(61))

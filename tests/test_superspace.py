@@ -184,6 +184,31 @@ class TestPurity:
         sd = SuperDensity(grid64, np.outer(psi, psi.conj()))
         assert purity(sd) == pytest.approx(1.0, abs=1e-8)
 
+    @pytest.mark.parametrize("sx, sp", [(0.5, 1.0), (0.7, 0.9), (0.4, 0.6)])
+    def test_gaussian_purity_is_inverse_uncertainty_product(self, grid64, sx, sp):
+        # Tr rho^2 = hbar / (2 sigma_x sigma_p) for a Gaussian Wigner function
+        sd = gaussian_super_density(grid64, 0.3, -0.2, sx, sp)
+        assert purity(sd) == pytest.approx(1.0 / (2.0 * sx * sp), rel=1e-9)
+
+
+class TestPositivity:
+    """The operator of a Gaussian phase density is positive exactly when
+    sigma_x sigma_p >= hbar / 2: sharper classical states are not quantum
+    states.  The spectrum of rho is that of the kernel rho(Q, q) dq."""
+
+    @pytest.mark.parametrize(
+        "sx, sp, positive",
+        [(0.5, 1.0, True), (0.7, 0.9, True), (0.5, 0.6, False), (0.3, 0.3, False)],
+    )
+    def test_positive_iff_uncertainty_bound_holds(self, grid64, sx, sp, positive):
+        sd = gaussian_super_density(grid64, 0.3, -0.2, sx, sp)
+        eig = np.linalg.eigvalsh(sd.values * grid64.dq)
+        assert eig.sum() == pytest.approx(trace(sd), abs=1e-10)
+        if positive:
+            assert eig[0] > -1e-12
+        else:
+            assert eig[0] < -0.1
+
 
 @settings(max_examples=20, deadline=None)
 @given(
