@@ -23,11 +23,8 @@ from liouspace import (
     SuperGrid,
     SuperPotentialKind,
     evolve_trotter,
-    expect_p,
-    expect_x,
-    expect_x2,
     gaussian_super_density,
-    purity,
+    moments,
 )
 
 LAM = 0.15
@@ -47,8 +44,8 @@ def moment_series(kind):
 
     def observe(k, state):
         if k % STEPS_PER_ROW == 0:
-            t = T_END * k / n_steps
-            rows.append((t, expect_x(state), expect_p(state), expect_x2(state), purity(state)))
+            m = moments(state)
+            rows.append((T_END * k / n_steps, m.x, m.p, m.x2, m.purity))
 
     sd = evolve_trotter(v, grid, kind, sd, cfg, observe=observe)
     print(f"{kind.value}: final boundary mass {boundary_mass(sd.values):.2e}")

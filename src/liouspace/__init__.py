@@ -45,18 +45,14 @@ from .potential import (
 from .superspace import (
     PhaseDensity,
     PhaseGrid,
+    Moments,
     SuperDensity,
     SuperGrid,
-    expect_p,
-    expect_x,
-    expect_x2,
-    expect_xp_weyl,
     gaussian_phase_density,
     gaussian_super_density,
+    moments,
     phase_to_super,
-    purity,
     super_to_phase,
-    trace,
 )
 from .liouvillian import (
     BasisLiouvillian,

@@ -193,6 +193,8 @@ class RunContext:
         self.outdir = outdir
         self.outputs: list[str] = []
         self.checks: dict[str, bool] = {}
+        # how close each guard came, beside its boolean check
+        self.margins: dict[str, float] = {}
         self.notes: list[str] = []
         # set by the scenarios that evolve a generator: what solved it, and
         # the dimension of the vectorized density it acts on
@@ -214,6 +216,8 @@ class RunContext:
             "notes": self.notes,
             "wall_seconds": time.perf_counter() - self._t0,
         }
+        if self.margins:
+            manifest["margins"] = {k: float(v) for k, v in self.margins.items()}
         if "seed" in self.params:
             manifest["seed"] = self.params["seed"]
         if self.solver_path is not None:
@@ -262,46 +266,30 @@ def run_evolve(ctx: RunContext) -> None:
         t1=t_end, n_steps=steps, method=method, hbar=hbar, mass=mass
     )
 
-    rows = [_series_row(0.0, sd, hbar)]
-    max_tr_drift = 0.0
-    max_herm = 0.0
-    max_boundary = evolution.boundary_mass(sd.values)
+    series = [(0.0, superspace.moments(sd, hbar))]
+    boundary = [evolution.boundary_mass(sd.values)]
 
     def observe(k: int, state) -> None:
-        nonlocal max_tr_drift, max_herm, max_boundary
-        if k % stride:
-            return
-        rows.append(_series_row(t_end * k / steps, state, hbar))
-        max_tr_drift = max(max_tr_drift, abs(rows[-1][1] - rows[0][1]))
-        max_herm = max(max_herm, state.hermiticity_defect())
-        max_boundary = max(max_boundary, evolution.boundary_mass(state.values))
+        if k % stride == 0:
+            series.append((t_end * k / steps, superspace.moments(state, hbar)))
+            boundary.append(evolution.boundary_mass(state.values))
 
     sd = evolution.evolve_trotter(v, grid, kind, sd, cfg, observe=observe)
     ctx.solver_path, ctx.generator_dim = method.value, grid.n**2
     serialize.write_csv(
         ctx.path("evolve_series.csv"),
-        rows,
+        [(t, m.trace, m.x, m.p, m.x2, m.purity) for t, m in series],
         header=["t", "trace", "x_mean", "p_mean", "x2_mean", "purity"],
     )
     serialize.save_super_density(ctx.outdir / "evolve_final", sd, hbar, mass)
     ctx.outputs += ["evolve_final.csv", "evolve_final.json"]
-    ctx.checks["trace_conserved_1e-8"] = max_tr_drift < 1e-8
-    ctx.checks["hermiticity_1e-8"] = max_herm < 1e-8
-    ctx.checks["boundary_mass_ok"] = max_boundary < 1e-6
-    ctx.notes.append(
-        f"periodic grid truncation; max boundary mass {max_boundary:.3e}"
-    )
-
-
-def _series_row(t: float, sd, hbar: float):
-    return (
-        t,
-        superspace.trace(sd),
-        superspace.expect_x(sd),
-        superspace.expect_p(sd, hbar),
-        superspace.expect_x2(sd),
-        superspace.purity(sd),
-    )
+    margins = ctx.margins
+    margins["max_trace_drift"] = max(abs(m.trace - series[0][1].trace) for _, m in series)
+    margins["max_hermiticity_defect"] = max(m.hermiticity_defect for _, m in series)
+    margins["max_boundary_mass"] = max(boundary)
+    ctx.checks["trace_conserved_1e-8"] = margins["max_trace_drift"] < 1e-8
+    ctx.checks["hermiticity_1e-8"] = margins["max_hermiticity_defect"] < 1e-8
+    ctx.checks["boundary_mass_ok"] = margins["max_boundary_mass"] < 1e-6
 
 
 def run_propagator(ctx: RunContext) -> None:
@@ -387,9 +375,11 @@ def run_jc(ctx: RunContext) -> None:
         rows,
         header=["t", "P_e", "abs_rho_eg00", "trace", "purity"],
     )
+    ctx.margins["max_trace_drift"] = max_drift
+    ctx.margins["max_purity"] = max(row[4] for row in rows)
     ctx.checks["trace_conserved_1e-8"] = max_drift < 1e-8
     # a complex eps makes the generator non-Hermitian and can raise purity
-    ctx.checks["purity_at_most_1_1e-8"] = max(row[4] for row in rows) <= 1.0 + 1e-8
+    ctx.checks["purity_at_most_1_1e-8"] = ctx.margins["max_purity"] <= 1.0 + 1e-8
 
 
 def run_bipartite(ctx: RunContext) -> None:
@@ -416,9 +406,10 @@ def run_bipartite(ctx: RunContext) -> None:
             "trace_drift_cl", "trace_drift_qm",
         ],
     )
-    ctx.checks["trace_conserved_1e-8"] = max(
+    ctx.margins["max_trace_drift"] = max(
         max(r.trace_drift_cl, r.trace_drift_qm) for r in rows
-    ) < 1e-8
+    )
+    ctx.checks["trace_conserved_1e-8"] = ctx.margins["max_trace_drift"] < 1e-8
 
 
 def run_validate(ctx: RunContext) -> None:

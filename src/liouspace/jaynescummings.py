@@ -164,7 +164,10 @@ def jc_evolve_first_order(p: JCParams, rho0: np.ndarray, t: float) -> np.ndarray
 
     for a factorized initial state rho_atom (x) rho_field; the ge block is
     fixed by hermiticity and the diagonal atom blocks carry free phases
-    only at this order.
+    only at this order.  That last step needs rho_atom[e, g] = 0 whenever
+    d_eg != 0: the dipole moves the diagonal blocks of an atom coherence at
+    first order, so such a state raises ValueError (|rho_atom[e, g]| above
+    1e-10 max|rho0|).  With d_eg = 0 any atom state is allowed.
     """
     if t < 0:
         raise ValueError("t must be non-negative")
@@ -173,6 +176,11 @@ def jc_evolve_first_order(p: JCParams, rho0: np.ndarray, t: float) -> np.ndarray
     scale = max(float(np.max(np.abs(rho0))), 1e-300)
     if np.max(np.abs(rho0 - np.kron(rho_atom, rho_field))) > 1e-10 * scale:
         raise NotFactorized("initial state is not atom (x) field to 1e-10")
+    if p.d_eg != 0 and abs(rho_atom[ATOM_E, ATOM_G]) > 1e-10 * scale:
+        raise ValueError(
+            "with d_eg != 0 the formula is first-order exact only for an atom "
+            "without eg coherence"
+        )
 
     n = np.arange(f)
     phase_diag = np.exp(-1j * p.omega * np.subtract.outer(n, n) * t)

@@ -23,20 +23,13 @@ import numpy as np
 
 from .errors import DimensionTooLarge, NonHermitianInput
 from .potential import PolynomialPotential, SuperPotentialKind, e_superoperator, super_potential
-from .superspace import SuperGrid, is_hermitian
+from .superspace import SuperGrid, is_hermitian, spectral_derivative_matrix
 
 MAX_DENSE_VEC_DIM = 4096
 
 
 def _wavenumbers(n: int, dq: float) -> np.ndarray:
     return 2.0 * np.pi * np.fft.fftfreq(n, dq)
-
-
-def spectral_second_derivative_matrix(n: int, dq: float) -> np.ndarray:
-    """Dense periodic spectral d^2/dx^2 on n points (real symmetric)."""
-    k2 = _wavenumbers(n, dq) ** 2
-    eye = np.eye(n)
-    return np.fft.ifft(-k2[:, None] * np.fft.fft(eye, axis=0), axis=0).real
 
 
 @dataclass
@@ -79,7 +72,7 @@ class GridLiouvillian:
 
     def h_matrix(self) -> np.ndarray:
         """Dense single-axis Hamiltonian -(hbar^2/2m) D2 + diag(V)."""
-        d2 = spectral_second_derivative_matrix(self.grid.n, self.grid.dq)
+        d2 = spectral_derivative_matrix(self.grid.n, self.grid.dq, 2)
         return -(self.hbar**2 / (2.0 * self.mass)) * d2 + np.diag(
             self.potential.value(self.grid.points)
         )

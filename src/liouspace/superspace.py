@@ -251,75 +251,75 @@ def super_to_phase(
     return PhaseDensity(pgrid, out.real)
 
 
-def trace(sd: SuperDensity) -> float:
-    """Tr rho = sum_a rho(Q_a, Q_a) * dq."""
-    tr = np.trace(sd.values) * sd.grid.dq
-    scale = max(abs(tr), 1e-12)
-    if abs(tr.imag) > 1e-10 * scale:
-        raise HermiticityViolation(f"trace has imaginary part {tr.imag:.3e}")
-    return float(tr.real)
+def spectral_derivative_matrix(n: int, dq: float, order: int) -> np.ndarray:
+    """Dense periodic spectral d/dx (order 1) or d^2/dx^2 (order 2) on n points.
 
-
-def purity(sd: SuperDensity) -> float:
-    """Tr rho^2 = dq^2 * sum |rho(Q,q)|^2 for Hermitian rho."""
-    return float(np.sum(np.abs(sd.values) ** 2) * sd.grid.dq**2)
-
-
-def _spectral_derivative(values: np.ndarray, dq: float, axis: int) -> np.ndarray:
-    n = values.shape[axis]
+    The matrix is circulant, D[a, c] = col[(a - c) mod n], and its column is
+    one inverse FFT of (i k)^order.  Order 1 drops the unpaired Nyquist
+    mode, so it is real antisymmetric; order 2 is real symmetric.  The
+    column is (anti)symmetrised so the matrix has that symmetry exactly.
+    """
+    if order not in (1, 2):
+        raise ValueError("order must be 1 or 2")
     k = 2.0 * np.pi * np.fft.fftfreq(n, dq)
-    k[n // 2] = 0.0  # odd-order derivative: drop the unpaired Nyquist mode
-    shape = [1] * values.ndim
-    shape[axis] = n
-    spec = np.fft.fft(values, axis=axis) * (1j * k).reshape(shape)
-    return np.fft.ifft(spec, axis=axis)
+    if order == 1:
+        k[n // 2] = 0.0
+    col = np.fft.ifft(1j * k if order == 1 else -(k**2)).real
+    mirror = np.roll(col[::-1], 1)  # col[(-m) mod n]
+    col = 0.5 * (col - mirror if order == 1 else col + mirror)
+    a = np.arange(n)
+    return col[np.subtract.outer(a, a) % n]
 
 
-def _diag_trace(mat: np.ndarray, dq: float) -> complex:
-    return complex(np.trace(mat) * dq)
+@dataclass(frozen=True)
+class Moments:
+    """Moments of one superspace density; see `moments`."""
+
+    trace: float
+    x: float
+    p: float
+    x2: float
+    xp_weyl: float
+    purity: float
+    hermiticity_defect: float
 
 
-def expect_x(sd: SuperDensity) -> float:
-    """<x> = sum_a ((Q_a + q_a)/2) rho(Q_a, Q_a) dq."""
-    if not is_hermitian(sd.values, HERMITICITY_TOL):
-        raise HermiticityViolation("density is not Hermitian")
-    val = _diag_trace(sd.grid.points[:, None] * sd.values, sd.grid.dq)
-    return float(val.real)
+def moments(sd: SuperDensity, hbar: float = 1.0) -> Moments:
+    """Trace, <x>, <p>, <x^2>, Weyl <xp> and purity of rho(Q, q) in one pass.
 
+    With X = diag(q_a) and P = -i hbar D, D the spectral first derivative:
+    Tr rho = sum_a rho_aa dq, <x^k> = sum_a q_a^k rho_aa dq,
+    <p> = Re sum_ac P_ac rho_ca dq, <xp>_Weyl = (1/2) Tr((XP + PX) rho)
+    = Re sum_ac P_ac (q_a + q_c)/2 rho_ca dq, and Tr rho^2 = dq^2 sum |rho|^2.
+    The same formulas hold for CL and QM densities.
 
-def _apply_p_left(sd: SuperDensity, hbar: float) -> np.ndarray:
-    """(P rho)(Q, q) = -i hbar d/dQ rho(Q, q)."""
-    return -1j * hbar * _spectral_derivative(sd.values, sd.grid.dq, axis=0)
-
-
-def expect_p(sd: SuperDensity, hbar: float = 1.0) -> float:
-    """<p> via -i hbar (d_Q - d_q)/2 restricted to the diagonal."""
-    if not is_hermitian(sd.values, HERMITICITY_TOL):
-        raise HermiticityViolation("density is not Hermitian")
-    d_bra = _spectral_derivative(sd.values, sd.grid.dq, axis=0)
-    d_ket = _spectral_derivative(sd.values, sd.grid.dq, axis=1)
-    val = _diag_trace(-0.5j * hbar * (d_bra - d_ket), sd.grid.dq)
-    return float(val.real)
-
-
-def expect_xp_weyl(sd: SuperDensity, hbar: float = 1.0) -> float:
-    """(1/2) Tr((XP + PX) rho), built from the X and P stencils above."""
-    if not is_hermitian(sd.values, HERMITICITY_TOL):
-        raise HermiticityViolation("density is not Hermitian")
-    q = sd.grid.points[:, None]
-    p_rho = _apply_p_left(sd, hbar)
-    xp = _diag_trace(q * p_rho, sd.grid.dq)
-    x_rho = SuperDensity(sd.grid, q * sd.values)
-    px = _diag_trace(_apply_p_left(x_rho, hbar), sd.grid.dq)
-    return float((0.5 * (xp + px)).real)
-
-
-def expect_x2(sd: SuperDensity) -> float:
-    """<x^2> from the diagonal."""
-    if not is_hermitian(sd.values, HERMITICITY_TOL):
-        raise HermiticityViolation("density is not Hermitian")
-    val = _diag_trace(sd.grid.points[:, None] ** 2 * sd.values, sd.grid.dq)
-    return float(val.real)
+    Raises HermiticityViolation when max|rho - rho^H| exceeds
+    HERMITICITY_TOL * max|rho|, or when the trace has an imaginary part above
+    1e-10 of its modulus.  The defect max|rho - rho^H| is returned.
+    """
+    rho, dq, q = sd.values, sd.grid.dq, sd.grid.points
+    defect = sd.hermiticity_defect()
+    scale = max(float(np.max(np.abs(rho))), 1e-300)
+    if defect > HERMITICITY_TOL * scale:
+        raise HermiticityViolation(
+            f"hermiticity defect {defect:.3e} exceeds {HERMITICITY_TOL:g} of max|rho| {scale:.3e}"
+        )
+    diag = np.diagonal(rho)
+    tr = diag.sum() * dq
+    if abs(tr.imag) > 1e-10 * max(abs(tr), 1e-12):
+        raise HermiticityViolation(f"trace has imaginary part {tr.imag:.3e}")
+    # Re(P_ac rho_ca) = hbar D_ac Im(rho_ca), since D is real
+    w = spectral_derivative_matrix(sd.grid.n, dq, 1) * rho.imag.T
+    return Moments(
+        trace=float(tr.real),
+        x=float((q @ diag).real * dq),
+        p=float(hbar * w.sum() * dq),
+        x2=float((q**2 @ diag).real * dq),
+        # sum_ac w_ac (q_a + q_c) from the row and column sums of w
+        xp_weyl=float(0.5 * hbar * (q @ w.sum(axis=1) + w.sum(axis=0) @ q) * dq),
+        purity=float(np.sum(np.abs(rho) ** 2) * dq**2),
+        hermiticity_defect=defect,
+    )
 
 
 def gaussian_phase_density(

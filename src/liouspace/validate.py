@@ -107,12 +107,10 @@ def _free_transport() -> tuple[bool, str]:
     out_cl = evolution.evolve_trotter(free, grid, SuperPotentialKind.CL, sd, cfg)
     out_qm = evolution.evolve_trotter(free, grid, SuperPotentialKind.QM, sd, cfg)
     x_want = x0 + p0 * duration / mass
+    outs = (out_cl, superprop.apply_free_superpropagator(sd, duration, mass))
     rel = max(
-        max(
-            abs(superspace.expect_x(out) - x_want) / abs(x_want),
-            abs(superspace.expect_p(out) - p0) / abs(p0),
-        )
-        for out in (out_cl, superprop.apply_free_superpropagator(sd, duration, mass))
+        max(abs(m.x - x_want) / abs(x_want), abs(m.p - p0) / abs(p0))
+        for m in map(superspace.moments, outs)
     )
     cl_qm = float(np.max(np.abs(out_cl.values - out_qm.values)))
     return rel < 1e-4 and cl_qm < 1e-10, (
@@ -130,11 +128,8 @@ def _cl_vs_characteristics_oracle() -> tuple[bool, str]:
     ens = evolution.gaussian_ensemble(10**5, 1.0, 0.0, 0.4, 0.6, seed=104)
     ens = evolution.evolve_characteristics(v, ens, 0.5, dt=5e-4)
     mx, mp, mx2 = ens.moments()
-    errs = (
-        abs(superspace.expect_x(out) - mx),
-        abs(superspace.expect_p(out) - mp),
-        abs(superspace.expect_x2(out) - mx2),
-    )
+    m = superspace.moments(out)
+    errs = (abs(m.x - mx), abs(m.p - mp), abs(m.x2 - mx2))
     return max(errs) < 1e-3, (
         f"{ens.x.size}-sample moment gaps {errs[0]:.1e}/{errs[1]:.1e}/{errs[2]:.1e}"
     )
@@ -188,8 +183,9 @@ def _conservation_suite() -> tuple[bool, str]:
     def observe(k, sd):
         nonlocal worst_tr, worst_h
         if k % 100 == 0:
-            worst_tr = max(worst_tr, abs(superspace.trace(sd) - 1.0))
-            worst_h = max(worst_h, sd.hermiticity_defect())
+            m = superspace.moments(sd)
+            worst_tr = max(worst_tr, abs(m.trace - 1.0))
+            worst_h = max(worst_h, m.hermiticity_defect)
 
     for v, kind in (
         (PolynomialPotential.quartic(0.1), SuperPotentialKind.CL),
@@ -375,10 +371,11 @@ def _transform_roundtrip() -> tuple[bool, str]:
     pg = grid.matched_phase_grid()
     pd = superspace.gaussian_phase_density(pg, 0.8, -0.4, 0.6, 0.7)
     sd = superspace.phase_to_super(pd, grid)
-    herm = sd.hermiticity_defect()
+    m = superspace.moments(sd)
+    herm = m.hermiticity_defect
     back = superspace.super_to_phase(sd)
     rt = float(np.max(np.abs(back.values - pd.values)))
-    tr = abs(superspace.trace(sd) - pd.norm())
+    tr = abs(m.trace - pd.norm())
     ok = herm < 1e-10 and rt < 1e-8 and tr < 1e-8
     return ok, f"herm {herm:.2e}, roundtrip {rt:.2e}, trace drift {tr:.2e}"
 
@@ -387,9 +384,10 @@ def _superspace_moments() -> tuple[bool, str]:
     """<x>, <p> and the Weyl <xp> of a superspace Gaussian match its centre."""
     grid = superspace.SuperGrid.centered(8.0, 64)
     sd = superspace.gaussian_super_density(grid, 1.5, -0.5, 0.7, 0.6)
-    ex = abs(superspace.expect_x(sd) - 1.5)
-    ep = abs(superspace.expect_p(sd) + 0.5)
-    exp_xy = abs(superspace.expect_xp_weyl(sd) - 1.5 * (-0.5))
+    m = superspace.moments(sd)
+    ex = abs(m.x - 1.5)
+    ep = abs(m.p + 0.5)
+    exp_xy = abs(m.xp_weyl - 1.5 * (-0.5))
     ok = max(ex, ep, exp_xy) < 1e-6
     return ok, f"|dx|={ex:.2e} |dp|={ep:.2e} |dxp|={exp_xy:.2e}"
 

@@ -24,6 +24,23 @@ def read_csv(path):
     return header, rows
 
 
+# margin -> (the boolean check it measures, the bound that check applies)
+MARGIN_CHECKS = {
+    "evolve": {
+        "max_trace_drift": ("trace_conserved_1e-8", lambda v: v < 1e-8),
+        "max_hermiticity_defect": ("hermiticity_1e-8", lambda v: v < 1e-8),
+        "max_boundary_mass": ("boundary_mass_ok", lambda v: v < 1e-6),
+    },
+    "jc": {
+        "max_trace_drift": ("trace_conserved_1e-8", lambda v: v < 1e-8),
+        "max_purity": ("purity_at_most_1_1e-8", lambda v: v <= 1.0 + 1e-8),
+    },
+    "bipartite": {
+        "max_trace_drift": ("trace_conserved_1e-8", lambda v: v < 1e-8),
+    },
+}
+
+
 def stub_check(ok):
     return lambda: (ok, "detail, with commas, like real checks")
 
@@ -311,6 +328,35 @@ class TestScenarios:
         assert manifest["solver_path"] == solver_path
         assert manifest["generator_dim"] == generator_dim
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["evolve", "--grid-n", "64", "--steps", "20", "--n-out", "5"],
+            # the Gaussian fills a narrow grid: boundary_mass_ok is false
+            pytest.param(
+                ["evolve", "--grid-n", "32", "--grid-span", "2", "--steps", "20", "--n-out", "5"],
+                marks=pytest.mark.filterwarnings("ignore:initial density is not negligible"),
+            ),
+            ["jc", "--n-max", "3", "--steps", "20"],
+            # Im eps > 0 raises purity above 1: purity_at_most_1_1e-8 is false
+            ["jc", "--n-max", "3", "--steps", "20", "--eps", "0.01,0.02"],
+            ["bipartite", "--steps", "5"],
+        ],
+        ids=" ".join,
+    )
+    def test_margins_agree_with_checks(self, tmp_path, argv):
+        code = run(argv + ["--outdir", str(tmp_path)])
+        manifest = json.loads(
+            (tmp_path / argv[0] / f"{argv[0]}_manifest.json").read_text()
+        )
+        margins = manifest["margins"]
+        expected = MARGIN_CHECKS[argv[0]]
+        assert set(margins) == set(expected)
+        for margin, (check, holds) in expected.items():
+            assert isinstance(margins[margin], float)
+            assert holds(margins[margin]) is manifest["checks"][check], margin
+        assert code == (EXIT_OK if all(manifest["checks"].values()) else EXIT_VALIDATION)
+
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"scenario": "jc", "d": 0.05, "t": 5.0, "steps": 10}))
@@ -358,6 +404,7 @@ class TestScenarios:
         assert not any("thread request" in note for note in manifest["notes"])
         assert "seed" not in manifest
         assert "solver_path" not in manifest and "generator_dim" not in manifest
+        assert "margins" not in manifest
 
     def test_outdir_env_var(self, tmp_path, monkeypatch):
         monkeypatch.setenv("LIOUSPACE_OUTDIR", str(tmp_path / "env_out"))

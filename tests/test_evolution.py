@@ -21,14 +21,7 @@ from liouspace.evolution import (
 )
 from liouspace.liouvillian import build_basis_liouvillian, build_grid_liouvillian
 from liouspace.potential import PolynomialPotential, SuperPotentialKind
-from liouspace.superspace import (
-    SuperGrid,
-    expect_p,
-    expect_x,
-    expect_x2,
-    gaussian_super_density,
-    trace,
-)
+from liouspace.superspace import SuperGrid, gaussian_super_density, moments
 
 
 def random_hermitian(rng, n):
@@ -73,7 +66,7 @@ class TestEvolveExact:
         )
         sd = gaussian_super_density(grid, 0.3, 0.0, 0.8, 0.8)
         rho = evolve_exact(op, sd.values, 2.0)
-        assert np.trace(rho).real * grid.dq == pytest.approx(trace(sd), abs=1e-8)
+        assert np.trace(rho).real * grid.dq == pytest.approx(moments(sd).trace, abs=1e-8)
         assert np.max(np.abs(rho - rho.conj().T)) < 1e-8
 
     @pytest.mark.parametrize("defect, hermitian", [(0.5e-12, True), (2e-12, False)])
@@ -297,8 +290,9 @@ class TestTrotter:
         sd = gaussian_super_density(grid, -1.0, 1.2, 0.5, 0.6)
         cfg = EvolutionConfig(t1=1.0, n_steps=1, method=EvolveMethod.TROTTER_STRANG)
         out = evolve_trotter(PolynomialPotential.free(), grid, SuperPotentialKind.CL, sd, cfg)
-        assert expect_x(out) == pytest.approx(-1.0 + 1.2, abs=1e-4)
-        assert expect_p(out) == pytest.approx(1.2, abs=1e-6)
+        m = moments(out)
+        assert m.x == pytest.approx(-1.0 + 1.2, abs=1e-4)
+        assert m.p == pytest.approx(1.2, abs=1e-6)
 
     def test_free_mass_changes_transport(self):
         grid = SuperGrid.centered(8.0, 64)
@@ -307,7 +301,7 @@ class TestTrotter:
             t1=1.0, n_steps=1, method=EvolveMethod.TROTTER_STRANG, mass=2.0
         )
         out = evolve_trotter(PolynomialPotential.free(), grid, SuperPotentialKind.QM, sd, cfg)
-        assert expect_x(out) == pytest.approx(0.5, abs=1e-4)
+        assert moments(out).x == pytest.approx(0.5, abs=1e-4)
 
     def test_harmonic_cl_equals_qm(self):
         grid = SuperGrid.centered(8.0, 64)
@@ -356,8 +350,9 @@ class TestTrotter:
         sd = gaussian_super_density(grid, 1.0, 0.0, 0.5, 0.6)
         cfg = EvolutionConfig(t1=3.0, n_steps=300, method=EvolveMethod.TROTTER_STRANG)
         out = evolve_trotter(v, grid, SuperPotentialKind.CL, sd, cfg)
-        assert abs(trace(out) - trace(sd)) < 1e-8
-        assert out.hermiticity_defect() < 1e-8
+        m = moments(out)
+        assert abs(m.trace - moments(sd).trace) < 1e-8
+        assert m.hermiticity_defect < 1e-8
 
     @pytest.mark.parametrize("method", [EvolveMethod.TROTTER_STRANG, EvolveMethod.TROTTER_LIE])
     def test_observed_states_equal_separate_runs(self, method):
@@ -402,20 +397,19 @@ class TestUnitScaling:
         hbar needs a larger domain)."""
         v = PolynomialPotential.quartic(0.12)
 
-        def moments(hbar, span, n):
+        def grid_moments(hbar, span, n):
             grid = SuperGrid.centered(span, n)
             sd = gaussian_super_density(grid, 0.9, 0.0, 0.4, 0.6, hbar=hbar)
             cfg = EvolutionConfig(
                 t1=0.8, n_steps=160, method=EvolveMethod.TROTTER_STRANG, hbar=hbar
             )
             out = evolve_trotter(v, grid, SuperPotentialKind.CL, sd, cfg)
-            return np.array(
-                [expect_x(out), expect_p(out, hbar=hbar), expect_x2(out)]
-            )
+            m = moments(out, hbar=hbar)
+            return np.array([m.x, m.p, m.x2])
 
-        ref = moments(1.0, 8.0, 96)
-        np.testing.assert_allclose(moments(0.5, 8.0, 96), ref, atol=1e-6)
-        np.testing.assert_allclose(moments(2.0, 16.0, 192), ref, atol=1e-6)
+        ref = grid_moments(1.0, 8.0, 96)
+        np.testing.assert_allclose(grid_moments(0.5, 8.0, 96), ref, atol=1e-6)
+        np.testing.assert_allclose(grid_moments(2.0, 16.0, 192), ref, atol=1e-6)
 
     def test_trotter_matches_exact_at_nonunit_units(self):
         grid = SuperGrid.centered(5.0, 16)
@@ -495,9 +489,10 @@ class TestCharacteristics:
             v, gaussian_ensemble(2**14, 1.0, 0.0, 0.4, 0.6, seed=5), 0.5, dt=5e-4
         )
         mx, mp, mx2 = ens.moments()
-        assert expect_x(out) == pytest.approx(mx, abs=2e-3)
-        assert expect_p(out) == pytest.approx(mp, abs=2e-3)
-        assert expect_x2(out) == pytest.approx(mx2, abs=2e-3)
+        m = moments(out)
+        assert m.x == pytest.approx(mx, abs=2e-3)
+        assert m.p == pytest.approx(mp, abs=2e-3)
+        assert m.x2 == pytest.approx(mx2, abs=2e-3)
 
     def test_pseudo_sampler(self):
         ens = gaussian_ensemble(4096, 0.0, 0.0, 1.0, 1.0, seed=9, sampler="pseudo")

@@ -237,6 +237,16 @@ class TestFirstOrder:
         slope = np.polyfit(np.log(couplings), np.log(errs), 1)[0]
         assert slope == pytest.approx(2.0, abs=0.15)
 
+    def test_atom_coherence_with_dipole_rejected(self):
+        """The dipole moves the atom-diagonal blocks of an eg coherence at
+        first order, which the formula leaves at free phases: refused."""
+        atom = np.array([[0.5, 0.3], [0.3, 0.5]], dtype=complex)
+        rho0 = np.kron(atom, coherent_field_density(0.4, 4))
+        with pytest.raises(ValueError, match="coherence"):
+            jc_evolve_first_order(JCParams(0.9, 0.9, d_eg=0.02, n_max=4), rho0, 1.0)
+        # without the dipole the same state is allowed
+        jc_evolve_first_order(JCParams(0.9, 0.9, d_eg=0.0, n_max=4), rho0, 1.0)
+
     def test_negative_time_rejected(self):
         p = JCParams(omega_e=1.0, omega=1.0, d_eg=0.01, n_max=2)
         with pytest.raises(ValueError):

@@ -7,12 +7,11 @@ from liouspace.errors import DimensionTooLarge, NonHermitianInput
 from liouspace.liouvillian import (
     build_basis_liouvillian,
     build_grid_liouvillian,
-    spectral_second_derivative_matrix,
     spectral_symmetry_defect,
     spectrum,
 )
 from liouspace.potential import PolynomialPotential, SuperPotentialKind, super_potential
-from liouspace.superspace import SuperGrid, gaussian_super_density
+from liouspace.superspace import SuperGrid, gaussian_super_density, spectral_derivative_matrix
 
 
 def random_hermitian(rng, n):
@@ -91,14 +90,27 @@ class TestGridLiouvillian:
         with pytest.raises(DimensionTooLarge):
             op.dense()
 
-    def test_spectral_derivative_matrix_is_symmetric(self):
-        d2 = spectral_second_derivative_matrix(16, 0.3)
-        np.testing.assert_allclose(d2, d2.T, atol=1e-12)
-        # exact on a resolved plane wave
-        k = 2.0 * np.pi * 2 / (16 * 0.3)
-        x = 0.3 * np.arange(16)
-        wave = np.cos(k * x)
-        np.testing.assert_allclose(d2 @ wave, -(k**2) * wave, atol=1e-10)
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_spectral_derivative_matrix_is_symmetric(self, order):
+        n, dq = 16, 0.3
+        d = spectral_derivative_matrix(n, dq, order)
+        k = 2.0 * np.pi * 2 / (n * dq)
+        x = dq * np.arange(n)
+        if order == 1:
+            np.testing.assert_array_equal(d, -d.T)
+            # exact on a resolved plane wave
+            np.testing.assert_allclose(d @ np.sin(k * x), k * np.cos(k * x), atol=1e-12)
+        else:
+            np.testing.assert_array_equal(d, d.T)
+            np.testing.assert_allclose(d @ np.cos(k * x), -(k**2) * np.cos(k * x), atol=1e-10)
+            # the per-column FFT construction this circulant one replaced
+            k2 = (2.0 * np.pi * np.fft.fftfreq(n, dq)) ** 2
+            old = np.fft.ifft(-k2[:, None] * np.fft.fft(np.eye(n), axis=0), axis=0).real
+            assert np.max(np.abs(d - old)) < 1e-12 * np.max(np.abs(old))
+
+    def test_spectral_derivative_order_checked(self):
+        with pytest.raises(ValueError):
+            spectral_derivative_matrix(16, 0.3, 3)
 
 
 class TestBasisLiouvillian:

@@ -16,7 +16,7 @@ from liouspace.superprop import (
     gamma_cl,
     gamma_qm,
 )
-from liouspace.superspace import SuperGrid, expect_p, expect_x, gaussian_super_density
+from liouspace.superspace import SuperGrid, gaussian_super_density, moments
 
 
 class TestFreePropagator:
@@ -79,8 +79,9 @@ class TestFreeSuperpropagator:
         ref = evolve_trotter(
             PolynomialPotential.free(), grid, SuperPotentialKind.CL, sd, cfg
         )
-        assert expect_x(out) == pytest.approx(expect_x(ref), abs=1e-4)
-        assert expect_p(out) == pytest.approx(expect_p(ref), abs=1e-4)
+        got, want = moments(out), moments(ref)
+        assert got.x == pytest.approx(want.x, abs=1e-4)
+        assert got.p == pytest.approx(want.p, abs=1e-4)
 
 
 class TestGammaFunctions:

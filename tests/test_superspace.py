@@ -3,22 +3,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from liouspace import superspace
 from liouspace.errors import GridMismatch, HermiticityViolation
+from liouspace.evolution import EvolutionConfig, EvolveMethod, evolve_trotter
+from liouspace.potential import PolynomialPotential, SuperPotentialKind
 from liouspace.superspace import (
+    Moments,
     PhaseDensity,
     PhaseGrid,
     SuperDensity,
     SuperGrid,
-    expect_p,
-    expect_x,
-    expect_x2,
-    expect_xp_weyl,
     gaussian_phase_density,
     gaussian_super_density,
+    moments,
     phase_to_super,
-    purity,
     super_to_phase,
-    trace,
 )
 
 
@@ -116,47 +115,89 @@ class TestSuperToPhase:
             super_to_phase(SuperDensity(grid64, vals))
 
 
-class TestTrace:
-    def test_normalized_gaussian(self, grid64):
-        pd = normalized_gaussian(grid64)
-        sd = phase_to_super(pd, grid64)
-        # quadrature oracle on the phase-space side
-        assert trace(sd) == pytest.approx(pd.norm(), abs=1e-12)
-        assert trace(sd) == pytest.approx(1.0, abs=1e-6)
+def fft_route_moments(sd, hbar=1.0):
+    """Independent reference: spectral derivatives by FFT along each axis,
+    then the diagonal trace (P rho)(Q, q) = -i hbar d/dQ rho(Q, q)."""
+    rho, dq, n = sd.values, sd.grid.dq, sd.grid.n
+    q = sd.grid.points[:, None]
+    k = 2.0 * np.pi * np.fft.fftfreq(n, dq)
+    k[n // 2] = 0.0
 
-    def test_zero_density(self, grid64):
-        assert trace(SuperDensity(grid64, np.zeros((64, 64)))) == 0.0
+    def deriv(vals, axis):
+        shape = [1, 1]
+        shape[axis] = n
+        return np.fft.ifft(np.fft.fft(vals, axis=axis) * (1j * k).reshape(shape), axis=axis)
 
-    def test_linearity(self, grid64):
-        sd = gaussian_super_density(grid64, 0.0, 0.0, 0.5, 0.5)
-        assert trace(SuperDensity(grid64, 2.5 * sd.values)) == pytest.approx(
-            2.5 * trace(sd), rel=1e-12
-        )
+    def tr(mat):
+        return float((np.trace(mat) * dq).real)
+
+    d_bra = deriv(rho, 0)
+    return Moments(
+        trace=tr(rho),
+        x=tr(q * rho),
+        p=tr(-0.5j * hbar * (d_bra - deriv(rho, 1))),
+        x2=tr(q**2 * rho),
+        xp_weyl=0.5 * (tr(-1j * hbar * q * d_bra) + tr(-1j * hbar * deriv(q * rho, 0))),
+        purity=float(np.sum(np.abs(rho) ** 2) * dq**2),
+        hermiticity_defect=float(np.max(np.abs(rho - rho.conj().T))),
+    )
+
+
+def random_hermitian_density(n, seed):
+    rng = np.random.Generator(np.random.Philox(seed))
+    a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    return SuperDensity(SuperGrid.centered(6.0, n), a @ a.conj().T / n)
+
+
+def evolved_quartic_cl_density():
+    grid = SuperGrid.centered(8.0, 64)
+    sd = gaussian_super_density(grid, 1.0, 0.3, 0.5, 0.6)
+    cfg = EvolutionConfig(t1=0.5, n_steps=50, method=EvolveMethod.TROTTER_STRANG)
+    return evolve_trotter(PolynomialPotential.quartic(0.1), grid, SuperPotentialKind.CL, sd, cfg)
 
 
 class TestMoments:
+    @pytest.mark.parametrize(
+        "make", [lambda: random_hermitian_density(64, 31), evolved_quartic_cl_density],
+        ids=["random_hermitian", "evolved_quartic_cl"],
+    )
+    @pytest.mark.parametrize("hbar", [1.0, 0.7])
+    def test_matches_fft_route(self, make, hbar):
+        sd = make()
+        got, want = moments(sd, hbar), fft_route_moments(sd, hbar)
+        for name in Moments.__dataclass_fields__:
+            if name == "hermiticity_defect":
+                assert got.hermiticity_defect == want.hermiticity_defect
+            else:
+                assert getattr(got, name) == pytest.approx(
+                    getattr(want, name), rel=1e-13, abs=0.0
+                ), name
+
     def test_gaussian_moments(self):
         grid = SuperGrid.centered(8.0, 64)
-        sd = gaussian_super_density(grid, 1.5, -0.5, 0.7, 0.6)
-        assert expect_x(sd) == pytest.approx(1.5, abs=1e-4)
-        assert expect_p(sd) == pytest.approx(-0.5, abs=1e-4)
-        assert expect_xp_weyl(sd) == pytest.approx(1.5 * -0.5, abs=1e-4)
-        assert expect_x2(sd) == pytest.approx(1.5**2 + 0.7**2, abs=1e-4)
+        m = moments(gaussian_super_density(grid, 1.5, -0.5, 0.7, 0.6))
+        assert m.x == pytest.approx(1.5, abs=1e-4)
+        assert m.p == pytest.approx(-0.5, abs=1e-4)
+        assert m.xp_weyl == pytest.approx(1.5 * -0.5, abs=1e-4)
+        assert m.x2 == pytest.approx(1.5**2 + 0.7**2, abs=1e-4)
 
     def test_moments_match_phase_space_oracle(self):
         grid = SuperGrid.centered(8.0, 64)
         sd = gaussian_super_density(grid, 0.9, 0.7, 0.5, 0.8)
         pd = super_to_phase(sd)
-        assert expect_x(sd) == pytest.approx(pd.moment(lambda x, p: x), abs=1e-6)
-        assert expect_p(sd) == pytest.approx(pd.moment(lambda x, p: p), abs=1e-6)
-        assert expect_xp_weyl(sd) == pytest.approx(
-            pd.moment(lambda x, p: x * p), abs=1e-6
-        )
+        m = moments(sd)
+        assert m.x == pytest.approx(pd.moment(lambda x, p: x), abs=1e-6)
+        assert m.p == pytest.approx(pd.moment(lambda x, p: p), abs=1e-6)
+        assert m.xp_weyl == pytest.approx(pd.moment(lambda x, p: x * p), abs=1e-6)
 
     def test_symmetric_density_zero_moments(self, grid64):
-        sd = gaussian_super_density(grid64, 0.0, 0.0, 0.6, 0.6)
-        assert expect_x(sd) == pytest.approx(0.0, abs=1e-10)
-        assert expect_p(sd) == pytest.approx(0.0, abs=1e-10)
+        m = moments(gaussian_super_density(grid64, 0.0, 0.0, 0.6, 0.6))
+        assert m.x == pytest.approx(0.0, abs=1e-10)
+        assert m.p == pytest.approx(0.0, abs=1e-10)
+
+    def test_zero_density(self, grid64):
+        m = moments(SuperDensity(grid64, np.zeros((64, 64))))
+        assert m == Moments(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
 
     @pytest.mark.parametrize("defect, ok", [(0.5e-6, True), (2e-6, False)])
     def test_hermiticity_tolerance(self, defect, ok):
@@ -165,15 +206,51 @@ class TestMoments:
         vals[0, 1] = defect
         sd = SuperDensity(SuperGrid.centered(2.0, 4), vals)
         if ok:
-            expect_x(sd)
+            assert moments(sd).hermiticity_defect == defect
         else:
             with pytest.raises(HermiticityViolation):
-                expect_x(sd)
+                moments(sd)
+
+    def test_one_hermiticity_test_per_call(self, grid64, monkeypatch):
+        calls = []
+        defect = SuperDensity.hermiticity_defect
+
+        def counted(self):
+            calls.append(self)
+            return defect(self)
+
+        monkeypatch.setattr(SuperDensity, "hermiticity_defect", counted)
+        monkeypatch.setattr(superspace, "is_hermitian", None)
+        moments(gaussian_super_density(grid64, 0.3, 0.2, 0.6, 0.7))
+        assert len(calls) == 1
+
+    def test_imaginary_trace_raises(self, grid64):
+        # diagonal imaginary parts of 1e-7 max|rho|: the relative Hermiticity
+        # defect is 2e-7, inside HERMITICITY_TOL, but the trace is not real
+        sd = gaussian_super_density(grid64, 0.3, 0.2, 0.6, 0.7)
+        vals = sd.values + 1e-7j * np.max(np.abs(sd.values)) * np.eye(64)
+        with pytest.raises(HermiticityViolation, match="imaginary part"):
+            moments(SuperDensity(grid64, vals))
 
     def test_hbar_scaling_of_momentum(self):
         grid = SuperGrid.centered(8.0, 64)
         sd = gaussian_super_density(grid, 0.0, 1.2, 0.6, 0.5, hbar=0.5)
-        assert expect_p(sd, hbar=0.5) == pytest.approx(1.2, abs=1e-4)
+        assert moments(sd, hbar=0.5).p == pytest.approx(1.2, abs=1e-4)
+
+
+class TestTrace:
+    def test_normalized_gaussian(self, grid64):
+        pd = normalized_gaussian(grid64)
+        sd = phase_to_super(pd, grid64)
+        # quadrature oracle on the phase-space side
+        assert moments(sd).trace == pytest.approx(pd.norm(), abs=1e-12)
+        assert moments(sd).trace == pytest.approx(1.0, abs=1e-6)
+
+    def test_linearity(self, grid64):
+        sd = gaussian_super_density(grid64, 0.0, 0.0, 0.5, 0.5)
+        assert moments(SuperDensity(grid64, 2.5 * sd.values)).trace == pytest.approx(
+            2.5 * moments(sd).trace, rel=1e-12
+        )
 
 
 class TestPurity:
@@ -182,13 +259,13 @@ class TestPurity:
         psi = np.exp(-0.5 * pts**2)
         psi = psi / np.sqrt(np.sum(np.abs(psi) ** 2) * grid64.dq)
         sd = SuperDensity(grid64, np.outer(psi, psi.conj()))
-        assert purity(sd) == pytest.approx(1.0, abs=1e-8)
+        assert moments(sd).purity == pytest.approx(1.0, abs=1e-8)
 
     @pytest.mark.parametrize("sx, sp", [(0.5, 1.0), (0.7, 0.9), (0.4, 0.6)])
     def test_gaussian_purity_is_inverse_uncertainty_product(self, grid64, sx, sp):
         # Tr rho^2 = hbar / (2 sigma_x sigma_p) for a Gaussian Wigner function
         sd = gaussian_super_density(grid64, 0.3, -0.2, sx, sp)
-        assert purity(sd) == pytest.approx(1.0 / (2.0 * sx * sp), rel=1e-9)
+        assert moments(sd).purity == pytest.approx(1.0 / (2.0 * sx * sp), rel=1e-9)
 
 
 class TestPositivity:
@@ -203,7 +280,7 @@ class TestPositivity:
     def test_positive_iff_uncertainty_bound_holds(self, grid64, sx, sp, positive):
         sd = gaussian_super_density(grid64, 0.3, -0.2, sx, sp)
         eig = np.linalg.eigvalsh(sd.values * grid64.dq)
-        assert eig.sum() == pytest.approx(trace(sd), abs=1e-10)
+        assert eig.sum() == pytest.approx(moments(sd).trace, abs=1e-10)
         if positive:
             assert eig[0] > -1e-12
         else:
@@ -225,6 +302,6 @@ def test_transform_properties_hold_for_gaussian_family(x0, p0, sx, sp):
     pd = gaussian_phase_density(grid.matched_phase_grid(), x0, p0, sx, sp)
     sd = phase_to_super(pd, grid)
     assert sd.hermiticity_defect() < 1e-10
-    assert trace(sd) == pytest.approx(pd.norm(), abs=1e-10)
+    assert moments(sd).trace == pytest.approx(pd.norm(), abs=1e-10)
     back = super_to_phase(sd)
     assert np.max(np.abs(back.values - pd.values)) < 1e-8
