@@ -24,7 +24,6 @@ from .errors import (
     NotConverged,
     NotFactorized,
     ParseError,
-    QuadratureNotConverged,
     SingularRegion,
     TruncationLeak,
     UnknownKey,

@@ -43,7 +43,7 @@ import numpy as np
 
 from .errors import TruncationLeak
 from .evolution import evolve_commutator, evolve_uniform_grid
-from .liouvillian import BasisLiouvillian, build_basis_liouvillian
+from .liouvillian import BasisLiouvillian, build_basis_liouvillian, check_dense_dim
 from .jaynescummings import coherent_field_density, fock_annihilation
 from .potential import (
     MonomialClass,
@@ -99,6 +99,7 @@ def interaction_terms(
 ) -> np.ndarray:
     """Superoperator sum of the classified monomial actions, as vec matrix."""
     dim = basis.dim
+    check_dense_dim(dim * dim)
     out = np.zeros((dim * dim, dim * dim), dtype=complex)
     for mono, cls in classify_bipartite_terms(lam):
         if classes is not None and cls not in classes:

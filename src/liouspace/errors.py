@@ -29,10 +29,6 @@ class NonpositiveTime(LiouspaceError):
     """Propagator duration must be positive."""
 
 
-class QuadratureNotConverged(LiouspaceError):
-    """Numerical quadrature error estimate exceeds the requested tolerance."""
-
-
 class NotConverged(LiouspaceError):
     """Monte Carlo standard error above the requested tolerance after budget."""
 

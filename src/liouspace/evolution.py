@@ -29,7 +29,6 @@ BOUNDARY_MASS_TOL = 1e-10
 
 
 class EvolveMethod(enum.Enum):
-    TROTTER_LIE = "trotter_lie"
     TROTTER_STRANG = "trotter_strang"
     RK4 = "rk4"
 
@@ -37,15 +36,14 @@ class EvolveMethod(enum.Enum):
 @dataclass(frozen=True)
 class EvolutionConfig:
     t1: float
-    t0: float = 0.0
     n_steps: int = 128
     method: EvolveMethod = EvolveMethod.TROTTER_STRANG
     hbar: float = 1.0
     mass: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.t1 <= self.t0:
-            raise ValueError("t1 must exceed t0")
+        if self.t1 <= 0:
+            raise ValueError("t1 must be positive")
         if self.n_steps < 1:
             raise ValueError("n_steps must be >= 1")
 
@@ -158,19 +156,19 @@ def evolve_ordered(
 
     ``family(t)`` returns the generator (energy units) at time t, dense or
     sparse; the vectorized equation i hbar d/dt vec = L(t) vec is integrated
-    in ``config.n_steps`` equal steps.  Raises ValueError unless
-    ``config.method`` is RK4.
+    from 0 to ``config.t1`` in ``config.n_steps`` equal steps.  Raises
+    ValueError unless ``config.method`` is RK4.
     """
     if config.method is not EvolveMethod.RK4:
         raise ValueError("config.method must be RK4")
     shape = np.asarray(rho0).shape
     vec = np.asarray(rho0, dtype=complex).reshape(-1)
-    dt = (config.t1 - config.t0) / config.n_steps
+    dt = config.t1 / config.n_steps
 
     def rhs(t, v):
         return -1j * (family(t) @ v) / config.hbar
 
-    t = config.t0
+    t = 0.0
     for _ in range(config.n_steps):
         k1 = rhs(t, vec)
         k2 = rhs(t + dt / 2, vec + dt / 2 * k1)
@@ -206,16 +204,16 @@ def evolve_trotter(
 
     Each substep composes one discretized factor of the superpropagator
     path integral: the kinetic factor is diagonal in the 2-d Fourier dual
-    of (Q, q), the potential + E factor is diagonal in (Q, q).  Lie
-    splitting is first order, Strang second order.
+    of (Q, q), the potential + E factor is diagonal in (Q, q).  Strang
+    splitting (half potential, kinetic, half potential) is second order.
 
     ``observe(k, state)``, if given, is called after every step k =
-    1..n_steps with the state at t0 + k dt, bit-identical to the result of
+    1..n_steps with the state at k dt, bit-identical to the result of
     a separate k-step call with the same dt; it must not modify the state.
     Generator and phases are built once per call: one call covers a run.
     """
-    if config.method not in (EvolveMethod.TROTTER_LIE, EvolveMethod.TROTTER_STRANG):
-        raise ValueError("config.method must be a Trotter variant")
+    if config.method is not EvolveMethod.TROTTER_STRANG:
+        raise ValueError("config.method must be TROTTER_STRANG")
     if boundary_mass(rho0.values) > BOUNDARY_MASS_TOL:
         warnings.warn(
             "initial density is not negligible at the grid boundary; "
@@ -223,20 +221,12 @@ def evolve_trotter(
             stacklevel=2,
         )
     op = build_grid_liouvillian(v, grid, kind, mass=config.mass, hbar=config.hbar)
-    dt = (config.t1 - config.t0) / config.n_steps
+    dt = config.t1 / config.n_steps
     kin_phase = np.exp(-1j * dt * (op.kinetic_diag / config.hbar))
-    pot_gen = (op.potential_diag + op.e_diag) / config.hbar
-    lie = config.method is EvolveMethod.TROTTER_LIE
-    if lie:
-        pot_phase = np.exp(-1j * dt * pot_gen)
-    else:
-        half = np.exp(-0.5j * dt * pot_gen)
+    half = np.exp(-0.5j * dt * ((op.potential_diag + op.e_diag) / config.hbar))
     rho = rho0.values.copy()
     for k in range(1, config.n_steps + 1):
-        if lie:
-            rho = np.fft.ifft2(kin_phase * np.fft.fft2(pot_phase * rho))
-        else:
-            rho = half * np.fft.ifft2(kin_phase * np.fft.fft2(half * rho))
+        rho = half * np.fft.ifft2(kin_phase * np.fft.fft2(half * rho))
         if observe is not None:
             observe(k, SuperDensity(grid, rho))
     return SuperDensity(grid, rho)
@@ -244,25 +234,20 @@ def evolve_trotter(
 
 @dataclass
 class CharacteristicsEnsemble:
-    """Weighted phase-space samples following Hamilton's equations."""
+    """Equally weighted phase-space samples following Hamilton's equations."""
 
     x: np.ndarray
     p: np.ndarray
-    weights: np.ndarray
-    rng_seed: int = 0
 
     def __post_init__(self) -> None:
         self.x = np.asarray(self.x, dtype=float)
         self.p = np.asarray(self.p, dtype=float)
-        self.weights = np.asarray(self.weights, dtype=float)
-        if not (self.x.shape == self.p.shape == self.weights.shape):
-            raise ValueError("x, p, weights must share a shape")
-        if abs(self.weights.sum() - 1.0) > 1e-9:
-            raise ValueError("weights must sum to 1")
+        if self.x.shape != self.p.shape:
+            raise ValueError("x and p must share a shape")
 
     def moments(self) -> tuple[float, float, float]:
-        """Weighted (<x>, <p>, <x^2>)."""
-        w = self.weights
+        """Ensemble means (<x>, <p>, <x^2>)."""
+        w = 1.0 / self.x.size
         return (
             float(np.sum(w * self.x)),
             float(np.sum(w * self.p)),
@@ -277,26 +262,17 @@ def gaussian_ensemble(
     sigma_x: float,
     sigma_p: float,
     seed: int = 0,
-    sampler: str = "sobol",
 ) -> CharacteristicsEnsemble:
-    """Gaussian ensemble; 'sobol' (scrambled, n rounded up to a power of 2)
-    gives far lower moment noise than 'pseudo' at equal sample count."""
-    if sampler == "sobol":
-        from scipy.stats import norm, qmc
+    """Gaussian ensemble from a scrambled Sobol sequence, n rounded up to a
+    power of 2: far lower moment noise than pseudo-random draws of equal
+    count."""
+    from scipy.stats import norm, qmc
 
-        m = int(np.ceil(np.log2(max(n, 2))))
-        eng = qmc.Sobol(d=2, scramble=True, seed=seed)
-        u = eng.random_base2(m)
-        z = norm.ppf(u * (1 - 1e-12) + 0.5e-12)
-    elif sampler == "pseudo":
-        rng = np.random.Generator(np.random.Philox(seed))
-        z = rng.standard_normal((n, 2))
-    else:
-        raise ValueError(f"unknown sampler {sampler!r}")
-    x = x0 + sigma_x * z[:, 0]
-    p = p0 + sigma_p * z[:, 1]
-    w = np.full(x.shape, 1.0 / x.size)
-    return CharacteristicsEnsemble(x=x, p=p, weights=w, rng_seed=seed)
+    m = int(np.ceil(np.log2(max(n, 2))))
+    eng = qmc.Sobol(d=2, scramble=True, seed=seed)
+    u = eng.random_base2(m)
+    z = norm.ppf(u * (1 - 1e-12) + 0.5e-12)
+    return CharacteristicsEnsemble(x=x0 + sigma_x * z[:, 0], p=p0 + sigma_p * z[:, 1])
 
 
 def evolve_characteristics(
@@ -335,6 +311,4 @@ def evolve_characteristics(
             f"energy drift {drift_rate:.3e} per unit time exceeds {drift_tol:g}; "
             "reduce dt"
         )
-    return CharacteristicsEnsemble(
-        x=x, p=p, weights=ensemble.weights.copy(), rng_seed=ensemble.rng_seed
-    )
+    return CharacteristicsEnsemble(x=x, p=p)

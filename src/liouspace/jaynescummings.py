@@ -25,9 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotConverged, NotFactorized, TruncationLeak
-from .liouvillian import BasisLiouvillian, build_basis_liouvillian
+from .liouvillian import BasisLiouvillian, build_basis_liouvillian, check_dense_dim
 from .evolution import evolve_commutator, evolve_uniform_grid
-from .potential import coulomb_e_of_radii
+from .potential import COULOMB_EPS_REG, coulomb_e_of_radii
 
 ATOM_G, ATOM_E = 0, 1
 
@@ -109,6 +109,7 @@ def jc_superoperator_matrix(p: JCParams) -> np.ndarray | None:
     table = jc_element_table(p)
     if not table.any():
         return None
+    check_dense_dim(p.dim**2)
     eye_f = np.eye(p.fock_dim)
     s = np.einsum("abcd,nm,kl->anbkcmdl", table, eye_f, eye_f)
     return s.reshape(p.dim**2, p.dim**2)
@@ -365,18 +366,20 @@ def _sample_radial_exponential(rng, n: int, rate: float, shape_k: int) -> np.nda
 
 
 def _gamma3_density(pts: np.ndarray, rate: float) -> np.ndarray:
-    """3-d density of the shape-3 radial sampler: rate^3 exp(-rate r)/(8 pi)."""
+    """3-d density of the shape-3 radial draws: rate^3 exp(-rate r)/(8 pi)."""
     r = np.linalg.norm(pts, axis=-1)
     return rate**3 * np.exp(-rate * r) / (8.0 * np.pi)
 
 
 def _exp_shell_density(pts: np.ndarray, rate: float) -> np.ndarray:
-    """3-d density of the shape-1 radial sampler: rate exp(-rate r)/(4 pi r^2)."""
+    """3-d density of the shape-1 radial draws: rate exp(-rate r)/(4 pi r^2)."""
     r = np.maximum(np.linalg.norm(pts, axis=-1), 1e-300)
     return rate * np.exp(-rate * r) / (4.0 * np.pi * r**2)
 
 
 SINGULAR_MIX = 0.4
+# Independently seeded sample blocks of one Monte Carlo estimate.
+MC_BLOCKS = 16
 
 
 def _mixture_density(
@@ -398,9 +401,7 @@ def coulomb_superop_element(
     e2: float = 1.0,
     mc_samples: int = 10**5,
     seed: int = 0,
-    eps_reg: float = 1e-6,
     tol: float | None = None,
-    n_blocks: int = 16,
 ) -> MCResult:
     """Monte Carlo estimate of E_{ab,cd} over hydrogen orbitals.
 
@@ -409,8 +410,10 @@ def coulomb_superop_element(
 
     The proposal is a stratified mixture: orbital-matched radial
     exponentials in Q and q, plus a relative-coordinate component whose
-    1/r^2 radial law flattens the |Q + q| singularity.  Points inside the
-    eps_reg shells contribute zero and are counted in ``n_excluded``.
+    1/r^2 radial law flattens the |Q + q| singularity.  The samples come in
+    ``MC_BLOCKS`` independently seeded blocks.  Points inside the
+    ``COULOMB_EPS_REG`` shells contribute zero and are counted in
+    ``n_excluded``.
     Raises NotConverged when ``tol`` is given and the standard error
     stays above it.
     """
@@ -420,9 +423,9 @@ def coulomb_superop_element(
     rate_k = b.radial_rate + d.radial_rate
     rate_uv = 0.5 * min(rate_q, rate_k)
 
-    children = np.random.SeedSequence(seed).spawn(n_blocks)
-    per_block = mc_samples // n_blocks
-    block_vals = np.empty(n_blocks, dtype=complex)
+    children = np.random.SeedSequence(seed).spawn(MC_BLOCKS)
+    per_block = mc_samples // MC_BLOCKS
+    block_vals = np.empty(MC_BLOCKS, dtype=complex)
     sum_sq = 0.0
     n_total = 0
     n_excluded = 0
@@ -442,13 +445,11 @@ def coulomb_superop_element(
         r_q = np.linalg.norm(q_pts, axis=-1)
         r_k = np.linalg.norm(k_pts, axis=-1)
         r_sum = np.linalg.norm(q_pts + k_pts, axis=-1)
-        ok = (r_q > eps_reg) & (r_k > eps_reg) & (r_sum > eps_reg)
+        eps = COULOMB_EPS_REG
+        ok = (r_q > eps) & (r_k > eps) & (r_sum > eps)
         n_excluded += int(np.sum(~ok))
         e_val = coulomb_e_of_radii(
-            e2,
-            np.maximum(r_q, eps_reg),
-            np.maximum(r_k, eps_reg),
-            np.maximum(r_sum, eps_reg),
+            e2, np.maximum(r_q, eps), np.maximum(r_k, eps), np.maximum(r_sum, eps)
         )
         f = (
             np.conj(hydrogen_psi(a, q_pts))

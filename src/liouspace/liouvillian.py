@@ -28,6 +28,13 @@ from .superspace import SuperGrid, is_hermitian, spectral_derivative_matrix
 MAX_DENSE_VEC_DIM = 4096
 
 
+def check_dense_dim(vec_dim: int) -> None:
+    """Refuse a dense (vec_dim x vec_dim) superoperator above the cap;
+    call before allocating it."""
+    if vec_dim > MAX_DENSE_VEC_DIM:
+        raise DimensionTooLarge(f"vectorized dimension {vec_dim} exceeds {MAX_DENSE_VEC_DIM}")
+
+
 def _wavenumbers(n: int, dq: float) -> np.ndarray:
     return 2.0 * np.pi * np.fft.fftfreq(n, dq)
 
@@ -80,10 +87,7 @@ class GridLiouvillian:
     def dense(self) -> np.ndarray:
         """(n^2 x n^2) matrix acting on row-major vec(rho)."""
         n = self.grid.n
-        if n * n > MAX_DENSE_VEC_DIM:
-            raise DimensionTooLarge(
-                f"vectorized dimension {n * n} exceeds {MAX_DENSE_VEC_DIM}"
-            )
+        check_dense_dim(n * n)
         h = self.h_matrix()
         eye = np.eye(n)
         return (
@@ -116,10 +120,7 @@ class BasisLiouvillian:
 
     def dense(self) -> np.ndarray:
         n = self.n
-        if n * n > MAX_DENSE_VEC_DIM:
-            raise DimensionTooLarge(
-                f"vectorized dimension {n * n} exceeds {MAX_DENSE_VEC_DIM}"
-            )
+        check_dense_dim(n * n)
         eye = np.eye(n)
         out = np.kron(self.h, eye) - np.kron(eye, self.h.conj())
         if self.s_add is not None:

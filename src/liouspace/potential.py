@@ -28,6 +28,9 @@ from numpy.polynomial import polynomial as npoly
 
 from .errors import SingularRegion
 
+# Radius at or below which |Q|, |q| or |Q + q| counts as the Coulomb singularity.
+COULOMB_EPS_REG = 1e-6
+
 
 class SuperPotentialKind(enum.Enum):
     """Selects the commutator-type (QM) or Liouville-type (CL) superpotential."""
@@ -144,20 +147,21 @@ def e_vanishes_identically(v: PolynomialPotential) -> bool:
     return v.degree <= 2
 
 
-def coulomb_e_superoperator(pot: CoulombPotential, q_bra, q_ket, eps_reg: float = 1e-6):
+def coulomb_e_superoperator(pot: CoulombPotential, q_bra, q_ket):
     """Coulomb superoperator E(Q, q) = 4 e2 (Q^2 - q^2)/|Q + q|^3 - V(Q) + V(q).
 
     Q and q are 3-vectors (or arrays of them).  Raises SingularRegion if
-    any of |Q|, |q|, |Q + q| falls at or below ``eps_reg``.
+    any of |Q|, |q|, |Q + q| falls at or below ``COULOMB_EPS_REG``.
     """
     q_bra = np.asarray(q_bra, dtype=float)
     q_ket = np.asarray(q_ket, dtype=float)
     r_bra = np.linalg.norm(q_bra, axis=-1)
     r_ket = np.linalg.norm(q_ket, axis=-1)
     r_sum = np.linalg.norm(q_bra + q_ket, axis=-1)
-    if np.any(r_bra <= eps_reg) or np.any(r_ket <= eps_reg) or np.any(r_sum <= eps_reg):
+    eps = COULOMB_EPS_REG
+    if np.any(r_bra <= eps) or np.any(r_ket <= eps) or np.any(r_sum <= eps):
         raise SingularRegion(
-            f"evaluation inside the excluded shell (eps_reg={eps_reg:g})"
+            f"evaluation inside the excluded shell (radius <= {eps:g})"
         )
     return coulomb_e_of_radii(pot.e2, r_bra, r_ket, r_sum)
 
@@ -274,8 +278,8 @@ def super_potential_monomials(
     return {k: c for k, c in out.items() if c != 0.0}
 
 
-def max_abs_e_on_grid(v: PolynomialPotential, span: float = 2.0, n: int = 64) -> float:
-    """max |E(Q, q)| over a uniform n x n grid on [-span, span]^2."""
-    pts = np.linspace(-span, span, n)
+def max_abs_e_on_grid(v: PolynomialPotential) -> float:
+    """max |E(Q, q)| over a uniform 64 x 64 grid on [-2, 2]^2."""
+    pts = np.linspace(-2.0, 2.0, 64)
     qq, qk = np.meshgrid(pts, pts, indexing="ij")
     return float(np.max(np.abs(e_superoperator(v, qq, qk))))

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .superspace import PhaseDensity, PhaseGrid, SuperDensity, SuperGrid
+from .superspace import SuperDensity, SuperGrid
 
 _FMT = "%.17g"
 
@@ -61,40 +61,6 @@ def load_super_density(base_path) -> tuple[SuperDensity, dict]:
     values = raw[:, 0::2] + 1j * raw[:, 1::2]
     grid = SuperGrid(meta["q_min"], meta["q_max"], meta["n"])
     return SuperDensity(grid, values), meta
-
-
-def save_phase_density(
-    base_path, pd: PhaseDensity, hbar: float = 1.0, mass: float = 1.0
-) -> tuple[Path, Path]:
-    base = Path(base_path)
-    csv_path = base.with_suffix(".csv")
-    meta_path = base.with_suffix(".json")
-    write_csv(csv_path, pd.values)
-    g = pd.grid
-    meta = {
-        "kind": "phase_density",
-        "x_min": g.x_min,
-        "x_max": g.x_max,
-        "p_min": g.p_min,
-        "p_max": g.p_max,
-        "n_x": g.n_x,
-        "n_p": g.n_p,
-        "hbar": hbar,
-        "mass": mass,
-    }
-    meta_path.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
-    return csv_path, meta_path
-
-
-def load_phase_density(base_path) -> tuple[PhaseDensity, dict]:
-    base = Path(base_path)
-    meta = json.loads(base.with_suffix(".json").read_text())
-    values = np.loadtxt(base.with_suffix(".csv"), delimiter=",", ndmin=2)
-    grid = PhaseGrid(
-        meta["x_min"], meta["x_max"], meta["p_min"], meta["p_max"],
-        meta["n_x"], meta["n_p"],
-    )
-    return PhaseDensity(grid, values), meta
 
 
 def save_complex_matrix(path, mat: np.ndarray) -> Path:

@@ -13,8 +13,8 @@ potential the first-order correction is
 with (C1, C2) = (1, 0) for quantum and (1/2, 1/2) for classical
 dynamics.  ``dyson_first_order_numeric`` evaluates the defining triple
 integral independently: the oscillatory-Gaussian x and y integrals are
-reduced exactly to complex Gaussian moments, leaving one smooth time
-integral for adaptive quadrature.
+reduced exactly to complex Gaussian moments, which leaves a polynomial in
+the interaction time tau; a Gauss-Legendre rule integrates it exactly.
 """
 
 from __future__ import annotations
@@ -23,9 +23,8 @@ from dataclasses import dataclass
 from math import comb
 
 import numpy as np
-from scipy.integrate import quad
 
-from .errors import NonpositiveTime, QuadratureNotConverged
+from .errors import NonpositiveTime
 from .potential import PolynomialPotential, SuperPotentialKind, super_potential_monomials
 from .superspace import SuperDensity, SuperGrid
 
@@ -165,15 +164,16 @@ def dyson_first_order_numeric(
     pt: PropagatorPoint,
     lam: float,
     kind: SuperPotentialKind,
-    rel_tol: float = 1e-8,
 ) -> complex:
     """First-order Dyson correction -(i/hbar) int dtau dx dy G0 V G0.
 
     Serves as the independent oracle for the Gamma closed forms: the
     superpotential is expanded into monomials x^i y^j by the potential
-    module, each (x, y) integral is reduced to Gaussian moments, and the
-    remaining smooth tau integral is evaluated by adaptive quadrature.
-    Returns the correction term alone (zero for lam = 0).
+    module, and each (x, y) integral is reduced to Gaussian moments.  The
+    moment of x^k is a polynomial of degree k in tau, so the tau integrand
+    has the monomials' largest total degree, and a Gauss-Legendre rule
+    with deg // 2 + 1 nodes (exact to degree 2 (deg // 2) + 1) integrates
+    it exactly.  Returns the correction term alone (zero for lam = 0).
     """
     if pt.duration <= 0:
         raise NonpositiveTime("T must be positive")
@@ -188,14 +188,11 @@ def dyson_first_order_numeric(
             acc += c * mx * np.conj(my)
         return acc
 
-    re, re_err = quad(lambda t: reduced(t).real, 0.0, t_tot, epsabs=0.0, epsrel=rel_tol)
-    im, im_err = quad(lambda t: reduced(t).imag, 0.0, t_tot, epsabs=0.0, epsrel=rel_tol)
-    integral = re + 1j * im
-    err = np.hypot(re_err, im_err)
-    if err > 100.0 * rel_tol * max(abs(integral), 1e-300) and err > 1e-12:
-        raise QuadratureNotConverged(
-            f"tau quadrature error estimate {err:.3e} for integral {integral:.3e}"
-        )
+    deg = max((i + j for i, j in monomials), default=0)
+    nodes, weights = np.polynomial.legendre.leggauss(deg // 2 + 1)
+    integral = 0.5 * t_tot * sum(
+        w * reduced(0.5 * t_tot * (x + 1.0)) for x, w in zip(nodes, weights)
+    )
     return complex(-1j / hb * free_superpropagator(pt) * integral)
 
 

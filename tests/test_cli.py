@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from liouspace import evolution, liouvillian, validate
+from liouspace import evolution, liouvillian, superprop, validate
 from liouspace.cli import (
     EXIT_GUARD,
     EXIT_OK,
@@ -37,6 +37,9 @@ MARGIN_CHECKS = {
     },
     "bipartite": {
         "max_trace_drift": ("trace_conserved_1e-8", lambda v: v < 1e-8),
+    },
+    "propagator": {
+        "max_relative_defect": ("first_order_matches_dyson_1e-3", lambda v: v < 1e-3),
     },
 }
 
@@ -208,6 +211,7 @@ class TestScenarios:
             ["evolve", "--t", "0"],
             ["evolve", "--grid-n", "63"],
             ["evolve", "--method", "rk4"],
+            ["evolve", "--method", "strang"],
             ["jc", "--n-max", "0"],
             ["jc", "--init", "x5"],
             ["jc", "--eps-eegg", "0.03,0.01"],
@@ -263,6 +267,20 @@ class TestScenarios:
         for row in rows:
             assert float(row[idx]) < 1e-3 * g_scale
 
+    def test_propagator_check_is_relative_to_the_correction(self, tmp_path, monkeypatch):
+        # a 0.2% error in the first-order correction is twice the bound,
+        # however small the correction is against G
+        dyson = superprop.dyson_first_order_numeric
+        monkeypatch.setattr(
+            superprop, "dyson_first_order_numeric", lambda *args: 1.002 * dyson(*args)
+        )
+        assert run(["propagator", "--outdir", str(tmp_path)]) == EXIT_VALIDATION
+        manifest = json.loads(
+            (tmp_path / "propagator" / "propagator_manifest.json").read_text()
+        )
+        assert not manifest["checks"]["first_order_matches_dyson_1e-3"]
+        assert manifest["margins"]["max_relative_defect"] == pytest.approx(2e-3, rel=1e-6)
+
     def test_bipartite_outputs(self, tmp_path):
         code = run(
             [
@@ -311,8 +329,6 @@ class TestScenarios:
         [
             (["evolve", "--grid-n", "64", "--steps", "20", "--n-out", "5"],
              "trotter_strang", 64**2),
-            (["evolve", "--grid-n", "64", "--steps", "20", "--n-out", "5",
-              "--method", "lie"], "trotter_lie", 64**2),
             (["jc", "--n-max", "3", "--steps", "5"], "eigh", 4 * 4**2),
             (["jc", "--n-max", "3", "--steps", "5", "--eps", "0.01,-0.02"], "expm_multiply",
              4 * 4**2),
@@ -341,6 +357,7 @@ class TestScenarios:
             # Im eps > 0 raises purity above 1: purity_at_most_1_1e-8 is false
             ["jc", "--n-max", "3", "--steps", "20", "--eps", "0.01,0.02"],
             ["bipartite", "--steps", "5"],
+            ["propagator", "--n-points", "3"],
         ],
         ids=" ".join,
     )
@@ -375,6 +392,12 @@ class TestScenarios:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"scenario": "jc", "warp": 9}))
         assert run(["jc", "--config", str(cfg), "--outdir", str(tmp_path)]) == EXIT_USAGE
+
+    def test_evolve_has_no_method_key(self, tmp_path):
+        # Strang is the only split: a config that names a method is refused
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"scenario": "evolve", "method": "strang"}))
+        assert run(["evolve", "--config", str(cfg), "--outdir", str(tmp_path)]) == EXIT_USAGE
 
     def test_validate_passes_on_correct_build(self, tmp_path, monkeypatch):
         checks = [("first", stub_check(True)), ("second", stub_check(True))]

@@ -14,7 +14,8 @@ from liouspace.entangle import (
     separable_state,
     top_level_population,
 )
-from liouspace.errors import TruncationLeak
+from liouspace import liouvillian
+from liouspace.errors import DimensionTooLarge, TruncationLeak
 from liouspace.evolution import ExactEvolver
 from liouspace.jaynescummings import coherent_field_density
 from liouspace.potential import MonomialClass, SuperPotentialKind
@@ -72,6 +73,13 @@ class TestGenerators:
         np.testing.assert_allclose(
             pure, np.kron(w, eye) - np.kron(eye, w.conj()), atol=1e-10
         )
+
+    def test_dense_cap_fires_before_allocation(self, basis4, monkeypatch):
+        monkeypatch.setattr(liouvillian, "MAX_DENSE_VEC_DIM", 100)
+        with pytest.raises(DimensionTooLarge):
+            build_bipartite_liouvillian(basis4, 0.1, SuperPotentialKind.CL)
+        # the QM kind builds no N^2 x N^2 matrix, so the cap does not apply
+        build_bipartite_liouvillian(basis4, 0.1, SuperPotentialKind.QM)
 
     def test_string_kind_accepted(self, basis4):
         a = build_bipartite_liouvillian(basis4, 0.1, "cl").dense()

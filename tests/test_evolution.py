@@ -149,8 +149,8 @@ class TestEvolveUniformGrid:
 class TestEvolutionConfig:
     @pytest.mark.parametrize(
         "kwargs",
-        [dict(t1=0.0), dict(t1=1.0, t0=2.0), dict(t1=1.0, n_steps=0)],
-        ids=["empty-interval", "reversed-interval", "no-steps"],
+        [dict(t1=0.0), dict(t1=-1.0), dict(t1=1.0, n_steps=0)],
+        ids=["empty-interval", "negative-end", "no-steps"],
     )
     def test_invalid_config_rejected(self, kwargs):
         with pytest.raises(ValueError):
@@ -182,10 +182,9 @@ class TestEvolveCommutator:
 
 
 class TestEvolveOrdered:
-    @pytest.mark.parametrize("method", [EvolveMethod.TROTTER_STRANG, EvolveMethod.TROTTER_LIE])
-    def test_rejects_non_rk4_method(self, method):
+    def test_rejects_non_rk4_method(self):
         liou = build_basis_liouvillian(np.diag([0.0, 1.0]).astype(complex))
-        cfg = EvolutionConfig(t1=1.0, method=method)
+        cfg = EvolutionConfig(t1=1.0, method=EvolveMethod.TROTTER_STRANG)
         with pytest.raises(ValueError):
             evolve_ordered(lambda t: liou.dense(), two_level_density(), cfg)
 
@@ -215,20 +214,6 @@ class TestEvolveOrdered:
         eff_t, _ = quad(f, 0.0, 1.0)
         want = evolve_exact(liou, rho0, eff_t)
         assert np.max(np.abs(got - want)) < 1e-9
-
-    def test_nonzero_start_composes(self):
-        # U(2, 0) = U(2, 1) U(1, 0) for a driven, non-commuting family
-        l0 = build_basis_liouvillian(np.diag([0.0, 1.0]).astype(complex)).dense()
-        l1 = build_basis_liouvillian(np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)).dense()
-        family = lambda t: l0 + np.sin(2.0 * t) * l1
-        rho0 = two_level_density()
-        rk4 = EvolveMethod.RK4
-        first = evolve_ordered(family, rho0, EvolutionConfig(t1=1.0, n_steps=256, method=rk4))
-        second = evolve_ordered(
-            family, first, EvolutionConfig(t1=2.0, t0=1.0, n_steps=256, method=rk4)
-        )
-        whole = evolve_ordered(family, rho0, EvolutionConfig(t1=2.0, n_steps=512, method=rk4))
-        np.testing.assert_allclose(second, whole, rtol=0, atol=1e-12)
 
     def test_sparse_family_matches_dense(self):
         import scipy.sparse
@@ -329,21 +314,6 @@ class TestTrotter:
         ratios = [errs[0] / errs[1], errs[1] / errs[2]]
         assert all(3.2 < r < 4.8 for r in ratios)
 
-    @pytest.mark.filterwarnings("ignore:initial density")
-    def test_lie_first_order_vs_exact(self):
-        grid = SuperGrid.centered(5.0, 16)
-        v = PolynomialPotential.quartic(0.5)
-        sd = gaussian_super_density(grid, 0.5, 0.0, 0.55, 0.8)
-        op = build_grid_liouvillian(v, grid, SuperPotentialKind.CL)
-        ref = evolve_exact(op, sd.values, 0.4)
-        errs = []
-        for n in (32, 64, 128):
-            cfg = EvolutionConfig(t1=0.4, n_steps=n, method=EvolveMethod.TROTTER_LIE)
-            out = evolve_trotter(v, grid, SuperPotentialKind.CL, sd, cfg)
-            errs.append(np.max(np.abs(out.values - ref)))
-        ratios = [errs[0] / errs[1], errs[1] / errs[2]]
-        assert all(1.6 < r < 2.4 for r in ratios)
-
     def test_conservation_laws(self):
         grid = SuperGrid.centered(8.0, 64)
         v = PolynomialPotential.quartic(0.1)
@@ -354,14 +324,13 @@ class TestTrotter:
         assert abs(m.trace - moments(sd).trace) < 1e-8
         assert m.hermiticity_defect < 1e-8
 
-    @pytest.mark.parametrize("method", [EvolveMethod.TROTTER_STRANG, EvolveMethod.TROTTER_LIE])
-    def test_observed_states_equal_separate_runs(self, method):
+    def test_observed_states_equal_separate_runs(self):
         grid = SuperGrid.centered(8.0, 64)
         v = PolynomialPotential.quartic(0.1)
         sd = gaussian_super_density(grid, 1.0, 0.0, 0.5, 0.6)
         dt = 0.0625  # a power of 2, so k dt / k == dt exactly
         seen = {}
-        cfg = EvolutionConfig(t1=8 * dt, n_steps=8, method=method)
+        cfg = EvolutionConfig(t1=8 * dt, n_steps=8)
         final = evolve_trotter(
             v, grid, SuperPotentialKind.CL, sd, cfg,
             observe=lambda k, state: seen.setdefault(k, state.values.copy()),
@@ -369,7 +338,7 @@ class TestTrotter:
         assert list(seen) == list(range(1, 9))
         assert np.array_equal(seen[8], final.values)
         for k in (1, 3, 8):
-            cfg_k = EvolutionConfig(t1=k * dt, n_steps=k, method=method)
+            cfg_k = EvolutionConfig(t1=k * dt, n_steps=k)
             alone = evolve_trotter(v, grid, SuperPotentialKind.CL, sd, cfg_k)
             assert np.array_equal(seen[k], alone.values)
 
@@ -383,7 +352,7 @@ class TestTrotter:
     def test_boundary_warning(self):
         grid = SuperGrid.centered(3.0, 32)
         sd = gaussian_super_density(grid, 1.5, 0.0, 0.8, 0.3)
-        cfg = EvolutionConfig(t1=0.1, n_steps=2, method=EvolveMethod.TROTTER_LIE)
+        cfg = EvolutionConfig(t1=0.1, n_steps=2, method=EvolveMethod.TROTTER_STRANG)
         with pytest.warns(UserWarning, match="boundary"):
             evolve_trotter(PolynomialPotential.free(), grid, SuperPotentialKind.CL, sd, cfg)
         assert boundary_mass(sd.values) > 1e-10
@@ -429,17 +398,9 @@ class TestUnitScaling:
 
 
 class TestCharacteristics:
-    def test_weights_must_normalize(self):
-        with pytest.raises(ValueError):
-            CharacteristicsEnsemble(
-                x=np.zeros(3), p=np.zeros(3), weights=np.ones(3)
-            )
-
     def test_shapes_must_match(self):
         with pytest.raises(ValueError):
-            CharacteristicsEnsemble(
-                x=np.zeros(3), p=np.zeros(2), weights=np.full(3, 1.0 / 3.0)
-            )
+            CharacteristicsEnsemble(x=np.zeros(3), p=np.zeros(2))
 
     def test_zero_time_returns_ensemble(self):
         ens = gaussian_ensemble(64, 0.2, 0.1, 0.5, 0.5, seed=4)
@@ -447,12 +408,7 @@ class TestCharacteristics:
 
     def test_sobol_rounds_up_to_power_of_two(self):
         ens = gaussian_ensemble(1000, 0.0, 0.0, 1.0, 1.0, seed=6)
-        assert ens.x.size == 1024
-        assert ens.weights.sum() == pytest.approx(1.0, abs=1e-12)
-
-    def test_unknown_sampler_rejected(self):
-        with pytest.raises(ValueError, match="sampler"):
-            gaussian_ensemble(16, 0.0, 0.0, 1.0, 1.0, sampler="halton")
+        assert ens.x.size == ens.p.size == 1024
 
     def test_harmonic_period_returns_to_start(self):
         v = PolynomialPotential.harmonic(1.0)
@@ -493,8 +449,3 @@ class TestCharacteristics:
         assert m.x == pytest.approx(mx, abs=2e-3)
         assert m.p == pytest.approx(mp, abs=2e-3)
         assert m.x2 == pytest.approx(mx2, abs=2e-3)
-
-    def test_pseudo_sampler(self):
-        ens = gaussian_ensemble(4096, 0.0, 0.0, 1.0, 1.0, seed=9, sampler="pseudo")
-        assert ens.x.size == 4096
-        assert abs(ens.moments()[0]) < 0.1

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from liouspace.errors import NotConverged, NotFactorized, TruncationLeak
+from liouspace import liouvillian
+from liouspace.errors import DimensionTooLarge, NotConverged, NotFactorized, TruncationLeak
 from liouspace.jaynescummings import (
     ATOM_E,
     ATOM_G,
@@ -137,6 +138,12 @@ class TestExactEvolution:
         assert jc_liouvillian(p0).s_add is None
         p1 = JCParams(omega_e=1.0, omega=1.0, d_eg=0.1, n_max=2, eps_egeg=0.1j)
         assert jc_liouvillian(p1).s_add is not None
+
+    def test_dense_cap_fires_before_allocation(self, monkeypatch):
+        monkeypatch.setattr(liouvillian, "MAX_DENSE_VEC_DIM", 100)
+        p = JCParams(omega_e=1.0, omega=1.0, d_eg=0.1, n_max=5, eps_egeg=0.1j)
+        with pytest.raises(DimensionTooLarge):
+            jc_liouvillian(p)
 
     @pytest.mark.parametrize("eps_egeg", [0.0, 0.01, 0.3, 0.01 - 0.02j, 0.05 + 0.05j])
     @pytest.mark.parametrize("n_max", [3, 6])

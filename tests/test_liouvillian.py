@@ -7,6 +7,8 @@ from liouspace.errors import DimensionTooLarge, NonHermitianInput
 from liouspace.liouvillian import (
     build_basis_liouvillian,
     build_grid_liouvillian,
+    check_dense_dim,
+    MAX_DENSE_VEC_DIM,
     spectral_symmetry_defect,
     spectrum,
 )
@@ -89,6 +91,11 @@ class TestGridLiouvillian:
         )
         with pytest.raises(DimensionTooLarge):
             op.dense()
+
+    def test_dense_cap_is_inclusive(self):
+        check_dense_dim(MAX_DENSE_VEC_DIM)
+        with pytest.raises(DimensionTooLarge):
+            check_dense_dim(MAX_DENSE_VEC_DIM + 1)
 
     @pytest.mark.parametrize("order", [1, 2])
     def test_spectral_derivative_matrix_is_symmetric(self, order):

@@ -1,6 +1,9 @@
 """Package-wide structure checks."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -8,10 +11,7 @@ PACKAGE = ROOT / "src" / "liouspace"
 
 # Public names that no program code uses, each kept for a stated reason.
 ALLOWED_UNUSED = {
-    # the documented file-format round trip: written by the CLI, read back
-    # by users of its output files
-    "save_phase_density": "file-format round trip",
-    "load_phase_density": "file-format round trip",
+    # reads back the final state the evolve scenario writes
     "load_super_density": "file-format round trip",
     # the guarded 3-vector front of the Coulomb E, checked against the
     # definition of E(Q, q) in test_potential
@@ -60,3 +60,17 @@ def test_every_public_definition_is_reached_by_program_code():
     )
     assert unreached == []
     assert set(ALLOWED_UNUSED) <= set(defined)
+
+
+def test_cli_import_leaves_out_heavy_scipy_modules():
+    """scipy.integrate and scipy.stats dominate start-up; the CLI must not
+    load them before a route needs them."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    probe = (
+        "import sys, liouspace.cli; "
+        "print(sorted(m for m in ('scipy.integrate', 'scipy.stats') if m in sys.modules))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"

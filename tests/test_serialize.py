@@ -1,13 +1,11 @@
 import numpy as np
 
 from liouspace.serialize import (
-    load_phase_density,
     load_super_density,
     save_complex_matrix,
-    save_phase_density,
     save_super_density,
 )
-from liouspace.superspace import SuperGrid, gaussian_phase_density, gaussian_super_density
+from liouspace.superspace import SuperGrid, gaussian_super_density
 
 
 def test_super_density_round_trip(tmp_path):
@@ -19,16 +17,6 @@ def test_super_density_round_trip(tmp_path):
     assert meta["hbar"] == 0.9 and meta["mass"] == 1.2
     assert loaded.grid == grid
     np.testing.assert_array_equal(loaded.values, sd.values)
-
-
-def test_phase_density_round_trip(tmp_path):
-    grid = SuperGrid.centered(4.0, 16).matched_phase_grid()
-    pd = gaussian_phase_density(grid, 0.2, 0.1, 0.6, 0.6)
-    save_phase_density(tmp_path / "phase", pd)
-    loaded, meta = load_phase_density(tmp_path / "phase")
-    assert meta["kind"] == "phase_density"
-    assert loaded.grid == grid
-    np.testing.assert_array_equal(loaded.values, pd.values)
 
 
 def test_complex_matrix_interleaves_re_im(tmp_path):

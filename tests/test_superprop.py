@@ -153,6 +153,22 @@ class TestFirstOrder:
                 numeric = dyson_first_order_numeric(pt, lam, kind)
                 assert abs(closed - numeric) < 1e-3 * max(abs(closed), 1e-12)
 
+    def test_tau_rule_is_exact(self):
+        """The reduced tau integrand is a quartic polynomial, so the
+        three-node Gauss-Legendre rule meets the closed form to rounding."""
+        rng = np.random.Generator(np.random.Philox(54))
+        worst = 0.0
+        for _ in range(50):
+            pt = PropagatorPoint(
+                *rng.uniform(-1.5, 1.5, size=4), rng.uniform(0.1, 2.0),
+                mass=rng.uniform(0.5, 2.0), hbar=rng.uniform(0.5, 2.0),
+            )
+            for kind in SuperPotentialKind:
+                closed = first_order_superpropagator(pt, 0.4, kind) - free_superpropagator(pt)
+                numeric = dyson_first_order_numeric(pt, 0.4, kind)
+                worst = max(worst, abs(closed - numeric) / abs(closed))
+        assert worst < 1e-11
+
     def test_dyson_zero_coupling(self):
         pt = PropagatorPoint(0.5, 0.1, -0.3, 0.8, 0.9)
         assert dyson_first_order_numeric(pt, 0.0, SuperPotentialKind.QM) == 0.0
