@@ -43,11 +43,10 @@ def moment_series(kind):
     rows = []
 
     def observe(k, state):
-        if k % STEPS_PER_ROW == 0:
-            m = moments(state)
-            rows.append((T_END * k / n_steps, m.x, m.p, m.x2, m.purity))
+        m = moments(state)
+        rows.append((T_END * k / n_steps, m.x, m.p, m.x2, m.purity))
 
-    sd = evolve_trotter(v, grid, kind, sd, cfg, observe=observe)
+    sd = evolve_trotter(v, grid, kind, sd, cfg, observe=observe, observe_every=STEPS_PER_ROW)
     print(f"{kind.value}: final boundary mass {boundary_mass(sd.values):.2e}")
     return rows
 

@@ -17,8 +17,7 @@ from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse.linalg
+import scipy  # submodules load on first attribute access
 
 from .errors import EnergyDriftExceeded
 from .liouvillian import BasisLiouvillian, GridLiouvillian, build_grid_liouvillian
@@ -199,6 +198,7 @@ def evolve_trotter(
     config: EvolutionConfig,
     *,
     observe: Callable[[int, SuperDensity], None] | None = None,
+    observe_every: int = 1,
 ) -> SuperDensity:
     """Split-step evolution alternating exact kinetic and potential phases.
 
@@ -206,14 +206,22 @@ def evolve_trotter(
     path integral: the kinetic factor is diagonal in the 2-d Fourier dual
     of (Q, q), the potential + E factor is diagonal in (Q, q).  Strang
     splitting (half potential, kinetic, half potential) is second order.
+    The closing half potential phase of one step and the opening one of
+    the next are fused into one full phase, so a step is one forward FFT,
+    the kinetic phase, one inverse FFT and the full potential phase; the
+    closing half phase is applied only to a state that is handed out.
 
     ``observe(k, state)``, if given, is called after every step k =
-    1..n_steps with the state at k dt, bit-identical to the result of
-    a separate k-step call with the same dt; it must not modify the state.
-    Generator and phases are built once per call: one call covers a run.
+    1..n_steps that is a multiple of ``observe_every``, with the state at
+    k dt, bit-identical to the result of a separate k-step call with the
+    same dt; it must not modify the state.  Generator and phases are built
+    once per call: one call covers a run.  Raises ValueError unless
+    ``config.method`` is TROTTER_STRANG and ``observe_every >= 1``.
     """
     if config.method is not EvolveMethod.TROTTER_STRANG:
         raise ValueError("config.method must be TROTTER_STRANG")
+    if observe_every < 1:
+        raise ValueError("observe_every must be >= 1")
     if boundary_mass(rho0.values) > BOUNDARY_MASS_TOL:
         warnings.warn(
             "initial density is not negligible at the grid boundary; "
@@ -224,12 +232,20 @@ def evolve_trotter(
     dt = config.t1 / config.n_steps
     kin_phase = np.exp(-1j * dt * (op.kinetic_diag / config.hbar))
     half = np.exp(-0.5j * dt * ((op.potential_diag + op.e_diag) / config.hbar))
-    rho = rho0.values.copy()
+    full = half * half
+    rho = half * rho0.values  # a fresh array: the FFTs below may overwrite it
     for k in range(1, config.n_steps + 1):
-        rho = half * np.fft.ifft2(kin_phase * np.fft.fft2(half * rho))
-        if observe is not None:
-            observe(k, SuperDensity(grid, rho))
-    return SuperDensity(grid, rho)
+        if k > 1:
+            rho *= full
+        rho = scipy.fft.fft2(rho, overwrite_x=True)
+        rho *= kin_phase
+        rho = scipy.fft.ifft2(rho, overwrite_x=True)
+        observed = observe is not None and k % observe_every == 0
+        if observed or k == config.n_steps:
+            state = SuperDensity(grid, half * rho)
+            if observed:
+                observe(k, state)
+    return state
 
 
 @dataclass

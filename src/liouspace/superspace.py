@@ -18,6 +18,7 @@ before the domain boundary).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -271,6 +272,15 @@ def spectral_derivative_matrix(n: int, dq: float, order: int) -> np.ndarray:
     return col[np.subtract.outer(a, a) % n]
 
 
+@functools.lru_cache(maxsize=8)
+def _first_derivative_matrix(n: int, dq: float) -> np.ndarray:
+    """spectral_derivative_matrix(n, dq, 1), built once per grid and shared
+    read-only by every caller."""
+    d = spectral_derivative_matrix(n, dq, 1)
+    d.flags.writeable = False
+    return d
+
+
 @dataclass(frozen=True)
 class Moments:
     """Moments of one superspace density; see `moments`."""
@@ -309,7 +319,7 @@ def moments(sd: SuperDensity, hbar: float = 1.0) -> Moments:
     if abs(tr.imag) > 1e-10 * max(abs(tr), 1e-12):
         raise HermiticityViolation(f"trace has imaginary part {tr.imag:.3e}")
     # Re(P_ac rho_ca) = hbar D_ac Im(rho_ca), since D is real
-    w = spectral_derivative_matrix(sd.grid.n, dq, 1) * rho.imag.T
+    w = _first_derivative_matrix(sd.grid.n, dq) * rho.imag.T
     return Moments(
         trace=float(tr.real),
         x=float((q @ diag).real * dq),

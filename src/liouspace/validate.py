@@ -182,17 +182,16 @@ def _conservation_suite() -> tuple[bool, str]:
 
     def observe(k, sd):
         nonlocal worst_tr, worst_h
-        if k % 100 == 0:
-            m = superspace.moments(sd)
-            worst_tr = max(worst_tr, abs(m.trace - 1.0))
-            worst_h = max(worst_h, m.hermiticity_defect)
+        m = superspace.moments(sd)
+        worst_tr = max(worst_tr, abs(m.trace - 1.0))
+        worst_h = max(worst_h, m.hermiticity_defect)
 
     for v, kind in (
         (PolynomialPotential.quartic(0.1), SuperPotentialKind.CL),
         (PolynomialPotential.quartic(0.1), SuperPotentialKind.QM),
         (PolynomialPotential.harmonic(1.0), SuperPotentialKind.CL),
     ):
-        evolution.evolve_trotter(v, grid, kind, sd0, cfg, observe=observe)
+        evolution.evolve_trotter(v, grid, kind, sd0, cfg, observe=observe, observe_every=100)
 
     def track(states):
         nonlocal worst_tr, worst_h

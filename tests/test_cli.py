@@ -266,6 +266,24 @@ class TestScenarios:
         )
         for row in rows:
             assert float(row[idx]) < 1e-3 * g_scale
+        # the CSV carries the quantity the check bounds
+        manifest = json.loads(
+            (tmp_path / "propagator" / "propagator_manifest.json").read_text()
+        )
+        assert header[-2:] == ["rel_err_cl", "rel_err_qm"]
+        rel_err = max(float(v) for r in rows for v in r[-2:])
+        assert rel_err == manifest["margins"]["max_relative_defect"]
+
+        def cell(row, name):
+            return float(row[header.index(name)])
+
+        for row in rows:
+            g0 = complex(cell(row, "G0_re"), cell(row, "G0_im"))
+            for kind in ("cl", "qm"):
+                g = complex(cell(row, f"G_{kind}_re"), cell(row, f"G_{kind}_im"))
+                assert cell(row, f"rel_err_{kind}") == pytest.approx(
+                    cell(row, f"abs_err_{kind}") / max(abs(g - g0), 1e-300), rel=1e-9, abs=0
+                )
 
     def test_propagator_check_is_relative_to_the_correction(self, tmp_path, monkeypatch):
         # a 0.2% error in the first-order correction is twice the bound,

@@ -342,6 +342,68 @@ class TestTrotter:
             alone = evolve_trotter(v, grid, SuperPotentialKind.CL, sd, cfg_k)
             assert np.array_equal(seen[k], alone.values)
 
+    @pytest.mark.parametrize("kind", [SuperPotentialKind.CL, SuperPotentialKind.QM])
+    def test_fused_steps_match_unfused_strang(self, kind):
+        grid = SuperGrid.centered(8.0, 64)
+        v = PolynomialPotential.quartic(0.1)
+        sd = gaussian_super_density(grid, 1.0, 0.0, 0.5, 0.6)
+        cfg = EvolutionConfig(t1=0.5, n_steps=20)
+        seen = {}
+        evolve_trotter(
+            v, grid, kind, sd, cfg,
+            observe=lambda k, state: seen.setdefault(k, state.values.copy()),
+        )
+        # reference: each step as half * ifft2(kin * fft2(half * rho))
+        op = build_grid_liouvillian(v, grid, kind)
+        dt = cfg.t1 / cfg.n_steps
+        kin = np.exp(-1j * dt * op.kinetic_diag)
+        half = np.exp(-0.5j * dt * (op.potential_diag + op.e_diag))
+        rho = sd.values
+        for k in range(1, cfg.n_steps + 1):
+            rho = half * np.fft.ifft2(kin * np.fft.fft2(half * rho))
+            assert np.max(np.abs(seen[k] - rho)) <= 1e-13 * np.max(np.abs(rho))
+
+    def test_observe_every_observes_multiples_only(self):
+        grid = SuperGrid.centered(8.0, 64)
+        v = PolynomialPotential.quartic(0.1)
+        sd = gaussian_super_density(grid, 1.0, 0.0, 0.5, 0.6)
+        dt = 0.0625  # a power of 2, so k dt / k == dt exactly
+        seen = {}
+        evolve_trotter(
+            v, grid, SuperPotentialKind.CL, sd, EvolutionConfig(t1=9 * dt, n_steps=9),
+            observe=lambda k, state: seen.setdefault(k, state.values.copy()),
+            observe_every=3,
+        )
+        assert list(seen) == [3, 6, 9]
+        for k, state in seen.items():
+            alone = evolve_trotter(
+                v, grid, SuperPotentialKind.CL, sd, EvolutionConfig(t1=k * dt, n_steps=k)
+            )
+            assert np.array_equal(state, alone.values)
+
+    @pytest.mark.parametrize("every", [0, -3])
+    def test_rejects_observe_every_below_one(self, every):
+        grid = SuperGrid.centered(8.0, 32)
+        sd = gaussian_super_density(grid, 0.0, 0.0, 0.6, 0.6)
+        cfg = EvolutionConfig(t1=0.1, n_steps=2)
+        with pytest.raises(ValueError, match="observe_every"):
+            evolve_trotter(
+                PolynomialPotential.free(), grid, SuperPotentialKind.CL, sd, cfg,
+                observe=lambda k, state: None, observe_every=every,
+            )
+
+    def test_leaves_initial_state_unchanged(self):
+        # the FFTs overwrite their input; the caller's array must not be it
+        grid = SuperGrid.centered(8.0, 64)
+        sd = gaussian_super_density(grid, 1.0, 0.0, 0.5, 0.6)
+        before = sd.values.copy()
+        cfg = EvolutionConfig(t1=0.5, n_steps=4)
+        evolve_trotter(
+            PolynomialPotential.quartic(0.1), grid, SuperPotentialKind.CL, sd, cfg,
+            observe=lambda k, state: None,
+        )
+        assert np.array_equal(sd.values, before)
+
     def test_rejects_rk4_method(self):
         grid = SuperGrid.centered(8.0, 32)
         sd = gaussian_super_density(grid, 0.0, 0.0, 0.6, 0.6)

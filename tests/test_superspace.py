@@ -224,6 +224,24 @@ class TestMoments:
         moments(gaussian_super_density(grid64, 0.3, 0.2, 0.6, 0.7))
         assert len(calls) == 1
 
+    def test_derivative_matrix_built_once_per_grid_and_read_only(self, grid64, monkeypatch):
+        builds = []
+        build = superspace.spectral_derivative_matrix
+
+        def counted(n, dq, order):
+            builds.append((n, dq, order))
+            return build(n, dq, order)
+
+        monkeypatch.setattr(superspace, "spectral_derivative_matrix", counted)
+        superspace._first_derivative_matrix.cache_clear()
+        sd = gaussian_super_density(grid64, 0.3, 0.2, 0.6, 0.7)
+        assert moments(sd) == moments(sd)
+        assert builds == [(64, grid64.dq, 1)]
+        d = superspace._first_derivative_matrix(64, grid64.dq)
+        np.testing.assert_array_equal(d, build(64, grid64.dq, 1))
+        with pytest.raises(ValueError, match="read-only"):
+            d[0, 1] = 0.0
+
     def test_imaginary_trace_raises(self, grid64):
         # diagonal imaginary parts of 1e-7 max|rho|: the relative Hermiticity
         # defect is 2e-7, inside HERMITICITY_TOL, but the trace is not real
