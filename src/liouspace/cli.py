@@ -113,9 +113,6 @@ class ScenarioConfig:
     scenario: str
     params: dict
 
-    def resolved(self) -> dict:
-        return {"scenario": self.scenario, **self.params}
-
 
 def parse_config(path) -> ScenarioConfig:
     """Strict JSON config: {"scenario": ..., <subcommand parameters>}."""
@@ -224,6 +221,11 @@ class RunContext:
         path = self.outdir / f"{self.scenario}_manifest.json"
         path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
         return path
+
+
+def _write_columns(path: Path, columns: dict[str, np.ndarray]) -> None:
+    """One CSV column per named array, in the dict's order."""
+    serialize.write_csv(path, np.column_stack(list(columns.values())), header=list(columns))
 
 
 def run_superop(ctx: RunContext) -> None:
@@ -349,35 +351,14 @@ def run_jc(ctx: RunContext) -> None:
         eps_egeg=_parse_complex_pair(p["eps"]),
     )
     rho0 = jc.initial_jc_state(str(p["init"]), params.n_max)
-    jc.check_fock_truncation(rho0, params.n_max)
     t_grid = np.linspace(0.0, float(p["t"]), int(p["steps"]) + 1)
-    states = jc.evolve_jc(params, rho0, t_grid)
-    f = params.fock_dim
+    columns = jc.jc_series(params, rho0, t_grid)
     ctx.solver_path = "eigh" if params.hermitian else "expm_multiply"
     ctx.generator_dim = params.dim**2
-    rows = []
-    max_drift = 0.0
-    for t, rho in zip(t_grid, states):
-        jc.check_fock_truncation(rho, params.n_max)
-        tr = float(np.trace(rho).real)
-        max_drift = max(max_drift, abs(tr - 1.0))
-        rows.append(
-            (
-                float(t),
-                jc.excited_population(rho, params.n_max),
-                abs(rho.reshape(2, f, 2, f)[jc.ATOM_E, 0, jc.ATOM_G, 0]),
-                tr,
-                float(np.trace(rho @ rho).real),
-            )
-        )
-    serialize.write_csv(
-        ctx.path("jc_series.csv"),
-        rows,
-        header=["t", "P_e", "abs_rho_eg00", "trace", "purity"],
-    )
-    ctx.margins["max_trace_drift"] = max_drift
-    ctx.margins["max_purity"] = max(row[4] for row in rows)
-    ctx.checks["trace_conserved_1e-8"] = max_drift < 1e-8
+    _write_columns(ctx.path("jc_series.csv"), columns)
+    ctx.margins["max_trace_drift"] = np.max(np.abs(columns["trace"] - 1.0))
+    ctx.margins["max_purity"] = np.max(columns["purity"])
+    ctx.checks["trace_conserved_1e-8"] = ctx.margins["max_trace_drift"] < 1e-8
     # a complex eps makes the generator non-Hermitian and can raise purity
     ctx.checks["purity_at_most_1_1e-8"] = ctx.margins["max_purity"] <= 1.0 + 1e-8
 
@@ -389,25 +370,12 @@ def run_bipartite(ctx: RunContext) -> None:
         basis, complex(str(p["alpha1"])), complex(str(p["alpha2"]))
     )
     t_grid = np.linspace(0.0, float(p["t"]), int(p["steps"]) + 1)
-    rows = entangle.compare_cl_qm_entanglement(basis, float(p["lam"]), rho0, t_grid)
+    columns = entangle.compare_cl_qm_entanglement(basis, float(p["lam"]), rho0, t_grid)
     ctx.solver_path = {"cl": "expm_multiply", "qm": "eigh"}
     ctx.generator_dim = basis.dim**2
-    serialize.write_csv(
-        ctx.path("bipartite_series.csv"),
-        [
-            (
-                r.t, r.purity_cl, r.purity_qm, r.min_eig_cl, r.min_eig_qm,
-                r.trace_drift_cl, r.trace_drift_qm,
-            )
-            for r in rows
-        ],
-        header=[
-            "t", "purity_cl", "purity_qm", "min_eig_cl", "min_eig_qm",
-            "trace_drift_cl", "trace_drift_qm",
-        ],
-    )
+    _write_columns(ctx.path("bipartite_series.csv"), columns)
     ctx.margins["max_trace_drift"] = max(
-        max(r.trace_drift_cl, r.trace_drift_qm) for r in rows
+        np.max(columns["trace_drift_cl"]), np.max(columns["trace_drift_qm"])
     )
     ctx.checks["trace_conserved_1e-8"] = ctx.margins["max_trace_drift"] < 1e-8
 

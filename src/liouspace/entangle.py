@@ -44,7 +44,7 @@ import numpy as np
 from .errors import TruncationLeak
 from .evolution import evolve_commutator, evolve_uniform_grid
 from .liouvillian import BasisLiouvillian, build_basis_liouvillian, check_dense_dim
-from .jaynescummings import coherent_field_density, fock_annihilation
+from .jaynescummings import LEAK_THRESHOLD, coherent_field_density, fock_annihilation
 from .potential import (
     MonomialClass,
     SuperPotentialKind,
@@ -180,86 +180,78 @@ def evolve_bipartite(
     return evolve_uniform_grid(act, act, trace, rho0, t_grid, hbar=basis.hbar)
 
 
+def _blocks(rho: np.ndarray, n_levels: int) -> np.ndarray:
+    """(..., n, n, n, n) view of densities on the tensor space."""
+    rho = np.asarray(rho)
+    return rho.reshape(*rho.shape[:-2], *(n_levels,) * 4)
+
+
 def reduced_density(rho: np.ndarray, subsystem: int, n_levels: int) -> np.ndarray:
-    """Partial trace over the other subsystem (subsystem is 1 or 2)."""
-    blocks = np.asarray(rho).reshape(n_levels, n_levels, n_levels, n_levels)
+    """Partial trace over the other subsystem (subsystem is 1 or 2) of one
+    density or of each density of a (..., N, N) stack."""
     if subsystem == 1:
-        return np.einsum("anbn->ab", blocks)
+        return np.einsum("...anbn->...ab", _blocks(rho, n_levels))
     if subsystem == 2:
-        return np.einsum("nanb->ab", blocks)
+        return np.einsum("...nanb->...ab", _blocks(rho, n_levels))
     raise ValueError("subsystem must be 1 or 2")
 
 
-def entanglement_metrics(rho: np.ndarray, n_levels: int) -> tuple[float, np.ndarray]:
-    """(purity of reduced subsystem 1, full eigenvalue list of rho).
+def entanglement_metrics(rho: np.ndarray, n_levels: int):
+    """(purity of reduced subsystem 1, eigenvalues of the Hermitian part of
+    rho in descending order), per density of a (..., N, N) stack.
 
     Eigenvalues are reported unclipped: classical evolution may push them
     negative, which is data, not an error.
     """
     red = reduced_density(rho, 1, n_levels)
-    pur = float(np.trace(red @ red).real)
-    sym = 0.5 * (rho + rho.conj().T)
-    eig = np.linalg.eigvalsh(sym)[::-1]
-    return pur, eig
+    pur = np.einsum("...ij,...ji->...", red, red).real
+    sym = np.swapaxes(rho, -1, -2).conj()  # one copy of rho, then in place
+    sym += rho
+    sym *= 0.5
+    return pur, np.linalg.eigvalsh(sym)[..., ::-1]
 
 
-def top_level_population(rho: np.ndarray, n_levels: int) -> float:
-    """Total population of the highest ladder level of either subsystem."""
-    blocks = np.asarray(rho).reshape(n_levels, n_levels, n_levels, n_levels)
-    top = n_levels - 1
-    pop1 = float(np.einsum("nn->", blocks[top, :, top, :]).real)
-    pop2 = float(np.einsum("nn->", blocks[:, top, :, top]).real)
-    return max(pop1, pop2)
+def top_level_population(rho: np.ndarray, n_levels: int):
+    """Population of the highest ladder level of either subsystem, the
+    larger of the two, per density of a (..., N, N) stack."""
+    blocks = _blocks(rho, n_levels)
+    pop1 = np.einsum("...nn->...", blocks[..., -1, :, -1, :]).real
+    pop2 = np.einsum("...nn->...", blocks[..., :, -1, :, -1]).real
+    return np.maximum(pop1, pop2)
 
 
-@dataclass
-class ComparisonRow:
-    t: float
-    purity_cl: float
-    purity_qm: float
-    min_eig_cl: float
-    min_eig_qm: float
-    trace_drift_cl: float
-    trace_drift_qm: float
+# The columns of compare_cl_qm_entanglement, in CSV order.
+SERIES_COLUMNS = (
+    "t", "purity_cl", "purity_qm", "min_eig_cl", "min_eig_qm",
+    "trace_drift_cl", "trace_drift_qm",
+)
 
 
 def compare_cl_qm_entanglement(
-    basis: BipartiteBasis,
-    lam: float,
-    rho0: np.ndarray,
-    t_grid,
-    leak_threshold: float = 1e-6,
-) -> list[ComparisonRow]:
-    """Evolve rho0 under both generators and report metrics per time.
+    basis: BipartiteBasis, lam: float, rho0: np.ndarray, t_grid
+) -> dict[str, np.ndarray]:
+    """Evolve rho0 under both generators; return the ``SERIES_COLUMNS``
+    arrays by name, one entry per time.
 
     ``t_grid`` must be evenly spaced (ValueError otherwise).  Raises
     TruncationLeak if either run populates the top ladder level of a
-    subsystem beyond ``leak_threshold``.
+    subsystem beyond ``LEAK_THRESHOLD`` at any time of the grid.
     """
-    states_cl = evolve_bipartite(basis, lam, SuperPotentialKind.CL, rho0, t_grid)
-    states_qm = evolve_bipartite(basis, lam, SuperPotentialKind.QM, rho0, t_grid)
-    rows = []
-    for t, rho_cl, rho_qm in zip(t_grid, states_cl, states_qm):
-        for tag, rho in (("cl", rho_cl), ("qm", rho_qm)):
-            leak = abs(top_level_population(rho, basis.n_levels))
-            if leak > leak_threshold:
-                raise TruncationLeak(
-                    f"{tag} run leaked {leak:.3e} into the top level at t={t:g}"
-                )
-        p_cl, eig_cl = entanglement_metrics(rho_cl, basis.n_levels)
-        p_qm, eig_qm = entanglement_metrics(rho_qm, basis.n_levels)
-        rows.append(
-            ComparisonRow(
-                t=float(t),
-                purity_cl=p_cl,
-                purity_qm=p_qm,
-                min_eig_cl=float(eig_cl[-1]),
-                min_eig_qm=float(eig_qm[-1]),
-                trace_drift_cl=abs(float(np.trace(rho_cl).real) - 1.0),
-                trace_drift_qm=abs(float(np.trace(rho_qm).real) - 1.0),
+    t = np.asarray(t_grid, dtype=float)
+    columns = {"t": t}
+    for kind in (SuperPotentialKind.CL, SuperPotentialKind.QM):
+        tag = kind.value
+        states = evolve_bipartite(basis, lam, kind, rho0, t_grid)
+        leak = np.abs(top_level_population(states, basis.n_levels))
+        worst = int(np.argmax(leak))
+        if leak[worst] > LEAK_THRESHOLD:
+            raise TruncationLeak(
+                f"{tag} run leaked {leak[worst]:.3e} into the top level at t={t[worst]:g}"
             )
-        )
-    return rows
+        columns[f"purity_{tag}"], eig = entanglement_metrics(states, basis.n_levels)
+        columns[f"min_eig_{tag}"] = eig[:, -1]
+        columns[f"trace_drift_{tag}"] = np.abs(np.trace(states, axis1=1, axis2=2).real - 1.0)
+    return {name: columns[name] for name in SERIES_COLUMNS}
 
 
 def separable_state(

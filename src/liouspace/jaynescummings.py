@@ -30,6 +30,10 @@ from .evolution import evolve_commutator, evolve_uniform_grid
 from .potential import COULOMB_EPS_REG, coulomb_e_of_radii
 
 ATOM_G, ATOM_E = 0, 1
+# A run aborts once more population than LEAK_THRESHOLD reaches the top
+# FOCK_LEAK_LEVELS Fock levels (or, in ``entangle``, the top ladder level).
+LEAK_THRESHOLD = 1e-6
+FOCK_LEAK_LEVELS = 2
 
 
 @dataclass(frozen=True)
@@ -216,27 +220,47 @@ def jc_evolve_first_order(p: JCParams, rho0: np.ndarray, t: float) -> np.ndarray
     return out
 
 
-def excited_population(rho: np.ndarray, n_max: int) -> float:
+def _blocks(rho: np.ndarray, n_max: int) -> np.ndarray:
+    """(..., 2, F, 2, F) view of densities on atom (x) Fock."""
+    rho = np.asarray(rho)
     f = n_max + 1
-    return float(np.trace(rho.reshape(2, f, 2, f)[ATOM_E, :, ATOM_E, :]).real)
+    return rho.reshape(*rho.shape[:-2], 2, f, 2, f)
 
 
-def check_fock_truncation(
-    rho: np.ndarray, n_max: int, threshold: float = 1e-6, levels: int = 2
-) -> None:
-    """Abort when population reaches the top `levels` Fock levels."""
-    f = n_max + 1
-    blocks = rho.reshape(2, f, 2, f)
-    pop = sum(
-        float(blocks[a, nn, a, nn].real)
-        for a in (ATOM_G, ATOM_E)
-        for nn in range(max(0, f - levels), f)
-    )
-    if pop > threshold:
+def excited_population(rho: np.ndarray, n_max: int):
+    """P_e of one density or of each density of a (..., dim, dim) stack."""
+    return np.einsum("...nn->...", _blocks(rho, n_max)[..., ATOM_E, :, ATOM_E, :]).real
+
+
+def check_fock_truncation(rho: np.ndarray, n_max: int) -> None:
+    """Abort when the top ``FOCK_LEAK_LEVELS`` Fock levels of any density
+    of a (..., dim, dim) stack hold more than ``LEAK_THRESHOLD``."""
+    top = _blocks(rho, n_max)[..., -FOCK_LEAK_LEVELS:, :, -FOCK_LEAK_LEVELS:]
+    worst = np.max(np.einsum("...anan->...", top).real)
+    if worst > LEAK_THRESHOLD:
         raise TruncationLeak(
-            f"population {pop:.3e} in the top {levels} Fock levels exceeds "
-            f"{threshold:g}; increase n_max"
+            f"population {worst:.3e} in the top {FOCK_LEAK_LEVELS} Fock levels "
+            f"exceeds {LEAK_THRESHOLD:g}; increase n_max"
         )
+
+
+def jc_series(p: JCParams, rho0: np.ndarray, t_grid) -> dict[str, np.ndarray]:
+    """Evolve rho0 over t_grid and return the series columns t, P_e,
+    abs_rho_eg00, trace and purity, one entry per time.
+
+    Raises TruncationLeak before evolving if rho0 fills the top Fock
+    levels, and after it if any evolved state does.
+    """
+    check_fock_truncation(rho0, p.n_max)
+    states = evolve_jc(p, rho0, t_grid)
+    check_fock_truncation(states, p.n_max)
+    return {
+        "t": np.asarray(t_grid, dtype=float),
+        "P_e": excited_population(states, p.n_max),
+        "abs_rho_eg00": np.abs(_blocks(states, p.n_max)[:, ATOM_E, 0, ATOM_G, 0]),
+        "trace": np.trace(states, axis1=1, axis2=2).real,
+        "purity": np.einsum("tij,tji->t", states, states).real,
+    }
 
 
 def coherent_field_density(alpha: complex, n_max: int) -> np.ndarray:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from liouspace import evolution, liouvillian, superprop, validate
+from liouspace import jaynescummings as jc
 from liouspace.cli import (
     EXIT_GUARD,
     EXIT_OK,
@@ -87,13 +88,16 @@ class TestParseConfig:
             parse_config(path)
 
     def test_resolved_config_round_trips(self, tmp_path):
+        """A manifest's config object parses back to the parameters it ran."""
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"scenario": "evolve", "t": 0.25}))
+        path.write_text(json.dumps({"scenario": "jc", "t": 0.25, "steps": 5}))
         cfg = parse_config(path)
+        assert run(["jc", "--config", str(path), "--outdir", str(tmp_path)]) == EXIT_OK
+        manifest = json.loads((tmp_path / "jc" / "jc_manifest.json").read_text())
         emitted = tmp_path / "resolved.json"
-        emitted.write_text(json.dumps(cfg.resolved()))
+        emitted.write_text(json.dumps(manifest["config"]))
         again = parse_config(emitted)
-        assert again.resolved() == cfg.resolved()
+        assert (again.scenario, again.params) == (cfg.scenario, cfg.params)
 
 
 class TestPotentialSpec:
@@ -238,6 +242,13 @@ class TestScenarios:
         code = run(
             ["jc", "--init", "coherent:2.5", "--n-max", "3", "--outdir", str(tmp_path)]
         )
+        assert code == EXIT_GUARD
+
+    def test_jc_guard_abort_on_mid_run_leak(self, tmp_path):
+        """|e,2> at n_max 4 passes the check of rho0; the dipole then feeds
+        |g,3>, so the leak appears only in the evolved states."""
+        jc.check_fock_truncation(jc.initial_jc_state("e2", 4), 4)
+        code = run(["jc", "--init", "e2", "--n-max", "4", "--outdir", str(tmp_path)])
         assert code == EXIT_GUARD
 
     def test_superop_outputs(self, tmp_path):

@@ -3,7 +3,6 @@ import pytest
 
 from liouspace.entangle import (
     BipartiteBasis,
-    ComparisonRow,
     build_bipartite_liouvillian,
     compare_cl_qm_entanglement,
     entanglement_metrics,
@@ -163,26 +162,63 @@ class TestCompare:
         # ground (x) ground: a truncated coherent state would itself carry
         # top-level weight and trip the leak guard
         rho0 = separable_state(basis4)
-        rows = compare_cl_qm_entanglement(basis4, 0.0, rho0, np.linspace(0, 2, 5))
-        for row in rows:
-            assert row.purity_cl == pytest.approx(row.purity_qm, abs=1e-12)
-            assert row.purity_qm == pytest.approx(1.0, abs=1e-10)
+        cols = compare_cl_qm_entanglement(basis4, 0.0, rho0, np.linspace(0, 2, 5))
+        np.testing.assert_allclose(cols["purity_cl"], cols["purity_qm"], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(cols["purity_qm"], 1.0, rtol=0, atol=1e-10)
 
     def test_small_coupling_entangles_and_conserves(self, basis4):
         rho0 = separable_state(basis4)
-        rows = compare_cl_qm_entanglement(basis4, 0.0003, rho0, np.linspace(0, 2, 6))
-        assert isinstance(rows[0], ComparisonRow)
-        assert rows[-1].purity_qm < 1.0
-        for row in rows:
-            assert row.trace_drift_cl < 1e-8
-            assert row.trace_drift_qm < 1e-8
+        cols = compare_cl_qm_entanglement(basis4, 0.0003, rho0, np.linspace(0, 2, 6))
+        assert list(cols) == [
+            "t", "purity_cl", "purity_qm", "min_eig_cl", "min_eig_qm",
+            "trace_drift_cl", "trace_drift_qm",
+        ]
+        assert all(col.shape == (6,) for col in cols.values())
+        assert cols["purity_qm"][-1] < 1.0
+        assert np.all(cols["trace_drift_cl"] < 1e-8)
+        assert np.all(cols["trace_drift_qm"] < 1e-8)
         # QM evolution is unitary on the tensor space: stays positive
-        assert all(r.min_eig_qm > -1e-8 for r in rows)
+        assert np.all(cols["min_eig_qm"] > -1e-8)
+
+    def test_columns_equal_per_state_definitions(self, basis4):
+        rho0 = separable_state(basis4)
+        times = np.linspace(0.0, 2.0, 9)
+        cols = compare_cl_qm_entanglement(basis4, 0.0003, rho0, times)
+        np.testing.assert_array_equal(cols["t"], times)
+        for kind in SuperPotentialKind:
+            tag = kind.value
+            want = np.array([
+                (
+                    np.trace(reduced_density(rho, 1, 4) @ reduced_density(rho, 1, 4)).real,
+                    np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))[0],
+                    abs(np.trace(rho).real - 1.0),
+                )
+                for rho in evolve_bipartite(basis4, 0.0003, kind, rho0, times)
+            ])
+            got = np.column_stack(
+                [cols[f"purity_{tag}"], cols[f"min_eig_{tag}"], cols[f"trace_drift_{tag}"]]
+            )
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
+
+    def test_metrics_of_a_stack_equal_those_of_each_state(self, basis4):
+        rng = np.random.Generator(np.random.Philox(23))
+        stack = rng.normal(size=(3, 16, 16)) + 1j * rng.normal(size=(3, 16, 16))
+        pur, eig = entanglement_metrics(stack, 4)
+        assert pur.shape == (3,) and eig.shape == (3, 16)
+        for k, rho in enumerate(stack):
+            one_pur, one_eig = entanglement_metrics(rho, 4)
+            assert pur[k] == pytest.approx(one_pur, abs=1e-12)
+            np.testing.assert_allclose(eig[k], one_eig, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(
+            top_level_population(stack, 4),
+            [top_level_population(rho, 4) for rho in stack],
+            rtol=0, atol=1e-14,
+        )
 
     def test_truncation_leak_guard(self):
         basis = BipartiteBasis(n_levels=3)
         rho0 = separable_state(basis)
-        with pytest.raises(TruncationLeak):
+        with pytest.raises(TruncationLeak, match="run leaked"):
             compare_cl_qm_entanglement(basis, 0.2, rho0, np.linspace(0, 2, 5))
 
     def test_non_uniform_grid_rejected(self, basis4):

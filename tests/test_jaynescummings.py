@@ -22,6 +22,7 @@ from liouspace.jaynescummings import (
     jc_evolve_first_order,
     jc_element_table,
     jc_liouvillian,
+    jc_series,
 )
 from liouspace.evolution import ExactEvolver
 from liouspace.liouvillian import build_basis_liouvillian
@@ -85,6 +86,28 @@ class TestHamiltonian:
         p = JCParams(omega_e=1.2, omega=0.8, d_eg=0.3, n_max=5)
         h = build_jc_hamiltonian(p)
         assert np.max(np.abs(h - h.conj().T)) == 0.0
+
+
+class TestSeries:
+    def test_columns_equal_per_state_definitions(self):
+        """Complex eps, so the uniform-grid (expm_multiply) route."""
+        p = JCParams(omega_e=1.0, omega=1.0, d_eg=0.05, n_max=6, eps_egeg=0.01 - 0.02j)
+        rho0 = initial_jc_state("coherent:0.3", p.n_max)
+        times = np.linspace(0.0, 10.0, 21)
+        cols = jc_series(p, rho0, times)
+        assert list(cols) == ["t", "P_e", "abs_rho_eg00", "trace", "purity"]
+        f = p.fock_dim
+        want = np.array([
+            (
+                t,
+                np.trace(rho.reshape(2, f, 2, f)[ATOM_E, :, ATOM_E, :]).real,
+                abs(rho.reshape(2, f, 2, f)[ATOM_E, 0, ATOM_G, 0]),
+                np.trace(rho).real,
+                np.trace(rho @ rho).real,
+            )
+            for t, rho in zip(times, evolve_jc(p, rho0, times))
+        ])
+        np.testing.assert_allclose(np.column_stack(list(cols.values())), want, rtol=0, atol=1e-14)
 
 
 class TestExactEvolution:
@@ -284,6 +307,13 @@ class TestGuards:
 
     def test_truncation_ok_for_contained_state(self):
         check_fock_truncation(initial_jc_state("e0", 4), 4)
+
+    def test_truncation_checks_every_state_of_a_stack(self):
+        contained = initial_jc_state("e0", 4)
+        stack = np.stack([contained, contained, initial_jc_state("g4", 4)])
+        check_fock_truncation(stack[:-1], 4)
+        with pytest.raises(TruncationLeak, match="1.000e\\+00"):
+            check_fock_truncation(stack, 4)
 
     def test_initial_state_specs(self):
         rho = initial_jc_state("g1", 2)
