@@ -66,6 +66,8 @@ from .evolution import (
     EvolutionConfig,
     EvolveMethod,
     ExactEvolver,
+    basis_action,
+    evolve_basis,
     evolve_characteristics,
     evolve_exact,
     evolve_ordered,
@@ -90,13 +92,14 @@ from .jaynescummings import (
     MCResult,
     build_jc_hamiltonian,
     coulomb_superop_element,
-    evolve_jc,
     hydrogen_psi,
     jc_evolve_first_order,
+    jc_generator,
     jc_liouvillian,
 )
 from .entangle import (
     BipartiteBasis,
+    bipartite_generator,
     build_bipartite_liouvillian,
     compare_cl_qm_entanglement,
     entanglement_metrics,

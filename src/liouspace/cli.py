@@ -353,7 +353,7 @@ def run_jc(ctx: RunContext) -> None:
     rho0 = jc.initial_jc_state(str(p["init"]), params.n_max)
     t_grid = np.linspace(0.0, float(p["t"]), int(p["steps"]) + 1)
     columns = jc.jc_series(params, rho0, t_grid)
-    ctx.solver_path = "eigh" if params.hermitian else "expm_multiply"
+    ctx.solver_path = evolution.solver_path(jc.jc_generator(params)[1])
     ctx.generator_dim = params.dim**2
     _write_columns(ctx.path("jc_series.csv"), columns)
     ctx.margins["max_trace_drift"] = np.max(np.abs(columns["trace"] - 1.0))
@@ -370,8 +370,12 @@ def run_bipartite(ctx: RunContext) -> None:
         basis, complex(str(p["alpha1"])), complex(str(p["alpha2"]))
     )
     t_grid = np.linspace(0.0, float(p["t"]), int(p["steps"]) + 1)
-    columns = entangle.compare_cl_qm_entanglement(basis, float(p["lam"]), rho0, t_grid)
-    ctx.solver_path = {"cl": "expm_multiply", "qm": "eigh"}
+    lam = float(p["lam"])
+    columns = entangle.compare_cl_qm_entanglement(basis, lam, rho0, t_grid)
+    ctx.solver_path = {
+        kind.value: evolution.solver_path(entangle.bipartite_generator(basis, lam, kind)[1])
+        for kind in SuperPotentialKind
+    }
     ctx.generator_dim = basis.dim**2
     _write_columns(ctx.path("bipartite_series.csv"), columns)
     ctx.margins["max_trace_drift"] = max(

@@ -13,21 +13,24 @@ so inter-space cross terms act on one subsystem from the left and the
 other from the right simultaneously.  The CL - QM generator difference
 is then exactly the operator sum of the non-pure monomials.
 
-The dense generators built here serve audits and spectra; evolution goes
-through N x N pieces instead (N = n_levels^2).  The QM kind is the
-commutator with one N x N matrix, so one N x N eigendecomposition evolves
-it.  For the CL kind, every monomial acts through powers of the *truncated*
-position matrix X, and X = V diag(xi) V^T, so each power is diagonal in the
-eigenbasis of X: with R = V (x) V,
+The dense generators built here serve audits, spectra and oracles;
+evolution goes through N x N pieces instead (N = n_levels^2), in the form
+CL = QM + E.  Every monomial acts through powers of the *truncated* position
+matrix X, and X = V diag(xi) V^T, so each power is diagonal in the
+eigenbasis of X, the discrete-variable (DVR) basis of Light, Hamilton &
+Lill, J. Chem. Phys. 82 (1985).  With R = V (x) V,
 
     sum_m c_m (X1^i X2^k) rho (X1^j X2^l) = R (Phi o (R^T rho R)) R^T,
 
     Phi_(ab),(cd) = superpotential(Q1 = xi_a, q1 = xi_c, Q2 = xi_b, q2 = xi_d),
 
-which is exact in the truncated basis, not a quadrature (the
-discrete-variable idea of Light, Hamilton & Lill, J. Chem. Phys. 82,
-1985).  The free part is the commutator with the diagonal H0.  This action
-is propagated matrix-free by ``evolution.evolve_uniform_grid``.
+exact in the truncated basis, not a quadrature.  The pure-bra and pure-ket
+monomials of Phi are w_bra - w_ket, w_ab = (lam/2)(xi_a - xi_b)^4, which is
+the commutator with W = R diag(w) R^T, the QM kind's interaction.  So both
+kinds share h = H0 + W, and CL adds E = Phi - (w_bra - w_ket), the
+cross monomials, elementwise in the DVR basis (``bipartite_generator``).
+QM evolves by one N x N eigh, CL matrix-free through
+``evolution.evolve_basis``.
 
 No quantitative "inter-space entanglement" measure is defined here: the
 module reports the generator audit, standard intra-space metrics
@@ -37,12 +40,11 @@ module reports the generator audit, standard intra-space metrics
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .errors import TruncationLeak
-from .evolution import evolve_commutator, evolve_uniform_grid
+from .evolution import evolve_basis
 from .liouvillian import BasisLiouvillian, build_basis_liouvillian, check_dense_dim
 from .jaynescummings import LEAK_THRESHOLD, coherent_field_density, fock_annihilation
 from .potential import (
@@ -124,12 +126,10 @@ def pure_bra_polynomial(basis: BipartiteBasis, lam: float) -> np.ndarray:
 def build_bipartite_liouvillian(
     basis: BipartiteBasis, lam: float, kind
 ) -> BasisLiouvillian:
-    """Generator of i hbar d/dt rho for the chosen kind ("cl" or "qm")."""
-    from .potential import SuperPotentialKind
-
-    kind = SuperPotentialKind(kind) if not isinstance(kind, SuperPotentialKind) else kind
+    """Dense generator of i hbar d/dt rho for the chosen kind ("cl" or "qm"),
+    from the monomial operators; for audits, spectra and oracles."""
     h0 = basis.free_hamiltonian()
-    if kind is SuperPotentialKind.QM:
+    if SuperPotentialKind(kind) is SuperPotentialKind.QM:
         return build_basis_liouvillian(
             h0 + pure_bra_polynomial(basis, lam), hbar=basis.hbar
         )
@@ -137,47 +137,24 @@ def build_bipartite_liouvillian(
     return build_basis_liouvillian(h0, s_add=s_add, hbar=basis.hbar)
 
 
-def _cl_action(
-    basis: BipartiteBasis, lam: float
-) -> tuple[Callable[[np.ndarray], np.ndarray], float]:
-    """The structured CL action on N x N matrices, and its trace sum(Phi)."""
-    e = np.diag(basis.free_hamiltonian()).real
-    de = e[:, None] - e[None, :]
+def bipartite_generator(
+    basis: BipartiteBasis, lam: float, kind
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+    """(h, E, R) of the structured generator for ``evolution.evolve_basis``.
+
+    Both kinds share h = H0 + W (W the pure-bra polynomial).  QM has no E
+    (E and R are None); CL adds E = Phi - (w_bra - w_ket), elementwise in the
+    DVR basis R = V (x) V (see the module docstring).
+    """
+    h = basis.free_hamiltonian() + pure_bra_polynomial(basis, lam)
+    if SuperPotentialKind(kind) is SuperPotentialKind.QM:
+        return h, None, None
     xi, v = np.linalg.eigh(basis.position_operator())
-    r = np.kron(v, v)
     bra1 = np.repeat(xi, basis.n_levels)[:, None]  # xi_a of the joint index (a, b)
     bra2 = np.tile(xi, basis.n_levels)[:, None]  # xi_b
     phi = bipartite_super_potential(lam, bra1, bra1.T, bra2, bra2.T)
-    return (lambda rho: de * rho + r @ (phi * (r.T @ rho @ r)) @ r.T), float(np.sum(phi))
-
-
-def bipartite_action(
-    basis: BipartiteBasis, lam: float, kind
-) -> Callable[[np.ndarray], np.ndarray]:
-    """rho -> L rho from N x N pieces; equals the dense generator's action.
-
-    CL: Delta E o rho + R (Phi o (R^T rho R)) R^T.  QM: the commutator
-    with H0 + W.
-    """
-    if SuperPotentialKind(kind) is SuperPotentialKind.CL:
-        return _cl_action(basis, lam)[0]
-    return build_bipartite_liouvillian(basis, lam, kind).apply
-
-
-def evolve_bipartite(
-    basis: BipartiteBasis, lam: float, kind, rho0: np.ndarray, t_grid
-) -> np.ndarray:
-    """rho(t) for every t of the grid, shape (len(t_grid), N, N).
-
-    QM: ``evolution.evolve_commutator`` with H0 + W.  CL: the structured
-    action under ``evolve_uniform_grid``, so ``t_grid`` must be evenly
-    spaced (ValueError otherwise).
-    """
-    if SuperPotentialKind(kind) is SuperPotentialKind.QM:
-        h = build_bipartite_liouvillian(basis, lam, kind).h
-        return evolve_commutator(h, rho0, t_grid, basis.hbar)
-    act, trace = _cl_action(basis, lam)
-    return evolve_uniform_grid(act, act, trace, rho0, t_grid, hbar=basis.hbar)
+    w = 0.5 * lam * (bra1 - bra2) ** 4  # W in the DVR basis
+    return h, phi - (w - w.T), np.kron(v, v)
 
 
 def _blocks(rho: np.ndarray, n_levels: int) -> np.ndarray:
@@ -241,7 +218,8 @@ def compare_cl_qm_entanglement(
     columns = {"t": t}
     for kind in (SuperPotentialKind.CL, SuperPotentialKind.QM):
         tag = kind.value
-        states = evolve_bipartite(basis, lam, kind, rho0, t_grid)
+        h, e, r = bipartite_generator(basis, lam, kind)
+        states = evolve_basis(h, rho0, t_grid, basis.hbar, e, r)
         leak = np.abs(top_level_population(states, basis.n_levels))
         worst = int(np.argmax(leak))
         if leak[worst] > LEAK_THRESHOLD:

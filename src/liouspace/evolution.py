@@ -1,8 +1,9 @@
 """Time evolution of density matrices.
 
 Covers the exact exponential exp(-i L t / hbar) for dense superoperators,
-commutator evolution from one N x N eigh, the matrix-free action of any
-generator over a uniform time grid, a classical RK4 integrator for
+the one evolve route of the structured N x N generators
+L rho = H rho - rho H + U (E o (U^T rho U)) U^T (one eigh without E,
+matrix-free over a uniform time grid with it), a classical RK4 integrator for
 time-dependent generators (an oracle for the exact routes), split-step
 Trotter evolution on (Q, q) grids, and the classical
 method-of-characteristics ensemble, which serves as the independent
@@ -25,6 +26,9 @@ from .potential import PolynomialPotential, SuperPotentialKind
 from .superspace import SuperDensity, SuperGrid, is_hermitian
 
 BOUNDARY_MASS_TOL = 1e-10
+# Largest per-sample energy drift rate of the leapfrog ensemble, per unit
+# time and relative to the energy scale.
+ENERGY_DRIFT_TOL = 1e-6
 
 
 class EvolveMethod(enum.Enum):
@@ -76,74 +80,100 @@ class ExactEvolver:
         return (prop @ vec).reshape(rho0.shape)
 
 
-def evolve_commutator(h: np.ndarray, rho0: np.ndarray, t_grid, hbar: float) -> np.ndarray:
-    """rho(t) = e^{-i h t / hbar} rho0 e^{+i h t / hbar} at every t of t_grid,
-    shape (len(t_grid), N, N), for Hermitian N x N h: with one eigh
-    h = u diag(w) u', rho(t) = u (e^{-i w t / hbar} o (u' rho0 u) o e^{+i w t / hbar}) u'.
+def solver_path(e) -> str:
+    """The route ``evolve_basis`` takes for the E mask ``e``: "eigh" when
+    there is none, else the matrix-free "expm_multiply"."""
+    return "eigh" if e is None else "expm_multiply"
+
+
+def basis_action(h: np.ndarray, e=None, basis=None) -> Callable[[np.ndarray], np.ndarray]:
+    """rho -> H rho - rho H + U (E o (U^T rho U)) U^T on N x N matrices.
+
+    This is the structured generator (energy units) of ``evolve_basis``:
+    ``e`` is the N x N mask of E, or None when there is no E, and ``basis``
+    the real orthogonal U in which E acts elementwise, or None for the
+    identity.
     """
-    w, u = np.linalg.eigh(h)
-    phases = np.exp(-1j * np.outer(np.asarray(t_grid, dtype=float), w) / hbar)
-    # two (len(t_grid), N, N) buffers at a time: long grids stay lean
-    states = phases[:, :, None] * (u.conj().T @ np.asarray(rho0, dtype=complex) @ u)
-    states *= phases.conj()[:, None, :]
-    return np.matmul(u @ states, u.conj().T, out=states)
+
+    def act(rho: np.ndarray) -> np.ndarray:
+        out = h @ rho - rho @ h
+        if e is None:
+            return out
+        if basis is None:
+            return out + e * rho
+        return out + basis @ (e * (basis.T @ rho @ basis)) @ basis.T
+
+    return act
 
 
-def evolve_uniform_grid(
-    apply: Callable[[np.ndarray], np.ndarray],
-    adjoint: Callable[[np.ndarray], np.ndarray],
-    trace: complex,
-    vec0: np.ndarray,
-    t_grid,
-    hbar: float = 1.0,
+def evolve_basis(
+    h: np.ndarray, rho0: np.ndarray, t_grid, hbar: float, e=None, basis=None
 ) -> np.ndarray:
-    """exp(-i L t / hbar) vec0 at every t of a uniform grid, without forming L.
+    """rho(t) under i hbar d/dt rho = ``basis_action(h, e, basis)`` rho at
+    every t of t_grid, shape (len(t_grid), N, N), for Hermitian N x N h.
 
-    ``apply(x)`` is L x, ``adjoint(x)`` is L^H x for x shaped as vec0, and
-    ``trace`` is tr L.  The truncated Taylor scheme of Al-Mohy & Higham
-    (SIAM J. Sci. Comput. 33, 2011), as scipy's ``expm_multiply``, steps the
-    whole grid at double-precision tolerance.  Its 1-norm estimates call
-    ``adjoint`` and draw from numpy's global random stream, so they run
-    under a fixed seed, and the caller's stream is restored.  Returns shape
-    (len(t_grid), *vec0.shape).  Raises ValueError unless ``t_grid`` is
-    non-empty and evenly spaced.
+    Without E, one eigh h = u diag(w) u' gives
+    rho(t) = u (e^{-i w t / hbar} o (u' rho0 u) o e^{+i w t / hbar}) u'
+    on any grid.  With E, sigma = U^T rho U follows
+    h' sigma - sigma h' + E o sigma (h' = U^T h U), stepped over the grid
+    without forming L by the truncated Taylor scheme of Al-Mohy & Higham
+    (SIAM J. Sci. Comput. 33, 2011), as scipy's ``expm_multiply``, at
+    double-precision tolerance; the grid must then be non-empty and evenly
+    spaced (ValueError otherwise).  The scheme's 1-norm estimates draw from
+    numpy's global random stream, so they run under a fixed seed, and the
+    caller's stream is restored.  ``solver_path(e)`` names the route.
     """
     t_grid = np.asarray(t_grid, dtype=float).reshape(-1)
+    rho0 = np.asarray(rho0, dtype=complex)
+    if solver_path(e) == "eigh":
+        w, u = np.linalg.eigh(h)
+        phases = np.exp(-1j * np.outer(t_grid, w) / hbar)
+        # two (len(t_grid), N, N) buffers at a time: long grids stay lean
+        states = phases[:, :, None] * (u.conj().T @ rho0 @ u)
+        states *= phases.conj()[:, None, :]
+        return np.matmul(u @ states, u.conj().T, out=states)
     if t_grid.size == 0:
         raise ValueError("t_grid must not be empty")
     even = np.linspace(t_grid[0], t_grid[-1], t_grid.size)
     if np.max(np.abs(t_grid - even)) > 1e-12 * max(1.0, float(np.max(np.abs(t_grid)))):
         raise ValueError("t_grid must be evenly spaced")
-    vec0 = np.asarray(vec0, dtype=complex)
-    shape, n = vec0.shape, vec0.size
+    if basis is not None:
+        h, rho0 = basis.T @ h @ basis, basis.T @ rho0 @ basis
+    # h' is Hermitian, so L^H is the same action with conj(E); the
+    # commutator is traceless, so tr L = sum(E)
+    act, adj = basis_action(h, e), basis_action(h, np.conj(e))
+    shape, n = rho0.shape, rho0.size
 
     def from_zero(vec: np.ndarray, stop: float, num: int) -> np.ndarray:
         # The scheme only steps forward from 0: a later start reuses the
         # step count of the interval and loses all accuracy, so shift
         # first; a negative stop runs -L forward.
-        sign = -1.0 if stop < 0 else 1.0
+        scale = (-1j if stop >= 0 else 1j) / hbar
         gen = scipy.sparse.linalg.LinearOperator(
             (n, n),
-            matvec=lambda v: (-1j * sign / hbar) * apply(v.reshape(shape)).reshape(v.shape),
-            rmatvec=lambda v: (1j * sign / hbar) * adjoint(v.reshape(shape)).reshape(v.shape),
+            matvec=lambda v: scale * act(v.reshape(shape)).reshape(v.shape),
+            rmatvec=lambda v: np.conj(scale) * adj(v.reshape(shape)).reshape(v.shape),
             dtype=complex,
         )
         return scipy.sparse.linalg.expm_multiply(
             gen, vec, start=0.0, stop=abs(stop), num=num, endpoint=True,
-            traceA=(-1j * sign / hbar) * trace,
+            traceA=scale * np.sum(e),
         )
 
     caller_state = np.random.get_state()
     try:
         np.random.seed(0)
-        vec0 = vec0.reshape(-1)
+        vec0 = rho0.reshape(-1)
         if t_grid[0] != 0.0:
             vec0 = from_zero(vec0, t_grid[0], 2)[-1]
         # expm_multiply needs two samples; a single time is the end of [t, t]
         out = from_zero(vec0, t_grid[-1] - t_grid[0], max(t_grid.size, 2))
     finally:
         np.random.set_state(caller_state)
-    return out[-t_grid.size:].reshape(-1, *shape)
+    states = out[-t_grid.size:].reshape(-1, *shape)
+    if basis is not None:
+        states = np.matmul(basis @ states, basis.T, out=states)
+    return states
 
 
 def evolve_ordered(
@@ -297,12 +327,11 @@ def evolve_characteristics(
     t: float,
     dt: float | None = None,
     mass: float = 1.0,
-    drift_tol: float = 1e-6,
 ) -> CharacteristicsEnsemble:
     """Leapfrog (velocity Verlet) transport of every sample for time t.
 
     Raises EnergyDriftExceeded when the worst per-sample energy drift
-    rate exceeds drift_tol per unit time (relative to the energy scale).
+    rate exceeds ``ENERGY_DRIFT_TOL``.
     """
     if t == 0.0:
         return ensemble
@@ -313,18 +342,19 @@ def evolve_characteristics(
     x = ensemble.x.copy()
     p = ensemble.p.copy()
     e0 = p**2 / (2 * mass) + v.value(x)
-    force = -v.derivative_value(x)
+    dv = v.derivative()
+    force = -dv.value(x)
     for _ in range(n_steps):
         p_half = p + 0.5 * dt * force
         x = x + dt * p_half / mass
-        force = -v.derivative_value(x)
+        force = -dv.value(x)
         p = p_half + 0.5 * dt * force
     e1 = p**2 / (2 * mass) + v.value(x)
     scale = max(1.0, float(np.max(np.abs(e0))))
     drift_rate = float(np.max(np.abs(e1 - e0))) / (scale * abs(t))
-    if drift_rate > drift_tol:
+    if drift_rate > ENERGY_DRIFT_TOL:
         raise EnergyDriftExceeded(
-            f"energy drift {drift_rate:.3e} per unit time exceeds {drift_tol:g}; "
+            f"energy drift {drift_rate:.3e} per unit time exceeds {ENERGY_DRIFT_TOL:g}; "
             "reduce dt"
         )
     return CharacteristicsEnsemble(x=x, p=p)

@@ -12,6 +12,13 @@ gives the trace sum rule sum_a E_{aa,cd} = 0, which the two-level
 truncation breaks with E_{ee,gg} alone, so that element would not keep the
 trace.
 
+With eps = E_{eg,eg}, E-hat multiplies the eg block of rho by eps and the
+ge block by -conj(eps) and leaves the populations, so the trace, alone.
+Its Hermitian part is the commutator with Re(eps) P_e (x) 1, a shift of
+omega_e; the rest, i Im(eps) on both coherence blocks, is anti-Hermitian:
+Im(eps) < 0 damps the eg coherence as exp(Im(eps) t / hbar), Im(eps) > 0
+amplifies it.  ``jc_generator`` writes the model as CL = QM + E in that split.
+
 Matrix elements E_{ab,cd} over hydrogen-like orbitals are estimated by
 importance-sampled Monte Carlo over the six-dimensional (Q, q) domain;
 a mixture proposal oversamples the |Q + q| -> 0 shell where the Coulomb
@@ -26,7 +33,7 @@ import numpy as np
 
 from .errors import NotConverged, NotFactorized, TruncationLeak
 from .liouvillian import BasisLiouvillian, build_basis_liouvillian, check_dense_dim
-from .evolution import evolve_commutator, evolve_uniform_grid
+from .evolution import evolve_basis
 from .potential import COULOMB_EPS_REG, coulomb_e_of_radii
 
 ATOM_G, ATOM_E = 0, 1
@@ -59,11 +66,6 @@ class JCParams:
     def dim(self) -> int:
         return 2 * self.fock_dim
 
-    @property
-    def hermitian(self) -> bool:
-        """Real eps_egeg: see ``jc_element_table``."""
-        return self.eps_egeg.imag == 0.0
-
 
 def fock_annihilation(n_max: int) -> np.ndarray:
     """Real ladder operator a on Fock levels 0..n_max."""
@@ -88,67 +90,37 @@ def build_jc_hamiltonian(p: JCParams) -> np.ndarray:
     return h
 
 
-def jc_element_table(p: JCParams) -> np.ndarray:
-    """E_{ab,cd} on the atom indices, as an array indexed [a, b, c, d].
-
-    (E rho)_{ab|nn'} = sum_{cd} E_{ab,cd} rho_{cd|nn'}; the Fock factor is
-    the identity.  The enforced relation E_{ge,ge} = -conj(E_{eg,eg}) only
-    keeps rho Hermitian.  The Hermitian part of E-hat is
-    Re(eps_egeg) [P_e (x) 1, .], a shift of omega_e; the rest,
-    i Im(eps_egeg) on both coherence blocks, is anti-Hermitian.  So the
-    generator is Hermitian only for real eps_egeg (``JCParams.hermitian``).
-    No element acts on the populations, so the trace is kept.  Im eps_egeg < 0
-    damps the eg coherence as exp(Im eps_egeg t / hbar), and
-    Im eps_egeg > 0 amplifies it.
-    """
-    table = np.zeros((2, 2, 2, 2), dtype=complex)
-    table[ATOM_E, ATOM_G, ATOM_E, ATOM_G] = p.eps_egeg
-    table[ATOM_G, ATOM_E, ATOM_G, ATOM_E] = -np.conj(p.eps_egeg)
-    return table
-
-
-def jc_superoperator_matrix(p: JCParams) -> np.ndarray | None:
-    """Vectorized (row-major) matrix of E-hat (see ``jc_element_table``),
-    or None when every element vanishes; for audits and spectra."""
-    table = jc_element_table(p)
-    if not table.any():
-        return None
-    check_dense_dim(p.dim**2)
-    eye_f = np.eye(p.fock_dim)
-    s = np.einsum("abcd,nm,kl->anbkcmdl", table, eye_f, eye_f)
-    return s.reshape(p.dim**2, p.dim**2)
+def _coherence_mask(p: JCParams, eg: complex, ge: complex) -> np.ndarray:
+    """dim x dim mask: ``eg`` on the eg block, ``ge`` on the ge block, 0 on
+    the atom-diagonal blocks."""
+    f = p.fock_dim
+    mask = np.zeros((2, f, 2, f), dtype=complex)
+    mask[ATOM_E, :, ATOM_G, :] = eg
+    mask[ATOM_G, :, ATOM_E, :] = ge
+    return mask.reshape(p.dim, p.dim)
 
 
 def jc_liouvillian(p: JCParams) -> BasisLiouvillian:
-    return build_basis_liouvillian(
-        build_jc_hamiltonian(p), s_add=jc_superoperator_matrix(p), hbar=p.hbar
-    )
+    """Dense generator for audits and spectra, E-hat kept whole: the
+    elementwise mask eps_egeg on the eg block and -conj(eps_egeg) on the ge
+    block, as s_add = diag(mask) on the row-major vec (None for eps_egeg = 0)."""
+    s_add = None
+    if p.eps_egeg != 0:
+        check_dense_dim(p.dim**2)
+        s_add = np.diag(_coherence_mask(p, p.eps_egeg, -np.conj(p.eps_egeg)).ravel())
+    return build_basis_liouvillian(build_jc_hamiltonian(p), s_add=s_add, hbar=p.hbar)
 
 
-def evolve_jc(p: JCParams, rho0: np.ndarray, t_grid) -> np.ndarray:
-    """rho(t) under i hbar d/dt rho = [H_JC, rho] + E-hat rho at every t of
-    t_grid, shape (len(t_grid), dim, dim), from dim x dim pieces only.
-
-    For ``p.hermitian`` E-hat is Re(eps_egeg) [P_e (x) 1, .]: the commutator
-    with H_JC at omega_e + Re(eps_egeg), by ``evolve_commutator``.  Otherwise
-    ``evolve_uniform_grid`` steps the action, E-hat acting on the atom
-    indices only, and t_grid must be evenly spaced (ValueError otherwise).
-    """
-    h = build_jc_hamiltonian(p)
-    f = p.fock_dim
-    if p.hermitian:
-        shift = p.eps_egeg.real * np.kron(np.diag([0.0, 1.0]), np.eye(f))
-        return evolve_commutator(h + shift, rho0, t_grid, p.hbar)
-    table = jc_element_table(p)
-
-    def action(elements: np.ndarray):
-        return lambda rho: h @ rho - rho @ h + np.einsum(
-            "abcd,cndm->anbm", elements, rho.reshape(2, f, 2, f)
-        ).reshape(rho.shape)
-
-    adjoint = table.conj().transpose(2, 3, 0, 1)
-    trace = f**2 * np.einsum("abab->", table)  # the commutator is traceless
-    return evolve_uniform_grid(action(table), action(adjoint), trace, rho0, t_grid, p.hbar)
+def jc_generator(p: JCParams) -> tuple[np.ndarray, np.ndarray | None]:
+    """(h, E) for ``evolution.evolve_basis``: h = H_JC + Re(eps_egeg) P_e (x) 1
+    and E = i Im(eps_egeg) on both coherence blocks, elementwise in the
+    product basis, or None for real eps_egeg (the eigh route)."""
+    shift = p.eps_egeg.real * np.kron(np.diag([0.0, 1.0]), np.eye(p.fock_dim))
+    h = build_jc_hamiltonian(p) + shift
+    if p.eps_egeg.imag == 0:
+        return h, None
+    e = 1j * p.eps_egeg.imag
+    return h, _coherence_mask(p, e, e)
 
 
 def atom_field_factors(rho: np.ndarray, n_max: int) -> tuple[np.ndarray, np.ndarray]:
@@ -252,7 +224,8 @@ def jc_series(p: JCParams, rho0: np.ndarray, t_grid) -> dict[str, np.ndarray]:
     levels, and after it if any evolved state does.
     """
     check_fock_truncation(rho0, p.n_max)
-    states = evolve_jc(p, rho0, t_grid)
+    h, e = jc_generator(p)
+    states = evolve_basis(h, rho0, t_grid, p.hbar, e)
     check_fock_truncation(states, p.n_max)
     return {
         "t": np.asarray(t_grid, dtype=float),
@@ -422,7 +395,6 @@ def coulomb_superop_element(
     b: HydrogenState,
     c: HydrogenState,
     d: HydrogenState,
-    e2: float = 1.0,
     mc_samples: int = 10**5,
     seed: int = 0,
     tol: float | None = None,
@@ -430,7 +402,9 @@ def coulomb_superop_element(
     """Monte Carlo estimate of E_{ab,cd} over hydrogen orbitals.
 
     E_{ab,cd} = int d3Q d3q psi_a*(Q) psi_b(q) E(Q, q) psi_c(Q) psi_d*(q),
-    E(Q, q) = 4 e2 (Q^2 - q^2)/|Q + q|^3 + e2/|Q| - e2/|q|.
+    E(Q, q) = 4 (Q^2 - q^2)/|Q + q|^3 + 1/|Q| - 1/|q|,
+
+    with e2 = 1, the charge that matches the a0 = 1 orbitals.
 
     The proposal is a stratified mixture: orbital-matched radial
     exponentials in Q and q, plus a relative-coordinate component whose
@@ -473,7 +447,7 @@ def coulomb_superop_element(
         ok = (r_q > eps) & (r_k > eps) & (r_sum > eps)
         n_excluded += int(np.sum(~ok))
         e_val = coulomb_e_of_radii(
-            e2, np.maximum(r_q, eps), np.maximum(r_k, eps), np.maximum(r_sum, eps)
+            1.0, np.maximum(r_q, eps), np.maximum(r_k, eps), np.maximum(r_sum, eps)
         )
         f = (
             np.conj(hydrogen_psi(a, q_pts))

@@ -219,18 +219,14 @@ def phase_to_super(pd: PhaseDensity, sgrid: SuperGrid, hbar: float = 1.0) -> Sup
     return SuperDensity(sgrid, np.where(even, vals_even, vals_odd))
 
 
-def super_to_phase(
-    sd: SuperDensity,
-    hbar: float = 1.0,
-    herm_tol: float = HERMITICITY_TOL,
-) -> PhaseDensity:
+def super_to_phase(sd: SuperDensity, hbar: float = 1.0) -> PhaseDensity:
     """Inverse of phase_to_super (reads the exactly-rotated entries back).
 
-    Raises HermiticityViolation if the input is not Hermitian to herm_tol
-    (relative to its largest magnitude); the output's imaginary residue is
-    checked and discarded.
+    Raises HermiticityViolation if the input is not Hermitian to
+    ``HERMITICITY_TOL`` (relative to its largest magnitude); the output's
+    imaginary residue is checked and discarded.
     """
-    if not is_hermitian(sd.values, herm_tol):
+    if not is_hermitian(sd.values, HERMITICITY_TOL):
         raise HermiticityViolation(
             f"hermiticity defect {sd.hermiticity_defect():.3e} exceeds tolerance"
         )

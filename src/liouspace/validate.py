@@ -201,13 +201,15 @@ def _conservation_suite() -> tuple[bool, str]:
     times = np.linspace(0.0, 10.0, 11)
     # Jaynes-Cummings with dipole and superoperator
     p = jc.JCParams(omega_e=1.0, omega=0.9, d_eg=0.08, n_max=4, eps_egeg=0.05 * (1 + 1j))
-    track(jc.evolve_jc(p, jc.initial_jc_state("e1", p.n_max), times))
+    h, e = jc.jc_generator(p)
+    track(evolution.evolve_basis(h, jc.initial_jc_state("e1", p.n_max), times, p.hbar, e))
 
     # bipartite CL and QM
     basis = entangle.BipartiteBasis(n_levels=4)
     rho0 = entangle.separable_state(basis)
     for kind in SuperPotentialKind:
-        track(entangle.evolve_bipartite(basis, 0.0002, kind, rho0, times))
+        h, e, r = entangle.bipartite_generator(basis, 0.0002, kind)
+        track(evolution.evolve_basis(h, rho0, times, basis.hbar, e, r))
 
     return worst_tr < 1e-8 and worst_h < 1e-8, (
         f"trace drift {worst_tr:.1e}, hermiticity drift {worst_h:.1e}"
@@ -252,9 +254,11 @@ def _jc_first_order_consistency() -> tuple[bool, str]:
     )
     times = (0.4, 0.2, 0.1)
     small = max(abs(p.d_eg) * times[0], abs(p.eps_egeg) * times[0]) <= 1e-2
+    h, e = jc.jc_generator(p)
+    exact = [evolution.evolve_basis(h, rho0, [t], p.hbar, e)[0] for t in times]
     devs = [
-        float(np.max(np.abs(jc.jc_evolve_first_order(p, rho0, t) - jc.evolve_jc(p, rho0, [t])[0])))
-        for t in times
+        float(np.max(np.abs(jc.jc_evolve_first_order(p, rho0, t) - rho)))
+        for t, rho in zip(times, exact)
     ]
     ratios = [devs[0] / devs[1], devs[1] / devs[2]]
     ok = small and all(3.2 <= r <= 4.8 for r in ratios)
@@ -292,14 +296,14 @@ def _bipartite_generator_audit() -> tuple[bool, str]:
     structured = 0.0
     for kind, dense in ((SuperPotentialKind.CL, d_cl), (SuperPotentialKind.QM, d_qm)):
         want = dense @ rho.reshape(-1)
-        got = entangle.bipartite_action(basis, lam, kind)(rho).reshape(-1)
+        gen = entangle.bipartite_generator(basis, lam, kind)
+        got = evolution.basis_action(*gen)(rho).reshape(-1)
         structured = max(structured, float(np.max(np.abs(got - want)) / np.max(np.abs(want))))
 
     # reduced-purity decrease 1 - O((lam t)^2) with quadratic leading order
     times = np.array([0.025, 0.05, 0.1])
-    states = entangle.evolve_bipartite(
-        basis, 0.001, SuperPotentialKind.QM, entangle.separable_state(basis), times
-    )
+    h, _, _ = entangle.bipartite_generator(basis, 0.001, SuperPotentialKind.QM)
+    states = evolution.evolve_basis(h, entangle.separable_state(basis), times, basis.hbar)
     drops = 1.0 - entangle.entanglement_metrics(states, 4)[0]
     slope = float(np.polyfit(np.log(times), np.log(drops), 1)[0])
     ok = (

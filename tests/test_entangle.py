@@ -5,8 +5,8 @@ from liouspace.entangle import (
     BipartiteBasis,
     build_bipartite_liouvillian,
     compare_cl_qm_entanglement,
+    bipartite_generator,
     entanglement_metrics,
-    evolve_bipartite,
     interaction_terms,
     pure_bra_polynomial,
     reduced_density,
@@ -15,7 +15,7 @@ from liouspace.entangle import (
 )
 from liouspace import liouvillian
 from liouspace.errors import DimensionTooLarge, TruncationLeak
-from liouspace.evolution import ExactEvolver
+from liouspace.evolution import ExactEvolver, basis_action, evolve_basis
 from liouspace.jaynescummings import coherent_field_density
 from liouspace.potential import MonomialClass, SuperPotentialKind
 
@@ -23,6 +23,12 @@ CROSS_CLASSES = {
     MonomialClass.INTRA_SUBSYSTEM_MIXED,
     MonomialClass.INTER_SPACE_CROSS,
 }
+
+
+def evolve_kind(basis, lam, kind, rho0, times):
+    """The states over times through the one structured route."""
+    h, e, r = bipartite_generator(basis, lam, kind)
+    return evolve_basis(h, rho0, times, basis.hbar, e, r)
 
 
 @pytest.fixture
@@ -61,6 +67,21 @@ class TestGenerators:
         d_qm = build_bipartite_liouvillian(basis4, lam, SuperPotentialKind.QM).dense()
         cross = interaction_terms(basis4, lam, classes=CROSS_CLASSES)
         np.testing.assert_allclose(d_cl - d_qm, cross, atol=1e-10)
+
+    def test_cl_is_qm_plus_e(self, basis4):
+        """CL = QM + E: both kinds share h exactly, and the E term alone is
+        the cross-monomial superoperator."""
+        lam = 0.3
+        h_cl, e, r = bipartite_generator(basis4, lam, SuperPotentialKind.CL)
+        h_qm, e_qm, r_qm = bipartite_generator(basis4, lam, SuperPotentialKind.QM)
+        np.testing.assert_array_equal(h_cl, h_qm)
+        assert e_qm is None and r_qm is None
+        np.testing.assert_allclose(r.T @ r, np.eye(basis4.dim), rtol=0, atol=1e-13)
+        rng = np.random.Generator(np.random.Philox(73))
+        rho = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
+        got = basis_action(np.zeros((16, 16)), e, r)(rho).reshape(-1)
+        want = interaction_terms(basis4, lam, classes=CROSS_CLASSES) @ rho.reshape(-1)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_pure_terms_reproduce_commutator_part(self, basis4):
         lam = 0.4
@@ -193,7 +214,7 @@ class TestCompare:
                     np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))[0],
                     abs(np.trace(rho).real - 1.0),
                 )
-                for rho in evolve_bipartite(basis4, 0.0003, kind, rho0, times)
+                for rho in evolve_kind(basis4, 0.0003, kind, rho0, times)
             ])
             got = np.column_stack(
                 [cols[f"purity_{tag}"], cols[f"min_eig_{tag}"], cols[f"trace_drift_{tag}"]]
@@ -241,7 +262,7 @@ class TestStructuredEvolution:
         rho0 = separable_state(basis, 0.2, -0.1)
         ev = ExactEvolver(build_bipartite_liouvillian(basis, lam, kind))
         times = np.linspace(0.0, 3.0, 13)
-        states = evolve_bipartite(basis, lam, kind, rho0, times)
+        states = evolve_kind(basis, lam, kind, rho0, times)
         assert states.shape == (13, basis.dim, basis.dim)
         for t, rho in zip(times, states):
             np.testing.assert_allclose(rho, ev.propagate(rho0, float(t)), rtol=0, atol=1e-12)

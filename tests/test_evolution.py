@@ -10,14 +10,15 @@ from liouspace.evolution import (
     EvolutionConfig,
     EvolveMethod,
     ExactEvolver,
+    basis_action,
     boundary_mass,
+    evolve_basis,
     evolve_characteristics,
-    evolve_commutator,
     evolve_exact,
     evolve_ordered,
     evolve_trotter,
-    evolve_uniform_grid,
     gaussian_ensemble,
+    solver_path,
 )
 from liouspace.liouvillian import build_basis_liouvillian, build_grid_liouvillian
 from liouspace.potential import PolynomialPotential, SuperPotentialKind
@@ -85,20 +86,31 @@ class TestEvolveExact:
         )
 
 
-def random_generator(rng, n, hermitian):
-    """A Hermitian generator, or one with a non-normal non-Hermitian part."""
-    gen = random_hermitian(rng, n)
-    if not hermitian:
-        gen = gen + 0.05 * (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+def random_structured(rng, n, e_kind):
+    """A random (h, E, U): Hermitian h, an E mask that is absent, real (a
+    Hermitian generator) or complex (a non-normal one), orthogonal U."""
+    h = random_hermitian(rng, n)
+    e = None
+    if e_kind != "none":
+        e = rng.normal(size=(n, n))
+    if e_kind == "complex":
+        e = e + 0.05j * rng.normal(size=(n, n))
+    u, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    return h, e, u
+
+
+def kron_generator(h, e, u):
+    """The generator on the row-major vec: vec(A X B) = kron(A, B^T) vec(X)."""
+    eye = np.eye(h.shape[0])
+    gen = np.kron(h, eye) - np.kron(eye, h.T)
+    if e is not None:
+        uu = np.kron(u, u)
+        gen = gen + uu @ np.diag(e.ravel()) @ uu.T
     return gen
 
 
-def uniform_grid_args(gen, vec0, t_grid):
-    return (lambda v: gen @ v, lambda v: gen.conj().T @ v, np.trace(gen), vec0, t_grid)
-
-
-class TestEvolveUniformGrid:
-    @pytest.mark.parametrize("hermitian", [True, False], ids=["hermitian", "non-hermitian"])
+class TestEvolveBasis:
+    @pytest.mark.parametrize("e_kind", ["none", "real", "complex"])
     @pytest.mark.parametrize(
         "t_grid",
         [
@@ -111,30 +123,44 @@ class TestEvolveUniformGrid:
         ],
         ids=["forward", "late-start", "backward", "offset-backward", "one-time", "zero"],
     )
-    def test_matches_dense_exponential(self, t_grid, hermitian):
+    def test_matches_dense_exponential(self, t_grid, e_kind):
         rng = np.random.Generator(np.random.Philox(31))
-        gen = random_generator(rng, 9, hermitian)
-        vec0 = rng.normal(size=9) + 1j * rng.normal(size=9)
+        h, e, u = random_structured(rng, 3, e_kind)
+        gen = kron_generator(h, e, u)
+        rho0 = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
         hbar = 0.7
-        out = evolve_uniform_grid(*uniform_grid_args(gen, vec0, t_grid), hbar)
-        assert out.shape == (len(t_grid), 9)
-        for t, vec in zip(t_grid, out):
-            want = scipy.linalg.expm(-1j * gen * t / hbar) @ vec0
+        out = evolve_basis(h, rho0, t_grid, hbar, e, u)
+        assert out.shape == (len(t_grid), 3, 3)
+        for t, rho in zip(t_grid, out):
+            want = scipy.linalg.expm(-1j * gen * t / hbar) @ rho0.reshape(-1)
             # rounding of either route grows with the phase ||L|| t / hbar,
             # and with the norm for a non-unitary evolution
             tol = 1e-13 * max(1.0, np.linalg.norm(gen, 2) * abs(t) / hbar)
-            tol *= np.linalg.norm(want) / np.linalg.norm(vec0)
-            np.testing.assert_allclose(vec, want, rtol=0, atol=tol)
+            tol *= np.linalg.norm(want) / np.linalg.norm(rho0)
+            np.testing.assert_allclose(rho.reshape(-1), want, rtol=0, atol=tol)
+
+    @pytest.mark.parametrize("e_kind", ["none", "complex"])
+    @pytest.mark.parametrize("identity", [False, True], ids=["basis", "identity"])
+    def test_action_equals_kron_generator(self, e_kind, identity):
+        rng = np.random.Generator(np.random.Philox(32))
+        h, e, u = random_structured(rng, 3, e_kind)
+        if identity:
+            u = np.eye(3)
+        rho = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        got = basis_action(h, e, None if identity else u)(rho)
+        want = kron_generator(h, e, u) @ rho.reshape(-1)
+        np.testing.assert_allclose(got.reshape(-1), want, rtol=0, atol=1e-13)
+        assert solver_path(e) == ("eigh" if e is None else "expm_multiply")
 
     def test_global_random_state_untouched_and_irrelevant(self):
         rng = np.random.Generator(np.random.Philox(33))
-        gen = random_generator(rng, 40, False)
-        vec0 = rng.normal(size=40) + 1j * rng.normal(size=40)
+        h, e, u = random_structured(rng, 7, "complex")
+        rho0 = rng.normal(size=(7, 7)) + 1j * rng.normal(size=(7, 7))
         outs = []
         for seed in (1, 2):
             np.random.seed(seed)
             before = np.random.get_state()
-            outs.append(evolve_uniform_grid(*uniform_grid_args(gen, vec0, np.linspace(0, 3, 7))))
+            outs.append(evolve_basis(h, rho0, np.linspace(0, 3, 7), 1.0, e, u))
             after = np.random.get_state()
             assert before[0] == after[0] and before[2:] == after[2:]
             np.testing.assert_array_equal(before[1], after[1])
@@ -143,7 +169,29 @@ class TestEvolveUniformGrid:
     @pytest.mark.parametrize("t_grid", [[0.0, 0.5, 2.0], []])
     def test_uneven_or_empty_grid_rejected(self, t_grid):
         with pytest.raises(ValueError):
-            evolve_uniform_grid(lambda v: v, lambda v: v, 1.0, np.ones(1), t_grid)
+            evolve_basis(np.zeros((1, 1)), np.ones((1, 1)), t_grid, 1.0, np.ones((1, 1)))
+
+    def test_matches_dense_exact_evolution_without_e(self):
+        rng = np.random.Generator(np.random.Philox(51))
+        h = random_hermitian(rng, 4)
+        rho0 = random_hermitian(rng, 4)
+        hbar = 0.6
+        ev = ExactEvolver(build_basis_liouvillian(h, hbar=hbar))
+        times = np.array([0.0, 0.4, 1.3, -0.7])  # any grid without E
+        states = evolve_basis(h, rho0, times, hbar)
+        assert states.shape == (4, 4, 4)
+        for t, rho in zip(times, states):
+            np.testing.assert_allclose(rho, ev.propagate(rho0, t), rtol=0, atol=1e-12)
+
+    def test_keeps_spectrum_of_the_state_without_e(self):
+        # a unitary conjugation: the eigenvalues of rho are invariant
+        rng = np.random.Generator(np.random.Philox(52))
+        h = random_hermitian(rng, 5)
+        rho0 = random_hermitian(rng, 5)
+        for rho in evolve_basis(h, rho0, np.linspace(0.0, 4.0, 5), 1.0):
+            np.testing.assert_allclose(
+                np.linalg.eigvalsh(rho), np.linalg.eigvalsh(rho0), rtol=0, atol=1e-12
+            )
 
 
 class TestEvolutionConfig:
@@ -155,30 +203,6 @@ class TestEvolutionConfig:
     def test_invalid_config_rejected(self, kwargs):
         with pytest.raises(ValueError):
             EvolutionConfig(**kwargs)
-
-
-class TestEvolveCommutator:
-    def test_matches_dense_exact_evolution(self):
-        rng = np.random.Generator(np.random.Philox(51))
-        h = random_hermitian(rng, 4)
-        rho0 = random_hermitian(rng, 4)
-        hbar = 0.6
-        ev = ExactEvolver(build_basis_liouvillian(h, hbar=hbar))
-        times = np.array([0.0, 0.4, 1.3, -0.7])
-        states = evolve_commutator(h, rho0, times, hbar)
-        assert states.shape == (4, 4, 4)
-        for t, rho in zip(times, states):
-            np.testing.assert_allclose(rho, ev.propagate(rho0, t), rtol=0, atol=1e-12)
-
-    def test_keeps_spectrum_of_the_state(self):
-        # a unitary conjugation: the eigenvalues of rho are invariant
-        rng = np.random.Generator(np.random.Philox(52))
-        h = random_hermitian(rng, 5)
-        rho0 = random_hermitian(rng, 5)
-        for rho in evolve_commutator(h, rho0, np.linspace(0.0, 4.0, 5), 1.0):
-            np.testing.assert_allclose(
-                np.linalg.eigvalsh(rho), np.linalg.eigvalsh(rho0), rtol=0, atol=1e-12
-            )
 
 
 class TestEvolveOrdered:

@@ -17,15 +17,21 @@ from liouspace.jaynescummings import (
     coulomb_superop_element,
     excited_population,
     hydrogen_psi,
-    evolve_jc,
     initial_jc_state,
     jc_evolve_first_order,
-    jc_element_table,
+    jc_generator,
     jc_liouvillian,
     jc_series,
 )
-from liouspace.evolution import ExactEvolver
+from liouspace.evolution import ExactEvolver, basis_action, evolve_basis
 from liouspace.liouvillian import build_basis_liouvillian
+
+
+def evolve(p, rho0, times):
+    """The model's states over times through the one structured route."""
+    h, e = jc_generator(p)
+    return evolve_basis(h, rho0, times, p.hbar, e)
+
 
 S1 = HydrogenState(1, 0, 0)
 S2 = HydrogenState(2, 0, 0)
@@ -73,14 +79,31 @@ class TestHamiltonian:
             JCParams(omega_e=1.0, omega=1.0, d_eg=0.1, n_max=0)
 
     @pytest.mark.parametrize("eps_egeg", [0.3, 0.01 - 0.02j, 0.05 + 0.05j])
-    def test_element_table_keeps_trace_and_hermiticity(self, eps_egeg):
-        table = jc_element_table(
-            JCParams(omega_e=1.0, omega=1.0, d_eg=0.1, n_max=2, eps_egeg=eps_egeg)
-        )
-        # trace sum rule sum_a E_{aa,cd} = 0, from E(Q, Q) = 0
-        np.testing.assert_array_equal(np.einsum("aacd->cd", table), 0.0)
-        # E_{ab,cd} = -conj(E_{ba,dc}) keeps rho Hermitian
-        np.testing.assert_array_equal(table, -table.transpose(1, 0, 3, 2).conj())
+    def test_superoperator_keeps_trace_and_hermiticity(self, eps_egeg):
+        p = JCParams(omega_e=1.0, omega=1.0, d_eg=0.1, n_max=2, eps_egeg=eps_egeg)
+        dense = jc_liouvillian(p).s_add
+        whole = np.diag(dense).reshape(p.dim, p.dim)
+        np.testing.assert_array_equal(dense, np.diag(whole.ravel()))  # elementwise
+        _, e = jc_generator(p)
+        for mask in [whole] if e is None else [whole, e]:
+            blocks = mask.reshape(2, 3, 2, 3)
+            # trace sum rule sum_a E_{aa,cd} = 0: the atom-diagonal blocks vanish
+            np.testing.assert_array_equal(blocks[ATOM_G, :, ATOM_G, :], 0.0)
+            np.testing.assert_array_equal(blocks[ATOM_E, :, ATOM_E, :], 0.0)
+            # E_{ab,cd} = -conj(E_{ba,dc}) keeps rho Hermitian
+            np.testing.assert_array_equal(mask, -mask.T.conj())
+        np.testing.assert_array_equal(whole.reshape(2, 3, 2, 3)[ATOM_E, :, ATOM_G, :], eps_egeg)
+
+    @pytest.mark.parametrize("eps_egeg", [0.0, 0.3, 0.01 - 0.02j])
+    def test_structured_action_equals_dense(self, eps_egeg):
+        """h = H_JC + Re(eps) P_e (x) 1 and E = i Im(eps) on the coherence
+        blocks act as the dense generator with E-hat whole."""
+        p = JCParams(omega_e=1.1, omega=0.9, d_eg=0.08, n_max=3, eps_egeg=eps_egeg)
+        rng = np.random.Generator(np.random.Philox(81))
+        rho = rng.normal(size=(p.dim, p.dim)) + 1j * rng.normal(size=(p.dim, p.dim))
+        want = jc_liouvillian(p).dense() @ rho.reshape(-1)
+        got = basis_action(*jc_generator(p))(rho).reshape(-1)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.max(np.abs(want)))
 
     def test_hermitian_exactly(self):
         p = JCParams(omega_e=1.2, omega=0.8, d_eg=0.3, n_max=5)
@@ -105,7 +128,7 @@ class TestSeries:
                 np.trace(rho).real,
                 np.trace(rho @ rho).real,
             )
-            for t, rho in zip(times, evolve_jc(p, rho0, times))
+            for t, rho in zip(times, evolve(p, rho0, times))
         ])
         np.testing.assert_allclose(np.column_stack(list(cols.values())), want, rtol=0, atol=1e-14)
 
@@ -116,7 +139,7 @@ class TestExactEvolution:
         p = JCParams(omega_e=1.0, omega=1.0, d_eg=0.05, n_max=4)
         rho0 = initial_jc_state("e0", p.n_max)
         times = np.linspace(0.0, np.pi / 0.05, 13)
-        for t, rho in zip(times, evolve_jc(p, rho0, times)):
+        for t, rho in zip(times, evolve(p, rho0, times)):
             assert excited_population(rho, p.n_max) == pytest.approx(
                 np.cos(0.05 * t) ** 2, abs=1e-6
             )
@@ -129,7 +152,7 @@ class TestExactEvolution:
         atom = np.array([[0.5, 0.3], [0.3, 0.5]], dtype=complex)
         rho0 = np.kron(atom, np.diag([1.0, 0.0, 0.0]).astype(complex))
         for t in (0.5, 1.5):
-            rho = evolve_jc(p, rho0, [t])[0]
+            rho = evolve(p, rho0, [t])[0]
             got = abs(rho.reshape(2, 3, 2, 3)[ATOM_E, 0, ATOM_G, 0])
             assert got == pytest.approx(0.3 * np.exp(kappa * t), abs=1e-10)
 
@@ -138,7 +161,7 @@ class TestExactEvolution:
             omega_e=1.1, omega=0.9, d_eg=0.08, n_max=4, eps_egeg=0.05 * (1 + 1j)
         )
         rho0 = initial_jc_state("e1", p.n_max)
-        for rho in evolve_jc(p, rho0, np.linspace(0.0, 10.0, 11)):
+        for rho in evolve(p, rho0, np.linspace(0.0, 10.0, 11)):
             assert abs(np.trace(rho).real - 1.0) < 1e-8
             assert np.max(np.abs(rho - rho.conj().T)) < 1e-8
 
@@ -148,8 +171,8 @@ class TestExactEvolution:
         base = dict(omega_e=1.2, omega=0.7, d_eg=0.0, n_max=3)
         atom = np.array([[0.55, 0.2 - 0.3j], [0.2 + 0.3j, 0.45]])
         rho0 = np.kron(atom, coherent_field_density(0.5, 3))
-        rho_plain = evolve_jc(JCParams(**base), rho0, [2.0])[0]
-        rho_eps = evolve_jc(JCParams(**base, eps_egeg=0.4 + 0.2j), rho0, [2.0])[0]
+        rho_plain = evolve(JCParams(**base), rho0, [2.0])[0]
+        rho_eps = evolve(JCParams(**base, eps_egeg=0.4 + 0.2j), rho0, [2.0])[0]
         f = 4
         for a in (ATOM_G, ATOM_E):
             block_plain = rho_plain.reshape(2, f, 2, f)[a, :, a, :]
@@ -176,7 +199,7 @@ class TestExactEvolution:
         rho0 = np.kron(atom, coherent_field_density(0.5, n_max))
         ev = ExactEvolver(jc_liouvillian(p))
         times = np.linspace(0.0, 5.0, 11)
-        states = evolve_jc(p, rho0, times)
+        states = evolve(p, rho0, times)
         assert states.shape == (11, p.dim, p.dim)
         for t, rho in zip(times, states):
             np.testing.assert_allclose(rho, ev.propagate(rho0, float(t)), rtol=0, atol=1e-12)
@@ -184,14 +207,14 @@ class TestExactEvolution:
     def test_non_hermitian_route_needs_even_grid(self):
         p = JCParams(omega_e=1.0, omega=1.0, d_eg=0.1, n_max=2, eps_egeg=0.1j)
         with pytest.raises(ValueError, match="evenly"):
-            evolve_jc(p, initial_jc_state("e0", 2), [0.0, 0.5, 2.0])
+            evolve(p, initial_jc_state("e0", 2), [0.0, 0.5, 2.0])
 
     @pytest.mark.parametrize("eps", [0.0, 0.01, -0.3])
     def test_real_eps_is_an_omega_e_shift(self, eps):
         p = JCParams(omega_e=1.1, omega=0.9, d_eg=0.08, n_max=3, eps_egeg=eps)
         proj_e = np.kron(np.diag([0.0, 1.0]), np.eye(p.fock_dim))
         shifted = build_basis_liouvillian(build_jc_hamiltonian(p) + eps * proj_e)
-        assert p.hermitian
+        assert jc_generator(p)[1] is None  # the eigh route
         np.testing.assert_allclose(
             jc_liouvillian(p).dense(), shifted.dense(), rtol=0, atol=1e-14
         )
@@ -228,7 +251,7 @@ class TestFirstOrder:
             np.diag([0.4, 0.6]).astype(complex), coherent_field_density(0.4, 4)
         )
         devs = [
-            np.max(np.abs(jc_evolve_first_order(p, rho0, t) - evolve_jc(p, rho0, [t])[0]))
+            np.max(np.abs(jc_evolve_first_order(p, rho0, t) - evolve(p, rho0, [t])[0]))
             for t in (0.4, 0.2, 0.1)
         ]
         assert devs[0] / devs[1] == pytest.approx(4.0, abs=0.8)
@@ -242,7 +265,7 @@ class TestFirstOrder:
         atom = np.array([[0.6, 0.25 + 0.1j], [0.25 - 0.1j, 0.4]])
         rho0 = np.kron(atom, coherent_field_density(0.3, 3))
         devs = [
-            np.max(np.abs(jc_evolve_first_order(p, rho0, t) - evolve_jc(p, rho0, [t])[0]))
+            np.max(np.abs(jc_evolve_first_order(p, rho0, t) - evolve(p, rho0, [t])[0]))
             for t in (0.4, 0.2, 0.1)
         ]
         assert devs[0] / devs[1] == pytest.approx(4.0, abs=0.8)
@@ -263,7 +286,7 @@ class TestFirstOrder:
                 omega_e=0.9, omega=0.9, d_eg=g, n_max=4, eps_egeg=g * (0.4 + 0.6j)
             )
             got = jc_evolve_first_order(p, rho0, 1.0)
-            errs.append(float(np.max(np.abs(got - evolve_jc(p, rho0, [1.0])[0]))))
+            errs.append(float(np.max(np.abs(got - evolve(p, rho0, [1.0])[0]))))
         slope = np.polyfit(np.log(couplings), np.log(errs), 1)[0]
         assert slope == pytest.approx(2.0, abs=0.15)
 
