@@ -30,7 +30,7 @@ def main() -> None:
     out = sys.argv[1] if len(sys.argv) > 1 else "bipartite_entanglement.csv"
     basis = BipartiteBasis(n_levels=N_LEVELS)
     rho0 = separable_state(basis)
-    series = compare_cl_qm_entanglement(
+    series, _, _ = compare_cl_qm_entanglement(
         basis, LAM, rho0, np.linspace(0.0, T_END, N_OUT + 1)
     )
     write_csv(out, np.column_stack([series[c] for c in COLUMNS]), header=COLUMNS)

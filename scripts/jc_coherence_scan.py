@@ -36,7 +36,7 @@ def main() -> None:
     header, columns = ["t"], [times]
     for eps in EPS_VALUES:
         p = JCParams(omega_e=1.0, omega=1.0, d_eg=D_EG, n_max=N_MAX, eps_egeg=eps)
-        series = jc_series(p, rho0, times)
+        series, _, _ = jc_series(p, rho0, times)
         tag = f"{eps.real:g}_{eps.imag:g}"
         header += [f"P_e[eps={tag}]", f"coh[eps={tag}]"]
         columns += [series["P_e"], series["abs_rho_eg00"]]

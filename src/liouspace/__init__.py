@@ -70,6 +70,7 @@ from .evolution import (
     evolve_basis,
     evolve_characteristics,
     evolve_exact,
+    evolve_expectations,
     evolve_ordered,
     evolve_trotter,
     gaussian_ensemble,

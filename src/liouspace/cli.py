@@ -352,10 +352,10 @@ def run_jc(ctx: RunContext) -> None:
     )
     rho0 = jc.initial_jc_state(str(p["init"]), params.n_max)
     t_grid = np.linspace(0.0, float(p["t"]), int(p["steps"]) + 1)
-    columns = jc.jc_series(params, rho0, t_grid)
-    ctx.solver_path = evolution.solver_path(jc.jc_generator(params)[1])
+    columns, ctx.solver_path, leak = jc.jc_series(params, rho0, t_grid)
     ctx.generator_dim = params.dim**2
     _write_columns(ctx.path("jc_series.csv"), columns)
+    ctx.margins.update(leak)
     ctx.margins["max_trace_drift"] = np.max(np.abs(columns["trace"] - 1.0))
     ctx.margins["max_purity"] = np.max(columns["purity"])
     ctx.checks["trace_conserved_1e-8"] = ctx.margins["max_trace_drift"] < 1e-8
@@ -371,13 +371,12 @@ def run_bipartite(ctx: RunContext) -> None:
     )
     t_grid = np.linspace(0.0, float(p["t"]), int(p["steps"]) + 1)
     lam = float(p["lam"])
-    columns = entangle.compare_cl_qm_entanglement(basis, lam, rho0, t_grid)
-    ctx.solver_path = {
-        kind.value: evolution.solver_path(entangle.bipartite_generator(basis, lam, kind)[1])
-        for kind in SuperPotentialKind
-    }
+    columns, ctx.solver_path, leak = entangle.compare_cl_qm_entanglement(
+        basis, lam, rho0, t_grid
+    )
     ctx.generator_dim = basis.dim**2
     _write_columns(ctx.path("bipartite_series.csv"), columns)
+    ctx.margins.update(leak)
     ctx.margins["max_trace_drift"] = max(
         np.max(columns["trace_drift_cl"]), np.max(columns["trace_drift_qm"])
     )

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TruncationLeak
-from .evolution import evolve_basis
+from .evolution import evolve_basis, solver_path
 from .liouvillian import BasisLiouvillian, build_basis_liouvillian, check_dense_dim
 from .jaynescummings import LEAK_THRESHOLD, coherent_field_density, fock_annihilation
 from .potential import (
@@ -206,30 +206,36 @@ SERIES_COLUMNS = (
 
 def compare_cl_qm_entanglement(
     basis: BipartiteBasis, lam: float, rho0: np.ndarray, t_grid
-) -> dict[str, np.ndarray]:
-    """Evolve rho0 under both generators; return the ``SERIES_COLUMNS``
-    arrays by name, one entry per time.
+) -> tuple[dict[str, np.ndarray], dict[str, str], dict[str, float]]:
+    """Evolve rho0 under both generators; return (columns, solver_path,
+    margins).
 
-    ``t_grid`` must be evenly spaced (ValueError otherwise).  Raises
-    TruncationLeak if either run populates the top ladder level of a
-    subsystem beyond ``LEAK_THRESHOLD`` at any time of the grid.
+    ``columns`` holds the ``SERIES_COLUMNS`` arrays by name, one entry per
+    time; ``solver_path`` names the route of each kind, and ``margins``
+    holds ``max_top_level_population_<kind>``, the worst top-ladder
+    population of each run over the output times.  ``t_grid`` must be
+    evenly spaced (ValueError otherwise).  Raises TruncationLeak if either
+    run populates the top ladder level of a subsystem beyond
+    ``LEAK_THRESHOLD`` at any time of the grid.
     """
     t = np.asarray(t_grid, dtype=float)
-    columns = {"t": t}
-    for kind in (SuperPotentialKind.CL, SuperPotentialKind.QM):
-        tag = kind.value
-        h, e, r = bipartite_generator(basis, lam, kind)
-        states = evolve_basis(h, rho0, t_grid, basis.hbar, e, r)
+    columns, paths, margins = {"t": t}, {}, {}
+    # CL = QM + E: one build gives both kinds
+    h, e_cl, r = bipartite_generator(basis, lam, SuperPotentialKind.CL)
+    for tag, e, rot in (("cl", e_cl, r), ("qm", None, None)):
+        states = evolve_basis(h, rho0, t_grid, basis.hbar, e, rot)
         leak = np.abs(top_level_population(states, basis.n_levels))
         worst = int(np.argmax(leak))
         if leak[worst] > LEAK_THRESHOLD:
             raise TruncationLeak(
                 f"{tag} run leaked {leak[worst]:.3e} into the top level at t={t[worst]:g}"
             )
+        paths[tag] = solver_path(e)
+        margins[f"max_top_level_population_{tag}"] = float(leak[worst])
         columns[f"purity_{tag}"], eig = entanglement_metrics(states, basis.n_levels)
         columns[f"min_eig_{tag}"] = eig[:, -1]
         columns[f"trace_drift_{tag}"] = np.abs(np.trace(states, axis1=1, axis2=2).real - 1.0)
-    return {name: columns[name] for name in SERIES_COLUMNS}
+    return {name: columns[name] for name in SERIES_COLUMNS}, paths, margins
 
 
 def separable_state(

@@ -8,6 +8,13 @@ time-dependent generators (an oracle for the exact routes), split-step
 Trotter evolution on (Q, q) grids, and the classical
 method-of-characteristics ensemble, which serves as the independent
 oracle for the grid dynamics.
+
+The structured generators have two entry points over the same two routes:
+``evolve_basis`` returns the states, a (T, N, N) stack, and
+``evolve_expectations`` returns expectation values tr(O rho(t)) and the
+purity.  Without E the generator is diagonal in the eigenbasis of H, with
+frequencies w_i - w_j, so ``evolve_expectations`` forms no state at all;
+with E it contracts the ``evolve_basis`` stack.
 """
 
 from __future__ import annotations
@@ -106,6 +113,19 @@ def basis_action(h: np.ndarray, e=None, basis=None) -> Callable[[np.ndarray], np
     return act
 
 
+def _eigenbasis(h: np.ndarray, rho0: np.ndarray, t_grid: np.ndarray, hbar: float):
+    """(u, phases, sigma0) of h = u diag(w) u': phases[t] = e^{-i w t / hbar}
+    for each t of t_grid and sigma0 = u' rho0 u."""
+    w, u = np.linalg.eigh(h)
+    # cos + i sin of the real angles: the values of a complex exp, in about
+    # half its time
+    angle = np.outer(t_grid, w) / -hbar
+    phases = np.empty(angle.shape, dtype=complex)
+    np.cos(angle, out=phases.real)
+    np.sin(angle, out=phases.imag)
+    return u, phases, u.conj().T @ rho0 @ u
+
+
 def evolve_basis(
     h: np.ndarray, rho0: np.ndarray, t_grid, hbar: float, e=None, basis=None
 ) -> np.ndarray:
@@ -126,10 +146,9 @@ def evolve_basis(
     t_grid = np.asarray(t_grid, dtype=float).reshape(-1)
     rho0 = np.asarray(rho0, dtype=complex)
     if solver_path(e) == "eigh":
-        w, u = np.linalg.eigh(h)
-        phases = np.exp(-1j * np.outer(t_grid, w) / hbar)
+        u, phases, sigma0 = _eigenbasis(h, rho0, t_grid, hbar)
         # two (len(t_grid), N, N) buffers at a time: long grids stay lean
-        states = phases[:, :, None] * (u.conj().T @ rho0 @ u)
+        states = phases[:, :, None] * sigma0
         states *= phases.conj()[:, None, :]
         return np.matmul(u @ states, u.conj().T, out=states)
     if t_grid.size == 0:
@@ -174,6 +193,37 @@ def evolve_basis(
     if basis is not None:
         states = np.matmul(basis @ states, basis.T, out=states)
     return states
+
+
+def evolve_expectations(
+    h: np.ndarray, rho0: np.ndarray, t_grid, hbar: float, ops, e=None, basis=None
+) -> tuple[np.ndarray, np.ndarray]:
+    """(values, purity) of the evolution of ``evolve_basis``:
+    values[t, k] = tr(ops[k] rho(t)), shape (len(t_grid), K), complex, and
+    purity[t] = Re tr(rho(t)^2), shape (len(t_grid),).
+
+    On the eigh route (``solver_path(e)``) no state is formed.  With
+    sigma0 = u' rho0 u and p = e^{-i w t / hbar},
+    tr(O rho(t)) = sum_i p_i sum_j M_ij conj(p_j), M = (u' O u)^T o sigma0:
+    one (T, N) @ (N, K N) product for all operators and times.  The
+    evolution is unitary there, so the purity is tr(sigma0^2) at every t.
+    With E the ``evolve_basis`` stack is contracted.
+    """
+    t_grid = np.asarray(t_grid, dtype=float).reshape(-1)
+    rho0 = np.asarray(rho0, dtype=complex)
+    ops = np.asarray(ops, dtype=complex)
+    if solver_path(e) == "eigh":
+        u, phases, sigma0 = _eigenbasis(h, rho0, t_grid, hbar)
+        # m[j, k, i] = (u' O_k u)[j, i] sigma0[i, j]
+        m = (u.conj().T @ ops @ u).transpose(1, 0, 2) * sigma0.T[:, None, :]
+        right = (phases.conj() @ m.reshape(len(u), -1)).reshape(t_grid.size, len(ops), -1)
+        values = np.einsum("tki,ti->tk", right, phases)
+        purity = np.full(t_grid.size, np.einsum("ij,ji->", sigma0, sigma0).real)
+        return values, purity
+    states = evolve_basis(h, rho0, t_grid, hbar, e, basis)
+    # tr(O rho) = sum_ji rho_ji (O^T)_ji
+    values = states.reshape(t_grid.size, -1) @ ops.transpose(0, 2, 1).reshape(len(ops), -1).T
+    return values, np.einsum("tij,tji->t", states, states).real
 
 
 def evolve_ordered(

@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import NotConverged, NotFactorized, TruncationLeak
 from .liouvillian import BasisLiouvillian, build_basis_liouvillian, check_dense_dim
-from .evolution import evolve_basis
+from .evolution import evolve_expectations, solver_path
 from .potential import COULOMB_EPS_REG, coulomb_e_of_radii
 
 ATOM_G, ATOM_E = 0, 1
@@ -199,16 +199,7 @@ def _blocks(rho: np.ndarray, n_max: int) -> np.ndarray:
     return rho.reshape(*rho.shape[:-2], 2, f, 2, f)
 
 
-def excited_population(rho: np.ndarray, n_max: int):
-    """P_e of one density or of each density of a (..., dim, dim) stack."""
-    return np.einsum("...nn->...", _blocks(rho, n_max)[..., ATOM_E, :, ATOM_E, :]).real
-
-
-def check_fock_truncation(rho: np.ndarray, n_max: int) -> None:
-    """Abort when the top ``FOCK_LEAK_LEVELS`` Fock levels of any density
-    of a (..., dim, dim) stack hold more than ``LEAK_THRESHOLD``."""
-    top = _blocks(rho, n_max)[..., -FOCK_LEAK_LEVELS:, :, -FOCK_LEAK_LEVELS:]
-    worst = np.max(np.einsum("...anan->...", top).real)
+def _raise_on_fock_leak(worst: float) -> None:
     if worst > LEAK_THRESHOLD:
         raise TruncationLeak(
             f"population {worst:.3e} in the top {FOCK_LEAK_LEVELS} Fock levels "
@@ -216,24 +207,48 @@ def check_fock_truncation(rho: np.ndarray, n_max: int) -> None:
         )
 
 
-def jc_series(p: JCParams, rho0: np.ndarray, t_grid) -> dict[str, np.ndarray]:
-    """Evolve rho0 over t_grid and return the series columns t, P_e,
-    abs_rho_eg00, trace and purity, one entry per time.
+def check_fock_truncation(rho: np.ndarray, n_max: int) -> None:
+    """Abort when the top ``FOCK_LEAK_LEVELS`` Fock levels of any density
+    of a (..., dim, dim) stack hold more than ``LEAK_THRESHOLD``."""
+    top = _blocks(rho, n_max)[..., -FOCK_LEAK_LEVELS:, :, -FOCK_LEAK_LEVELS:]
+    _raise_on_fock_leak(np.max(np.einsum("...anan->...", top).real))
 
-    Raises TruncationLeak before evolving if rho0 fills the top Fock
-    levels, and after it if any evolved state does.
+
+def jc_series(
+    p: JCParams, rho0: np.ndarray, t_grid
+) -> tuple[dict[str, np.ndarray], str, dict[str, float]]:
+    """Evolve rho0 over t_grid; return (columns, solver_path, margins).
+
+    ``columns`` holds the series t, P_e, abs_rho_eg00, trace and purity, one
+    entry per time.  They are the expectation values of P_e (x) 1, |g0><e0|,
+    1 and the top-Fock projector from ``evolution.evolve_expectations``; on
+    the eigh route (real eps_egeg) no state is formed and the purity is
+    tr(rho0^2), exact for that unitary evolution.  ``solver_path`` names the
+    route and ``margins`` holds ``max_fock_leak``, the worst top-Fock
+    population over the output times.
+
+    Raises TruncationLeak before evolving if rho0 fills the top
+    ``FOCK_LEAK_LEVELS`` Fock levels, and after it if the state does at any
+    output time.
     """
     check_fock_truncation(rho0, p.n_max)
     h, e = jc_generator(p)
-    states = evolve_basis(h, rho0, t_grid, p.hbar, e)
-    check_fock_truncation(states, p.n_max)
-    return {
+    f = p.fock_dim
+    atom, fock = np.repeat(np.arange(2), f), np.tile(np.arange(f), 2)  # of each basis state
+    g0_e0 = np.zeros((p.dim, p.dim))
+    g0_e0[ATOM_G * f, ATOM_E * f] = 1.0  # tr(|g0><e0| rho) = rho_{e0,g0}
+    ops = [np.diag(atom == ATOM_E), g0_e0, np.eye(p.dim), np.diag(fock >= f - FOCK_LEAK_LEVELS)]
+    values, purity = evolve_expectations(h, rho0, t_grid, p.hbar, ops, e)
+    worst = float(np.max(values[:, 3].real))
+    _raise_on_fock_leak(worst)
+    columns = {
         "t": np.asarray(t_grid, dtype=float),
-        "P_e": excited_population(states, p.n_max),
-        "abs_rho_eg00": np.abs(_blocks(states, p.n_max)[:, ATOM_E, 0, ATOM_G, 0]),
-        "trace": np.trace(states, axis1=1, axis2=2).real,
-        "purity": np.einsum("tij,tji->t", states, states).real,
+        "P_e": values[:, 0].real,
+        "abs_rho_eg00": np.abs(values[:, 1]),
+        "trace": values[:, 2].real,
+        "purity": purity,
     }
+    return columns, solver_path(e), {"max_fock_leak": worst}
 
 
 def coherent_field_density(alpha: complex, n_max: int) -> np.ndarray:

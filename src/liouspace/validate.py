@@ -271,7 +271,7 @@ def _vacuum_rabi() -> tuple[bool, str]:
     p = jc.JCParams(omega_e=1.0, omega=1.0, d_eg=d, n_max=4)
     rho0 = jc.initial_jc_state("e0", p.n_max)
     times = np.linspace(0.0, np.pi / d, 41)
-    pops = jc.jc_series(p, rho0, times)["P_e"]
+    pops = jc.jc_series(p, rho0, times)[0]["P_e"]
     worst = float(np.max(np.abs(pops - np.cos(d * times) ** 2)))
     return worst < 1e-6, f"max |P_e - cos^2| = {worst:.2e}"
 

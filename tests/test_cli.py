@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from liouspace import evolution, liouvillian, superprop, validate
+from liouspace import entangle, evolution, liouvillian, superprop, validate
 from liouspace import jaynescummings as jc
 from liouspace.cli import (
     EXIT_GUARD,
@@ -42,6 +42,12 @@ MARGIN_CHECKS = {
     "propagator": {
         "max_relative_defect": ("first_order_matches_dyson_1e-3", lambda v: v < 1e-3),
     },
+}
+# margins of the truncation guards, which abort a run (exit 2) instead of
+# failing a check: a finished run keeps each at or below LEAK_THRESHOLD
+GUARD_MARGINS = {
+    "jc": {"max_fock_leak"},
+    "bipartite": {"max_top_level_population_cl", "max_top_level_population_qm"},
 }
 
 
@@ -205,6 +211,30 @@ class TestScenarios:
         assert len(calls) == 1
         header, rows = read_csv(tmp_path / "evolve" / "evolve_series.csv")
         assert [float(r[0]) for r in rows] == pytest.approx([0.0, 0.1, 0.2, 0.3, 0.4, 0.5])
+
+    @pytest.mark.parametrize(
+        "argv, module, builder",
+        [
+            (["jc", "--steps", "20"], jc, "jc_generator"),
+            (["jc", "--steps", "20", "--eps", "0.01,-0.02"], jc, "jc_generator"),
+            (["bipartite", "--steps", "5"], entangle, "bipartite_generator"),
+        ],
+        ids=["jc-eigh", "jc-expm_multiply", "bipartite"],
+    )
+    def test_basis_scenario_builds_its_generator_once(self, tmp_path, monkeypatch, argv,
+                                                      module, builder):
+        """The route and the margins come back with the series: naming the
+        route takes no second build."""
+        calls = []
+        build = getattr(module, builder)
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(module, builder, counted)
+        assert run(argv + ["--outdir", str(tmp_path)]) == EXIT_OK
+        assert len(calls) == 1
 
     @pytest.mark.parametrize(
         "argv",
@@ -397,10 +427,14 @@ class TestScenarios:
         )
         margins = manifest["margins"]
         expected = MARGIN_CHECKS[argv[0]]
-        assert set(margins) == set(expected)
+        guards = GUARD_MARGINS.get(argv[0], set())
+        assert set(margins) == set(expected) | guards
         for margin, (check, holds) in expected.items():
             assert isinstance(margins[margin], float)
             assert holds(margins[margin]) is manifest["checks"][check], margin
+        for margin in guards:
+            assert isinstance(margins[margin], float)
+            assert margins[margin] <= jc.LEAK_THRESHOLD, margin
         assert code == (EXIT_OK if all(manifest["checks"].values()) else EXIT_VALIDATION)
 
     def test_config_file_with_flag_override(self, tmp_path):

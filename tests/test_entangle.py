@@ -183,13 +183,13 @@ class TestCompare:
         # ground (x) ground: a truncated coherent state would itself carry
         # top-level weight and trip the leak guard
         rho0 = separable_state(basis4)
-        cols = compare_cl_qm_entanglement(basis4, 0.0, rho0, np.linspace(0, 2, 5))
+        cols, _, _ = compare_cl_qm_entanglement(basis4, 0.0, rho0, np.linspace(0, 2, 5))
         np.testing.assert_allclose(cols["purity_cl"], cols["purity_qm"], rtol=0, atol=1e-12)
         np.testing.assert_allclose(cols["purity_qm"], 1.0, rtol=0, atol=1e-10)
 
     def test_small_coupling_entangles_and_conserves(self, basis4):
         rho0 = separable_state(basis4)
-        cols = compare_cl_qm_entanglement(basis4, 0.0003, rho0, np.linspace(0, 2, 6))
+        cols, _, _ = compare_cl_qm_entanglement(basis4, 0.0003, rho0, np.linspace(0, 2, 6))
         assert list(cols) == [
             "t", "purity_cl", "purity_qm", "min_eig_cl", "min_eig_qm",
             "trace_drift_cl", "trace_drift_qm",
@@ -204,17 +204,23 @@ class TestCompare:
     def test_columns_equal_per_state_definitions(self, basis4):
         rho0 = separable_state(basis4)
         times = np.linspace(0.0, 2.0, 9)
-        cols = compare_cl_qm_entanglement(basis4, 0.0003, rho0, times)
+        cols, paths, margins = compare_cl_qm_entanglement(basis4, 0.0003, rho0, times)
         np.testing.assert_array_equal(cols["t"], times)
+        assert paths == {"cl": "expm_multiply", "qm": "eigh"}
+        assert set(margins) == {"max_top_level_population_cl", "max_top_level_population_qm"}
         for kind in SuperPotentialKind:
             tag = kind.value
+            states = evolve_kind(basis4, 0.0003, kind, rho0, times)
+            assert margins[f"max_top_level_population_{tag}"] == pytest.approx(
+                max(top_level_population(rho, 4) for rho in states), rel=0, abs=1e-15
+            )
             want = np.array([
                 (
                     np.trace(reduced_density(rho, 1, 4) @ reduced_density(rho, 1, 4)).real,
                     np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))[0],
                     abs(np.trace(rho).real - 1.0),
                 )
-                for rho in evolve_kind(basis4, 0.0003, kind, rho0, times)
+                for rho in states
             ])
             got = np.column_stack(
                 [cols[f"purity_{tag}"], cols[f"min_eig_{tag}"], cols[f"trace_drift_{tag}"]]

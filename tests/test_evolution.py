@@ -15,6 +15,7 @@ from liouspace.evolution import (
     evolve_basis,
     evolve_characteristics,
     evolve_exact,
+    evolve_expectations,
     evolve_ordered,
     evolve_trotter,
     gaussian_ensemble,
@@ -192,6 +193,37 @@ class TestEvolveBasis:
             np.testing.assert_allclose(
                 np.linalg.eigvalsh(rho), np.linalg.eigvalsh(rho0), rtol=0, atol=1e-12
             )
+
+
+class TestEvolveExpectations:
+    @pytest.mark.parametrize("e_kind", ["none", "complex"])
+    @pytest.mark.parametrize(
+        "t_grid",
+        [
+            np.linspace(0.0, 3.0, 13),
+            np.linspace(10.0, 10.2, 3),
+            np.linspace(0.0, -1.0, 5),
+            [3.0],
+        ],
+        ids=["forward", "late-start", "backward", "one-time"],
+    )
+    def test_equals_contraction_of_the_states(self, t_grid, e_kind):
+        rng = np.random.Generator(np.random.Philox(34))
+        h, e, u = random_structured(rng, 5, e_kind)
+        a = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
+        rho0 = a @ a.conj().T
+        rho0 /= np.trace(rho0)
+        ops = rng.normal(size=(3, 5, 5)) + 1j * rng.normal(size=(3, 5, 5))
+        hbar = 0.7
+        values, purity = evolve_expectations(h, rho0, t_grid, hbar, ops, e, u)
+        states = evolve_basis(h, rho0, t_grid, hbar, e, u)
+        assert values.shape == (len(t_grid), 3) and purity.shape == (len(t_grid),)
+        np.testing.assert_allclose(
+            values, np.einsum("kij,tji->tk", ops, states), rtol=0, atol=1e-13
+        )
+        np.testing.assert_allclose(
+            purity, np.einsum("tij,tji->t", states, states).real, rtol=0, atol=1e-13
+        )
 
 
 class TestEvolutionConfig:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -15,7 +17,6 @@ from liouspace.jaynescummings import (
     check_fock_truncation,
     coherent_field_density,
     coulomb_superop_element,
-    excited_population,
     hydrogen_psi,
     initial_jc_state,
     jc_evolve_first_order,
@@ -111,26 +112,72 @@ class TestHamiltonian:
         assert np.max(np.abs(h - h.conj().T)) == 0.0
 
 
+def per_state_columns(p, rho0, times):
+    """The jc_series columns from the evolved states, one state at a time."""
+    f = p.fock_dim
+    return np.array([
+        (
+            t,
+            np.trace(rho.reshape(2, f, 2, f)[ATOM_E, :, ATOM_E, :]).real,
+            abs(rho.reshape(2, f, 2, f)[ATOM_E, 0, ATOM_G, 0]),
+            np.trace(rho).real,
+            np.trace(rho @ rho).real,
+        )
+        for t, rho in zip(times, evolve(p, rho0, times))
+    ])
+
+
 class TestSeries:
     def test_columns_equal_per_state_definitions(self):
         """Complex eps, so the uniform-grid (expm_multiply) route."""
         p = JCParams(omega_e=1.0, omega=1.0, d_eg=0.05, n_max=6, eps_egeg=0.01 - 0.02j)
         rho0 = initial_jc_state("coherent:0.3", p.n_max)
         times = np.linspace(0.0, 10.0, 21)
-        cols = jc_series(p, rho0, times)
+        cols, path, _ = jc_series(p, rho0, times)
+        assert path == "expm_multiply"
         assert list(cols) == ["t", "P_e", "abs_rho_eg00", "trace", "purity"]
-        f = p.fock_dim
-        want = np.array([
-            (
-                t,
-                np.trace(rho.reshape(2, f, 2, f)[ATOM_E, :, ATOM_E, :]).real,
-                abs(rho.reshape(2, f, 2, f)[ATOM_E, 0, ATOM_G, 0]),
-                np.trace(rho).real,
-                np.trace(rho @ rho).real,
-            )
-            for t, rho in zip(times, evolve(p, rho0, times))
-        ])
+        want = per_state_columns(p, rho0, times)
         np.testing.assert_allclose(np.column_stack(list(cols.values())), want, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("eps_egeg", [0.0, 0.03])
+    def test_eigh_route_equals_per_state_definitions(self, eps_egeg):
+        """Real eps: the expectation values come from the eigenbasis without
+        forming a state; a mixed, atom-coherent rho0 exercises every column."""
+        p = JCParams(omega_e=1.0, omega=1.0, d_eg=0.05, n_max=6, eps_egeg=eps_egeg)
+        atom = np.array([[0.5, 0.35], [0.35, 0.5]], dtype=complex)
+        rho0 = np.kron(atom, coherent_field_density(0.4, p.n_max))
+        times = np.linspace(0.0, 2.5, 26)  # the top Fock levels pass 1e-6 near t = 3
+        cols, path, margins = jc_series(p, rho0, times)
+        assert path == "eigh"
+        want = per_state_columns(p, rho0, times)
+        np.testing.assert_allclose(np.column_stack(list(cols.values())), want, rtol=0, atol=1e-14)
+        top = [np.trace(rho.reshape(2, 7, 2, 7)[:, -2:, :, -2:].reshape(4, 4)).real
+               for rho in evolve(p, rho0, times)]
+        assert list(margins) == ["max_fock_leak"]
+        assert margins["max_fock_leak"] == pytest.approx(max(top), rel=0, abs=1e-14)
+
+    def test_mid_run_leak_on_the_eigh_route_raises(self):
+        """|e,2> at n_max 4 passes the check of rho0; the dipole then feeds
+        |g,3>, so only the evolved expectation values show the leak."""
+        p = JCParams(omega_e=1.0, omega=1.0, d_eg=0.05, n_max=4)
+        rho0 = initial_jc_state("e2", p.n_max)
+        check_fock_truncation(rho0, p.n_max)
+        with pytest.raises(TruncationLeak, match="in the top 2 Fock levels"):
+            jc_series(p, rho0, np.linspace(0.0, 10.0, 201))
+
+    def test_eigh_route_holds_no_state_stack(self):
+        """n_max 40 over 2001 times: the (2001, 82, 82) stack alone would take
+        215 MB."""
+        p = JCParams(omega_e=1.0, omega=1.0, d_eg=0.05, n_max=40, eps_egeg=0.01)
+        rho0 = initial_jc_state("coherent:0.7", p.n_max)
+        times = np.linspace(0.0, 10.0, 2001)
+        tracemalloc.start()
+        try:
+            jc_series(p, rho0, times)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32e6
 
 
 class TestExactEvolution:
@@ -140,9 +187,8 @@ class TestExactEvolution:
         rho0 = initial_jc_state("e0", p.n_max)
         times = np.linspace(0.0, np.pi / 0.05, 13)
         for t, rho in zip(times, evolve(p, rho0, times)):
-            assert excited_population(rho, p.n_max) == pytest.approx(
-                np.cos(0.05 * t) ** 2, abs=1e-6
-            )
+            p_e = np.trace(rho.reshape(2, 5, 2, 5)[ATOM_E, :, ATOM_E, :]).real
+            assert p_e == pytest.approx(np.cos(0.05 * t) ** 2, abs=1e-6)
 
     def test_superoperator_acts_as_coherence_modifier(self):
         # d = 0, E_egeg = i kappa: i d/dt rho_eg = (w_e + i kappa) rho_eg,
