@@ -147,14 +147,17 @@ def bipartite_generator(
     DVR basis R = V (x) V (see the module docstring).
     """
     h = basis.free_hamiltonian() + pure_bra_polynomial(basis, lam)
-    if SuperPotentialKind(kind) is SuperPotentialKind.QM:
-        return h, None, None
     xi, v = np.linalg.eigh(basis.position_operator())
     bra1 = np.repeat(xi, basis.n_levels)[:, None]  # xi_a of the joint index (a, b)
     bra2 = np.tile(xi, basis.n_levels)[:, None]  # xi_b
     phi = bipartite_super_potential(lam, bra1, bra1.T, bra2, bra2.T)
     w = 0.5 * lam * (bra1 - bra2) ** 4  # W in the DVR basis
-    return h, phi - (w - w.T), np.kron(v, v)
+    return _kinds(h, phi - (w - w.T), np.kron(v, v))[SuperPotentialKind(kind)]
+
+
+def _kinds(h, e, r) -> dict[SuperPotentialKind, tuple]:
+    """Both kinds' (h, E, R) from CL's: QM is CL's h without E."""
+    return {SuperPotentialKind.CL: (h, e, r), SuperPotentialKind.QM: (h, None, None)}
 
 
 def _blocks(rho: np.ndarray, n_levels: int) -> np.ndarray:
@@ -221,9 +224,10 @@ def compare_cl_qm_entanglement(
     t = np.asarray(t_grid, dtype=float)
     columns, paths, margins = {"t": t}, {}, {}
     # CL = QM + E: one build gives both kinds
-    h, e_cl, r = bipartite_generator(basis, lam, SuperPotentialKind.CL)
-    for tag, e, rot in (("cl", e_cl, r), ("qm", None, None)):
-        states = evolve_basis(h, rho0, t_grid, basis.hbar, e, rot)
+    generators = _kinds(*bipartite_generator(basis, lam, SuperPotentialKind.CL))
+    for kind, (h, e, r) in generators.items():
+        tag = kind.value
+        states = evolve_basis(h, rho0, t_grid, basis.hbar, e, r)
         leak = np.abs(top_level_population(states, basis.n_levels))
         worst = int(np.argmax(leak))
         if leak[worst] > LEAK_THRESHOLD:

@@ -196,9 +196,10 @@ def evolve_basis(
 
 
 def evolve_expectations(
-    h: np.ndarray, rho0: np.ndarray, t_grid, hbar: float, ops, e=None, basis=None
+    h: np.ndarray, rho0: np.ndarray, t_grid, hbar: float, ops, e=None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(values, purity) of the evolution of ``evolve_basis``:
+    """(values, purity) of the evolution of ``evolve_basis`` with E, if any,
+    elementwise in the identity basis:
     values[t, k] = tr(ops[k] rho(t)), shape (len(t_grid), K), complex, and
     purity[t] = Re tr(rho(t)^2), shape (len(t_grid),).
 
@@ -220,7 +221,7 @@ def evolve_expectations(
         values = np.einsum("tki,ti->tk", right, phases)
         purity = np.full(t_grid.size, np.einsum("ij,ji->", sigma0, sigma0).real)
         return values, purity
-    states = evolve_basis(h, rho0, t_grid, hbar, e, basis)
+    states = evolve_basis(h, rho0, t_grid, hbar, e)
     # tr(O rho) = sum_ji rho_ji (O^T)_ji
     values = states.reshape(t_grid.size, -1) @ ops.transpose(0, 2, 1).reshape(len(ops), -1).T
     return values, np.einsum("tij,tji->t", states, states).real

@@ -209,14 +209,14 @@ class TestEvolveExpectations:
     )
     def test_equals_contraction_of_the_states(self, t_grid, e_kind):
         rng = np.random.Generator(np.random.Philox(34))
-        h, e, u = random_structured(rng, 5, e_kind)
+        h, e, _ = random_structured(rng, 5, e_kind)
         a = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
         rho0 = a @ a.conj().T
         rho0 /= np.trace(rho0)
         ops = rng.normal(size=(3, 5, 5)) + 1j * rng.normal(size=(3, 5, 5))
         hbar = 0.7
-        values, purity = evolve_expectations(h, rho0, t_grid, hbar, ops, e, u)
-        states = evolve_basis(h, rho0, t_grid, hbar, e, u)
+        values, purity = evolve_expectations(h, rho0, t_grid, hbar, ops, e)
+        states = evolve_basis(h, rho0, t_grid, hbar, e)
         assert values.shape == (len(t_grid), 3) and purity.shape == (len(t_grid),)
         np.testing.assert_allclose(
             values, np.einsum("kij,tji->tk", ops, states), rtol=0, atol=1e-13
