@@ -13,6 +13,7 @@ abort, 64 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -407,6 +408,7 @@ RUNNERS = {
 }
 
 
+@functools.cache  # parsing leaves the parser unchanged, so one serves every run
 def _build_parser() -> _Parser:
     parser = _Parser(prog="liouspace", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)

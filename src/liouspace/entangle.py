@@ -29,8 +29,8 @@ monomials of Phi are w_bra - w_ket, w_ab = (lam/2)(xi_a - xi_b)^4, which is
 the commutator with W = R diag(w) R^T, the QM kind's interaction.  So both
 kinds share h = H0 + W, and CL adds E = Phi - (w_bra - w_ket), the
 cross monomials, elementwise in the DVR basis (``bipartite_generator``).
-QM evolves by one N x N eigh, CL matrix-free through
-``evolution.evolve_basis``.
+QM evolves by one N x N eigh, CL matrix-free by Krylov dense output
+through ``evolution.evolve_basis``.
 
 No quantitative "inter-space entanglement" measure is defined here: the
 module reports the generator audit, standard intra-space metrics
@@ -214,9 +214,13 @@ def compare_cl_qm_entanglement(
     margins).
 
     ``columns`` holds the ``SERIES_COLUMNS`` arrays by name, one entry per
-    time; ``solver_path`` names the route of each kind, and ``margins``
-    holds ``max_top_level_population_<kind>``, the worst top-ladder
-    population of each run over the output times.  ``t_grid`` must be
+    time; ``solver_path`` names the route of each kind: QM takes one eigh,
+    CL the Krylov route of ``evolution.evolve_basis``, whose Lanczos
+    matrices are real tridiagonal because CL's E is real.  ``margins`` holds
+    ``max_top_level_population_<kind>``, the worst top-ladder population of
+    each run over the output times, and for CL the Krylov run's worst
+    a-posteriori error estimate ``max_krylov_error_estimate_cl`` and its
+    generator-call count ``krylov_generator_calls_cl``.  ``t_grid`` must be
     evenly spaced (ValueError otherwise).  Raises TruncationLeak if either
     run populates the top ladder level of a subsystem beyond
     ``LEAK_THRESHOLD`` at any time of the grid.
@@ -227,7 +231,7 @@ def compare_cl_qm_entanglement(
     generators = _kinds(*bipartite_generator(basis, lam, SuperPotentialKind.CL))
     for kind, (h, e, r) in generators.items():
         tag = kind.value
-        states = evolve_basis(h, rho0, t_grid, basis.hbar, e, r)
+        states, krylov = evolve_basis(h, rho0, t_grid, basis.hbar, e, r)
         leak = np.abs(top_level_population(states, basis.n_levels))
         worst = int(np.argmax(leak))
         if leak[worst] > LEAK_THRESHOLD:
@@ -236,6 +240,7 @@ def compare_cl_qm_entanglement(
             )
         paths[tag] = solver_path(e)
         margins[f"max_top_level_population_{tag}"] = float(leak[worst])
+        margins.update({f"{name}_{tag}": value for name, value in krylov.items()})
         columns[f"purity_{tag}"], eig = entanglement_metrics(states, basis.n_levels)
         columns[f"min_eig_{tag}"] = eig[:, -1]
         columns[f"trace_drift_{tag}"] = np.abs(np.trace(states, axis1=1, axis2=2).real - 1.0)

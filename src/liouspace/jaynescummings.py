@@ -223,9 +223,14 @@ def jc_series(
     entry per time.  They are the expectation values of P_e (x) 1, |g0><e0|,
     1 and the top-Fock projector from ``evolution.evolve_expectations``; on
     the eigh route (real eps_egeg) no state is formed and the purity is
-    tr(rho0^2), exact for that unitary evolution.  ``solver_path`` names the
-    route and ``margins`` holds ``max_fock_leak``, the worst top-Fock
-    population over the output times.
+    tr(rho0^2), exact for that unitary evolution.  A complex eps_egeg takes
+    the Krylov route instead, with expm of its small non-Hermitian Arnoldi
+    matrices, on an evenly spaced grid only (ValueError otherwise).
+    ``solver_path`` names the route and ``margins`` holds ``max_fock_leak``,
+    the worst top-Fock population over the output times, and on the Krylov
+    route its worst a-posteriori error estimate
+    ``max_krylov_error_estimate`` and its generator-call count
+    ``krylov_generator_calls``.
 
     Raises TruncationLeak before evolving if rho0 fills the top
     ``FOCK_LEAK_LEVELS`` Fock levels, and after it if the state does at any
@@ -238,7 +243,7 @@ def jc_series(
     g0_e0 = np.zeros((p.dim, p.dim))
     g0_e0[ATOM_G * f, ATOM_E * f] = 1.0  # tr(|g0><e0| rho) = rho_{e0,g0}
     ops = [np.diag(atom == ATOM_E), g0_e0, np.eye(p.dim), np.diag(fock >= f - FOCK_LEAK_LEVELS)]
-    values, purity = evolve_expectations(h, rho0, t_grid, p.hbar, ops, e)
+    values, purity, margins = evolve_expectations(h, rho0, t_grid, p.hbar, ops, e)
     worst = float(np.max(values[:, 3].real))
     _raise_on_fock_leak(worst)
     columns = {
@@ -248,7 +253,7 @@ def jc_series(
         "trace": values[:, 2].real,
         "purity": purity,
     }
-    return columns, solver_path(e), {"max_fock_leak": worst}
+    return columns, solver_path(e), {"max_fock_leak": worst, **margins}
 
 
 def coherent_field_density(alpha: complex, n_max: int) -> np.ndarray:

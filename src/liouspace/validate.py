@@ -202,14 +202,14 @@ def _conservation_suite() -> tuple[bool, str]:
     # Jaynes-Cummings with dipole and superoperator
     p = jc.JCParams(omega_e=1.0, omega=0.9, d_eg=0.08, n_max=4, eps_egeg=0.05 * (1 + 1j))
     h, e = jc.jc_generator(p)
-    track(evolution.evolve_basis(h, jc.initial_jc_state("e1", p.n_max), times, p.hbar, e))
+    track(evolution.evolve_basis(h, jc.initial_jc_state("e1", p.n_max), times, p.hbar, e)[0])
 
     # bipartite CL and QM
     basis = entangle.BipartiteBasis(n_levels=4)
     rho0 = entangle.separable_state(basis)
     for kind in SuperPotentialKind:
         h, e, r = entangle.bipartite_generator(basis, 0.0002, kind)
-        track(evolution.evolve_basis(h, rho0, times, basis.hbar, e, r))
+        track(evolution.evolve_basis(h, rho0, times, basis.hbar, e, r)[0])
 
     return worst_tr < 1e-8 and worst_h < 1e-8, (
         f"trace drift {worst_tr:.1e}, hermiticity drift {worst_h:.1e}"
@@ -255,7 +255,7 @@ def _jc_first_order_consistency() -> tuple[bool, str]:
     times = (0.4, 0.2, 0.1)
     small = max(abs(p.d_eg) * times[0], abs(p.eps_egeg) * times[0]) <= 1e-2
     h, e = jc.jc_generator(p)
-    exact = [evolution.evolve_basis(h, rho0, [t], p.hbar, e)[0] for t in times]
+    exact = [evolution.evolve_basis(h, rho0, [t], p.hbar, e)[0][0] for t in times]
     devs = [
         float(np.max(np.abs(jc.jc_evolve_first_order(p, rho0, t) - rho)))
         for t, rho in zip(times, exact)
@@ -303,7 +303,7 @@ def _bipartite_generator_audit() -> tuple[bool, str]:
     # reduced-purity decrease 1 - O((lam t)^2) with quadratic leading order
     times = np.array([0.025, 0.05, 0.1])
     h, _, _ = entangle.bipartite_generator(basis, 0.001, SuperPotentialKind.QM)
-    states = evolution.evolve_basis(h, entangle.separable_state(basis), times, basis.hbar)
+    states, _ = evolution.evolve_basis(h, entangle.separable_state(basis), times, basis.hbar)
     drops = 1.0 - entangle.entanglement_metrics(states, 4)[0]
     slope = float(np.polyfit(np.log(times), np.log(drops), 1)[0])
     ok = (

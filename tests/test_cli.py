@@ -7,10 +7,12 @@ import pytest
 from liouspace import entangle, evolution, liouvillian, superprop, validate
 from liouspace import jaynescummings as jc
 from liouspace.cli import (
+    DEFAULTS,
     EXIT_GUARD,
     EXIT_OK,
     EXIT_USAGE,
     EXIT_VALIDATION,
+    _build_parser,
     parse_config,
     parse_potential_spec,
     run,
@@ -49,6 +51,17 @@ GUARD_MARGINS = {
     "jc": {"max_fock_leak"},
     "bipartite": {"max_top_level_population_cl", "max_top_level_population_qm"},
 }
+
+
+def krylov_margins(solver_path) -> set[str]:
+    """The margins the Krylov route adds, its worst error estimate and its
+    generator calls, per run that took it (by kind for bipartite)."""
+    paths = solver_path if isinstance(solver_path, dict) else {None: solver_path}
+    return {
+        name if kind is None else f"{name}_{kind}"
+        for kind, path in paths.items() if path == "krylov"
+        for name in ("max_krylov_error_estimate", "krylov_generator_calls")
+    }
 
 
 def stub_check(ok):
@@ -219,7 +232,7 @@ class TestScenarios:
             (["jc", "--steps", "20", "--eps", "0.01,-0.02"], jc, "jc_generator"),
             (["bipartite", "--steps", "5"], entangle, "bipartite_generator"),
         ],
-        ids=["jc-eigh", "jc-expm_multiply", "bipartite"],
+        ids=["jc-eigh", "jc-krylov", "bipartite"],
     )
     def test_basis_scenario_builds_its_generator_once(self, tmp_path, monkeypatch, argv,
                                                       module, builder):
@@ -389,9 +402,9 @@ class TestScenarios:
             (["evolve", "--grid-n", "64", "--steps", "20", "--n-out", "5"],
              "trotter_strang", 64**2),
             (["jc", "--n-max", "3", "--steps", "5"], "eigh", 4 * 4**2),
-            (["jc", "--n-max", "3", "--steps", "5", "--eps", "0.01,-0.02"], "expm_multiply",
+            (["jc", "--n-max", "3", "--steps", "5", "--eps", "0.01,-0.02"], "krylov",
              4 * 4**2),
-            (["bipartite", "--steps", "5"], {"cl": "expm_multiply", "qm": "eigh"}, 4**4),
+            (["bipartite", "--steps", "5"], {"cl": "krylov", "qm": "eigh"}, 4**4),
         ],
         ids=lambda v: " ".join(v) if isinstance(v, list) else None,
     )
@@ -402,6 +415,14 @@ class TestScenarios:
         )
         assert manifest["solver_path"] == solver_path
         assert manifest["generator_dim"] == generator_dim
+        margins = manifest.get("margins", {})
+        krylov = krylov_margins(solver_path)
+        assert {m for m in margins if "krylov" in m} == krylov
+        for margin in krylov:
+            if margin.startswith("max_krylov_error_estimate"):
+                assert margins[margin] <= evolution.KRYLOV_TOL
+            else:
+                assert margins[margin] >= 1
 
     @pytest.mark.parametrize(
         "argv",
@@ -428,7 +449,7 @@ class TestScenarios:
         margins = manifest["margins"]
         expected = MARGIN_CHECKS[argv[0]]
         guards = GUARD_MARGINS.get(argv[0], set())
-        assert set(margins) == set(expected) | guards
+        assert set(margins) == set(expected) | guards | krylov_margins(manifest.get("solver_path"))
         for margin, (check, holds) in expected.items():
             assert isinstance(margins[margin], float)
             assert holds(margins[margin]) is manifest["checks"][check], margin
@@ -436,6 +457,22 @@ class TestScenarios:
             assert isinstance(margins[margin], float)
             assert margins[margin] <= jc.LEAK_THRESHOLD, margin
         assert code == (EXIT_OK if all(manifest["checks"].values()) else EXIT_VALIDATION)
+
+    def test_consecutive_runs_keep_their_own_flags(self, tmp_path):
+        """One parser serves every run of a process; a flag of one run does
+        not carry over to the next."""
+        runs = [
+            (["jc", "--n-max", "3", "--steps", "5", "--t", "1.5", "--init", "g1"],
+             {"n_max": 3, "steps": 5, "t": 1.5, "init": "g1"}),
+            (["bipartite", "--steps", "4", "--t", "0.5"], {"steps": 4, "t": 0.5}),
+            (["jc", "--steps", "6"], {"steps": 6}),
+        ]
+        for i, (argv, flags) in enumerate(runs):
+            outdir = tmp_path / str(i)
+            assert run(argv + ["--outdir", str(outdir)]) == EXIT_OK
+            manifest = json.loads((outdir / argv[0] / f"{argv[0]}_manifest.json").read_text())
+            assert manifest["config"] == {"scenario": argv[0], **DEFAULTS[argv[0]], **flags}
+        assert _build_parser() is _build_parser()
 
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "cfg.json"

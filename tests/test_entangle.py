@@ -28,7 +28,7 @@ CROSS_CLASSES = {
 def evolve_kind(basis, lam, kind, rho0, times):
     """The states over times through the one structured route."""
     h, e, r = bipartite_generator(basis, lam, kind)
-    return evolve_basis(h, rho0, times, basis.hbar, e, r)
+    return evolve_basis(h, rho0, times, basis.hbar, e, r)[0]
 
 
 @pytest.fixture
@@ -206,8 +206,11 @@ class TestCompare:
         times = np.linspace(0.0, 2.0, 9)
         cols, paths, margins = compare_cl_qm_entanglement(basis4, 0.0003, rho0, times)
         np.testing.assert_array_equal(cols["t"], times)
-        assert paths == {"cl": "expm_multiply", "qm": "eigh"}
-        assert set(margins) == {"max_top_level_population_cl", "max_top_level_population_qm"}
+        assert paths == {"cl": "krylov", "qm": "eigh"}
+        assert set(margins) == {
+            "max_top_level_population_cl", "max_top_level_population_qm",
+            "max_krylov_error_estimate_cl", "krylov_generator_calls_cl",
+        }
         for kind in SuperPotentialKind:
             tag = kind.value
             states = evolve_kind(basis4, 0.0003, kind, rho0, times)

@@ -10,6 +10,8 @@ from liouspace.evolution import (
     EvolutionConfig,
     EvolveMethod,
     ExactEvolver,
+    KRYLOV_MAX_DIM,
+    KRYLOV_TOL,
     basis_action,
     boundary_mass,
     evolve_basis,
@@ -110,6 +112,17 @@ def kron_generator(h, e, u):
     return gen
 
 
+def assert_dense_exponential(out, gen, rho0, t_grid, hbar):
+    """Each state of ``out`` is exp(-i gen t / hbar) rho0 at its t."""
+    for t, rho in zip(t_grid, out):
+        want = scipy.linalg.expm(-1j * gen * t / hbar) @ rho0.reshape(-1)
+        # rounding of either route grows with the phase ||L|| t / hbar,
+        # and with the norm for a non-unitary evolution
+        tol = 1e-13 * max(1.0, np.linalg.norm(gen, 2) * abs(t) / hbar)
+        tol *= np.linalg.norm(want) / np.linalg.norm(rho0)
+        np.testing.assert_allclose(rho.reshape(-1), want, rtol=0, atol=tol)
+
+
 class TestEvolveBasis:
     @pytest.mark.parametrize("e_kind", ["none", "real", "complex"])
     @pytest.mark.parametrize(
@@ -130,15 +143,42 @@ class TestEvolveBasis:
         gen = kron_generator(h, e, u)
         rho0 = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
         hbar = 0.7
-        out = evolve_basis(h, rho0, t_grid, hbar, e, u)
+        out, _ = evolve_basis(h, rho0, t_grid, hbar, e, u)
         assert out.shape == (len(t_grid), 3, 3)
-        for t, rho in zip(t_grid, out):
-            want = scipy.linalg.expm(-1j * gen * t / hbar) @ rho0.reshape(-1)
-            # rounding of either route grows with the phase ||L|| t / hbar,
-            # and with the norm for a non-unitary evolution
-            tol = 1e-13 * max(1.0, np.linalg.norm(gen, 2) * abs(t) / hbar)
-            tol *= np.linalg.norm(want) / np.linalg.norm(rho0)
-            np.testing.assert_allclose(rho.reshape(-1), want, rtol=0, atol=tol)
+        assert_dense_exponential(out, gen, rho0, t_grid, hbar)
+
+    @pytest.mark.parametrize("e_kind", ["real", "complex"])
+    def test_long_step_above_the_cap_takes_substeps(self, e_kind):
+        # 100 > KRYLOV_MAX_DIM: one block cannot reach t = 8, so the first
+        # covers no output and halves its step
+        rng = np.random.Generator(np.random.Philox(35))
+        h, e, u = random_structured(rng, 10, e_kind)
+        rho0 = rng.normal(size=(10, 10)) + 1j * rng.normal(size=(10, 10))
+        out, margins = evolve_basis(h, rho0, [8.0], 0.7, e, u)
+        assert margins["krylov_generator_calls"] > KRYLOV_MAX_DIM
+        assert margins["max_krylov_error_estimate"] <= KRYLOV_TOL
+        assert_dense_exponential(out, kron_generator(h, e, u), rho0, [8.0], 0.7)
+
+    @pytest.mark.parametrize("e_kind", ["real", "complex"])
+    def test_happy_breakdown_before_the_cap(self, e_kind):
+        # diagonal h and rho0: the diagonal matrices are invariant under the
+        # action, so the Krylov space is exhausted after at most 10 vectors
+        rng = np.random.Generator(np.random.Philox(36))
+        _, e, _ = random_structured(rng, 10, e_kind)
+        h = np.diag(rng.normal(size=10))
+        rho0 = np.diag(rng.uniform(size=10))
+        t_grid = np.linspace(0.0, 4.0, 9)
+        out, margins = evolve_basis(h, rho0, t_grid, 0.7, e)
+        assert margins["krylov_generator_calls"] <= 10
+        assert_dense_exponential(out, kron_generator(h, e, np.eye(10)), rho0, t_grid, 0.7)
+
+    @pytest.mark.parametrize("e_kind", ["real", "complex"])
+    def test_zero_state_stays_zero(self, e_kind):
+        rng = np.random.Generator(np.random.Philox(37))
+        h, e, u = random_structured(rng, 4, e_kind)
+        out, margins = evolve_basis(h, np.zeros((4, 4)), np.linspace(0.0, 1.0, 3), 1.0, e, u)
+        np.testing.assert_array_equal(out, np.zeros((3, 4, 4)))
+        assert margins == {"max_krylov_error_estimate": 0.0, "krylov_generator_calls": 0}
 
     @pytest.mark.parametrize("e_kind", ["none", "complex"])
     @pytest.mark.parametrize("identity", [False, True], ids=["basis", "identity"])
@@ -151,7 +191,7 @@ class TestEvolveBasis:
         got = basis_action(h, e, None if identity else u)(rho)
         want = kron_generator(h, e, u) @ rho.reshape(-1)
         np.testing.assert_allclose(got.reshape(-1), want, rtol=0, atol=1e-13)
-        assert solver_path(e) == ("eigh" if e is None else "expm_multiply")
+        assert solver_path(e) == ("eigh" if e is None else "krylov")
 
     def test_global_random_state_untouched_and_irrelevant(self):
         rng = np.random.Generator(np.random.Philox(33))
@@ -161,7 +201,7 @@ class TestEvolveBasis:
         for seed in (1, 2):
             np.random.seed(seed)
             before = np.random.get_state()
-            outs.append(evolve_basis(h, rho0, np.linspace(0, 3, 7), 1.0, e, u))
+            outs.append(evolve_basis(h, rho0, np.linspace(0, 3, 7), 1.0, e, u)[0])
             after = np.random.get_state()
             assert before[0] == after[0] and before[2:] == after[2:]
             np.testing.assert_array_equal(before[1], after[1])
@@ -179,8 +219,8 @@ class TestEvolveBasis:
         hbar = 0.6
         ev = ExactEvolver(build_basis_liouvillian(h, hbar=hbar))
         times = np.array([0.0, 0.4, 1.3, -0.7])  # any grid without E
-        states = evolve_basis(h, rho0, times, hbar)
-        assert states.shape == (4, 4, 4)
+        states, margins = evolve_basis(h, rho0, times, hbar)
+        assert states.shape == (4, 4, 4) and margins == {}
         for t, rho in zip(times, states):
             np.testing.assert_allclose(rho, ev.propagate(rho0, t), rtol=0, atol=1e-12)
 
@@ -189,7 +229,7 @@ class TestEvolveBasis:
         rng = np.random.Generator(np.random.Philox(52))
         h = random_hermitian(rng, 5)
         rho0 = random_hermitian(rng, 5)
-        for rho in evolve_basis(h, rho0, np.linspace(0.0, 4.0, 5), 1.0):
+        for rho in evolve_basis(h, rho0, np.linspace(0.0, 4.0, 5), 1.0)[0]:
             np.testing.assert_allclose(
                 np.linalg.eigvalsh(rho), np.linalg.eigvalsh(rho0), rtol=0, atol=1e-12
             )
@@ -215,9 +255,10 @@ class TestEvolveExpectations:
         rho0 /= np.trace(rho0)
         ops = rng.normal(size=(3, 5, 5)) + 1j * rng.normal(size=(3, 5, 5))
         hbar = 0.7
-        values, purity = evolve_expectations(h, rho0, t_grid, hbar, ops, e)
-        states = evolve_basis(h, rho0, t_grid, hbar, e)
+        values, purity, margins = evolve_expectations(h, rho0, t_grid, hbar, ops, e)
+        states, krylov = evolve_basis(h, rho0, t_grid, hbar, e)
         assert values.shape == (len(t_grid), 3) and purity.shape == (len(t_grid),)
+        assert margins == krylov
         np.testing.assert_allclose(
             values, np.einsum("kij,tji->tk", ops, states), rtol=0, atol=1e-13
         )

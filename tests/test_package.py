@@ -75,3 +75,20 @@ def test_cli_import_leaves_out_heavy_scipy_modules():
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_basis_routes_leave_out_scipy_sparse_linalg(tmp_path):
+    """Both Krylov runs, bipartite CL and complex-eps jc, and the eigh
+    runs beside them need no scipy.sparse.linalg."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    probe = (
+        "import sys; from liouspace.cli import run; "
+        f"outdir = {str(tmp_path)!r}; "
+        "codes = [run(['bipartite', '--steps', '4', '--outdir', outdir]), "
+        "run(['jc', '--n-max', '3', '--steps', '4', '--eps', '0.01,-0.02', '--outdir', outdir])]; "
+        "print(codes, 'scipy.sparse.linalg' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[0, 0] False"
