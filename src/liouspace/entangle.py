@@ -219,8 +219,9 @@ def compare_cl_qm_entanglement(
     matrices are real tridiagonal because CL's E is real.  ``margins`` holds
     ``max_top_level_population_<kind>``, the worst top-ladder population of
     each run over the output times, and for CL the Krylov run's worst
-    a-posteriori error estimate ``max_krylov_error_estimate_cl`` and its
-    generator-call count ``krylov_generator_calls_cl``.  ``t_grid`` must be
+    a-posteriori error estimate ``max_krylov_error_estimate_cl``, its
+    generator-call count ``krylov_generator_calls_cl`` and its largest
+    Arnoldi basis ``krylov_max_basis_dim_cl``.  ``t_grid`` must be
     evenly spaced (ValueError otherwise).  Raises TruncationLeak if either
     run populates the top ladder level of a subsystem beyond
     ``LEAK_THRESHOLD`` at any time of the grid.

@@ -189,8 +189,9 @@ def _krylov_outputs(
     first output until the estimate passes.  Any start and either direction
     of time work.
     ``margins`` holds the worst estimate of the outputs and substeps,
-    ``max_krylov_error_estimate``, and the number of ``act`` calls,
-    ``krylov_generator_calls``.
+    ``max_krylov_error_estimate``, the number of ``act`` calls,
+    ``krylov_generator_calls``, and the largest basis of a block,
+    ``krylov_max_basis_dim`` (at most ``KRYLOV_MAX_DIM``).
     """
     n = v0.size
     out = np.zeros((t_grid.size, n), dtype=complex)
@@ -199,7 +200,7 @@ def _krylov_outputs(
     hess = np.empty((len(vs) + 1, len(vs)), dtype=complex)
     done = int(t_grid[0] == 0.0)  # an output at the start needs no basis
     out[:done] = v0
-    start, v, worst, calls = 0.0, v0, 0.0, 0
+    start, v, worst, calls, max_dim = 0.0, v0, 0.0, 0, 0
     while done < t_grid.size:
         beta = np.linalg.norm(v)
         if beta == 0.0:  # the zero state stays zero
@@ -222,6 +223,7 @@ def _krylov_outputs(
                 if k == len(vs) or beta * h_next * abs(coefficients([far])[0, -1]) <= KRYLOV_TOL:
                     break
             vs[k] = w / h_next
+        max_dim = max(max_dim, k)
         rows = coefficients(taus)
         est = beta * h_next * np.abs(rows[:, -1])
         over = np.flatnonzero(est > KRYLOV_TOL)
@@ -237,7 +239,11 @@ def _krylov_outputs(
         out[done:done + q] = beta * rows[:q] @ vs[:k]
         done += q
         v, start, worst = out[done - 1], t_grid[done - 1], max(worst, est[:q].max())
-    return out, {"max_krylov_error_estimate": float(worst), "krylov_generator_calls": calls}
+    return out, {
+        "max_krylov_error_estimate": float(worst),
+        "krylov_generator_calls": calls,
+        "krylov_max_basis_dim": max_dim,
+    }
 
 
 def evolve_basis(
@@ -257,8 +263,9 @@ def evolve_basis(
     exponentials are one eigh per block; a complex E takes expm and powers
     of the grid step, which is why the grid must be non-empty and evenly
     spaced (ValueError otherwise).  ``margins`` then holds the worst estimate,
-    ``max_krylov_error_estimate``, and the number of generator calls,
-    ``krylov_generator_calls``.  ``solver_path(e)`` names the route.
+    ``max_krylov_error_estimate``, the number of generator calls,
+    ``krylov_generator_calls``, and the largest basis of a block,
+    ``krylov_max_basis_dim``.  ``solver_path(e)`` names the route.
     """
     t_grid = np.asarray(t_grid, dtype=float).reshape(-1)
     rho0 = np.asarray(rho0, dtype=complex)
@@ -406,13 +413,17 @@ def evolve_trotter(
     kin_phase = np.exp(-1j * dt * (op.kinetic_diag / config.hbar))
     half = np.exp(-0.5j * dt * ((op.potential_diag + op.e_diag) / config.hbar))
     full = half * half
-    rho = half * rho0.values  # a fresh array: the FFTs below may overwrite it
+    rho = half * rho0.values  # a fresh array: the FFTs below overwrite it
     for k in range(1, config.n_steps + 1):
         if k > 1:
             rho *= full
-        rho = scipy.fft.fft2(rho, overwrite_x=True)
+        # in place one axis at a time: np.fft.ifft2(x, out=x) leaves x wrong
+        # (numpy 2.4.6), while each 1-d out= transform is exact
+        np.fft.fft(rho, axis=1, out=rho)
+        np.fft.fft(rho, axis=0, out=rho)
         rho *= kin_phase
-        rho = scipy.fft.ifft2(rho, overwrite_x=True)
+        np.fft.ifft(rho, axis=0, out=rho)
+        np.fft.ifft(rho, axis=1, out=rho)
         observed = observe is not None and k % observe_every == 0
         if observed or k == config.n_steps:
             state = SuperDensity(grid, half * rho)

@@ -229,8 +229,9 @@ def jc_series(
     ``solver_path`` names the route and ``margins`` holds ``max_fock_leak``,
     the worst top-Fock population over the output times, and on the Krylov
     route its worst a-posteriori error estimate
-    ``max_krylov_error_estimate`` and its generator-call count
-    ``krylov_generator_calls``.
+    ``max_krylov_error_estimate``, its generator-call count
+    ``krylov_generator_calls`` and its largest Arnoldi basis
+    ``krylov_max_basis_dim``.
 
     Raises TruncationLeak before evolving if rho0 fills the top
     ``FOCK_LEAK_LEVELS`` Fock levels, and after it if the state does at any

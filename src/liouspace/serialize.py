@@ -21,8 +21,10 @@ _FMT = "%.17g"
 def write_csv(path, rows, header=None) -> None:
     """CSV with LF line endings; floats as %.17g, other cells as str.
 
-    A 2-D float64 ndarray is written with one format per row; its cells
-    never need quoting, so the bytes equal those of the per-cell route.
+    A 2-D float64 ndarray is written with one format per row, converted to
+    Python floats one row at a time, so a large matrix makes no list copy of
+    itself; its cells never need quoting, so the bytes equal those of the
+    per-cell route.
     """
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -30,7 +32,7 @@ def write_csv(path, rows, header=None) -> None:
             writer.writerow(header)
         if isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype == np.float64:
             line = ",".join([_FMT] * rows.shape[1]) + "\n"
-            fh.writelines(line % tuple(row) for row in rows.tolist())
+            fh.writelines(line % tuple(row.tolist()) for row in rows)
             return
         for row in rows:
             writer.writerow([_FMT % v if isinstance(v, float) else v for v in row])

@@ -54,13 +54,14 @@ GUARD_MARGINS = {
 
 
 def krylov_margins(solver_path) -> set[str]:
-    """The margins the Krylov route adds, its worst error estimate and its
-    generator calls, per run that took it (by kind for bipartite)."""
+    """The margins the Krylov route adds, its worst error estimate, its
+    generator calls and its largest basis, per run that took it (by kind
+    for bipartite)."""
     paths = solver_path if isinstance(solver_path, dict) else {None: solver_path}
     return {
         name if kind is None else f"{name}_{kind}"
         for kind, path in paths.items() if path == "krylov"
-        for name in ("max_krylov_error_estimate", "krylov_generator_calls")
+        for name in ("max_krylov_error_estimate", "krylov_generator_calls", "krylov_max_basis_dim")
     }
 
 
@@ -421,6 +422,8 @@ class TestScenarios:
         for margin in krylov:
             if margin.startswith("max_krylov_error_estimate"):
                 assert margins[margin] <= evolution.KRYLOV_TOL
+            elif margin.startswith("krylov_max_basis_dim"):
+                assert 1 <= margins[margin] <= evolution.KRYLOV_MAX_DIM
             else:
                 assert margins[margin] >= 1
 

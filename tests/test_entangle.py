@@ -15,7 +15,7 @@ from liouspace.entangle import (
 )
 from liouspace import liouvillian
 from liouspace.errors import DimensionTooLarge, TruncationLeak
-from liouspace.evolution import ExactEvolver, basis_action, evolve_basis
+from liouspace.evolution import KRYLOV_MAX_DIM, ExactEvolver, basis_action, evolve_basis
 from liouspace.jaynescummings import coherent_field_density
 from liouspace.potential import MonomialClass, SuperPotentialKind
 
@@ -210,7 +210,9 @@ class TestCompare:
         assert set(margins) == {
             "max_top_level_population_cl", "max_top_level_population_qm",
             "max_krylov_error_estimate_cl", "krylov_generator_calls_cl",
+            "krylov_max_basis_dim_cl",
         }
+        assert 1 <= margins["krylov_max_basis_dim_cl"] <= KRYLOV_MAX_DIM
         for kind in SuperPotentialKind:
             tag = kind.value
             states = evolve_kind(basis4, 0.0003, kind, rho0, times)

@@ -156,6 +156,7 @@ class TestEvolveBasis:
         rho0 = rng.normal(size=(10, 10)) + 1j * rng.normal(size=(10, 10))
         out, margins = evolve_basis(h, rho0, [8.0], 0.7, e, u)
         assert margins["krylov_generator_calls"] > KRYLOV_MAX_DIM
+        assert margins["krylov_max_basis_dim"] == KRYLOV_MAX_DIM
         assert margins["max_krylov_error_estimate"] <= KRYLOV_TOL
         assert_dense_exponential(out, kron_generator(h, e, u), rho0, [8.0], 0.7)
 
@@ -170,6 +171,7 @@ class TestEvolveBasis:
         t_grid = np.linspace(0.0, 4.0, 9)
         out, margins = evolve_basis(h, rho0, t_grid, 0.7, e)
         assert margins["krylov_generator_calls"] <= 10
+        assert margins["krylov_max_basis_dim"] <= 10
         assert_dense_exponential(out, kron_generator(h, e, np.eye(10)), rho0, t_grid, 0.7)
 
     @pytest.mark.parametrize("e_kind", ["real", "complex"])
@@ -178,7 +180,11 @@ class TestEvolveBasis:
         h, e, u = random_structured(rng, 4, e_kind)
         out, margins = evolve_basis(h, np.zeros((4, 4)), np.linspace(0.0, 1.0, 3), 1.0, e, u)
         np.testing.assert_array_equal(out, np.zeros((3, 4, 4)))
-        assert margins == {"max_krylov_error_estimate": 0.0, "krylov_generator_calls": 0}
+        assert margins == {
+            "max_krylov_error_estimate": 0.0,
+            "krylov_generator_calls": 0,
+            "krylov_max_basis_dim": 0,
+        }
 
     @pytest.mark.parametrize("e_kind", ["none", "complex"])
     @pytest.mark.parametrize("identity", [False, True], ids=["basis", "identity"])

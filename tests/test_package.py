@@ -66,7 +66,10 @@ def test_cli_import_leaves_out_heavy_scipy_modules():
     """Each scipy submodule costs start-up time; the CLI must not load one
     before a route needs it."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    heavy = ("scipy.integrate", "scipy.stats", "scipy.linalg", "scipy.sparse", "scipy.fft")
+    heavy = (
+        "scipy.integrate", "scipy.stats", "scipy.linalg", "scipy.sparse", "scipy.fft",
+        "scipy.special",
+    )
     probe = (
         "import sys, liouspace.cli; "
         f"print(sorted(m for m in {heavy!r} if m in sys.modules))"
@@ -92,3 +95,19 @@ def test_basis_routes_leave_out_scipy_sparse_linalg(tmp_path):
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[0, 0] False"
+
+
+def test_grid_evolve_leaves_out_scipy_fft_and_special(tmp_path):
+    """The Strang loop runs on numpy's FFT: scipy.fft, and scipy.special
+    which it imports, stay out of a grid run."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    probe = (
+        "import sys; from liouspace.cli import run; "
+        "code = run(['evolve', '--grid-n', '64', '--steps', '4', '--n-out', '2', "
+        f"'--outdir', {str(tmp_path)!r}]); "
+        "print(code, sorted(m for m in ('scipy.fft', 'scipy.special') if m in sys.modules))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "0 []"

@@ -24,8 +24,9 @@ def test_super_density_round_trip(tmp_path, n):
     np.testing.assert_array_equal(loaded.values, sd.values)
 
 
-def test_float_matrix_rows_match_the_csv_writer(tmp_path):
-    mat = np.random.default_rng(3).normal(size=(6, 5)) * 10.0 ** np.arange(-4, 6, 2)
+@pytest.mark.parametrize("n_rows", [6, 300])
+def test_float_matrix_rows_match_the_csv_writer(tmp_path, n_rows):
+    mat = np.random.default_rng(3).normal(size=(n_rows, 5)) * 10.0 ** np.arange(-4, 6, 2)
     mat[0, 0], mat[1, 2], mat[2, 4], mat[3, 1], mat[4, 3] = -0.0, np.nan, np.inf, -np.inf, 1e-310
     write_csv(tmp_path / "fast.csv", mat, header=list("abcde"))
     # the per-cell route every non-matrix row takes
