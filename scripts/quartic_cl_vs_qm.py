@@ -18,7 +18,6 @@ from liouspace.evolution import boundary_mass
 from liouspace.serialize import write_csv
 from liouspace import (
     EvolutionConfig,
-    EvolveMethod,
     PolynomialPotential,
     SuperGrid,
     SuperPotentialKind,
@@ -39,7 +38,7 @@ def moment_series(kind):
     sd = gaussian_super_density(grid, 1.0, 0.0, 0.6, 1.0 / 1.2)
     v = PolynomialPotential.quartic(LAM)
     n_steps = STEPS_PER_ROW * N_OUT
-    cfg = EvolutionConfig(t1=T_END, n_steps=n_steps, method=EvolveMethod.TROTTER_STRANG)
+    cfg = EvolutionConfig(t1=T_END, n_steps=n_steps)
     rows = []
 
     def observe(k, state):

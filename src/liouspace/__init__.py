@@ -97,6 +97,7 @@ from .jaynescummings import (
     jc_evolve_first_order,
     jc_generator,
     jc_liouvillian,
+    partial_trace,
 )
 from .entangle import (
     BipartiteBasis,
@@ -104,5 +105,4 @@ from .entangle import (
     build_bipartite_liouvillian,
     compare_cl_qm_entanglement,
     entanglement_metrics,
-    reduced_density,
 )

@@ -46,7 +46,9 @@ import numpy as np
 from .errors import TruncationLeak
 from .evolution import evolve_basis, solver_path
 from .liouvillian import BasisLiouvillian, build_basis_liouvillian, check_dense_dim
-from .jaynescummings import LEAK_THRESHOLD, coherent_field_density, fock_annihilation
+from .jaynescummings import (
+    LEAK_THRESHOLD, coherent_field_density, fock_annihilation, partial_trace,
+)
 from .potential import (
     MonomialClass,
     SuperPotentialKind,
@@ -57,12 +59,11 @@ from .potential import (
 
 @dataclass(frozen=True)
 class BipartiteBasis:
-    """Truncated oscillator ladder basis for each of the two subsystems."""
+    """Truncated oscillator ladder basis for each of the two subsystems,
+    in hbar = m = 1."""
 
     n_levels: int
     omega: float = 1.0
-    mass: float = 1.0
-    hbar: float = 1.0
 
     def __post_init__(self) -> None:
         if self.n_levels < 2:
@@ -73,14 +74,14 @@ class BipartiteBasis:
         return self.n_levels**2
 
     def position_operator(self) -> np.ndarray:
-        """Single-mode x = sqrt(hbar / 2 m omega) (a + a')."""
+        """Single-mode x = sqrt(1 / 2 omega) (a + a')."""
         a = fock_annihilation(self.n_levels - 1)
-        return np.sqrt(self.hbar / (2.0 * self.mass * self.omega)) * (a + a.T)
+        return np.sqrt(0.5 / self.omega) * (a + a.T)
 
     def free_hamiltonian(self) -> np.ndarray:
         """omega (n + 1/2) for each subsystem."""
         n = self.n_levels
-        h1 = self.omega * self.hbar * np.diag(np.arange(n) + 0.5)
+        h1 = self.omega * np.diag(np.arange(n) + 0.5)
         eye = np.eye(n)
         return np.kron(h1, eye) + np.kron(eye, h1)
 
@@ -126,15 +127,12 @@ def pure_bra_polynomial(basis: BipartiteBasis, lam: float) -> np.ndarray:
 def build_bipartite_liouvillian(
     basis: BipartiteBasis, lam: float, kind
 ) -> BasisLiouvillian:
-    """Dense generator of i hbar d/dt rho for the chosen kind ("cl" or "qm"),
+    """Dense generator of i d/dt rho for the chosen kind ("cl" or "qm"),
     from the monomial operators; for audits, spectra and oracles."""
     h0 = basis.free_hamiltonian()
     if SuperPotentialKind(kind) is SuperPotentialKind.QM:
-        return build_basis_liouvillian(
-            h0 + pure_bra_polynomial(basis, lam), hbar=basis.hbar
-        )
-    s_add = interaction_terms(basis, lam)
-    return build_basis_liouvillian(h0, s_add=s_add, hbar=basis.hbar)
+        return build_basis_liouvillian(h0 + pure_bra_polynomial(basis, lam))
+    return build_basis_liouvillian(h0, s_add=interaction_terms(basis, lam))
 
 
 def bipartite_generator(
@@ -160,22 +158,6 @@ def _kinds(h, e, r) -> dict[SuperPotentialKind, tuple]:
     return {SuperPotentialKind.CL: (h, e, r), SuperPotentialKind.QM: (h, None, None)}
 
 
-def _blocks(rho: np.ndarray, n_levels: int) -> np.ndarray:
-    """(..., n, n, n, n) view of densities on the tensor space."""
-    rho = np.asarray(rho)
-    return rho.reshape(*rho.shape[:-2], *(n_levels,) * 4)
-
-
-def reduced_density(rho: np.ndarray, subsystem: int, n_levels: int) -> np.ndarray:
-    """Partial trace over the other subsystem (subsystem is 1 or 2) of one
-    density or of each density of a (..., N, N) stack."""
-    if subsystem == 1:
-        return np.einsum("...anbn->...ab", _blocks(rho, n_levels))
-    if subsystem == 2:
-        return np.einsum("...nanb->...ab", _blocks(rho, n_levels))
-    raise ValueError("subsystem must be 1 or 2")
-
-
 def entanglement_metrics(rho: np.ndarray, n_levels: int):
     """(purity of reduced subsystem 1, eigenvalues of the Hermitian part of
     rho in descending order), per density of a (..., N, N) stack.
@@ -183,7 +165,7 @@ def entanglement_metrics(rho: np.ndarray, n_levels: int):
     Eigenvalues are reported unclipped: classical evolution may push them
     negative, which is data, not an error.
     """
-    red = reduced_density(rho, 1, n_levels)
+    red = partial_trace(rho, (n_levels, n_levels), 0)
     pur = np.einsum("...ij,...ji->...", red, red).real
     sym = np.swapaxes(rho, -1, -2).conj()  # one copy of rho, then in place
     sym += rho
@@ -194,9 +176,8 @@ def entanglement_metrics(rho: np.ndarray, n_levels: int):
 def top_level_population(rho: np.ndarray, n_levels: int):
     """Population of the highest ladder level of either subsystem, the
     larger of the two, per density of a (..., N, N) stack."""
-    blocks = _blocks(rho, n_levels)
-    pop1 = np.einsum("...nn->...", blocks[..., -1, :, -1, :]).real
-    pop2 = np.einsum("...nn->...", blocks[..., :, -1, :, -1]).real
+    dims = (n_levels, n_levels)
+    pop1, pop2 = (partial_trace(rho, dims, keep)[..., -1, -1].real for keep in (0, 1))
     return np.maximum(pop1, pop2)
 
 
@@ -232,7 +213,7 @@ def compare_cl_qm_entanglement(
     generators = _kinds(*bipartite_generator(basis, lam, SuperPotentialKind.CL))
     for kind, (h, e, r) in generators.items():
         tag = kind.value
-        states, krylov = evolve_basis(h, rho0, t_grid, basis.hbar, e, r)
+        states, krylov = evolve_basis(h, rho0, t_grid, e, r)
         leak = np.abs(top_level_population(states, basis.n_levels))
         worst = int(np.argmax(leak))
         if leak[worst] > LEAK_THRESHOLD:

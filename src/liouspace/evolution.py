@@ -10,6 +10,10 @@ Trotter evolution on (Q, q) grids, and the classical
 method-of-characteristics ensemble, which serves as the independent
 oracle for the grid dynamics.
 
+The grid routes take hbar and the mass from ``EvolutionConfig``.  The
+structured generators are in hbar = 1, i d/dt rho = L rho: for another
+hbar, pass h / hbar and E / hbar.
+
 The structured generators have two entry points over the same two routes:
 ``evolve_basis`` returns the states, a (T, N, N) stack, and
 ``evolve_expectations`` returns expectation values tr(O rho(t)) and the
@@ -124,21 +128,21 @@ def basis_action(h: np.ndarray, e=None, basis=None) -> Callable[[np.ndarray], np
     return act
 
 
-def _eigenbasis(h: np.ndarray, rho0: np.ndarray, t_grid: np.ndarray, hbar: float):
-    """(u, phases, sigma0) of h = u diag(w) u': phases[t] = e^{-i w t / hbar}
+def _eigenbasis(h: np.ndarray, rho0: np.ndarray, t_grid: np.ndarray):
+    """(u, phases, sigma0) of h = u diag(w) u': phases[t] = e^{-i w t}
     for each t of t_grid and sigma0 = u' rho0 u."""
     w, u = np.linalg.eigh(h)
     # cos + i sin of the real angles: the values of a complex exp, in about
     # half its time
-    angle = np.outer(t_grid, w) / -hbar
+    angle = np.outer(t_grid, -w)
     phases = np.empty(angle.shape, dtype=complex)
     np.cos(angle, out=phases.real)
     np.sin(angle, out=phases.imag)
     return u, phases, u.conj().T @ rho0 @ u
 
 
-def _krylov_coefficients(hk: np.ndarray, hermitian: bool, hbar: float, dt: float):
-    """taus -> rows exp(-i tau H_k / hbar) e_1, one per tau of the evenly
+def _krylov_coefficients(hk: np.ndarray, hermitian: bool, dt: float):
+    """taus -> rows exp(-i tau H_k) e_1, one per tau of the evenly
     spaced (step dt) taus, for the k x k Arnoldi matrix H_k.
 
     A Hermitian action makes H_k real tridiagonal, and one eigh of it serves
@@ -149,8 +153,8 @@ def _krylov_coefficients(hk: np.ndarray, hermitian: bool, hbar: float, dt: float
     if hermitian:
         # eigh reads the lower triangle: the diagonal and the subdiagonal
         lam, q = np.linalg.eigh(hk.real)
-        return lambda taus: (np.exp(np.outer(taus, lam) / (1j * hbar)) * q[0]) @ q.T
-    gen = hk / (1j * hbar)
+        return lambda taus: (np.exp(np.outer(taus, lam) / 1j) * q[0]) @ q.T
+    gen = hk / 1j
 
     def powers(taus):
         rows = [scipy.linalg.expm(taus[0] * gen)[:, 0]]
@@ -167,10 +171,9 @@ def _krylov_outputs(
     act: Callable[[np.ndarray], np.ndarray],
     v0: np.ndarray,
     t_grid: np.ndarray,
-    hbar: float,
     hermitian: bool,
 ) -> tuple[np.ndarray, dict[str, float]]:
-    """(out, margins): out[j] = exp(-i t_j A / hbar) v0 for each t_j of the
+    """(out, margins): out[j] = exp(-i t_j A) v0 for each t_j of the
     evenly spaced t_grid, where ``act`` applies A to a vector and
     ``hermitian`` says whether A is Hermitian.
 
@@ -178,8 +181,8 @@ def _krylov_outputs(
     state v at time s, beta = |v|, an Arnoldi basis V_k of
     span{v, A v, ..., A^{k-1} v} (two-pass classical Gram-Schmidt) with
     H_k = V_k' A V_k gives
-    exp(-i tau A / hbar) v ~ beta V_k exp(-i tau H_k / hbar) e_1, with the
-    a-posteriori error estimate beta h_{k+1,k} |[exp(-i tau H_k / hbar) e_1]_k|.
+    exp(-i tau A) v ~ beta V_k exp(-i tau H_k) e_1, with the a-posteriori
+    error estimate beta h_{k+1,k} |[exp(-i tau H_k) e_1]_k|.
     The basis grows until that estimate at the farthest remaining output,
     checked every ``KRYLOV_CHECK_EVERY`` vectors, is at most ``KRYLOV_TOL``,
     or to ``KRYLOV_MAX_DIM`` vectors, or until it spans the space.  The
@@ -219,7 +222,7 @@ def _krylov_outputs(
             # at k = n the basis spans the space, and the projection is exact
             h_next = hess[k, k - 1] = np.linalg.norm(w) if k < n else 0.0
             if k == len(vs) or k % KRYLOV_CHECK_EVERY == 0 or h_next == 0.0:
-                coefficients = _krylov_coefficients(hess[:k, :k], hermitian, hbar, dt)
+                coefficients = _krylov_coefficients(hess[:k, :k], hermitian, dt)
                 if k == len(vs) or beta * h_next * abs(coefficients([far])[0, -1]) <= KRYLOV_TOL:
                     break
             vs[k] = w / h_next
@@ -247,14 +250,14 @@ def _krylov_outputs(
 
 
 def evolve_basis(
-    h: np.ndarray, rho0: np.ndarray, t_grid, hbar: float, e=None, basis=None
+    h: np.ndarray, rho0: np.ndarray, t_grid, e=None, basis=None
 ) -> tuple[np.ndarray, dict[str, float]]:
-    """(states, margins) of i hbar d/dt rho = ``basis_action(h, e, basis)`` rho
-    for Hermitian N x N h: states[j] = rho(t_j) for each t_j of t_grid,
-    shape (len(t_grid), N, N).
+    """(states, margins) of i d/dt rho = ``basis_action(h, e, basis)`` rho
+    (hbar = 1) for Hermitian N x N h: states[j] = rho(t_j) for each t_j of
+    t_grid, shape (len(t_grid), N, N).
 
     Without E, one eigh h = u diag(w) u' gives
-    rho(t) = u (e^{-i w t / hbar} o (u' rho0 u) o e^{+i w t / hbar}) u'
+    rho(t) = u (e^{-i w t} o (u' rho0 u) o e^{+i w t}) u'
     on any grid, and ``margins`` is empty.  With E, sigma = U^T rho U follows
     h' sigma - sigma h' + E o sigma (h' = U^T h U), evolved without forming
     L by Krylov dense output (Saad 1992) to an a-posteriori error estimate of
@@ -270,7 +273,7 @@ def evolve_basis(
     t_grid = np.asarray(t_grid, dtype=float).reshape(-1)
     rho0 = np.asarray(rho0, dtype=complex)
     if solver_path(e) == "eigh":
-        u, phases, sigma0 = _eigenbasis(h, rho0, t_grid, hbar)
+        u, phases, sigma0 = _eigenbasis(h, rho0, t_grid)
         # two (len(t_grid), N, N) buffers at a time: long grids stay lean
         states = phases[:, :, None] * sigma0
         states *= phases.conj()[:, None, :]
@@ -285,7 +288,7 @@ def evolve_basis(
     act, shape = basis_action(h, e), rho0.shape
     out, margins = _krylov_outputs(
         lambda vec: act(vec.reshape(shape)).reshape(-1),
-        rho0.reshape(-1), t_grid, hbar, hermitian=bool(np.isreal(e).all()),
+        rho0.reshape(-1), t_grid, hermitian=bool(np.isreal(e).all()),
     )
     states = out.reshape(-1, *shape)
     if basis is not None:
@@ -294,7 +297,7 @@ def evolve_basis(
 
 
 def evolve_expectations(
-    h: np.ndarray, rho0: np.ndarray, t_grid, hbar: float, ops, e=None
+    h: np.ndarray, rho0: np.ndarray, t_grid, ops, e=None
 ) -> tuple[np.ndarray, np.ndarray, dict[str, float]]:
     """(values, purity, margins) of the evolution of ``evolve_basis`` with E,
     if any, elementwise in the identity basis:
@@ -303,7 +306,7 @@ def evolve_expectations(
     ``evolve_basis``.
 
     On the eigh route (``solver_path(e)``) no state is formed.  With
-    sigma0 = u' rho0 u and p = e^{-i w t / hbar},
+    sigma0 = u' rho0 u and p = e^{-i w t},
     tr(O rho(t)) = sum_i p_i sum_j M_ij conj(p_j), M = (u' O u)^T o sigma0:
     one (T, N) @ (N, K N) product for all operators and times.  The
     evolution is unitary there, so the purity is tr(sigma0^2) at every t.
@@ -313,14 +316,14 @@ def evolve_expectations(
     rho0 = np.asarray(rho0, dtype=complex)
     ops = np.asarray(ops, dtype=complex)
     if solver_path(e) == "eigh":
-        u, phases, sigma0 = _eigenbasis(h, rho0, t_grid, hbar)
+        u, phases, sigma0 = _eigenbasis(h, rho0, t_grid)
         # m[j, k, i] = (u' O_k u)[j, i] sigma0[i, j]
         m = (u.conj().T @ ops @ u).transpose(1, 0, 2) * sigma0.T[:, None, :]
         right = (phases.conj() @ m.reshape(len(u), -1)).reshape(t_grid.size, len(ops), -1)
         values = np.einsum("tki,ti->tk", right, phases)
         purity = np.full(t_grid.size, np.einsum("ij,ji->", sigma0, sigma0).real)
         return values, purity, {}
-    states, margins = evolve_basis(h, rho0, t_grid, hbar, e)
+    states, margins = evolve_basis(h, rho0, t_grid, e)
     # tr(O rho) = sum_ji rho_ji (O^T)_ji
     values = states.reshape(t_grid.size, -1) @ ops.transpose(0, 2, 1).reshape(len(ops), -1).T
     return values, np.einsum("tij,tji->t", states, states).real, margins

@@ -16,7 +16,7 @@ With eps = E_{eg,eg}, E-hat multiplies the eg block of rho by eps and the
 ge block by -conj(eps) and leaves the populations, so the trace, alone.
 Its Hermitian part is the commutator with Re(eps) P_e (x) 1, a shift of
 omega_e; the rest, i Im(eps) on both coherence blocks, is anti-Hermitian:
-Im(eps) < 0 damps the eg coherence as exp(Im(eps) t / hbar), Im(eps) > 0
+Im(eps) < 0 damps the eg coherence as exp(Im(eps) t) (hbar = 1), Im(eps) > 0
 amplifies it.  ``jc_generator`` writes the model as CL = QM + E in that split.
 
 Matrix elements E_{ab,cd} over hydrogen-like orbitals are estimated by
@@ -52,7 +52,6 @@ class JCParams:
     d_eg: float
     n_max: int
     eps_egeg: complex = 0.0
-    hbar: float = 1.0
 
     def __post_init__(self) -> None:
         if self.n_max < 1:
@@ -70,6 +69,17 @@ class JCParams:
 def fock_annihilation(n_max: int) -> np.ndarray:
     """Real ladder operator a on Fock levels 0..n_max."""
     return np.diag(np.sqrt(np.arange(1, n_max + 1)), k=1)
+
+
+def partial_trace(rho: np.ndarray, dims: tuple[int, int], keep: int) -> np.ndarray:
+    """Factor ``keep`` (0 or 1) of densities on a dims[0] (x) dims[1] space:
+    the partial trace over the other factor, of one density or of each
+    density of a (..., N, N) stack."""
+    if keep not in (0, 1):
+        raise ValueError("keep must be 0 or 1")
+    rho = np.asarray(rho)
+    blocks = rho.reshape(*rho.shape[:-2], *dims, *dims)
+    return np.einsum("...anbn->...ab" if keep == 0 else "...nanb->...ab", blocks)
 
 
 def build_jc_hamiltonian(p: JCParams) -> np.ndarray:
@@ -108,7 +118,7 @@ def jc_liouvillian(p: JCParams) -> BasisLiouvillian:
     if p.eps_egeg != 0:
         check_dense_dim(p.dim**2)
         s_add = np.diag(_coherence_mask(p, p.eps_egeg, -np.conj(p.eps_egeg)).ravel())
-    return build_basis_liouvillian(build_jc_hamiltonian(p), s_add=s_add, hbar=p.hbar)
+    return build_basis_liouvillian(build_jc_hamiltonian(p), s_add=s_add)
 
 
 def jc_generator(p: JCParams) -> tuple[np.ndarray, np.ndarray | None]:
@@ -121,15 +131,6 @@ def jc_generator(p: JCParams) -> tuple[np.ndarray, np.ndarray | None]:
         return h, None
     e = 1j * p.eps_egeg.imag
     return h, _coherence_mask(p, e, e)
-
-
-def atom_field_factors(rho: np.ndarray, n_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """Partial traces (atom 2x2, field FxF) of a density on atom (x) Fock."""
-    f = n_max + 1
-    blocks = rho.reshape(2, f, 2, f)
-    rho_atom = np.einsum("anbn->ab", blocks)
-    rho_field = np.einsum("anam->nm", blocks)
-    return rho_atom, rho_field
 
 
 def jc_evolve_first_order(p: JCParams, rho0: np.ndarray, t: float) -> np.ndarray:
@@ -149,7 +150,7 @@ def jc_evolve_first_order(p: JCParams, rho0: np.ndarray, t: float) -> np.ndarray
     if t < 0:
         raise ValueError("t must be non-negative")
     f = p.fock_dim
-    rho_atom, rho_field = atom_field_factors(rho0, p.n_max)
+    rho_atom, rho_field = (partial_trace(rho0, (2, f), keep) for keep in (0, 1))
     scale = max(float(np.max(np.abs(rho0))), 1e-300)
     if np.max(np.abs(rho0 - np.kron(rho_atom, rho_field))) > 1e-10 * scale:
         raise NotFactorized("initial state is not atom (x) field to 1e-10")
@@ -192,13 +193,6 @@ def jc_evolve_first_order(p: JCParams, rho0: np.ndarray, t: float) -> np.ndarray
     return out
 
 
-def _blocks(rho: np.ndarray, n_max: int) -> np.ndarray:
-    """(..., 2, F, 2, F) view of densities on atom (x) Fock."""
-    rho = np.asarray(rho)
-    f = n_max + 1
-    return rho.reshape(*rho.shape[:-2], 2, f, 2, f)
-
-
 def _raise_on_fock_leak(worst: float) -> None:
     if worst > LEAK_THRESHOLD:
         raise TruncationLeak(
@@ -210,8 +204,8 @@ def _raise_on_fock_leak(worst: float) -> None:
 def check_fock_truncation(rho: np.ndarray, n_max: int) -> None:
     """Abort when the top ``FOCK_LEAK_LEVELS`` Fock levels of any density
     of a (..., dim, dim) stack hold more than ``LEAK_THRESHOLD``."""
-    top = _blocks(rho, n_max)[..., -FOCK_LEAK_LEVELS:, :, -FOCK_LEAK_LEVELS:]
-    _raise_on_fock_leak(np.max(np.einsum("...anan->...", top).real))
+    field = partial_trace(rho, (2, n_max + 1), 1)[..., -FOCK_LEAK_LEVELS:, -FOCK_LEAK_LEVELS:]
+    _raise_on_fock_leak(np.max(np.einsum("...nn->...", field).real))
 
 
 def jc_series(
@@ -244,7 +238,7 @@ def jc_series(
     g0_e0 = np.zeros((p.dim, p.dim))
     g0_e0[ATOM_G * f, ATOM_E * f] = 1.0  # tr(|g0><e0| rho) = rho_{e0,g0}
     ops = [np.diag(atom == ATOM_E), g0_e0, np.eye(p.dim), np.diag(fock >= f - FOCK_LEAK_LEVELS)]
-    values, purity, margins = evolve_expectations(h, rho0, t_grid, p.hbar, ops, e)
+    values, purity, margins = evolve_expectations(h, rho0, t_grid, ops, e)
     worst = float(np.max(values[:, 3].real))
     _raise_on_fock_leak(worst)
     columns = {

@@ -11,7 +11,8 @@ Two representations are provided:
   L rho = H rho - rho H, optionally augmented by an explicit
   superoperator matrix S acting on vec(rho).
 
-Both are stated in energy units: i hbar d/dt rho = L rho.
+Both are stated in energy units: i hbar d/dt rho = L rho, with the hbar
+and mass of the grid as fields and hbar = 1 in a basis.
 """
 
 from __future__ import annotations
@@ -101,7 +102,7 @@ class BasisLiouvillian:
 
     h: np.ndarray
     s_add: Optional[np.ndarray] = None
-    hbar: float = 1.0
+    hbar = 1.0  # a class constant, not a field: the basis routes work in hbar = 1
 
     def __post_init__(self) -> None:
         self.h = np.asarray(self.h, dtype=complex)
@@ -141,7 +142,6 @@ def build_grid_liouvillian(
 def build_basis_liouvillian(
     h: np.ndarray,
     s_add: Optional[np.ndarray] = None,
-    hbar: float = 1.0,
 ) -> BasisLiouvillian:
     h = np.asarray(h, dtype=complex)
     if not is_hermitian(h):
@@ -150,7 +150,7 @@ def build_basis_liouvillian(
         s_add = np.asarray(s_add, dtype=complex)
         if s_add.shape != (h.shape[0] ** 2, h.shape[0] ** 2):
             raise ValueError("s_add must be (N^2, N^2)")
-    return BasisLiouvillian(h=h, s_add=s_add, hbar=hbar)
+    return BasisLiouvillian(h=h, s_add=s_add)
 
 
 def spectrum(liouville) -> np.ndarray:

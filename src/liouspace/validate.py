@@ -100,9 +100,7 @@ def _free_transport() -> tuple[bool, str]:
     grid = superspace.SuperGrid.centered(8.0, 128)
     sigma = 3.5 * grid.dq  # narrow-Gaussian surrogate, >= 3 grid spacings
     sd = superspace.gaussian_super_density(grid, x0, p0, sigma, 0.6)
-    cfg = evolution.EvolutionConfig(
-        t1=duration, n_steps=1, method=evolution.EvolveMethod.TROTTER_STRANG, mass=mass
-    )
+    cfg = evolution.EvolutionConfig(t1=duration, n_steps=1, mass=mass)
     free = PolynomialPotential.free()
     out_cl = evolution.evolve_trotter(free, grid, SuperPotentialKind.CL, sd, cfg)
     out_qm = evolution.evolve_trotter(free, grid, SuperPotentialKind.QM, sd, cfg)
@@ -123,7 +121,7 @@ def _cl_vs_characteristics_oracle() -> tuple[bool, str]:
     v = PolynomialPotential.quartic(0.1)
     grid = superspace.SuperGrid.centered(8.0, 128)
     sd = superspace.gaussian_super_density(grid, 1.0, 0.0, 0.4, 0.6)
-    cfg = evolution.EvolutionConfig(t1=0.5, n_steps=100, method=evolution.EvolveMethod.TROTTER_STRANG)
+    cfg = evolution.EvolutionConfig(t1=0.5, n_steps=100)
     out = evolution.evolve_trotter(v, grid, SuperPotentialKind.CL, sd, cfg)
     ens = evolution.gaussian_ensemble(10**5, 1.0, 0.0, 0.4, 0.6, seed=104)
     ens = evolution.evolve_characteristics(v, ens, 0.5, dt=5e-4)
@@ -178,7 +176,7 @@ def _conservation_suite() -> tuple[bool, str]:
     # grid scenarios: quartic CL and QM, harmonic CL
     grid = superspace.SuperGrid.centered(8.0, 128)
     sd0 = superspace.gaussian_super_density(grid, 1.0, 0.0, 0.4, 0.6)
-    cfg = evolution.EvolutionConfig(t1=10.0, n_steps=1000, method=evolution.EvolveMethod.TROTTER_STRANG)
+    cfg = evolution.EvolutionConfig(t1=10.0, n_steps=1000)
 
     def observe(k, sd):
         nonlocal worst_tr, worst_h
@@ -202,14 +200,14 @@ def _conservation_suite() -> tuple[bool, str]:
     # Jaynes-Cummings with dipole and superoperator
     p = jc.JCParams(omega_e=1.0, omega=0.9, d_eg=0.08, n_max=4, eps_egeg=0.05 * (1 + 1j))
     h, e = jc.jc_generator(p)
-    track(evolution.evolve_basis(h, jc.initial_jc_state("e1", p.n_max), times, p.hbar, e)[0])
+    track(evolution.evolve_basis(h, jc.initial_jc_state("e1", p.n_max), times, e)[0])
 
     # bipartite CL and QM
     basis = entangle.BipartiteBasis(n_levels=4)
     rho0 = entangle.separable_state(basis)
     for kind in SuperPotentialKind:
         h, e, r = entangle.bipartite_generator(basis, 0.0002, kind)
-        track(evolution.evolve_basis(h, rho0, times, basis.hbar, e, r)[0])
+        track(evolution.evolve_basis(h, rho0, times, e, r)[0])
 
     return worst_tr < 1e-8 and worst_h < 1e-8, (
         f"trace drift {worst_tr:.1e}, hermiticity drift {worst_h:.1e}"
@@ -255,7 +253,7 @@ def _jc_first_order_consistency() -> tuple[bool, str]:
     times = (0.4, 0.2, 0.1)
     small = max(abs(p.d_eg) * times[0], abs(p.eps_egeg) * times[0]) <= 1e-2
     h, e = jc.jc_generator(p)
-    exact = [evolution.evolve_basis(h, rho0, [t], p.hbar, e)[0][0] for t in times]
+    exact = [evolution.evolve_basis(h, rho0, [t], e)[0][0] for t in times]
     devs = [
         float(np.max(np.abs(jc.jc_evolve_first_order(p, rho0, t) - rho)))
         for t, rho in zip(times, exact)
@@ -303,7 +301,7 @@ def _bipartite_generator_audit() -> tuple[bool, str]:
     # reduced-purity decrease 1 - O((lam t)^2) with quadratic leading order
     times = np.array([0.025, 0.05, 0.1])
     h, _, _ = entangle.bipartite_generator(basis, 0.001, SuperPotentialKind.QM)
-    states, _ = evolution.evolve_basis(h, entangle.separable_state(basis), times, basis.hbar)
+    states, _ = evolution.evolve_basis(h, entangle.separable_state(basis), times)
     drops = 1.0 - entangle.entanglement_metrics(states, 4)[0]
     slope = float(np.polyfit(np.log(times), np.log(drops), 1)[0])
     ok = (
@@ -329,7 +327,7 @@ def _trotter_convergence() -> tuple[bool, str]:
     errs = []
     warned = 0
     for n in (16, 32, 64):
-        cfg = evolution.EvolutionConfig(t1=0.4, n_steps=n, method=evolution.EvolveMethod.TROTTER_STRANG)
+        cfg = evolution.EvolutionConfig(t1=0.4, n_steps=n)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             out = evolution.evolve_trotter(v, grid, SuperPotentialKind.CL, sd, cfg)
@@ -399,7 +397,7 @@ def _harmonic_cl_equals_qm() -> tuple[bool, str]:
     grid = superspace.SuperGrid.centered(8.0, 64)
     sd = superspace.gaussian_super_density(grid, 0.8, 0.0, 0.6, 0.8)
     v = PolynomialPotential.harmonic(1.0)
-    cfg = evolution.EvolutionConfig(t1=1.0, n_steps=64, method=evolution.EvolveMethod.TROTTER_STRANG)
+    cfg = evolution.EvolutionConfig(t1=1.0, n_steps=64)
     out_cl = evolution.evolve_trotter(v, grid, SuperPotentialKind.CL, sd, cfg)
     out_qm = evolution.evolve_trotter(v, grid, SuperPotentialKind.QM, sd, cfg)
     err = float(np.max(np.abs(out_cl.values - out_qm.values)))

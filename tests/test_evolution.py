@@ -81,13 +81,6 @@ class TestEvolveExact:
         ev = ExactEvolver(SimpleNamespace(dense=lambda: dense, hbar=1.0))
         assert ev._hermitian is hermitian  # eigh route, else expm per call
 
-    def test_hbar_enters_evolution(self):
-        liou = build_basis_liouvillian(np.diag([0.0, 1.0]), hbar=2.0)
-        rho = evolve_exact(liou, two_level_density(), 1.0)
-        assert rho[1, 0] == pytest.approx(
-            np.exp(-0.5j) * two_level_density()[1, 0], abs=1e-12
-        )
-
 
 def random_structured(rng, n, e_kind):
     """A random (h, E, U): Hermitian h, an E mask that is absent, real (a
@@ -100,6 +93,12 @@ def random_structured(rng, n, e_kind):
         e = e + 0.05j * rng.normal(size=(n, n))
     u, _ = np.linalg.qr(rng.normal(size=(n, n)))
     return h, e, u
+
+
+def e_over_hbar(e, hbar):
+    """E / hbar, or None without E: the basis routes work in hbar = 1, so
+    i hbar d/dt rho = L rho takes h / hbar and E / hbar."""
+    return None if e is None else e / hbar
 
 
 def kron_generator(h, e, u):
@@ -143,7 +142,7 @@ class TestEvolveBasis:
         gen = kron_generator(h, e, u)
         rho0 = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
         hbar = 0.7
-        out, _ = evolve_basis(h, rho0, t_grid, hbar, e, u)
+        out, _ = evolve_basis(h / hbar, rho0, t_grid, e_over_hbar(e, hbar), u)
         assert out.shape == (len(t_grid), 3, 3)
         assert_dense_exponential(out, gen, rho0, t_grid, hbar)
 
@@ -154,7 +153,7 @@ class TestEvolveBasis:
         rng = np.random.Generator(np.random.Philox(35))
         h, e, u = random_structured(rng, 10, e_kind)
         rho0 = rng.normal(size=(10, 10)) + 1j * rng.normal(size=(10, 10))
-        out, margins = evolve_basis(h, rho0, [8.0], 0.7, e, u)
+        out, margins = evolve_basis(h / 0.7, rho0, [8.0], e_over_hbar(e, 0.7), u)
         assert margins["krylov_generator_calls"] > KRYLOV_MAX_DIM
         assert margins["krylov_max_basis_dim"] == KRYLOV_MAX_DIM
         assert margins["max_krylov_error_estimate"] <= KRYLOV_TOL
@@ -169,7 +168,7 @@ class TestEvolveBasis:
         h = np.diag(rng.normal(size=10))
         rho0 = np.diag(rng.uniform(size=10))
         t_grid = np.linspace(0.0, 4.0, 9)
-        out, margins = evolve_basis(h, rho0, t_grid, 0.7, e)
+        out, margins = evolve_basis(h / 0.7, rho0, t_grid, e_over_hbar(e, 0.7))
         assert margins["krylov_generator_calls"] <= 10
         assert margins["krylov_max_basis_dim"] <= 10
         assert_dense_exponential(out, kron_generator(h, e, np.eye(10)), rho0, t_grid, 0.7)
@@ -178,7 +177,7 @@ class TestEvolveBasis:
     def test_zero_state_stays_zero(self, e_kind):
         rng = np.random.Generator(np.random.Philox(37))
         h, e, u = random_structured(rng, 4, e_kind)
-        out, margins = evolve_basis(h, np.zeros((4, 4)), np.linspace(0.0, 1.0, 3), 1.0, e, u)
+        out, margins = evolve_basis(h, np.zeros((4, 4)), np.linspace(0.0, 1.0, 3), e, u)
         np.testing.assert_array_equal(out, np.zeros((3, 4, 4)))
         assert margins == {
             "max_krylov_error_estimate": 0.0,
@@ -207,7 +206,7 @@ class TestEvolveBasis:
         for seed in (1, 2):
             np.random.seed(seed)
             before = np.random.get_state()
-            outs.append(evolve_basis(h, rho0, np.linspace(0, 3, 7), 1.0, e, u)[0])
+            outs.append(evolve_basis(h, rho0, np.linspace(0, 3, 7), e, u)[0])
             after = np.random.get_state()
             assert before[0] == after[0] and before[2:] == after[2:]
             np.testing.assert_array_equal(before[1], after[1])
@@ -216,16 +215,16 @@ class TestEvolveBasis:
     @pytest.mark.parametrize("t_grid", [[0.0, 0.5, 2.0], []])
     def test_uneven_or_empty_grid_rejected(self, t_grid):
         with pytest.raises(ValueError):
-            evolve_basis(np.zeros((1, 1)), np.ones((1, 1)), t_grid, 1.0, np.ones((1, 1)))
+            evolve_basis(np.zeros((1, 1)), np.ones((1, 1)), t_grid, np.ones((1, 1)))
 
     def test_matches_dense_exact_evolution_without_e(self):
         rng = np.random.Generator(np.random.Philox(51))
         h = random_hermitian(rng, 4)
         rho0 = random_hermitian(rng, 4)
-        hbar = 0.6
-        ev = ExactEvolver(build_basis_liouvillian(h, hbar=hbar))
+        h = h / 0.6  # hbar = 0.6
+        ev = ExactEvolver(build_basis_liouvillian(h))
         times = np.array([0.0, 0.4, 1.3, -0.7])  # any grid without E
-        states, margins = evolve_basis(h, rho0, times, hbar)
+        states, margins = evolve_basis(h, rho0, times)
         assert states.shape == (4, 4, 4) and margins == {}
         for t, rho in zip(times, states):
             np.testing.assert_allclose(rho, ev.propagate(rho0, t), rtol=0, atol=1e-12)
@@ -235,7 +234,7 @@ class TestEvolveBasis:
         rng = np.random.Generator(np.random.Philox(52))
         h = random_hermitian(rng, 5)
         rho0 = random_hermitian(rng, 5)
-        for rho in evolve_basis(h, rho0, np.linspace(0.0, 4.0, 5), 1.0)[0]:
+        for rho in evolve_basis(h, rho0, np.linspace(0.0, 4.0, 5))[0]:
             np.testing.assert_allclose(
                 np.linalg.eigvalsh(rho), np.linalg.eigvalsh(rho0), rtol=0, atol=1e-12
             )
@@ -260,9 +259,9 @@ class TestEvolveExpectations:
         rho0 = a @ a.conj().T
         rho0 /= np.trace(rho0)
         ops = rng.normal(size=(3, 5, 5)) + 1j * rng.normal(size=(3, 5, 5))
-        hbar = 0.7
-        values, purity, margins = evolve_expectations(h, rho0, t_grid, hbar, ops, e)
-        states, krylov = evolve_basis(h, rho0, t_grid, hbar, e)
+        h, e = h / 0.7, e_over_hbar(e, 0.7)  # hbar = 0.7
+        values, purity, margins = evolve_expectations(h, rho0, t_grid, ops, e)
+        states, krylov = evolve_basis(h, rho0, t_grid, e)
         assert values.shape == (len(t_grid), 3) and purity.shape == (len(t_grid),)
         assert margins == krylov
         np.testing.assert_allclose(

@@ -12,7 +12,6 @@ from liouspace.jaynescummings import (
     HydrogenState,
     JCParams,
     _radial,
-    atom_field_factors,
     build_jc_hamiltonian,
     check_fock_truncation,
     coherent_field_density,
@@ -23,6 +22,7 @@ from liouspace.jaynescummings import (
     jc_generator,
     jc_liouvillian,
     jc_series,
+    partial_trace,
 )
 from liouspace.evolution import ExactEvolver, basis_action, evolve_basis
 from liouspace.liouvillian import build_basis_liouvillian
@@ -31,7 +31,7 @@ from liouspace.liouvillian import build_basis_liouvillian
 def evolve(p, rho0, times):
     """The model's states over times through the one structured route."""
     h, e = jc_generator(p)
-    return evolve_basis(h, rho0, times, p.hbar, e)[0]
+    return evolve_basis(h, rho0, times, e)[0]
 
 
 S1 = HydrogenState(1, 0, 0)
@@ -250,6 +250,17 @@ class TestExactEvolution:
         for t, rho in zip(times, states):
             np.testing.assert_allclose(rho, ev.propagate(rho0, float(t)), rtol=0, atol=1e-12)
 
+    def test_krylov_route_at_the_exceptional_point(self):
+        # dephasing -Im(eps) = 4 d_eg is critical: in the one-excitation
+        # manifold the non-normal generator has a defective eigenvalue, where
+        # an eigendecomposition of the Arnoldi matrix loses accuracy
+        p = JCParams(omega_e=1.0, omega=1.0, d_eg=0.08, n_max=4, eps_egeg=-0.32j)
+        rho0 = initial_jc_state("e0", p.n_max)
+        ev = ExactEvolver(jc_liouvillian(p))
+        times = np.linspace(0.0, 5.0, 11)
+        for t, rho in zip(times, evolve(p, rho0, times)):
+            np.testing.assert_allclose(rho, ev.propagate(rho0, float(t)), rtol=0, atol=1e-12)
+
     def test_non_hermitian_route_needs_even_grid(self):
         p = JCParams(omega_e=1.0, omega=1.0, d_eg=0.1, n_max=2, eps_egeg=0.1j)
         with pytest.raises(ValueError, match="evenly"):
@@ -360,12 +371,28 @@ class TestFirstOrder:
         with pytest.raises(NotFactorized):
             jc_evolve_first_order(p, bell, 0.1)
 
-    def test_factorization_helper(self):
+
+class TestPartialTrace:
+    def test_unequal_factors_of_a_product(self):
         atom = np.array([[0.7, 0.1j], [-0.1j, 0.3]])
         field = coherent_field_density(0.8, 3)
-        rho_a, rho_f = atom_field_factors(np.kron(atom, field), 3)
-        np.testing.assert_allclose(rho_a, atom, atol=1e-14)
-        np.testing.assert_allclose(rho_f, field, atol=1e-14)
+        rho = np.kron(atom, field)
+        np.testing.assert_allclose(partial_trace(rho, (2, 4), 0), atom, atol=1e-14)
+        np.testing.assert_allclose(partial_trace(rho, (2, 4), 1), field, atol=1e-14)
+
+    @pytest.mark.parametrize("keep", [0, 1])
+    def test_stack_equals_per_density_calls(self, keep):
+        rng = np.random.Generator(np.random.Philox(74))
+        stack = rng.normal(size=(3, 10, 10)) + 1j * rng.normal(size=(3, 10, 10))
+        got = partial_trace(stack, (2, 5), keep)
+        assert got.shape == ((3, 2, 2) if keep == 0 else (3, 5, 5))
+        for rho, red in zip(stack, got):
+            np.testing.assert_array_equal(red, partial_trace(rho, (2, 5), keep))
+
+    @pytest.mark.parametrize("keep", [-1, 2, 3])
+    def test_invalid_keep_rejected(self, keep):
+        with pytest.raises(ValueError, match="keep"):
+            partial_trace(np.eye(16) / 16, (4, 4), keep)
 
 
 class TestGuards:

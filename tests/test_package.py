@@ -18,6 +18,10 @@ ALLOWED_UNUSED = {
     "coulomb_e_superoperator": "guarded front of the Coulomb E formula",
 }
 
+# Defaulted dataclass fields that no program code sets, each kept for a
+# stated reason; "Class.field" as in the failure message.
+ALLOWED_UNSET: dict[str, str] = {}
+
 
 def _parse(path: Path) -> ast.Module:
     return ast.parse(path.read_text(), filename=str(path))
@@ -60,6 +64,86 @@ def test_every_public_definition_is_reached_by_program_code():
     )
     assert unreached == []
     assert set(ALLOWED_UNUSED) <= set(defined)
+
+
+def _callee(node: ast.expr) -> str | None:
+    """The name a call or decorator refers to: f, mod.f, or f(...)."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return None
+
+
+def _dataclass_fields() -> dict[str, list[tuple[str, bool]]]:
+    """The __init__ fields of each package dataclass in order, as
+    (name, has a default); ClassVar and init=False entries are no fields."""
+    found = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in _parse(path).body:
+            if not isinstance(node, ast.ClassDef):
+                continue
+            if "dataclass" not in {_callee(d) for d in node.decorator_list}:
+                continue
+            fields = []
+            for stmt in node.body:
+                if not (isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)):
+                    continue
+                if "ClassVar" in ast.unparse(stmt.annotation):
+                    continue
+                value = stmt.value
+                if isinstance(value, ast.Call) and _callee(value) == "field":
+                    if any(k.arg == "init" and ast.literal_eval(k.value) is False
+                           for k in value.keywords):
+                        continue
+                fields.append((stmt.target.id, value is not None))
+            found[node.name] = fields
+    return found
+
+
+def _set_fields(fields: dict[str, list[tuple[str, bool]]]) -> set[str]:
+    """"Class.field" for every field some constructor call in src, scripts
+    or bench passes, by keyword or by position; *args counts as every
+    position and **kwargs as every keyword.  ``cls(...)`` in a class body
+    constructs that class."""
+    passed = set()
+
+    def visit(node: ast.AST, owner: str | None) -> None:
+        if isinstance(node, ast.ClassDef):
+            owner = node.name
+        if isinstance(node, ast.Call):
+            name = _callee(node)
+            name = owner if name == "cls" else name
+            if name in fields:
+                names = [f for f, _ in fields[name]]
+                if any(isinstance(arg, ast.Starred) for arg in node.args):
+                    given = set(names)
+                else:
+                    given = set(names[: len(node.args)])
+                for kw in node.keywords:
+                    given |= set(names) if kw.arg is None else {kw.arg}
+                passed.update(f"{name}.{f}" for f in given)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    for top in ("src", "scripts", "bench"):
+        for path in (ROOT / top).rglob("*.py"):
+            visit(_parse(path), None)
+    return passed
+
+
+def test_every_defaulted_field_is_set_by_program_code():
+    """A default that no scenario, check, script or benchmark overrides is
+    a constant posing as a setting: untested at any other value."""
+    fields = _dataclass_fields()
+    defaulted = {
+        f"{cls}.{name}" for cls, entries in fields.items() for name, default in entries if default
+    }
+    unset = sorted(defaulted - _set_fields(fields) - set(ALLOWED_UNSET))
+    assert unset == []
+    assert set(ALLOWED_UNSET) <= defaulted
 
 
 def test_cli_import_leaves_out_heavy_scipy_modules():
