@@ -101,8 +101,8 @@ from .jaynescummings import (
 )
 from .entangle import (
     BipartiteBasis,
-    bipartite_generator,
     build_bipartite_liouvillian,
     compare_cl_qm_entanglement,
-    entanglement_metrics,
+    loss_purity,
+    relative_generator,
 )

@@ -88,7 +88,7 @@ DEFAULTS: dict[str, dict] = {
         "init": "e0",
     },
     "bipartite": {
-        "n_levels": 4,
+        "n_levels": 6,
         "lam": 0.0003,
         "t": 2.0,
         "steps": 40,
@@ -98,6 +98,8 @@ DEFAULTS: dict[str, dict] = {
     },
     "validate": {},
 }
+# Help of the flags whose name alone does not say what they mean.
+FLAG_HELP = {("bipartite", "n_levels"): "ladder size n_r of the relative mode (x1 - x2)/sqrt 2"}
 
 
 class UsageError(Exception):
@@ -367,15 +369,11 @@ def run_jc(ctx: RunContext) -> None:
 def run_bipartite(ctx: RunContext) -> None:
     p = ctx.params
     basis = entangle.BipartiteBasis(n_levels=int(p["n_levels"]), omega=float(p["omega"]))
-    rho0 = entangle.separable_state(
-        basis, complex(str(p["alpha1"])), complex(str(p["alpha2"]))
-    )
     t_grid = np.linspace(0.0, float(p["t"]), int(p["steps"]) + 1)
-    lam = float(p["lam"])
     columns, ctx.solver_path, leak = entangle.compare_cl_qm_entanglement(
-        basis, lam, rho0, t_grid
+        basis, float(p["lam"]), complex(str(p["alpha1"])), complex(str(p["alpha2"])), t_grid
     )
-    ctx.generator_dim = basis.dim**2
+    ctx.generator_dim = basis.n_levels**2
     _write_columns(ctx.path("bipartite_series.csv"), columns)
     ctx.margins.update(leak)
     ctx.margins["max_trace_drift"] = max(
@@ -419,7 +417,8 @@ def _build_parser() -> _Parser:
         sp.add_argument("--outdir", default=None, help="output directory")
         for key, default in defaults.items():
             flag = "--" + key.replace("_", "-")
-            sp.add_argument(flag, default=None, type=type(default), dest=key)
+            sp.add_argument(flag, default=None, type=type(default), dest=key,
+                            help=FLAG_HELP.get((scenario, key)))
     return parser
 
 

@@ -1,36 +1,38 @@
 """Bipartite evolution under the quartic coupling, CL vs QM side by side.
 
-Both generators share the harmonic basis term.  The quantum kind is the
-commutator with the pure-bra polynomial of the bipartite superpotential
-(the shared quartic enters the classical form at half the bare coupling,
-so the commutator comparator uses the matched normalization); the
-classical kind realizes every classified monomial as a left/right
-position-operator product,
+Two oscillators of one frequency omega (hbar = m = 1) couple through the
+superpotential of V(x1 - x2) = lam (x1 - x2)^4.  The dense square
+generators on n_levels levels per mode serve audits, spectra and oracles.
+Their quantum kind is the commutator with the pure-bra polynomial (the
+shared quartic enters the classical form at half the bare coupling, so the
+commutator comparator uses the matched normalization); the classical kind
+realizes every classified monomial as a left/right position-operator
+product,
 
     c * Q1^i q1^j Q2^k q2^l  ->  c * (X1^i X2^k) rho (X1^j X2^l),
 
 so inter-space cross terms act on one subsystem from the left and the
-other from the right simultaneously.  The CL - QM generator difference
-is then exactly the operator sum of the non-pure monomials.
+other from the right simultaneously, and CL - QM is exactly the operator
+sum of the non-pure monomials.
 
-The dense generators built here serve audits, spectra and oracles;
-evolution goes through N x N pieces instead (N = n_levels^2), in the form
-CL = QM + E.  Every monomial acts through powers of the *truncated* position
-matrix X, and X = V diag(xi) V^T, so each power is diagonal in the
-eigenbasis of X, the discrete-variable (DVR) basis of Light, Hamilton &
-Lill, J. Chem. Phys. 82 (1985).  With R = V (x) V,
+Evolution goes through the relative mode x_r = (x1 - x2)/sqrt 2.  Both
+(lam/2)(X1 - X2)^4 and CL's (lam/2)(a - b)(a + b)^3, a = Q1 - Q2 and
+b = q1 - q2, depend on it alone, so the centre mode (x1 + x2)/sqrt 2 stays
+free and the whole CL - QM difference lives in the relative mode:
+h_r = omega (n + 1/2) + 2 lam x_r^4, and CL adds E = Phi_r - (w - w'),
+Phi_r = 2 lam (xi - xi')(xi + xi')^3 and w = 2 lam xi^4, elementwise and
+exactly in the eigenbasis of the truncated x_r (the discrete-variable
+basis of Light, Hamilton & Lill, J. Chem. Phys. 82, 1985).  A coherent
+product |alpha1>|alpha2> is |alpha_c>|alpha_r>, alpha_c,r =
+(alpha1 +- alpha2)/sqrt 2, so
 
-    sum_m c_m (X1^i X2^k) rho (X1^j X2^l) = R (Phi o (R^T rho R)) R^T,
+    rho(t) = U_BS (|alpha_c e^{-i omega t}><.| (x) rho_r(t)) U_BS',
 
-    Phi_(ab),(cd) = superpotential(Q1 = xi_a, q1 = xi_c, Q2 = xi_b, q2 = xi_d),
-
-exact in the truncated basis, not a quadrature.  The pure-bra and pure-ket
-monomials of Phi are w_bra - w_ket, w_ab = (lam/2)(xi_a - xi_b)^4, which is
-the commutator with W = R diag(w) R^T, the QM kind's interaction.  So both
-kinds share h = H0 + W, and CL adds E = Phi - (w_bra - w_ket), the
-cross monomials, elementwise in the DVR basis (``bipartite_generator``).
-QM evolves by one N x N eigh, CL matrix-free by Krylov dense output
-through ``evolution.evolve_basis``.
+U_BS the 50:50 beam splitter from modes (c, r) to (1, 2): the inter-mode
+entanglement is rho_r seen through it (Kim, Son, Buzek & Knight, Phys.
+Rev. A 65, 032323, 2002).  Either mode's reduced state is rho_r through a
+50% pure-loss channel, displaced, and the two-mode spectrum is rho_r's
+plus zeros.
 
 No quantitative "inter-space entanglement" measure is defined here: the
 module reports the generator audit, standard intra-space metrics
@@ -40,15 +42,14 @@ module reports the generator audit, standard intra-space metrics
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 
 import numpy as np
 
 from .errors import TruncationLeak
 from .evolution import evolve_basis, solver_path
 from .liouvillian import BasisLiouvillian, build_basis_liouvillian, check_dense_dim
-from .jaynescummings import (
-    LEAK_THRESHOLD, coherent_field_density, fock_annihilation, partial_trace,
-)
+from .jaynescummings import LEAK_THRESHOLD, coherent_field_density, fock_annihilation
 from .potential import (
     MonomialClass,
     SuperPotentialKind,
@@ -60,7 +61,9 @@ from .potential import (
 @dataclass(frozen=True)
 class BipartiteBasis:
     """Truncated oscillator ladder basis for each of the two subsystems,
-    in hbar = m = 1."""
+    in hbar = m = 1.  The relative-mode route of
+    ``compare_cl_qm_entanglement`` reads n_levels as the ladder size n_r of
+    the one relative mode."""
 
     n_levels: int
     omega: float = 1.0
@@ -135,50 +138,32 @@ def build_bipartite_liouvillian(
     return build_basis_liouvillian(h0, s_add=interaction_terms(basis, lam))
 
 
-def bipartite_generator(
-    basis: BipartiteBasis, lam: float, kind
-) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
-    """(h, E, R) of the structured generator for ``evolution.evolve_basis``.
-
-    Both kinds share h = H0 + W (W the pure-bra polynomial).  QM has no E
-    (E and R are None); CL adds E = Phi - (w_bra - w_ket), elementwise in the
-    DVR basis R = V (x) V (see the module docstring).
+def relative_generator(basis: BipartiteBasis, lam: float):
+    """(h_r, E, V) of the relative mode on ``basis.n_levels`` levels for
+    ``evolution.evolve_basis``: QM's h_r, and CL's E, elementwise in the DVR
+    basis V of the truncated x_r = V diag(xi) V^T (see the module docstring).
     """
-    h = basis.free_hamiltonian() + pure_bra_polynomial(basis, lam)
-    xi, v = np.linalg.eigh(basis.position_operator())
-    bra1 = np.repeat(xi, basis.n_levels)[:, None]  # xi_a of the joint index (a, b)
-    bra2 = np.tile(xi, basis.n_levels)[:, None]  # xi_b
-    phi = bipartite_super_potential(lam, bra1, bra1.T, bra2, bra2.T)
-    w = 0.5 * lam * (bra1 - bra2) ** 4  # W in the DVR basis
-    return _kinds(h, phi - (w - w.T), np.kron(v, v))[SuperPotentialKind(kind)]
+    x = basis.position_operator()
+    h = basis.omega * np.diag(np.arange(basis.n_levels) + 0.5)
+    h += 2.0 * lam * np.linalg.matrix_power(x, 4)
+    xi, v = np.linalg.eigh(x)
+    # X1 = -X2 = x_r/sqrt 2 puts sqrt 2 x_r in X1 - X2
+    bra, ket = np.sqrt(0.5) * xi[:, None], np.sqrt(0.5) * xi[None, :]
+    phi = bipartite_super_potential(lam, bra, ket, -bra, -ket)
+    return h, phi - 8.0 * lam * (bra**4 - ket**4), v
 
 
-def _kinds(h, e, r) -> dict[SuperPotentialKind, tuple]:
-    """Both kinds' (h, E, R) from CL's: QM is CL's h without E."""
-    return {SuperPotentialKind.CL: (h, e, r), SuperPotentialKind.QM: (h, None, None)}
-
-
-def entanglement_metrics(rho: np.ndarray, n_levels: int):
-    """(purity of reduced subsystem 1, eigenvalues of the Hermitian part of
-    rho in descending order), per density of a (..., N, N) stack.
-
-    Eigenvalues are reported unclipped: classical evolution may push them
-    negative, which is data, not an error.
-    """
-    red = partial_trace(rho, (n_levels, n_levels), 0)
-    pur = np.einsum("...ij,...ji->...", red, red).real
-    sym = np.swapaxes(rho, -1, -2).conj()  # one copy of rho, then in place
-    sym += rho
-    sym *= 0.5
-    return pur, np.linalg.eigvalsh(sym)[..., ::-1]
-
-
-def top_level_population(rho: np.ndarray, n_levels: int):
-    """Population of the highest ladder level of either subsystem, the
-    larger of the two, per density of a (..., N, N) stack."""
-    dims = (n_levels, n_levels)
-    pop1, pop2 = (partial_trace(rho, dims, keep)[..., -1, -1].real for keep in (0, 1))
-    return np.maximum(pop1, pop2)
+def loss_purity(states: np.ndarray) -> np.ndarray:
+    """Tr[L(rho)^2] per density of a (..., n, n) stack, L the 50% pure-loss
+    channel A_k |m> = sqrt(C(m, k) 2^-m) |m - k>: for rho_r, the purity of
+    either mode's reduced state (see the module docstring)."""
+    n = states.shape[-1]
+    kraus = np.zeros((n, n, n))
+    for k in range(n):
+        for m in range(k, n):
+            kraus[k, m - k, m] = np.sqrt(comb(m, k) / 2.0**m)
+    out = (kraus @ states[..., None, :, :] @ kraus.transpose(0, 2, 1)).sum(axis=-3)
+    return np.einsum("...ij,...ji->...", out, out).real
 
 
 # The columns of compare_cl_qm_entanglement, in CSV order.
@@ -189,42 +174,47 @@ SERIES_COLUMNS = (
 
 
 def compare_cl_qm_entanglement(
-    basis: BipartiteBasis, lam: float, rho0: np.ndarray, t_grid
+    basis: BipartiteBasis, lam: float, alpha1: complex, alpha2: complex, t_grid
 ) -> tuple[dict[str, np.ndarray], dict[str, str], dict[str, float]]:
-    """Evolve rho0 under both generators; return (columns, solver_path,
-    margins).
+    """Evolve the coherent product |alpha1>|alpha2> under both generators
+    through the relative mode; return (columns, solver_path, margins).
 
-    ``columns`` holds the ``SERIES_COLUMNS`` arrays by name, one entry per
-    time; ``solver_path`` names the route of each kind: QM takes one eigh,
-    CL the Krylov route of ``evolution.evolve_basis``, whose Lanczos
-    matrices are real tridiagonal because CL's E is real.  ``margins`` holds
-    ``max_top_level_population_<kind>``, the worst top-ladder population of
-    each run over the output times, and for CL the Krylov run's worst
-    a-posteriori error estimate ``max_krylov_error_estimate_cl``, its
-    generator-call count ``krylov_generator_calls_cl`` and its largest
-    Arnoldi basis ``krylov_max_basis_dim_cl``.  ``t_grid`` must be
-    evenly spaced (ValueError otherwise).  Raises TruncationLeak if either
-    run populates the top ladder level of a subsystem beyond
-    ``LEAK_THRESHOLD`` at any time of the grid.
+    Only rho_r, on ``basis.n_levels`` = n_r levels, is evolved, from the
+    truncated |alpha_r>; taking the alphas, not a state, admits no input
+    outside the reduction.  ``columns`` holds the ``SERIES_COLUMNS`` arrays
+    by name, one entry per time: ``purity_<kind>`` is ``loss_purity(rho_r)``,
+    ``min_eig_<kind>`` the least eigenvalue of Herm(rho_r), and
+    ``trace_drift_<kind>`` |tr rho_r - 1|.  ``solver_path`` names the route
+    of each kind: QM takes one eigh, CL the Krylov route of
+    ``evolution.evolve_basis`` (real tridiagonal Lanczos matrices, as E is
+    real).  ``margins`` holds ``max_top_level_population_<kind>``, the
+    worst top-level population of rho_r over the output times, and for CL
+    the Krylov run's worst a-posteriori error estimate
+    ``max_krylov_error_estimate_cl``, its generator-call count
+    ``krylov_generator_calls_cl`` and its largest Arnoldi basis
+    ``krylov_max_basis_dim_cl``.  ``t_grid`` must be evenly spaced
+    (ValueError otherwise).  Raises TruncationLeak if either run populates
+    rho_r's top level beyond ``LEAK_THRESHOLD`` at any time of the grid.
     """
     t = np.asarray(t_grid, dtype=float)
+    alpha_r = (complex(alpha1) - complex(alpha2)) / np.sqrt(2.0)
+    rho0 = coherent_field_density(alpha_r, basis.n_levels - 1)
+    h, e, v = relative_generator(basis, lam)
     columns, paths, margins = {"t": t}, {}, {}
-    # CL = QM + E: one build gives both kinds
-    generators = _kinds(*bipartite_generator(basis, lam, SuperPotentialKind.CL))
-    for kind, (h, e, r) in generators.items():
-        tag = kind.value
-        states, krylov = evolve_basis(h, rho0, t_grid, e, r)
-        leak = np.abs(top_level_population(states, basis.n_levels))
+    for tag, e_kind, v_kind in (("cl", e, v), ("qm", None, None)):  # CL = QM + E
+        states, krylov = evolve_basis(h, rho0, t_grid, e_kind, v_kind)
+        leak = np.abs(states[:, -1, -1].real)
         worst = int(np.argmax(leak))
         if leak[worst] > LEAK_THRESHOLD:
             raise TruncationLeak(
                 f"{tag} run leaked {leak[worst]:.3e} into the top level at t={t[worst]:g}"
             )
-        paths[tag] = solver_path(e)
+        paths[tag] = solver_path(e_kind)
         margins[f"max_top_level_population_{tag}"] = float(leak[worst])
         margins.update({f"{name}_{tag}": value for name, value in krylov.items()})
-        columns[f"purity_{tag}"], eig = entanglement_metrics(states, basis.n_levels)
-        columns[f"min_eig_{tag}"] = eig[:, -1]
+        columns[f"purity_{tag}"] = loss_purity(states)
+        herm = 0.5 * (states + np.swapaxes(states, 1, 2).conj())
+        columns[f"min_eig_{tag}"] = np.linalg.eigvalsh(herm)[:, 0]
         columns[f"trace_drift_{tag}"] = np.abs(np.trace(states, axis1=1, axis2=2).real - 1.0)
     return {name: columns[name] for name in SERIES_COLUMNS}, paths, margins
 

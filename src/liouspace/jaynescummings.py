@@ -38,7 +38,7 @@ from .potential import COULOMB_EPS_REG, coulomb_e_of_radii
 
 ATOM_G, ATOM_E = 0, 1
 # A run aborts once more population than LEAK_THRESHOLD reaches the top
-# FOCK_LEAK_LEVELS Fock levels (or, in ``entangle``, the top ladder level).
+# FOCK_LEAK_LEVELS Fock levels (or, in ``entangle``, the relative mode's top level).
 LEAK_THRESHOLD = 1e-6
 FOCK_LEAK_LEVELS = 2
 
@@ -352,11 +352,10 @@ def _sph_harm(l: int, m: int, xyz: np.ndarray, r: np.ndarray) -> np.ndarray:
     raise ValueError("bundled spherical harmonics cover l <= 2")
 
 
-def hydrogen_psi(state: HydrogenState, xyz: np.ndarray) -> np.ndarray:
-    """psi_nlm evaluated at Cartesian points of shape (..., 3)."""
+def hydrogen_psi(state: HydrogenState, xyz: np.ndarray, r=None) -> np.ndarray:
+    """psi_nlm at Cartesian points of shape (..., 3), of radius ``r`` if given."""
     xyz = np.asarray(xyz, dtype=float)
-    r = np.linalg.norm(xyz, axis=-1)
-    r = np.maximum(r, 1e-300)
+    r = np.maximum(np.linalg.norm(xyz, axis=-1) if r is None else r, 1e-300)
     return _radial(state.n, state.l, r) * _sph_harm(state.l, state.m, xyz, r)
 
 
@@ -377,15 +376,14 @@ def _sample_radial_exponential(rng, n: int, rate: float, shape_k: int) -> np.nda
     return r[:, None] * np.stack([s * np.cos(phi), s * np.sin(phi), z], axis=-1)
 
 
-def _gamma3_density(pts: np.ndarray, rate: float) -> np.ndarray:
-    """3-d density of the shape-3 radial draws: rate^3 exp(-rate r)/(8 pi)."""
-    r = np.linalg.norm(pts, axis=-1)
+def _gamma3_density(r: np.ndarray, rate: float) -> np.ndarray:
+    """3-d density of the shape-3 radial draws at radius r: rate^3 exp(-rate r)/(8 pi)."""
     return rate**3 * np.exp(-rate * r) / (8.0 * np.pi)
 
 
-def _exp_shell_density(pts: np.ndarray, rate: float) -> np.ndarray:
-    """3-d density of the shape-1 radial draws: rate exp(-rate r)/(4 pi r^2)."""
-    r = np.maximum(np.linalg.norm(pts, axis=-1), 1e-300)
+def _exp_shell_density(r: np.ndarray, rate: float) -> np.ndarray:
+    """3-d density of the shape-1 radial draws at radius r: rate exp(-rate r)/(4 pi r^2)."""
+    r = np.maximum(r, 1e-300)
     return rate * np.exp(-rate * r) / (4.0 * np.pi * r**2)
 
 
@@ -394,14 +392,11 @@ SINGULAR_MIX = 0.4
 MC_BLOCKS = 16
 
 
-def _mixture_density(
-    q_pts: np.ndarray, k_pts: np.ndarray, rate_q: float, rate_k: float, rate_uv: float
-) -> np.ndarray:
-    ga = _gamma3_density(q_pts, rate_q) * _gamma3_density(k_pts, rate_k)
-    u = q_pts + k_pts
-    w = q_pts - k_pts
+def _mixture_density(r_q, r_k, r_sum, r_diff, rate_q, rate_k, rate_uv) -> np.ndarray:
+    """Proposal density at the radii |Q|, |q|, |Q + q| and |Q - q|."""
+    ga = _gamma3_density(r_q, rate_q) * _gamma3_density(r_k, rate_k)
     # (u, v) -> (Q, q) carries Jacobian 8
-    gb = 8.0 * _exp_shell_density(u, rate_uv) * _gamma3_density(w, rate_uv)
+    gb = 8.0 * _exp_shell_density(r_sum, rate_uv) * _gamma3_density(r_diff, rate_uv)
     return (1.0 - SINGULAR_MIX) * ga + SINGULAR_MIX * gb
 
 
@@ -455,6 +450,7 @@ def coulomb_superop_element(
         q_pts = np.concatenate([q_a, q_b])
         k_pts = np.concatenate([k_a, k_b])
 
+        # each radius once per block, shared by E, the orbitals and the proposal
         r_q = np.linalg.norm(q_pts, axis=-1)
         r_k = np.linalg.norm(k_pts, axis=-1)
         r_sum = np.linalg.norm(q_pts + k_pts, axis=-1)
@@ -465,14 +461,15 @@ def coulomb_superop_element(
             1.0, np.maximum(r_q, eps), np.maximum(r_k, eps), np.maximum(r_sum, eps)
         )
         f = (
-            np.conj(hydrogen_psi(a, q_pts))
-            * hydrogen_psi(c, q_pts)
-            * hydrogen_psi(b, k_pts)
-            * np.conj(hydrogen_psi(d, k_pts))
+            np.conj(hydrogen_psi(a, q_pts, r_q))
+            * hydrogen_psi(c, q_pts, r_q)
+            * hydrogen_psi(b, k_pts, r_k)
+            * np.conj(hydrogen_psi(d, k_pts, r_k))
             * e_val
         )
         f = np.where(ok, f, 0.0)
-        weights = f / _mixture_density(q_pts, k_pts, rate_q, rate_k, rate_uv)
+        r_diff = np.linalg.norm(q_pts - k_pts, axis=-1)
+        weights = f / _mixture_density(r_q, r_k, r_sum, r_diff, rate_q, rate_k, rate_uv)
         block_vals[blk] = weights.mean()
         sum_sq += float(np.sum(np.abs(weights - weights.mean()) ** 2))
         n_total += per_block

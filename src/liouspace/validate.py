@@ -202,12 +202,11 @@ def _conservation_suite() -> tuple[bool, str]:
     h, e = jc.jc_generator(p)
     track(evolution.evolve_basis(h, jc.initial_jc_state("e1", p.n_max), times, e)[0])
 
-    # bipartite CL and QM
-    basis = entangle.BipartiteBasis(n_levels=4)
-    rho0 = entangle.separable_state(basis)
-    for kind in SuperPotentialKind:
-        h, e, r = entangle.bipartite_generator(basis, 0.0002, kind)
-        track(evolution.evolve_basis(h, rho0, times, e, r)[0])
+    # bipartite CL and QM through the relative mode, from the ground state
+    h, e, v = entangle.relative_generator(entangle.BipartiteBasis(n_levels=4), 0.0002)
+    rho0 = jc.coherent_field_density(0.0, 3)
+    track(evolution.evolve_basis(h, rho0, times, e, v)[0])
+    track(evolution.evolve_basis(h, rho0, times)[0])
 
     return worst_tr < 1e-8 and worst_h < 1e-8, (
         f"trace drift {worst_tr:.1e}, hermiticity drift {worst_h:.1e}"
@@ -275,8 +274,8 @@ def _vacuum_rabi() -> tuple[bool, str]:
 
 
 def _bipartite_generator_audit() -> tuple[bool, str]:
-    """CL - QM generators equal the cross terms; the structured actions the
-    evolution uses equal the dense generators; reduced purity drops as t^2."""
+    """CL - QM square generators equal the cross terms; the relative-mode
+    actions equal their dense forms; reduced purity drops as t^2."""
     basis = entangle.BipartiteBasis(n_levels=4)
     lam = 0.3
     d_cl = entangle.build_bipartite_liouvillian(basis, lam, SuperPotentialKind.CL).dense()
@@ -289,20 +288,27 @@ def _bipartite_generator_audit() -> tuple[bool, str]:
     )
     audit = float(np.max(np.abs(d_cl - d_qm - cross)))
 
+    # the relative mode's dense generators by hand: QM is the commutator with
+    # omega (n + 1/2) + 2 lam x^4, and CL adds 4 lam (x^3 rho x - x rho x^3)
+    n_r, x = basis.n_levels, basis.position_operator()
+    x3 = np.linalg.matrix_power(x, 3)
+    h_r = np.diag(np.arange(n_r) + 0.5) + 2 * lam * np.linalg.matrix_power(x, 4)
+    d_qm = liouvillian.build_basis_liouvillian(h_r).dense()
+    d_cl = d_qm + 4 * lam * (np.kron(x3, x) - np.kron(x, x3))
     rng = np.random.Generator(np.random.Philox(12))
-    rho = rng.normal(size=(basis.dim, basis.dim)) + 1j * rng.normal(size=(basis.dim, basis.dim))
+    rho = rng.normal(size=(n_r, n_r)) + 1j * rng.normal(size=(n_r, n_r))
+    h, e, v = entangle.relative_generator(basis, lam)
     structured = 0.0
-    for kind, dense in ((SuperPotentialKind.CL, d_cl), (SuperPotentialKind.QM, d_qm)):
+    for dense, gen in ((d_cl, (h, e, v)), (d_qm, (h,))):
         want = dense @ rho.reshape(-1)
-        gen = entangle.bipartite_generator(basis, lam, kind)
         got = evolution.basis_action(*gen)(rho).reshape(-1)
         structured = max(structured, float(np.max(np.abs(got - want)) / np.max(np.abs(want))))
 
     # reduced-purity decrease 1 - O((lam t)^2) with quadratic leading order
     times = np.array([0.025, 0.05, 0.1])
-    h, _, _ = entangle.bipartite_generator(basis, 0.001, SuperPotentialKind.QM)
-    states, _ = evolution.evolve_basis(h, entangle.separable_state(basis), times)
-    drops = 1.0 - entangle.entanglement_metrics(states, 4)[0]
+    h, _, _ = entangle.relative_generator(basis, 0.001)
+    states, _ = evolution.evolve_basis(h, jc.coherent_field_density(0.0, n_r - 1), times)
+    drops = 1.0 - entangle.loss_purity(states)
     slope = float(np.polyfit(np.log(times), np.log(drops), 1)[0])
     ok = (
         audit < 1e-10

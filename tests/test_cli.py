@@ -231,7 +231,7 @@ class TestScenarios:
         [
             (["jc", "--steps", "20"], jc, "jc_generator"),
             (["jc", "--steps", "20", "--eps", "0.01,-0.02"], jc, "jc_generator"),
-            (["bipartite", "--steps", "5"], entangle, "bipartite_generator"),
+            (["bipartite", "--steps", "5"], entangle, "relative_generator"),
         ],
         ids=["jc-eigh", "jc-krylov", "bipartite"],
     )
@@ -366,16 +366,23 @@ class TestScenarios:
         assert header[0] == "t"
         assert float(rows[-1][1]) <= 1.0 + 1e-12
 
+    def test_bipartite_help_names_the_relative_mode(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "200")  # no line break inside the phrase
+        with pytest.raises(SystemExit):
+            run(["bipartite", "--help"])
+        assert "ladder size n_r of the relative mode" in capsys.readouterr().out
+
     def test_bipartite_beyond_dense_size(self, tmp_path, monkeypatch):
-        """n_levels 9 is a 6561-dim vectorized density, above the dense cap:
-        the run evolves without ever forming a dense generator."""
+        """n_levels 65 is a 4225-dim vectorized relative-mode density, above
+        the dense cap: the run evolves without ever forming a dense
+        generator."""
 
         def refuse(self):
             raise AssertionError("bipartite formed a dense generator")
 
         monkeypatch.setattr(liouvillian.BasisLiouvillian, "dense", refuse)
         code = run(
-            ["bipartite", "--n-levels", "9", "--steps", "10", "--outdir", str(tmp_path)]
+            ["bipartite", "--n-levels", "65", "--steps", "10", "--outdir", str(tmp_path)]
         )
         assert code == EXIT_OK
         manifest = json.loads(
@@ -405,7 +412,7 @@ class TestScenarios:
             (["jc", "--n-max", "3", "--steps", "5"], "eigh", 4 * 4**2),
             (["jc", "--n-max", "3", "--steps", "5", "--eps", "0.01,-0.02"], "krylov",
              4 * 4**2),
-            (["bipartite", "--steps", "5"], {"cl": "krylov", "qm": "eigh"}, 4**4),
+            (["bipartite", "--steps", "5"], {"cl": "krylov", "qm": "eigh"}, 6**2),
         ],
         ids=lambda v: " ".join(v) if isinstance(v, list) else None,
     )

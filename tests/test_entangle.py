@@ -1,33 +1,117 @@
+from math import comb
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 from liouspace.entangle import (
     BipartiteBasis,
+    _monomial_operators,
     build_bipartite_liouvillian,
     compare_cl_qm_entanglement,
-    bipartite_generator,
-    entanglement_metrics,
     interaction_terms,
+    loss_purity,
     pure_bra_polynomial,
+    relative_generator,
     separable_state,
-    top_level_population,
 )
 from liouspace import liouvillian
+from liouspace.liouvillian import build_basis_liouvillian
 from liouspace.errors import DimensionTooLarge, TruncationLeak
-from liouspace.evolution import KRYLOV_MAX_DIM, ExactEvolver, basis_action, evolve_basis
-from liouspace.jaynescummings import coherent_field_density, partial_trace
-from liouspace.potential import MonomialClass, SuperPotentialKind
+from liouspace.evolution import (
+    KRYLOV_MAX_DIM, ExactEvolver, _krylov_outputs, basis_action, evolve_basis,
+)
+from liouspace.jaynescummings import coherent_field_density, fock_annihilation, partial_trace
+from liouspace.potential import (
+    MonomialClass,
+    SuperPotentialKind,
+    classify_bipartite_terms,
+)
 
 CROSS_CLASSES = {
     MonomialClass.INTRA_SUBSYSTEM_MIXED,
     MonomialClass.INTER_SPACE_CROSS,
 }
+PURE_CLASSES = {MonomialClass.PURE_BRA, MonomialClass.PURE_KET}
+
+
+def relative_state(n_r, alpha1=0.0, alpha2=0.0):
+    """rho_r(0) of the coherent product |alpha1>|alpha2> on n_r levels."""
+    return coherent_field_density((alpha1 - alpha2) / np.sqrt(2.0), n_r - 1)
 
 
 def evolve_kind(basis, lam, kind, rho0, times):
-    """The states over times through the one structured route."""
-    h, e, r = bipartite_generator(basis, lam, kind)
-    return evolve_basis(h, rho0, times, e, r)[0]
+    """The relative-mode states over times through the one structured route."""
+    h, e, v = relative_generator(basis, lam)
+    if SuperPotentialKind(kind) is SuperPotentialKind.QM:
+        e = v = None
+    return evolve_basis(h, rho0, times, e, v)[0]
+
+
+def relative_dense(basis, lam, kind):
+    """Dense n_r^2 generator of the relative mode on ``basis.n_levels``
+    levels, from the classified monomials of the bipartite superpotential at
+    X1 = x_r/sqrt 2 and X2 = -x_r/sqrt 2 (QM keeps the pure ones)."""
+    n = basis.n_levels
+    powers = [np.linalg.matrix_power(basis.position_operator(), p) for p in range(5)]
+    qm = SuperPotentialKind(kind) is SuperPotentialKind.QM
+    s_add = np.zeros((n * n, n * n))
+    for mono, cls in classify_bipartite_terms(lam):
+        if qm and cls not in PURE_CLASSES:
+            continue
+        i, j, k, l = mono.exponents
+        c = mono.coefficient * (-1) ** (k + l) * 0.5 ** ((i + j + k + l) / 2)
+        s_add += c * np.kron(powers[i + k], powers[j + l].T)
+    return build_basis_liouvillian(basis.omega * np.diag(np.arange(n) + 0.5), s_add=s_add)
+
+
+def reduced_purity(rho, n_levels):
+    """Purity of subsystem 1 of square two-mode densities."""
+    red = partial_trace(rho, (n_levels, n_levels), 0)
+    return np.einsum("...ij,...ji->...", red, red).real
+
+
+def square_states(basis, lam, kind, rho0, times):
+    """States of the dense square generator, applied monomial by monomial
+    (the terms ``interaction_terms`` sums, without forming the sum), by the
+    library's Krylov dense output."""
+    cl = SuperPotentialKind(kind) is SuperPotentialKind.CL
+    terms = [
+        (mono.coefficient, *_monomial_operators(basis, mono.exponents))
+        for mono, cls in classify_bipartite_terms(lam)
+        if cl or cls in PURE_CLASSES
+    ]
+    h0, n = basis.free_hamiltonian(), basis.dim
+
+    def act(vec):
+        rho = vec.reshape(n, n)
+        out = h0 @ rho - rho @ h0
+        for c, left, right in terms:
+            out += c * (left @ rho @ right)
+        return out.reshape(-1)
+
+    out, _ = _krylov_outputs(act, rho0.reshape(-1).astype(complex), np.asarray(times), True)
+    return out.reshape(-1, n, n)
+
+
+def beam_splitter_state(alpha_c, rho_r, n_c):
+    """U_BS (|alpha_c><alpha_c| (x) rho_r) U_BS' in modes (1, 2), with
+    |alpha_c> on n_c levels.  Each mode keeps n_c + n_r - 1 levels, so no
+    photon number of the product leaves the truncation, and U_BS, which
+    conserves it, is exact there."""
+    m = n_c + len(rho_r) - 1
+
+    def pad(rho):
+        return np.pad(rho, (0, m - len(rho)))
+
+    rho = np.kron(pad(coherent_field_density(alpha_c, n_c - 1)), pad(rho_r))
+    a, eye = fock_annihilation(m - 1), np.eye(m)
+    a_c, a_r = np.kron(a, eye), np.kron(eye, a)
+    # the pi/4 rotation, then the phase (-1)^n on mode 2: a2 = (a_c - a_r)/sqrt 2
+    u = np.kron(eye, np.diag((-1.0) ** np.arange(m))) @ scipy.linalg.expm(
+        0.25 * np.pi * (a_c.T @ a_r - a_r.T @ a_c)
+    )
+    return u @ rho @ u.conj().T, m
 
 
 @pytest.fixture
@@ -68,19 +152,43 @@ class TestGenerators:
         np.testing.assert_allclose(d_cl - d_qm, cross, atol=1e-10)
 
     def test_cl_is_qm_plus_e(self, basis4):
-        """CL = QM + E: both kinds share h exactly, and the E term alone is
-        the cross-monomial superoperator."""
+        """CL = QM + E on the relative mode: E alone, elementwise in the
+        orthogonal DVR basis, is the cross-monomial superoperator of the
+        dense relative generator."""
         lam = 0.3
-        h_cl, e, r = bipartite_generator(basis4, lam, SuperPotentialKind.CL)
-        h_qm, e_qm, r_qm = bipartite_generator(basis4, lam, SuperPotentialKind.QM)
-        np.testing.assert_array_equal(h_cl, h_qm)
-        assert e_qm is None and r_qm is None
-        np.testing.assert_allclose(r.T @ r, np.eye(basis4.dim), rtol=0, atol=1e-13)
+        _, e, v = relative_generator(basis4, lam)
+        n = basis4.n_levels
+        np.testing.assert_allclose(v.T @ v, np.eye(n), rtol=0, atol=1e-13)
         rng = np.random.Generator(np.random.Philox(73))
-        rho = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
-        got = basis_action(np.zeros((16, 16)), e, r)(rho).reshape(-1)
-        want = interaction_terms(basis4, lam, classes=CROSS_CLASSES) @ rho.reshape(-1)
+        rho = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        got = basis_action(np.zeros((n, n)), e, v)(rho).reshape(-1)
+        d_cl = relative_dense(basis4, lam, SuperPotentialKind.CL).dense()
+        d_qm = relative_dense(basis4, lam, SuperPotentialKind.QM).dense()
+        want = (d_cl - d_qm) @ rho.reshape(-1)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_relative_generators_by_hand(self):
+        """The relative mode of (lam/2)(a - b)(a + b)^3, a - b and a + b of
+        sqrt 2 x_r: QM is the commutator with omega (n + 1/2) + 2 lam x^4,
+        and CL adds 4 lam (x^3 rho x - x rho x^3).  The DVR mask is
+        E = 2 lam (xi - xi')(xi + xi')^3 - 2 lam (xi^4 - xi'^4)."""
+        basis, lam = BipartiteBasis(n_levels=5, omega=1.3), 0.2
+        x = basis.position_operator()
+        x3, eye = np.linalg.matrix_power(x, 3), np.eye(5)
+        h = 1.3 * np.diag(np.arange(5) + 0.5) + 2 * lam * np.linalg.matrix_power(x, 4)
+        qm = np.kron(h, eye) - np.kron(eye, h)
+        cl = qm + 4 * lam * (np.kron(x3, x) - np.kron(x, x3))
+        for kind, want in ((SuperPotentialKind.QM, qm), (SuperPotentialKind.CL, cl)):
+            got = relative_dense(basis, lam, kind).dense()
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+        h_r, e, _ = relative_generator(basis, lam)
+        np.testing.assert_allclose(h_r, h, rtol=0, atol=1e-13)
+        xi = np.linalg.eigvalsh(x)
+        bra, ket = xi[:, None], xi[None, :]
+        phi = 2 * lam * (bra - ket) * (bra + ket) ** 3
+        np.testing.assert_allclose(
+            e, phi - 2 * lam * (bra**4 - ket**4), rtol=0, atol=1e-13 * np.max(np.abs(phi))
+        )
 
     def test_pure_terms_reproduce_commutator_part(self, basis4):
         lam = 0.4
@@ -131,60 +239,87 @@ class TestReducedDensity:
 
 class TestMetrics:
     def test_product_pure_state_purity_one(self, basis4):
-        rho = separable_state(basis4, 0.5, -0.3)
-        pur, eig = entanglement_metrics(rho, 4)
-        assert pur == pytest.approx(1.0, abs=1e-10)
-        assert eig[0] == pytest.approx(1.0, abs=1e-10)
+        """A coherent product is a coherent relative state, which the loss
+        channel keeps coherent: both modes stay pure."""
+        assert reduced_purity(separable_state(basis4, 0.5, -0.3), 4) == pytest.approx(
+            1.0, abs=1e-10
+        )
+        rho_r = relative_state(30, 0.5, -0.3)
+        assert loss_purity(rho_r) == pytest.approx(1.0, abs=1e-10)
+        assert np.linalg.eigvalsh(rho_r)[-1] == pytest.approx(1.0, abs=1e-10)
 
     def test_maximally_entangled_purity(self):
-        d = 3
-        vec = np.zeros(d * d)
-        for k in range(d):
-            vec[k * d + k] = 1.0 / np.sqrt(d)
-        pur, _ = entanglement_metrics(np.outer(vec, vec), d)
-        assert pur == pytest.approx(1.0 / d, abs=1e-12)
+        """Fock |m> of the relative mode splits into the binomial state of m
+        photons: purity C(2m, m)/4^m, 1/2 for the maximally entangled
+        (|10> - |01>)/sqrt 2."""
+        for m in range(1, 5):
+            fock = np.diag(np.eye(m + 3)[m])
+            assert loss_purity(fock) == pytest.approx(comb(2 * m, m) / 4.0**m, abs=1e-12)
 
     def test_qm_purity_decrease_is_quadratic_in_time(self, basis4):
         """Quartic coupling from a separable state: 1 - purity ~ (lam t)^2
         at early times (dynamically assisted entanglement generation)."""
         lam = 0.001
-        ev = ExactEvolver(build_bipartite_liouvillian(basis4, lam, SuperPotentialKind.QM))
-        rho0 = separable_state(basis4)
         # early times: all transition phases Delta_E * t stay small, so the
         # second-order (lam t)^2 law is clean
         times = np.array([0.025, 0.05, 0.1])
-        drops = []
-        for t in times:
-            pur, _ = entanglement_metrics(ev.propagate(rho0, float(t)), 4)
-            drops.append(1.0 - pur)
+        states = evolve_kind(basis4, lam, SuperPotentialKind.QM, relative_state(4), times)
+        drops = 1.0 - loss_purity(states)
         assert all(d > 0 for d in drops)
         slope = np.polyfit(np.log(times), np.log(drops), 1)[0]
         assert slope == pytest.approx(2.0, abs=0.2)
 
     def test_purity_drop_quadratic_in_coupling(self, basis4):
-        rho0 = separable_state(basis4)
         drops = []
         for lam in (0.0005, 0.001):
-            ev = ExactEvolver(
-                build_bipartite_liouvillian(basis4, lam, SuperPotentialKind.QM)
-            )
-            pur, _ = entanglement_metrics(ev.propagate(rho0, 2.0), 4)
-            drops.append(1.0 - pur)
+            states = evolve_kind(basis4, lam, SuperPotentialKind.QM, relative_state(4), [2.0])
+            drops.append(1.0 - loss_purity(states[-1]))
         assert drops[1] / drops[0] == pytest.approx(4.0, abs=0.2)
+
+    def test_beam_splitter_rebuilds_the_coherent_product(self):
+        """U_BS takes |alpha_c>|alpha_r> to |alpha1>|alpha2>, alpha_c,r =
+        (alpha1 +- alpha2)/sqrt 2: mode 1 is subsystem 1."""
+        a1, a2 = 0.2, -0.1
+        rho, m = beam_splitter_state((a1 + a2) / np.sqrt(2.0), relative_state(12, a1, a2), 12)
+        want = np.kron(coherent_field_density(a1, m - 1), coherent_field_density(a2, m - 1))
+        np.testing.assert_allclose(rho, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("kind", list(SuperPotentialKind))
+    def test_loss_purity_equals_beam_splitter_partial_trace(self, kind):
+        """Either mode of the rebuilt two-mode state has the loss-channel
+        purity of rho_r, and the two-mode spectrum is rho_r's plus zeros."""
+        a1, a2, n_r = 0.3, -0.2, 6
+        times = np.linspace(0.0, 2.0, 5)
+        states = evolve_kind(BipartiteBasis(n_levels=n_r), 0.05, kind,
+                             relative_state(n_r, a1, a2), times)
+        for rho_r in states:
+            rho, m = beam_splitter_state((a1 + a2) / np.sqrt(2.0), rho_r, 10)
+            for keep in (0, 1):
+                red = partial_trace(rho, (m, m), keep)
+                assert np.trace(red @ red).real == pytest.approx(
+                    loss_purity(rho_r), rel=0, abs=1e-12
+                )
+            full = np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))
+            least = np.linalg.eigvalsh(0.5 * (rho_r + rho_r.conj().T))[0]
+            assert full[0] == pytest.approx(min(least, 0.0), rel=0, abs=1e-12)
+        if kind is SuperPotentialKind.CL:
+            # CL pushes an eigenvalue of rho_r below zero
+            assert np.linalg.eigvalsh(states[-1])[0] < -1e-6
 
 
 class TestCompare:
     def test_lambda_zero_series_identical_and_flat(self, basis4):
         # ground (x) ground: a truncated coherent state would itself carry
         # top-level weight and trip the leak guard
-        rho0 = separable_state(basis4)
-        cols, _, _ = compare_cl_qm_entanglement(basis4, 0.0, rho0, np.linspace(0, 2, 5))
+        cols, _, _ = compare_cl_qm_entanglement(basis4, 0.0, 0.0, 0.0, np.linspace(0, 2, 5))
         np.testing.assert_allclose(cols["purity_cl"], cols["purity_qm"], rtol=0, atol=1e-12)
         np.testing.assert_allclose(cols["purity_qm"], 1.0, rtol=0, atol=1e-10)
 
-    def test_small_coupling_entangles_and_conserves(self, basis4):
-        rho0 = separable_state(basis4)
-        cols, _, _ = compare_cl_qm_entanglement(basis4, 0.0003, rho0, np.linspace(0, 2, 6))
+    def test_small_coupling_entangles_and_conserves(self):
+        # n_r 4 is too few: the CL run puts 3.2e-6 into the top level by t = 1.6
+        cols, _, _ = compare_cl_qm_entanglement(
+            BipartiteBasis(n_levels=6), 0.0003, 0.0, 0.0, np.linspace(0, 2, 6)
+        )
         assert list(cols) == [
             "t", "purity_cl", "purity_qm", "min_eig_cl", "min_eig_qm",
             "trace_drift_cl", "trace_drift_qm",
@@ -196,10 +331,11 @@ class TestCompare:
         # QM evolution is unitary on the tensor space: stays positive
         assert np.all(cols["min_eig_qm"] > -1e-8)
 
-    def test_columns_equal_per_state_definitions(self, basis4):
-        rho0 = separable_state(basis4)
-        times = np.linspace(0.0, 2.0, 9)
-        cols, paths, margins = compare_cl_qm_entanglement(basis4, 0.0003, rho0, times)
+    def test_columns_equal_per_state_definitions(self):
+        # six levels keep the truncated coherent state's top level below the guard
+        basis, times = BipartiteBasis(n_levels=6), np.linspace(0.0, 2.0, 9)
+        a1, a2 = 0.2, -0.1
+        cols, paths, margins = compare_cl_qm_entanglement(basis, 0.0003, a1, a2, times)
         np.testing.assert_array_equal(cols["t"], times)
         assert paths == {"cl": "krylov", "qm": "eigh"}
         assert set(margins) == {
@@ -208,15 +344,27 @@ class TestCompare:
             "krylov_max_basis_dim_cl",
         }
         assert 1 <= margins["krylov_max_basis_dim_cl"] <= KRYLOV_MAX_DIM
+        n = basis.n_levels
+
+        def loss(rho):
+            """The channel term by term: A_k rho A_k^T summed over k."""
+            out = np.zeros_like(rho)
+            for k in range(n):
+                a_k = np.zeros((n, n))
+                for m in range(k, n):
+                    a_k[m - k, m] = np.sqrt(comb(m, k) * 0.5**m)
+                out += a_k @ rho @ a_k.T
+            return out
+
         for kind in SuperPotentialKind:
             tag = kind.value
-            states = evolve_kind(basis4, 0.0003, kind, rho0, times)
+            states = evolve_kind(basis, 0.0003, kind, relative_state(n, a1, a2), times)
             assert margins[f"max_top_level_population_{tag}"] == pytest.approx(
-                max(top_level_population(rho, 4) for rho in states), rel=0, abs=1e-15
+                max(abs(rho[-1, -1].real) for rho in states), rel=0, abs=1e-15
             )
             want = np.array([
                 (
-                    np.trace(partial_trace(rho, (4, 4), 0) @ partial_trace(rho, (4, 4), 0)).real,
+                    np.trace(loss(rho) @ loss(rho)).real,
                     np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))[0],
                     abs(np.trace(rho).real - 1.0),
                 )
@@ -229,34 +377,48 @@ class TestCompare:
 
     def test_metrics_of_a_stack_equal_those_of_each_state(self, basis4):
         rng = np.random.Generator(np.random.Philox(23))
-        stack = rng.normal(size=(3, 16, 16)) + 1j * rng.normal(size=(3, 16, 16))
-        pur, eig = entanglement_metrics(stack, 4)
-        assert pur.shape == (3,) and eig.shape == (3, 16)
+        stack = rng.normal(size=(3, 4, 4)) + 1j * rng.normal(size=(3, 4, 4))
+        pur = loss_purity(stack)
+        assert pur.shape == (3,)
         for k, rho in enumerate(stack):
-            one_pur, one_eig = entanglement_metrics(rho, 4)
-            assert pur[k] == pytest.approx(one_pur, abs=1e-12)
-            np.testing.assert_allclose(eig[k], one_eig, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(
-            top_level_population(stack, 4),
-            [top_level_population(rho, 4) for rho in stack],
-            rtol=0, atol=1e-14,
-        )
+            assert pur[k] == pytest.approx(loss_purity(rho), abs=1e-12)
 
     def test_truncation_leak_guard(self):
         basis = BipartiteBasis(n_levels=3)
-        rho0 = separable_state(basis)
         with pytest.raises(TruncationLeak, match="run leaked"):
-            compare_cl_qm_entanglement(basis, 0.2, rho0, np.linspace(0, 2, 5))
+            compare_cl_qm_entanglement(basis, 0.2, 0.0, 0.0, np.linspace(0, 2, 5))
 
     def test_non_uniform_grid_rejected(self, basis4):
-        rho0 = separable_state(basis4)
         with pytest.raises(ValueError, match="evenly spaced"):
-            compare_cl_qm_entanglement(basis4, 0.0003, rho0, [0.0, 0.5, 2.0])
+            compare_cl_qm_entanglement(basis4, 0.0003, 0.0, 0.0, [0.0, 0.5, 2.0])
 
     def test_top_level_population_of_ground_state(self, basis4):
-        assert top_level_population(separable_state(basis4), 4) == pytest.approx(
-            0.0, abs=1e-15
-        )
+        _, _, margins = compare_cl_qm_entanglement(basis4, 0.0, 0.0, 0.0, [0.0, 1.0])
+        for tag in ("cl", "qm"):
+            assert margins[f"max_top_level_population_{tag}"] == pytest.approx(0.0, abs=1e-15)
+
+
+# Measured gaps between the square route at n_levels 8 and the relative route
+# at lam 3e-4, t in [0, 2], alpha (0.3, 0) and (0.2, 0.1): purity 1.9e-10 at
+# n_r 8, where the relative truncation's own error dominates, and 3.4e-12 at
+# n_r 10 and 12; min_eig 1.7e-9 at n_r 8 and 4.2e-10 at n_r 10 and 12, the
+# square truncation's own error.
+SQUARE_GAP_BOUNDS = {8: (1e-9, 5e-9), 10: (1e-11, 1e-9), 12: (1e-11, 1e-9)}
+
+
+@pytest.fixture(scope="module")
+def square_n8_series():
+    """Purity and least eigenvalue of the square route at n_levels 8, by
+    (alpha1, alpha2, kind)."""
+    basis, times, out = BipartiteBasis(n_levels=8), np.linspace(0.0, 2.0, 41), {}
+    for a1, a2 in ((0.3, 0.0), (0.2, 0.1)):
+        for kind in SuperPotentialKind:
+            states = square_states(basis, 3e-4, kind, separable_state(basis, a1, a2), times)
+            herm = 0.5 * (states + states.conj().transpose(0, 2, 1))
+            out[a1, a2, kind.value] = (
+                reduced_purity(states, 8), np.linalg.eigvalsh(herm)[:, 0]
+            )
+    return times, out
 
 
 class TestStructuredEvolution:
@@ -264,14 +426,40 @@ class TestStructuredEvolution:
     @pytest.mark.parametrize("lam", [3e-4, 0.05, 0.3])
     @pytest.mark.parametrize("kind", list(SuperPotentialKind))
     def test_states_equal_dense_exact_evolution(self, n_levels, lam, kind):
+        """The relative route against its own dense n_r^2 generator."""
         basis = BipartiteBasis(n_levels=n_levels)
-        rho0 = separable_state(basis, 0.2, -0.1)
-        ev = ExactEvolver(build_bipartite_liouvillian(basis, lam, kind))
+        rho0 = relative_state(n_levels, 0.2, -0.1)
+        ev = ExactEvolver(relative_dense(basis, lam, kind))
         times = np.linspace(0.0, 3.0, 13)
         states = evolve_kind(basis, lam, kind, rho0, times)
-        assert states.shape == (13, basis.dim, basis.dim)
+        assert states.shape == (13, n_levels, n_levels)
         for t, rho in zip(times, states):
             np.testing.assert_allclose(rho, ev.propagate(rho0, float(t)), rtol=0, atol=1e-12)
+
+    def test_square_route_agrees_at_small_size(self):
+        """The monomial-by-monomial square action of ``square_states`` is
+        the dense square generator's."""
+        basis = BipartiteBasis(n_levels=3)
+        rho0 = separable_state(basis, 0.2, -0.1)
+        times = np.linspace(0.0, 3.0, 7)
+        for kind in SuperPotentialKind:
+            ev = ExactEvolver(build_bipartite_liouvillian(basis, 0.05, kind))
+            states = square_states(basis, 0.05, kind, rho0, times)
+            for t, rho in zip(times, states):
+                np.testing.assert_allclose(
+                    rho, ev.propagate(rho0, float(t)), rtol=0, atol=1e-12
+                )
+
+    @pytest.mark.parametrize("n_r", sorted(SQUARE_GAP_BOUNDS))
+    def test_square_route_converges_onto_relative_route(self, square_n8_series, n_r):
+        times, square = square_n8_series
+        purity_bound, eig_bound = SQUARE_GAP_BOUNDS[n_r]
+        for (a1, a2, tag), (purity, least) in square.items():
+            cols, _, _ = compare_cl_qm_entanglement(
+                BipartiteBasis(n_levels=n_r), 3e-4, a1, a2, times
+            )
+            assert np.max(np.abs(cols[f"purity_{tag}"] - purity)) <= purity_bound
+            assert np.max(np.abs(cols[f"min_eig_{tag}"] - least)) <= eig_bound
 
 
 class TestHermiticityAndTrace:
