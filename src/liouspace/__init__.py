@@ -70,7 +70,6 @@ from .evolution import (
     evolve_basis,
     evolve_characteristics,
     evolve_exact,
-    evolve_expectations,
     evolve_ordered,
     evolve_trotter,
     gaussian_ensemble,
@@ -97,6 +96,8 @@ from .jaynescummings import (
     jc_evolve_first_order,
     jc_generator,
     jc_liouvillian,
+    jc_series,
+    jc_states,
     partial_trace,
 )
 from .entangle import (

@@ -192,9 +192,9 @@ def compare_cl_qm_entanglement(
     the Krylov run's worst a-posteriori error estimate
     ``max_krylov_error_estimate_cl``, its generator-call count
     ``krylov_generator_calls_cl`` and its largest Arnoldi basis
-    ``krylov_max_basis_dim_cl``.  ``t_grid`` must be evenly spaced
-    (ValueError otherwise).  Raises TruncationLeak if either run populates
-    rho_r's top level beyond ``LEAK_THRESHOLD`` at any time of the grid.
+    ``krylov_max_basis_dim_cl``.  Any grid works.  Raises TruncationLeak
+    if either run populates rho_r's top level beyond ``LEAK_THRESHOLD`` at
+    any time of the grid.
     """
     t = np.asarray(t_grid, dtype=float)
     alpha_r = (complex(alpha1) - complex(alpha2)) / np.sqrt(2.0)

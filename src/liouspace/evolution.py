@@ -2,11 +2,10 @@
 
 Covers the exact exponential exp(-i L t / hbar) for dense superoperators,
 the one evolve route of the structured N x N generators
-L rho = H rho - rho H + U (E o (U^T rho U)) U^T (one eigh without E,
-matrix-free Krylov dense output over a uniform time grid with it), a
-classical RK4 integrator for
-time-dependent generators (an oracle for the exact routes), split-step
-Trotter evolution on (Q, q) grids, and the classical
+L rho = H rho - rho H + U (E o (U^T rho U)) U^T with real E (one eigh
+without E, matrix-free Krylov dense output with it), a classical RK4
+integrator for time-dependent generators (an oracle for the exact routes),
+split-step Trotter evolution on (Q, q) grids, and the classical
 method-of-characteristics ensemble, which serves as the independent
 oracle for the grid dynamics.
 
@@ -14,12 +13,9 @@ The grid routes take hbar and the mass from ``EvolutionConfig``.  The
 structured generators are in hbar = 1, i d/dt rho = L rho: for another
 hbar, pass h / hbar and E / hbar.
 
-The structured generators have two entry points over the same two routes:
-``evolve_basis`` returns the states, a (T, N, N) stack, and
-``evolve_expectations`` returns expectation values tr(O rho(t)) and the
-purity.  Without E the generator is diagonal in the eigenbasis of H, with
-frequencies w_i - w_j, so ``evolve_expectations`` forms no state at all;
-with E it contracts the ``evolve_basis`` stack.
+scipy is imported only where a route needs it (``ExactEvolver``'s expm of
+a non-Hermitian generator, the Sobol ensemble), so importing this module
+loads no scipy.
 """
 
 from __future__ import annotations
@@ -30,7 +26,6 @@ from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np
-import scipy  # submodules load on first attribute access
 
 from .errors import EnergyDriftExceeded
 from .liouvillian import BasisLiouvillian, GridLiouvillian, build_grid_liouvillian
@@ -43,11 +38,10 @@ BOUNDARY_MASS_TOL = 1e-10
 ENERGY_DRIFT_TOL = 1e-6
 # Krylov route of evolve_basis: the largest a-posteriori error estimate of an
 # output (2-norm of the vectorised state), the most basis vectors per block,
-# and the vectors added between two estimates.  An estimate costs an eigh or
-# an expm of the block's small matrix, which can cost more than the vectors
-# it saves: on a 2-vCPU host, checking after every vector took 12.6 ms
-# against 9.5 ms for a square bipartite n_levels 6 CL run, and 3.3 s against 0.68 s
-# for a complex-eps jc n_max 12 run of 2001 times.
+# and the vectors added between two estimates.  An estimate costs an eigh of
+# the block's small matrix, which can cost more than the vectors it saves: on
+# a 2-vCPU host, checking after every vector took 12.6 ms against 9.5 ms for
+# a square bipartite n_levels 6 CL run.
 KRYLOV_TOL = 1e-13
 KRYLOV_MAX_DIM = 60
 KRYLOV_CHECK_EVERY = 5
@@ -98,7 +92,9 @@ class ExactEvolver:
         if self._hermitian:
             prop = (self._u * np.exp(-1j * self._w * t / self.hbar)) @ self._u.conj().T
         else:
-            prop = scipy.linalg.expm(-1j * self._dense * t / self.hbar)
+            from scipy.linalg import expm
+
+            prop = expm(-1j * self._dense * t / self.hbar)
         return (prop @ vec).reshape(rho0.shape)
 
 
@@ -111,10 +107,10 @@ def solver_path(e) -> str:
 def basis_action(h: np.ndarray, e=None, basis=None) -> Callable[[np.ndarray], np.ndarray]:
     """rho -> H rho - rho H + U (E o (U^T rho U)) U^T on N x N matrices.
 
-    This is the structured generator (energy units) of ``evolve_basis``:
-    ``e`` is the N x N mask of E, or None when there is no E, and ``basis``
-    the real orthogonal U in which E acts elementwise, or None for the
-    identity.
+    This is the structured generator (energy units) of ``evolve_basis``,
+    and with a complex E that of ``jaynescummings.jc_generator``: ``e`` is
+    the N x N mask of E, or None when there is no E, and ``basis`` the real
+    orthogonal U in which E acts elementwise, or None for the identity.
     """
 
     def act(rho: np.ndarray) -> np.ndarray:
@@ -128,54 +124,22 @@ def basis_action(h: np.ndarray, e=None, basis=None) -> Callable[[np.ndarray], np
     return act
 
 
-def _eigenbasis(h: np.ndarray, rho0: np.ndarray, t_grid: np.ndarray):
-    """(u, phases, sigma0) of h = u diag(w) u': phases[t] = e^{-i w t}
-    for each t of t_grid and sigma0 = u' rho0 u."""
-    w, u = np.linalg.eigh(h)
-    # cos + i sin of the real angles: the values of a complex exp, in about
-    # half its time
-    angle = np.outer(t_grid, -w)
-    phases = np.empty(angle.shape, dtype=complex)
-    np.cos(angle, out=phases.real)
-    np.sin(angle, out=phases.imag)
-    return u, phases, u.conj().T @ rho0 @ u
-
-
-def _krylov_coefficients(hk: np.ndarray, hermitian: bool, dt: float):
-    """taus -> rows exp(-i tau H_k) e_1, one per tau of the evenly
-    spaced (step dt) taus, for the k x k Arnoldi matrix H_k.
-
-    A Hermitian action makes H_k real tridiagonal, and one eigh of it serves
-    every tau.  Otherwise expm of the first tau and of dt advance e_1 by
-    powers.  (With two OpenBLAS threads one scipy expm of a 20 x 20 complex
-    matrix takes about 8 ms, against 0.2 ms for eigh.)
-    """
-    if hermitian:
-        # eigh reads the lower triangle: the diagonal and the subdiagonal
-        lam, q = np.linalg.eigh(hk.real)
-        return lambda taus: (np.exp(np.outer(taus, lam) / 1j) * q[0]) @ q.T
-    gen = hk / 1j
-
-    def powers(taus):
-        rows = [scipy.linalg.expm(taus[0] * gen)[:, 0]]
-        if len(taus) > 1:
-            step = scipy.linalg.expm(dt * gen)
-            for _ in taus[1:]:
-                rows.append(step @ rows[-1])
-        return np.array(rows)
-
-    return powers
+def _krylov_coefficients(hk: np.ndarray):
+    """taus -> rows exp(-i tau H_k) e_1, one per tau, for the k x k
+    Lanczos matrix H_k of a Hermitian action: real tridiagonal, so one eigh
+    of it serves every tau."""
+    # eigh reads the lower triangle: the diagonal and the subdiagonal
+    lam, q = np.linalg.eigh(hk.real)
+    return lambda taus: (np.exp(np.outer(taus, lam) / 1j) * q[0]) @ q.T
 
 
 def _krylov_outputs(
     act: Callable[[np.ndarray], np.ndarray],
     v0: np.ndarray,
     t_grid: np.ndarray,
-    hermitian: bool,
 ) -> tuple[np.ndarray, dict[str, float]]:
-    """(out, margins): out[j] = exp(-i t_j A) v0 for each t_j of the
-    evenly spaced t_grid, where ``act`` applies A to a vector and
-    ``hermitian`` says whether A is Hermitian.
+    """(out, margins): out[j] = exp(-i t_j A) v0 for each t_j of t_grid,
+    where ``act`` applies the Hermitian A to a vector.
 
     Krylov dense output (Saad, SIAM J. Numer. Anal. 29, 209, 1992): from the
     state v at time s, beta = |v|, an Arnoldi basis V_k of
@@ -189,7 +153,7 @@ def _krylov_outputs(
     block then writes the leading outputs whose estimates are at most
     ``KRYLOV_TOL`` as one product, and the next block starts from the last
     of them; a block that covers none takes a substep, halving from the
-    first output until the estimate passes.  Any start and either direction
+    first output until the estimate passes.  Any grid, start and direction
     of time work.
     ``margins`` holds the worst estimate of the outputs and substeps,
     ``max_krylov_error_estimate``, the number of ``act`` calls,
@@ -198,10 +162,9 @@ def _krylov_outputs(
     """
     n = v0.size
     out = np.zeros((t_grid.size, n), dtype=complex)
-    dt = (t_grid[-1] - t_grid[0]) / max(t_grid.size - 1, 1)
     vs = np.empty((min(KRYLOV_MAX_DIM, n), n), dtype=complex)
     hess = np.empty((len(vs) + 1, len(vs)), dtype=complex)
-    done = int(t_grid[0] == 0.0)  # an output at the start needs no basis
+    done = int(t_grid.size > 0 and t_grid[0] == 0.0)  # an output at the start needs no basis
     out[:done] = v0
     start, v, worst, calls, max_dim = 0.0, v0, 0.0, 0, 0
     while done < t_grid.size:
@@ -222,7 +185,7 @@ def _krylov_outputs(
             # at k = n the basis spans the space, and the projection is exact
             h_next = hess[k, k - 1] = np.linalg.norm(w) if k < n else 0.0
             if k == len(vs) or k % KRYLOV_CHECK_EVERY == 0 or h_next == 0.0:
-                coefficients = _krylov_coefficients(hess[:k, :k], hermitian, dt)
+                coefficients = _krylov_coefficients(hess[:k, :k])
                 if k == len(vs) or beta * h_next * abs(coefficients([far])[0, -1]) <= KRYLOV_TOL:
                     break
             vs[k] = w / h_next
@@ -253,80 +216,48 @@ def evolve_basis(
     h: np.ndarray, rho0: np.ndarray, t_grid, e=None, basis=None
 ) -> tuple[np.ndarray, dict[str, float]]:
     """(states, margins) of i d/dt rho = ``basis_action(h, e, basis)`` rho
-    (hbar = 1) for Hermitian N x N h: states[j] = rho(t_j) for each t_j of
-    t_grid, shape (len(t_grid), N, N).
+    (hbar = 1) for Hermitian N x N h and real E: states[j] = rho(t_j) for
+    each t_j of t_grid, shape (len(t_grid), N, N).
 
     Without E, one eigh h = u diag(w) u' gives
     rho(t) = u (e^{-i w t} o (u' rho0 u) o e^{+i w t}) u'
-    on any grid, and ``margins`` is empty.  With E, sigma = U^T rho U follows
+    and ``margins`` is empty.  With E, sigma = U^T rho U follows
     h' sigma - sigma h' + E o sigma (h' = U^T h U), evolved without forming
     L by Krylov dense output (Saad 1992) to an a-posteriori error estimate of
     at most ``KRYLOV_TOL`` per output, with at most ``KRYLOV_MAX_DIM`` basis
     vectors per block.  A real E makes that action Hermitian, so the small
-    exponentials are one eigh per block; a complex E takes expm and powers
-    of the grid step, which is why the grid must be non-empty and evenly
-    spaced (ValueError otherwise).  ``margins`` then holds the worst estimate,
-    ``max_krylov_error_estimate``, the number of generator calls,
-    ``krylov_generator_calls``, and the largest basis of a block,
-    ``krylov_max_basis_dim``.  ``solver_path(e)`` names the route.
+    exponentials are one eigh per block; a complex E raises ValueError.
+    ``margins`` then holds the worst estimate, ``max_krylov_error_estimate``,
+    the number of generator calls, ``krylov_generator_calls``, and the
+    largest basis of a block, ``krylov_max_basis_dim``.  Either route takes
+    any grid.  ``solver_path(e)`` names the route.
     """
     t_grid = np.asarray(t_grid, dtype=float).reshape(-1)
     rho0 = np.asarray(rho0, dtype=complex)
     if solver_path(e) == "eigh":
-        u, phases, sigma0 = _eigenbasis(h, rho0, t_grid)
+        w, u = np.linalg.eigh(h)
+        # cos + i sin of the real angles: the values of a complex exp, in about
+        # half its time
+        angle = np.outer(t_grid, -w)
+        phases = np.empty(angle.shape, dtype=complex)
+        np.cos(angle, out=phases.real)
+        np.sin(angle, out=phases.imag)
         # two (len(t_grid), N, N) buffers at a time: long grids stay lean
-        states = phases[:, :, None] * sigma0
+        states = phases[:, :, None] * (u.conj().T @ rho0 @ u)
         states *= phases.conj()[:, None, :]
         return np.matmul(u @ states, u.conj().T, out=states), {}
-    if t_grid.size == 0:
-        raise ValueError("t_grid must not be empty")
-    even = np.linspace(t_grid[0], t_grid[-1], t_grid.size)
-    if np.max(np.abs(t_grid - even)) > 1e-12 * max(1.0, float(np.max(np.abs(t_grid)))):
-        raise ValueError("t_grid must be evenly spaced")
+    if not np.isreal(e).all():
+        raise ValueError("E must be real: a complex E makes the generator non-Hermitian")
     if basis is not None:
         h, rho0 = basis.T @ h @ basis, basis.T @ rho0 @ basis
     act, shape = basis_action(h, e), rho0.shape
     out, margins = _krylov_outputs(
-        lambda vec: act(vec.reshape(shape)).reshape(-1),
-        rho0.reshape(-1), t_grid, hermitian=bool(np.isreal(e).all()),
+        lambda vec: act(vec.reshape(shape)).reshape(-1), rho0.reshape(-1), t_grid
     )
     states = out.reshape(-1, *shape)
     if basis is not None:
         states = np.matmul(basis @ states, basis.T, out=states)
     return states, margins
-
-
-def evolve_expectations(
-    h: np.ndarray, rho0: np.ndarray, t_grid, ops, e=None
-) -> tuple[np.ndarray, np.ndarray, dict[str, float]]:
-    """(values, purity, margins) of the evolution of ``evolve_basis`` with E,
-    if any, elementwise in the identity basis:
-    values[t, k] = tr(ops[k] rho(t)), shape (len(t_grid), K), complex,
-    purity[t] = Re tr(rho(t)^2), shape (len(t_grid),), and the margins of
-    ``evolve_basis``.
-
-    On the eigh route (``solver_path(e)``) no state is formed.  With
-    sigma0 = u' rho0 u and p = e^{-i w t},
-    tr(O rho(t)) = sum_i p_i sum_j M_ij conj(p_j), M = (u' O u)^T o sigma0:
-    one (T, N) @ (N, K N) product for all operators and times.  The
-    evolution is unitary there, so the purity is tr(sigma0^2) at every t.
-    With E the ``evolve_basis`` stack is contracted.
-    """
-    t_grid = np.asarray(t_grid, dtype=float).reshape(-1)
-    rho0 = np.asarray(rho0, dtype=complex)
-    ops = np.asarray(ops, dtype=complex)
-    if solver_path(e) == "eigh":
-        u, phases, sigma0 = _eigenbasis(h, rho0, t_grid)
-        # m[j, k, i] = (u' O_k u)[j, i] sigma0[i, j]
-        m = (u.conj().T @ ops @ u).transpose(1, 0, 2) * sigma0.T[:, None, :]
-        right = (phases.conj() @ m.reshape(len(u), -1)).reshape(t_grid.size, len(ops), -1)
-        values = np.einsum("tki,ti->tk", right, phases)
-        purity = np.full(t_grid.size, np.einsum("ij,ji->", sigma0, sigma0).real)
-        return values, purity, {}
-    states, margins = evolve_basis(h, rho0, t_grid, e)
-    # tr(O rho) = sum_ji rho_ji (O^T)_ji
-    values = states.reshape(t_grid.size, -1) @ ops.transpose(0, 2, 1).reshape(len(ops), -1).T
-    return values, np.einsum("tij,tji->t", states, states).real, margins
 
 
 def evolve_ordered(

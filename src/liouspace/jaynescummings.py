@@ -19,6 +19,13 @@ omega_e; the rest, i Im(eps) on both coherence blocks, is anti-Hermitian:
 Im(eps) < 0 damps the eg coherence as exp(Im(eps) t) (hbar = 1), Im(eps) > 0
 amplifies it.  ``jc_generator`` writes the model as CL = QM + E in that split.
 
+H_JC conserves the excitation number N = a'a + |e><e|, and E acts
+elementwise on the atomic index, so the generator maps each block of rho
+between the sectors {|g,k>, |e,k-1>} (k = 0..n_max+1, each of size 1 or 2)
+into itself (Jaynes & Cummings, Proc. IEEE 51, 89, 1963; Shore & Knight,
+J. Mod. Opt. 40, 1195, 1993).  ``jc_series`` and ``jc_states`` evolve the
+model as (n_max + 2)^2 independent problems of size at most 4.
+
 Matrix elements E_{ab,cd} over hydrogen-like orbitals are estimated by
 importance-sampled Monte Carlo over the six-dimensional (Q, q) domain;
 a mixture proposal oversamples the |Q + q| -> 0 shell where the Coulomb
@@ -33,7 +40,6 @@ import numpy as np
 
 from .errors import NotConverged, NotFactorized, TruncationLeak
 from .liouvillian import BasisLiouvillian, build_basis_liouvillian, check_dense_dim
-from .evolution import evolve_expectations, solver_path
 from .potential import COULOMB_EPS_REG, coulomb_e_of_radii
 
 ATOM_G, ATOM_E = 0, 1
@@ -122,9 +128,11 @@ def jc_liouvillian(p: JCParams) -> BasisLiouvillian:
 
 
 def jc_generator(p: JCParams) -> tuple[np.ndarray, np.ndarray | None]:
-    """(h, E) for ``evolution.evolve_basis``: h = H_JC + Re(eps_egeg) P_e (x) 1
-    and E = i Im(eps_egeg) on both coherence blocks, elementwise in the
-    product basis, or None for real eps_egeg (the eigh route)."""
+    """(h, E) of the structured generator L rho = h rho - rho h + E o rho
+    (``evolution.basis_action``), which the sector routes gather:
+    h = H_JC + Re(eps_egeg) P_e (x) 1 and E = i Im(eps_egeg) on both
+    coherence blocks, elementwise in the product basis, or None for real
+    eps_egeg (the sector_phases route)."""
     shift = p.eps_egeg.real * np.kron(np.diag([0.0, 1.0]), np.eye(p.fock_dim))
     h = build_jc_hamiltonian(p) + shift
     if p.eps_egeg.imag == 0:
@@ -208,47 +216,160 @@ def check_fock_truncation(rho: np.ndarray, n_max: int) -> None:
     _raise_on_fock_leak(np.max(np.einsum("...nn->...", field).real))
 
 
+def _sector_blocks(p: JCParams, rho0: np.ndarray):
+    """(index, valid, h, E, rho0) by excitation-number sector.
+
+    ``index`` and ``valid`` are (S, 2), S = n_max + 2: index[k, a] is the
+    basis index of |g,k> (slot a = ATOM_G) or |e,k-1> (a = ATOM_E), and
+    ``valid`` marks the slots that exist (sector 0 has no |e,-1>, sector
+    n_max + 1 no |g,n_max+1>).  h comes as its (S, 2, 2) diagonal blocks,
+    E (None for real eps_egeg) and rho0 as their (S, S, 2, 2) blocks
+    between sectors k and l, each zero in the padded slots.
+    """
+    f, k = p.fock_dim, np.arange(p.n_max + 2)
+    valid = np.stack([k <= p.n_max, k >= 1], axis=1)
+    index = np.where(valid, np.stack([ATOM_G * f + k, ATOM_E * f + k - 1], axis=1), 0)
+    keep = valid[:, None, :, None] & valid[None, :, None, :]
+    rows, cols = index[:, None, :, None], index[None, :, None, :]
+
+    def gather(m):
+        return np.where(keep, np.asarray(m)[rows, cols], 0)
+
+    h, e = jc_generator(p)
+    return index, valid, gather(h)[k, k], None if e is None else gather(e), gather(rho0)
+
+
+def _phase_series(hb: np.ndarray, rb: np.ndarray, weights: np.ndarray, t_grid: np.ndarray):
+    """(values, rho_{e0,g0}) of the unitary evolution in closed form,
+    without a linear-algebra library call.
+
+    Each Hermitian sector block is h_k = m_k + w_k K_k with K_k^2 = 1
+    (K_k = 0 where w_k = 0), so exp(-i t h_k) = e^{-i m_k t} (c - i s K_k)
+    with c = cos(w_k t), s = sin(w_k t).  A population of a diagonal block
+    is then rho_aa + s^2 (K rho K - rho)_aa + sin(2 w_k t) Im(K rho)_aa, and
+    values[t, j] sums them with weights[k, a, j].  Sector 0 is |g,0> alone,
+    of energy E_0, so rho_{e0,g0} = e^{i E_0 t} [exp(-i t h_1) r]_e for the
+    column r = rho0[sector 1, g0].
+    """
+    m = 0.5 * (hb[:, 0, 0] + hb[:, 1, 1]).real
+    w = np.hypot(0.5 * (hb[:, 0, 0] - hb[:, 1, 1]).real, np.abs(hb[:, 0, 1]))
+    kk = (hb - m[:, None, None] * np.eye(2)) / np.where(w > 0, w, 1.0)[:, None, None]
+    diag = rb[np.arange(len(rb)), np.arange(len(rb))]
+    pops = np.einsum("kaa->ka", diag).real
+    k_rho = kk @ diag
+    sq = np.einsum("kaa->ka", k_rho @ kk).real - pops
+    cross = np.einsum("kaa->ka", k_rho).imag
+    angle = np.outer(t_grid, w)
+    sin, cos = np.sin(angle), np.cos(angle)
+    values = np.einsum("ka,kaj->j", pops, weights) + (sin * sin) @ np.einsum(
+        "ka,kaj->kj", sq, weights
+    ) + (2 * sin * cos) @ np.einsum("ka,kaj->kj", cross, weights)
+    r = rb[1, 0, :, ATOM_G]
+    coherence = np.exp(-1j * (m[1] - hb[0, ATOM_G, ATOM_G].real) * t_grid) * (
+        cos[:, 1] * r[ATOM_E] - 1j * sin[:, 1] * (kk[1] @ r)[ATOM_E]
+    )
+    return values, coherence
+
+
+def _sector_powers(hb: np.ndarray, eb, rb: np.ndarray, t_grid: np.ndarray):
+    """Yield the (S, S, 2, 2) blocks of rho(t) for each t of the evenly
+    spaced, non-empty t_grid (ValueError otherwise); ``eb`` may be None.
+
+    Block (k, l) follows i d/dt X = h_k X - X h_l + E_kl o X, a 4 x 4
+    generator on the row-major vec X.  One batched expm of all of them at
+    the grid step (and one at t_grid[0] unless it is 0) advances every
+    block by powers.  The yielded array is overwritten two steps later.
+    """
+    from scipy.linalg import expm
+
+    even = np.linspace(t_grid[0], t_grid[-1], t_grid.size)
+    if np.max(np.abs(t_grid - even)) > 1e-12 * max(1.0, float(np.max(np.abs(t_grid)))):
+        raise ValueError("t_grid must be evenly spaced")
+    n, eye = len(hb), np.eye(2)
+    # vec(h_k X) = kron(h_k, 1) vec X and vec(X h_l) = kron(1, h_l^T) vec X
+    gen = (
+        np.einsum("kia,jb->kijab", hb, eye)[:, None]
+        - np.einsum("ia,lbj->lijab", eye, hb)[None, :]
+    ).reshape(n * n, 4, 4)
+    if eb is not None:
+        gen[:, np.arange(4), np.arange(4)] += eb.reshape(n * n, 4)
+    x = rb.reshape(n * n, 4, 1).astype(complex)
+    if t_grid[0] != 0.0:
+        x = expm(-1j * t_grid[0] * gen) @ x
+    step = expm(-1j * (even[1] - even[0] if t_grid.size > 1 else 0.0) * gen)
+    spare = np.empty_like(x)
+    for j in range(t_grid.size):
+        if j:
+            x, spare = np.matmul(step, x, out=spare), x
+        yield x.reshape(n, n, 2, 2)
+
+
 def jc_series(
     p: JCParams, rho0: np.ndarray, t_grid
 ) -> tuple[dict[str, np.ndarray], str, dict[str, float]]:
     """Evolve rho0 over t_grid; return (columns, solver_path, margins).
 
     ``columns`` holds the series t, P_e, abs_rho_eg00, trace and purity, one
-    entry per time.  They are the expectation values of P_e (x) 1, |g0><e0|,
-    1 and the top-Fock projector from ``evolution.evolve_expectations``; on
-    the eigh route (real eps_egeg) no state is formed and the purity is
-    tr(rho0^2), exact for that unitary evolution.  A complex eps_egeg takes
-    the Krylov route instead, with expm of its small non-Hermitian Arnoldi
-    matrices, on an evenly spaced grid only (ValueError otherwise).
-    ``solver_path`` names the route and ``margins`` holds ``max_fock_leak``,
-    the worst top-Fock population over the output times, and on the Krylov
-    route its worst a-posteriori error estimate
-    ``max_krylov_error_estimate``, its generator-call count
-    ``krylov_generator_calls`` and its largest Arnoldi basis
-    ``krylov_max_basis_dim``.
+    entry per time, read off the sector blocks (see the module docstring)
+    without forming a state: P_e, the trace and the top-Fock population are
+    sums of diagonal-block populations, and rho_{e0,g0} is one element of
+    block (1, 0); the purity is the sum of the squared block norms.
+    ``solver_path`` names the route.  Real eps_egeg takes "sector_phases":
+    each sector rotates in closed form, on any grid, and the purity stays
+    that of rho0, exact for that unitary evolution.  Complex eps_egeg takes
+    "sector_powers", powers of one batched expm of the block generators, on
+    an evenly spaced grid only (ValueError otherwise).  ``margins`` holds
+    ``max_fock_leak``, the worst top-Fock population over the output times.
 
     Raises TruncationLeak before evolving if rho0 fills the top
     ``FOCK_LEAK_LEVELS`` Fock levels, and after it if the state does at any
     output time.
     """
     check_fock_truncation(rho0, p.n_max)
-    h, e = jc_generator(p)
-    f = p.fock_dim
-    atom, fock = np.repeat(np.arange(2), f), np.tile(np.arange(f), 2)  # of each basis state
-    g0_e0 = np.zeros((p.dim, p.dim))
-    g0_e0[ATOM_G * f, ATOM_E * f] = 1.0  # tr(|g0><e0| rho) = rho_{e0,g0}
-    ops = [np.diag(atom == ATOM_E), g0_e0, np.eye(p.dim), np.diag(fock >= f - FOCK_LEAK_LEVELS)]
-    values, purity, margins = evolve_expectations(h, rho0, t_grid, ops, e)
-    worst = float(np.max(values[:, 3].real))
+    t_grid = np.asarray(t_grid, dtype=float).reshape(-1)
+    _, valid, hb, eb, rb = _sector_blocks(p, rho0)
+    fock = np.arange(p.n_max + 2)[:, None] - np.arange(2)  # of each slot: k, k - 1
+    # per slot, the weights of P_e, the trace and the top-Fock population
+    weights = np.stack(
+        [valid & (np.arange(2) == ATOM_E), valid, valid & (fock >= p.fock_dim - FOCK_LEAK_LEVELS)],
+        axis=-1,
+    ).astype(float)
+    if eb is None:
+        path = "sector_phases"
+        values, coherence = _phase_series(hb, rb, weights, t_grid)
+        purity = np.full(t_grid.size, np.vdot(rb, rb).real)
+    else:
+        path, n = "sector_powers", t_grid.size
+        pops, coherence, purity = np.empty((n, *valid.shape)), np.empty(n, complex), np.empty(n)
+        for j, blocks in enumerate(_sector_powers(hb, eb, rb, t_grid)):
+            pops[j] = np.einsum("kkaa->ka", blocks).real
+            coherence[j] = blocks[1, 0, ATOM_E, ATOM_G]
+            purity[j] = np.vdot(blocks, blocks).real
+        values = pops.reshape(n, -1) @ weights.reshape(-1, 3)
+    worst = float(np.max(values[:, 2]))
     _raise_on_fock_leak(worst)
     columns = {
-        "t": np.asarray(t_grid, dtype=float),
-        "P_e": values[:, 0].real,
-        "abs_rho_eg00": np.abs(values[:, 1]),
-        "trace": values[:, 2].real,
+        "t": t_grid,
+        "P_e": values[:, 0],
+        "abs_rho_eg00": np.abs(coherence),
+        "trace": values[:, 1],
         "purity": purity,
     }
-    return columns, solver_path(e), {"max_fock_leak": worst, **margins}
+    return columns, path, {"max_fock_leak": worst}
+
+
+def jc_states(p: JCParams, rho0: np.ndarray, t_grid) -> np.ndarray:
+    """The states rho(t), shape (len(t_grid), dim, dim), from the sector
+    stepping of the "sector_powers" route for any eps_egeg, on an evenly
+    spaced grid: for audits and checks at small sizes."""
+    t_grid = np.asarray(t_grid, dtype=float).reshape(-1)
+    index, valid, hb, eb, rb = _sector_blocks(p, rho0)
+    keep = valid[:, None, :, None] & valid[None, :, None, :]
+    rows, cols = np.broadcast_arrays(index[:, None, :, None], index[None, :, None, :])
+    states = np.zeros((t_grid.size, p.dim, p.dim), dtype=complex)
+    for rho, blocks in zip(states, _sector_powers(hb, eb, rb, t_grid)):
+        rho[rows[keep], cols[keep]] = blocks[keep]
+    return states
 
 
 def coherent_field_density(alpha: complex, n_max: int) -> np.ndarray:

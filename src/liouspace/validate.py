@@ -199,8 +199,7 @@ def _conservation_suite() -> tuple[bool, str]:
     times = np.linspace(0.0, 10.0, 11)
     # Jaynes-Cummings with dipole and superoperator
     p = jc.JCParams(omega_e=1.0, omega=0.9, d_eg=0.08, n_max=4, eps_egeg=0.05 * (1 + 1j))
-    h, e = jc.jc_generator(p)
-    track(evolution.evolve_basis(h, jc.initial_jc_state("e1", p.n_max), times, e)[0])
+    track(jc.jc_states(p, jc.initial_jc_state("e1", p.n_max), times))
 
     # bipartite CL and QM through the relative mode, from the ground state
     h, e, v = entangle.relative_generator(entangle.BipartiteBasis(n_levels=4), 0.0002)
@@ -251,8 +250,7 @@ def _jc_first_order_consistency() -> tuple[bool, str]:
     )
     times = (0.4, 0.2, 0.1)
     small = max(abs(p.d_eg) * times[0], abs(p.eps_egeg) * times[0]) <= 1e-2
-    h, e = jc.jc_generator(p)
-    exact = [evolution.evolve_basis(h, rho0, [t], e)[0][0] for t in times]
+    exact = [jc.jc_states(p, rho0, [t])[0] for t in times]
     devs = [
         float(np.max(np.abs(jc.jc_evolve_first_order(p, rho0, t) - rho)))
         for t, rho in zip(times, exact)

@@ -55,11 +55,11 @@ GUARD_MARGINS = {
 
 def krylov_margins(solver_path) -> set[str]:
     """The margins the Krylov route adds, its worst error estimate, its
-    generator calls and its largest basis, per run that took it (by kind
-    for bipartite)."""
-    paths = solver_path if isinstance(solver_path, dict) else {None: solver_path}
+    generator calls and its largest basis, per kind of a bipartite run that
+    took it; jc's sector routes add none."""
+    paths = solver_path if isinstance(solver_path, dict) else {}
     return {
-        name if kind is None else f"{name}_{kind}"
+        f"{name}_{kind}"
         for kind, path in paths.items() if path == "krylov"
         for name in ("max_krylov_error_estimate", "krylov_generator_calls", "krylov_max_basis_dim")
     }
@@ -233,7 +233,7 @@ class TestScenarios:
             (["jc", "--steps", "20", "--eps", "0.01,-0.02"], jc, "jc_generator"),
             (["bipartite", "--steps", "5"], entangle, "relative_generator"),
         ],
-        ids=["jc-eigh", "jc-krylov", "bipartite"],
+        ids=["jc-sector-phases", "jc-sector-powers", "bipartite"],
     )
     def test_basis_scenario_builds_its_generator_once(self, tmp_path, monkeypatch, argv,
                                                       module, builder):
@@ -409,8 +409,8 @@ class TestScenarios:
         [
             (["evolve", "--grid-n", "64", "--steps", "20", "--n-out", "5"],
              "trotter_strang", 64**2),
-            (["jc", "--n-max", "3", "--steps", "5"], "eigh", 4 * 4**2),
-            (["jc", "--n-max", "3", "--steps", "5", "--eps", "0.01,-0.02"], "krylov",
+            (["jc", "--n-max", "3", "--steps", "5"], "sector_phases", 4 * 4**2),
+            (["jc", "--n-max", "3", "--steps", "5", "--eps", "0.01,-0.02"], "sector_powers",
              4 * 4**2),
             (["bipartite", "--steps", "5"], {"cl": "krylov", "qm": "eigh"}, 6**2),
         ],

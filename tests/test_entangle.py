@@ -5,6 +5,7 @@ import pytest
 import scipy.linalg
 
 from liouspace.entangle import (
+    SERIES_COLUMNS,
     BipartiteBasis,
     _monomial_operators,
     build_bipartite_liouvillian,
@@ -90,7 +91,7 @@ def square_states(basis, lam, kind, rho0, times):
             out += c * (left @ rho @ right)
         return out.reshape(-1)
 
-    out, _ = _krylov_outputs(act, rho0.reshape(-1).astype(complex), np.asarray(times), True)
+    out, _ = _krylov_outputs(act, rho0.reshape(-1).astype(complex), np.asarray(times))
     return out.reshape(-1, n, n)
 
 
@@ -388,9 +389,14 @@ class TestCompare:
         with pytest.raises(TruncationLeak, match="run leaked"):
             compare_cl_qm_entanglement(basis, 0.2, 0.0, 0.0, np.linspace(0, 2, 5))
 
-    def test_non_uniform_grid_rejected(self, basis4):
-        with pytest.raises(ValueError, match="evenly spaced"):
-            compare_cl_qm_entanglement(basis4, 0.0003, 0.0, 0.0, [0.0, 0.5, 2.0])
+    def test_uneven_grid_matches_even_grid(self):
+        """Both routes take any grid: an uneven one gives the rows of an
+        even one at the same times."""
+        basis = BipartiteBasis(n_levels=6)
+        uneven, _, _ = compare_cl_qm_entanglement(basis, 0.0003, 0.2, 0.0, [0.0, 0.5, 2.0])
+        even, _, _ = compare_cl_qm_entanglement(basis, 0.0003, 0.2, 0.0, np.linspace(0, 2, 5))
+        for name in SERIES_COLUMNS:
+            np.testing.assert_allclose(uneven[name], even[name][[0, 1, 4]], rtol=0, atol=1e-13)
 
     def test_top_level_population_of_ground_state(self, basis4):
         _, _, margins = compare_cl_qm_entanglement(basis4, 0.0, 0.0, 0.0, [0.0, 1.0])

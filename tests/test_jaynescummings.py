@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from liouspace import liouvillian
+from liouspace import jaynescummings as jc_module, liouvillian
 from liouspace.errors import DimensionTooLarge, NotConverged, NotFactorized, TruncationLeak
 from liouspace.jaynescummings import (
     ATOM_E,
@@ -22,16 +22,22 @@ from liouspace.jaynescummings import (
     jc_generator,
     jc_liouvillian,
     jc_series,
+    jc_states,
     partial_trace,
 )
-from liouspace.evolution import ExactEvolver, basis_action, evolve_basis
+from liouspace.evolution import ExactEvolver, basis_action
 from liouspace.liouvillian import build_basis_liouvillian
 
 
 def evolve(p, rho0, times):
-    """The model's states over times through the one structured route."""
-    h, e = jc_generator(p)
-    return evolve_basis(h, rho0, times, e)[0]
+    """The model's states over times through the sector stepping."""
+    return jc_states(p, rho0, times)
+
+
+def dense_states(p, rho0, times):
+    """The model's states over times from the dense generator: the oracle."""
+    ev = ExactEvolver(jc_liouvillian(p))
+    return [ev.propagate(rho0, float(t)) for t in times]
 
 
 S1 = HydrogenState(1, 0, 0)
@@ -112,8 +118,9 @@ class TestHamiltonian:
         assert np.max(np.abs(h - h.conj().T)) == 0.0
 
 
-def per_state_columns(p, rho0, times):
-    """The jc_series columns from the evolved states, one state at a time."""
+def per_state_columns(p, rho0, times, states=None):
+    """The jc_series columns from the evolved states (the sector stepping's
+    unless given), one state at a time."""
     f = p.fock_dim
     return np.array([
         (
@@ -123,32 +130,33 @@ def per_state_columns(p, rho0, times):
             np.trace(rho).real,
             np.trace(rho @ rho).real,
         )
-        for t, rho in zip(times, evolve(p, rho0, times))
+        for t, rho in zip(times, evolve(p, rho0, times) if states is None else states)
     ])
 
 
 class TestSeries:
     def test_columns_equal_per_state_definitions(self):
-        """Complex eps, so the Krylov route."""
+        """Complex eps, so the sector_powers route."""
         p = JCParams(omega_e=1.0, omega=1.0, d_eg=0.05, n_max=6, eps_egeg=0.01 - 0.02j)
         rho0 = initial_jc_state("coherent:0.3", p.n_max)
         times = np.linspace(0.0, 10.0, 21)
         cols, path, _ = jc_series(p, rho0, times)
-        assert path == "krylov"
+        assert path == "sector_powers"
         assert list(cols) == ["t", "P_e", "abs_rho_eg00", "trace", "purity"]
         want = per_state_columns(p, rho0, times)
         np.testing.assert_allclose(np.column_stack(list(cols.values())), want, rtol=0, atol=1e-14)
 
     @pytest.mark.parametrize("eps_egeg", [0.0, 0.03])
-    def test_eigh_route_equals_per_state_definitions(self, eps_egeg):
-        """Real eps: the expectation values come from the eigenbasis without
-        forming a state; a mixed, atom-coherent rho0 exercises every column."""
+    def test_phase_route_equals_per_state_definitions(self, eps_egeg):
+        """Real eps: the closed-form sector rotations give the columns
+        without forming a state; a mixed, atom-coherent rho0 exercises every
+        column."""
         p = JCParams(omega_e=1.0, omega=1.0, d_eg=0.05, n_max=6, eps_egeg=eps_egeg)
         atom = np.array([[0.5, 0.35], [0.35, 0.5]], dtype=complex)
         rho0 = np.kron(atom, coherent_field_density(0.4, p.n_max))
         times = np.linspace(0.0, 2.5, 26)  # the top Fock levels pass 1e-6 near t = 3
         cols, path, margins = jc_series(p, rho0, times)
-        assert path == "eigh"
+        assert path == "sector_phases"
         want = per_state_columns(p, rho0, times)
         np.testing.assert_allclose(np.column_stack(list(cols.values())), want, rtol=0, atol=1e-14)
         top = [np.trace(rho.reshape(2, 7, 2, 7)[:, -2:, :, -2:].reshape(4, 4)).real
@@ -156,19 +164,22 @@ class TestSeries:
         assert list(margins) == ["max_fock_leak"]
         assert margins["max_fock_leak"] == pytest.approx(max(top), rel=0, abs=1e-14)
 
-    def test_mid_run_leak_on_the_eigh_route_raises(self):
+    @pytest.mark.parametrize("eps_egeg", [0.0, -0.01j])
+    def test_mid_run_leak_raises(self, eps_egeg):
         """|e,2> at n_max 4 passes the check of rho0; the dipole then feeds
-        |g,3>, so only the evolved expectation values show the leak."""
-        p = JCParams(omega_e=1.0, omega=1.0, d_eg=0.05, n_max=4)
+        |g,3>, so only the evolved populations show the leak, on either
+        route."""
+        p = JCParams(omega_e=1.0, omega=1.0, d_eg=0.05, n_max=4, eps_egeg=eps_egeg)
         rho0 = initial_jc_state("e2", p.n_max)
         check_fock_truncation(rho0, p.n_max)
         with pytest.raises(TruncationLeak, match="in the top 2 Fock levels"):
             jc_series(p, rho0, np.linspace(0.0, 10.0, 201))
 
-    def test_eigh_route_holds_no_state_stack(self):
+    @pytest.mark.parametrize("eps_egeg", [0.01, 0.01 - 0.02j])
+    def test_series_hold_no_state_stack(self, eps_egeg):
         """n_max 40 over 2001 times: the (2001, 82, 82) stack alone would take
         215 MB."""
-        p = JCParams(omega_e=1.0, omega=1.0, d_eg=0.05, n_max=40, eps_egeg=0.01)
+        p = JCParams(omega_e=1.0, omega=1.0, d_eg=0.05, n_max=40, eps_egeg=eps_egeg)
         rho0 = initial_jc_state("coherent:0.7", p.n_max)
         times = np.linspace(0.0, 10.0, 2001)
         tracemalloc.start()
@@ -177,7 +188,7 @@ class TestSeries:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 32e6
+        assert peak < 8e6
 
 
 class TestExactEvolution:
@@ -240,38 +251,123 @@ class TestExactEvolution:
     @pytest.mark.parametrize("eps_egeg", [0.0, 0.01, 0.3, 0.01 - 0.02j, 0.05 + 0.05j])
     @pytest.mark.parametrize("n_max", [3, 6])
     def test_structured_route_matches_dense(self, n_max, eps_egeg):
+        """The sector routes, the series and the states, against the dense
+        generator (whose top Fock levels the coherent field fills, so the
+        series is taken with the leak guard lifted)."""
         p = JCParams(omega_e=1.1, omega=0.9, d_eg=0.08, n_max=n_max, eps_egeg=eps_egeg)
         atom = np.array([[0.4, 0.2 - 0.3j], [0.2 + 0.3j, 0.6]])
         rho0 = np.kron(atom, coherent_field_density(0.5, n_max))
-        ev = ExactEvolver(jc_liouvillian(p))
         times = np.linspace(0.0, 5.0, 11)
+        want = dense_states(p, rho0, times)
         states = evolve(p, rho0, times)
         assert states.shape == (11, p.dim, p.dim)
-        for t, rho in zip(times, states):
-            np.testing.assert_allclose(rho, ev.propagate(rho0, float(t)), rtol=0, atol=1e-12)
+        for rho, rho_want in zip(states, want):
+            np.testing.assert_allclose(rho, rho_want, rtol=0, atol=1e-12)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(jc_module, "LEAK_THRESHOLD", np.inf)
+            cols, path, _ = jc_series(p, rho0, times)
+        assert path == ("sector_phases" if np.imag(eps_egeg) == 0 else "sector_powers")
+        np.testing.assert_allclose(
+            np.column_stack(list(cols.values())), per_state_columns(p, rho0, times, want),
+            rtol=0, atol=1e-12,
+        )
 
-    def test_krylov_route_at_the_exceptional_point(self):
+    def test_sector_route_at_the_exceptional_point(self):
         # dephasing -Im(eps) = 4 d_eg is critical: in the one-excitation
         # manifold the non-normal generator has a defective eigenvalue, where
-        # an eigendecomposition of the Arnoldi matrix loses accuracy
+        # an eigendecomposition of the generator loses accuracy; the powers
+        # of one expm need none
         p = JCParams(omega_e=1.0, omega=1.0, d_eg=0.08, n_max=4, eps_egeg=-0.32j)
         rho0 = initial_jc_state("e0", p.n_max)
-        ev = ExactEvolver(jc_liouvillian(p))
         times = np.linspace(0.0, 5.0, 11)
-        for t, rho in zip(times, evolve(p, rho0, times)):
-            np.testing.assert_allclose(rho, ev.propagate(rho0, float(t)), rtol=0, atol=1e-12)
+        want = dense_states(p, rho0, times)
+        for rho, rho_want in zip(evolve(p, rho0, times), want):
+            np.testing.assert_allclose(rho, rho_want, rtol=0, atol=1e-12)
+        cols, path, _ = jc_series(p, rho0, times)
+        assert path == "sector_powers"
+        np.testing.assert_allclose(
+            np.column_stack(list(cols.values())), per_state_columns(p, rho0, times, want),
+            rtol=0, atol=1e-12,
+        )
 
-    def test_non_hermitian_route_needs_even_grid(self):
+    @pytest.mark.parametrize("step", [jc_series, jc_states])
+    def test_sector_powers_need_an_even_grid(self, step):
         p = JCParams(omega_e=1.0, omega=1.0, d_eg=0.1, n_max=2, eps_egeg=0.1j)
         with pytest.raises(ValueError, match="evenly"):
-            evolve(p, initial_jc_state("e0", 2), [0.0, 0.5, 2.0])
+            step(p, initial_jc_state("e0", 2), [0.0, 0.5, 2.0])
+
+    def test_sector_phases_take_any_grid(self):
+        p = JCParams(omega_e=1.0, omega=1.0, d_eg=0.1, n_max=4, eps_egeg=0.02)
+        rho0 = initial_jc_state("e0", p.n_max)
+        times = [0.0, 0.5, 2.0, -1.0]
+        cols, path, _ = jc_series(p, rho0, times)
+        assert path == "sector_phases"
+        np.testing.assert_allclose(
+            np.column_stack(list(cols.values())),
+            per_state_columns(p, rho0, times, dense_states(p, rho0, times)),
+            rtol=0, atol=1e-13,
+        )
+
+    @pytest.mark.parametrize("n_max", [4, 6])
+    @pytest.mark.parametrize("eps_egeg", [0.01 - 0.02j, -0.32j])
+    def test_dense_generator_keeps_sector_pairs(self, n_max, eps_egeg):
+        """No element of the dense generator maps a block of rho between the
+        excitation-number sectors (k, l) into another pair: the audit that
+        the sector routes evolve the whole model."""
+        p = JCParams(omega_e=1.1, omega=0.9, d_eg=0.08, n_max=n_max, eps_egeg=eps_egeg)
+        f = p.fock_dim
+        sector = np.tile(np.arange(f), 2) + np.repeat([0, 1], f)  # a'a + |e><e|
+        pair = (sector[:, None] * (n_max + 2) + sector[None, :]).ravel()  # of vec(rho)
+        dense = jc_liouvillian(p).dense()
+        assert np.max(np.abs(dense[pair[:, None] != pair[None, :]])) == 0.0
+        assert np.max(np.abs(dense)) > 0.0
+
+    @pytest.mark.parametrize("eps_egeg", [0.02, 0.01 - 0.02j])
+    @pytest.mark.parametrize(
+        "omega_e, d_eg, n_max, atom",
+        [
+            (1.3, 0.0, 4, [[0.4, 0.2 - 0.3j], [0.2 + 0.3j, 0.6]]),
+            # omega_e = omega: every two-state sector is degenerate, w_k = 0
+            (0.9, 0.0, 4, [[0.4, 0.2 - 0.3j], [0.2 + 0.3j, 0.6]]),
+            (0.9, 0.08, 4, [[0.4, 0.0], [0.0, 0.6]]),
+            (1.1, 0.08, 1, [[0.0, 0.0], [0.0, 1.0]]),
+            (1.1, 0.08, 4, [[0.5, 0.5j], [-0.5j, 0.5]]),
+        ],
+        ids=["d-zero", "resonant-d-zero", "resonant", "n-max-1", "atom-coherent"],
+    )
+    def test_edge_cases_match_dense(self, omega_e, d_eg, n_max, atom, eps_egeg):
+        p = JCParams(omega_e=omega_e, omega=0.9, d_eg=d_eg, n_max=n_max, eps_egeg=eps_egeg)
+        field = np.zeros((p.fock_dim, p.fock_dim))
+        field[0, 0] = 1.0
+        rho0 = np.kron(np.asarray(atom, dtype=complex), field)
+        times = np.linspace(0.0, 4.0, 9)
+        want = dense_states(p, rho0, times)
+        with pytest.MonkeyPatch.context() as mp:  # n_max 1: every level is a top level
+            mp.setattr(jc_module, "LEAK_THRESHOLD", np.inf)
+            cols, _, _ = jc_series(p, rho0, times)
+        np.testing.assert_allclose(
+            np.column_stack(list(cols.values())), per_state_columns(p, rho0, times, want),
+            rtol=0, atol=1e-13,
+        )
+        for rho, rho_want in zip(evolve(p, rho0, times), want):
+            np.testing.assert_allclose(rho, rho_want, rtol=0, atol=1e-13)
+
+    def test_phase_route_makes_no_eigendecomposition(self, monkeypatch):
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("the sector_phases route called np.linalg.eigh")
+
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        p = JCParams(omega_e=1.0, omega=1.0, d_eg=0.05, n_max=12, eps_egeg=0.01)
+        rho0 = initial_jc_state("coherent:0.7", p.n_max)
+        cols, path, _ = jc_series(p, rho0, np.linspace(0.0, 10.0, 201))
+        assert path == "sector_phases" and abs(cols["trace"][-1] - 1.0) < 1e-13
 
     @pytest.mark.parametrize("eps", [0.0, 0.01, -0.3])
     def test_real_eps_is_an_omega_e_shift(self, eps):
         p = JCParams(omega_e=1.1, omega=0.9, d_eg=0.08, n_max=3, eps_egeg=eps)
         proj_e = np.kron(np.diag([0.0, 1.0]), np.eye(p.fock_dim))
         shifted = build_basis_liouvillian(build_jc_hamiltonian(p) + eps * proj_e)
-        assert jc_generator(p)[1] is None  # the eigh route
+        assert jc_generator(p)[1] is None  # the sector_phases route
         np.testing.assert_allclose(
             jc_liouvillian(p).dense(), shifted.dense(), rtol=0, atol=1e-14
         )

@@ -147,11 +147,11 @@ def test_every_defaulted_field_is_set_by_program_code():
 
 
 def test_cli_import_leaves_out_heavy_scipy_modules():
-    """Each scipy submodule costs start-up time; the CLI must not load one
-    before a route needs it."""
+    """scipy and each of its submodules cost start-up time and memory; the
+    CLI must not load one before a route needs it."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     heavy = (
-        "scipy.integrate", "scipy.stats", "scipy.linalg", "scipy.sparse", "scipy.fft",
+        "scipy", "scipy.integrate", "scipy.stats", "scipy.linalg", "scipy.sparse", "scipy.fft",
         "scipy.special",
     )
     probe = (
@@ -165,8 +165,8 @@ def test_cli_import_leaves_out_heavy_scipy_modules():
 
 
 def test_basis_routes_leave_out_scipy_sparse_linalg(tmp_path):
-    """Both Krylov runs, bipartite CL and complex-eps jc, and the eigh
-    runs beside them need no scipy.sparse.linalg."""
+    """bipartite (Krylov for CL, eigh for QM) and complex-eps jc (the
+    sector powers) need no scipy.sparse.linalg."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     probe = (
         "import sys; from liouspace.cli import run; "
@@ -179,6 +179,22 @@ def test_basis_routes_leave_out_scipy_sparse_linalg(tmp_path):
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[0, 0] False"
+
+
+def test_real_eps_jc_leaves_out_scipy(tmp_path):
+    """The sector_phases route is closed-form numpy: a real-eps jc run
+    loads no scipy at all."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    probe = (
+        "import sys; from liouspace.cli import run; "
+        "code = run(['jc', '--n-max', '12', '--steps', '200', '--eps', '0.01,0', "
+        f"'--init', 'coherent:0.7', '--outdir', {str(tmp_path)!r}]); "
+        "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "0 []"
 
 
 def test_grid_evolve_leaves_out_scipy_fft_and_special(tmp_path):
