@@ -66,7 +66,7 @@ from .evolution import (
     EvolutionConfig,
     EvolveMethod,
     ExactEvolver,
-    basis_action,
+    basis_generator,
     evolve_basis,
     evolve_characteristics,
     evolve_exact,

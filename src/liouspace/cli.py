@@ -99,7 +99,10 @@ DEFAULTS: dict[str, dict] = {
     "validate": {},
 }
 # Help of the flags whose name alone does not say what they mean.
-FLAG_HELP = {("bipartite", "n_levels"): "ladder size n_r of the relative mode (x1 - x2)/sqrt 2"}
+FLAG_HELP = {
+    ("bipartite", "n_levels"): "ladder size n_r of the relative mode (x1 - x2)/sqrt 2, "
+    "at most 64 (its n_r^2 x n_r^2 generator is diagonalised densely)",
+}
 
 
 class UsageError(Exception):
@@ -196,7 +199,7 @@ class RunContext:
         self.notes: list[str] = []
         # set by the scenarios that evolve a generator: what solved it, and
         # the dimension of the vectorized density it acts on
-        self.solver_path: str | dict[str, str] | None = None
+        self.solver_path: str | None = None
         self.generator_dim: int | None = None
         self._t0 = time.perf_counter()
 

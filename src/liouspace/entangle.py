@@ -32,7 +32,8 @@ U_BS the 50:50 beam splitter from modes (c, r) to (1, 2): the inter-mode
 entanglement is rho_r seen through it (Kim, Son, Buzek & Knight, Phys.
 Rev. A 65, 032323, 2002).  Either mode's reduced state is rho_r through a
 50% pure-loss channel, displaced, and the two-mode spectrum is rho_r's
-plus zeros.
+plus zeros.  Each kind evolves rho_r by one eigh of its real symmetric
+n_r^2 x n_r^2 generator (``evolution.evolve_basis``).
 
 No quantitative "inter-space entanglement" measure is defined here: the
 module reports the generator audit, standard intra-space metrics
@@ -47,7 +48,7 @@ from math import comb
 import numpy as np
 
 from .errors import TruncationLeak
-from .evolution import evolve_basis, solver_path
+from .evolution import evolve_basis
 from .liouvillian import BasisLiouvillian, build_basis_liouvillian, check_dense_dim
 from .jaynescummings import LEAK_THRESHOLD, coherent_field_density, fock_annihilation
 from .potential import (
@@ -175,7 +176,7 @@ SERIES_COLUMNS = (
 
 def compare_cl_qm_entanglement(
     basis: BipartiteBasis, lam: float, alpha1: complex, alpha2: complex, t_grid
-) -> tuple[dict[str, np.ndarray], dict[str, str], dict[str, float]]:
+) -> tuple[dict[str, np.ndarray], str, dict[str, float]]:
     """Evolve the coherent product |alpha1>|alpha2> under both generators
     through the relative mode; return (columns, solver_path, margins).
 
@@ -184,39 +185,34 @@ def compare_cl_qm_entanglement(
     outside the reduction.  ``columns`` holds the ``SERIES_COLUMNS`` arrays
     by name, one entry per time: ``purity_<kind>`` is ``loss_purity(rho_r)``,
     ``min_eig_<kind>`` the least eigenvalue of Herm(rho_r), and
-    ``trace_drift_<kind>`` |tr rho_r - 1|.  ``solver_path`` names the route
-    of each kind: QM takes one eigh, CL the Krylov route of
-    ``evolution.evolve_basis`` (real tridiagonal Lanczos matrices, as E is
-    real).  ``margins`` holds ``max_top_level_population_<kind>``, the
-    worst top-level population of rho_r over the output times, and for CL
-    the Krylov run's worst a-posteriori error estimate
-    ``max_krylov_error_estimate_cl``, its generator-call count
-    ``krylov_generator_calls_cl`` and its largest Arnoldi basis
-    ``krylov_max_basis_dim_cl``.  Any grid works.  Raises TruncationLeak
-    if either run populates rho_r's top level beyond ``LEAK_THRESHOLD`` at
-    any time of the grid.
+    ``trace_drift_<kind>`` |tr rho_r - 1|.  ``solver_path`` is "eigh": each
+    kind takes one eigh of its real symmetric n_r^2 x n_r^2 generator
+    (``evolution.evolve_basis``), so n_r is held to 64 by the dense cap
+    (DimensionTooLarge above it).  ``margins`` holds
+    ``max_top_level_population_<kind>``, the worst top-level population of
+    rho_r over the output times.  Any grid works.  Raises TruncationLeak if
+    either run populates rho_r's top level beyond ``LEAK_THRESHOLD`` at any
+    time of the grid.
     """
     t = np.asarray(t_grid, dtype=float)
     alpha_r = (complex(alpha1) - complex(alpha2)) / np.sqrt(2.0)
     rho0 = coherent_field_density(alpha_r, basis.n_levels - 1)
     h, e, v = relative_generator(basis, lam)
-    columns, paths, margins = {"t": t}, {}, {}
+    columns, margins = {"t": t}, {}
     for tag, e_kind, v_kind in (("cl", e, v), ("qm", None, None)):  # CL = QM + E
-        states, krylov = evolve_basis(h, rho0, t_grid, e_kind, v_kind)
+        states = evolve_basis(h, rho0, t_grid, e_kind, v_kind)
         leak = np.abs(states[:, -1, -1].real)
         worst = int(np.argmax(leak))
         if leak[worst] > LEAK_THRESHOLD:
             raise TruncationLeak(
                 f"{tag} run leaked {leak[worst]:.3e} into the top level at t={t[worst]:g}"
             )
-        paths[tag] = solver_path(e_kind)
         margins[f"max_top_level_population_{tag}"] = float(leak[worst])
-        margins.update({f"{name}_{tag}": value for name, value in krylov.items()})
         columns[f"purity_{tag}"] = loss_purity(states)
         herm = 0.5 * (states + np.swapaxes(states, 1, 2).conj())
         columns[f"min_eig_{tag}"] = np.linalg.eigvalsh(herm)[:, 0]
         columns[f"trace_drift_{tag}"] = np.abs(np.trace(states, axis1=1, axis2=2).real - 1.0)
-    return {name: columns[name] for name in SERIES_COLUMNS}, paths, margins
+    return {name: columns[name] for name in SERIES_COLUMNS}, "eigh", margins
 
 
 def separable_state(

@@ -2,8 +2,8 @@
 
 Covers the exact exponential exp(-i L t / hbar) for dense superoperators,
 the one evolve route of the structured N x N generators
-L rho = H rho - rho H + U (E o (U^T rho U)) U^T with real E (one eigh
-without E, matrix-free Krylov dense output with it), a classical RK4
+L rho = H rho - rho H + U (E o (U^T rho U)) U^T with real E (one eigh of
+the dense N^2 x N^2 L, with or without E), a classical RK4
 integrator for time-dependent generators (an oracle for the exact routes),
 split-step Trotter evolution on (Q, q) grids, and the classical
 method-of-characteristics ensemble, which serves as the independent
@@ -28,7 +28,12 @@ from typing import Callable, Union
 import numpy as np
 
 from .errors import EnergyDriftExceeded
-from .liouvillian import BasisLiouvillian, GridLiouvillian, build_grid_liouvillian
+from .liouvillian import (
+    BasisLiouvillian,
+    GridLiouvillian,
+    build_grid_liouvillian,
+    check_dense_dim,
+)
 from .potential import PolynomialPotential, SuperPotentialKind
 from .superspace import SuperDensity, SuperGrid, is_hermitian
 
@@ -36,15 +41,6 @@ BOUNDARY_MASS_TOL = 1e-10
 # Largest per-sample energy drift rate of the leapfrog ensemble, per unit
 # time and relative to the energy scale.
 ENERGY_DRIFT_TOL = 1e-6
-# Krylov route of evolve_basis: the largest a-posteriori error estimate of an
-# output (2-norm of the vectorised state), the most basis vectors per block,
-# and the vectors added between two estimates.  An estimate costs an eigh of
-# the block's small matrix, which can cost more than the vectors it saves: on
-# a 2-vCPU host, checking after every vector took 12.6 ms against 9.5 ms for
-# a square bipartite n_levels 6 CL run.
-KRYLOV_TOL = 1e-13
-KRYLOV_MAX_DIM = 60
-KRYLOV_CHECK_EVERY = 5
 
 
 class EvolveMethod(enum.Enum):
@@ -98,166 +94,54 @@ class ExactEvolver:
         return (prop @ vec).reshape(rho0.shape)
 
 
-def solver_path(e) -> str:
-    """The route ``evolve_basis`` takes for the E mask ``e``: "eigh" when
-    there is none, else the matrix-free "krylov"."""
-    return "eigh" if e is None else "krylov"
-
-
-def basis_action(h: np.ndarray, e=None, basis=None) -> Callable[[np.ndarray], np.ndarray]:
-    """rho -> H rho - rho H + U (E o (U^T rho U)) U^T on N x N matrices.
+def basis_generator(h: np.ndarray, e=None, basis=None) -> np.ndarray:
+    """The dense N^2 x N^2 matrix, on the row-major vec, of
+    rho -> h rho - rho h + U (E o (U^T rho U)) U^T:
+    kron(h, 1) - kron(1, h^T) + K diag(E) K^T with K = kron(U, U).
 
     This is the structured generator (energy units) of ``evolve_basis``,
     and with a complex E that of ``jaynescummings.jc_generator``: ``e`` is
     the N x N mask of E, or None when there is no E, and ``basis`` the real
     orthogonal U in which E acts elementwise, or None for the identity.
+    The matrix keeps the dtype of its inputs, so a real h, E and U give a
+    real symmetric one.  Raises DimensionTooLarge above the dense cap,
+    before allocating.
     """
-
-    def act(rho: np.ndarray) -> np.ndarray:
-        out = h @ rho - rho @ h
-        if e is None:
-            return out
-        if basis is None:
-            return out + e * rho
-        return out + basis @ (e * (basis.T @ rho @ basis)) @ basis.T
-
-    return act
-
-
-def _krylov_coefficients(hk: np.ndarray):
-    """taus -> rows exp(-i tau H_k) e_1, one per tau, for the k x k
-    Lanczos matrix H_k of a Hermitian action: real tridiagonal, so one eigh
-    of it serves every tau."""
-    # eigh reads the lower triangle: the diagonal and the subdiagonal
-    lam, q = np.linalg.eigh(hk.real)
-    return lambda taus: (np.exp(np.outer(taus, lam) / 1j) * q[0]) @ q.T
+    n = h.shape[0]
+    check_dense_dim(n * n)
+    eye = np.eye(n)
+    gen = np.kron(h, eye) - np.kron(eye, h.T)
+    if e is None:
+        return gen
+    if basis is None:
+        return gen + np.diag(np.ravel(e))
+    k = np.kron(basis, basis)
+    return gen + (k * np.ravel(e)) @ k.T
 
 
-def _krylov_outputs(
-    act: Callable[[np.ndarray], np.ndarray],
-    v0: np.ndarray,
-    t_grid: np.ndarray,
-) -> tuple[np.ndarray, dict[str, float]]:
-    """(out, margins): out[j] = exp(-i t_j A) v0 for each t_j of t_grid,
-    where ``act`` applies the Hermitian A to a vector.
-
-    Krylov dense output (Saad, SIAM J. Numer. Anal. 29, 209, 1992): from the
-    state v at time s, beta = |v|, an Arnoldi basis V_k of
-    span{v, A v, ..., A^{k-1} v} (two-pass classical Gram-Schmidt) with
-    H_k = V_k' A V_k gives
-    exp(-i tau A) v ~ beta V_k exp(-i tau H_k) e_1, with the a-posteriori
-    error estimate beta h_{k+1,k} |[exp(-i tau H_k) e_1]_k|.
-    The basis grows until that estimate at the farthest remaining output,
-    checked every ``KRYLOV_CHECK_EVERY`` vectors, is at most ``KRYLOV_TOL``,
-    or to ``KRYLOV_MAX_DIM`` vectors, or until it spans the space.  The
-    block then writes the leading outputs whose estimates are at most
-    ``KRYLOV_TOL`` as one product, and the next block starts from the last
-    of them; a block that covers none takes a substep, halving from the
-    first output until the estimate passes.  Any grid, start and direction
-    of time work.
-    ``margins`` holds the worst estimate of the outputs and substeps,
-    ``max_krylov_error_estimate``, the number of ``act`` calls,
-    ``krylov_generator_calls``, and the largest basis of a block,
-    ``krylov_max_basis_dim`` (at most ``KRYLOV_MAX_DIM``).
-    """
-    n = v0.size
-    out = np.zeros((t_grid.size, n), dtype=complex)
-    vs = np.empty((min(KRYLOV_MAX_DIM, n), n), dtype=complex)
-    hess = np.empty((len(vs) + 1, len(vs)), dtype=complex)
-    done = int(t_grid.size > 0 and t_grid[0] == 0.0)  # an output at the start needs no basis
-    out[:done] = v0
-    start, v, worst, calls, max_dim = 0.0, v0, 0.0, 0, 0
-    while done < t_grid.size:
-        beta = np.linalg.norm(v)
-        if beta == 0.0:  # the zero state stays zero
-            break
-        taus = t_grid[done:] - start
-        far = taus[np.argmax(np.abs(taus))]
-        hess[:] = 0.0
-        vs[0] = v / beta
-        for k in range(1, len(vs) + 1):
-            w = act(vs[k - 1])
-            calls += 1
-            for _ in range(2):
-                c = (vs[:k] @ w.conj()).conj()  # conjugate w, not the k x n block
-                w -= c @ vs[:k]
-                hess[:k, k - 1] += c
-            # at k = n the basis spans the space, and the projection is exact
-            h_next = hess[k, k - 1] = np.linalg.norm(w) if k < n else 0.0
-            if k == len(vs) or k % KRYLOV_CHECK_EVERY == 0 or h_next == 0.0:
-                coefficients = _krylov_coefficients(hess[:k, :k])
-                if k == len(vs) or beta * h_next * abs(coefficients([far])[0, -1]) <= KRYLOV_TOL:
-                    break
-            vs[k] = w / h_next
-        max_dim = max(max_dim, k)
-        rows = coefficients(taus)
-        est = beta * h_next * np.abs(rows[:, -1])
-        over = np.flatnonzero(est > KRYLOV_TOL)
-        q = over[0] if over.size else taus.size
-        if q == 0:
-            tau = taus[0]
-            while est[0] > KRYLOV_TOL:
-                tau /= 2
-                rows = coefficients([tau])
-                est = beta * h_next * np.abs(rows[:, -1])
-            v, start, worst = beta * rows[0] @ vs[:k], start + tau, max(worst, est[0])
-            continue
-        out[done:done + q] = beta * rows[:q] @ vs[:k]
-        done += q
-        v, start, worst = out[done - 1], t_grid[done - 1], max(worst, est[:q].max())
-    return out, {
-        "max_krylov_error_estimate": float(worst),
-        "krylov_generator_calls": calls,
-        "krylov_max_basis_dim": max_dim,
-    }
-
-
-def evolve_basis(
-    h: np.ndarray, rho0: np.ndarray, t_grid, e=None, basis=None
-) -> tuple[np.ndarray, dict[str, float]]:
-    """(states, margins) of i d/dt rho = ``basis_action(h, e, basis)`` rho
-    (hbar = 1) for Hermitian N x N h and real E: states[j] = rho(t_j) for
+def evolve_basis(h: np.ndarray, rho0: np.ndarray, t_grid, e=None, basis=None) -> np.ndarray:
+    """States of i d/dt rho = L rho (hbar = 1), L = ``basis_generator(h, e,
+    basis)``, for Hermitian N x N h and real E: states[j] = rho(t_j) for
     each t_j of t_grid, shape (len(t_grid), N, N).
 
-    Without E, one eigh h = u diag(w) u' gives
-    rho(t) = u (e^{-i w t} o (u' rho0 u) o e^{+i w t}) u'
-    and ``margins`` is empty.  With E, sigma = U^T rho U follows
-    h' sigma - sigma h' + E o sigma (h' = U^T h U), evolved without forming
-    L by Krylov dense output (Saad 1992) to an a-posteriori error estimate of
-    at most ``KRYLOV_TOL`` per output, with at most ``KRYLOV_MAX_DIM`` basis
-    vectors per block.  A real E makes that action Hermitian, so the small
-    exponentials are one eigh per block; a complex E raises ValueError.
-    ``margins`` then holds the worst estimate, ``max_krylov_error_estimate``,
-    the number of generator calls, ``krylov_generator_calls``, and the
-    largest basis of a block, ``krylov_max_basis_dim``.  Either route takes
-    any grid.  ``solver_path(e)`` names the route.
+    One eigh L = u diag(w) u' gives vec rho(t) = u (e^{-i w t} o u' vec rho0),
+    so every output time comes from one (T, N^2) x (N^2, N^2) product, on any
+    grid.  L is dense: N^2 is held to the cap of ``check_dense_dim``.  A
+    complex E makes L non-Hermitian and raises ValueError.
     """
+    if e is not None and not np.isreal(e).all():
+        raise ValueError("E must be real: a complex E makes the generator non-Hermitian")
     t_grid = np.asarray(t_grid, dtype=float).reshape(-1)
     rho0 = np.asarray(rho0, dtype=complex)
-    if solver_path(e) == "eigh":
-        w, u = np.linalg.eigh(h)
-        # cos + i sin of the real angles: the values of a complex exp, in about
-        # half its time
-        angle = np.outer(t_grid, -w)
-        phases = np.empty(angle.shape, dtype=complex)
-        np.cos(angle, out=phases.real)
-        np.sin(angle, out=phases.imag)
-        # two (len(t_grid), N, N) buffers at a time: long grids stay lean
-        states = phases[:, :, None] * (u.conj().T @ rho0 @ u)
-        states *= phases.conj()[:, None, :]
-        return np.matmul(u @ states, u.conj().T, out=states), {}
-    if not np.isreal(e).all():
-        raise ValueError("E must be real: a complex E makes the generator non-Hermitian")
-    if basis is not None:
-        h, rho0 = basis.T @ h @ basis, basis.T @ rho0 @ basis
-    act, shape = basis_action(h, e), rho0.shape
-    out, margins = _krylov_outputs(
-        lambda vec: act(vec.reshape(shape)).reshape(-1), rho0.reshape(-1), t_grid
-    )
-    states = out.reshape(-1, *shape)
-    if basis is not None:
-        states = np.matmul(basis @ states, basis.T, out=states)
-    return states, margins
+    w, u = np.linalg.eigh(basis_generator(h, e, basis))
+    # cos + i sin of the real angles: the values of a complex exp, in about
+    # half its time
+    angle = np.outer(t_grid, -w)
+    phases = np.empty(angle.shape, dtype=complex)
+    np.cos(angle, out=phases.real)
+    np.sin(angle, out=phases.imag)
+    phases *= u.conj().T @ rho0.reshape(-1)
+    return (phases @ u.T).reshape(-1, *rho0.shape)
 
 
 def evolve_ordered(

@@ -129,8 +129,8 @@ def jc_liouvillian(p: JCParams) -> BasisLiouvillian:
 
 def jc_generator(p: JCParams) -> tuple[np.ndarray, np.ndarray | None]:
     """(h, E) of the structured generator L rho = h rho - rho h + E o rho
-    (``evolution.basis_action``), which the sector routes gather:
-    h = H_JC + Re(eps_egeg) P_e (x) 1 and E = i Im(eps_egeg) on both
+    (densely, ``evolution.basis_generator(h, E)``), which the sector routes
+    gather: h = H_JC + Re(eps_egeg) P_e (x) 1 and E = i Im(eps_egeg) on both
     coherence blocks, elementwise in the product basis, or None for real
     eps_egeg (the sector_phases route)."""
     shift = p.eps_egeg.real * np.kron(np.diag([0.0, 1.0]), np.eye(p.fock_dim))

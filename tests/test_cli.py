@@ -53,18 +53,6 @@ GUARD_MARGINS = {
 }
 
 
-def krylov_margins(solver_path) -> set[str]:
-    """The margins the Krylov route adds, its worst error estimate, its
-    generator calls and its largest basis, per kind of a bipartite run that
-    took it; jc's sector routes add none."""
-    paths = solver_path if isinstance(solver_path, dict) else {}
-    return {
-        f"{name}_{kind}"
-        for kind, path in paths.items() if path == "krylov"
-        for name in ("max_krylov_error_estimate", "krylov_generator_calls", "krylov_max_basis_dim")
-    }
-
-
 def stub_check(ok):
     return lambda: (ok, "detail, with commas, like real checks")
 
@@ -370,25 +358,23 @@ class TestScenarios:
         monkeypatch.setenv("COLUMNS", "200")  # no line break inside the phrase
         with pytest.raises(SystemExit):
             run(["bipartite", "--help"])
-        assert "ladder size n_r of the relative mode" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "ladder size n_r of the relative mode" in out
+        assert "at most 64" in out
 
-    def test_bipartite_beyond_dense_size(self, tmp_path, monkeypatch):
+    def test_bipartite_beyond_dense_size(self, tmp_path, capsys):
         """n_levels 65 is a 4225-dim vectorized relative-mode density, above
-        the dense cap: the run evolves without ever forming a dense
-        generator."""
-
-        def refuse(self):
-            raise AssertionError("bipartite formed a dense generator")
-
-        monkeypatch.setattr(liouvillian.BasisLiouvillian, "dense", refuse)
+        the dense cap: the run stops before diagonalising and writes no
+        series."""
         code = run(
             ["bipartite", "--n-levels", "65", "--steps", "10", "--outdir", str(tmp_path)]
         )
-        assert code == EXIT_OK
-        manifest = json.loads(
-            (tmp_path / "bipartite" / "bipartite_manifest.json").read_text()
+        assert code == EXIT_VALIDATION
+        assert f"vectorized dimension {65**2} exceeds {liouvillian.MAX_DENSE_VEC_DIM}" in (
+            capsys.readouterr().err
         )
-        assert manifest["checks"]["trace_conserved_1e-8"]
+        assert not (tmp_path / "bipartite" / "bipartite_series.csv").exists()
+        assert not (tmp_path / "bipartite" / "bipartite_manifest.json").exists()
 
     @pytest.mark.parametrize("eps", ["0.01,0", "0.01,-0.02"])
     def test_jc_beyond_dense_size(self, tmp_path, monkeypatch, eps):
@@ -412,7 +398,7 @@ class TestScenarios:
             (["jc", "--n-max", "3", "--steps", "5"], "sector_phases", 4 * 4**2),
             (["jc", "--n-max", "3", "--steps", "5", "--eps", "0.01,-0.02"], "sector_powers",
              4 * 4**2),
-            (["bipartite", "--steps", "5"], {"cl": "krylov", "qm": "eigh"}, 6**2),
+            (["bipartite", "--steps", "5"], "eigh", 6**2),
         ],
         ids=lambda v: " ".join(v) if isinstance(v, list) else None,
     )
@@ -423,16 +409,6 @@ class TestScenarios:
         )
         assert manifest["solver_path"] == solver_path
         assert manifest["generator_dim"] == generator_dim
-        margins = manifest.get("margins", {})
-        krylov = krylov_margins(solver_path)
-        assert {m for m in margins if "krylov" in m} == krylov
-        for margin in krylov:
-            if margin.startswith("max_krylov_error_estimate"):
-                assert margins[margin] <= evolution.KRYLOV_TOL
-            elif margin.startswith("krylov_max_basis_dim"):
-                assert 1 <= margins[margin] <= evolution.KRYLOV_MAX_DIM
-            else:
-                assert margins[margin] >= 1
 
     @pytest.mark.parametrize(
         "argv",
@@ -459,7 +435,7 @@ class TestScenarios:
         margins = manifest["margins"]
         expected = MARGIN_CHECKS[argv[0]]
         guards = GUARD_MARGINS.get(argv[0], set())
-        assert set(margins) == set(expected) | guards | krylov_margins(manifest.get("solver_path"))
+        assert set(margins) == set(expected) | guards
         for margin, (check, holds) in expected.items():
             assert isinstance(margins[margin], float)
             assert holds(margins[margin]) is manifest["checks"][check], margin

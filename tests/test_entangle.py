@@ -3,6 +3,8 @@ from math import comb
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
+from scipy.sparse.linalg import expm_multiply
 
 from liouspace.entangle import (
     SERIES_COLUMNS,
@@ -19,9 +21,7 @@ from liouspace.entangle import (
 from liouspace import liouvillian
 from liouspace.liouvillian import build_basis_liouvillian
 from liouspace.errors import DimensionTooLarge, TruncationLeak
-from liouspace.evolution import (
-    KRYLOV_MAX_DIM, ExactEvolver, _krylov_outputs, basis_action, evolve_basis,
-)
+from liouspace.evolution import ExactEvolver, basis_generator, evolve_basis
 from liouspace.jaynescummings import coherent_field_density, fock_annihilation, partial_trace
 from liouspace.potential import (
     MonomialClass,
@@ -46,7 +46,7 @@ def evolve_kind(basis, lam, kind, rho0, times):
     h, e, v = relative_generator(basis, lam)
     if SuperPotentialKind(kind) is SuperPotentialKind.QM:
         e = v = None
-    return evolve_basis(h, rho0, times, e, v)[0]
+    return evolve_basis(h, rho0, times, e, v)
 
 
 def relative_dense(basis, lam, kind):
@@ -72,27 +72,43 @@ def reduced_purity(rho, n_levels):
     return np.einsum("...ij,...ji->...", red, red).real
 
 
+def relative_by_hand(basis, lam, kind):
+    """The relative mode's dense generator written out: QM is the commutator
+    with omega (n + 1/2) + 2 lam x^4, and CL adds 4 lam (x^3 rho x - x rho x^3)."""
+    n, x = basis.n_levels, basis.position_operator()
+    x3, eye = np.linalg.matrix_power(x, 3), np.eye(n)
+    h = basis.omega * np.diag(np.arange(n) + 0.5) + 2 * lam * np.linalg.matrix_power(x, 4)
+    qm = np.kron(h, eye) - np.kron(eye, h)
+    if SuperPotentialKind(kind) is SuperPotentialKind.QM:
+        return qm
+    return qm + 4 * lam * (np.kron(x3, x) - np.kron(x, x3))
+
+
+def exponential_states(gen, rho0, times):
+    """exp(-i gen t) vec(rho0) at each of the evenly spaced times, by scipy's
+    truncated Taylor series (Al-Mohy & Higham 2011), not by eigh."""
+    times = np.asarray(times, dtype=float)
+    np.testing.assert_allclose(times, np.linspace(times[0], times[-1], times.size))
+    out = expm_multiply(
+        -1j * gen, rho0.reshape(-1).astype(complex),
+        start=times[0], stop=times[-1], num=times.size, endpoint=True,
+    )
+    return out.reshape(-1, *rho0.shape)
+
+
 def square_states(basis, lam, kind, rho0, times):
-    """States of the dense square generator, applied monomial by monomial
-    (the terms ``interaction_terms`` sums, without forming the sum), by the
-    library's Krylov dense output."""
+    """States of the square generator, summed in sparse form from the
+    monomial operators (the terms ``interaction_terms`` sums densely)."""
     cl = SuperPotentialKind(kind) is SuperPotentialKind.CL
-    terms = [
-        (mono.coefficient, *_monomial_operators(basis, mono.exponents))
-        for mono, cls in classify_bipartite_terms(lam)
-        if cl or cls in PURE_CLASSES
-    ]
-    h0, n = basis.free_hamiltonian(), basis.dim
-
-    def act(vec):
-        rho = vec.reshape(n, n)
-        out = h0 @ rho - rho @ h0
-        for c, left, right in terms:
-            out += c * (left @ rho @ right)
-        return out.reshape(-1)
-
-    out, _ = _krylov_outputs(act, rho0.reshape(-1).astype(complex), np.asarray(times))
-    return out.reshape(-1, n, n)
+    h0, eye = scipy.sparse.csr_array(basis.free_hamiltonian()), scipy.sparse.eye_array(basis.dim)
+    gen = scipy.sparse.kron(h0, eye) - scipy.sparse.kron(eye, h0.T)
+    for mono, cls in classify_bipartite_terms(lam):
+        if cl or cls in PURE_CLASSES:
+            left, right = _monomial_operators(basis, mono.exponents)
+            gen = gen + mono.coefficient * scipy.sparse.kron(
+                scipy.sparse.csr_array(left), scipy.sparse.csr_array(right.T)
+            )
+    return exponential_states(gen.tocsr(), rho0, times)
 
 
 def beam_splitter_state(alpha_c, rho_r, n_c):
@@ -162,7 +178,7 @@ class TestGenerators:
         np.testing.assert_allclose(v.T @ v, np.eye(n), rtol=0, atol=1e-13)
         rng = np.random.Generator(np.random.Philox(73))
         rho = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        got = basis_action(np.zeros((n, n)), e, v)(rho).reshape(-1)
+        got = basis_generator(np.zeros((n, n)), e, v) @ rho.reshape(-1)
         d_cl = relative_dense(basis4, lam, SuperPotentialKind.CL).dense()
         d_qm = relative_dense(basis4, lam, SuperPotentialKind.QM).dense()
         want = (d_cl - d_qm) @ rho.reshape(-1)
@@ -175,13 +191,11 @@ class TestGenerators:
         E = 2 lam (xi - xi')(xi + xi')^3 - 2 lam (xi^4 - xi'^4)."""
         basis, lam = BipartiteBasis(n_levels=5, omega=1.3), 0.2
         x = basis.position_operator()
-        x3, eye = np.linalg.matrix_power(x, 3), np.eye(5)
+        for kind in SuperPotentialKind:
+            want = relative_by_hand(basis, lam, kind)
+            np.testing.assert_allclose(relative_dense(basis, lam, kind).dense(), want, rtol=0,
+                                       atol=1e-13)
         h = 1.3 * np.diag(np.arange(5) + 0.5) + 2 * lam * np.linalg.matrix_power(x, 4)
-        qm = np.kron(h, eye) - np.kron(eye, h)
-        cl = qm + 4 * lam * (np.kron(x3, x) - np.kron(x, x3))
-        for kind, want in ((SuperPotentialKind.QM, qm), (SuperPotentialKind.CL, cl)):
-            got = relative_dense(basis, lam, kind).dense()
-            np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
         h_r, e, _ = relative_generator(basis, lam)
         np.testing.assert_allclose(h_r, h, rtol=0, atol=1e-13)
         xi = np.linalg.eigvalsh(x)
@@ -338,13 +352,8 @@ class TestCompare:
         a1, a2 = 0.2, -0.1
         cols, paths, margins = compare_cl_qm_entanglement(basis, 0.0003, a1, a2, times)
         np.testing.assert_array_equal(cols["t"], times)
-        assert paths == {"cl": "krylov", "qm": "eigh"}
-        assert set(margins) == {
-            "max_top_level_population_cl", "max_top_level_population_qm",
-            "max_krylov_error_estimate_cl", "krylov_generator_calls_cl",
-            "krylov_max_basis_dim_cl",
-        }
-        assert 1 <= margins["krylov_max_basis_dim_cl"] <= KRYLOV_MAX_DIM
+        assert paths == "eigh"
+        assert set(margins) == {"max_top_level_population_cl", "max_top_level_population_qm"}
         n = basis.n_levels
 
         def loss(rho):
@@ -442,9 +451,21 @@ class TestStructuredEvolution:
         for t, rho in zip(times, states):
             np.testing.assert_allclose(rho, ev.propagate(rho0, float(t)), rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("lam", [3e-4, 0.3])
+    @pytest.mark.parametrize("kind", list(SuperPotentialKind))
+    def test_states_equal_a_taylor_exponential(self, lam, kind):
+        """The relative route (one eigh) at n_r 6 against scipy's
+        expm_multiply of the hand-built relative generator."""
+        basis = BipartiteBasis(n_levels=6)
+        rho0 = relative_state(6, 0.2, -0.1)
+        times = np.linspace(0.0, 3.0, 13)
+        want = exponential_states(relative_by_hand(basis, lam, kind), rho0, times)
+        got = evolve_kind(basis, lam, kind, rho0, times)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
     def test_square_route_agrees_at_small_size(self):
-        """The monomial-by-monomial square action of ``square_states`` is
-        the dense square generator's."""
+        """The sparse monomial sum of ``square_states`` is the dense square
+        generator."""
         basis = BipartiteBasis(n_levels=3)
         rho0 = separable_state(basis, 0.2, -0.1)
         times = np.linspace(0.0, 3.0, 7)

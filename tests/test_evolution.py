@@ -4,15 +4,13 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from liouspace.errors import EnergyDriftExceeded
+from liouspace.errors import DimensionTooLarge, EnergyDriftExceeded
 from liouspace.evolution import (
     CharacteristicsEnsemble,
     EvolutionConfig,
     EvolveMethod,
     ExactEvolver,
-    KRYLOV_MAX_DIM,
-    KRYLOV_TOL,
-    basis_action,
+    basis_generator,
     boundary_mass,
     evolve_basis,
     evolve_characteristics,
@@ -20,7 +18,6 @@ from liouspace.evolution import (
     evolve_ordered,
     evolve_trotter,
     gaussian_ensemble,
-    solver_path,
 )
 from liouspace.liouvillian import build_basis_liouvillian, build_grid_liouvillian
 from liouspace.potential import PolynomialPotential, SuperPotentialKind
@@ -84,7 +81,7 @@ class TestEvolveExact:
 def random_structured(rng, n, e_kind):
     """A random (h, E, U): Hermitian h, an E mask that is absent, real (a
     Hermitian generator) or complex (a non-normal one, which only
-    ``basis_action`` takes), orthogonal U."""
+    ``basis_generator`` takes), orthogonal U."""
     h = random_hermitian(rng, n)
     e = None
     if e_kind != "none":
@@ -144,45 +141,15 @@ class TestEvolveBasis:
         gen = kron_generator(h, e, u)
         rho0 = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
         hbar = 0.7
-        out, _ = evolve_basis(h / hbar, rho0, t_grid, e_over_hbar(e, hbar), u)
+        out = evolve_basis(h / hbar, rho0, t_grid, e_over_hbar(e, hbar), u)
         assert out.shape == (len(t_grid), 3, 3)
         assert_dense_exponential(out, gen, rho0, t_grid, hbar)
-
-    def test_long_step_above_the_cap_takes_substeps(self):
-        # 100 > KRYLOV_MAX_DIM: one block cannot reach t = 8, so the first
-        # covers no output and halves its step
-        rng = np.random.Generator(np.random.Philox(35))
-        h, e, u = random_structured(rng, 10, "real")
-        rho0 = rng.normal(size=(10, 10)) + 1j * rng.normal(size=(10, 10))
-        out, margins = evolve_basis(h / 0.7, rho0, [8.0], e_over_hbar(e, 0.7), u)
-        assert margins["krylov_generator_calls"] > KRYLOV_MAX_DIM
-        assert margins["krylov_max_basis_dim"] == KRYLOV_MAX_DIM
-        assert margins["max_krylov_error_estimate"] <= KRYLOV_TOL
-        assert_dense_exponential(out, kron_generator(h, e, u), rho0, [8.0], 0.7)
-
-    def test_happy_breakdown_before_the_cap(self):
-        # diagonal h and rho0: the diagonal matrices are invariant under the
-        # action, so the Krylov space is exhausted after at most 10 vectors
-        rng = np.random.Generator(np.random.Philox(36))
-        _, e, _ = random_structured(rng, 10, "real")
-        h = np.diag(rng.normal(size=10))
-        rho0 = np.diag(rng.uniform(size=10))
-        t_grid = np.linspace(0.0, 4.0, 9)
-        out, margins = evolve_basis(h / 0.7, rho0, t_grid, e_over_hbar(e, 0.7))
-        assert margins["krylov_generator_calls"] <= 10
-        assert margins["krylov_max_basis_dim"] <= 10
-        assert_dense_exponential(out, kron_generator(h, e, np.eye(10)), rho0, t_grid, 0.7)
 
     def test_zero_state_stays_zero(self):
         rng = np.random.Generator(np.random.Philox(37))
         h, e, u = random_structured(rng, 4, "real")
-        out, margins = evolve_basis(h, np.zeros((4, 4)), np.linspace(0.0, 1.0, 3), e, u)
+        out = evolve_basis(h, np.zeros((4, 4)), np.linspace(0.0, 1.0, 3), e, u)
         np.testing.assert_array_equal(out, np.zeros((3, 4, 4)))
-        assert margins == {
-            "max_krylov_error_estimate": 0.0,
-            "krylov_generator_calls": 0,
-            "krylov_max_basis_dim": 0,
-        }
 
     @pytest.mark.parametrize("e_kind", ["none", "complex"])
     @pytest.mark.parametrize("identity", [False, True], ids=["basis", "identity"])
@@ -191,11 +158,24 @@ class TestEvolveBasis:
         h, e, u = random_structured(rng, 3, e_kind)
         if identity:
             u = np.eye(3)
-        rho = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        got = basis_action(h, e, None if identity else u)(rho)
-        want = kron_generator(h, e, u) @ rho.reshape(-1)
-        np.testing.assert_allclose(got.reshape(-1), want, rtol=0, atol=1e-13)
-        assert solver_path(e) == ("eigh" if e is None else "krylov")
+        got = basis_generator(h, e, None if identity else u)
+        np.testing.assert_allclose(got, kron_generator(h, e, u), rtol=0, atol=1e-13)
+
+    def test_generator_keeps_a_real_dtype(self):
+        """Real h, E and U give a real symmetric generator, so eigh takes the
+        real LAPACK driver."""
+        rng = np.random.Generator(np.random.Philox(34))
+        _, e, u = random_structured(rng, 4, "real")
+        h = random_hermitian(rng, 4).real
+        gen = basis_generator(h, e, u)
+        assert gen.dtype == np.float64
+        np.testing.assert_allclose(gen, gen.T, rtol=0, atol=1e-13)
+
+    def test_generator_cap_fires_before_allocation(self):
+        # a 10^5 x 10^5 view of one number: only the cap stands between it
+        # and a 10^20-entry kron
+        with pytest.raises(DimensionTooLarge):
+            basis_generator(np.broadcast_to(0.0, (10**5, 10**5)))
 
     def test_global_random_state_untouched_and_irrelevant(self):
         rng = np.random.Generator(np.random.Philox(33))
@@ -205,15 +185,15 @@ class TestEvolveBasis:
         for seed in (1, 2):
             np.random.seed(seed)
             before = np.random.get_state()
-            outs.append(evolve_basis(h, rho0, np.linspace(0, 3, 7), e, u)[0])
+            outs.append(evolve_basis(h, rho0, np.linspace(0, 3, 7), e, u))
             after = np.random.get_state()
             assert before[0] == after[0] and before[2:] == after[2:]
             np.testing.assert_array_equal(before[1], after[1])
         np.testing.assert_array_equal(outs[0], outs[1])
 
     def test_complex_e_rejected(self):
-        """Without the non-Hermitian Krylov branch a complex E would evolve
-        wrongly: it raises instead."""
+        """A complex E makes the generator non-Hermitian, which eigh would
+        evolve wrongly: it raises instead."""
         rng = np.random.Generator(np.random.Philox(38))
         h, e, u = random_structured(rng, 3, "complex")
         with pytest.raises(ValueError, match="E must be real"):
@@ -223,7 +203,7 @@ class TestEvolveBasis:
     def test_empty_grid_gives_no_states(self, e_kind):
         rng = np.random.Generator(np.random.Philox(39))
         h, e, u = random_structured(rng, 3, e_kind)
-        states, _ = evolve_basis(h, np.eye(3), [], e, u)
+        states = evolve_basis(h, np.eye(3), [], e, u)
         assert states.shape == (0, 3, 3)
 
     def test_matches_dense_exact_evolution_without_e(self):
@@ -233,8 +213,8 @@ class TestEvolveBasis:
         h = h / 0.6  # hbar = 0.6
         ev = ExactEvolver(build_basis_liouvillian(h))
         times = np.array([0.0, 0.4, 1.3, -0.7])  # any grid without E
-        states, margins = evolve_basis(h, rho0, times)
-        assert states.shape == (4, 4, 4) and margins == {}
+        states = evolve_basis(h, rho0, times)
+        assert states.shape == (4, 4, 4)
         for t, rho in zip(times, states):
             np.testing.assert_allclose(rho, ev.propagate(rho0, t), rtol=0, atol=1e-12)
 
@@ -243,7 +223,7 @@ class TestEvolveBasis:
         rng = np.random.Generator(np.random.Philox(52))
         h = random_hermitian(rng, 5)
         rho0 = random_hermitian(rng, 5)
-        for rho in evolve_basis(h, rho0, np.linspace(0.0, 4.0, 5))[0]:
+        for rho in evolve_basis(h, rho0, np.linspace(0.0, 4.0, 5)):
             np.testing.assert_allclose(
                 np.linalg.eigvalsh(rho), np.linalg.eigvalsh(rho0), rtol=0, atol=1e-12
             )

@@ -25,7 +25,7 @@ from liouspace.jaynescummings import (
     jc_states,
     partial_trace,
 )
-from liouspace.evolution import ExactEvolver, basis_action
+from liouspace.evolution import ExactEvolver, basis_generator
 from liouspace.liouvillian import build_basis_liouvillian
 
 
@@ -109,7 +109,7 @@ class TestHamiltonian:
         rng = np.random.Generator(np.random.Philox(81))
         rho = rng.normal(size=(p.dim, p.dim)) + 1j * rng.normal(size=(p.dim, p.dim))
         want = jc_liouvillian(p).dense() @ rho.reshape(-1)
-        got = basis_action(*jc_generator(p))(rho).reshape(-1)
+        got = basis_generator(*jc_generator(p)) @ rho.reshape(-1)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.max(np.abs(want)))
 
     def test_hermitian_exactly(self):
