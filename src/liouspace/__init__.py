@@ -56,7 +56,6 @@ from .superspace import (
 from .liouvillian import (
     BasisLiouvillian,
     GridLiouvillian,
-    build_basis_liouvillian,
     build_grid_liouvillian,
     spectral_symmetry_defect,
     spectrum,
@@ -66,10 +65,7 @@ from .evolution import (
     EvolutionConfig,
     EvolveMethod,
     ExactEvolver,
-    basis_generator,
-    evolve_basis,
     evolve_characteristics,
-    evolve_exact,
     evolve_ordered,
     evolve_trotter,
     gaussian_ensemble,

@@ -343,6 +343,14 @@ def run_propagator(ctx: RunContext) -> None:
     ctx.checks["first_order_matches_dyson_1e-3"] = defect < 1e-3
 
 
+def _time_grid(p: dict) -> np.ndarray:
+    """The steps + 1 evenly spaced output times from 0 to t."""
+    steps = int(p["steps"])
+    if steps < 1:
+        raise UsageError(f"steps={steps} must be >= 1")
+    return np.linspace(0.0, float(p["t"]), steps + 1)
+
+
 def run_jc(ctx: RunContext) -> None:
     p = ctx.params
     if _parse_complex_pair(p["eps_eegg"]) != 0:
@@ -357,7 +365,7 @@ def run_jc(ctx: RunContext) -> None:
         eps_egeg=_parse_complex_pair(p["eps"]),
     )
     rho0 = jc.initial_jc_state(str(p["init"]), params.n_max)
-    t_grid = np.linspace(0.0, float(p["t"]), int(p["steps"]) + 1)
+    t_grid = _time_grid(p)
     columns, ctx.solver_path, leak = jc.jc_series(params, rho0, t_grid)
     ctx.generator_dim = params.dim**2
     _write_columns(ctx.path("jc_series.csv"), columns)
@@ -372,7 +380,7 @@ def run_jc(ctx: RunContext) -> None:
 def run_bipartite(ctx: RunContext) -> None:
     p = ctx.params
     basis = entangle.BipartiteBasis(n_levels=int(p["n_levels"]), omega=float(p["omega"]))
-    t_grid = np.linspace(0.0, float(p["t"]), int(p["steps"]) + 1)
+    t_grid = _time_grid(p)
     columns, ctx.solver_path, leak = entangle.compare_cl_qm_entanglement(
         basis, float(p["lam"]), complex(str(p["alpha1"])), complex(str(p["alpha2"])), t_grid
     )

@@ -1,13 +1,17 @@
 """Bipartite evolution under the quartic coupling, CL vs QM side by side.
 
 Two oscillators of one frequency omega (hbar = m = 1) couple through the
-superpotential of V(x1 - x2) = lam (x1 - x2)^4.  The dense square
-generators on n_levels levels per mode serve audits, spectra and oracles.
-Their quantum kind is the commutator with the pure-bra polynomial (the
-shared quartic enters the classical form at half the bare coupling, so the
-commutator comparator uses the matched normalization); the classical kind
-realizes every classified monomial as a left/right position-operator
-product,
+superpotential of V(x1 - x2) = lam (x1 - x2)^4.  The square generators on
+n_levels levels per mode serve audits, spectra and oracles.  X1 - X2 is
+diagonal in the product of the position (discrete-variable) bases of the
+truncated x (Light, Hamilton & Lill, J. Chem. Phys. 82, 1985), so both
+kinds are built there by ``_difference_quartic``: QM is the commutator
+with h0 + (lam/2)(X1 - X2)^4 (the shared quartic enters the classical form
+at half the bare coupling, so the commutator comparator uses the matched
+normalization), and CL adds E = Phi - (w - w') elementwise, Phi the
+classical superpotential of the bra and ket values and w = (lam/2) d^4.
+That is the monomial construction of ``interaction_terms``, which realizes
+every classified monomial as a left/right position-operator product,
 
     c * Q1^i q1^j Q2^k q2^l  ->  c * (X1^i X2^k) rho (X1^j X2^l),
 
@@ -21,8 +25,8 @@ b = q1 - q2, depend on it alone, so the centre mode (x1 + x2)/sqrt 2 stays
 free and the whole CL - QM difference lives in the relative mode:
 h_r = omega (n + 1/2) + 2 lam x_r^4, and CL adds E = Phi_r - (w - w'),
 Phi_r = 2 lam (xi - xi')(xi + xi')^3 and w = 2 lam xi^4, elementwise and
-exactly in the eigenbasis of the truncated x_r (the discrete-variable
-basis of Light, Hamilton & Lill, J. Chem. Phys. 82, 1985).  A coherent
+exactly in the eigenbasis of the truncated x_r: ``_difference_quartic``
+again, at d = sqrt 2 xi.  A coherent
 product |alpha1>|alpha2> is |alpha_c>|alpha_r>, alpha_c,r =
 (alpha1 +- alpha2)/sqrt 2, so
 
@@ -33,7 +37,7 @@ entanglement is rho_r seen through it (Kim, Son, Buzek & Knight, Phys.
 Rev. A 65, 032323, 2002).  Either mode's reduced state is rho_r through a
 50% pure-loss channel, displaced, and the two-mode spectrum is rho_r's
 plus zeros.  Each kind evolves rho_r by one eigh of its real symmetric
-n_r^2 x n_r^2 generator (``evolution.evolve_basis``).
+n_r^2 x n_r^2 generator (``evolution.ExactEvolver``).
 
 No quantitative "inter-space entanglement" measure is defined here: the
 module reports the generator audit, standard intra-space metrics
@@ -48,8 +52,8 @@ from math import comb
 import numpy as np
 
 from .errors import TruncationLeak
-from .evolution import evolve_basis
-from .liouvillian import BasisLiouvillian, build_basis_liouvillian, check_dense_dim
+from .evolution import ExactEvolver
+from .liouvillian import BasisLiouvillian, check_dense_dim
 from .jaynescummings import LEAK_THRESHOLD, coherent_field_density, fock_annihilation
 from .potential import (
     MonomialClass,
@@ -116,42 +120,43 @@ def interaction_terms(
     return out
 
 
-def pure_bra_polynomial(basis: BipartiteBasis, lam: float) -> np.ndarray:
-    """Operator sum of the PURE_BRA monomials, i.e. (lam/2)(X1 - X2)^4."""
-    dim = basis.dim
-    w = np.zeros((dim, dim), dtype=complex)
-    for mono, cls in classify_bipartite_terms(lam):
-        if cls is not MonomialClass.PURE_BRA:
-            continue
-        left, _ = _monomial_operators(basis, mono.exponents)
-        w += mono.coefficient * left
-    return w
+def _difference_quartic(h_free, v, d, lam: float):
+    """(h, E) of the quartic coupling in d = X1 - X2, diagonal in the
+    orthogonal DVR basis v with the values d: h = h_free + v diag(w) v^T
+    with w = (lam/2) d^4, and E = Phi - (w - w') elementwise in v, Phi =
+    (lam/2)(d - d')(d + d')^3 the CL superpotential of the bra and ket
+    values d and d'.  QM is the commutator with h, and CL adds E."""
+    w = 0.5 * lam * d**4
+    phi = bipartite_super_potential(lam, d[:, None], d[None, :], 0.0, 0.0)
+    return h_free + (v * w) @ v.T, phi - (w[:, None] - w[None, :])
 
 
 def build_bipartite_liouvillian(
     basis: BipartiteBasis, lam: float, kind
 ) -> BasisLiouvillian:
-    """Dense generator of i d/dt rho for the chosen kind ("cl" or "qm"),
-    from the monomial operators; for audits, spectra and oracles."""
-    h0 = basis.free_hamiltonian()
+    """Square generator of i d/dt rho on n_levels^2 states for the chosen
+    kind ("cl" or "qm"), for audits, spectra and oracles.  X1 - X2 is
+    diagonal in kron(v, v), v the eigenbasis of the truncated x, with the
+    values xi_a - xi_b, so both kinds come from ``_difference_quartic``
+    there; its dense form is the monomial construction of
+    ``interaction_terms`` (see the module docstring)."""
+    xi, v = np.linalg.eigh(basis.position_operator())
+    u, d = np.kron(v, v), np.subtract.outer(xi, xi).ravel()
+    h, e = _difference_quartic(basis.free_hamiltonian(), u, d, lam)
     if SuperPotentialKind(kind) is SuperPotentialKind.QM:
-        return build_basis_liouvillian(h0 + pure_bra_polynomial(basis, lam))
-    return build_basis_liouvillian(h0, s_add=interaction_terms(basis, lam))
+        return BasisLiouvillian(h)
+    return BasisLiouvillian(h, e, u)
 
 
-def relative_generator(basis: BipartiteBasis, lam: float):
-    """(h_r, E, V) of the relative mode on ``basis.n_levels`` levels for
-    ``evolution.evolve_basis``: QM's h_r, and CL's E, elementwise in the DVR
-    basis V of the truncated x_r = V diag(xi) V^T (see the module docstring).
-    """
-    x = basis.position_operator()
-    h = basis.omega * np.diag(np.arange(basis.n_levels) + 0.5)
-    h += 2.0 * lam * np.linalg.matrix_power(x, 4)
-    xi, v = np.linalg.eigh(x)
+def relative_generator(basis: BipartiteBasis, lam: float) -> BasisLiouvillian:
+    """CL generator of the relative mode on ``basis.n_levels`` levels, h_r
+    = omega (n + 1/2) + 2 lam x_r^4 with E elementwise in the DVR basis V
+    of the truncated x_r = V diag(xi) V^T (see the module docstring); QM
+    is the commutator with its ``h`` alone."""
+    xi, v = np.linalg.eigh(basis.position_operator())
+    h_free = basis.omega * np.diag(np.arange(basis.n_levels) + 0.5)
     # X1 = -X2 = x_r/sqrt 2 puts sqrt 2 x_r in X1 - X2
-    bra, ket = np.sqrt(0.5) * xi[:, None], np.sqrt(0.5) * xi[None, :]
-    phi = bipartite_super_potential(lam, bra, ket, -bra, -ket)
-    return h, phi - 8.0 * lam * (bra**4 - ket**4), v
+    return BasisLiouvillian(*_difference_quartic(h_free, v, np.sqrt(2.0) * xi, lam), v)
 
 
 def loss_purity(states: np.ndarray) -> np.ndarray:
@@ -187,7 +192,7 @@ def compare_cl_qm_entanglement(
     ``min_eig_<kind>`` the least eigenvalue of Herm(rho_r), and
     ``trace_drift_<kind>`` |tr rho_r - 1|.  ``solver_path`` is "eigh": each
     kind takes one eigh of its real symmetric n_r^2 x n_r^2 generator
-    (``evolution.evolve_basis``), so n_r is held to 64 by the dense cap
+    (``evolution.ExactEvolver``), so n_r is held to 64 by the dense cap
     (DimensionTooLarge above it).  ``margins`` holds
     ``max_top_level_population_<kind>``, the worst top-level population of
     rho_r over the output times.  Any grid works.  Raises TruncationLeak if
@@ -197,10 +202,10 @@ def compare_cl_qm_entanglement(
     t = np.asarray(t_grid, dtype=float)
     alpha_r = (complex(alpha1) - complex(alpha2)) / np.sqrt(2.0)
     rho0 = coherent_field_density(alpha_r, basis.n_levels - 1)
-    h, e, v = relative_generator(basis, lam)
+    cl = relative_generator(basis, lam)
     columns, margins = {"t": t}, {}
-    for tag, e_kind, v_kind in (("cl", e, v), ("qm", None, None)):  # CL = QM + E
-        states = evolve_basis(h, rho0, t_grid, e_kind, v_kind)
+    for tag, gen in (("cl", cl), ("qm", BasisLiouvillian(cl.h))):  # CL = QM + E
+        states = ExactEvolver(gen).propagate(rho0, t)
         leak = np.abs(states[:, -1, -1].real)
         worst = int(np.argmax(leak))
         if leak[worst] > LEAK_THRESHOLD:

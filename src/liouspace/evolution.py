@@ -1,17 +1,16 @@
 """Time evolution of density matrices.
 
-Covers the exact exponential exp(-i L t / hbar) for dense superoperators,
-the one evolve route of the structured N x N generators
-L rho = H rho - rho H + U (E o (U^T rho U)) U^T with real E (one eigh of
-the dense N^2 x N^2 L, with or without E), a classical RK4
-integrator for time-dependent generators (an oracle for the exact routes),
-split-step Trotter evolution on (Q, q) grids, and the classical
-method-of-characteristics ensemble, which serves as the independent
-oracle for the grid dynamics.
+Covers the exact exponential exp(-i L t / hbar) of a generator's dense
+form over a time grid (``ExactEvolver``: one eigh of a Hermitian L, such
+as ``liouvillian.BasisLiouvillian`` with real E, else expm per time), a
+classical RK4 integrator for time-dependent generators (an oracle for the
+exact route), split-step Trotter evolution on (Q, q) grids, and the
+classical method-of-characteristics ensemble, which serves as the
+independent oracle for the grid dynamics.
 
 The grid routes take hbar and the mass from ``EvolutionConfig``.  The
-structured generators are in hbar = 1, i d/dt rho = L rho: for another
-hbar, pass h / hbar and E / hbar.
+basis generators are in hbar = 1, i d/dt rho = L rho: for another hbar,
+pass h / hbar and E / hbar.
 
 scipy is imported only where a route needs it (``ExactEvolver``'s expm of
 a non-Hermitian generator, the Sobol ensemble), so importing this module
@@ -23,17 +22,12 @@ from __future__ import annotations
 import enum
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable
 
 import numpy as np
 
 from .errors import EnergyDriftExceeded
-from .liouvillian import (
-    BasisLiouvillian,
-    GridLiouvillian,
-    build_grid_liouvillian,
-    check_dense_dim,
-)
+from .liouvillian import build_grid_liouvillian
 from .potential import PolynomialPotential, SuperPotentialKind
 from .superspace import SuperDensity, SuperGrid, is_hermitian
 
@@ -63,85 +57,46 @@ class EvolutionConfig:
             raise ValueError("n_steps must be >= 1")
 
 
-def evolve_exact(
-    liouville: Union[BasisLiouvillian, GridLiouvillian],
-    rho0: np.ndarray,
-    t: float,
-) -> np.ndarray:
-    """rho(t) = exp(-i L t / hbar) rho(0) through the dense superoperator."""
-    return ExactEvolver(liouville).propagate(rho0, t)
-
-
 class ExactEvolver:
-    """Reusable exact propagator for time series from one diagonalization."""
+    """The exact evolution vec rho(t) = exp(-i L t / hbar) vec rho(0) of a
+    generator with a ``dense()`` form and an ``hbar``, over any time grid.
+
+    A Hermitian dense L (to 1e-12, ``is_hermitian``) is diagonalised once,
+    L = u diag(w) u', in the dtype it comes in: a real symmetric L takes the
+    real LAPACK driver.  Any other L, such as the complex-eps
+    ``jaynescummings.jc_liouvillian``, is kept and exponentiated by scipy's
+    expm at each time: the reference route of the tests.
+    """
 
     def __init__(self, liouville) -> None:
         self._dense, self.hbar = liouville.dense(), liouville.hbar
-        self._hermitian = is_hermitian(self._dense)
-        if self._hermitian:
+        self._w = self._u = None
+        if is_hermitian(self._dense):
             self._w, self._u = np.linalg.eigh(self._dense)
-        else:
-            self._w = self._u = None
 
-    def propagate(self, rho0: np.ndarray, t: float) -> np.ndarray:
-        vec = np.asarray(rho0, dtype=complex).reshape(-1)
-        if self._hermitian:
-            prop = (self._u * np.exp(-1j * self._w * t / self.hbar)) @ self._u.conj().T
-        else:
+    def propagate(self, rho0: np.ndarray, t_grid) -> np.ndarray:
+        """The states rho(t_j) for each t_j of t_grid, shape
+        (len(t_grid), N, N).
+
+        The eigh route forms every output time from one (T, N^2) x
+        (N^2, N^2) product: vec rho(t) = u (e^{-i w t / hbar} o u' vec rho0).
+        """
+        t_grid = np.asarray(t_grid, dtype=float).reshape(-1)
+        rho0 = np.asarray(rho0, dtype=complex)
+        vec = rho0.reshape(-1)
+        if self._u is None:
             from scipy.linalg import expm
 
-            prop = expm(-1j * self._dense * t / self.hbar)
-        return (prop @ vec).reshape(rho0.shape)
-
-
-def basis_generator(h: np.ndarray, e=None, basis=None) -> np.ndarray:
-    """The dense N^2 x N^2 matrix, on the row-major vec, of
-    rho -> h rho - rho h + U (E o (U^T rho U)) U^T:
-    kron(h, 1) - kron(1, h^T) + K diag(E) K^T with K = kron(U, U).
-
-    This is the structured generator (energy units) of ``evolve_basis``,
-    and with a complex E that of ``jaynescummings.jc_generator``: ``e`` is
-    the N x N mask of E, or None when there is no E, and ``basis`` the real
-    orthogonal U in which E acts elementwise, or None for the identity.
-    The matrix keeps the dtype of its inputs, so a real h, E and U give a
-    real symmetric one.  Raises DimensionTooLarge above the dense cap,
-    before allocating.
-    """
-    n = h.shape[0]
-    check_dense_dim(n * n)
-    eye = np.eye(n)
-    gen = np.kron(h, eye) - np.kron(eye, h.T)
-    if e is None:
-        return gen
-    if basis is None:
-        return gen + np.diag(np.ravel(e))
-    k = np.kron(basis, basis)
-    return gen + (k * np.ravel(e)) @ k.T
-
-
-def evolve_basis(h: np.ndarray, rho0: np.ndarray, t_grid, e=None, basis=None) -> np.ndarray:
-    """States of i d/dt rho = L rho (hbar = 1), L = ``basis_generator(h, e,
-    basis)``, for Hermitian N x N h and real E: states[j] = rho(t_j) for
-    each t_j of t_grid, shape (len(t_grid), N, N).
-
-    One eigh L = u diag(w) u' gives vec rho(t) = u (e^{-i w t} o u' vec rho0),
-    so every output time comes from one (T, N^2) x (N^2, N^2) product, on any
-    grid.  L is dense: N^2 is held to the cap of ``check_dense_dim``.  A
-    complex E makes L non-Hermitian and raises ValueError.
-    """
-    if e is not None and not np.isreal(e).all():
-        raise ValueError("E must be real: a complex E makes the generator non-Hermitian")
-    t_grid = np.asarray(t_grid, dtype=float).reshape(-1)
-    rho0 = np.asarray(rho0, dtype=complex)
-    w, u = np.linalg.eigh(basis_generator(h, e, basis))
-    # cos + i sin of the real angles: the values of a complex exp, in about
-    # half its time
-    angle = np.outer(t_grid, -w)
-    phases = np.empty(angle.shape, dtype=complex)
-    np.cos(angle, out=phases.real)
-    np.sin(angle, out=phases.imag)
-    phases *= u.conj().T @ rho0.reshape(-1)
-    return (phases @ u.T).reshape(-1, *rho0.shape)
+            out = [expm(-1j * self._dense * t / self.hbar) @ vec for t in t_grid]
+            return np.array(out, dtype=complex).reshape(-1, *rho0.shape)
+        # cos + i sin of the real angles: the values of a complex exp, in about
+        # half its time
+        angle = np.outer(t_grid / self.hbar, -self._w)
+        phases = np.empty(angle.shape, dtype=complex)
+        np.cos(angle, out=phases.real)
+        np.sin(angle, out=phases.imag)
+        phases *= self._u.conj().T @ vec
+        return (phases @ self._u.T).reshape(-1, *rho0.shape)
 
 
 def evolve_ordered(

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotConverged, NotFactorized, TruncationLeak
-from .liouvillian import BasisLiouvillian, build_basis_liouvillian, check_dense_dim
+from .liouvillian import BasisLiouvillian
 from .potential import COULOMB_EPS_REG, coulomb_e_of_radii
 
 ATOM_G, ATOM_E = 0, 1
@@ -117,28 +117,26 @@ def _coherence_mask(p: JCParams, eg: complex, ge: complex) -> np.ndarray:
 
 
 def jc_liouvillian(p: JCParams) -> BasisLiouvillian:
-    """Dense generator for audits and spectra, E-hat kept whole: the
+    """Generator for audits and spectra, E-hat kept whole: H_JC with the
     elementwise mask eps_egeg on the eg block and -conj(eps_egeg) on the ge
-    block, as s_add = diag(mask) on the row-major vec (None for eps_egeg = 0)."""
-    s_add = None
+    block (None for eps_egeg = 0)."""
+    mask = None
     if p.eps_egeg != 0:
-        check_dense_dim(p.dim**2)
-        s_add = np.diag(_coherence_mask(p, p.eps_egeg, -np.conj(p.eps_egeg)).ravel())
-    return build_basis_liouvillian(build_jc_hamiltonian(p), s_add=s_add)
+        mask = _coherence_mask(p, p.eps_egeg, -np.conj(p.eps_egeg))
+    return BasisLiouvillian(build_jc_hamiltonian(p), mask)
 
 
-def jc_generator(p: JCParams) -> tuple[np.ndarray, np.ndarray | None]:
-    """(h, E) of the structured generator L rho = h rho - rho h + E o rho
-    (densely, ``evolution.basis_generator(h, E)``), which the sector routes
-    gather: h = H_JC + Re(eps_egeg) P_e (x) 1 and E = i Im(eps_egeg) on both
-    coherence blocks, elementwise in the product basis, or None for real
-    eps_egeg (the sector_phases route)."""
+def jc_generator(p: JCParams) -> BasisLiouvillian:
+    """The generator as CL = QM + E, which the sector routes gather: h =
+    H_JC + Re(eps_egeg) P_e (x) 1 and E = i Im(eps_egeg) on both coherence
+    blocks, elementwise in the product basis, or None for real eps_egeg
+    (the sector_phases route)."""
     shift = p.eps_egeg.real * np.kron(np.diag([0.0, 1.0]), np.eye(p.fock_dim))
     h = build_jc_hamiltonian(p) + shift
     if p.eps_egeg.imag == 0:
-        return h, None
+        return BasisLiouvillian(h)
     e = 1j * p.eps_egeg.imag
-    return h, _coherence_mask(p, e, e)
+    return BasisLiouvillian(h, _coherence_mask(p, e, e))
 
 
 def jc_evolve_first_order(p: JCParams, rho0: np.ndarray, t: float) -> np.ndarray:
@@ -235,8 +233,9 @@ def _sector_blocks(p: JCParams, rho0: np.ndarray):
     def gather(m):
         return np.where(keep, np.asarray(m)[rows, cols], 0)
 
-    h, e = jc_generator(p)
-    return index, valid, gather(h)[k, k], None if e is None else gather(e), gather(rho0)
+    gen = jc_generator(p)
+    e = None if gen.e is None else gather(gen.e)
+    return index, valid, gather(gen.h)[k, k], e, gather(rho0)
 
 
 def _phase_series(hb: np.ndarray, rb: np.ndarray, weights: np.ndarray, t_grid: np.ndarray):
@@ -272,8 +271,8 @@ def _phase_series(hb: np.ndarray, rb: np.ndarray, weights: np.ndarray, t_grid: n
 
 
 def _sector_powers(hb: np.ndarray, eb, rb: np.ndarray, t_grid: np.ndarray):
-    """Yield the (S, S, 2, 2) blocks of rho(t) for each t of the evenly
-    spaced, non-empty t_grid (ValueError otherwise); ``eb`` may be None.
+    """Yield the (S, S, 2, 2) blocks of rho(t) for each t of the non-empty,
+    evenly spaced t_grid (ValueError if uneven); ``eb`` may be None.
 
     Block (k, l) follows i d/dt X = h_k X - X h_l + E_kl o X, a 4 x 4
     generator on the row-major vec X.  One batched expm of all of them at
@@ -318,7 +317,8 @@ def jc_series(
     each sector rotates in closed form, on any grid, and the purity stays
     that of rho0, exact for that unitary evolution.  Complex eps_egeg takes
     "sector_powers", powers of one batched expm of the block generators, on
-    an evenly spaced grid only (ValueError otherwise).  ``margins`` holds
+    an evenly spaced grid only.  An empty or (for complex eps_egeg) uneven
+    t_grid raises ValueError.  ``margins`` holds
     ``max_fock_leak``, the worst top-Fock population over the output times.
 
     Raises TruncationLeak before evolving if rho0 fills the top
@@ -327,6 +327,8 @@ def jc_series(
     """
     check_fock_truncation(rho0, p.n_max)
     t_grid = np.asarray(t_grid, dtype=float).reshape(-1)
+    if t_grid.size == 0:
+        raise ValueError("t_grid must not be empty")
     _, valid, hb, eb, rb = _sector_blocks(p, rho0)
     fock = np.arange(p.n_max + 2)[:, None] - np.arange(2)  # of each slot: k, k - 1
     # per slot, the weights of P_e, the trace and the top-Fock population

@@ -6,10 +6,12 @@ Two representations are provided:
   action is the commutator with the single-axis Hamiltonian
   H = -(hbar^2/2m) d^2/dchi^2 + V(chi) (spectral kinetic term) plus, for
   the classical kind, the entrywise superoperator E(Q_a, q_b).
-* ``BasisLiouvillian`` acts on an N x N density matrix in an abstract
-  basis: L_{jk,lm} = H_{jl} delta_{km} - conj(H_{km}) delta_{jl}, i.e.
-  L rho = H rho - rho H, optionally augmented by an explicit
-  superoperator matrix S acting on vec(rho).
+* ``BasisLiouvillian`` acts on an N x N density matrix in a basis:
+  L rho = H rho - rho H + U (E o (U^T rho U)) U^T, the commutator plus,
+  for a classical kind, a superoperator E that acts elementwise in the
+  orthogonal basis U.  It is the one generator of the basis models
+  (Jaynes-Cummings, the bipartite square and relative-mode generators)
+  and, with U = 1, of the grid's dense form.
 
 Both are stated in energy units: i hbar d/dt rho = L rho, with the hbar
 and mass of the grid as fields and hbar = 1 in a basis.
@@ -86,47 +88,70 @@ class GridLiouvillian:
         )
 
     def dense(self) -> np.ndarray:
-        """(n^2 x n^2) matrix acting on row-major vec(rho)."""
-        n = self.grid.n
-        check_dense_dim(n * n)
-        h = self.h_matrix()
-        eye = np.eye(n)
-        return (
-            np.kron(h, eye) - np.kron(eye, h) + np.diag(self.e_diag.ravel())
-        ).astype(complex)
+        """(n^2 x n^2) real matrix acting on row-major vec(rho): the basis
+        generator of ``h_matrix()`` with E elementwise on the grid."""
+        return BasisLiouvillian(self.h_matrix(), self.e_diag).dense()
 
 
 @dataclass
 class BasisLiouvillian:
-    """L rho = H rho - rho H (+ S rho) for Hermitian H in an N-dim basis."""
+    """L rho = h rho - rho h + U (E o (U^T rho U)) U^T in an N-dim basis.
+
+    ``h`` is the Hermitian N x N Hamiltonian (NonHermitianInput otherwise),
+    ``e`` the N x N mask of the superoperator E, or None when there is none,
+    and ``basis`` the real orthogonal U in which E acts elementwise, or None
+    for the identity.  A real E with real U gives a Hermitian generator; a
+    complex E (``jaynescummings.jc_liouvillian``) a non-normal one.
+    """
 
     h: np.ndarray
-    s_add: Optional[np.ndarray] = None
+    e: Optional[np.ndarray] = None
+    basis: Optional[np.ndarray] = None
     hbar = 1.0  # a class constant, not a field: the basis routes work in hbar = 1
 
     def __post_init__(self) -> None:
-        self.h = np.asarray(self.h, dtype=complex)
-        if self.s_add is not None:
-            self.s_add = np.asarray(self.s_add, dtype=complex)
+        self.h = np.asarray(self.h)
+        if not is_hermitian(self.h):
+            raise NonHermitianInput("Hamiltonian is not Hermitian to 1e-12")
+        for name in ("e", "basis"):
+            value = getattr(self, name)
+            if value is not None:
+                if np.shape(value) != self.h.shape:
+                    raise ValueError(f"{name} must be N x N like h")
+                setattr(self, name, np.asarray(value))
 
     @property
     def n(self) -> int:
         return self.h.shape[0]
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
+        """L rho through N x N products, without the dense superoperator."""
         out = self.h @ rho - rho @ self.h
-        if self.s_add is not None:
-            out = out + (self.s_add @ rho.reshape(-1)).reshape(rho.shape)
-        return out
+        if self.e is None:
+            return out
+        if self.basis is None:
+            return out + self.e * rho
+        u = self.basis
+        return out + u @ (self.e * (u.T @ rho @ u)) @ u.T
 
     def dense(self) -> np.ndarray:
+        """The N^2 x N^2 matrix on the row-major vec:
+        kron(h, 1) - kron(1, h^T) + K diag(E) K^T with K = kron(U, U).
+
+        It keeps the dtype of its inputs, so a real h, E and U give a real
+        symmetric matrix.  Raises DimensionTooLarge above the dense cap,
+        before allocating.
+        """
         n = self.n
         check_dense_dim(n * n)
         eye = np.eye(n)
-        out = np.kron(self.h, eye) - np.kron(eye, self.h.conj())
-        if self.s_add is not None:
-            out = out + self.s_add
-        return out
+        gen = np.kron(self.h, eye) - np.kron(eye, self.h.T)
+        if self.e is None:
+            return gen
+        if self.basis is None:
+            return gen + np.diag(np.ravel(self.e))
+        k = np.kron(self.basis, self.basis)
+        return gen + (k * np.ravel(self.e)) @ k.T
 
 
 def build_grid_liouvillian(
@@ -137,20 +162,6 @@ def build_grid_liouvillian(
     hbar: float = 1.0,
 ) -> GridLiouvillian:
     return GridLiouvillian(grid=grid, kind=kind, potential=v, mass=mass, hbar=hbar)
-
-
-def build_basis_liouvillian(
-    h: np.ndarray,
-    s_add: Optional[np.ndarray] = None,
-) -> BasisLiouvillian:
-    h = np.asarray(h, dtype=complex)
-    if not is_hermitian(h):
-        raise NonHermitianInput("Hamiltonian is not Hermitian to 1e-12")
-    if s_add is not None:
-        s_add = np.asarray(s_add, dtype=complex)
-        if s_add.shape != (h.shape[0] ** 2, h.shape[0] ** 2):
-            raise ValueError("s_add must be (N^2, N^2)")
-    return BasisLiouvillian(h=h, s_add=s_add)
 
 
 def spectrum(liouville) -> np.ndarray:

@@ -163,7 +163,7 @@ def _spectral_symmetry() -> tuple[bool, str]:
     rng = np.random.Generator(np.random.Philox(106))
     h = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
     d_qm = liouvillian.spectral_symmetry_defect(
-        liouvillian.spectrum(liouvillian.build_basis_liouvillian(0.5 * (h + h.conj().T)))
+        liouvillian.spectrum(liouvillian.BasisLiouvillian(0.5 * (h + h.conj().T)))
     )
     return d_cl < 1e-8 and d_qm < 1e-8, f"defects cl={d_cl:.2e} qm={d_qm:.2e}"
 
@@ -202,10 +202,10 @@ def _conservation_suite() -> tuple[bool, str]:
     track(jc.jc_states(p, jc.initial_jc_state("e1", p.n_max), times))
 
     # bipartite CL and QM through the relative mode, from the ground state
-    h, e, v = entangle.relative_generator(entangle.BipartiteBasis(n_levels=4), 0.0002)
+    cl = entangle.relative_generator(entangle.BipartiteBasis(n_levels=4), 0.0002)
     rho0 = jc.coherent_field_density(0.0, 3)
-    track(evolution.evolve_basis(h, rho0, times, e, v))
-    track(evolution.evolve_basis(h, rho0, times))
+    for gen in (cl, liouvillian.BasisLiouvillian(cl.h)):
+        track(evolution.ExactEvolver(gen).propagate(rho0, times))
 
     return worst_tr < 1e-8 and worst_h < 1e-8, (
         f"trace drift {worst_tr:.1e}, hermiticity drift {worst_h:.1e}"
@@ -272,9 +272,9 @@ def _vacuum_rabi() -> tuple[bool, str]:
 
 
 def _bipartite_generator_audit() -> tuple[bool, str]:
-    """CL - QM square generators equal the cross terms; the evolved
-    relative-mode generators equal their hand-built dense forms; reduced
-    purity drops as t^2."""
+    """CL - QM of the square generators, built in the position basis,
+    equals the monomial cross terms; the evolved relative-mode generators
+    equal their hand-built dense forms; reduced purity drops as t^2."""
     basis = entangle.BipartiteBasis(n_levels=4)
     lam = 0.3
     d_cl = entangle.build_bipartite_liouvillian(basis, lam, SuperPotentialKind.CL).dense()
@@ -292,18 +292,18 @@ def _bipartite_generator_audit() -> tuple[bool, str]:
     n_r, x = basis.n_levels, basis.position_operator()
     x3 = np.linalg.matrix_power(x, 3)
     h_r = np.diag(np.arange(n_r) + 0.5) + 2 * lam * np.linalg.matrix_power(x, 4)
-    d_qm = liouvillian.build_basis_liouvillian(h_r).dense()
+    d_qm = liouvillian.BasisLiouvillian(h_r).dense()
     d_cl = d_qm + 4 * lam * (np.kron(x3, x) - np.kron(x, x3))
-    h, e, v = entangle.relative_generator(basis, lam)
+    cl = entangle.relative_generator(basis, lam)
     structured = 0.0
-    for dense, gen in ((d_cl, (h, e, v)), (d_qm, (h,))):
-        got = evolution.basis_generator(*gen)
+    for dense, gen in ((d_cl, cl), (d_qm, liouvillian.BasisLiouvillian(cl.h))):
+        got = gen.dense()
         structured = max(structured, float(np.max(np.abs(got - dense)) / np.max(np.abs(dense))))
 
     # reduced-purity decrease 1 - O((lam t)^2) with quadratic leading order
     times = np.array([0.025, 0.05, 0.1])
-    h, _, _ = entangle.relative_generator(basis, 0.001)
-    states = evolution.evolve_basis(h, jc.coherent_field_density(0.0, n_r - 1), times)
+    qm = liouvillian.BasisLiouvillian(entangle.relative_generator(basis, 0.001).h)
+    states = evolution.ExactEvolver(qm).propagate(jc.coherent_field_density(0.0, n_r - 1), times)
     drops = 1.0 - entangle.loss_purity(states)
     slope = float(np.polyfit(np.log(times), np.log(drops), 1)[0])
     ok = (
@@ -325,7 +325,7 @@ def _trotter_convergence() -> tuple[bool, str]:
     v = PolynomialPotential.quartic(0.5)
     sd = superspace.gaussian_super_density(grid, 0.5, 0.0, 0.55, 0.8)
     op = liouvillian.build_grid_liouvillian(v, grid, SuperPotentialKind.CL)
-    ref = evolution.evolve_exact(op, sd.values, 0.4)
+    ref = evolution.ExactEvolver(op).propagate(sd.values, [0.4])[0]
     errs = []
     warned = 0
     for n in (16, 32, 64):
@@ -362,7 +362,7 @@ def _commutator_identity() -> tuple[bool, str]:
     h = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
     h = 0.5 * (h + h.conj().T)
     rho = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
-    liou = liouvillian.build_basis_liouvillian(h)
+    liou = liouvillian.BasisLiouvillian(h)
     err = float(np.max(np.abs(liou.apply(rho) - (h @ rho - rho @ h))))
     return err < 1e-12, f"max defect {err:.2e}"
 

@@ -260,6 +260,22 @@ class TestScenarios:
         assert run(argv + ["--outdir", str(tmp_path)]) == EXIT_USAGE
 
     @pytest.mark.parametrize(
+        "argv",
+        [
+            ["jc", "--steps", "-1"],
+            ["jc", "--steps", "-1", "--eps", "0.01,-0.02"],
+            ["bipartite", "--steps", "-1"],
+        ],
+        ids=" ".join,
+    )
+    def test_steps_below_one_is_usage_error(self, tmp_path, capsys, argv):
+        """An empty time grid is refused up front with the flag's name,
+        not by an exception from deep inside the evolution."""
+        assert run(argv + ["--outdir", str(tmp_path)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "steps=-1 must be >= 1" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
         "eps, bounded", [("0,0", True), ("0.01,-0.02", True), ("0.01,0.02", False)]
     )
     def test_jc_purity_check(self, tmp_path, eps, bounded):

@@ -14,14 +14,13 @@ from liouspace.entangle import (
     compare_cl_qm_entanglement,
     interaction_terms,
     loss_purity,
-    pure_bra_polynomial,
     relative_generator,
     separable_state,
 )
 from liouspace import liouvillian
-from liouspace.liouvillian import build_basis_liouvillian
+from liouspace.liouvillian import BasisLiouvillian
 from liouspace.errors import DimensionTooLarge, TruncationLeak
-from liouspace.evolution import ExactEvolver, basis_generator, evolve_basis
+from liouspace.evolution import ExactEvolver
 from liouspace.jaynescummings import coherent_field_density, fock_annihilation, partial_trace
 from liouspace.potential import (
     MonomialClass,
@@ -41,12 +40,15 @@ def relative_state(n_r, alpha1=0.0, alpha2=0.0):
     return coherent_field_density((alpha1 - alpha2) / np.sqrt(2.0), n_r - 1)
 
 
+def relative_kind(basis, lam, kind):
+    """The relative-mode generator of one kind: CL = QM + E."""
+    cl = relative_generator(basis, lam)
+    return BasisLiouvillian(cl.h) if SuperPotentialKind(kind) is SuperPotentialKind.QM else cl
+
+
 def evolve_kind(basis, lam, kind, rho0, times):
-    """The relative-mode states over times through the one structured route."""
-    h, e, v = relative_generator(basis, lam)
-    if SuperPotentialKind(kind) is SuperPotentialKind.QM:
-        e = v = None
-    return evolve_basis(h, rho0, times, e, v)
+    """The relative-mode states over times through the one exact route."""
+    return ExactEvolver(relative_kind(basis, lam, kind)).propagate(rho0, times)
 
 
 def relative_dense(basis, lam, kind):
@@ -56,14 +58,32 @@ def relative_dense(basis, lam, kind):
     n = basis.n_levels
     powers = [np.linalg.matrix_power(basis.position_operator(), p) for p in range(5)]
     qm = SuperPotentialKind(kind) is SuperPotentialKind.QM
-    s_add = np.zeros((n * n, n * n))
+    h0, eye = basis.omega * np.diag(np.arange(n) + 0.5), np.eye(n)
+    out = np.kron(h0, eye) - np.kron(eye, h0)
     for mono, cls in classify_bipartite_terms(lam):
         if qm and cls not in PURE_CLASSES:
             continue
         i, j, k, l = mono.exponents
         c = mono.coefficient * (-1) ** (k + l) * 0.5 ** ((i + j + k + l) / 2)
-        s_add += c * np.kron(powers[i + k], powers[j + l].T)
-    return build_basis_liouvillian(basis.omega * np.diag(np.arange(n) + 0.5), s_add=s_add)
+        out += c * np.kron(powers[i + k], powers[j + l].T)
+    return out
+
+
+def difference_quartic(basis, lam):
+    """(lam/2)(X1 - X2)^4 from the truncated single-mode x."""
+    x, eye = basis.position_operator(), np.eye(basis.n_levels)
+    return 0.5 * lam * np.linalg.matrix_power(np.kron(x, eye) - np.kron(eye, x), 4)
+
+
+def square_monomial_dense(basis, lam, kind):
+    """The square generator summed from the monomial operators: QM is the
+    commutator with h0 + (lam/2)(X1 - X2)^4, and CL the commutator with h0
+    plus every classified monomial (``interaction_terms``)."""
+    h0, eye = basis.free_hamiltonian(), np.eye(basis.dim)
+    if SuperPotentialKind(kind) is SuperPotentialKind.CL:
+        return np.kron(h0, eye) - np.kron(eye, h0) + interaction_terms(basis, lam)
+    h = h0 + difference_quartic(basis, lam)
+    return np.kron(h, eye) - np.kron(eye, h.T)
 
 
 def reduced_purity(rho, n_levels):
@@ -147,13 +167,8 @@ class TestGenerators:
         pure-bra polynomial (lam/2)(X1 - X2)^4."""
         lam = 0.3
         liou = build_bipartite_liouvillian(basis4, lam, SuperPotentialKind.QM)
-        w = pure_bra_polynomial(basis4, lam)
-        x = basis4.position_operator()
-        eye = np.eye(4)
-        direct = 0.5 * lam * np.linalg.matrix_power(
-            np.kron(x, eye) - np.kron(eye, x), 4
-        )
-        np.testing.assert_allclose(w, direct, atol=1e-12)
+        w = difference_quartic(basis4, lam)
+        np.testing.assert_allclose(liou.h, basis4.free_hamiltonian() + w, atol=1e-12)
         rng = np.random.Generator(np.random.Philox(71))
         rho = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
         h_full = basis4.free_hamiltonian() + w
@@ -173,14 +188,14 @@ class TestGenerators:
         orthogonal DVR basis, is the cross-monomial superoperator of the
         dense relative generator."""
         lam = 0.3
-        _, e, v = relative_generator(basis4, lam)
+        cl = relative_generator(basis4, lam)
         n = basis4.n_levels
-        np.testing.assert_allclose(v.T @ v, np.eye(n), rtol=0, atol=1e-13)
+        np.testing.assert_allclose(cl.basis.T @ cl.basis, np.eye(n), rtol=0, atol=1e-13)
         rng = np.random.Generator(np.random.Philox(73))
         rho = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        got = basis_generator(np.zeros((n, n)), e, v) @ rho.reshape(-1)
-        d_cl = relative_dense(basis4, lam, SuperPotentialKind.CL).dense()
-        d_qm = relative_dense(basis4, lam, SuperPotentialKind.QM).dense()
+        got = BasisLiouvillian(np.zeros((n, n)), cl.e, cl.basis).apply(rho).reshape(-1)
+        d_cl = relative_dense(basis4, lam, SuperPotentialKind.CL)
+        d_qm = relative_dense(basis4, lam, SuperPotentialKind.QM)
         want = (d_cl - d_qm) @ rho.reshape(-1)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -193,10 +208,11 @@ class TestGenerators:
         x = basis.position_operator()
         for kind in SuperPotentialKind:
             want = relative_by_hand(basis, lam, kind)
-            np.testing.assert_allclose(relative_dense(basis, lam, kind).dense(), want, rtol=0,
+            np.testing.assert_allclose(relative_dense(basis, lam, kind), want, rtol=0,
                                        atol=1e-13)
         h = 1.3 * np.diag(np.arange(5) + 0.5) + 2 * lam * np.linalg.matrix_power(x, 4)
-        h_r, e, _ = relative_generator(basis, lam)
+        cl = relative_generator(basis, lam)
+        h_r, e = cl.h, cl.e
         np.testing.assert_allclose(h_r, h, rtol=0, atol=1e-13)
         xi = np.linalg.eigvalsh(x)
         bra, ket = xi[:, None], xi[None, :]
@@ -210,7 +226,7 @@ class TestGenerators:
         pure = interaction_terms(
             basis4, lam, classes={MonomialClass.PURE_BRA, MonomialClass.PURE_KET}
         )
-        w = pure_bra_polynomial(basis4, lam)
+        w = difference_quartic(basis4, lam)
         eye = np.eye(basis4.dim)
         np.testing.assert_allclose(
             pure, np.kron(w, eye) - np.kron(eye, w.conj()), atol=1e-10
@@ -218,10 +234,36 @@ class TestGenerators:
 
     def test_dense_cap_fires_before_allocation(self, basis4, monkeypatch):
         monkeypatch.setattr(liouvillian, "MAX_DENSE_VEC_DIM", 100)
-        with pytest.raises(DimensionTooLarge):
-            build_bipartite_liouvillian(basis4, 0.1, SuperPotentialKind.CL)
-        # the QM kind builds no N^2 x N^2 matrix, so the cap does not apply
-        build_bipartite_liouvillian(basis4, 0.1, SuperPotentialKind.QM)
+        for kind in SuperPotentialKind:
+            # building is N x N; only the dense form meets the cap
+            liou = build_bipartite_liouvillian(basis4, 0.1, kind)
+            with pytest.raises(DimensionTooLarge):
+                liou.dense()
+
+    @pytest.mark.parametrize("n_levels, lam", [(4, 0.3), (6, 3e-4), (6, 0.05)])
+    @pytest.mark.parametrize("kind", list(SuperPotentialKind))
+    def test_square_generator_equals_the_monomial_sum(self, n_levels, lam, kind):
+        """The square generator built in the position basis is the sum of
+        the monomial operators, to rounding."""
+        basis = BipartiteBasis(n_levels=n_levels)
+        got = build_bipartite_liouvillian(basis, lam, kind).dense()
+        want = square_monomial_dense(basis, lam, kind)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_real_generators_stay_real(self, monkeypatch):
+        """The relative-mode and square generators are real symmetric, and
+        ExactEvolver hands eigh the real matrix: a complex cast would put
+        them on the slower complex LAPACK driver."""
+        dtypes, eigh = [], np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda m: dtypes.append(m.dtype) or eigh(m))
+        basis = BipartiteBasis(n_levels=3)
+        for kind in SuperPotentialKind:
+            for liou in (relative_kind(basis, 0.05, kind),
+                         build_bipartite_liouvillian(basis, 0.05, kind)):
+                assert liou.dense().dtype == np.float64
+                dtypes.clear()
+                ExactEvolver(liou)
+                assert dtypes == [np.float64]
 
     def test_string_kind_accepted(self, basis4):
         a = build_bipartite_liouvillian(basis4, 0.1, "cl").dense()
@@ -441,15 +483,17 @@ class TestStructuredEvolution:
     @pytest.mark.parametrize("lam", [3e-4, 0.05, 0.3])
     @pytest.mark.parametrize("kind", list(SuperPotentialKind))
     def test_states_equal_dense_exact_evolution(self, n_levels, lam, kind):
-        """The relative route against its own dense n_r^2 generator."""
+        """The relative route against scipy's expm of its dense n_r^2
+        generator summed from the monomials."""
         basis = BipartiteBasis(n_levels=n_levels)
         rho0 = relative_state(n_levels, 0.2, -0.1)
-        ev = ExactEvolver(relative_dense(basis, lam, kind))
+        dense = relative_dense(basis, lam, kind)
         times = np.linspace(0.0, 3.0, 13)
         states = evolve_kind(basis, lam, kind, rho0, times)
         assert states.shape == (13, n_levels, n_levels)
         for t, rho in zip(times, states):
-            np.testing.assert_allclose(rho, ev.propagate(rho0, float(t)), rtol=0, atol=1e-12)
+            want = scipy.linalg.expm(-1j * dense * t) @ rho0.reshape(-1)
+            np.testing.assert_allclose(rho.reshape(-1), want, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("lam", [3e-4, 0.3])
     @pytest.mark.parametrize("kind", list(SuperPotentialKind))
@@ -472,10 +516,7 @@ class TestStructuredEvolution:
         for kind in SuperPotentialKind:
             ev = ExactEvolver(build_bipartite_liouvillian(basis, 0.05, kind))
             states = square_states(basis, 0.05, kind, rho0, times)
-            for t, rho in zip(times, states):
-                np.testing.assert_allclose(
-                    rho, ev.propagate(rho0, float(t)), rtol=0, atol=1e-12
-                )
+            np.testing.assert_allclose(states, ev.propagate(rho0, times), rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("n_r", sorted(SQUARE_GAP_BOUNDS))
     def test_square_route_converges_onto_relative_route(self, square_n8_series, n_r):
@@ -494,6 +535,6 @@ class TestHermiticityAndTrace:
     def test_evolution_preserves_hermiticity(self, basis4, kind):
         ev = ExactEvolver(build_bipartite_liouvillian(basis4, 0.0005, kind))
         rho0 = separable_state(basis4, 0.2, -0.1)
-        rho = ev.propagate(rho0, 3.0)
+        (rho,) = ev.propagate(rho0, [3.0])
         assert np.max(np.abs(rho - rho.conj().T)) < 1e-10
         assert np.trace(rho).real == pytest.approx(1.0, abs=1e-10)

@@ -4,24 +4,22 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from liouspace.errors import DimensionTooLarge, EnergyDriftExceeded
+from liouspace.errors import EnergyDriftExceeded
 from liouspace.evolution import (
     CharacteristicsEnsemble,
     EvolutionConfig,
     EvolveMethod,
     ExactEvolver,
-    basis_generator,
     boundary_mass,
-    evolve_basis,
     evolve_characteristics,
-    evolve_exact,
     evolve_ordered,
     evolve_trotter,
     gaussian_ensemble,
 )
-from liouspace.liouvillian import build_basis_liouvillian, build_grid_liouvillian
+from liouspace.jaynescummings import JCParams, initial_jc_state, jc_liouvillian
+from liouspace.liouvillian import BasisLiouvillian, build_grid_liouvillian
 from liouspace.potential import PolynomialPotential, SuperPotentialKind
-from liouspace.superspace import SuperGrid, gaussian_super_density, moments
+from liouspace.superspace import SuperGrid, gaussian_super_density, is_hermitian, moments
 
 
 def random_hermitian(rng, n):
@@ -33,17 +31,22 @@ def two_level_density():
     return np.array([[0.7, 0.2 + 0.1j], [0.2 - 0.1j, 0.3]], dtype=complex)
 
 
+def evolve_exact(liou, rho0, t):
+    """rho(t) at the one time t through ``ExactEvolver``."""
+    return ExactEvolver(liou).propagate(rho0, [t])[0]
+
+
 class TestEvolveExact:
     def test_time_zero_is_identity(self):
         rng = np.random.Generator(np.random.Philox(41))
-        liou = build_basis_liouvillian(random_hermitian(rng, 4))
+        liou = BasisLiouvillian(random_hermitian(rng, 4))
         rho0 = random_hermitian(rng, 4)
         np.testing.assert_allclose(evolve_exact(liou, rho0, 0.0), rho0, atol=1e-14)
 
     def test_two_level_phase(self):
         # H = diag(0, w): rho_eg(t) = exp(-i w t) rho_eg(0)
         omega = 1.3
-        liou = build_basis_liouvillian(np.diag([0.0, omega]))
+        liou = BasisLiouvillian(np.diag([0.0, omega]))
         rho0 = two_level_density()
         for t in (0.3, 1.7):
             rho = evolve_exact(liou, rho0, t)
@@ -53,7 +56,7 @@ class TestEvolveExact:
 
     def test_semigroup(self):
         rng = np.random.Generator(np.random.Philox(42))
-        liou = build_basis_liouvillian(random_hermitian(rng, 4))
+        liou = BasisLiouvillian(random_hermitian(rng, 4))
         rho0 = random_hermitian(rng, 4)
         one = evolve_exact(liou, evolve_exact(liou, rho0, 0.7), 0.5)
         two = evolve_exact(liou, rho0, 1.2)
@@ -70,18 +73,40 @@ class TestEvolveExact:
         assert np.max(np.abs(rho - rho.conj().T)) < 1e-8
 
     @pytest.mark.parametrize("defect, hermitian", [(0.5e-12, True), (2e-12, False)])
-    def test_hermiticity_tolerance_selects_path(self, defect, hermitian):
+    def test_hermiticity_tolerance_selects_path(self, monkeypatch, defect, hermitian):
         # relative defect max|L - L^H| / max|L| == defect exactly
         dense = np.diag([1.0, -0.5, 0.25]).astype(complex)
         dense[0, 1] = defect
-        ev = ExactEvolver(SimpleNamespace(dense=lambda: dense, hbar=1.0))
-        assert ev._hermitian is hermitian  # eigh route, else expm per call
+        calls, eigh = [], np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(m) or eigh(m))
+        ExactEvolver(SimpleNamespace(dense=lambda: dense, hbar=1.0))
+        assert len(calls) == int(hermitian)  # eigh route, else expm per time
+
+    @pytest.mark.parametrize("route", ["eigh", "expm"])
+    def test_one_call_over_an_uneven_grid_equals_per_time_expm(self, route):
+        """One propagate call over an uneven grid that holds t = 0 gives
+        scipy's expm of the dense generator at each time: the eigh route of
+        a Hermitian generator, and the expm route of the complex-eps
+        Jaynes-Cummings one."""
+        times = [0.0, 0.3, 1.7, 0.9, -0.4, 2.5]
+        if route == "eigh":
+            rng = np.random.Generator(np.random.Philox(49))
+            liou, rho0 = BasisLiouvillian(random_hermitian(rng, 4)), random_hermitian(rng, 4)
+        else:
+            p = JCParams(omega_e=1.1, omega=0.9, d_eg=0.08, n_max=3, eps_egeg=0.05 - 0.03j)
+            liou, rho0 = jc_liouvillian(p), initial_jc_state("coherent:0.5", p.n_max)
+        dense = liou.dense()
+        assert is_hermitian(dense) == (route == "eigh")  # what selects the route
+        states = ExactEvolver(liou).propagate(rho0, times)
+        assert states.shape == (len(times), *rho0.shape)
+        for t, rho in zip(times, states):
+            want = scipy.linalg.expm(-1j * dense * t) @ rho0.reshape(-1)
+            np.testing.assert_allclose(rho.reshape(-1), want, rtol=0, atol=1e-12)
 
 
 def random_structured(rng, n, e_kind):
     """A random (h, E, U): Hermitian h, an E mask that is absent, real (a
-    Hermitian generator) or complex (a non-normal one, which only
-    ``basis_generator`` takes), orthogonal U."""
+    Hermitian generator) or complex (a non-normal one), orthogonal U."""
     h = random_hermitian(rng, n)
     e = None
     if e_kind != "none":
@@ -98,16 +123,6 @@ def e_over_hbar(e, hbar):
     return None if e is None else e / hbar
 
 
-def kron_generator(h, e, u):
-    """The generator on the row-major vec: vec(A X B) = kron(A, B^T) vec(X)."""
-    eye = np.eye(h.shape[0])
-    gen = np.kron(h, eye) - np.kron(eye, h.T)
-    if e is not None:
-        uu = np.kron(u, u)
-        gen = gen + uu @ np.diag(e.ravel()) @ uu.T
-    return gen
-
-
 def assert_dense_exponential(out, gen, rho0, t_grid, hbar):
     """Each state of ``out`` is exp(-i gen t / hbar) rho0 at its t."""
     for t, rho in zip(t_grid, out):
@@ -119,7 +134,12 @@ def assert_dense_exponential(out, gen, rho0, t_grid, hbar):
         np.testing.assert_allclose(rho.reshape(-1), want, rtol=0, atol=tol)
 
 
-class TestEvolveBasis:
+def propagate(h, rho0, t_grid, e=None, u=None):
+    """The states of ``BasisLiouvillian(h, e, u)`` over t_grid."""
+    return ExactEvolver(BasisLiouvillian(h, e, u)).propagate(rho0, t_grid)
+
+
+class TestPropagate:
     @pytest.mark.parametrize("e_kind", ["none", "real"])
     @pytest.mark.parametrize(
         "t_grid",
@@ -138,44 +158,18 @@ class TestEvolveBasis:
     def test_matches_dense_exponential(self, t_grid, e_kind):
         rng = np.random.Generator(np.random.Philox(31))
         h, e, u = random_structured(rng, 3, e_kind)
-        gen = kron_generator(h, e, u)
+        gen = BasisLiouvillian(h, e, u).dense()  # checked against kron in test_liouvillian
         rho0 = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
         hbar = 0.7
-        out = evolve_basis(h / hbar, rho0, t_grid, e_over_hbar(e, hbar), u)
+        out = propagate(h / hbar, rho0, t_grid, e_over_hbar(e, hbar), u)
         assert out.shape == (len(t_grid), 3, 3)
         assert_dense_exponential(out, gen, rho0, t_grid, hbar)
 
     def test_zero_state_stays_zero(self):
         rng = np.random.Generator(np.random.Philox(37))
         h, e, u = random_structured(rng, 4, "real")
-        out = evolve_basis(h, np.zeros((4, 4)), np.linspace(0.0, 1.0, 3), e, u)
+        out = propagate(h, np.zeros((4, 4)), np.linspace(0.0, 1.0, 3), e, u)
         np.testing.assert_array_equal(out, np.zeros((3, 4, 4)))
-
-    @pytest.mark.parametrize("e_kind", ["none", "complex"])
-    @pytest.mark.parametrize("identity", [False, True], ids=["basis", "identity"])
-    def test_action_equals_kron_generator(self, e_kind, identity):
-        rng = np.random.Generator(np.random.Philox(32))
-        h, e, u = random_structured(rng, 3, e_kind)
-        if identity:
-            u = np.eye(3)
-        got = basis_generator(h, e, None if identity else u)
-        np.testing.assert_allclose(got, kron_generator(h, e, u), rtol=0, atol=1e-13)
-
-    def test_generator_keeps_a_real_dtype(self):
-        """Real h, E and U give a real symmetric generator, so eigh takes the
-        real LAPACK driver."""
-        rng = np.random.Generator(np.random.Philox(34))
-        _, e, u = random_structured(rng, 4, "real")
-        h = random_hermitian(rng, 4).real
-        gen = basis_generator(h, e, u)
-        assert gen.dtype == np.float64
-        np.testing.assert_allclose(gen, gen.T, rtol=0, atol=1e-13)
-
-    def test_generator_cap_fires_before_allocation(self):
-        # a 10^5 x 10^5 view of one number: only the cap stands between it
-        # and a 10^20-entry kron
-        with pytest.raises(DimensionTooLarge):
-            basis_generator(np.broadcast_to(0.0, (10**5, 10**5)))
 
     def test_global_random_state_untouched_and_irrelevant(self):
         rng = np.random.Generator(np.random.Philox(33))
@@ -185,45 +179,25 @@ class TestEvolveBasis:
         for seed in (1, 2):
             np.random.seed(seed)
             before = np.random.get_state()
-            outs.append(evolve_basis(h, rho0, np.linspace(0, 3, 7), e, u))
+            outs.append(propagate(h, rho0, np.linspace(0, 3, 7), e, u))
             after = np.random.get_state()
             assert before[0] == after[0] and before[2:] == after[2:]
             np.testing.assert_array_equal(before[1], after[1])
         np.testing.assert_array_equal(outs[0], outs[1])
 
-    def test_complex_e_rejected(self):
-        """A complex E makes the generator non-Hermitian, which eigh would
-        evolve wrongly: it raises instead."""
-        rng = np.random.Generator(np.random.Philox(38))
-        h, e, u = random_structured(rng, 3, "complex")
-        with pytest.raises(ValueError, match="E must be real"):
-            evolve_basis(h, np.eye(3), np.linspace(0.0, 1.0, 3), e, u)
-
-    @pytest.mark.parametrize("e_kind", ["none", "real"])
+    @pytest.mark.parametrize("e_kind", ["none", "real", "complex"])
     def test_empty_grid_gives_no_states(self, e_kind):
         rng = np.random.Generator(np.random.Philox(39))
         h, e, u = random_structured(rng, 3, e_kind)
-        states = evolve_basis(h, np.eye(3), [], e, u)
+        states = propagate(h, np.eye(3), [], e, u)
         assert states.shape == (0, 3, 3)
-
-    def test_matches_dense_exact_evolution_without_e(self):
-        rng = np.random.Generator(np.random.Philox(51))
-        h = random_hermitian(rng, 4)
-        rho0 = random_hermitian(rng, 4)
-        h = h / 0.6  # hbar = 0.6
-        ev = ExactEvolver(build_basis_liouvillian(h))
-        times = np.array([0.0, 0.4, 1.3, -0.7])  # any grid without E
-        states = evolve_basis(h, rho0, times)
-        assert states.shape == (4, 4, 4)
-        for t, rho in zip(times, states):
-            np.testing.assert_allclose(rho, ev.propagate(rho0, t), rtol=0, atol=1e-12)
 
     def test_keeps_spectrum_of_the_state_without_e(self):
         # a unitary conjugation: the eigenvalues of rho are invariant
         rng = np.random.Generator(np.random.Philox(52))
         h = random_hermitian(rng, 5)
         rho0 = random_hermitian(rng, 5)
-        for rho in evolve_basis(h, rho0, np.linspace(0.0, 4.0, 5)):
+        for rho in propagate(h, rho0, np.linspace(0.0, 4.0, 5)):
             np.testing.assert_allclose(
                 np.linalg.eigvalsh(rho), np.linalg.eigvalsh(rho0), rtol=0, atol=1e-12
             )
@@ -242,7 +216,7 @@ class TestEvolutionConfig:
 
 class TestEvolveOrdered:
     def test_rejects_non_rk4_method(self):
-        liou = build_basis_liouvillian(np.diag([0.0, 1.0]).astype(complex))
+        liou = BasisLiouvillian(np.diag([0.0, 1.0]).astype(complex))
         cfg = EvolutionConfig(t1=1.0, method=EvolveMethod.TROTTER_STRANG)
         with pytest.raises(ValueError):
             evolve_ordered(lambda t: liou.dense(), two_level_density(), cfg)
@@ -250,7 +224,7 @@ class TestEvolveOrdered:
     def test_time_independent_matches_exact(self):
         rng = np.random.Generator(np.random.Philox(43))
         h = random_hermitian(rng, 3)
-        liou = build_basis_liouvillian(h)
+        liou = BasisLiouvillian(h)
         rho0 = random_hermitian(rng, 3)
         cfg = EvolutionConfig(t1=1.5, n_steps=256, method=EvolveMethod.RK4)
         got = evolve_ordered(lambda t: liou.dense(), rho0, cfg)
@@ -264,7 +238,7 @@ class TestEvolveOrdered:
 
         rng = np.random.Generator(np.random.Philox(44))
         h = random_hermitian(rng, 3)
-        liou = build_basis_liouvillian(h)
+        liou = BasisLiouvillian(h)
         dense = liou.dense()
         f = lambda t: 1.0 + 0.5 * np.sin(3.0 * t)
         rho0 = random_hermitian(rng, 3)
@@ -278,7 +252,7 @@ class TestEvolveOrdered:
         import scipy.sparse
 
         rng = np.random.Generator(np.random.Philox(47))
-        dense = build_basis_liouvillian(random_hermitian(rng, 3)).dense()
+        dense = BasisLiouvillian(random_hermitian(rng, 3)).dense()
         sparse = scipy.sparse.csr_matrix(dense)
         rho0 = random_hermitian(rng, 3)
         cfg = EvolutionConfig(t1=0.8, n_steps=64, method=EvolveMethod.RK4)
@@ -290,7 +264,7 @@ class TestEvolveOrdered:
     def test_hbar_rescales_time(self):
         # i hbar d/dt rho = L rho: hbar = 2 over time t is hbar = 1 over t / 2
         rng = np.random.Generator(np.random.Philox(48))
-        dense = build_basis_liouvillian(random_hermitian(rng, 3)).dense()
+        dense = BasisLiouvillian(random_hermitian(rng, 3)).dense()
         rho0 = random_hermitian(rng, 3)
         rk4 = EvolveMethod.RK4
         slow = evolve_ordered(
@@ -304,8 +278,8 @@ class TestEvolveOrdered:
     def test_fourth_order_convergence_on_driven_two_level(self):
         h0 = np.diag([0.0, 1.0]).astype(complex)
         h1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-        l0 = build_basis_liouvillian(h0).dense()
-        l1 = build_basis_liouvillian(h1).dense()
+        l0 = BasisLiouvillian(h0).dense()
+        l1 = BasisLiouvillian(h1).dense()
         family = lambda t: l0 + np.sin(2.0 * t) * l1
         rho0 = two_level_density()
 
@@ -321,7 +295,7 @@ class TestEvolveOrdered:
     def test_rk4_variant(self):
         rng = np.random.Generator(np.random.Philox(46))
         h = random_hermitian(rng, 3)
-        liou = build_basis_liouvillian(h)
+        liou = BasisLiouvillian(h)
         rho0 = random_hermitian(rng, 3)
         cfg = EvolutionConfig(t1=1.0, n_steps=200, method=EvolveMethod.RK4)
         got = evolve_ordered(lambda t: liou.dense(), rho0, cfg)

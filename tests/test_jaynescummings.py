@@ -25,8 +25,8 @@ from liouspace.jaynescummings import (
     jc_states,
     partial_trace,
 )
-from liouspace.evolution import ExactEvolver, basis_generator
-from liouspace.liouvillian import build_basis_liouvillian
+from liouspace.evolution import ExactEvolver
+from liouspace.liouvillian import BasisLiouvillian
 
 
 def evolve(p, rho0, times):
@@ -36,8 +36,7 @@ def evolve(p, rho0, times):
 
 def dense_states(p, rho0, times):
     """The model's states over times from the dense generator: the oracle."""
-    ev = ExactEvolver(jc_liouvillian(p))
-    return [ev.propagate(rho0, float(t)) for t in times]
+    return ExactEvolver(jc_liouvillian(p)).propagate(rho0, times)
 
 
 S1 = HydrogenState(1, 0, 0)
@@ -88,10 +87,9 @@ class TestHamiltonian:
     @pytest.mark.parametrize("eps_egeg", [0.3, 0.01 - 0.02j, 0.05 + 0.05j])
     def test_superoperator_keeps_trace_and_hermiticity(self, eps_egeg):
         p = JCParams(omega_e=1.0, omega=1.0, d_eg=0.1, n_max=2, eps_egeg=eps_egeg)
-        dense = jc_liouvillian(p).s_add
-        whole = np.diag(dense).reshape(p.dim, p.dim)
-        np.testing.assert_array_equal(dense, np.diag(whole.ravel()))  # elementwise
-        _, e = jc_generator(p)
+        liou = jc_liouvillian(p)
+        assert liou.basis is None  # E-hat acts elementwise in the product basis
+        whole, e = liou.e, jc_generator(p).e
         for mask in [whole] if e is None else [whole, e]:
             blocks = mask.reshape(2, 3, 2, 3)
             # trace sum rule sum_a E_{aa,cd} = 0: the atom-diagonal blocks vanish
@@ -109,7 +107,7 @@ class TestHamiltonian:
         rng = np.random.Generator(np.random.Philox(81))
         rho = rng.normal(size=(p.dim, p.dim)) + 1j * rng.normal(size=(p.dim, p.dim))
         want = jc_liouvillian(p).dense() @ rho.reshape(-1)
-        got = basis_generator(*jc_generator(p)) @ rho.reshape(-1)
+        got = jc_generator(p).dense() @ rho.reshape(-1)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.max(np.abs(want)))
 
     def test_hermitian_exactly(self):
@@ -238,15 +236,16 @@ class TestExactEvolution:
 
     def test_liouvillian_hermitian_iff_no_superoperator(self):
         p0 = JCParams(omega_e=1.0, omega=1.0, d_eg=0.1, n_max=2)
-        assert jc_liouvillian(p0).s_add is None
+        assert jc_liouvillian(p0).e is None
         p1 = JCParams(omega_e=1.0, omega=1.0, d_eg=0.1, n_max=2, eps_egeg=0.1j)
-        assert jc_liouvillian(p1).s_add is not None
+        assert jc_liouvillian(p1).e is not None
 
     def test_dense_cap_fires_before_allocation(self, monkeypatch):
         monkeypatch.setattr(liouvillian, "MAX_DENSE_VEC_DIM", 100)
         p = JCParams(omega_e=1.0, omega=1.0, d_eg=0.1, n_max=5, eps_egeg=0.1j)
+        liou = jc_liouvillian(p)  # N x N: only the dense form meets the cap
         with pytest.raises(DimensionTooLarge):
-            jc_liouvillian(p)
+            liou.dense()
 
     @pytest.mark.parametrize("eps_egeg", [0.0, 0.01, 0.3, 0.01 - 0.02j, 0.05 + 0.05j])
     @pytest.mark.parametrize("n_max", [3, 6])
@@ -295,6 +294,12 @@ class TestExactEvolution:
         p = JCParams(omega_e=1.0, omega=1.0, d_eg=0.1, n_max=2, eps_egeg=0.1j)
         with pytest.raises(ValueError, match="evenly"):
             step(p, initial_jc_state("e0", 2), [0.0, 0.5, 2.0])
+
+    @pytest.mark.parametrize("eps", [0.02, 0.1j], ids=["sector-phases", "sector-powers"])
+    def test_series_refuse_an_empty_grid(self, eps):
+        p = JCParams(omega_e=1.0, omega=1.0, d_eg=0.1, n_max=2, eps_egeg=eps)
+        with pytest.raises(ValueError, match="empty"):
+            jc_series(p, initial_jc_state("e0", 2), [])
 
     def test_sector_phases_take_any_grid(self):
         p = JCParams(omega_e=1.0, omega=1.0, d_eg=0.1, n_max=4, eps_egeg=0.02)
@@ -366,8 +371,8 @@ class TestExactEvolution:
     def test_real_eps_is_an_omega_e_shift(self, eps):
         p = JCParams(omega_e=1.1, omega=0.9, d_eg=0.08, n_max=3, eps_egeg=eps)
         proj_e = np.kron(np.diag([0.0, 1.0]), np.eye(p.fock_dim))
-        shifted = build_basis_liouvillian(build_jc_hamiltonian(p) + eps * proj_e)
-        assert jc_generator(p)[1] is None  # the sector_phases route
+        shifted = BasisLiouvillian(build_jc_hamiltonian(p) + eps * proj_e)
+        assert jc_generator(p).e is None  # the sector_phases route
         np.testing.assert_allclose(
             jc_liouvillian(p).dense(), shifted.dense(), rtol=0, atol=1e-14
         )

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from liouspace.errors import DimensionTooLarge, NonHermitianInput
 from liouspace.liouvillian import (
-    build_basis_liouvillian,
+    BasisLiouvillian,
     build_grid_liouvillian,
     check_dense_dim,
     MAX_DENSE_VEC_DIM,
@@ -19,6 +19,29 @@ from liouspace.superspace import SuperGrid, gaussian_super_density, spectral_der
 def random_hermitian(rng, n):
     h = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     return 0.5 * (h + h.conj().T)
+
+
+def random_structured(rng, n, e_kind):
+    """A random (h, E, U): Hermitian h, an E mask that is absent, real (a
+    Hermitian generator) or complex (a non-normal one), orthogonal U."""
+    h = random_hermitian(rng, n)
+    e = None
+    if e_kind != "none":
+        e = rng.normal(size=(n, n))
+    if e_kind == "complex":
+        e = e + 0.05j * rng.normal(size=(n, n))
+    u, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    return h, e, u
+
+
+def kron_generator(h, e, u):
+    """The generator on the row-major vec: vec(A X B) = kron(A, B^T) vec(X)."""
+    eye = np.eye(h.shape[0])
+    gen = np.kron(h, eye) - np.kron(eye, h.T)
+    if e is not None:
+        uu = np.kron(u, u)
+        gen = gen + uu @ np.diag(e.ravel()) @ uu.T
+    return gen
 
 
 @pytest.fixture
@@ -71,7 +94,9 @@ class TestGridLiouvillian:
         )
         rng = np.random.Generator(np.random.Philox(33))
         rho = rng.normal(size=(32, 32)) + 1j * rng.normal(size=(32, 32))
-        via_dense = (op.dense() @ rho.reshape(-1)).reshape(32, 32)
+        dense = op.dense()
+        assert dense.dtype == np.float64  # a real generator stays real
+        via_dense = (dense @ rho.reshape(-1)).reshape(32, 32)
         np.testing.assert_allclose(op.apply(rho), via_dense, atol=1e-10)
 
     def test_hermiticity_preservation_structure(self, grid32):
@@ -127,17 +152,17 @@ class TestBasisLiouvillian:
         rng = np.random.Generator(np.random.Philox(seed))
         h = random_hermitian(rng, n)
         rho = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        liou = build_basis_liouvillian(h)
+        liou = BasisLiouvillian(h)
         np.testing.assert_allclose(
             liou.apply(rho), h @ rho - rho @ h, atol=1e-12 * max(1, np.abs(h).max())
         )
 
     def test_zero_hamiltonian(self):
-        liou = build_basis_liouvillian(np.zeros((3, 3)))
+        liou = BasisLiouvillian(np.zeros((3, 3)))
         assert np.max(np.abs(liou.dense())) == 0.0
 
     def test_two_level_spectrum(self):
-        liou = build_basis_liouvillian(np.diag([0.3, 1.7]))
+        liou = BasisLiouvillian(np.diag([0.3, 1.7]))
         eig = np.sort_complex(spectrum(liou))
         np.testing.assert_allclose(
             eig, np.sort_complex(np.array([-1.4, 0.0, 0.0, 1.4])), atol=1e-12
@@ -145,16 +170,45 @@ class TestBasisLiouvillian:
 
     def test_non_hermitian_rejected(self):
         with pytest.raises(NonHermitianInput):
-            build_basis_liouvillian(np.array([[0.0, 1.0], [0.0, 0.0]]))
+            BasisLiouvillian(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
-    def test_dense_matches_apply_with_s_add(self):
+    @pytest.mark.parametrize("e_kind", ["none", "real", "complex"])
+    @pytest.mark.parametrize("identity", [False, True], ids=["basis", "identity"])
+    def test_dense_matches_apply(self, e_kind, identity):
+        """The dense form and the matrix-free action are one generator:
+        vec(A X B) = kron(A, B^T) vec(X) on the row-major vec."""
         rng = np.random.Generator(np.random.Philox(34))
-        h = random_hermitian(rng, 3)
-        s = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
-        liou = build_basis_liouvillian(h, s_add=s)
+        h, e, u = random_structured(rng, 3, e_kind)
+        liou = BasisLiouvillian(h, e, None if identity else u)
         rho = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        want = kron_generator(h, e, np.eye(3) if identity else u)
+        np.testing.assert_allclose(liou.dense(), want, rtol=0, atol=1e-13)
         via_dense = (liou.dense() @ rho.reshape(-1)).reshape(3, 3)
-        np.testing.assert_allclose(liou.apply(rho), via_dense, atol=1e-12)
+        np.testing.assert_allclose(liou.apply(rho), via_dense, rtol=0, atol=1e-12)
+
+    def test_generator_keeps_a_real_dtype(self):
+        """Real h, E and U give a real symmetric generator, so eigh takes the
+        real LAPACK driver."""
+        rng = np.random.Generator(np.random.Philox(34))
+        _, e, u = random_structured(rng, 4, "real")
+        h = random_hermitian(rng, 4).real
+        for liou in (BasisLiouvillian(h), BasisLiouvillian(h, e, u)):
+            gen = liou.dense()
+            assert gen.dtype == np.float64
+            np.testing.assert_allclose(gen, gen.T, rtol=0, atol=1e-13)
+
+    def test_cap_fires_before_allocation(self, monkeypatch):
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("dense() built a kron above the cap")
+
+        monkeypatch.setattr(np, "kron", refuse)
+        with pytest.raises(DimensionTooLarge):
+            BasisLiouvillian(np.zeros((65, 65))).dense()
+
+    @pytest.mark.parametrize("name", ["e", "basis"])
+    def test_mask_and_basis_must_match_h(self, name):
+        with pytest.raises(ValueError, match="N x N"):
+            BasisLiouvillian(np.eye(3), **{name: np.eye(2)})
 
 
 class TestSpectrum:
@@ -164,7 +218,7 @@ class TestSpectrum:
         rng = np.random.Generator(np.random.Philox(35))
         q, _ = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
         h = q @ np.diag([0.0, 1.0, 3.0]).astype(complex) @ q.conj().T
-        eig = spectrum(build_basis_liouvillian(h))
+        eig = spectrum(BasisLiouvillian(h))
         want = np.sort_complex(
             np.array([0, 0, 0, 1, -1, 3, -3, 2, -2], dtype=complex)
         )
@@ -179,7 +233,7 @@ class TestSpectrum:
 
     def test_qm_basis_spectrum_symmetric(self):
         rng = np.random.Generator(np.random.Philox(36))
-        liou = build_basis_liouvillian(random_hermitian(rng, 6))
+        liou = BasisLiouvillian(random_hermitian(rng, 6))
         assert spectral_symmetry_defect(spectrum(liou)) < 1e-8
 
     def test_cl_equals_qm_iff_low_degree(self):
