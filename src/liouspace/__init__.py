@@ -16,13 +16,10 @@ __version__ = "0.1.0"
 from .errors import (
     DimensionTooLarge,
     EnergyDriftExceeded,
-    GridMismatch,
     HermiticityViolation,
     LiouspaceError,
     NonHermitianInput,
-    NonpositiveTime,
     NotConverged,
-    NotFactorized,
     ParseError,
     SingularRegion,
     TruncationLeak,

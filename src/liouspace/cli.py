@@ -300,9 +300,11 @@ def run_evolve(ctx: RunContext) -> None:
 def run_propagator(ctx: RunContext) -> None:
     p = ctx.params
     rng = np.random.Generator(np.random.Philox(int(p["seed"])))
-    lam, t_end = float(p["lam"]), float(p["t"])
+    lam, t_end, n_points = float(p["lam"]), float(p["t"]), int(p["n_points"])
+    if n_points < 1:
+        raise UsageError(f"n_points={n_points} must be >= 1")
     rows = []
-    for _ in range(int(p["n_points"])):
+    for _ in range(n_points):
         ends = rng.uniform(-float(p["span"]), float(p["span"]), size=4)
         pt = superprop.PropagatorPoint(
             *ends, duration=t_end, mass=float(p["mass"]), hbar=float(p["hbar"])
@@ -338,17 +340,19 @@ def run_propagator(ctx: RunContext) -> None:
             "abs_err_cl", "abs_err_qm", "rel_err_cl", "rel_err_qm",
         ],
     )
-    defect = max((max(row[-2:]) for row in rows), default=0.0)
+    defect = max(max(row[-2:]) for row in rows)
     ctx.margins["max_relative_defect"] = defect
     ctx.checks["first_order_matches_dyson_1e-3"] = defect < 1e-3
 
 
 def _time_grid(p: dict) -> np.ndarray:
     """The steps + 1 evenly spaced output times from 0 to t."""
-    steps = int(p["steps"])
+    steps, t_end = int(p["steps"]), float(p["t"])
     if steps < 1:
         raise UsageError(f"steps={steps} must be >= 1")
-    return np.linspace(0.0, float(p["t"]), steps + 1)
+    if t_end <= 0:
+        raise UsageError(f"t={t_end:g} must be > 0")
+    return np.linspace(0.0, t_end, steps + 1)
 
 
 def run_jc(ctx: RunContext) -> None:

@@ -161,14 +161,14 @@ def relative_generator(basis: BipartiteBasis, lam: float) -> BasisLiouvillian:
 
 def loss_purity(states: np.ndarray) -> np.ndarray:
     """Tr[L(rho)^2] per density of a (..., n, n) stack, L the 50% pure-loss
-    channel A_k |m> = sqrt(C(m, k) 2^-m) |m - k>: for rho_r, the purity of
-    either mode's reduced state (see the module docstring)."""
+    channel A_k |m> = sqrt(C(m, k) 2^-m) |m - k>, summed as diagonal shifts
+    L(rho)_ij = sum_k b_k[i] b_k[j] rho_{i+k,j+k}, b_k[i] = <i|A_k|i+k>: for
+    rho_r, the purity of either mode's reduced state (see the module docstring)."""
     n = states.shape[-1]
-    kraus = np.zeros((n, n, n))
+    out = np.zeros_like(states)
     for k in range(n):
-        for m in range(k, n):
-            kraus[k, m - k, m] = np.sqrt(comb(m, k) / 2.0**m)
-    out = (kraus @ states[..., None, :, :] @ kraus.transpose(0, 2, 1)).sum(axis=-3)
+        b = np.sqrt([comb(i + k, k) / 2.0 ** (i + k) for i in range(n - k)])
+        out[..., : n - k, : n - k] += np.outer(b, b) * states[..., k:, k:]
     return np.einsum("...ij,...ji->...", out, out).real
 
 

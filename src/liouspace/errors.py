@@ -5,10 +5,6 @@ class LiouspaceError(Exception):
     """Base class for all package errors."""
 
 
-class GridMismatch(LiouspaceError):
-    """Grids do not satisfy the required compatibility/reciprocity relations."""
-
-
 class HermiticityViolation(LiouspaceError):
     """A density matrix violates rho(Q,q) = conj(rho(q,Q)) beyond tolerance."""
 
@@ -25,16 +21,8 @@ class DimensionTooLarge(LiouspaceError):
     """Dense representation requested beyond the supported size."""
 
 
-class NonpositiveTime(LiouspaceError):
-    """Propagator duration must be positive."""
-
-
 class NotConverged(LiouspaceError):
     """Monte Carlo standard error above the requested tolerance after budget."""
-
-
-class NotFactorized(LiouspaceError):
-    """Initial state is not a tensor product within tolerance."""
 
 
 class EnergyDriftExceeded(LiouspaceError):

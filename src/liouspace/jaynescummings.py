@@ -26,6 +26,12 @@ into itself (Jaynes & Cummings, Proc. IEEE 51, 89, 1963; Shore & Knight,
 J. Mod. Opt. 40, 1195, 1993).  ``jc_series`` and ``jc_states`` evolve the
 model as (n_max + 2)^2 independent problems of size at most 4.
 
+Perturbation theory comes from the same generator: split it as L0 + L1,
+L0 the commutator with the free energies (the diagonal of H_JC) and L1
+the dipole commutator plus E-hat, and ``jc_evolve_first_order`` returns
+exp(-i L0 t) (rho0 - i t L1 rho0), first order in d_eg and eps_egeg for
+any initial state.
+
 Matrix elements E_{ab,cd} over hydrogen-like orbitals are estimated by
 importance-sampled Monte Carlo over the six-dimensional (Q, q) domain;
 a mixture proposal oversamples the |Q + q| -> 0 shell where the Coulomb
@@ -34,11 +40,11 @@ superoperator is singular, keeping the estimator variance finite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import NotConverged, NotFactorized, TruncationLeak
+from .errors import NotConverged, TruncationLeak
 from .liouvillian import BasisLiouvillian
 from .potential import COULOMB_EPS_REG, coulomb_e_of_radii
 
@@ -140,63 +146,18 @@ def jc_generator(p: JCParams) -> BasisLiouvillian:
 
 
 def jc_evolve_first_order(p: JCParams, rho0: np.ndarray, t: float) -> np.ndarray:
-    """Short-time first order in the dipole coupling and the superoperator.
+    """Short-time first order in the dipole coupling and the superoperator:
+    rho(t) = exp(-i L0 t) (rho0 - i t L1 rho0) for any initial state.
 
-    rho_{eg|nn'}(t) = exp(-i t [w_e + w (n - n')]) * (
-        [1 - i t E_{eg,eg}] rho_eg rho^f_{nn'}
-        + d_eg t [ sqrt(n+1) rho_gg rho^f_{n+1,n'} - sqrt(n') rho_ee rho^f_{n,n'-1} ] )
-
-    for a factorized initial state rho_atom (x) rho_field; the ge block is
-    fixed by hermiticity and the diagonal atom blocks carry free phases
-    only at this order.  That last step needs rho_atom[e, g] = 0 whenever
-    d_eg != 0: the dipole moves the diagonal blocks of an atom coherence at
-    first order, so such a state raises ValueError (|rho_atom[e, g]| above
-    1e-10 max|rho0|).  With d_eg = 0 any atom state is allowed.
+    L0 is the commutator with the diagonal of H_JC, the free energies, and
+    L1 the generator of the model with omega_e = omega = 0: the dipole
+    commutator plus E-hat (``jc_liouvillian``).
     """
     if t < 0:
         raise ValueError("t must be non-negative")
-    f = p.fock_dim
-    rho_atom, rho_field = (partial_trace(rho0, (2, f), keep) for keep in (0, 1))
-    scale = max(float(np.max(np.abs(rho0))), 1e-300)
-    if np.max(np.abs(rho0 - np.kron(rho_atom, rho_field))) > 1e-10 * scale:
-        raise NotFactorized("initial state is not atom (x) field to 1e-10")
-    if p.d_eg != 0 and abs(rho_atom[ATOM_E, ATOM_G]) > 1e-10 * scale:
-        raise ValueError(
-            "with d_eg != 0 the formula is first-order exact only for an atom "
-            "without eg coherence"
-        )
-
-    n = np.arange(f)
-    phase_diag = np.exp(-1j * p.omega * np.subtract.outer(n, n) * t)
-    phase_eg = np.exp(-1j * (p.omega_e + p.omega * np.subtract.outer(n, n)) * t)
-
-    rho_f_up = np.zeros((f, f), dtype=complex)  # rho^f_{n+1, n'}
-    rho_f_up[:-1, :] = rho_field[1:, :]
-    rho_f_down = np.zeros((f, f), dtype=complex)  # rho^f_{n, n'-1}
-    rho_f_down[:, 1:] = rho_field[:, :-1]
-    sq_up = np.sqrt(n + 1.0)[:, None]
-    sq_dn = np.sqrt(n)[None, :]
-
-    eg = phase_eg * (
-        (1.0 - 1j * t * complex(p.eps_egeg)) * rho_atom[ATOM_E, ATOM_G] * rho_field
-        + p.d_eg
-        * t
-        * (
-            sq_up * rho_atom[ATOM_G, ATOM_G].real * rho_f_up
-            - sq_dn * rho_atom[ATOM_E, ATOM_E].real * rho_f_down
-        )
-    )
-    out = np.zeros((p.dim, p.dim), dtype=complex)
-    out_blocks = out.reshape(2, f, 2, f)
-    out_blocks[ATOM_E, :, ATOM_G, :] = eg
-    out_blocks[ATOM_G, :, ATOM_E, :] = eg.conj().T
-    out_blocks[ATOM_G, :, ATOM_G, :] = (
-        phase_diag * rho_atom[ATOM_G, ATOM_G] * rho_field
-    )
-    out_blocks[ATOM_E, :, ATOM_E, :] = (
-        phase_diag * rho_atom[ATOM_E, ATOM_E] * rho_field
-    )
-    return out
+    energy = np.diagonal(build_jc_hamiltonian(p)).real
+    rho1 = jc_liouvillian(replace(p, omega_e=0.0, omega=0.0)).apply(rho0)
+    return np.exp(-1j * t * np.subtract.outer(energy, energy)) * (rho0 - 1j * t * rho1)
 
 
 def _raise_on_fock_leak(worst: float) -> None:

@@ -24,7 +24,6 @@ from math import comb
 
 import numpy as np
 
-from .errors import NonpositiveTime
 from .potential import PolynomialPotential, SuperPotentialKind, super_potential_monomials
 from .superspace import SuperDensity, SuperGrid
 
@@ -64,7 +63,7 @@ def free_propagator(x, y, duration: float, mass: float = 1.0, hbar: float = 1.0)
     Principal branch: (1/i)^(1/2) = exp(-i pi/4).
     """
     if duration <= 0:
-        raise NonpositiveTime("free propagator needs T > 0")
+        raise ValueError("free propagator needs T > 0")
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     amp = np.sqrt(mass / (2.0 * np.pi * hbar * duration)) * np.exp(-0.25j * np.pi)
@@ -176,7 +175,7 @@ def dyson_first_order_numeric(
     it exactly.  Returns the correction term alone (zero for lam = 0).
     """
     if pt.duration <= 0:
-        raise NonpositiveTime("T must be positive")
+        raise ValueError("T must be positive")
     monomials = super_potential_monomials(PolynomialPotential.quartic(lam), kind)
     t_tot, m, hb = pt.duration, pt.mass, pt.hbar
 

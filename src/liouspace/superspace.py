@@ -2,10 +2,11 @@
 
 A classical distribution rho(x, p) is carried to a density-matrix
 representation rho(Q, q) by a Fourier transform p -> y followed by the
-rotation Q = x + y/2, q = x - y/2.  Grids are *constructed* so the
-rotation lands exactly on grid points: the x grid coincides with the Q
-grid (spacing d), the y grid has spacing 2d, and the p grid is the
-discrete Fourier dual of the y grid (dp * dy = 2*pi*hbar / n).  Entries
+rotation Q = x + y/2, q = x - y/2.  The phase grid is *derived* from the
+super grid, ``PhaseGrid(sgrid, hbar)``, so the rotation lands exactly on
+grid points: the x grid coincides with the Q grid (spacing d), the y grid
+has spacing 2d, and the p grid is the discrete Fourier dual of the y grid
+(dp * dy = 2*pi*hbar / n).  Entries
 of rho(Q, q) whose midpoint (Q+q)/2 falls between x points are filled by
 spectral (band-limited) interpolation, which is exact for inputs whose x
 spectrum is resolved by the grid.
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridMismatch, HermiticityViolation
+from .errors import HermiticityViolation
 
 HERMITICITY_TOL = 1e-6
 
@@ -69,53 +70,39 @@ class SuperGrid:
     def centered(cls, half_span: float, n: int) -> "SuperGrid":
         return cls(-half_span, half_span, n)
 
-    def matched_phase_grid(self, hbar: float = 1.0) -> "PhaseGrid":
-        """The unique PhaseGrid compatible with this grid's exact rotation."""
-        d = self.dq
-        dp = 2.0 * np.pi * hbar / (self.n * 2.0 * d)
-        p_lo = -(self.n - 1) / 2.0 * dp
-        return PhaseGrid(
-            x_min=self.q_min,
-            x_max=self.q_max,
-            p_min=p_lo,
-            p_max=p_lo + self.n * dp,
-            n_x=self.n,
-            n_p=self.n,
-        )
-
 
 @dataclass(frozen=True)
 class PhaseGrid:
-    """Uniform rectangular (x, p) grid; x points x_min + i*dx, i = 0..n_x-1."""
+    """The (x, p) grid of a SuperGrid's exact rotation: x is the Q grid,
+    and p the n points of spacing dp = 2 pi hbar / (n * 2 dq), the Fourier
+    dual of y = 2 dq k, centred on p = 0."""
 
-    x_min: float
-    x_max: float
-    p_min: float
-    p_max: float
-    n_x: int
-    n_p: int
+    grid: SuperGrid
+    hbar: float
 
     def __post_init__(self) -> None:
-        if self.x_max <= self.x_min or self.p_max <= self.p_min:
-            raise ValueError("grid bounds must be increasing")
-        if self.n_x % 2 or self.n_p % 2 or self.n_x < 2 or self.n_p < 2:
-            raise ValueError("n_x and n_p must be positive even integers")
+        if self.hbar <= 0:
+            raise ValueError("hbar must be positive")
+
+    @property
+    def n(self) -> int:
+        return self.grid.n
 
     @property
     def dx(self) -> float:
-        return (self.x_max - self.x_min) / self.n_x
+        return self.grid.dq
 
     @property
     def dp(self) -> float:
-        return (self.p_max - self.p_min) / self.n_p
+        return 2.0 * np.pi * self.hbar / (self.n * 2.0 * self.dx)
 
     @property
     def x(self) -> np.ndarray:
-        return self.x_min + self.dx * np.arange(self.n_x)
+        return self.grid.points
 
     @property
     def p(self) -> np.ndarray:
-        return self.p_min + self.dp * np.arange(self.n_p)
+        return self.dp * np.arange(self.n) - (self.n - 1) / 2.0 * self.dp
 
 
 @dataclass
@@ -127,19 +114,18 @@ class PhaseDensity:
 
     def __post_init__(self) -> None:
         self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != (self.grid.n_x, self.grid.n_p):
+        if self.values.shape != (self.grid.n, self.grid.n):
             raise ValueError("values shape does not match grid")
 
-    def norm(self, hbar: float = 1.0) -> float:
+    def norm(self) -> float:
         """Integral dx dp / (2 pi hbar) of the density."""
-        return float(
-            self.values.sum() * self.grid.dx * self.grid.dp / (2.0 * np.pi * hbar)
-        )
+        return self.moment(lambda x, p: 1.0)
 
-    def moment(self, fxp, hbar: float = 1.0) -> float:
+    def moment(self, fxp) -> float:
         """Phase-space average of f(x, p) against the density."""
-        xx, pp = np.meshgrid(self.grid.x, self.grid.p, indexing="ij")
-        w = self.grid.dx * self.grid.dp / (2.0 * np.pi * hbar)
+        g = self.grid
+        xx, pp = np.meshgrid(g.x, g.p, indexing="ij")
+        w = g.dx * g.dp / (2.0 * np.pi * g.hbar)
         return float(np.sum(fxp(xx, pp) * self.values) * w)
 
 
@@ -159,32 +145,10 @@ class SuperDensity:
         return float(np.max(np.abs(self.values - self.values.conj().T)))
 
 
-def _require_matched(pgrid: PhaseGrid, sgrid: SuperGrid, hbar: float) -> None:
-    ref = sgrid.matched_phase_grid(hbar)
-    scale = max(abs(sgrid.q_max), abs(sgrid.q_min), 1.0)
-    for got, want, name in (
-        (pgrid.n_x, ref.n_x, "n_x"),
-        (pgrid.n_p, ref.n_p, "n_p"),
-    ):
-        if got != want:
-            raise GridMismatch(f"{name}: expected {want}, got {got}")
-    for got, want, name in (
-        (pgrid.x_min, ref.x_min, "x_min"),
-        (pgrid.x_max, ref.x_max, "x_max"),
-        (pgrid.p_min, ref.p_min, "p_min"),
-        (pgrid.p_max, ref.p_max, "p_max"),
-    ):
-        if abs(got - want) > 1e-9 * scale:
-            raise GridMismatch(
-                f"{name}: expected {want:.12g}, got {got:.12g} "
-                "(grids must satisfy dy*dp = 2*pi*hbar/n_p with dy = 2*dx)"
-            )
-
-
-def _y_transform_matrix(pgrid: PhaseGrid, sgrid: SuperGrid, hbar: float) -> np.ndarray:
+def _y_transform_matrix(pgrid: PhaseGrid) -> np.ndarray:
     """Matrix E[j, c] = (dp / 2 pi hbar) exp(i p_j y_c / hbar) for y_c = (c-n+1)*d."""
-    n = sgrid.n
-    y = sgrid.dq * (np.arange(2 * n - 1) - (n - 1))
+    n, hbar = pgrid.n, pgrid.hbar
+    y = pgrid.dx * (np.arange(2 * n - 1) - (n - 1))
     return (pgrid.dp / (2.0 * np.pi * hbar)) * np.exp(
         1j * np.outer(pgrid.p, y) / hbar
     )
@@ -202,11 +166,12 @@ def _half_shift(values: np.ndarray, axis: int = 0) -> np.ndarray:
     return np.fft.ifft(spec, axis=axis).real
 
 
-def phase_to_super(pd: PhaseDensity, sgrid: SuperGrid, hbar: float = 1.0) -> SuperDensity:
-    """Fourier transform p -> y, then rotate (x, y) -> (Q, q) = (x+y/2, x-y/2)."""
-    _require_matched(pd.grid, sgrid, hbar)
+def phase_to_super(pd: PhaseDensity) -> SuperDensity:
+    """Fourier transform p -> y, then rotate (x, y) -> (Q, q) = (x+y/2, x-y/2)
+    onto the super grid of ``pd.grid``."""
+    sgrid = pd.grid.grid
     n = sgrid.n
-    emat = _y_transform_matrix(pd.grid, sgrid, hbar)
+    emat = _y_transform_matrix(pd.grid)
     rows_on = pd.values @ emat                      # rho(x_i, y_c)
     rows_half = _half_shift(pd.values, axis=0) @ emat  # rho(x_i + d/2, y_c)
 
@@ -231,7 +196,7 @@ def super_to_phase(sd: SuperDensity, hbar: float = 1.0) -> PhaseDensity:
             f"hermiticity defect {sd.hermiticity_defect():.3e} exceeds tolerance"
         )
     n = sd.grid.n
-    pgrid = sd.grid.matched_phase_grid(hbar)
+    pgrid = PhaseGrid(sd.grid, hbar)
     k = np.arange(-n // 2, n // 2)
     i = np.arange(n)
     aa = np.add.outer(i, k)
@@ -334,14 +299,13 @@ def gaussian_phase_density(
     p0: float,
     sigma_x: float,
     sigma_p: float,
-    hbar: float = 1.0,
 ) -> PhaseDensity:
     """Normalized Gaussian: integral dx dp/(2 pi hbar) rho = 1 (continuum)."""
     xx, pp = np.meshgrid(grid.x, grid.p, indexing="ij")
     vals = np.exp(
         -((xx - x0) ** 2) / (2 * sigma_x**2) - (pp - p0) ** 2 / (2 * sigma_p**2)
     )
-    vals *= hbar / (sigma_x * sigma_p)
+    vals *= grid.hbar / (sigma_x * sigma_p)
     return PhaseDensity(grid, vals)
 
 

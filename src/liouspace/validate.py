@@ -242,9 +242,8 @@ def _jc_first_order_consistency() -> tuple[bool, str]:
     p = jc.JCParams(
         omega_e=1.1, omega=0.9, d_eg=0.02, n_max=4, eps_egeg=0.01 * (0.6 + 0.8j)
     )
-    # atom populations only: initial atom coherences feed the diagonal
-    # blocks at first order in the dipole, which the short-time formula
-    # does not track
+    # the first-order form admits any state; this one (atom populations,
+    # coherent field) stays so the halving ratios keep their recorded values
     rho0 = np.kron(
         np.diag([0.4, 0.6]).astype(complex), jc.coherent_field_density(0.4, p.n_max)
     )
@@ -369,10 +368,9 @@ def _commutator_identity() -> tuple[bool, str]:
 
 def _transform_roundtrip() -> tuple[bool, str]:
     """phase -> super -> phase returns the Gaussian and keeps its trace."""
-    grid = superspace.SuperGrid.centered(7.0, 64)
-    pg = grid.matched_phase_grid()
+    pg = superspace.PhaseGrid(superspace.SuperGrid.centered(7.0, 64), 1.0)
     pd = superspace.gaussian_phase_density(pg, 0.8, -0.4, 0.6, 0.7)
-    sd = superspace.phase_to_super(pd, grid)
+    sd = superspace.phase_to_super(pd)
     m = superspace.moments(sd)
     herm = m.hermiticity_defect
     back = superspace.super_to_phase(sd)

@@ -248,11 +248,19 @@ class TestScenarios:
             ["evolve", "--grid-n", "63"],
             ["evolve", "--method", "rk4"],
             ["evolve", "--method", "strang"],
+            ["propagator", "--t", "0"],
+            ["propagator", "--t", "-1"],
+            ["propagator", "--n-points", "0"],
+            ["propagator", "--n-points", "-2"],
             ["jc", "--n-max", "0"],
             ["jc", "--init", "x5"],
             ["jc", "--eps-eegg", "0.03,0.01"],
+            ["jc", "--t", "0"],
+            ["jc", "--t", "-1", "--steps", "4"],
+            ["jc", "--t", "-1", "--eps", "0.01,-0.02"],
             ["bipartite", "--n-levels", "1"],
             ["bipartite", "--alpha1", "abc"],
+            ["bipartite", "--t", "0"],
         ],
         ids=" ".join,
     )

@@ -313,6 +313,22 @@ class TestMetrics:
             fock = np.diag(np.eye(m + 3)[m])
             assert loss_purity(fock) == pytest.approx(comb(2 * m, m) / 4.0**m, abs=1e-12)
 
+    @pytest.mark.parametrize("n_r", [6, 12, 20])
+    def test_loss_purity_equals_kraus_sum(self, n_r):
+        """The diagonal-shift sum is the Kraus form sum_k A_k rho A_k^T,
+        A_k |m> = sqrt(C(m, k) 2^-m) |m - k>, on random densities."""
+        kraus = np.zeros((n_r, n_r, n_r))
+        for k in range(n_r):
+            for m in range(k, n_r):
+                kraus[k, m - k, m] = np.sqrt(comb(m, k) / 2.0**m)
+        rng = np.random.Generator(np.random.Philox(n_r))
+        a = rng.normal(size=(3, n_r, n_r)) + 1j * rng.normal(size=(3, n_r, n_r))
+        rho = a @ np.swapaxes(a, 1, 2).conj()
+        rho /= np.trace(rho, axis1=1, axis2=2).real[:, None, None]
+        out = (kraus @ rho[:, None] @ kraus.transpose(0, 2, 1)).sum(axis=1)
+        want = np.einsum("sij,sji->s", out, out).real
+        np.testing.assert_allclose(loss_purity(rho), want, rtol=0, atol=1e-14)
+
     def test_qm_purity_decrease_is_quadratic_in_time(self, basis4):
         """Quartic coupling from a separable state: 1 - purity ~ (lam t)^2
         at early times (dynamically assisted entanglement generation)."""

@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 from liouspace import jaynescummings as jc_module, liouvillian
-from liouspace.errors import DimensionTooLarge, NotConverged, NotFactorized, TruncationLeak
+from liouspace.errors import DimensionTooLarge, NotConverged, TruncationLeak
 from liouspace.jaynescummings import (
     ATOM_E,
     ATOM_G,
@@ -399,15 +399,24 @@ class TestFirstOrder:
             out.reshape(2, f, 2, f)[ATOM_E, :, ATOM_G, :], want_eg, atol=1e-12
         )
 
-    def test_deviation_from_exact_scales_as_t_squared_dipole(self):
-        """Atom prepared in populations (no coherences), coherent field:
-        halving t shrinks the first-order/exact gap by 4."""
+    @pytest.mark.parametrize("state", ["populations", "eg_coherence", "entangled"])
+    def test_deviation_from_exact_scales_as_t_squared_dipole(self, state):
+        """With the dipole on, halving t shrinks the first-order/exact gap
+        by 4 for an atom in populations or with an eg coherence times a
+        coherent field, and for the entangled (|g,1> + |e,0>)/sqrt 2."""
         p = JCParams(
             omega_e=1.1, omega=0.9, d_eg=0.02, n_max=4, eps_egeg=0.01 * (0.6 + 0.8j)
         )
-        rho0 = np.kron(
-            np.diag([0.4, 0.6]).astype(complex), coherent_field_density(0.4, 4)
-        )
+        atom = {
+            "populations": np.diag([0.4, 0.6]).astype(complex),
+            "eg_coherence": np.array([[0.6, 0.25 + 0.1j], [0.25 - 0.1j, 0.4]]),
+        }
+        if state == "entangled":
+            vec = np.zeros(p.dim)
+            vec[[ATOM_G * p.fock_dim + 1, ATOM_E * p.fock_dim]] = np.sqrt(0.5)
+            rho0 = np.outer(vec, vec).astype(complex)
+        else:
+            rho0 = np.kron(atom[state], coherent_field_density(0.4, 4))
         devs = [
             np.max(np.abs(jc_evolve_first_order(p, rho0, t) - evolve(p, rho0, [t])[0]))
             for t in (0.4, 0.2, 0.1)
@@ -448,29 +457,10 @@ class TestFirstOrder:
         slope = np.polyfit(np.log(couplings), np.log(errs), 1)[0]
         assert slope == pytest.approx(2.0, abs=0.15)
 
-    def test_atom_coherence_with_dipole_rejected(self):
-        """The dipole moves the atom-diagonal blocks of an eg coherence at
-        first order, which the formula leaves at free phases: refused."""
-        atom = np.array([[0.5, 0.3], [0.3, 0.5]], dtype=complex)
-        rho0 = np.kron(atom, coherent_field_density(0.4, 4))
-        with pytest.raises(ValueError, match="coherence"):
-            jc_evolve_first_order(JCParams(0.9, 0.9, d_eg=0.02, n_max=4), rho0, 1.0)
-        # without the dipole the same state is allowed
-        jc_evolve_first_order(JCParams(0.9, 0.9, d_eg=0.0, n_max=4), rho0, 1.0)
-
     def test_negative_time_rejected(self):
         p = JCParams(omega_e=1.0, omega=1.0, d_eg=0.01, n_max=2)
         with pytest.raises(ValueError):
             jc_evolve_first_order(p, initial_jc_state("e0", 2), -0.1)
-
-    def test_entangled_initial_state_rejected(self):
-        p = JCParams(omega_e=1.0, omega=1.0, d_eg=0.01, n_max=1)
-        bell = np.zeros((4, 4), dtype=complex)
-        # (|g,1> + |e,0>)/sqrt(2), basis order (g0,g1,e0,e1)
-        vec = np.array([0.0, 1.0, 1.0, 0.0]) / np.sqrt(2)
-        bell = np.outer(vec, vec)
-        with pytest.raises(NotFactorized):
-            jc_evolve_first_order(p, bell, 0.1)
 
 
 class TestPartialTrace:

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liouspace import superspace
-from liouspace.errors import GridMismatch, HermiticityViolation
+from liouspace.errors import HermiticityViolation
 from liouspace.evolution import EvolutionConfig, EvolveMethod, evolve_trotter
 from liouspace.potential import PolynomialPotential, SuperPotentialKind
 from liouspace.superspace import (
@@ -27,27 +27,21 @@ def grid64():
 
 
 def normalized_gaussian(grid, x0=0.8, p0=-0.4, sx=0.6, sp=0.7):
-    return gaussian_phase_density(grid.matched_phase_grid(), x0, p0, sx, sp)
+    return gaussian_phase_density(PhaseGrid(grid, 1.0), x0, p0, sx, sp)
 
 
 class TestGrids:
     def test_matched_reciprocity(self, grid64):
-        pg = grid64.matched_phase_grid()
-        # dy * dp = 2 pi hbar / n_p with dy = 2 dx
-        assert 2 * grid64.dq * pg.dp == pytest.approx(2 * np.pi / pg.n_p, rel=1e-12)
-        assert pg.n_x == pg.n_p == grid64.n
+        pg = PhaseGrid(grid64, 1.0)
+        # dy * dp = 2 pi hbar / n with dy = 2 dx
+        assert 2 * grid64.dq * pg.dp == pytest.approx(2 * np.pi / pg.n, rel=1e-12)
+        assert pg.n == grid64.n
+        with pytest.raises(ValueError):
+            PhaseGrid(grid64, 0.0)  # the dual p grid needs hbar > 0
 
     def test_odd_sizes_rejected(self):
         with pytest.raises(ValueError):
             SuperGrid(-1.0, 1.0, 15)
-        with pytest.raises(ValueError):
-            PhaseGrid(-1, 1, -1, 1, 16, 10 + 1)
-
-    def test_mismatched_grid_raises(self, grid64):
-        bad = PhaseGrid(-7.0, 7.0, -3.0, 3.0, 64, 64)
-        pd = PhaseDensity(bad, np.zeros((64, 64)))
-        with pytest.raises(GridMismatch):
-            phase_to_super(pd, grid64)
 
 
 class TestPhaseToSuper:
@@ -55,7 +49,7 @@ class TestPhaseToSuper:
         """Narrow Gaussian surrogate of 2 pi delta(x-x0) delta(p-p0):
         rho(Q, q) = N exp(i p0 (Q-q)) gauss((Q+q)/2 - x0) gauss_y(Q-q)."""
         pd = normalized_gaussian(grid64)
-        sd = phase_to_super(pd, grid64)
+        sd = phase_to_super(pd)
         sda = gaussian_super_density(grid64, 0.8, -0.4, 0.6, 0.7)
         peak = np.max(np.abs(sda.values))
         np.testing.assert_allclose(sd.values, sda.values, atol=0.01 * peak)
@@ -64,13 +58,13 @@ class TestPhaseToSuper:
 
     def test_round_trip_identity(self, grid64):
         pd = normalized_gaussian(grid64)
-        back = super_to_phase(phase_to_super(pd, grid64))
+        back = super_to_phase(phase_to_super(pd))
         assert np.max(np.abs(back.values - pd.values)) < 1e-8
 
     def test_uniform_density_concentrates_on_diagonal(self, grid64):
-        pg = grid64.matched_phase_grid()
+        pg = PhaseGrid(grid64, 1.0)
         pd = PhaseDensity(pg, np.ones((64, 64)))
-        sd = phase_to_super(pd, grid64)
+        sd = phase_to_super(pd)
         peak = np.max(np.abs(np.diag(sd.values)))
         # Fourier transform of a p-constant is a discrete delta at y = 0:
         # exact zeros on the dual y lattice (even Q - q offsets), Dirichlet
@@ -84,8 +78,8 @@ class TestPhaseToSuper:
 
     def test_hermiticity_for_random_real_input(self, grid64):
         rng = np.random.Generator(np.random.Philox(21))
-        pd = PhaseDensity(grid64.matched_phase_grid(), rng.normal(size=(64, 64)))
-        sd = phase_to_super(pd, grid64)
+        pd = PhaseDensity(PhaseGrid(grid64, 1.0), rng.normal(size=(64, 64)))
+        sd = phase_to_super(pd)
         assert sd.hermiticity_defect() < 1e-10 * np.max(np.abs(sd.values))
 
 
@@ -259,7 +253,7 @@ class TestMoments:
 class TestTrace:
     def test_normalized_gaussian(self, grid64):
         pd = normalized_gaussian(grid64)
-        sd = phase_to_super(pd, grid64)
+        sd = phase_to_super(pd)
         # quadrature oracle on the phase-space side
         assert moments(sd).trace == pytest.approx(pd.norm(), abs=1e-12)
         assert moments(sd).trace == pytest.approx(1.0, abs=1e-6)
@@ -317,8 +311,8 @@ def test_transform_properties_hold_for_gaussian_family(x0, p0, sx, sp):
     # required sense: y-content inside the rotated (Q, q) square, p-content
     # well inside the matched p range (verified over the strategy corners)
     grid = SuperGrid.centered(10.0, 96)
-    pd = gaussian_phase_density(grid.matched_phase_grid(), x0, p0, sx, sp)
-    sd = phase_to_super(pd, grid)
+    pd = gaussian_phase_density(PhaseGrid(grid, 1.0), x0, p0, sx, sp)
+    sd = phase_to_super(pd)
     assert sd.hermiticity_defect() < 1e-10
     assert moments(sd).trace == pytest.approx(pd.norm(), abs=1e-10)
     back = super_to_phase(sd)
