@@ -31,7 +31,6 @@ from .potential import (
     MonomialClass,
     PolynomialPotential,
     SuperPotentialKind,
-    bipartite_super_potential,
     classify_bipartite_terms,
     coulomb_e_superoperator,
     e_superoperator,

@@ -204,7 +204,10 @@ class RunContext:
         self._t0 = time.perf_counter()
 
     def path(self, name: str) -> Path:
+        """Where output ``name`` goes.  The directory is made here, at the
+        first output, so a refused run leaves none behind."""
         self.outputs.append(name)
+        self.outdir.mkdir(parents=True, exist_ok=True)
         return self.outdir / name
 
     def write_manifest(self) -> Path:
@@ -225,6 +228,7 @@ class RunContext:
             manifest["solver_path"] = self.solver_path
             manifest["generator_dim"] = self.generator_dim
         path = self.outdir / f"{self.scenario}_manifest.json"
+        self.outdir.mkdir(parents=True, exist_ok=True)
         path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
         return path
 
@@ -262,12 +266,12 @@ def run_evolve(ctx: RunContext) -> None:
     kind = SuperPotentialKind(p["kind"])
     grid = SuperGrid.centered(float(p["grid_span"]), int(p["grid_n"]))
     hbar, mass = float(p["hbar"]), float(p["mass"])
+    cfg = evolution.EvolutionConfig(
+        t1=t_end, n_steps=steps, hbar=hbar, mass=mass
+    )
     sd = superspace.gaussian_super_density(
         grid, float(p["x0"]), float(p["p0"]),
         float(p["sigma_x"]), float(p["sigma_p"]), hbar,
-    )
-    cfg = evolution.EvolutionConfig(
-        t1=t_end, n_steps=steps, hbar=hbar, mass=mass
     )
 
     series = [(0.0, superspace.moments(sd, hbar))]
@@ -463,7 +467,6 @@ def run(argv=None) -> int:
             or os.environ.get("LIOUSPACE_OUTDIR")
             or "runs"
         ) / scenario
-        outdir.mkdir(parents=True, exist_ok=True)
         ctx = RunContext(scenario, params, outdir)
         RUNNERS[scenario](ctx)
         ctx.write_manifest()

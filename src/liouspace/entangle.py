@@ -1,34 +1,31 @@
 """Bipartite evolution under the quartic coupling, CL vs QM side by side.
 
 Two oscillators of one frequency omega (hbar = m = 1) couple through the
-superpotential of V(x1 - x2) = lam (x1 - x2)^4.  The square generators on
+one potential V(d) = lam d^4 of d = x1 - x2 (``PolynomialPotential.quartic``).
+As on the grid, QM is the commutator with h0 + V, and CL adds
+E = V_CL - V_QM (``potential.e_superoperator``).  The square generators on
 n_levels levels per mode serve audits, spectra and oracles.  X1 - X2 is
 diagonal in the product of the position (discrete-variable) bases of the
 truncated x (Light, Hamilton & Lill, J. Chem. Phys. 82, 1985), so both
-kinds are built there by ``_difference_quartic``: QM is the commutator
-with h0 + (lam/2)(X1 - X2)^4 (the shared quartic enters the classical form
-at half the bare coupling, so the commutator comparator uses the matched
-normalization), and CL adds E = Phi - (w - w') elementwise, Phi the
-classical superpotential of the bra and ket values and w = (lam/2) d^4.
-That is the monomial construction of ``interaction_terms``, which realizes
-every classified monomial as a left/right position-operator product,
+kinds are built there by ``_difference_quartic``: h = h0 + V(d), and E
+acts elementwise on the bra and ket values d and d'.  CL is then the
+monomial construction of ``interaction_terms``, which realizes every
+classified monomial of V_CL as a left/right position-operator product,
 
     c * Q1^i q1^j Q2^k q2^l  ->  c * (X1^i X2^k) rho (X1^j X2^l),
 
 so inter-space cross terms act on one subsystem from the left and the
-other from the right simultaneously, and CL - QM is exactly the operator
-sum of the non-pure monomials.
+other from the right simultaneously, and CL - QM is that operator sum
+less the commutator with lam (X1 - X2)^4.
 
-Evolution goes through the relative mode x_r = (x1 - x2)/sqrt 2.  Both
-(lam/2)(X1 - X2)^4 and CL's (lam/2)(a - b)(a + b)^3, a = Q1 - Q2 and
-b = q1 - q2, depend on it alone, so the centre mode (x1 + x2)/sqrt 2 stays
-free and the whole CL - QM difference lives in the relative mode:
-h_r = omega (n + 1/2) + 2 lam x_r^4, and CL adds E = Phi_r - (w - w'),
-Phi_r = 2 lam (xi - xi')(xi + xi')^3 and w = 2 lam xi^4, elementwise and
+Evolution goes through the relative mode x_r = (x1 - x2)/sqrt 2.  V and
+V_CL depend on d = sqrt 2 x_r alone, so the centre mode (x1 + x2)/sqrt 2
+stays free and the whole CL - QM difference lives in the relative mode:
+h_r = omega (n + 1/2) + 4 lam x_r^4, and CL adds E = Phi_r - (w - w'),
+Phi_r = 2 lam (xi - xi')(xi + xi')^3 and w = 4 lam xi^4, elementwise and
 exactly in the eigenbasis of the truncated x_r: ``_difference_quartic``
-again, at d = sqrt 2 xi.  A coherent
-product |alpha1>|alpha2> is |alpha_c>|alpha_r>, alpha_c,r =
-(alpha1 +- alpha2)/sqrt 2, so
+again, at d = sqrt 2 xi.  A coherent product |alpha1>|alpha2> is
+|alpha_c>|alpha_r>, alpha_c,r = (alpha1 +- alpha2)/sqrt 2, so
 
     rho(t) = U_BS (|alpha_c e^{-i omega t}><.| (x) rho_r(t)) U_BS',
 
@@ -57,9 +54,10 @@ from .liouvillian import BasisLiouvillian, check_dense_dim
 from .jaynescummings import LEAK_THRESHOLD, coherent_field_density, fock_annihilation
 from .potential import (
     MonomialClass,
+    PolynomialPotential,
     SuperPotentialKind,
-    bipartite_super_potential,
     classify_bipartite_terms,
+    e_superoperator,
 )
 
 
@@ -76,6 +74,8 @@ class BipartiteBasis:
     def __post_init__(self) -> None:
         if self.n_levels < 2:
             raise ValueError("n_levels must be >= 2")
+        if self.omega <= 0:
+            raise ValueError("omega must be positive")
 
     @property
     def dim(self) -> int:
@@ -121,14 +121,12 @@ def interaction_terms(
 
 
 def _difference_quartic(h_free, v, d, lam: float):
-    """(h, E) of the quartic coupling in d = X1 - X2, diagonal in the
-    orthogonal DVR basis v with the values d: h = h_free + v diag(w) v^T
-    with w = (lam/2) d^4, and E = Phi - (w - w') elementwise in v, Phi =
-    (lam/2)(d - d')(d + d')^3 the CL superpotential of the bra and ket
-    values d and d'.  QM is the commutator with h, and CL adds E."""
-    w = 0.5 * lam * d**4
-    phi = bipartite_super_potential(lam, d[:, None], d[None, :], 0.0, 0.0)
-    return h_free + (v * w) @ v.T, phi - (w[:, None] - w[None, :])
+    """(h, E) of V(d) = lam d^4 in d = X1 - X2, diagonal in the orthogonal
+    DVR basis v with the values d: h = h_free + v diag(V(d)) v^T, and
+    E = e_superoperator(V, d, d') elementwise in v, d and d' the bra and ket
+    values.  QM is the commutator with h, and CL adds E."""
+    pot = PolynomialPotential.quartic(lam)
+    return h_free + (v * pot.value(d)) @ v.T, e_superoperator(pot, d[:, None], d[None, :])
 
 
 def build_bipartite_liouvillian(
@@ -150,7 +148,7 @@ def build_bipartite_liouvillian(
 
 def relative_generator(basis: BipartiteBasis, lam: float) -> BasisLiouvillian:
     """CL generator of the relative mode on ``basis.n_levels`` levels, h_r
-    = omega (n + 1/2) + 2 lam x_r^4 with E elementwise in the DVR basis V
+    = omega (n + 1/2) + 4 lam x_r^4 with E elementwise in the DVR basis V
     of the truncated x_r = V diag(xi) V^T (see the module docstring); QM
     is the commutator with its ``h`` alone."""
     xi, v = np.linalg.eigh(basis.position_operator())

@@ -55,6 +55,8 @@ class EvolutionConfig:
             raise ValueError("t1 must be positive")
         if self.n_steps < 1:
             raise ValueError("n_steps must be >= 1")
+        if self.mass <= 0 or self.hbar <= 0:
+            raise ValueError("mass and hbar must be positive")
 
 
 class ExactEvolver:

@@ -12,9 +12,10 @@ module evaluates the two superpotential variants
     V_QM(Q, q) = V(Q) - V(q)          (commutator / von Neumann)
     V_CL(Q, q) = (Q - q) V'((Q+q)/2)  (Liouville)
 
-for polynomial potentials, the Coulomb closed form in three dimensions,
-the bipartite quartic superpotential, and a symbolic classification of
-its monomials into bra/ket/intra/inter classes.
+for polynomial potentials and the Coulomb closed form in three dimensions,
+and classifies the monomials of the CL superpotential of lam (x1 - x2)^4,
+in the bra and ket coordinates of two particles, into bra/ket/intra/inter
+classes.
 """
 
 from __future__ import annotations
@@ -171,17 +172,6 @@ def coulomb_e_of_radii(e2: float, r_bra, r_ket, r_sum):
     return 4.0 * e2 * (r_bra**2 - r_ket**2) / r_sum**3 + e2 / r_bra - e2 / r_ket
 
 
-def bipartite_super_potential(lam: float, q1_bra, q1_ket, q2_bra, q2_ket):
-    """Quartic two-particle superpotential.
-
-    (lam/2) * (Q1 - q1 - (Q2 - q2)) * (Q1 + q1 - (Q2 + q2))**3,
-    the Liouville-type superpotential of V(x1 - x2) = lam (x1 - x2)^4.
-    """
-    a = np.asarray(q1_bra, dtype=float) - np.asarray(q2_bra, dtype=float)
-    b = np.asarray(q1_ket, dtype=float) - np.asarray(q2_ket, dtype=float)
-    return 0.5 * lam * (a - b) * (a + b) ** 3
-
-
 @dataclass(frozen=True)
 class BipartiteMonomial:
     """coefficient * Q1^e[0] * q1^e[1] * Q2^e[2] * q2^e[3]."""
@@ -217,34 +207,24 @@ def classify_monomial(exponents: tuple[int, int, int, int]) -> MonomialClass:
     return MonomialClass.PURE_KET
 
 
-def _poly_mul(p1: dict, p2: dict) -> dict:
-    out: dict = {}
-    for e1, c1 in p1.items():
-        for e2, c2 in p2.items():
-            key = tuple(a + b for a, b in zip(e1, e2))
-            out[key] = out.get(key, 0.0) + c1 * c2
-    return out
-
-
 def classify_bipartite_terms(lam: float) -> list[tuple[BipartiteMonomial, MonomialClass]]:
-    """Expand the bipartite superpotential into classified monomials.
+    """Expand the CL superpotential of V(x1 - x2) = lam (x1 - x2)^4 into
+    classified monomials in (Q1, q1, Q2, q2).
 
-    The returned monomials re-sum exactly to ``bipartite_super_potential``.
+    ``super_potential_monomials`` of ``quartic(lam)`` gives c a^i b^j in
+    a = Q1 - Q2 and b = q1 - q2; the binomials of a^i and b^j give
+    c C(i,r) C(j,s) (-1)^(i-r+j-s) Q1^r q1^s Q2^(i-r) q2^(j-s).  The
+    monomials re-sum exactly to ``super_potential(quartic(lam), CL,
+    Q1 - Q2, q1 - q2)``.
     """
-    # variables ordered (Q1, q1, Q2, q2)
-    a = {(1, 0, 0, 0): 1.0, (0, 0, 1, 0): -1.0}  # Q1 - Q2
-    b = {(0, 1, 0, 0): 1.0, (0, 0, 0, 1): -1.0}  # q1 - q2
-    amb = {e: a.get(e, 0.0) - b.get(e, 0.0) for e in set(a) | set(b)}
-    apb = {e: a.get(e, 0.0) + b.get(e, 0.0) for e in set(a) | set(b)}
-    poly = _poly_mul(amb, _poly_mul(apb, _poly_mul(apb, apb)))
-    terms = []
-    for exps in sorted(poly):
-        coeff = 0.5 * lam * poly[exps]
-        if coeff == 0.0:
-            continue
-        mono = BipartiteMonomial(exps, coeff)
-        terms.append((mono, classify_monomial(exps)))
-    return terms
+    cl = super_potential_monomials(PolynomialPotential.quartic(lam), SuperPotentialKind.CL)
+    poly = {
+        (r, s, i - r, j - s): c * comb(i, r) * comb(j, s) * (-1) ** (i - r + j - s)
+        for (i, j), c in cl.items()
+        for r in range(i + 1)
+        for s in range(j + 1)
+    }
+    return [(BipartiteMonomial(e, c), classify_monomial(e)) for e, c in sorted(poly.items())]
 
 
 def super_potential_monomials(

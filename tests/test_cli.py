@@ -261,11 +261,19 @@ class TestScenarios:
             ["bipartite", "--n-levels", "1"],
             ["bipartite", "--alpha1", "abc"],
             ["bipartite", "--t", "0"],
+            ["bipartite", "--omega", "0"],
+            ["bipartite", "--omega", "-1"],
+            ["evolve", "--mass", "0"],
+            ["evolve", "--hbar", "0"],
+            ["evolve", "--mass", "-1"],
+            ["evolve", "--hbar", "-1"],
         ],
         ids=" ".join,
     )
     def test_bad_scenario_input_is_usage_error(self, tmp_path, argv):
         assert run(argv + ["--outdir", str(tmp_path)]) == EXIT_USAGE
+        # a refused run leaves no scenario directory behind
+        assert not (tmp_path / argv[0]).exists()
 
     @pytest.mark.parametrize(
         "argv",
@@ -397,8 +405,7 @@ class TestScenarios:
         assert f"vectorized dimension {65**2} exceeds {liouvillian.MAX_DENSE_VEC_DIM}" in (
             capsys.readouterr().err
         )
-        assert not (tmp_path / "bipartite" / "bipartite_series.csv").exists()
-        assert not (tmp_path / "bipartite" / "bipartite_manifest.json").exists()
+        assert not (tmp_path / "bipartite").exists()
 
     @pytest.mark.parametrize("eps", ["0.01,0", "0.01,-0.02"])
     def test_jc_beyond_dense_size(self, tmp_path, monkeypatch, eps):

@@ -20,18 +20,16 @@ from liouspace.entangle import (
 from liouspace import liouvillian
 from liouspace.liouvillian import BasisLiouvillian
 from liouspace.errors import DimensionTooLarge, TruncationLeak
-from liouspace.evolution import ExactEvolver
+from liouspace.evolution import EvolutionConfig, ExactEvolver, evolve_trotter
 from liouspace.jaynescummings import coherent_field_density, fock_annihilation, partial_trace
 from liouspace.potential import (
     MonomialClass,
+    PolynomialPotential,
     SuperPotentialKind,
     classify_bipartite_terms,
 )
+from liouspace.superspace import SuperGrid, gaussian_super_density, moments
 
-CROSS_CLASSES = {
-    MonomialClass.INTRA_SUBSYSTEM_MIXED,
-    MonomialClass.INTER_SPACE_CROSS,
-}
 PURE_CLASSES = {MonomialClass.PURE_BRA, MonomialClass.PURE_KET}
 
 
@@ -54,7 +52,9 @@ def evolve_kind(basis, lam, kind, rho0, times):
 def relative_dense(basis, lam, kind):
     """Dense n_r^2 generator of the relative mode on ``basis.n_levels``
     levels, from the classified monomials of the bipartite superpotential at
-    X1 = x_r/sqrt 2 and X2 = -x_r/sqrt 2 (QM keeps the pure ones)."""
+    X1 = x_r/sqrt 2 and X2 = -x_r/sqrt 2.  QM keeps twice the pure ones: the
+    pure monomials are the commutator with (lam/2)(X1 - X2)^4, and QM is the
+    commutator with lam (X1 - X2)^4."""
     n = basis.n_levels
     powers = [np.linalg.matrix_power(basis.position_operator(), p) for p in range(5)]
     qm = SuperPotentialKind(kind) is SuperPotentialKind.QM
@@ -64,20 +64,20 @@ def relative_dense(basis, lam, kind):
         if qm and cls not in PURE_CLASSES:
             continue
         i, j, k, l = mono.exponents
-        c = mono.coefficient * (-1) ** (k + l) * 0.5 ** ((i + j + k + l) / 2)
+        c = (2 if qm else 1) * mono.coefficient * (-1) ** (k + l) * 0.5 ** ((i + j + k + l) / 2)
         out += c * np.kron(powers[i + k], powers[j + l].T)
     return out
 
 
 def difference_quartic(basis, lam):
-    """(lam/2)(X1 - X2)^4 from the truncated single-mode x."""
+    """lam (X1 - X2)^4 from the truncated single-mode x."""
     x, eye = basis.position_operator(), np.eye(basis.n_levels)
-    return 0.5 * lam * np.linalg.matrix_power(np.kron(x, eye) - np.kron(eye, x), 4)
+    return lam * np.linalg.matrix_power(np.kron(x, eye) - np.kron(eye, x), 4)
 
 
 def square_monomial_dense(basis, lam, kind):
     """The square generator summed from the monomial operators: QM is the
-    commutator with h0 + (lam/2)(X1 - X2)^4, and CL the commutator with h0
+    commutator with h0 + lam (X1 - X2)^4, and CL the commutator with h0
     plus every classified monomial (``interaction_terms``)."""
     h0, eye = basis.free_hamiltonian(), np.eye(basis.dim)
     if SuperPotentialKind(kind) is SuperPotentialKind.CL:
@@ -94,14 +94,16 @@ def reduced_purity(rho, n_levels):
 
 def relative_by_hand(basis, lam, kind):
     """The relative mode's dense generator written out: QM is the commutator
-    with omega (n + 1/2) + 2 lam x^4, and CL adds 4 lam (x^3 rho x - x rho x^3)."""
+    with omega (n + 1/2) + 4 lam x^4, and CL is the commutator with
+    omega (n + 1/2) + 2 lam x^4 plus 4 lam (x^3 rho x - x rho x^3)."""
     n, x = basis.n_levels, basis.position_operator()
-    x3, eye = np.linalg.matrix_power(x, 3), np.eye(n)
-    h = basis.omega * np.diag(np.arange(n) + 0.5) + 2 * lam * np.linalg.matrix_power(x, 4)
-    qm = np.kron(h, eye) - np.kron(eye, h)
-    if SuperPotentialKind(kind) is SuperPotentialKind.QM:
-        return qm
-    return qm + 4 * lam * (np.kron(x3, x) - np.kron(x, x3))
+    x3, x4, eye = np.linalg.matrix_power(x, 3), np.linalg.matrix_power(x, 4), np.eye(n)
+    qm = SuperPotentialKind(kind) is SuperPotentialKind.QM
+    h = basis.omega * np.diag(np.arange(n) + 0.5) + (4 if qm else 2) * lam * x4
+    out = np.kron(h, eye) - np.kron(eye, h)
+    if qm:
+        return out
+    return out + 4 * lam * (np.kron(x3, x) - np.kron(x, x3))
 
 
 def exponential_states(gen, rho0, times):
@@ -118,14 +120,15 @@ def exponential_states(gen, rho0, times):
 
 def square_states(basis, lam, kind, rho0, times):
     """States of the square generator, summed in sparse form from the
-    monomial operators (the terms ``interaction_terms`` sums densely)."""
+    monomial operators (the terms ``interaction_terms`` sums densely); QM
+    takes twice the pure ones, as in ``relative_dense``."""
     cl = SuperPotentialKind(kind) is SuperPotentialKind.CL
     h0, eye = scipy.sparse.csr_array(basis.free_hamiltonian()), scipy.sparse.eye_array(basis.dim)
     gen = scipy.sparse.kron(h0, eye) - scipy.sparse.kron(eye, h0.T)
     for mono, cls in classify_bipartite_terms(lam):
         if cl or cls in PURE_CLASSES:
             left, right = _monomial_operators(basis, mono.exponents)
-            gen = gen + mono.coefficient * scipy.sparse.kron(
+            gen = gen + (1 if cl else 2) * mono.coefficient * scipy.sparse.kron(
                 scipy.sparse.csr_array(left), scipy.sparse.csr_array(right.T)
             )
     return exponential_states(gen.tocsr(), rho0, times)
@@ -164,7 +167,7 @@ class TestGenerators:
 
     def test_qm_generator_is_commutator(self, basis4):
         """QM action equals [H0 + W, rho] built directly, with W the
-        pure-bra polynomial (lam/2)(X1 - X2)^4."""
+        potential lam (X1 - X2)^4."""
         lam = 0.3
         liou = build_bipartite_liouvillian(basis4, lam, SuperPotentialKind.QM)
         w = difference_quartic(basis4, lam)
@@ -176,12 +179,15 @@ class TestGenerators:
             liou.apply(rho), h_full @ rho - rho @ h_full, atol=1e-10
         )
 
-    def test_cl_minus_qm_is_exactly_the_cross_terms(self, basis4):
+    def test_cl_minus_qm_is_the_monomials_less_the_coupling(self, basis4):
+        """CL - QM is every classified monomial less the commutator with
+        lam (X1 - X2)^4, E of the one potential."""
         lam = 0.3
         d_cl = build_bipartite_liouvillian(basis4, lam, SuperPotentialKind.CL).dense()
         d_qm = build_bipartite_liouvillian(basis4, lam, SuperPotentialKind.QM).dense()
-        cross = interaction_terms(basis4, lam, classes=CROSS_CLASSES)
-        np.testing.assert_allclose(d_cl - d_qm, cross, atol=1e-10)
+        w, eye = difference_quartic(basis4, lam), np.eye(basis4.dim)
+        want = interaction_terms(basis4, lam) - (np.kron(w, eye) - np.kron(eye, w))
+        np.testing.assert_allclose(d_cl - d_qm, want, atol=1e-10)
 
     def test_cl_is_qm_plus_e(self, basis4):
         """CL = QM + E on the relative mode: E alone, elementwise in the
@@ -200,17 +206,17 @@ class TestGenerators:
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_relative_generators_by_hand(self):
-        """The relative mode of (lam/2)(a - b)(a + b)^3, a - b and a + b of
-        sqrt 2 x_r: QM is the commutator with omega (n + 1/2) + 2 lam x^4,
-        and CL adds 4 lam (x^3 rho x - x rho x^3).  The DVR mask is
-        E = 2 lam (xi - xi')(xi + xi')^3 - 2 lam (xi^4 - xi'^4)."""
+        """The relative mode of V(d) = lam d^4, d = sqrt 2 x_r: QM is the
+        commutator with omega (n + 1/2) + 4 lam x^4, and CL the commutator
+        with omega (n + 1/2) + 2 lam x^4 plus 4 lam (x^3 rho x - x rho x^3).
+        The DVR mask is E = 2 lam (xi - xi')(xi + xi')^3 - 4 lam (xi^4 - xi'^4)."""
         basis, lam = BipartiteBasis(n_levels=5, omega=1.3), 0.2
         x = basis.position_operator()
         for kind in SuperPotentialKind:
             want = relative_by_hand(basis, lam, kind)
             np.testing.assert_allclose(relative_dense(basis, lam, kind), want, rtol=0,
                                        atol=1e-13)
-        h = 1.3 * np.diag(np.arange(5) + 0.5) + 2 * lam * np.linalg.matrix_power(x, 4)
+        h = 1.3 * np.diag(np.arange(5) + 0.5) + 4 * lam * np.linalg.matrix_power(x, 4)
         cl = relative_generator(basis, lam)
         h_r, e = cl.h, cl.e
         np.testing.assert_allclose(h_r, h, rtol=0, atol=1e-13)
@@ -218,15 +224,16 @@ class TestGenerators:
         bra, ket = xi[:, None], xi[None, :]
         phi = 2 * lam * (bra - ket) * (bra + ket) ** 3
         np.testing.assert_allclose(
-            e, phi - 2 * lam * (bra**4 - ket**4), rtol=0, atol=1e-13 * np.max(np.abs(phi))
+            e, phi - 4 * lam * (bra**4 - ket**4), rtol=0, atol=1e-13 * np.max(np.abs(phi))
         )
 
     def test_pure_terms_reproduce_commutator_part(self, basis4):
+        """The pure monomials are the commutator with (lam/2)(X1 - X2)^4."""
         lam = 0.4
         pure = interaction_terms(
             basis4, lam, classes={MonomialClass.PURE_BRA, MonomialClass.PURE_KET}
         )
-        w = difference_quartic(basis4, lam)
+        w = 0.5 * difference_quartic(basis4, lam)
         eye = np.eye(basis4.dim)
         np.testing.assert_allclose(
             pure, np.kron(w, eye) - np.kron(eye, w.conj()), atol=1e-10
@@ -544,6 +551,49 @@ class TestStructuredEvolution:
             )
             assert np.max(np.abs(cols[f"purity_{tag}"] - purity)) <= purity_bound
             assert np.max(np.abs(cols[f"min_eig_{tag}"] - least)) <= eig_bound
+
+
+# The grid route shares neither the DVR construction nor _difference_quartic:
+# its kinetic term is an FFT.  The relative mode is x^2/2 + 4 lam x^4 in one
+# dimension (omega 1), from the Gaussian of alpha_r.  Measured at lam 3e-4,
+# alpha_r 0.2, t = 2, on 128 points of span 8 and 400 Strang steps: each
+# moment of either kind is within 2.7e-6 of the grid (the grid's own error),
+# and the CL - QM differences agree to 3.2e-9 (<x_r>) and 1.6e-8 (<x_r^2>) at
+# n_r 8 and to 3e-11 and 2e-10 at n_r 12, because the grid errors cancel.
+GRID_LAM, GRID_ALPHA_R, GRID_T = 3e-4, 0.2, 2.0
+
+
+@pytest.fixture(scope="module")
+def grid_relative_moments():
+    """(<x_r>, <x_r^2>) at GRID_T of the grid run, by kind."""
+    grid = SuperGrid.centered(8.0, 128)
+    v = PolynomialPotential((0.0, 0.0, 0.5, 0.0, 4 * GRID_LAM))
+    sd = gaussian_super_density(grid, np.sqrt(2.0) * GRID_ALPHA_R, 0.0,
+                                1 / np.sqrt(2.0), 1 / np.sqrt(2.0))
+    cfg, out = EvolutionConfig(t1=GRID_T, n_steps=400), {}
+    for kind in SuperPotentialKind:
+        m = moments(evolve_trotter(v, grid, kind, sd, cfg))
+        out[kind] = np.array([m.x, m.x2])
+    return out
+
+
+class TestGridOracle:
+    @pytest.mark.parametrize("n_r", [8, 12])
+    def test_relative_route_matches_the_grid(self, grid_relative_moments, n_r):
+        """Both relative kinds evolve the one potential lam (x1 - x2)^4:
+        tr(x rho_r) and tr(x^2 rho_r) match the grid run of that kind, and
+        CL - QM matches the grid's CL - QM."""
+        basis = BipartiteBasis(n_levels=n_r)
+        x = basis.position_operator()
+        rho0 = coherent_field_density(GRID_ALPHA_R, n_r - 1)
+        got = {}
+        for kind in SuperPotentialKind:
+            (rho,) = evolve_kind(basis, GRID_LAM, kind, rho0, [GRID_T])
+            got[kind] = np.array([np.trace(x @ rho).real, np.trace(x @ x @ rho).real])
+            assert np.max(np.abs(got[kind] - grid_relative_moments[kind])) <= 1e-5
+        cl, qm = SuperPotentialKind.CL, SuperPotentialKind.QM
+        gap = (got[cl] - got[qm]) - (grid_relative_moments[cl] - grid_relative_moments[qm])
+        assert np.max(np.abs(gap)) <= 1e-7
 
 
 class TestHermiticityAndTrace:

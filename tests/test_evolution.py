@@ -206,8 +206,9 @@ class TestPropagate:
 class TestEvolutionConfig:
     @pytest.mark.parametrize(
         "kwargs",
-        [dict(t1=0.0), dict(t1=-1.0), dict(t1=1.0, n_steps=0)],
-        ids=["empty-interval", "negative-end", "no-steps"],
+        [dict(t1=0.0), dict(t1=-1.0), dict(t1=1.0, n_steps=0),
+         dict(t1=1.0, hbar=0.0), dict(t1=1.0, mass=-1.0)],
+        ids=["empty-interval", "negative-end", "no-steps", "zero-hbar", "negative-mass"],
     )
     def test_invalid_config_rejected(self, kwargs):
         with pytest.raises(ValueError):

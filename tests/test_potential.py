@@ -9,7 +9,6 @@ from liouspace.potential import (
     MonomialClass,
     PolynomialPotential,
     SuperPotentialKind,
-    bipartite_super_potential,
     classify_bipartite_terms,
     classify_monomial,
     coulomb_e_superoperator,
@@ -28,6 +27,13 @@ def random_potential(rng, degree):
     coeffs = rng.uniform(-2, 2, size=degree + 1)
     coeffs[-1] = coeffs[-1] or 1.0
     return PolynomialPotential(tuple(coeffs))
+
+
+def bipartite_cl(lam, q1_bra, q1_ket, q2_bra, q2_ket):
+    """The CL superpotential of lam (x1 - x2)^4 in the difference coordinates."""
+    return super_potential(
+        PolynomialPotential.quartic(lam), SuperPotentialKind.CL, q1_bra - q2_bra, q1_ket - q2_ket
+    )
 
 
 class TestPolynomialPotential:
@@ -204,25 +210,11 @@ class TestCoulomb:
 class TestBipartite:
     def test_reference_value(self):
         # lam=2 at (1,0,0,0): (2/2) * 1 * 1^3 = 1
-        assert bipartite_super_potential(2.0, 1.0, 0.0, 0.0, 0.0) == pytest.approx(1.0)
+        assert bipartite_cl(2.0, 1.0, 0.0, 0.0, 0.0) == pytest.approx(1.0)
 
     @given(q1=coord, q2=coord)
     def test_diagonal_vanishes(self, q1, q2):
-        assert bipartite_super_potential(1.5, q1, q1, q2, q2) == pytest.approx(
-            0.0, abs=1e-9
-        )
-
-    def test_reduces_to_relative_coordinate_cl(self):
-        rng = np.random.Generator(np.random.Philox(9))
-        lam = 0.9
-        v = PolynomialPotential.quartic(lam)
-        pts = rng.uniform(-2, 2, size=(100, 4))
-        for q1b, q1k, q2b, q2k in pts:
-            rel_bra = q1b - q2b
-            rel_ket = q1k - q2k
-            want = super_potential(v, SuperPotentialKind.CL, rel_bra, rel_ket)
-            got = bipartite_super_potential(lam, q1b, q1k, q2b, q2k)
-            assert got == pytest.approx(want, abs=1e-12 * max(1.0, abs(want)))
+        assert bipartite_cl(1.5, q1, q1, q2, q2) == pytest.approx(0.0, abs=1e-9)
 
 
 class TestClassification:
@@ -238,9 +230,7 @@ class TestClassification:
     def test_resummation_matches_direct(self):
         terms = classify_bipartite_terms(1.0)
         total = sum(m.evaluate(1.0, 2.0, 3.0, 4.0) for m, _ in terms)
-        assert total == pytest.approx(
-            bipartite_super_potential(1.0, 1.0, 2.0, 3.0, 4.0), abs=1e-12
-        )
+        assert total == pytest.approx(bipartite_cl(1.0, 1.0, 2.0, 3.0, 4.0), abs=1e-12)
 
     def test_resummation_random_points(self):
         rng = np.random.Generator(np.random.Philox(10))
@@ -248,7 +238,7 @@ class TestClassification:
         pts = rng.uniform(-2, 2, size=(50, 4))
         for p in pts:
             total = sum(m.evaluate(*p) for m, _ in terms)
-            want = bipartite_super_potential(0.6, *p)
+            want = bipartite_cl(0.6, *p)
             assert total == pytest.approx(want, abs=1e-12 * max(1.0, abs(want)))
 
     def test_contains_inter_space_cross_terms(self):
