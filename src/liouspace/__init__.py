@@ -86,10 +86,8 @@ from .jaynescummings import (
     coulomb_superop_element,
     hydrogen_psi,
     jc_evolve_first_order,
-    jc_generator,
     jc_liouvillian,
     jc_series,
-    jc_states,
     partial_trace,
 )
 from .entangle import (

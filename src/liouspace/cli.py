@@ -293,9 +293,10 @@ def run_evolve(ctx: RunContext) -> None:
     serialize.save_super_density(ctx.outdir / "evolve_final", sd, hbar, mass)
     ctx.outputs += ["evolve_final.csv", "evolve_final.json"]
     margins = ctx.margins
-    margins["max_trace_drift"] = max(abs(m.trace - series[0][1].trace) for _, m in series)
-    margins["max_hermiticity_defect"] = max(m.hermiticity_defect for _, m in series)
-    margins["max_boundary_mass"] = max(boundary)
+    # np.max, unlike max, keeps a NaN of any row, so a NaN run fails its checks
+    margins["max_trace_drift"] = np.max([abs(m.trace - series[0][1].trace) for _, m in series])
+    margins["max_hermiticity_defect"] = np.max([m.hermiticity_defect for _, m in series])
+    margins["max_boundary_mass"] = np.max(boundary)
     ctx.checks["trace_conserved_1e-8"] = margins["max_trace_drift"] < 1e-8
     ctx.checks["hermiticity_1e-8"] = margins["max_hermiticity_defect"] < 1e-8
     ctx.checks["boundary_mass_ok"] = margins["max_boundary_mass"] < 1e-6
@@ -344,7 +345,7 @@ def run_propagator(ctx: RunContext) -> None:
             "abs_err_cl", "abs_err_qm", "rel_err_cl", "rel_err_qm",
         ],
     )
-    defect = max(max(row[-2:]) for row in rows)
+    defect = np.max([row[-2:] for row in rows])
     ctx.margins["max_relative_defect"] = defect
     ctx.checks["first_order_matches_dyson_1e-3"] = defect < 1e-3
 
@@ -395,8 +396,8 @@ def run_bipartite(ctx: RunContext) -> None:
     ctx.generator_dim = basis.n_levels**2
     _write_columns(ctx.path("bipartite_series.csv"), columns)
     ctx.margins.update(leak)
-    ctx.margins["max_trace_drift"] = max(
-        np.max(columns["trace_drift_cl"]), np.max(columns["trace_drift_qm"])
+    ctx.margins["max_trace_drift"] = np.max(
+        [columns["trace_drift_cl"], columns["trace_drift_qm"]]
     )
     ctx.checks["trace_conserved_1e-8"] = ctx.margins["max_trace_drift"] < 1e-8
 
@@ -462,6 +463,10 @@ def run(argv=None) -> int:
             override = getattr(args, key, None)
             if override is not None:
                 params[key] = override
+        for key, value in params.items():
+            # float flags take "nan" and "inf", and json reads NaN and Infinity
+            if isinstance(value, float) and not np.isfinite(value):
+                raise UsageError(f"{key}={value} must be finite")
         outdir = Path(
             args.outdir
             or os.environ.get("LIOUSPACE_OUTDIR")

@@ -67,7 +67,8 @@ class ExactEvolver:
     L = u diag(w) u', in the dtype it comes in: a real symmetric L takes the
     real LAPACK driver.  Any other L, such as the complex-eps
     ``jaynescummings.jc_liouvillian``, is kept and exponentiated by scipy's
-    expm at each time: the reference route of the tests.
+    expm at each time: the dense oracle of the Jaynes-Cummings checks of
+    ``validate`` and of the tests.
     """
 
     def __init__(self, liouville) -> None:

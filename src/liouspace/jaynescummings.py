@@ -17,14 +17,16 @@ ge block by -conj(eps) and leaves the populations, so the trace, alone.
 Its Hermitian part is the commutator with Re(eps) P_e (x) 1, a shift of
 omega_e; the rest, i Im(eps) on both coherence blocks, is anti-Hermitian:
 Im(eps) < 0 damps the eg coherence as exp(Im(eps) t) (hbar = 1), Im(eps) > 0
-amplifies it.  ``jc_generator`` writes the model as CL = QM + E in that split.
+amplifies it.  ``jc_liouvillian``, the model's one generator, writes it as
+CL = QM + E in that split.
 
 H_JC conserves the excitation number N = a'a + |e><e|, and E acts
 elementwise on the atomic index, so the generator maps each block of rho
 between the sectors {|g,k>, |e,k-1>} (k = 0..n_max+1, each of size 1 or 2)
 into itself (Jaynes & Cummings, Proc. IEEE 51, 89, 1963; Shore & Knight,
-J. Mod. Opt. 40, 1195, 1993).  ``jc_series`` and ``jc_states`` evolve the
-model as (n_max + 2)^2 independent problems of size at most 4.
+J. Mod. Opt. 40, 1195, 1993).  ``jc_series`` evolves the blocks of that
+generator as (n_max + 2)^2 independent problems of size at most 4; its
+dense form, through ``evolution.ExactEvolver``, is their oracle.
 
 Perturbation theory comes from the same generator: split it as L0 + L1,
 L0 the commutator with the free energies (the diagonal of H_JC) and L1
@@ -112,37 +114,27 @@ def build_jc_hamiltonian(p: JCParams) -> np.ndarray:
     return h
 
 
-def _coherence_mask(p: JCParams, eg: complex, ge: complex) -> np.ndarray:
-    """dim x dim mask: ``eg`` on the eg block, ``ge`` on the ge block, 0 on
+def _coherence_mask(p: JCParams, value: complex) -> np.ndarray:
+    """dim x dim mask: ``value`` on both coherence blocks (eg and ge), 0 on
     the atom-diagonal blocks."""
     f = p.fock_dim
     mask = np.zeros((2, f, 2, f), dtype=complex)
-    mask[ATOM_E, :, ATOM_G, :] = eg
-    mask[ATOM_G, :, ATOM_E, :] = ge
+    mask[ATOM_E, :, ATOM_G, :] = value
+    mask[ATOM_G, :, ATOM_E, :] = value
     return mask.reshape(p.dim, p.dim)
 
 
 def jc_liouvillian(p: JCParams) -> BasisLiouvillian:
-    """Generator for audits and spectra, E-hat kept whole: H_JC with the
-    elementwise mask eps_egeg on the eg block and -conj(eps_egeg) on the ge
-    block (None for eps_egeg = 0)."""
-    mask = None
-    if p.eps_egeg != 0:
-        mask = _coherence_mask(p, p.eps_egeg, -np.conj(p.eps_egeg))
-    return BasisLiouvillian(build_jc_hamiltonian(p), mask)
-
-
-def jc_generator(p: JCParams) -> BasisLiouvillian:
-    """The generator as CL = QM + E, which the sector routes gather: h =
-    H_JC + Re(eps_egeg) P_e (x) 1 and E = i Im(eps_egeg) on both coherence
-    blocks, elementwise in the product basis, or None for real eps_egeg
-    (the sector_phases route)."""
+    """The model's generator as CL = QM + E: h = H_JC + Re(eps_egeg) P_e (x) 1
+    and E = i Im(eps_egeg) on both coherence blocks, elementwise in the
+    product basis, or None for real eps_egeg (a Hermitian generator).  It
+    acts as H_JC with E-hat whole, eps_egeg on the eg block and
+    -conj(eps_egeg) on the ge block, to rounding."""
     shift = p.eps_egeg.real * np.kron(np.diag([0.0, 1.0]), np.eye(p.fock_dim))
     h = build_jc_hamiltonian(p) + shift
     if p.eps_egeg.imag == 0:
         return BasisLiouvillian(h)
-    e = 1j * p.eps_egeg.imag
-    return BasisLiouvillian(h, _coherence_mask(p, e, e))
+    return BasisLiouvillian(h, _coherence_mask(p, 1j * p.eps_egeg.imag))
 
 
 def jc_evolve_first_order(p: JCParams, rho0: np.ndarray, t: float) -> np.ndarray:
@@ -176,14 +168,15 @@ def check_fock_truncation(rho: np.ndarray, n_max: int) -> None:
 
 
 def _sector_blocks(p: JCParams, rho0: np.ndarray):
-    """(index, valid, h, E, rho0) by excitation-number sector.
+    """(valid, h, E, rho0) by excitation-number sector, gathered from
+    ``jc_liouvillian``.
 
-    ``index`` and ``valid`` are (S, 2), S = n_max + 2: index[k, a] is the
-    basis index of |g,k> (slot a = ATOM_G) or |e,k-1> (a = ATOM_E), and
-    ``valid`` marks the slots that exist (sector 0 has no |e,-1>, sector
-    n_max + 1 no |g,n_max+1>).  h comes as its (S, 2, 2) diagonal blocks,
-    E (None for real eps_egeg) and rho0 as their (S, S, 2, 2) blocks
-    between sectors k and l, each zero in the padded slots.
+    Slot a of sector k holds |g,k> (a = ATOM_G) or |e,k-1> (a = ATOM_E);
+    ``valid`` (S, 2), S = n_max + 2, marks the slots that exist (sector 0
+    has no |e,-1>, sector n_max + 1 no |g,n_max+1>).  h comes as its
+    (S, 2, 2) diagonal blocks, E (None for real eps_egeg) and rho0 as their
+    (S, S, 2, 2) blocks between sectors k and l, each zero in the padded
+    slots.
     """
     f, k = p.fock_dim, np.arange(p.n_max + 2)
     valid = np.stack([k <= p.n_max, k >= 1], axis=1)
@@ -194,9 +187,9 @@ def _sector_blocks(p: JCParams, rho0: np.ndarray):
     def gather(m):
         return np.where(keep, np.asarray(m)[rows, cols], 0)
 
-    gen = jc_generator(p)
+    gen = jc_liouvillian(p)
     e = None if gen.e is None else gather(gen.e)
-    return index, valid, gather(gen.h)[k, k], e, gather(rho0)
+    return valid, gather(gen.h)[k, k], e, gather(rho0)
 
 
 def _phase_series(hb: np.ndarray, rb: np.ndarray, weights: np.ndarray, t_grid: np.ndarray):
@@ -290,7 +283,7 @@ def jc_series(
     t_grid = np.asarray(t_grid, dtype=float).reshape(-1)
     if t_grid.size == 0:
         raise ValueError("t_grid must not be empty")
-    _, valid, hb, eb, rb = _sector_blocks(p, rho0)
+    valid, hb, eb, rb = _sector_blocks(p, rho0)
     fock = np.arange(p.n_max + 2)[:, None] - np.arange(2)  # of each slot: k, k - 1
     # per slot, the weights of P_e, the trace and the top-Fock population
     weights = np.stack(
@@ -319,20 +312,6 @@ def jc_series(
         "purity": purity,
     }
     return columns, path, {"max_fock_leak": worst}
-
-
-def jc_states(p: JCParams, rho0: np.ndarray, t_grid) -> np.ndarray:
-    """The states rho(t), shape (len(t_grid), dim, dim), from the sector
-    stepping of the "sector_powers" route for any eps_egeg, on an evenly
-    spaced grid: for audits and checks at small sizes."""
-    t_grid = np.asarray(t_grid, dtype=float).reshape(-1)
-    index, valid, hb, eb, rb = _sector_blocks(p, rho0)
-    keep = valid[:, None, :, None] & valid[None, :, None, :]
-    rows, cols = np.broadcast_arrays(index[:, None, :, None], index[None, :, None, :])
-    states = np.zeros((t_grid.size, p.dim, p.dim), dtype=complex)
-    for rho, blocks in zip(states, _sector_powers(hb, eb, rb, t_grid)):
-        rho[rows[keep], cols[keep]] = blocks[keep]
-    return states
 
 
 def coherent_field_density(alpha: complex, n_max: int) -> np.ndarray:

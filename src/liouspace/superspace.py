@@ -293,6 +293,11 @@ def moments(sd: SuperDensity, hbar: float = 1.0) -> Moments:
     )
 
 
+def _check_widths(sigma_x: float, sigma_p: float) -> None:
+    if not (sigma_x > 0 and sigma_p > 0):
+        raise ValueError(f"sigma_x={sigma_x:g} and sigma_p={sigma_p:g} must be > 0")
+
+
 def gaussian_phase_density(
     grid: PhaseGrid,
     x0: float,
@@ -300,7 +305,9 @@ def gaussian_phase_density(
     sigma_x: float,
     sigma_p: float,
 ) -> PhaseDensity:
-    """Normalized Gaussian: integral dx dp/(2 pi hbar) rho = 1 (continuum)."""
+    """Normalized Gaussian: integral dx dp/(2 pi hbar) rho = 1 (continuum).
+    Raises ValueError unless both widths are positive."""
+    _check_widths(sigma_x, sigma_p)
     xx, pp = np.meshgrid(grid.x, grid.p, indexing="ij")
     vals = np.exp(
         -((xx - x0) ** 2) / (2 * sigma_x**2) - (pp - p0) ** 2 / (2 * sigma_p**2)
@@ -320,8 +327,10 @@ def gaussian_super_density(
     """Exact (Q, q) form of the Gaussian phase density above.
 
     rho(Q, q) = N exp(-(m - x0)^2 / 2 sx^2) exp(i p0 y / hbar - sp^2 y^2 / 2 hbar^2)
-    with m = (Q+q)/2, y = Q - q, N = 1/(sqrt(2 pi) sx).
+    with m = (Q+q)/2, y = Q - q, N = 1/(sqrt(2 pi) sx).  Raises ValueError
+    unless both widths are positive.
     """
+    _check_widths(sigma_x, sigma_p)
     pts = sgrid.points
     mid = 0.5 * np.add.outer(pts, pts)
     y = np.subtract.outer(pts, pts)

@@ -199,7 +199,8 @@ def _conservation_suite() -> tuple[bool, str]:
     times = np.linspace(0.0, 10.0, 11)
     # Jaynes-Cummings with dipole and superoperator
     p = jc.JCParams(omega_e=1.0, omega=0.9, d_eg=0.08, n_max=4, eps_egeg=0.05 * (1 + 1j))
-    track(jc.jc_states(p, jc.initial_jc_state("e1", p.n_max), times))
+    rho0 = jc.initial_jc_state("e1", p.n_max)
+    track(evolution.ExactEvolver(jc.jc_liouvillian(p)).propagate(rho0, times))
 
     # bipartite CL and QM through the relative mode, from the ground state
     cl = entangle.relative_generator(entangle.BipartiteBasis(n_levels=4), 0.0002)
@@ -249,7 +250,7 @@ def _jc_first_order_consistency() -> tuple[bool, str]:
     )
     times = (0.4, 0.2, 0.1)
     small = max(abs(p.d_eg) * times[0], abs(p.eps_egeg) * times[0]) <= 1e-2
-    exact = [jc.jc_states(p, rho0, [t])[0] for t in times]
+    exact = evolution.ExactEvolver(jc.jc_liouvillian(p)).propagate(rho0, times)
     devs = [
         float(np.max(np.abs(jc.jc_evolve_first_order(p, rho0, t) - rho)))
         for t, rho in zip(times, exact)

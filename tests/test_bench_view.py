@@ -71,3 +71,13 @@ def test_tracer_wraps_the_exact_route(tracing, built, tmp_path):
     assert tracer.counts["evolution.exact_init"] == 2
     assert tracer.counts["evolution.eigh"] == 2
     assert tracer.counts["liouvillian.dense"] == 2
+
+
+def test_tracer_attributes_the_jc_build(tracing, built, tmp_path):
+    """A traced jc run builds its one generator through ``jc_liouvillian``,
+    so the build is timed as a layer of its own."""
+    workload = built("jc-n12")
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        assert cli.run([*workload.argv, "--outdir", str(tmp_path)]) == cli.EXIT_OK
+    assert tracer.counts["jaynescummings.build"] == 1

@@ -217,8 +217,8 @@ class TestScenarios:
     @pytest.mark.parametrize(
         "argv, module, builder",
         [
-            (["jc", "--steps", "20"], jc, "jc_generator"),
-            (["jc", "--steps", "20", "--eps", "0.01,-0.02"], jc, "jc_generator"),
+            (["jc", "--steps", "20"], jc, "jc_liouvillian"),
+            (["jc", "--steps", "20", "--eps", "0.01,-0.02"], jc, "jc_liouvillian"),
             (["bipartite", "--steps", "5"], entangle, "relative_generator"),
         ],
         ids=["jc-sector-phases", "jc-sector-powers", "bipartite"],
@@ -267,6 +267,12 @@ class TestScenarios:
             ["evolve", "--hbar", "0"],
             ["evolve", "--mass", "-1"],
             ["evolve", "--hbar", "-1"],
+            ["evolve", "--sigma-x", "0"],
+            ["evolve", "--sigma-x", "-1"],
+            ["evolve", "--sigma-p", "0"],
+            ["evolve", "--sigma-p", "-1"],
+            ["evolve", "--t", "nan"],
+            ["evolve", "--x0", "inf"],
         ],
         ids=" ".join,
     )
@@ -515,6 +521,23 @@ class TestScenarios:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"scenario": "evolve", "method": "strang"}))
         assert run(["evolve", "--config", str(cfg), "--outdir", str(tmp_path)]) == EXIT_USAGE
+
+    def test_non_finite_config_value_is_usage_error(self, tmp_path):
+        # json reads NaN and Infinity as floats
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"scenario": "evolve", "t": NaN}')
+        assert run(["evolve", "--config", str(cfg), "--outdir", str(tmp_path)]) == EXIT_USAGE
+        assert not (tmp_path / "evolve").exists()
+
+    def test_nan_run_fails_its_checks(self, tmp_path):
+        """A NaN potential leaves the first row finite and every later one
+        NaN: each margin keeps the NaN, so no check passes."""
+        argv = ["evolve", "--potential", "quartic:nan", "--grid-n", "64", "--steps", "20",
+                "--n-out", "5", "--outdir", str(tmp_path)]
+        assert run(argv) == EXIT_VALIDATION
+        manifest = json.loads((tmp_path / "evolve" / "evolve_manifest.json").read_text())
+        assert manifest["checks"] and not any(manifest["checks"].values())
+        assert all(np.isnan(v) for v in manifest["margins"].values())
 
     def test_validate_passes_on_correct_build(self, tmp_path, monkeypatch):
         checks = [("first", stub_check(True)), ("second", stub_check(True))]

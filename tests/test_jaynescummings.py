@@ -19,19 +19,11 @@ from liouspace.jaynescummings import (
     hydrogen_psi,
     initial_jc_state,
     jc_evolve_first_order,
-    jc_generator,
     jc_liouvillian,
     jc_series,
-    jc_states,
     partial_trace,
 )
 from liouspace.evolution import ExactEvolver
-from liouspace.liouvillian import BasisLiouvillian
-
-
-def evolve(p, rho0, times):
-    """The model's states over times through the sector stepping."""
-    return jc_states(p, rho0, times)
 
 
 def dense_states(p, rho0, times):
@@ -84,31 +76,37 @@ class TestHamiltonian:
         with pytest.raises(ValueError):
             JCParams(omega_e=1.0, omega=1.0, d_eg=0.1, n_max=0)
 
-    @pytest.mark.parametrize("eps_egeg", [0.3, 0.01 - 0.02j, 0.05 + 0.05j])
+    @pytest.mark.parametrize("eps_egeg", [0.01 - 0.02j, 0.05 + 0.05j, -0.32j])
     def test_superoperator_keeps_trace_and_hermiticity(self, eps_egeg):
         p = JCParams(omega_e=1.0, omega=1.0, d_eg=0.1, n_max=2, eps_egeg=eps_egeg)
         liou = jc_liouvillian(p)
-        assert liou.basis is None  # E-hat acts elementwise in the product basis
-        whole, e = liou.e, jc_generator(p).e
-        for mask in [whole] if e is None else [whole, e]:
-            blocks = mask.reshape(2, 3, 2, 3)
-            # trace sum rule sum_a E_{aa,cd} = 0: the atom-diagonal blocks vanish
-            np.testing.assert_array_equal(blocks[ATOM_G, :, ATOM_G, :], 0.0)
-            np.testing.assert_array_equal(blocks[ATOM_E, :, ATOM_E, :], 0.0)
-            # E_{ab,cd} = -conj(E_{ba,dc}) keeps rho Hermitian
-            np.testing.assert_array_equal(mask, -mask.T.conj())
-        np.testing.assert_array_equal(whole.reshape(2, 3, 2, 3)[ATOM_E, :, ATOM_G, :], eps_egeg)
+        assert liou.basis is None  # E acts elementwise in the product basis
+        blocks = liou.e.reshape(2, 3, 2, 3)
+        # trace sum rule sum_a E_{aa,cd} = 0: the atom-diagonal blocks vanish
+        np.testing.assert_array_equal(blocks[ATOM_G, :, ATOM_G, :], 0.0)
+        np.testing.assert_array_equal(blocks[ATOM_E, :, ATOM_E, :], 0.0)
+        # E_{ab,cd} = -conj(E_{ba,dc}) keeps rho Hermitian
+        np.testing.assert_array_equal(liou.e, -liou.e.T.conj())
+        np.testing.assert_array_equal(blocks[ATOM_E, :, ATOM_G, :], 1j * eps_egeg.imag)
 
-    @pytest.mark.parametrize("eps_egeg", [0.0, 0.3, 0.01 - 0.02j])
-    def test_structured_action_equals_dense(self, eps_egeg):
-        """h = H_JC + Re(eps) P_e (x) 1 and E = i Im(eps) on the coherence
-        blocks act as the dense generator with E-hat whole."""
+    @pytest.mark.parametrize(
+        "eps_egeg", [0.0, 0.01, -0.3, 0.3, 0.01 - 0.02j, 0.05 + 0.05j, -0.32j]
+    )
+    def test_split_generator_equals_the_whole_superoperator(self, eps_egeg):
+        """The paper's generator by hand, E-hat whole: eps on the eg block
+        and -conj(eps) on the ge block of kron(H_JC, 1) - kron(1, H_JC^T) +
+        diag(mask).  The split form (h = H_JC + Re(eps) P_e (x) 1, E =
+        i Im(eps)) acts as it, with no E for real eps: an omega_e shift."""
         p = JCParams(omega_e=1.1, omega=0.9, d_eg=0.08, n_max=3, eps_egeg=eps_egeg)
-        rng = np.random.Generator(np.random.Philox(81))
-        rho = rng.normal(size=(p.dim, p.dim)) + 1j * rng.normal(size=(p.dim, p.dim))
-        want = jc_liouvillian(p).dense() @ rho.reshape(-1)
-        got = jc_generator(p).dense() @ rho.reshape(-1)
-        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.max(np.abs(want)))
+        h, f = build_jc_hamiltonian(p), p.fock_dim
+        mask = np.zeros((2, f, 2, f), dtype=complex)
+        mask[ATOM_E, :, ATOM_G, :] = eps_egeg
+        mask[ATOM_G, :, ATOM_E, :] = -np.conj(eps_egeg)
+        eye = np.eye(p.dim)
+        whole = np.kron(h, eye) - np.kron(eye, h.T) + np.diag(mask.reshape(-1))
+        liou = jc_liouvillian(p)
+        assert (liou.e is None) == (np.imag(eps_egeg) == 0)
+        np.testing.assert_allclose(liou.dense(), whole, rtol=0, atol=1e-13)
 
     def test_hermitian_exactly(self):
         p = JCParams(omega_e=1.2, omega=0.8, d_eg=0.3, n_max=5)
@@ -117,7 +115,7 @@ class TestHamiltonian:
 
 
 def per_state_columns(p, rho0, times, states=None):
-    """The jc_series columns from the evolved states (the sector stepping's
+    """The jc_series columns from the evolved states (the dense oracle's
     unless given), one state at a time."""
     f = p.fock_dim
     return np.array([
@@ -128,7 +126,7 @@ def per_state_columns(p, rho0, times, states=None):
             np.trace(rho).real,
             np.trace(rho @ rho).real,
         )
-        for t, rho in zip(times, evolve(p, rho0, times) if states is None else states)
+        for t, rho in zip(times, dense_states(p, rho0, times) if states is None else states)
     ])
 
 
@@ -142,7 +140,7 @@ class TestSeries:
         assert path == "sector_powers"
         assert list(cols) == ["t", "P_e", "abs_rho_eg00", "trace", "purity"]
         want = per_state_columns(p, rho0, times)
-        np.testing.assert_allclose(np.column_stack(list(cols.values())), want, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(np.column_stack(list(cols.values())), want, rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("eps_egeg", [0.0, 0.03])
     def test_phase_route_equals_per_state_definitions(self, eps_egeg):
@@ -155,10 +153,11 @@ class TestSeries:
         times = np.linspace(0.0, 2.5, 26)  # the top Fock levels pass 1e-6 near t = 3
         cols, path, margins = jc_series(p, rho0, times)
         assert path == "sector_phases"
-        want = per_state_columns(p, rho0, times)
-        np.testing.assert_allclose(np.column_stack(list(cols.values())), want, rtol=0, atol=1e-14)
+        states = dense_states(p, rho0, times)
+        want = per_state_columns(p, rho0, times, states)
+        np.testing.assert_allclose(np.column_stack(list(cols.values())), want, rtol=0, atol=1e-13)
         top = [np.trace(rho.reshape(2, 7, 2, 7)[:, -2:, :, -2:].reshape(4, 4)).real
-               for rho in evolve(p, rho0, times)]
+               for rho in states]
         assert list(margins) == ["max_fock_leak"]
         assert margins["max_fock_leak"] == pytest.approx(max(top), rel=0, abs=1e-14)
 
@@ -195,9 +194,8 @@ class TestExactEvolution:
         p = JCParams(omega_e=1.0, omega=1.0, d_eg=0.05, n_max=4)
         rho0 = initial_jc_state("e0", p.n_max)
         times = np.linspace(0.0, np.pi / 0.05, 13)
-        for t, rho in zip(times, evolve(p, rho0, times)):
-            p_e = np.trace(rho.reshape(2, 5, 2, 5)[ATOM_E, :, ATOM_E, :]).real
-            assert p_e == pytest.approx(np.cos(0.05 * t) ** 2, abs=1e-6)
+        cols, _, _ = jc_series(p, rho0, times)
+        np.testing.assert_allclose(cols["P_e"], np.cos(0.05 * times) ** 2, rtol=0, atol=1e-6)
 
     def test_superoperator_acts_as_coherence_modifier(self):
         # d = 0, E_egeg = i kappa: i d/dt rho_eg = (w_e + i kappa) rho_eg,
@@ -206,17 +204,22 @@ class TestExactEvolution:
         p = JCParams(omega_e=1.0, omega=0.8, d_eg=0.0, n_max=2, eps_egeg=1j * kappa)
         atom = np.array([[0.5, 0.3], [0.3, 0.5]], dtype=complex)
         rho0 = np.kron(atom, np.diag([1.0, 0.0, 0.0]).astype(complex))
-        for t in (0.5, 1.5):
-            rho = evolve(p, rho0, [t])[0]
-            got = abs(rho.reshape(2, 3, 2, 3)[ATOM_E, 0, ATOM_G, 0])
-            assert got == pytest.approx(0.3 * np.exp(kappa * t), abs=1e-10)
+        times = np.linspace(0.0, 1.5, 4)
+        cols, path, _ = jc_series(p, rho0, times)
+        assert path == "sector_powers"
+        np.testing.assert_allclose(
+            cols["abs_rho_eg00"], 0.3 * np.exp(kappa * times), rtol=0, atol=1e-10
+        )
 
     def test_trace_conserved_over_long_run(self):
         p = JCParams(
             omega_e=1.1, omega=0.9, d_eg=0.08, n_max=4, eps_egeg=0.05 * (1 + 1j)
         )
         rho0 = initial_jc_state("e1", p.n_max)
-        for rho in evolve(p, rho0, np.linspace(0.0, 10.0, 11)):
+        times = np.linspace(0.0, 10.0, 11)
+        cols, _, _ = jc_series(p, rho0, times)
+        np.testing.assert_allclose(cols["trace"], 1.0, rtol=0, atol=1e-8)
+        for rho in dense_states(p, rho0, times):
             assert abs(np.trace(rho).real - 1.0) < 1e-8
             assert np.max(np.abs(rho - rho.conj().T)) < 1e-8
 
@@ -226,8 +229,8 @@ class TestExactEvolution:
         base = dict(omega_e=1.2, omega=0.7, d_eg=0.0, n_max=3)
         atom = np.array([[0.55, 0.2 - 0.3j], [0.2 + 0.3j, 0.45]])
         rho0 = np.kron(atom, coherent_field_density(0.5, 3))
-        rho_plain = evolve(JCParams(**base), rho0, [2.0])[0]
-        rho_eps = evolve(JCParams(**base, eps_egeg=0.4 + 0.2j), rho0, [2.0])[0]
+        rho_plain = dense_states(JCParams(**base), rho0, [2.0])[0]
+        rho_eps = dense_states(JCParams(**base, eps_egeg=0.4 + 0.2j), rho0, [2.0])[0]
         f = 4
         for a in (ATOM_G, ATOM_E):
             block_plain = rho_plain.reshape(2, f, 2, f)[a, :, a, :]
@@ -250,18 +253,15 @@ class TestExactEvolution:
     @pytest.mark.parametrize("eps_egeg", [0.0, 0.01, 0.3, 0.01 - 0.02j, 0.05 + 0.05j])
     @pytest.mark.parametrize("n_max", [3, 6])
     def test_structured_route_matches_dense(self, n_max, eps_egeg):
-        """The sector routes, the series and the states, against the dense
-        generator (whose top Fock levels the coherent field fills, so the
-        series is taken with the leak guard lifted)."""
+        """The sector routes against the dense generator (whose top Fock
+        levels the coherent field fills, so the series is taken with the
+        leak guard lifted).  The purity sums every sector block, the
+        off-diagonal ones too."""
         p = JCParams(omega_e=1.1, omega=0.9, d_eg=0.08, n_max=n_max, eps_egeg=eps_egeg)
         atom = np.array([[0.4, 0.2 - 0.3j], [0.2 + 0.3j, 0.6]])
         rho0 = np.kron(atom, coherent_field_density(0.5, n_max))
         times = np.linspace(0.0, 5.0, 11)
         want = dense_states(p, rho0, times)
-        states = evolve(p, rho0, times)
-        assert states.shape == (11, p.dim, p.dim)
-        for rho, rho_want in zip(states, want):
-            np.testing.assert_allclose(rho, rho_want, rtol=0, atol=1e-12)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(jc_module, "LEAK_THRESHOLD", np.inf)
             cols, path, _ = jc_series(p, rho0, times)
@@ -280,8 +280,6 @@ class TestExactEvolution:
         rho0 = initial_jc_state("e0", p.n_max)
         times = np.linspace(0.0, 5.0, 11)
         want = dense_states(p, rho0, times)
-        for rho, rho_want in zip(evolve(p, rho0, times), want):
-            np.testing.assert_allclose(rho, rho_want, rtol=0, atol=1e-12)
         cols, path, _ = jc_series(p, rho0, times)
         assert path == "sector_powers"
         np.testing.assert_allclose(
@@ -289,11 +287,10 @@ class TestExactEvolution:
             rtol=0, atol=1e-12,
         )
 
-    @pytest.mark.parametrize("step", [jc_series, jc_states])
-    def test_sector_powers_need_an_even_grid(self, step):
+    def test_sector_powers_need_an_even_grid(self):
         p = JCParams(omega_e=1.0, omega=1.0, d_eg=0.1, n_max=2, eps_egeg=0.1j)
         with pytest.raises(ValueError, match="evenly"):
-            step(p, initial_jc_state("e0", 2), [0.0, 0.5, 2.0])
+            jc_series(p, initial_jc_state("e0", 2), [0.0, 0.5, 2.0])
 
     @pytest.mark.parametrize("eps", [0.02, 0.1j], ids=["sector-phases", "sector-powers"])
     def test_series_refuse_an_empty_grid(self, eps):
@@ -354,8 +351,6 @@ class TestExactEvolution:
             np.column_stack(list(cols.values())), per_state_columns(p, rho0, times, want),
             rtol=0, atol=1e-13,
         )
-        for rho, rho_want in zip(evolve(p, rho0, times), want):
-            np.testing.assert_allclose(rho, rho_want, rtol=0, atol=1e-13)
 
     def test_phase_route_makes_no_eigendecomposition(self, monkeypatch):
         def refuse(*_args, **_kwargs):
@@ -366,16 +361,6 @@ class TestExactEvolution:
         rho0 = initial_jc_state("coherent:0.7", p.n_max)
         cols, path, _ = jc_series(p, rho0, np.linspace(0.0, 10.0, 201))
         assert path == "sector_phases" and abs(cols["trace"][-1] - 1.0) < 1e-13
-
-    @pytest.mark.parametrize("eps", [0.0, 0.01, -0.3])
-    def test_real_eps_is_an_omega_e_shift(self, eps):
-        p = JCParams(omega_e=1.1, omega=0.9, d_eg=0.08, n_max=3, eps_egeg=eps)
-        proj_e = np.kron(np.diag([0.0, 1.0]), np.eye(p.fock_dim))
-        shifted = BasisLiouvillian(build_jc_hamiltonian(p) + eps * proj_e)
-        assert jc_generator(p).e is None  # the sector_phases route
-        np.testing.assert_allclose(
-            jc_liouvillian(p).dense(), shifted.dense(), rtol=0, atol=1e-14
-        )
 
 
 class TestFirstOrder:
@@ -418,7 +403,7 @@ class TestFirstOrder:
         else:
             rho0 = np.kron(atom[state], coherent_field_density(0.4, 4))
         devs = [
-            np.max(np.abs(jc_evolve_first_order(p, rho0, t) - evolve(p, rho0, [t])[0]))
+            np.max(np.abs(jc_evolve_first_order(p, rho0, t) - dense_states(p, rho0, [t])[0]))
             for t in (0.4, 0.2, 0.1)
         ]
         assert devs[0] / devs[1] == pytest.approx(4.0, abs=0.8)
@@ -432,7 +417,7 @@ class TestFirstOrder:
         atom = np.array([[0.6, 0.25 + 0.1j], [0.25 - 0.1j, 0.4]])
         rho0 = np.kron(atom, coherent_field_density(0.3, 3))
         devs = [
-            np.max(np.abs(jc_evolve_first_order(p, rho0, t) - evolve(p, rho0, [t])[0]))
+            np.max(np.abs(jc_evolve_first_order(p, rho0, t) - dense_states(p, rho0, [t])[0]))
             for t in (0.4, 0.2, 0.1)
         ]
         assert devs[0] / devs[1] == pytest.approx(4.0, abs=0.8)
@@ -453,7 +438,7 @@ class TestFirstOrder:
                 omega_e=0.9, omega=0.9, d_eg=g, n_max=4, eps_egeg=g * (0.4 + 0.6j)
             )
             got = jc_evolve_first_order(p, rho0, 1.0)
-            errs.append(float(np.max(np.abs(got - evolve(p, rho0, [1.0])[0]))))
+            errs.append(float(np.max(np.abs(got - dense_states(p, rho0, [1.0])[0]))))
         slope = np.polyfit(np.log(couplings), np.log(errs), 1)[0]
         assert slope == pytest.approx(2.0, abs=0.15)
 

@@ -43,6 +43,14 @@ class TestGrids:
         with pytest.raises(ValueError):
             SuperGrid(-1.0, 1.0, 15)
 
+    @pytest.mark.parametrize("sx, sp", [(0.0, 0.6), (-1.0, 0.6), (0.4, 0.0), (0.4, -1.0),
+                                        (np.nan, 0.6)])
+    def test_gaussian_widths_must_be_positive(self, grid64, sx, sp):
+        with pytest.raises(ValueError, match="must be > 0"):
+            gaussian_super_density(grid64, 1.0, 0.0, sx, sp)
+        with pytest.raises(ValueError, match="must be > 0"):
+            gaussian_phase_density(PhaseGrid(grid64, 1.0), 1.0, 0.0, sx, sp)
+
 
 class TestPhaseToSuper:
     def test_matches_analytic_gaussian(self, grid64):
