@@ -14,7 +14,6 @@ Usage: python scripts/quartic_cl_vs_qm.py [out.csv]
 
 import sys
 
-from liouspace.evolution import boundary_mass
 from liouspace.serialize import write_csv
 from liouspace import (
     EvolutionConfig,
@@ -46,7 +45,7 @@ def moment_series(kind):
         rows.append((T_END * k / n_steps, m.x, m.p, m.x2, m.purity))
 
     sd = evolve_trotter(v, grid, kind, sd, cfg, observe=observe, observe_every=STEPS_PER_ROW)
-    print(f"{kind.value}: final boundary mass {boundary_mass(sd.values):.2e}")
+    print(f"{kind.value}: final boundary mass {moments(sd).boundary_mass:.2e}")
     return rows
 
 

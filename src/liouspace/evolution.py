@@ -20,7 +20,6 @@ loads no scipy.
 from __future__ import annotations
 
 import enum
-import warnings
 from dataclasses import dataclass
 from typing import Callable
 
@@ -31,7 +30,6 @@ from .liouvillian import build_grid_liouvillian
 from .potential import PolynomialPotential, SuperPotentialKind
 from .superspace import SuperDensity, SuperGrid, is_hermitian
 
-BOUNDARY_MASS_TOL = 1e-10
 # Largest per-sample energy drift rate of the leapfrog ensemble, per unit
 # time and relative to the energy scale.
 ENERGY_DRIFT_TOL = 1e-6
@@ -134,18 +132,6 @@ def evolve_ordered(
     return vec.reshape(shape)
 
 
-def boundary_mass(values: np.ndarray) -> float:
-    """Largest |rho| on the outermost grid ring, relative to the peak."""
-    peak = max(float(np.max(np.abs(values))), 1e-300)
-    edge = max(
-        float(np.max(np.abs(values[0, :]))),
-        float(np.max(np.abs(values[-1, :]))),
-        float(np.max(np.abs(values[:, 0]))),
-        float(np.max(np.abs(values[:, -1]))),
-    )
-    return edge / peak
-
-
 def evolve_trotter(
     v: PolynomialPotential,
     grid: SuperGrid,
@@ -166,6 +152,8 @@ def evolve_trotter(
     the next are fused into one full phase, so a step is one forward FFT,
     the kinetic phase, one inverse FFT and the full potential phase; the
     closing half phase is applied only to a state that is handed out.
+    The grid is periodic, so mass at its boundary wraps around;
+    ``superspace.moments`` reports it as the boundary mass.
 
     ``observe(k, state)``, if given, is called after every step k =
     1..n_steps that is a multiple of ``observe_every``, with the state at
@@ -178,12 +166,6 @@ def evolve_trotter(
         raise ValueError("config.method must be TROTTER_STRANG")
     if observe_every < 1:
         raise ValueError("observe_every must be >= 1")
-    if boundary_mass(rho0.values) > BOUNDARY_MASS_TOL:
-        warnings.warn(
-            "initial density is not negligible at the grid boundary; "
-            "periodic truncation artifacts are expected",
-            stacklevel=2,
-        )
     op = build_grid_liouvillian(v, grid, kind, mass=config.mass, hbar=config.hbar)
     dt = config.t1 / config.n_steps
     kin_phase = np.exp(-1j * dt * (op.kinetic_diag / config.hbar))

@@ -70,6 +70,10 @@ class JCParams:
     def __post_init__(self) -> None:
         if self.n_max < 1:
             raise ValueError("n_max must be >= 1")
+        for name in ("omega_e", "omega", "d_eg", "eps_egeg"):
+            value = getattr(self, name)
+            if not np.isfinite(value):
+                raise ValueError(f"{name}={value} must be finite")
 
     @property
     def fock_dim(self) -> int:
@@ -316,6 +320,8 @@ def jc_series(
 
 def coherent_field_density(alpha: complex, n_max: int) -> np.ndarray:
     """|alpha><alpha| truncated to n_max and renormalized."""
+    if not np.isfinite(alpha):
+        raise ValueError(f"alpha={alpha} must be finite")
     n = np.arange(n_max + 1)
     log_fact = np.cumsum(np.log(np.maximum(n, 1)))
     amp = np.exp(-0.5 * abs(alpha) ** 2 + n * np.log(complex(alpha)) - 0.5 * log_fact) \

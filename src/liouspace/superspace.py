@@ -244,7 +244,7 @@ def _first_derivative_matrix(n: int, dq: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Moments:
-    """Moments of one superspace density; see `moments`."""
+    """Moments and grid guards of one superspace density; see `moments`."""
 
     trace: float
     x: float
@@ -253,10 +253,11 @@ class Moments:
     xp_weyl: float
     purity: float
     hermiticity_defect: float
+    boundary_mass: float
 
 
 def moments(sd: SuperDensity, hbar: float = 1.0) -> Moments:
-    """Trace, <x>, <p>, <x^2>, Weyl <xp> and purity of rho(Q, q) in one pass.
+    """Moments and grid guards of rho(Q, q) in one pass.
 
     With X = diag(q_a) and P = -i hbar D, D the spectral first derivative:
     Tr rho = sum_a rho_aa dq, <x^k> = sum_a q_a^k rho_aa dq,
@@ -266,7 +267,9 @@ def moments(sd: SuperDensity, hbar: float = 1.0) -> Moments:
 
     Raises HermiticityViolation when max|rho - rho^H| exceeds
     HERMITICITY_TOL * max|rho|, or when the trace has an imaginary part above
-    1e-10 of its modulus.  The defect max|rho - rho^H| is returned.
+    1e-10 of its modulus.  The defect max|rho - rho^H| is returned, with the
+    boundary mass: the largest |rho| on the outermost grid ring over
+    max|rho|, which bounds the periodic wrap-around of the grid routes.
     """
     rho, dq, q = sd.values, sd.grid.dq, sd.grid.points
     defect = sd.hermiticity_defect()
@@ -290,6 +293,12 @@ def moments(sd: SuperDensity, hbar: float = 1.0) -> Moments:
         xp_weyl=float(0.5 * hbar * (q @ w.sum(axis=1) + w.sum(axis=0) @ q) * dq),
         purity=float(np.sum(np.abs(rho) ** 2) * dq**2),
         hermiticity_defect=defect,
+        boundary_mass=max(
+            float(np.max(np.abs(rho[0, :]))),
+            float(np.max(np.abs(rho[-1, :]))),
+            float(np.max(np.abs(rho[:, 0]))),
+            float(np.max(np.abs(rho[:, -1]))),
+        ) / scale,
     )
 
 

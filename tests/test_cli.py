@@ -273,6 +273,11 @@ class TestScenarios:
             ["evolve", "--sigma-p", "-1"],
             ["evolve", "--t", "nan"],
             ["evolve", "--x0", "inf"],
+            ["jc", "--eps", "nan,0"],
+            ["jc", "--eps", "0,inf"],
+            ["jc", "--init", "coherent:nan"],
+            ["bipartite", "--alpha1", "nan"],
+            ["bipartite", "--alpha2", "inf"],
         ],
         ids=" ".join,
     )
@@ -452,10 +457,7 @@ class TestScenarios:
         [
             ["evolve", "--grid-n", "64", "--steps", "20", "--n-out", "5"],
             # the Gaussian fills a narrow grid: boundary_mass_ok is false
-            pytest.param(
-                ["evolve", "--grid-n", "32", "--grid-span", "2", "--steps", "20", "--n-out", "5"],
-                marks=pytest.mark.filterwarnings("ignore:initial density is not negligible"),
-            ),
+            ["evolve", "--grid-n", "32", "--grid-span", "2", "--steps", "20", "--n-out", "5"],
             ["jc", "--n-max", "3", "--steps", "20"],
             # Im eps > 0 raises purity above 1: purity_at_most_1_1e-8 is false
             ["jc", "--n-max", "3", "--steps", "20", "--eps", "0.01,0.02"],

@@ -10,7 +10,6 @@ from liouspace.evolution import (
     EvolutionConfig,
     EvolveMethod,
     ExactEvolver,
-    boundary_mass,
     evolve_characteristics,
     evolve_ordered,
     evolve_trotter,
@@ -333,7 +332,6 @@ class TestTrotter:
 
     # the reference is the same discrete generator, so the mild boundary
     # mass on this coarse 16-point grid cancels in the comparison
-    @pytest.mark.filterwarnings("ignore:initial density")
     def test_strang_second_order_vs_exact(self):
         grid = SuperGrid.centered(5.0, 16)
         v = PolynomialPotential.quartic(0.5)
@@ -445,13 +443,13 @@ class TestTrotter:
         with pytest.raises(ValueError):
             evolve_trotter(PolynomialPotential.free(), grid, SuperPotentialKind.CL, sd, cfg)
 
-    def test_boundary_warning(self):
+    def test_boundary_mass_is_a_moment(self):
         grid = SuperGrid.centered(3.0, 32)
         sd = gaussian_super_density(grid, 1.5, 0.0, 0.8, 0.3)
         cfg = EvolutionConfig(t1=0.1, n_steps=2, method=EvolveMethod.TROTTER_STRANG)
-        with pytest.warns(UserWarning, match="boundary"):
-            evolve_trotter(PolynomialPotential.free(), grid, SuperPotentialKind.CL, sd, cfg)
-        assert boundary_mass(sd.values) > 1e-10
+        out = evolve_trotter(PolynomialPotential.free(), grid, SuperPotentialKind.CL, sd, cfg)
+        assert moments(sd).boundary_mass > 1e-10
+        assert moments(out).boundary_mass > 1e-10
 
 
 class TestUnitScaling:
@@ -488,8 +486,7 @@ class TestUnitScaling:
             t1=0.5, n_steps=512, method=EvolveMethod.TROTTER_STRANG,
             hbar=0.7, mass=1.3,
         )
-        with pytest.warns(UserWarning):
-            out = evolve_trotter(v, grid, SuperPotentialKind.CL, sd, cfg)
+        out = evolve_trotter(v, grid, SuperPotentialKind.CL, sd, cfg)
         assert np.max(np.abs(out.values - ref)) < 1e-6
 
 

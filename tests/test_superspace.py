@@ -142,6 +142,12 @@ def fft_route_moments(sd, hbar=1.0):
         xp_weyl=0.5 * (tr(-1j * hbar * q * d_bra) + tr(-1j * hbar * deriv(q * rho, 0))),
         purity=float(np.sum(np.abs(rho) ** 2) * dq**2),
         hermiticity_defect=float(np.max(np.abs(rho - rho.conj().T))),
+        boundary_mass=max(
+            float(np.max(np.abs(rho[0, :]))),
+            float(np.max(np.abs(rho[-1, :]))),
+            float(np.max(np.abs(rho[:, 0]))),
+            float(np.max(np.abs(rho[:, -1]))),
+        ) / max(float(np.max(np.abs(rho))), 1e-300),
     )
 
 
@@ -168,8 +174,8 @@ class TestMoments:
         sd = make()
         got, want = moments(sd, hbar), fft_route_moments(sd, hbar)
         for name in Moments.__dataclass_fields__:
-            if name == "hermiticity_defect":
-                assert got.hermiticity_defect == want.hermiticity_defect
+            if name in ("hermiticity_defect", "boundary_mass"):
+                assert getattr(got, name) == getattr(want, name), name
             else:
                 assert getattr(got, name) == pytest.approx(
                     getattr(want, name), rel=1e-13, abs=0.0
@@ -199,7 +205,13 @@ class TestMoments:
 
     def test_zero_density(self, grid64):
         m = moments(SuperDensity(grid64, np.zeros((64, 64))))
-        assert m == Moments(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+        assert m == Moments(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+
+    def test_boundary_mass_of_a_gaussian_on_a_narrow_grid(self):
+        wide = gaussian_super_density(SuperGrid.centered(8.0, 64), 0.0, 0.0, 0.6, 0.6)
+        narrow = gaussian_super_density(SuperGrid.centered(3.0, 32), 1.5, 0.0, 0.8, 0.3)
+        assert moments(wide).boundary_mass < 1e-10
+        assert moments(narrow).boundary_mass > 1e-10
 
     @pytest.mark.parametrize("defect, ok", [(0.5e-6, True), (2e-6, False)])
     def test_hermiticity_tolerance(self, defect, ok):
