@@ -26,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import EnergyDriftExceeded
-from .liouvillian import build_grid_liouvillian
+from .liouvillian import _wavenumbers, build_grid_liouvillian
 from .potential import PolynomialPotential, SuperPotentialKind
 from .superspace import SuperDensity, SuperGrid, is_hermitian
 
@@ -146,20 +146,23 @@ def evolve_trotter(
 
     Each substep composes one discretized factor of the superpropagator
     path integral: the kinetic factor is diagonal in the 2-d Fourier dual
-    of (Q, q), the potential + E factor is diagonal in (Q, q).  Strang
-    splitting (half potential, kinetic, half potential) is second order.
-    The closing half potential phase of one step and the opening one of
-    the next are fused into one full phase, so a step is one forward FFT,
-    the kinetic phase, one inverse FFT and the full potential phase; the
-    closing half phase is applied only to a state that is handed out.
-    The grid is periodic, so mass at its boundary wraps around;
-    ``superspace.moments`` reports it as the boundary mass.
+    of (Q, q), the potential + E factor is diagonal in (Q, q).  A step is
+    the Strang splitting (half potential, kinetic, half potential), second
+    order.  The kinetic phase exp(-i dt (H_Q - H_q) / hbar) factorises as
+    a[Q] conj(a)[q] with a = exp(-i dt hbar k^2 / 2m), so each 1-d FFT pass
+    is followed by its axis's phase.  The loop holds the state and the
+    half potential phase, two n x n complex arrays; the generator is
+    dropped once the phases are formed.  The grid is periodic, so mass at
+    its boundary wraps around; ``superspace.moments`` reports it as the
+    boundary mass.
 
     ``observe(k, state)``, if given, is called after every step k =
     1..n_steps that is a multiple of ``observe_every``, with the state at
     k dt, bit-identical to the result of a separate k-step call with the
-    same dt; it must not modify the state.  Generator and phases are built
-    once per call: one call covers a run.  Raises ValueError unless
+    same dt.  That state is a read-only view of the working array, valid
+    during the call only: an observer that keeps it must copy it.  The
+    returned state is the working array itself.  Generator and phases are
+    built once per call: one call covers a run.  Raises ValueError unless
     ``config.method`` is TROTTER_STRANG and ``observe_every >= 1``.
     """
     if config.method is not EvolveMethod.TROTTER_STRANG:
@@ -168,26 +171,35 @@ def evolve_trotter(
         raise ValueError("observe_every must be >= 1")
     op = build_grid_liouvillian(v, grid, kind, mass=config.mass, hbar=config.hbar)
     dt = config.t1 / config.n_steps
-    kin_phase = np.exp(-1j * dt * (op.kinetic_diag / config.hbar))
-    half = np.exp(-0.5j * dt * ((op.potential_diag + op.e_diag) / config.hbar))
-    full = half * half
-    rho = half * rho0.values  # a fresh array: the FFTs below overwrite it
+    angle = op.potential_diag
+    angle += op.e_diag
+    angle *= -0.5 * dt / config.hbar
+    del op
+    # cos + i sin of the real angles: the values of a complex exp, in about
+    # half its time
+    half = np.empty(angle.shape, dtype=complex)
+    np.cos(angle, out=half.real)
+    np.sin(angle, out=half.imag)
+    del angle
+    a = np.exp(-0.5j * dt * config.hbar / config.mass * _wavenumbers(grid.n, grid.dq) ** 2)
+    a_conj, a_col = a.conj(), a[:, None]
+    rho = np.array(rho0.values)  # a copy: the steps below overwrite it
+    view = rho.view()
+    view.flags.writeable = False
     for k in range(1, config.n_steps + 1):
-        if k > 1:
-            rho *= full
+        rho *= half
         # in place one axis at a time: np.fft.ifft2(x, out=x) leaves x wrong
         # (numpy 2.4.6), while each 1-d out= transform is exact
         np.fft.fft(rho, axis=1, out=rho)
+        rho *= a_conj
         np.fft.fft(rho, axis=0, out=rho)
-        rho *= kin_phase
+        rho *= a_col
         np.fft.ifft(rho, axis=0, out=rho)
         np.fft.ifft(rho, axis=1, out=rho)
-        observed = observe is not None and k % observe_every == 0
-        if observed or k == config.n_steps:
-            state = SuperDensity(grid, half * rho)
-            if observed:
-                observe(k, state)
-    return state
+        rho *= half
+        if observe is not None and k % observe_every == 0:
+            observe(k, SuperDensity(grid, view))
+    return SuperDensity(grid, rho)
 
 
 @dataclass

@@ -27,6 +27,10 @@ import numpy as np
 from .errors import HermiticityViolation
 
 HERMITICITY_TOL = 1e-6
+# Rows per block of the reductions over a density (``moments``,
+# ``SuperDensity.hermiticity_defect``): their temporaries stay at
+# ROW_BLOCK x n instead of n x n.
+ROW_BLOCK = 32
 
 
 def is_hermitian(mat: np.ndarray, tol: float = 1e-12) -> bool:
@@ -142,7 +146,12 @@ class SuperDensity:
             raise ValueError("values shape does not match grid")
 
     def hermiticity_defect(self) -> float:
-        return float(np.max(np.abs(self.values - self.values.conj().T)))
+        """max|rho - rho^H|, reduced over blocks of ``ROW_BLOCK`` rows so no
+        n x n temporary is made; a NaN anywhere gives a NaN defect."""
+        rho = self.values
+        return float(np.max([
+            np.max(np.abs(rho[r] - rho[:, r].conj().T)) for r in _row_blocks(len(rho))
+        ]))
 
 
 def _y_transform_matrix(pgrid: PhaseGrid) -> np.ndarray:
@@ -242,6 +251,11 @@ def _first_derivative_matrix(n: int, dq: float) -> np.ndarray:
     return d
 
 
+def _row_blocks(n: int) -> list[slice]:
+    """Slices of ``ROW_BLOCK`` rows covering 0..n-1."""
+    return [slice(i, i + ROW_BLOCK) for i in range(0, n, ROW_BLOCK)]
+
+
 @dataclass(frozen=True)
 class Moments:
     """Moments and grid guards of one superspace density; see `moments`."""
@@ -263,7 +277,9 @@ def moments(sd: SuperDensity, hbar: float = 1.0) -> Moments:
     Tr rho = sum_a rho_aa dq, <x^k> = sum_a q_a^k rho_aa dq,
     <p> = Re sum_ac P_ac rho_ca dq, <xp>_Weyl = (1/2) Tr((XP + PX) rho)
     = Re sum_ac P_ac (q_a + q_c)/2 rho_ca dq, and Tr rho^2 = dq^2 sum |rho|^2.
-    The same formulas hold for CL and QM densities.
+    The same formulas hold for CL and QM densities.  The sums over the
+    matrix run over blocks of ``ROW_BLOCK`` rows, so no n x n temporary is
+    made, and np.max keeps a NaN of any block.
 
     Raises HermiticityViolation when max|rho - rho^H| exceeds
     HERMITICITY_TOL * max|rho|, or when the trace has an imaginary part above
@@ -272,8 +288,20 @@ def moments(sd: SuperDensity, hbar: float = 1.0) -> Moments:
     max|rho|, which bounds the periodic wrap-around of the grid routes.
     """
     rho, dq, q = sd.values, sd.grid.dq, sd.grid.points
+    d = _first_derivative_matrix(sd.grid.n, dq)
     defect = sd.hermiticity_defect()
-    scale = max(float(np.max(np.abs(rho))), 1e-300)
+    peak, purity, p, xp = [], 0.0, 0.0, 0.0
+    for r in _row_blocks(len(rho)):
+        block = rho[r]
+        peak.append(np.max(np.abs(block)))
+        purity += np.vdot(block, block).real
+        # Re(P_ac rho_ca) = hbar D_ac Im(rho_ca), since D is real: w holds
+        # rows r of w_ac = D_ac Im(rho_ca)
+        w = d[r] * rho[:, r].imag.T
+        p += w.sum()
+        # sum_ac w_ac (q_a + q_c) from the row and column sums of w
+        xp += q[r] @ w.sum(axis=1) + w.sum(axis=0) @ q
+    scale = max(float(np.max(peak)), 1e-300)
     if defect > HERMITICITY_TOL * scale:
         raise HermiticityViolation(
             f"hermiticity defect {defect:.3e} exceeds {HERMITICITY_TOL:g} of max|rho| {scale:.3e}"
@@ -282,23 +310,16 @@ def moments(sd: SuperDensity, hbar: float = 1.0) -> Moments:
     tr = diag.sum() * dq
     if abs(tr.imag) > 1e-10 * max(abs(tr), 1e-12):
         raise HermiticityViolation(f"trace has imaginary part {tr.imag:.3e}")
-    # Re(P_ac rho_ca) = hbar D_ac Im(rho_ca), since D is real
-    w = _first_derivative_matrix(sd.grid.n, dq) * rho.imag.T
+    ring = (rho[0, :], rho[-1, :], rho[:, 0], rho[:, -1])
     return Moments(
         trace=float(tr.real),
         x=float((q @ diag).real * dq),
-        p=float(hbar * w.sum() * dq),
+        p=float(hbar * p * dq),
         x2=float((q**2 @ diag).real * dq),
-        # sum_ac w_ac (q_a + q_c) from the row and column sums of w
-        xp_weyl=float(0.5 * hbar * (q @ w.sum(axis=1) + w.sum(axis=0) @ q) * dq),
-        purity=float(np.sum(np.abs(rho) ** 2) * dq**2),
+        xp_weyl=float(0.5 * hbar * xp * dq),
+        purity=float(purity * dq**2),
         hermiticity_defect=defect,
-        boundary_mass=max(
-            float(np.max(np.abs(rho[0, :]))),
-            float(np.max(np.abs(rho[-1, :]))),
-            float(np.max(np.abs(rho[:, 0]))),
-            float(np.max(np.abs(rho[:, -1]))),
-        ) / scale,
+        boundary_mass=float(np.max([np.max(np.abs(edge)) for edge in ring])) / scale,
     )
 
 

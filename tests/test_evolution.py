@@ -1,3 +1,4 @@
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -375,7 +376,7 @@ class TestTrotter:
             assert np.array_equal(seen[k], alone.values)
 
     @pytest.mark.parametrize("kind", [SuperPotentialKind.CL, SuperPotentialKind.QM])
-    def test_fused_steps_match_unfused_strang(self, kind):
+    def test_steps_match_textbook_strang(self, kind):
         grid = SuperGrid.centered(8.0, 64)
         v = PolynomialPotential.quartic(0.1)
         sd = gaussian_super_density(grid, 1.0, 0.0, 0.5, 0.6)
@@ -394,6 +395,42 @@ class TestTrotter:
         for k in range(1, cfg.n_steps + 1):
             rho = half * np.fft.ifft2(kin * np.fft.fft2(half * rho))
             assert np.max(np.abs(seen[k] - rho)) <= 1e-13 * np.max(np.abs(rho))
+
+    def test_observed_state_is_read_only(self):
+        grid = SuperGrid.centered(8.0, 32)
+        sd = gaussian_super_density(grid, 1.0, 0.0, 0.5, 0.6)
+        seen = []
+
+        def observe(k, state):
+            with pytest.raises(ValueError):
+                state.values[0, 0] = 0.0
+            seen.append(k)
+
+        evolve_trotter(
+            PolynomialPotential.quartic(0.1), grid, SuperPotentialKind.CL, sd,
+            EvolutionConfig(t1=0.1, n_steps=2), observe=observe,
+        )
+        assert seen == [1, 2]
+
+    @pytest.mark.parametrize("kind", [SuperPotentialKind.CL, SuperPotentialKind.QM])
+    def test_observed_run_holds_four_arrays_at_most(self, kind):
+        """Generator, phases, state and the observer's moments together
+        peak at four n x n complex arrays above entry, the returned state
+        included."""
+        n = 128
+        grid = SuperGrid.centered(8.0, n)
+        sd = gaussian_super_density(grid, 1.0, 0.0, 0.5, 0.6)
+        moments(sd)  # the derivative matrix it caches is not part of a run
+        tracemalloc.start()
+        try:
+            evolve_trotter(
+                PolynomialPotential.quartic(0.1), grid, kind, sd,
+                EvolutionConfig(t1=0.1, n_steps=4), observe=lambda k, state: moments(state),
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * n * n * np.dtype(complex).itemsize
 
     def test_observe_every_observes_multiples_only(self):
         grid = SuperGrid.centered(8.0, 64)

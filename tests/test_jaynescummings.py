@@ -1,7 +1,9 @@
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.integrate import quad
 
 from liouspace import jaynescummings as jc_module, liouvillian
@@ -11,6 +13,7 @@ from liouspace.jaynescummings import (
     ATOM_G,
     HydrogenState,
     JCParams,
+    _expm_stack,
     _radial,
     build_jc_hamiltonian,
     check_fock_truncation,
@@ -291,6 +294,24 @@ class TestExactEvolution:
         p = JCParams(omega_e=1.0, omega=1.0, d_eg=0.1, n_max=2, eps_egeg=0.1j)
         with pytest.raises(ValueError, match="evenly"):
             jc_series(p, initial_jc_state("e0", 2), [0.0, 0.5, 2.0])
+
+    @pytest.mark.parametrize("norm", [1e-3, 1.0, 10.0, 100.0])
+    def test_expm_stack_matches_scipy(self, norm):
+        rng = np.random.Generator(np.random.Philox(52))
+        a = rng.normal(size=(50, 4, 4)) + 1j * rng.normal(size=(50, 4, 4))
+        a *= norm / np.max(np.abs(a).sum(axis=-2))  # the largest 1-norm is norm
+        want = scipy.linalg.expm(a)
+        err = np.max(np.abs(_expm_stack(a) - want)) / np.max(np.abs(want))
+        assert err <= 1e-14 * max(1.0, norm)
+
+    @pytest.mark.parametrize("c", [0.1, 3.0])
+    def test_expm_stack_of_a_jordan_block(self, c):
+        # exp(z + c N) = e^z sum_k c^k N^k / k! for the nilpotent shift N
+        z, n = -0.2 + 0.7j, np.eye(4, k=1)
+        want = np.exp(z) * sum(np.linalg.matrix_power(c * n, k) / math.factorial(k)
+                               for k in range(4))
+        got = _expm_stack((z * np.eye(4) + c * n)[None])[0]
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("eps", [0.02, 0.1j], ids=["sector-phases", "sector-powers"])
     def test_series_refuse_an_empty_grid(self, eps):

@@ -164,23 +164,24 @@ def test_cli_import_leaves_out_heavy_scipy_modules():
     assert out.stdout.strip() == "[]"
 
 
-def test_basis_routes_leave_out_scipy_sparse_linalg(tmp_path):
-    """bipartite (one eigh per kind) loads no scipy at all, and complex-eps
-    jc (the sector powers) needs no scipy.sparse.linalg."""
+def test_basis_routes_leave_out_scipy(tmp_path):
+    """bipartite (one eigh per kind) and complex-eps jc (the sector powers,
+    a numpy expm of the 4 x 4 blocks) load no scipy at all."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     probe = (
         "import sys; from liouspace.cli import run; "
         f"outdir = {str(tmp_path)!r}; "
         "codes = [run(['bipartite', '--steps', '4', '--outdir', outdir])]; "
-        "after_bipartite = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'); "
+        "loaded_scipy = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'); "
+        "after_bipartite = loaded_scipy(); "
         "codes.append(run(['jc', '--n-max', '3', '--steps', '4', '--eps', '0.01,-0.02', "
         "'--outdir', outdir])); "
-        "print(codes, after_bipartite, 'scipy.sparse.linalg' in sys.modules)"
+        "print(codes, after_bipartite, loaded_scipy())"
     )
     out = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "[0, 0] [] False"
+    assert out.stdout.strip() == "[0, 0] [] []"
 
 
 def test_real_eps_jc_leaves_out_scipy(tmp_path):

@@ -225,6 +225,15 @@ class TestMoments:
             with pytest.raises(HermiticityViolation):
                 moments(sd)
 
+    def test_nan_survives_the_block_reduction(self, grid64):
+        # on the diagonal past the first row block, so only a later block
+        # holds the NaN: Python's max(0.0, nan) would return 0.0
+        vals = np.eye(64, dtype=complex)
+        vals[50, 50] = np.nan
+        sd = SuperDensity(grid64, vals)
+        assert np.isnan(sd.hermiticity_defect())
+        assert np.isnan(moments(sd).hermiticity_defect)
+
     def test_one_hermiticity_test_per_call(self, grid64, monkeypatch):
         calls = []
         defect = SuperDensity.hermiticity_defect
