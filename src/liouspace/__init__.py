@@ -4,11 +4,11 @@ The Liouville equation, written on doubled coordinates rho(Q, q),
 differs from the von Neumann equation only by an antisymmetric
 superoperator E(Q, q) that vanishes for potentials of degree <= 2.
 This package builds both dynamics side by side: superoperator scalar
-functions, phase-space/superspace transforms, grid and basis
-Liouvillians, exact and split-step evolution, the free superpropagator
-with first-order perturbation theory (validated against an independent
-Dyson quadrature), the Jaynes-Cummings model with a Coulomb
-superoperator, and bipartite entanglement diagnostics.
+functions, phase-space/superspace transforms, one Liouvillian class for
+the grid and basis models, exact and split-step evolution, the free
+superpropagator with first-order perturbation theory (validated against
+an independent Dyson quadrature), the Jaynes-Cummings model with a
+Coulomb superoperator, and bipartite entanglement diagnostics.
 """
 
 __version__ = "0.1.0"
@@ -21,18 +21,15 @@ from .errors import (
     NonHermitianInput,
     NotConverged,
     ParseError,
-    SingularRegion,
     TruncationLeak,
     UnknownKey,
 )
 from .potential import (
     BipartiteMonomial,
-    CoulombPotential,
     MonomialClass,
     PolynomialPotential,
     SuperPotentialKind,
     classify_bipartite_terms,
-    coulomb_e_superoperator,
     e_superoperator,
     e_vanishes_identically,
     super_potential,
@@ -51,8 +48,7 @@ from .superspace import (
 )
 from .liouvillian import (
     BasisLiouvillian,
-    GridLiouvillian,
-    build_grid_liouvillian,
+    grid_liouvillian,
     spectral_symmetry_defect,
     spectrum,
 )

@@ -27,8 +27,13 @@ from . import __version__
 from . import entangle, evolution, serialize, superprop, superspace, validate as validate_mod
 from . import jaynescummings as jc
 from .errors import LiouspaceError, ParseError, TruncationLeak, UnknownKey
-from .liouvillian import build_grid_liouvillian
-from .potential import PolynomialPotential, SuperPotentialKind, e_vanishes_identically
+from .liouvillian import grid_liouvillian
+from .potential import (
+    PolynomialPotential,
+    SuperPotentialKind,
+    e_vanishes_identically,
+    super_potential,
+)
 from .superspace import SuperGrid
 
 EXIT_OK = 0
@@ -135,11 +140,7 @@ def parse_config(path) -> ScenarioConfig:
 
 def parse_potential_spec(spec) -> PolynomialPotential:
     """Flag form "free" / "harmonic:k" / "quartic:lam" / "poly:c0,c1,...",
-    or the config-file object form {"type": "polynomial", "coeffs": [...]}.
-
-    A {"type": "coulomb", "e2": ...} object names the three-dimensional
-    Coulomb potential, which has no grid scenario; it is rejected here.
-    """
+    or the config-file object form {"type": "polynomial", "coeffs": [...]}."""
     if isinstance(spec, dict):
         kind = spec.get("type")
         if kind == "polynomial":
@@ -147,11 +148,6 @@ def parse_potential_spec(spec) -> PolynomialPotential:
                 return PolynomialPotential(tuple(float(c) for c in spec["coeffs"]))
             except (KeyError, TypeError, ValueError) as exc:
                 raise UsageError(f"bad polynomial potential object: {exc}") from exc
-        if kind == "coulomb":
-            raise UsageError(
-                "the coulomb potential is three-dimensional; grid scenarios "
-                "need a polynomial potential (see the jc scenario instead)"
-            )
         raise UsageError(f"unknown potential type {kind!r}")
     name, _, arg = spec.partition(":")
     try:
@@ -233,19 +229,20 @@ def run_superop(ctx: RunContext) -> None:
     p = ctx.params
     v = parse_potential_spec(p["potential"])
     grid = SuperGrid.centered(float(p["grid_span"]), int(p["grid_n"]))
-    op = build_grid_liouvillian(v, grid, SuperPotentialKind(p["kind"]))
-    serialize.save_real_matrix(ctx.path("superop_e.csv"), op.e_diag)
-    serialize.save_real_matrix(ctx.path("superop_vqm.csv"), op.potential_diag)
+    op = grid_liouvillian(v, grid, SuperPotentialKind(p["kind"]))
+    e = np.zeros((grid.n, grid.n)) if op.e is None else op.e
+    pts = grid.points
+    v_qm = super_potential(v, SuperPotentialKind.QM, pts[:, None], pts[None, :])
+    serialize.save_real_matrix(ctx.path("superop_e.csv"), e)
+    serialize.save_real_matrix(ctx.path("superop_vqm.csv"), v_qm)
     if grid.n <= 16:  # dense n^2 x n^2 export stays inspectable at this size
         serialize.save_complex_matrix(ctx.path("superop_liouvillian.csv"), op.dense())
     else:
         ctx.notes.append("dense Liouvillian export skipped (grid_n > 16)")
     # a property of the potential, not a pass/fail result
     ctx.notes.append(f"e_vanishes_identically = {e_vanishes_identically(v)}")
-    ctx.checks["e_antisymmetric"] = bool(
-        np.max(np.abs(op.e_diag + op.e_diag.T)) < 1e-12
-    )
-    ctx.notes.append(f"max |E| on grid = {float(np.max(np.abs(op.e_diag))):.6g}")
+    ctx.checks["e_antisymmetric"] = bool(np.max(np.abs(e + e.T)) < 1e-12)
+    ctx.notes.append(f"max |E| on grid = {float(np.max(np.abs(e))):.6g}")
 
 
 def run_evolve(ctx: RunContext) -> None:

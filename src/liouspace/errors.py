@@ -13,10 +13,6 @@ class NonHermitianInput(LiouspaceError):
     """A Hamiltonian argument is not Hermitian."""
 
 
-class SingularRegion(LiouspaceError):
-    """Evaluation point lies inside the excluded Coulomb singular shell."""
-
-
 class DimensionTooLarge(LiouspaceError):
     """Dense representation requested beyond the supported size."""
 

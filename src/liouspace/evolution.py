@@ -1,16 +1,17 @@
 """Time evolution of density matrices.
 
-Covers the exact exponential exp(-i L t / hbar) of a generator's dense
-form over a time grid (``ExactEvolver``: one eigh of a Hermitian L, such
+Covers the exact exponential exp(-i L t) of a generator's dense form
+over a time grid (``ExactEvolver``: one eigh of a Hermitian L, such
 as ``liouvillian.BasisLiouvillian`` with real E, else expm per time), a
 classical RK4 integrator for time-dependent generators (an oracle for the
 exact route), split-step Trotter evolution on (Q, q) grids, and the
 classical method-of-characteristics ensemble, which serves as the
 independent oracle for the grid dynamics.
 
-The grid routes take hbar and the mass from ``EvolutionConfig``.  The
-basis generators are in hbar = 1, i d/dt rho = L rho: for another hbar,
-pass h / hbar and E / hbar.
+The grid routes take hbar and the mass from ``EvolutionConfig``.  Every
+generator is in units of hbar, i d/dt rho = L rho
+(``liouvillian.grid_liouvillian`` divides by its hbar; in a basis, pass
+h / hbar and E / hbar).
 
 scipy is imported only where a route needs it (``ExactEvolver``'s expm of
 a non-Hermitian generator, the Sobol ensemble), so importing this module
@@ -26,8 +27,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import EnergyDriftExceeded
-from .liouvillian import _wavenumbers, build_grid_liouvillian
-from .potential import PolynomialPotential, SuperPotentialKind
+from .potential import PolynomialPotential, SuperPotentialKind, super_potential
 from .superspace import SuperDensity, SuperGrid, is_hermitian
 
 # Largest per-sample energy drift rate of the leapfrog ensemble, per unit
@@ -58,8 +58,8 @@ class EvolutionConfig:
 
 
 class ExactEvolver:
-    """The exact evolution vec rho(t) = exp(-i L t / hbar) vec rho(0) of a
-    generator with a ``dense()`` form and an ``hbar``, over any time grid.
+    """The exact evolution vec rho(t) = exp(-i L t) vec rho(0) of a
+    generator with a ``dense()`` form, over any time grid.
 
     A Hermitian dense L (to 1e-12, ``is_hermitian``) is diagonalised once,
     L = u diag(w) u', in the dtype it comes in: a real symmetric L takes the
@@ -70,7 +70,7 @@ class ExactEvolver:
     """
 
     def __init__(self, liouville) -> None:
-        self._dense, self.hbar = liouville.dense(), liouville.hbar
+        self._dense = liouville.dense()
         self._w = self._u = None
         if is_hermitian(self._dense):
             self._w, self._u = np.linalg.eigh(self._dense)
@@ -80,7 +80,7 @@ class ExactEvolver:
         (len(t_grid), N, N).
 
         The eigh route forms every output time from one (T, N^2) x
-        (N^2, N^2) product: vec rho(t) = u (e^{-i w t / hbar} o u' vec rho0).
+        (N^2, N^2) product: vec rho(t) = u (e^{-i w t} o u' vec rho0).
         """
         t_grid = np.asarray(t_grid, dtype=float).reshape(-1)
         rho0 = np.asarray(rho0, dtype=complex)
@@ -88,11 +88,11 @@ class ExactEvolver:
         if self._u is None:
             from scipy.linalg import expm
 
-            out = [expm(-1j * self._dense * t / self.hbar) @ vec for t in t_grid]
+            out = [expm(-1j * self._dense * t) @ vec for t in t_grid]
             return np.array(out, dtype=complex).reshape(-1, *rho0.shape)
         # cos + i sin of the real angles: the values of a complex exp, in about
         # half its time
-        angle = np.outer(t_grid / self.hbar, -self._w)
+        angle = np.outer(t_grid, -self._w)
         phases = np.empty(angle.shape, dtype=complex)
         np.cos(angle, out=phases.real)
         np.sin(angle, out=phases.imag)
@@ -150,38 +150,37 @@ def evolve_trotter(
     the Strang splitting (half potential, kinetic, half potential), second
     order.  The kinetic phase exp(-i dt (H_Q - H_q) / hbar) factorises as
     a[Q] conj(a)[q] with a = exp(-i dt hbar k^2 / 2m), so each 1-d FFT pass
-    is followed by its axis's phase.  The loop holds the state and the
-    half potential phase, two n x n complex arrays; the generator is
-    dropped once the phases are formed.  The grid is periodic, so mass at
-    its boundary wraps around; ``superspace.moments`` reports it as the
-    boundary mass.
+    is followed by its axis's phase.  The half potential phase is formed
+    from ``super_potential`` V_kind(Q, q), with no generator; the loop
+    holds the state and that phase, two n x n complex arrays.  The grid is
+    periodic, so mass at its boundary wraps around; ``superspace.moments``
+    reports it as the boundary mass.
 
     ``observe(k, state)``, if given, is called after every step k =
     1..n_steps that is a multiple of ``observe_every``, with the state at
     k dt, bit-identical to the result of a separate k-step call with the
     same dt.  That state is a read-only view of the working array, valid
     during the call only: an observer that keeps it must copy it.  The
-    returned state is the working array itself.  Generator and phases are
-    built once per call: one call covers a run.  Raises ValueError unless
+    returned state is the working array itself.  The phases are built
+    once per call: one call covers a run.  Raises ValueError unless
     ``config.method`` is TROTTER_STRANG and ``observe_every >= 1``.
     """
     if config.method is not EvolveMethod.TROTTER_STRANG:
         raise ValueError("config.method must be TROTTER_STRANG")
     if observe_every < 1:
         raise ValueError("observe_every must be >= 1")
-    op = build_grid_liouvillian(v, grid, kind, mass=config.mass, hbar=config.hbar)
     dt = config.t1 / config.n_steps
-    angle = op.potential_diag
-    angle += op.e_diag
+    pts = grid.points
+    angle = super_potential(v, kind, pts[:, None], pts[None, :])
     angle *= -0.5 * dt / config.hbar
-    del op
     # cos + i sin of the real angles: the values of a complex exp, in about
     # half its time
     half = np.empty(angle.shape, dtype=complex)
     np.cos(angle, out=half.real)
     np.sin(angle, out=half.imag)
     del angle
-    a = np.exp(-0.5j * dt * config.hbar / config.mass * _wavenumbers(grid.n, grid.dq) ** 2)
+    k2 = (2.0 * np.pi * np.fft.fftfreq(grid.n, grid.dq)) ** 2
+    a = np.exp(-0.5j * dt * config.hbar / config.mass * k2)
     a_conj, a_col = a.conj(), a[:, None]
     rho = np.array(rho0.values)  # a copy: the steps below overwrite it
     view = rho.view()

@@ -1,31 +1,28 @@
 """Finite-dimensional Liouville superoperators.
 
-Two representations are provided:
+``BasisLiouvillian`` is the one generator class.  It acts on an N x N
+density matrix in a basis:
+L rho = H rho - rho H + U (E o (U^T rho U)) U^T, the commutator plus, for
+a classical kind, a superoperator E that acts elementwise in the
+orthogonal basis U.  It is the generator of the basis models
+(Jaynes-Cummings, the bipartite square and relative-mode generators) and,
+with U = 1 and E entrywise on the grid, of rho(Q, q) sampled on a
+SuperGrid (``grid_liouvillian``).
 
-* ``GridLiouvillian`` acts on rho(Q, q) sampled on a SuperGrid.  Its
-  action is the commutator with the single-axis Hamiltonian
-  H = -(hbar^2/2m) d^2/dchi^2 + V(chi) (spectral kinetic term) plus, for
-  the classical kind, the entrywise superoperator E(Q_a, q_b).
-* ``BasisLiouvillian`` acts on an N x N density matrix in a basis:
-  L rho = H rho - rho H + U (E o (U^T rho U)) U^T, the commutator plus,
-  for a classical kind, a superoperator E that acts elementwise in the
-  orthogonal basis U.  It is the one generator of the basis models
-  (Jaynes-Cummings, the bipartite square and relative-mode generators)
-  and, with U = 1, of the grid's dense form.
-
-Both are stated in energy units: i hbar d/dt rho = L rho, with the hbar
-and mass of the grid as fields and hbar = 1 in a basis.
+Every generator is in units of hbar, i d/dt rho = L rho: the grid
+generator takes hbar and the mass as arguments and divides by hbar, and
+the basis models work in hbar = 1.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .errors import DimensionTooLarge, NonHermitianInput
-from .potential import PolynomialPotential, SuperPotentialKind, e_superoperator, super_potential
+from .potential import PolynomialPotential, SuperPotentialKind, e_superoperator
 from .superspace import SuperGrid, is_hermitian, spectral_derivative_matrix
 
 MAX_DENSE_VEC_DIM = 4096
@@ -36,61 +33,6 @@ def check_dense_dim(vec_dim: int) -> None:
     call before allocating it."""
     if vec_dim > MAX_DENSE_VEC_DIM:
         raise DimensionTooLarge(f"vectorized dimension {vec_dim} exceeds {MAX_DENSE_VEC_DIM}")
-
-
-def _wavenumbers(n: int, dq: float) -> np.ndarray:
-    return 2.0 * np.pi * np.fft.fftfreq(n, dq)
-
-
-@dataclass
-class GridLiouvillian:
-    """Liouville operator on a (Q, q) grid, kind CL (with E) or QM (E = 0)."""
-
-    grid: SuperGrid
-    kind: SuperPotentialKind
-    potential: PolynomialPotential
-    mass: float = 1.0
-    hbar: float = 1.0
-    potential_diag: np.ndarray = field(init=False)
-    e_diag: np.ndarray = field(init=False)
-    kinetic_diag: np.ndarray = field(init=False)
-
-    def __post_init__(self) -> None:
-        pts = self.grid.points
-        qq = pts[:, None]
-        qk = pts[None, :]
-        self.potential_diag = np.asarray(
-            super_potential(self.potential, SuperPotentialKind.QM, qq, qk)
-        )
-        if self.kind is SuperPotentialKind.CL:
-            e = np.asarray(e_superoperator(self.potential, qq, qk))
-            self.e_diag = 0.5 * (e - e.T)  # enforce exact antisymmetry
-        else:
-            self.e_diag = np.zeros((self.grid.n, self.grid.n))
-        # kinetic part of H_Q - H_q, diagonal in the Fourier dual of (Q, q)
-        k2 = _wavenumbers(self.grid.n, self.grid.dq) ** 2
-        self.kinetic_diag = (self.hbar**2 / (2.0 * self.mass)) * (k2[:, None] - k2[None, :])
-
-    @property
-    def n(self) -> int:
-        return self.grid.n
-
-    def apply(self, rho: np.ndarray) -> np.ndarray:
-        """L rho = (H_Q - H_q + E) rho with the spectral kinetic term."""
-        kin = np.fft.ifft2(self.kinetic_diag * np.fft.fft2(rho))
-        return kin + (self.potential_diag + self.e_diag) * rho
-
-    def h_matrix(self) -> np.ndarray:
-        """Dense single-axis Hamiltonian -(hbar^2/2m) D2 + diag(V)."""
-        d2 = spectral_derivative_matrix(self.grid.n, self.grid.dq, 2)
-        return -(self.hbar**2 / (2.0 * self.mass)) * d2 + np.diag(
-            self.potential.value(self.grid.points)
-        )
-
-    def dense(self) -> np.ndarray:
-        """(n^2 x n^2) real matrix acting on row-major vec(rho): the basis
-        generator of ``h_matrix()`` with E elementwise on the grid."""
-        return BasisLiouvillian(self.h_matrix(), self.e_diag).dense()
 
 
 @dataclass
@@ -107,7 +49,6 @@ class BasisLiouvillian:
     h: np.ndarray
     e: Optional[np.ndarray] = None
     basis: Optional[np.ndarray] = None
-    hbar = 1.0  # a class constant, not a field: the basis routes work in hbar = 1
 
     def __post_init__(self) -> None:
         self.h = np.asarray(self.h)
@@ -154,14 +95,26 @@ class BasisLiouvillian:
         return gen + (k * np.ravel(self.e)) @ k.T
 
 
-def build_grid_liouvillian(
+def grid_liouvillian(
     v: PolynomialPotential,
     grid: SuperGrid,
     kind: SuperPotentialKind,
     mass: float = 1.0,
     hbar: float = 1.0,
-) -> GridLiouvillian:
-    return GridLiouvillian(grid=grid, kind=kind, potential=v, mass=mass, hbar=hbar)
+) -> BasisLiouvillian:
+    """The grid generator L / hbar on rho(Q, q), with U = 1.
+
+    ``h`` is the single-axis Hamiltonian (-(hbar^2/2m) D2 + diag V(chi)) / hbar
+    with the spectral second-derivative matrix D2, and ``e`` the entrywise
+    E(Q_a, q_b) / hbar for CL, None for QM.
+    """
+    pts = grid.points
+    d2 = spectral_derivative_matrix(grid.n, grid.dq, 2)
+    h = (-(hbar**2 / (2.0 * mass)) * d2 + np.diag(v.value(pts))) / hbar
+    e = None
+    if kind is SuperPotentialKind.CL:
+        e = e_superoperator(v, pts[:, None], pts[None, :]) / hbar
+    return BasisLiouvillian(h, e)
 
 
 def spectrum(liouville) -> np.ndarray:

@@ -12,8 +12,9 @@ module evaluates the two superpotential variants
     V_QM(Q, q) = V(Q) - V(q)          (commutator / von Neumann)
     V_CL(Q, q) = (Q - q) V'((Q+q)/2)  (Liouville)
 
-for polynomial potentials and the Coulomb closed form in three dimensions,
-and classifies the monomials of the CL superpotential of lam (x1 - x2)^4,
+for polynomial potentials, gives the Coulomb E from the three radii
+|Q|, |q| and |Q + q| for the Jaynes-Cummings Monte Carlo estimator, and
+classifies the monomials of the CL superpotential of lam (x1 - x2)^4,
 in the bra and ket coordinates of two particles, into bra/ket/intra/inter
 classes.
 """
@@ -26,8 +27,6 @@ from math import comb
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
-
-from .errors import SingularRegion
 
 # Radius at or below which |Q|, |q| or |Q + q| counts as the Coulomb singularity.
 COULOMB_EPS_REG = 1e-6
@@ -104,26 +103,6 @@ class PolynomialPotential:
         return cls((0.0, 0.0, 0.0, 0.0, lam))
 
 
-@dataclass(frozen=True)
-class CoulombPotential:
-    """V(chi) = -e2 / |chi| in three dimensions (Gaussian units, hbar = 1)."""
-
-    e2: float
-
-    def __post_init__(self) -> None:
-        if self.e2 <= 0:
-            raise ValueError("charge squared e2 must be positive")
-
-    def value(self, chi) -> np.ndarray:
-        r = np.linalg.norm(np.asarray(chi, dtype=float), axis=-1)
-        return -self.e2 / r
-
-    def gradient(self, chi) -> np.ndarray:
-        chi = np.asarray(chi, dtype=float)
-        r = np.linalg.norm(chi, axis=-1, keepdims=True)
-        return self.e2 * chi / r**3
-
-
 def super_potential(v: PolynomialPotential, kind: SuperPotentialKind, q_bra, q_ket):
     """Superpotential V_kind(Q, q); broadcasts over array arguments.
 
@@ -148,27 +127,10 @@ def e_vanishes_identically(v: PolynomialPotential) -> bool:
     return v.degree <= 2
 
 
-def coulomb_e_superoperator(pot: CoulombPotential, q_bra, q_ket):
-    """Coulomb superoperator E(Q, q) = 4 e2 (Q^2 - q^2)/|Q + q|^3 - V(Q) + V(q).
-
-    Q and q are 3-vectors (or arrays of them).  Raises SingularRegion if
-    any of |Q|, |q|, |Q + q| falls at or below ``COULOMB_EPS_REG``.
-    """
-    q_bra = np.asarray(q_bra, dtype=float)
-    q_ket = np.asarray(q_ket, dtype=float)
-    r_bra = np.linalg.norm(q_bra, axis=-1)
-    r_ket = np.linalg.norm(q_ket, axis=-1)
-    r_sum = np.linalg.norm(q_bra + q_ket, axis=-1)
-    eps = COULOMB_EPS_REG
-    if np.any(r_bra <= eps) or np.any(r_ket <= eps) or np.any(r_sum <= eps):
-        raise SingularRegion(
-            f"evaluation inside the excluded shell (radius <= {eps:g})"
-        )
-    return coulomb_e_of_radii(pot.e2, r_bra, r_ket, r_sum)
-
-
 def coulomb_e_of_radii(e2: float, r_bra, r_ket, r_sum):
-    """Coulomb E from the radii |Q|, |q| and |Q + q|, with no singularity guard."""
+    """Coulomb E(Q, q) = 4 e2 (Q^2 - q^2)/|Q + q|^3 - V(Q) + V(q), with
+    V(chi) = -e2/|chi| in three dimensions, from the radii |Q|, |q| and
+    |Q + q|; no singularity guard."""
     return 4.0 * e2 * (r_bra**2 - r_ket**2) / r_sum**3 + e2 / r_bra - e2 / r_ket
 
 

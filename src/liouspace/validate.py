@@ -155,7 +155,7 @@ def _gamma_validation() -> tuple[bool, str]:
 def _spectral_symmetry() -> tuple[bool, str]:
     """Grid CL and basis QM spectra equal their own negation."""
     grid = superspace.SuperGrid.centered(4.0, 16)
-    op = liouvillian.build_grid_liouvillian(
+    op = liouvillian.grid_liouvillian(
         PolynomialPotential.quartic(0.5), grid, SuperPotentialKind.CL
     )
     d_cl = liouvillian.spectral_symmetry_defect(liouvillian.spectrum(op))
@@ -324,7 +324,7 @@ def _trotter_convergence() -> tuple[bool, str]:
     grid = superspace.SuperGrid.centered(5.0, 16)
     v = PolynomialPotential.quartic(0.5)
     sd = superspace.gaussian_super_density(grid, 0.5, 0.0, 0.55, 0.8)
-    op = liouvillian.build_grid_liouvillian(v, grid, SuperPotentialKind.CL)
+    op = liouvillian.grid_liouvillian(v, grid, SuperPotentialKind.CL)
     ref = evolution.ExactEvolver(op).propagate(sd.values, [0.4])[0]
     errs = []
     for n in (16, 32, 64):

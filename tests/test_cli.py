@@ -196,15 +196,15 @@ class TestScenarios:
             t, p_e = float(row[0]), float(row[1])
             assert p_e == pytest.approx(np.cos(0.05 * t) ** 2, abs=1e-6)
 
-    def test_evolve_builds_generator_once(self, tmp_path, monkeypatch):
+    def test_evolve_forms_potential_phase_once(self, tmp_path, monkeypatch):
         calls = []
-        build = evolution.build_grid_liouvillian
+        form = evolution.super_potential
 
         def counted(*args, **kwargs):
             calls.append(args)
-            return build(*args, **kwargs)
+            return form(*args, **kwargs)
 
-        monkeypatch.setattr(evolution, "build_grid_liouvillian", counted)
+        monkeypatch.setattr(evolution, "super_potential", counted)
         code = run(
             ["evolve", "--grid-n", "64", "--steps", "20", "--n-out", "5",
              "--outdir", str(tmp_path)]

@@ -17,9 +17,15 @@ from liouspace.evolution import (
     gaussian_ensemble,
 )
 from liouspace.jaynescummings import JCParams, initial_jc_state, jc_liouvillian
-from liouspace.liouvillian import BasisLiouvillian, build_grid_liouvillian
-from liouspace.potential import PolynomialPotential, SuperPotentialKind
-from liouspace.superspace import SuperGrid, gaussian_super_density, is_hermitian, moments
+from liouspace.liouvillian import BasisLiouvillian, grid_liouvillian
+from liouspace.potential import PolynomialPotential, SuperPotentialKind, super_potential
+from liouspace.superspace import (
+    SuperDensity,
+    SuperGrid,
+    gaussian_super_density,
+    is_hermitian,
+    moments,
+)
 
 
 def random_hermitian(rng, n):
@@ -64,9 +70,7 @@ class TestEvolveExact:
 
     def test_trace_and_hermiticity_preserved(self):
         grid = SuperGrid.centered(5.0, 16)
-        op = build_grid_liouvillian(
-            PolynomialPotential.quartic(0.3), grid, SuperPotentialKind.CL
-        )
+        op = grid_liouvillian(PolynomialPotential.quartic(0.3), grid, SuperPotentialKind.CL)
         sd = gaussian_super_density(grid, 0.3, 0.0, 0.8, 0.8)
         rho = evolve_exact(op, sd.values, 2.0)
         assert np.trace(rho).real * grid.dq == pytest.approx(moments(sd).trace, abs=1e-8)
@@ -79,7 +83,7 @@ class TestEvolveExact:
         dense[0, 1] = defect
         calls, eigh = [], np.linalg.eigh
         monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(m) or eigh(m))
-        ExactEvolver(SimpleNamespace(dense=lambda: dense, hbar=1.0))
+        ExactEvolver(SimpleNamespace(dense=lambda: dense))
         assert len(calls) == int(hermitian)  # eigh route, else expm per time
 
     @pytest.mark.parametrize("route", ["eigh", "expm"])
@@ -337,7 +341,7 @@ class TestTrotter:
         grid = SuperGrid.centered(5.0, 16)
         v = PolynomialPotential.quartic(0.5)
         sd = gaussian_super_density(grid, 0.5, 0.0, 0.55, 0.8)
-        op = build_grid_liouvillian(v, grid, SuperPotentialKind.CL)
+        op = grid_liouvillian(v, grid, SuperPotentialKind.CL)
         ref = evolve_exact(op, sd.values, 0.4)
         errs = []
         for n in (16, 32, 64):
@@ -346,6 +350,30 @@ class TestTrotter:
             errs.append(np.max(np.abs(out.values - ref)))
         ratios = [errs[0] / errs[1], errs[1] / errs[2]]
         assert all(3.2 < r < 4.8 for r in ratios)
+
+    def test_qm_strang_second_order_vs_eigenbasis_at_128_points(self):
+        """QM is a unitary conjugation, so h = U diag(w) U' gives the exact
+        rho(t) = U ((e^{-iwt} e^{iwt}') o (U' rho0 U)) U' on a grid whose
+        dense n^2 x n^2 form is past the cap; Strang at the evolve defaults
+        converges to it as dt^2."""
+        grid = SuperGrid.centered(8.0, 128)
+        v = PolynomialPotential.quartic(0.1)
+        kind = SuperPotentialKind.QM
+        sd = gaussian_super_density(grid, 1.0, 0.0, 0.4, 0.6)
+        t = 0.5
+        w, u = np.linalg.eigh(grid_liouvillian(v, grid, kind).h)
+        phase = np.exp(-1j * w * t)
+        exact = u @ (np.outer(phase, phase.conj()) * (u.T @ sd.values @ u)) @ u.T
+        scale = np.max(np.abs(exact))
+        errs = []
+        for n_steps in (100, 200):
+            out = evolve_trotter(v, grid, kind, sd, EvolutionConfig(t1=t, n_steps=n_steps))
+            errs.append(np.max(np.abs(out.values - exact)) / scale)
+        assert 3.2 <= errs[0] / errs[1] <= 4.8
+        assert errs[1] < 2e-6
+        assert moments(out).x == pytest.approx(
+            moments(SuperDensity(grid, exact)).x, abs=1e-7
+        )
 
     def test_conservation_laws(self):
         grid = SuperGrid.centered(8.0, 64)
@@ -387,10 +415,11 @@ class TestTrotter:
             observe=lambda k, state: seen.setdefault(k, state.values.copy()),
         )
         # reference: each step as half * ifft2(kin * fft2(half * rho))
-        op = build_grid_liouvillian(v, grid, kind)
         dt = cfg.t1 / cfg.n_steps
-        kin = np.exp(-1j * dt * op.kinetic_diag)
-        half = np.exp(-0.5j * dt * (op.potential_diag + op.e_diag))
+        k2 = (2.0 * np.pi * np.fft.fftfreq(grid.n, grid.dq)) ** 2
+        kin = np.exp(-0.5j * dt * (k2[:, None] - k2[None, :]))
+        pts = grid.points
+        half = np.exp(-0.5j * dt * super_potential(v, kind, pts[:, None], pts[None, :]))
         rho = sd.values
         for k in range(1, cfg.n_steps + 1):
             rho = half * np.fft.ifft2(kin * np.fft.fft2(half * rho))
@@ -414,9 +443,8 @@ class TestTrotter:
 
     @pytest.mark.parametrize("kind", [SuperPotentialKind.CL, SuperPotentialKind.QM])
     def test_observed_run_holds_four_arrays_at_most(self, kind):
-        """Generator, phases, state and the observer's moments together
-        peak at four n x n complex arrays above entry, the returned state
-        included."""
+        """Phases, state and the observer's moments together peak at four
+        n x n complex arrays above entry, the returned state included."""
         n = 128
         grid = SuperGrid.centered(8.0, n)
         sd = gaussian_super_density(grid, 1.0, 0.0, 0.5, 0.6)
@@ -515,9 +543,7 @@ class TestUnitScaling:
         grid = SuperGrid.centered(5.0, 16)
         v = PolynomialPotential.quartic(0.4)
         sd = gaussian_super_density(grid, 0.4, 0.0, 0.55, 0.9, hbar=0.7)
-        op = build_grid_liouvillian(
-            v, grid, SuperPotentialKind.CL, mass=1.3, hbar=0.7
-        )
+        op = grid_liouvillian(v, grid, SuperPotentialKind.CL, mass=1.3, hbar=0.7)
         ref = evolve_exact(op, sd.values, 0.5)
         cfg = EvolutionConfig(
             t1=0.5, n_steps=512, method=EvolveMethod.TROTTER_STRANG,

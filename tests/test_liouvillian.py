@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 from liouspace.errors import DimensionTooLarge, NonHermitianInput
 from liouspace.liouvillian import (
     BasisLiouvillian,
-    build_grid_liouvillian,
     check_dense_dim,
+    grid_liouvillian,
     MAX_DENSE_VEC_DIM,
     spectral_symmetry_defect,
     spectrum,
@@ -49,12 +49,23 @@ def grid32():
     return SuperGrid.centered(6.0, 32)
 
 
-class TestGridLiouvillian:
+def fft_grid_action(v, grid, kind, rho, mass=1.0, hbar=1.0):
+    """(L / hbar) rho on the grid with the kinetic commutator applied in
+    the 2-d Fourier dual of (Q, q): the spectral form of the generator."""
+    k2 = (2.0 * np.pi * np.fft.fftfreq(grid.n, grid.dq)) ** 2
+    kin = (hbar**2 / (2.0 * mass)) * (k2[:, None] - k2[None, :])
+    pts = grid.points
+    pot = super_potential(v, kind, pts[:, None], pts[None, :])
+    return (np.fft.ifft2(kin * np.fft.fft2(rho)) + pot * rho) / hbar
+
+
+class TestGridGenerator:
     def test_harmonic_cl_equals_qm(self, grid32):
         v = PolynomialPotential.harmonic(1.0)
-        op_cl = build_grid_liouvillian(v, grid32, SuperPotentialKind.CL)
-        op_qm = build_grid_liouvillian(v, grid32, SuperPotentialKind.QM)
-        assert np.max(np.abs(op_cl.e_diag)) == 0.0
+        op_cl = grid_liouvillian(v, grid32, SuperPotentialKind.CL)
+        op_qm = grid_liouvillian(v, grid32, SuperPotentialKind.QM)
+        assert op_qm.e is None
+        assert np.max(np.abs(op_cl.e)) == 0.0
         rng = np.random.Generator(np.random.Philox(31))
         rho = rng.normal(size=(32, 32)) + 1j * rng.normal(size=(32, 32))
         np.testing.assert_array_equal(op_cl.apply(rho), op_qm.apply(rho))
@@ -63,7 +74,7 @@ class TestGridLiouvillian:
         """rho = exp(i k (Q - q)) with k on the grid: equal kinetic phases
         on the bra and ket axes cancel exactly."""
         v = PolynomialPotential.free()
-        op = build_grid_liouvillian(v, grid32, SuperPotentialKind.CL)
+        op = grid_liouvillian(v, grid32, SuperPotentialKind.CL)
         k = 2.0 * np.pi * 3 / (grid32.n * grid32.dq)
         pts = grid32.points
         rho = np.exp(1j * k * np.subtract.outer(pts, pts))
@@ -72,37 +83,39 @@ class TestGridLiouvillian:
 
     def test_cl_diagonal_matches_potential_module(self, grid32):
         v = PolynomialPotential.quartic(0.8)
-        op = build_grid_liouvillian(v, grid32, SuperPotentialKind.CL)
+        op = grid_liouvillian(v, grid32, SuperPotentialKind.CL)
         rng = np.random.Generator(np.random.Philox(32))
         idx = rng.integers(0, 32, size=(100, 2))
         pts = grid32.points
         for a, b in idx:
             want = super_potential(v, SuperPotentialKind.CL, pts[a], pts[b])
-            got = op.potential_diag[a, b] + op.e_diag[a, b]
+            got = v.value(pts[a]) - v.value(pts[b]) + op.e[a, b]
             assert got == pytest.approx(want, abs=1e-12 * max(1.0, abs(want)))
 
-    def test_e_diag_antisymmetric(self, grid32):
-        op = build_grid_liouvillian(
+    def test_e_antisymmetric(self, grid32):
+        """E is formed without symmetrisation, and is exactly antisymmetric."""
+        op = grid_liouvillian(
             PolynomialPotential.quartic(0.5), grid32, SuperPotentialKind.CL
         )
-        np.testing.assert_array_equal(op.e_diag, -op.e_diag.T)
+        np.testing.assert_array_equal(op.e, -op.e.T)
 
-    def test_apply_matches_dense(self, grid32):
-        op = build_grid_liouvillian(
-            PolynomialPotential.quartic(0.5), grid32, SuperPotentialKind.CL,
-            mass=1.3, hbar=0.7,
-        )
+    @pytest.mark.parametrize("kind", [SuperPotentialKind.CL, SuperPotentialKind.QM])
+    def test_apply_matches_dense_and_spectral_form(self, grid32, kind):
+        v = PolynomialPotential.quartic(0.5)
+        op = grid_liouvillian(v, grid32, kind, mass=1.3, hbar=0.7)
         rng = np.random.Generator(np.random.Philox(33))
         rho = rng.normal(size=(32, 32)) + 1j * rng.normal(size=(32, 32))
         dense = op.dense()
         assert dense.dtype == np.float64  # a real generator stays real
         via_dense = (dense @ rho.reshape(-1)).reshape(32, 32)
         np.testing.assert_allclose(op.apply(rho), via_dense, atol=1e-10)
+        spectral = fft_grid_action(v, grid32, kind, rho, mass=1.3, hbar=0.7)
+        np.testing.assert_allclose(op.apply(rho), spectral, atol=1e-10)
 
     def test_hermiticity_preservation_structure(self, grid32):
         """For Hermitian rho, (L rho)(Q,q) = -conj((L rho)(q,Q)): the time
         derivative -i L rho / hbar stays Hermitian."""
-        op = build_grid_liouvillian(
+        op = grid_liouvillian(
             PolynomialPotential.quartic(0.4), grid32, SuperPotentialKind.CL
         )
         sd = gaussian_super_density(grid32, 0.5, 0.3, 0.7, 0.7)
@@ -111,9 +124,7 @@ class TestGridLiouvillian:
 
     def test_dense_too_large(self):
         grid = SuperGrid.centered(6.0, 128)
-        op = build_grid_liouvillian(
-            PolynomialPotential.free(), grid, SuperPotentialKind.QM
-        )
+        op = grid_liouvillian(PolynomialPotential.free(), grid, SuperPotentialKind.QM)
         with pytest.raises(DimensionTooLarge):
             op.dense()
 
@@ -226,9 +237,7 @@ class TestSpectrum:
 
     def test_cl_grid_spectrum_symmetric(self):
         grid = SuperGrid.centered(4.0, 16)
-        op = build_grid_liouvillian(
-            PolynomialPotential.quartic(0.5), grid, SuperPotentialKind.CL
-        )
+        op = grid_liouvillian(PolynomialPotential.quartic(0.5), grid, SuperPotentialKind.CL)
         assert spectral_symmetry_defect(spectrum(op)) < 1e-8
 
     def test_qm_basis_spectrum_symmetric(self):
@@ -240,6 +249,6 @@ class TestSpectrum:
         grid = SuperGrid.centered(4.0, 16)
         for coeffs, equal in [((0.5, 1.0, 0.7), True), ((0.0, 0.0, 0.0, 0.2), False)]:
             v = PolynomialPotential(coeffs)
-            d_cl = build_grid_liouvillian(v, grid, SuperPotentialKind.CL).dense()
-            d_qm = build_grid_liouvillian(v, grid, SuperPotentialKind.QM).dense()
+            d_cl = grid_liouvillian(v, grid, SuperPotentialKind.CL).dense()
+            d_qm = grid_liouvillian(v, grid, SuperPotentialKind.QM).dense()
             assert np.allclose(d_cl, d_qm, atol=1e-12) == equal

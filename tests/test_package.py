@@ -13,9 +13,6 @@ PACKAGE = ROOT / "src" / "liouspace"
 ALLOWED_UNUSED = {
     # reads back the final state the evolve scenario writes
     "load_super_density": "file-format round trip",
-    # the guarded 3-vector front of the Coulomb E, checked against the
-    # definition of E(Q, q) in test_potential
-    "coulomb_e_superoperator": "guarded front of the Coulomb E formula",
 }
 
 # Defaulted dataclass fields that no program code sets, each kept for a

@@ -3,15 +3,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from liouspace.errors import SingularRegion
 from liouspace.potential import (
-    CoulombPotential,
     MonomialClass,
     PolynomialPotential,
     SuperPotentialKind,
     classify_bipartite_terms,
     classify_monomial,
-    coulomb_e_superoperator,
+    coulomb_e_of_radii,
     e_superoperator,
     e_vanishes_identically,
     max_abs_e_on_grid,
@@ -157,22 +155,29 @@ class TestEVanishes:
             assert e_vanishes_identically(v) == numeric_zero
 
 
+def coulomb_e(e2, q_bra, q_ket):
+    """The Coulomb E at two 3-vectors, through the radii form."""
+    q_bra, q_ket = np.asarray(q_bra, dtype=float), np.asarray(q_ket, dtype=float)
+    return coulomb_e_of_radii(
+        e2, np.linalg.norm(q_bra), np.linalg.norm(q_ket), np.linalg.norm(q_bra + q_ket)
+    )
+
+
 class TestCoulomb:
     def test_diagonal_zero(self):
-        pot = CoulombPotential(1.3)
         q = np.array([0.4, -0.2, 1.0])
-        assert coulomb_e_superoperator(pot, q, q) == pytest.approx(0.0, abs=1e-14)
+        assert coulomb_e(1.3, q, q) == pytest.approx(0.0, abs=1e-14)
 
     def test_reference_value(self):
         # 4(4-1)/27 + 1/2 - 1 = -1/18
-        pot = CoulombPotential(1.0)
-        got = coulomb_e_superoperator(pot, [2.0, 0, 0], [1.0, 0, 0])
+        got = coulomb_e(1.0, [2.0, 0, 0], [1.0, 0, 0])
         assert got == pytest.approx(-1.0 / 18.0, abs=1e-12)
 
     def test_gradient_form_oracle(self):
-        # (Q-q).grad V((Q+q)/2) - V(Q) + V(q) with grad V = e2 chi/|chi|^3
+        # (Q-q).grad V((Q+q)/2) - V(Q) + V(q) with V = -e2/|chi|,
+        # grad V = e2 chi/|chi|^3
         rng = np.random.Generator(np.random.Philox(7))
-        pot = CoulombPotential(0.8)
+        e2 = 0.8
         for _ in range(100):
             qb = rng.uniform(-2, 2, size=3)
             qk = rng.uniform(-2, 2, size=3)
@@ -180,31 +185,17 @@ class TestCoulomb:
                 np.linalg.norm(qb), np.linalg.norm(qk), np.linalg.norm(qb + qk)
             ) < 1e-2:
                 continue
-            grad = pot.gradient(0.5 * (qb + qk))
-            want = float((qb - qk) @ grad) - pot.value(qb) + pot.value(qk)
-            got = coulomb_e_superoperator(pot, qb, qk)
+            chi = 0.5 * (qb + qk)
+            grad = e2 * chi / np.linalg.norm(chi) ** 3
+            want = float((qb - qk) @ grad) + e2 / np.linalg.norm(qb) - e2 / np.linalg.norm(qk)
+            got = coulomb_e(e2, qb, qk)
             assert got == pytest.approx(want, abs=1e-12 * max(1.0, abs(want)))
 
     def test_antisymmetry(self):
         rng = np.random.Generator(np.random.Philox(8))
-        pot = CoulombPotential(1.0)
         qb = rng.uniform(0.5, 2, size=3)
         qk = rng.uniform(0.5, 2, size=3)
-        assert coulomb_e_superoperator(pot, qb, qk) == pytest.approx(
-            -coulomb_e_superoperator(pot, qk, qb), abs=1e-12
-        )
-
-    def test_singular_region_raises(self):
-        pot = CoulombPotential(1.0)
-        with pytest.raises(SingularRegion):
-            coulomb_e_superoperator(pot, [1e-9, 0, 0], [1.0, 0, 0])
-        with pytest.raises(SingularRegion):
-            # |Q + q| below threshold
-            coulomb_e_superoperator(pot, [1.0, 0, 0], [-1.0, 1e-9, 0])
-
-    def test_positive_charge_required(self):
-        with pytest.raises(ValueError):
-            CoulombPotential(-1.0)
+        assert coulomb_e(1.0, qb, qk) == pytest.approx(-coulomb_e(1.0, qk, qb), abs=1e-12)
 
 
 class TestBipartite:
