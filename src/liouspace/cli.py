@@ -270,7 +270,7 @@ def run_evolve(ctx: RunContext) -> None:
     sd = evolution.evolve_trotter(
         v, grid, kind, sd, cfg, observe=observe, observe_every=steps // n_out
     )
-    ctx.solver_path, ctx.generator_dim = cfg.method.value, grid.n**2
+    ctx.solver_path, ctx.generator_dim = "trotter_strang", grid.n**2
     serialize.write_csv(
         ctx.path("evolve_series.csv"),
         [(t, m.trace, m.x, m.p, m.x2, m.purity) for t, m in series],

@@ -8,15 +8,10 @@ n_levels levels per mode serve audits, spectra and oracles.  X1 - X2 is
 diagonal in the product of the position (discrete-variable) bases of the
 truncated x (Light, Hamilton & Lill, J. Chem. Phys. 82, 1985), so both
 kinds are built there by ``_difference_quartic``: h = h0 + V(d), and E
-acts elementwise on the bra and ket values d and d'.  CL is then the
-monomial construction of ``interaction_terms``, which realizes every
-classified monomial of V_CL as a left/right position-operator product,
-
-    c * Q1^i q1^j Q2^k q2^l  ->  c * (X1^i X2^k) rho (X1^j X2^l),
-
-so inter-space cross terms act on one subsystem from the left and the
-other from the right simultaneously, and CL - QM is that operator sum
-less the commutator with lam (X1 - X2)^4.
+acts elementwise on the bra and ket values d and d'.  At those points
+``validate`` checks E against the classified monomials of V_CL
+(``potential.classify_bipartite_terms``): the pure ones sum to V_QM / 2,
+so E is the mixed ones, intra-subsystem and inter-space, less V_QM / 2.
 
 Evolution goes through the relative mode x_r = (x1 - x2)/sqrt 2.  V and
 V_CL depend on d = sqrt 2 x_r alone, so the centre mode (x1 + x2)/sqrt 2
@@ -50,15 +45,9 @@ import numpy as np
 
 from .errors import TruncationLeak
 from .evolution import ExactEvolver
-from .liouvillian import BasisLiouvillian, check_dense_dim
+from .liouvillian import BasisLiouvillian
 from .jaynescummings import LEAK_THRESHOLD, coherent_field_density, fock_annihilation
-from .potential import (
-    MonomialClass,
-    PolynomialPotential,
-    SuperPotentialKind,
-    classify_bipartite_terms,
-    e_superoperator,
-)
+from .potential import PolynomialPotential, SuperPotentialKind, e_superoperator
 
 
 @dataclass(frozen=True)
@@ -77,10 +66,6 @@ class BipartiteBasis:
         if self.omega <= 0:
             raise ValueError("omega must be positive")
 
-    @property
-    def dim(self) -> int:
-        return self.n_levels**2
-
     def position_operator(self) -> np.ndarray:
         """Single-mode x = sqrt(1 / 2 omega) (a + a')."""
         a = fock_annihilation(self.n_levels - 1)
@@ -92,32 +77,6 @@ class BipartiteBasis:
         h1 = self.omega * np.diag(np.arange(n) + 0.5)
         eye = np.eye(n)
         return np.kron(h1, eye) + np.kron(eye, h1)
-
-
-def _monomial_operators(
-    basis: BipartiteBasis, exponents: tuple[int, int, int, int]
-) -> tuple[np.ndarray, np.ndarray]:
-    """(left, right) operators for Q1^i q1^j Q2^k q2^l on the tensor space."""
-    x = basis.position_operator()
-    i, j, k, l = exponents
-    left = np.kron(np.linalg.matrix_power(x, i), np.linalg.matrix_power(x, k))
-    right = np.kron(np.linalg.matrix_power(x, j), np.linalg.matrix_power(x, l))
-    return left, right
-
-
-def interaction_terms(
-    basis: BipartiteBasis, lam: float, classes: set[MonomialClass] | None = None
-) -> np.ndarray:
-    """Superoperator sum of the classified monomial actions, as vec matrix."""
-    dim = basis.dim
-    check_dense_dim(dim * dim)
-    out = np.zeros((dim * dim, dim * dim), dtype=complex)
-    for mono, cls in classify_bipartite_terms(lam):
-        if classes is not None and cls not in classes:
-            continue
-        left, right = _monomial_operators(basis, mono.exponents)
-        out += mono.coefficient * np.kron(left, right.T)
-    return out
 
 
 def _difference_quartic(h_free, v, d, lam: float):
@@ -136,8 +95,7 @@ def build_bipartite_liouvillian(
     kind ("cl" or "qm"), for audits, spectra and oracles.  X1 - X2 is
     diagonal in kron(v, v), v the eigenbasis of the truncated x, with the
     values xi_a - xi_b, so both kinds come from ``_difference_quartic``
-    there; its dense form is the monomial construction of
-    ``interaction_terms`` (see the module docstring)."""
+    there (see the module docstring)."""
     xi, v = np.linalg.eigh(basis.position_operator())
     u, d = np.kron(v, v), np.subtract.outer(xi, xi).ravel()
     h, e = _difference_quartic(basis.free_hamiltonian(), u, d, lam)

@@ -16,7 +16,8 @@ for polynomial potentials, gives the Coulomb E from the three radii
 |Q|, |q| and |Q + q| for the Jaynes-Cummings Monte Carlo estimator, and
 classifies the monomials of the CL superpotential of lam (x1 - x2)^4,
 in the bra and ket coordinates of two particles, into bra/ket/intra/inter
-classes.
+classes; ``validate`` evaluates them at the DVR points of the bipartite
+generators.
 """
 
 from __future__ import annotations
@@ -45,7 +46,10 @@ class MonomialClass(enum.Enum):
     PURE_BRA / PURE_KET terms act on one side of the density matrix only
     and are exactly those a commutator can produce; INTER_SPACE_CROSS
     terms couple a bra variable of one subsystem to a ket variable of the
-    other, i.e. the Hilbert space to its dual.
+    other, i.e. the Hilbert space to its dual: as an operator,
+    c Q1^i q1^j Q2^k q2^l is c (X1^i X2^k) rho (X1^j X2^l), so a cross
+    term acts on one subsystem from the left and on the other from the
+    right.
     """
 
     PURE_BRA = "pure_bra"
@@ -219,9 +223,3 @@ def super_potential_monomials(
                 add((r, j - r + 1), -c)
     return {k: c for k, c in out.items() if c != 0.0}
 
-
-def max_abs_e_on_grid(v: PolynomialPotential) -> float:
-    """max |E(Q, q)| over a uniform 64 x 64 grid on [-2, 2]^2."""
-    pts = np.linspace(-2.0, 2.0, 64)
-    qq, qk = np.meshgrid(pts, pts, indexing="ij")
-    return float(np.max(np.abs(e_superoperator(v, qq, qk))))

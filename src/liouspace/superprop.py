@@ -25,7 +25,7 @@ from math import comb
 import numpy as np
 
 from .potential import PolynomialPotential, SuperPotentialKind, super_potential_monomials
-from .superspace import SuperDensity, SuperGrid
+from .superspace import SuperDensity
 
 
 @dataclass(frozen=True)
@@ -195,19 +195,12 @@ def dyson_first_order_numeric(
     return complex(-1j / hb * free_superpropagator(pt) * integral)
 
 
-def free_superpropagator_matrix(
-    grid: SuperGrid, duration: float, mass: float = 1.0, hbar: float = 1.0
-) -> np.ndarray:
-    """Pointwise G0(x_a, x_c; T) on the grid; applying it from the left and
-    its conjugate from the right (with measure dq^2) propagates rho(Q, q)."""
-    pts = grid.points
-    return free_propagator(pts[:, None], pts[None, :], duration, mass, hbar)
-
-
 def apply_free_superpropagator(
     sd: SuperDensity, duration: float, mass: float = 1.0, hbar: float = 1.0
 ) -> SuperDensity:
-    """rho(T) = dq^2 * G rho(0) G^dagger with the pointwise free kernel."""
-    g = free_superpropagator_matrix(sd.grid, duration, mass, hbar)
+    """rho(T) = dq^2 * G rho(0) G^dagger with the pointwise free kernel
+    G = G0(x_a, x_c; T) on the grid."""
+    pts = sd.grid.points
+    g = free_propagator(pts[:, None], pts[None, :], duration, mass, hbar)
     out = sd.grid.dq**2 * (g @ sd.values @ g.conj().T)
     return SuperDensity(sd.grid, out)

@@ -24,7 +24,9 @@ from . import (
     superprop,
     superspace,
 )
-from .potential import PolynomialPotential, SuperPotentialKind
+from .potential import MonomialClass, PolynomialPotential, SuperPotentialKind
+
+PURE_CLASSES = (MonomialClass.PURE_BRA, MonomialClass.PURE_KET)
 
 
 @dataclass
@@ -40,6 +42,10 @@ def _superoperator_kill_switch() -> tuple[bool, str]:
     rng = np.random.Generator(np.random.Philox(101))
     pts = np.linspace(-2.0, 2.0, 64)
     qb, qk = np.meshgrid(pts, pts, indexing="ij")
+
+    def max_abs_e(v):
+        return float(np.max(np.abs(potential.e_superoperator(v, qb, qk))))
+
     worst_rel = 0.0
     for _ in range(100):
         deg = int(rng.integers(0, 3))
@@ -54,13 +60,10 @@ def _superoperator_kill_switch() -> tuple[bool, str]:
     for _ in range(100):
         coeffs = rng.uniform(-2, 2, size=5)
         coeffs[4] = rng.uniform(0.1, 2.0) * rng.choice([-1.0, 1.0])
-        least_quartic = min(
-            least_quartic, potential.max_abs_e_on_grid(PolynomialPotential(tuple(coeffs)))
-        )
+        least_quartic = min(least_quartic, max_abs_e(PolynomialPotential(tuple(coeffs))))
     rng = np.random.Generator(np.random.Philox(12))
     worst_abs = max(
-        potential.max_abs_e_on_grid(PolynomialPotential(tuple(rng.uniform(-2, 2, size=3))))
-        for _ in range(20)
+        max_abs_e(PolynomialPotential(tuple(rng.uniform(-2, 2, size=3)))) for _ in range(20)
     )
     ok = worst_rel < 1e-12 and worst_abs < 1e-12 and least_quartic > 0.0
     return ok, (
@@ -270,34 +273,47 @@ def _vacuum_rabi() -> tuple[bool, str]:
     return worst < 1e-6, f"max |P_e - cos^2| = {worst:.2e}"
 
 
-def _bipartite_generator_audit() -> tuple[bool, str]:
-    """CL - QM of the square generators, built in the position basis,
-    equals every monomial of V_CL less the commutator with lam (X1 - X2)^4;
-    the evolved relative-mode generators equal their hand-built dense
-    forms; reduced purity drops as t^2."""
-    basis = entangle.BipartiteBasis(n_levels=4)
-    lam = 0.3
-    d_cl = entangle.build_bipartite_liouvillian(basis, lam, SuperPotentialKind.CL).dense()
-    d_qm = entangle.build_bipartite_liouvillian(basis, lam, SuperPotentialKind.QM).dense()
-    x, eye = basis.position_operator(), np.eye(basis.n_levels)
-    w = lam * np.linalg.matrix_power(np.kron(x, eye) - np.kron(eye, x), 4)
-    want = entangle.interaction_terms(basis, lam) - liouvillian.BasisLiouvillian(w).dense()
-    audit = float(np.max(np.abs(d_cl - d_qm - want)))
+def _dvr_defects(gen, h0, x1, x2, lam: float) -> tuple[float, float, float, float]:
+    """(basis, h, pure split, E) defects of one CL generator (h, E, U) of
+    lam (X1 - X2)^4: U is orthogonal and U^T X U diagonal for X = X1, X2,
+    which gives the DVR points; h = h0 + lam (X1 - X2)^4 by matrix powers;
+    at the points, the pure monomials of ``classify_bipartite_terms`` sum
+    to V_QM / 2 and E is the mixed ones less V_QM / 2."""
+    u = gen.basis
+    on_points = [u.T @ x @ u for x in (x1, x2)]
+    basis = max(
+        float(np.max(np.abs(u.T @ u - np.eye(len(u))))),
+        *(float(np.max(np.abs(m - np.diag(np.diag(m))))) for m in on_points),
+    )
+    h = float(np.max(np.abs(gen.h - h0 - lam * np.linalg.matrix_power(x1 - x2, 4))))
+    q1, q2 = (np.diag(m) for m in on_points)
+    d, points = q1 - q2, (q1[:, None], q1[None, :], q2[:, None], q2[None, :])
+    half_qm = 0.5 * lam * (d[:, None] ** 4 - d[None, :] ** 4)
+    terms = potential.classify_bipartite_terms(lam)
+    pure = sum(m.evaluate(*points) for m, cls in terms if cls in PURE_CLASSES)
+    mixed = sum(m.evaluate(*points) for m, cls in terms if cls not in PURE_CLASSES)
+    split = float(np.max(np.abs(pure - half_qm)))
+    return basis, h, split, float(np.max(np.abs(gen.e - (mixed - half_qm))))
 
-    # the relative mode's dense generators by hand: QM is the commutator with
-    # omega (n + 1/2) + 4 lam x^4, and CL is the commutator with
-    # omega (n + 1/2) + 2 lam x^4 plus 4 lam (x^3 rho x - x rho x^3)
-    n_r = basis.n_levels
-    x3, x4 = np.linalg.matrix_power(x, 3), np.linalg.matrix_power(x, 4)
-    h0 = np.diag(np.arange(n_r) + 0.5)
-    d_qm = liouvillian.BasisLiouvillian(h0 + 4 * lam * x4).dense()
-    d_cl = liouvillian.BasisLiouvillian(h0 + 2 * lam * x4).dense()
-    d_cl = d_cl + 4 * lam * (np.kron(x3, x) - np.kron(x, x3))
-    cl = entangle.relative_generator(basis, lam)
-    structured = 0.0
-    for dense, gen in ((d_cl, cl), (d_qm, liouvillian.BasisLiouvillian(cl.h))):
-        got = gen.dense()
-        structured = max(structured, float(np.max(np.abs(got - dense)) / np.max(np.abs(dense))))
+
+def _bipartite_generator_audit() -> tuple[bool, str]:
+    """Each bipartite generator's own (h, E, U) against lam (X1 - X2)^4 and
+    the classified monomials at its DVR points (``_dvr_defects``): the
+    square generators at X1 = x (x) 1, X2 = 1 (x) x, whose QM kind has the
+    same h and no E, and the relative mode at X1 = -X2 = x_r / sqrt 2;
+    reduced purity drops as t^2."""
+    basis = entangle.BipartiteBasis(n_levels=4)
+    lam, n_r = 0.3, basis.n_levels
+    x, eye = basis.position_operator(), np.eye(n_r)
+    build = entangle.build_bipartite_liouvillian
+    square_cl, square_qm = build(basis, lam, "cl"), build(basis, lam, "qm")
+    x1, x2 = np.kron(x, eye), np.kron(eye, x)
+    square = _dvr_defects(square_cl, basis.free_hamiltonian(), x1, x2, lam)
+    h0, x_half = basis.omega * np.diag(np.arange(n_r) + 0.5), x / np.sqrt(2.0)
+    relative = _dvr_defects(entangle.relative_generator(basis, lam), h0, x_half, -x_half, lam)
+    basis_d, h_d, split = (max(a, b) for a, b in zip(square[:3], relative[:3]))
+    h_d = max(h_d, float(np.max(np.abs(square_qm.h - square_cl.h))))
+    no_qm_e = square_qm.e is None
 
     # reduced-purity decrease 1 - O((lam t)^2) with quadratic leading order
     times = np.array([0.025, 0.05, 0.1])
@@ -306,13 +322,14 @@ def _bipartite_generator_audit() -> tuple[bool, str]:
     drops = 1.0 - entangle.loss_purity(states)
     slope = float(np.polyfit(np.log(times), np.log(drops), 1)[0])
     ok = (
-        audit < 1e-10
-        and structured < 1e-12
+        max(basis_d, h_d, split, square[3], relative[3]) < 1e-10
+        and no_qm_e
         and bool(np.all(drops > 0))
         and abs(slope - 2.0) <= 0.2
     )
     return ok, (
-        f"audit defect {audit:.2e}; structured vs dense {structured:.2e}; "
+        f"E defect {square[3]:.2e} square, {relative[3]:.2e} relative; h {h_d:.2e}; "
+        f"basis {basis_d:.2e}; pure split {split:.2e}; square QM without E: {no_qm_e}; "
         f"purity slope {slope:.2f}"
     )
 

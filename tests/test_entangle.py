@@ -9,15 +9,13 @@ from scipy.sparse.linalg import expm_multiply
 from liouspace.entangle import (
     SERIES_COLUMNS,
     BipartiteBasis,
-    _monomial_operators,
     build_bipartite_liouvillian,
     compare_cl_qm_entanglement,
-    interaction_terms,
     loss_purity,
     relative_generator,
     separable_state,
 )
-from liouspace import liouvillian
+from liouspace import entangle, liouvillian, validate
 from liouspace.liouvillian import BasisLiouvillian
 from liouspace.errors import DimensionTooLarge, TruncationLeak
 from liouspace.evolution import EvolutionConfig, ExactEvolver, evolve_trotter
@@ -69,21 +67,29 @@ def relative_dense(basis, lam, kind):
     return out
 
 
+def difference_operator(basis):
+    """A = X1 - X2 from the truncated single-mode x."""
+    x, eye = basis.position_operator(), np.eye(basis.n_levels)
+    return np.kron(x, eye) - np.kron(eye, x)
+
+
 def difference_quartic(basis, lam):
     """lam (X1 - X2)^4 from the truncated single-mode x."""
-    x, eye = basis.position_operator(), np.eye(basis.n_levels)
-    return lam * np.linalg.matrix_power(np.kron(x, eye) - np.kron(eye, x), 4)
+    return lam * np.linalg.matrix_power(difference_operator(basis), 4)
 
 
-def square_monomial_dense(basis, lam, kind):
-    """The square generator summed from the monomial operators: QM is the
-    commutator with h0 + lam (X1 - X2)^4, and CL the commutator with h0
-    plus every classified monomial (``interaction_terms``)."""
-    h0, eye = basis.free_hamiltonian(), np.eye(basis.dim)
-    if SuperPotentialKind(kind) is SuperPotentialKind.CL:
-        return np.kron(h0, eye) - np.kron(eye, h0) + interaction_terms(basis, lam)
-    h = h0 + difference_quartic(basis, lam)
-    return np.kron(h, eye) - np.kron(eye, h.T)
+def square_two_term(basis, lam, kind, kron=np.kron):
+    """The square generator in the two-term form of A = X1 - X2, which
+    needs neither the DVR basis nor the classification: QM is the
+    commutator with h0 + lam A^4, and CL the commutator with
+    h0 + (lam/2) A^4 plus lam (A^3 rho A - A rho A^3), the resummed V_CL."""
+    a, eye = difference_operator(basis), np.eye(basis.n_levels**2)
+    a3, cl = np.linalg.matrix_power(a, 3), SuperPotentialKind(kind) is SuperPotentialKind.CL
+    h = basis.free_hamiltonian() + (0.5 if cl else 1.0) * lam * np.linalg.matrix_power(a, 4)
+    out = kron(h, eye) - kron(eye, h.T)
+    if cl:
+        out = out + lam * (kron(a3, a.T) - kron(a, a3.T))
+    return out
 
 
 def reduced_purity(rho, n_levels):
@@ -119,19 +125,10 @@ def exponential_states(gen, rho0, times):
 
 
 def square_states(basis, lam, kind, rho0, times):
-    """States of the square generator, summed in sparse form from the
-    monomial operators (the terms ``interaction_terms`` sums densely); QM
-    takes twice the pure ones, as in ``relative_dense``."""
-    cl = SuperPotentialKind(kind) is SuperPotentialKind.CL
-    h0, eye = scipy.sparse.csr_array(basis.free_hamiltonian()), scipy.sparse.eye_array(basis.dim)
-    gen = scipy.sparse.kron(h0, eye) - scipy.sparse.kron(eye, h0.T)
-    for mono, cls in classify_bipartite_terms(lam):
-        if cl or cls in PURE_CLASSES:
-            left, right = _monomial_operators(basis, mono.exponents)
-            gen = gen + (1 if cl else 2) * mono.coefficient * scipy.sparse.kron(
-                scipy.sparse.csr_array(left), scipy.sparse.csr_array(right.T)
-            )
-    return exponential_states(gen.tocsr(), rho0, times)
+    """States of the square generator in its sparse two-term form
+    (``square_two_term``)."""
+    gen = square_two_term(basis, lam, kind, kron=scipy.sparse.kron)
+    return exponential_states(scipy.sparse.csr_array(gen), rho0, times)
 
 
 def beam_splitter_state(alpha_c, rho_r, n_c):
@@ -180,13 +177,14 @@ class TestGenerators:
         )
 
     def test_cl_minus_qm_is_the_monomials_less_the_coupling(self, basis4):
-        """CL - QM is every classified monomial less the commutator with
-        lam (X1 - X2)^4, E of the one potential."""
+        """CL - QM is the resummed monomials, -(lam/2)[A^4, .] plus
+        lam (A^3 . A - A . A^3) with A = X1 - X2: E of the one potential."""
         lam = 0.3
         d_cl = build_bipartite_liouvillian(basis4, lam, SuperPotentialKind.CL).dense()
         d_qm = build_bipartite_liouvillian(basis4, lam, SuperPotentialKind.QM).dense()
-        w, eye = difference_quartic(basis4, lam), np.eye(basis4.dim)
-        want = interaction_terms(basis4, lam) - (np.kron(w, eye) - np.kron(eye, w))
+        a, eye = difference_operator(basis4), np.eye(basis4.n_levels**2)
+        a3, w = np.linalg.matrix_power(a, 3), 0.5 * difference_quartic(basis4, lam)
+        want = lam * (np.kron(a3, a) - np.kron(a, a3)) - (np.kron(w, eye) - np.kron(eye, w))
         np.testing.assert_allclose(d_cl - d_qm, want, atol=1e-10)
 
     def test_cl_is_qm_plus_e(self, basis4):
@@ -227,18 +225,6 @@ class TestGenerators:
             e, phi - 4 * lam * (bra**4 - ket**4), rtol=0, atol=1e-13 * np.max(np.abs(phi))
         )
 
-    def test_pure_terms_reproduce_commutator_part(self, basis4):
-        """The pure monomials are the commutator with (lam/2)(X1 - X2)^4."""
-        lam = 0.4
-        pure = interaction_terms(
-            basis4, lam, classes={MonomialClass.PURE_BRA, MonomialClass.PURE_KET}
-        )
-        w = 0.5 * difference_quartic(basis4, lam)
-        eye = np.eye(basis4.dim)
-        np.testing.assert_allclose(
-            pure, np.kron(w, eye) - np.kron(eye, w.conj()), atol=1e-10
-        )
-
     def test_dense_cap_fires_before_allocation(self, basis4, monkeypatch):
         monkeypatch.setattr(liouvillian, "MAX_DENSE_VEC_DIM", 100)
         for kind in SuperPotentialKind:
@@ -250,11 +236,11 @@ class TestGenerators:
     @pytest.mark.parametrize("n_levels, lam", [(4, 0.3), (6, 3e-4), (6, 0.05)])
     @pytest.mark.parametrize("kind", list(SuperPotentialKind))
     def test_square_generator_equals_the_monomial_sum(self, n_levels, lam, kind):
-        """The square generator built in the position basis is the sum of
-        the monomial operators, to rounding."""
+        """The square generator built in the position basis is the two-term
+        form of the monomial sum, to rounding."""
         basis = BipartiteBasis(n_levels=n_levels)
         got = build_bipartite_liouvillian(basis, lam, kind).dense()
-        want = square_monomial_dense(basis, lam, kind)
+        want = square_two_term(basis, lam, kind)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     def test_real_generators_stay_real(self, monkeypatch):
@@ -276,6 +262,48 @@ class TestGenerators:
         a = build_bipartite_liouvillian(basis4, 0.1, "cl").dense()
         b = build_bipartite_liouvillian(basis4, 0.1, SuperPotentialKind.CL).dense()
         np.testing.assert_array_equal(a, b)
+
+
+def _map_e(f):
+    """A defect that replaces a CL generator's E by f(E); a QM one passes."""
+    def change(basis, gen):
+        return gen if gen.e is None else BasisLiouvillian(gen.h, f(gen.e), gen.basis)
+    return change
+
+
+def _half_coupling(basis, gen):
+    h0 = basis.free_hamiltonian()
+    return BasisLiouvillian(h0 + 0.5 * (gen.h - h0), gen.e, gen.basis)
+
+
+# (entangle builder, change(basis, generator)) per seeded defect
+AUDIT_DEFECTS = {
+    "square_e_transposed": ("build_bipartite_liouvillian", _map_e(np.transpose)),
+    "square_e_halved": ("build_bipartite_liouvillian", _map_e(lambda e: 0.5 * e)),
+    "square_h_half_coupling": ("build_bipartite_liouvillian", _half_coupling),
+    "relative_e_negated": ("relative_generator", _map_e(np.negative)),
+}
+
+
+class TestGeneratorAudit:
+    def test_audit_passes_and_takes_one_dense_form(self, monkeypatch):
+        """The audit reads (h, E, U); its one dense form is the purity-slope
+        run on the n_r 4 relative generator."""
+        sizes, dense = [], BasisLiouvillian.dense
+        monkeypatch.setattr(BasisLiouvillian, "dense", lambda g: sizes.append(g.n) or dense(g))
+        ok, detail = validate._bipartite_generator_audit()
+        assert ok, detail
+        assert sizes == [4]
+
+    @pytest.mark.parametrize("defect", sorted(AUDIT_DEFECTS))
+    def test_audit_fails_a_seeded_defect(self, monkeypatch, defect):
+        name, change = AUDIT_DEFECTS[defect]
+        build = getattr(entangle, name)
+        monkeypatch.setattr(
+            entangle, name, lambda basis, *args: change(basis, build(basis, *args))
+        )
+        ok, detail = validate._bipartite_generator_audit()
+        assert not ok, detail
 
 
 class TestReducedDensity:
@@ -531,7 +559,7 @@ class TestStructuredEvolution:
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
     def test_square_route_agrees_at_small_size(self):
-        """The sparse monomial sum of ``square_states`` is the dense square
+        """The sparse two-term form of ``square_states`` is the dense square
         generator."""
         basis = BipartiteBasis(n_levels=3)
         rho0 = separable_state(basis, 0.2, -0.1)

@@ -63,6 +63,32 @@ def test_every_public_definition_is_reached_by_program_code():
     assert set(ALLOWED_UNUSED) <= set(defined)
 
 
+def _public_methods() -> dict[str, str]:
+    """"Class.method" for each public method and property of a public
+    package class, by module; dunders and private classes are left out."""
+    found = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in _parse(path).body:
+            if not isinstance(node, ast.ClassDef) or node.name.startswith("_"):
+                continue
+            for stmt in node.body:
+                if isinstance(stmt, ast.FunctionDef) and not stmt.name.startswith("_"):
+                    found[f"{node.name}.{stmt.name}"] = path.name
+    return found
+
+
+def test_every_public_method_is_reached_by_program_code():
+    """The same rule for methods, matched by name: a method that only
+    tests call is dead weight too."""
+    used = _used_names()
+    unreached = sorted(
+        f"{module}:{qualname}"
+        for qualname, module in _public_methods().items()
+        if qualname.split(".")[1] not in used
+    )
+    assert unreached == []
+
+
 def _callee(node: ast.expr) -> str | None:
     """The name a call or decorator refers to: f, mod.f, or f(...)."""
     if isinstance(node, ast.Call):

@@ -12,7 +12,6 @@ from liouspace.potential import (
     coulomb_e_of_radii,
     e_superoperator,
     e_vanishes_identically,
-    max_abs_e_on_grid,
     super_potential,
     super_potential_monomials,
 )
@@ -25,6 +24,13 @@ def random_potential(rng, degree):
     coeffs = rng.uniform(-2, 2, size=degree + 1)
     coeffs[-1] = coeffs[-1] or 1.0
     return PolynomialPotential(tuple(coeffs))
+
+
+def grid_max_abs_e(v):
+    """max |E(Q, q)| over a uniform 64 x 64 grid on [-2, 2]^2, the grid of
+    ``validate``'s kill-switch check."""
+    pts = np.linspace(-2.0, 2.0, 64)
+    return float(np.max(np.abs(e_superoperator(v, pts[:, None], pts[None, :]))))
 
 
 def bipartite_cl(lam, q1_bra, q1_ket, q2_bra, q2_ket):
@@ -145,13 +151,13 @@ class TestEVanishes:
     def test_tiny_quartic_false_and_numerically_visible(self):
         v = PolynomialPotential.quartic(1e-6)
         assert not e_vanishes_identically(v)
-        assert max_abs_e_on_grid(v) > 0.0
+        assert grid_max_abs_e(v) > 0.0
 
     def test_agrees_with_grid_check(self):
         rng = np.random.Generator(np.random.Philox(6))
         for deg in (0, 1, 2, 3, 4):
             v = random_potential(rng, deg)
-            numeric_zero = max_abs_e_on_grid(v) < 1e-12
+            numeric_zero = grid_max_abs_e(v) < 1e-12
             assert e_vanishes_identically(v) == numeric_zero
 
 
@@ -251,6 +257,18 @@ class TestClassification:
         # pure-bra part is (lam/2)(Q1 - Q2)^4
         val = sum(m.evaluate(1.3, 0.0, -0.4, 0.0) for m in by_class[MonomialClass.PURE_BRA])
         assert val == pytest.approx(0.5 * (1.3 + 0.4) ** 4, abs=1e-12)
+
+    def test_pure_terms_reproduce_commutator_part(self):
+        """The pure monomials sum to (lam/2)((Q1 - Q2)^4 - (q1 - q2)^4),
+        half of V_QM: the commutator with (lam/2)(x1 - x2)^4."""
+        lam = 0.4
+        pure = [m for m, cls in classify_bipartite_terms(lam)
+                if cls in (MonomialClass.PURE_BRA, MonomialClass.PURE_KET)]
+        rng = np.random.Generator(np.random.Philox(9))
+        for q1b, q1k, q2b, q2k in rng.uniform(-2, 2, size=(50, 4)):
+            total = sum(m.evaluate(q1b, q1k, q2b, q2k) for m in pure)
+            want = 0.5 * lam * ((q1b - q2b) ** 4 - (q1k - q2k) ** 4)
+            assert total == pytest.approx(want, abs=1e-12 * max(1.0, abs(want)))
 
     def test_classifier_rules(self):
         assert classify_monomial((4, 0, 0, 0)) is MonomialClass.PURE_BRA
