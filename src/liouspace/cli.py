@@ -6,8 +6,9 @@ draws random numbers, so only it takes a seed.  Parameters resolve as
 defaults < config file < command-line flags; the fully resolved
 configuration is echoed into the JSON run manifest, which references every
 emitted data file.  Exit codes: 0 success, 1 validation failure (some
-manifest check is false; the manifest is still written), 2 numerical-guard
-abort, 64 usage error.
+manifest check is false; the manifest is still written) or a
+``LiouspaceError`` raised before any output (no manifest, no directory),
+2 numerical-guard abort, 64 usage error.
 """
 
 from __future__ import annotations

@@ -1,8 +1,8 @@
 """Time evolution of density matrices.
 
-Covers the exact exponential exp(-i L t) of a generator's dense form
-over a time grid (``ExactEvolver``: one eigh of a Hermitian L, such
-as ``liouvillian.BasisLiouvillian`` with real E, else expm per time), a
+Covers the exact exponential exp(-i L t) of a ``BasisLiouvillian`` over a
+time grid (``ExactEvolver``, whose route follows E: one eigh when E is
+absent or real, else expm per time), a
 classical RK4 integrator for time-dependent generators (an oracle for the
 exact route), split-step Trotter evolution on (Q, q) grids, and the
 classical method-of-characteristics ensemble, which serves as the
@@ -14,7 +14,7 @@ generator is in units of hbar, i d/dt rho = L rho
 h / hbar and E / hbar).
 
 scipy is imported only where a route needs it (``ExactEvolver``'s expm of
-a non-Hermitian generator, the Sobol ensemble), so importing this module
+a complex-E generator, the Sobol ensemble), so importing this module
 loads no scipy.
 """
 
@@ -28,7 +28,8 @@ import numpy as np
 
 from .errors import EnergyDriftExceeded
 from .potential import PolynomialPotential, SuperPotentialKind, super_potential
-from .superspace import SuperDensity, SuperGrid, is_hermitian
+from .liouvillian import BasisLiouvillian
+from .superspace import SuperDensity, SuperGrid
 
 # Largest per-sample energy drift rate of the leapfrog ensemble, per unit
 # time and relative to the energy scale.
@@ -58,21 +59,21 @@ class EvolutionConfig:
 
 
 class ExactEvolver:
-    """The exact evolution vec rho(t) = exp(-i L t) vec rho(0) of a
-    generator with a ``dense()`` form, over any time grid.
+    """vec rho(t) = exp(-i L t) vec rho(0) of a ``BasisLiouvillian``, on any time grid.
 
-    A Hermitian dense L (to 1e-12, ``is_hermitian``) is diagonalised once,
-    L = u diag(w) u', in the dtype it comes in: a real symmetric L takes the
-    real LAPACK driver.  Any other L, such as the complex-eps
-    ``jaynescummings.jc_liouvillian``, is kept and exponentiated by scipy's
-    expm at each time: the dense oracle of the Jaynes-Cummings checks of
-    ``validate`` and of the tests.
+    The route follows E; no tolerance picks it.  With h Hermitian and U real
+    orthogonal (both checked by ``BasisLiouvillian``), L is Hermitian exactly
+    when E is absent or real, and is then diagonalised once in its own dtype
+    (a real symmetric L takes the real LAPACK driver).  A complex E, as in
+    the complex-eps ``jaynescummings.jc_liouvillian``, is exponentiated by
+    scipy's expm at each time: the dense oracle of ``validate``'s
+    Jaynes-Cummings checks and of the tests.
     """
 
-    def __init__(self, liouville) -> None:
+    def __init__(self, liouville: BasisLiouvillian) -> None:
         self._dense = liouville.dense()
         self._w = self._u = None
-        if is_hermitian(self._dense):
+        if liouville.e is None or not np.any(np.imag(liouville.e)):
             self._w, self._u = np.linalg.eigh(self._dense)
 
     def propagate(self, rho0: np.ndarray, t_grid) -> np.ndarray:

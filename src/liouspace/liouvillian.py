@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DimensionTooLarge, NonHermitianInput
 from .potential import PolynomialPotential, SuperPotentialKind, e_superoperator
-from .superspace import SuperGrid, is_hermitian, spectral_derivative_matrix
+from .superspace import SuperGrid, spectral_derivative_matrix
 
 MAX_DENSE_VEC_DIM = 4096
 
@@ -39,11 +39,11 @@ def check_dense_dim(vec_dim: int) -> None:
 class BasisLiouvillian:
     """L rho = h rho - rho h + U (E o (U^T rho U)) U^T in an N-dim basis.
 
-    ``h`` is the Hermitian N x N Hamiltonian (NonHermitianInput otherwise),
-    ``e`` the N x N mask of the superoperator E, or None when there is none,
-    and ``basis`` the real orthogonal U in which E acts elementwise, or None
-    for the identity.  A real E with real U gives a Hermitian generator; a
-    complex E (``jaynescummings.jc_liouvillian``) a non-normal one.
+    ``h`` is the N x N Hamiltonian, Hermitian to 1e-12 of max|h|
+    (NonHermitianInput otherwise), ``e`` the N x N mask of E or None, and
+    ``basis`` the U in which E acts elementwise, real orthogonal to 1e-12
+    (ValueError otherwise), or None for the identity.  So L is Hermitian
+    exactly when E is absent or real, and ``ExactEvolver``'s route follows E.
     """
 
     h: np.ndarray
@@ -51,15 +51,19 @@ class BasisLiouvillian:
     basis: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
-        self.h = np.asarray(self.h)
-        if not is_hermitian(self.h):
+        h = self.h = np.asarray(self.h)
+        if not np.max(np.abs(h - h.conj().T)) <= 1e-12 * np.max(np.abs(h)):  # a NaN fails
             raise NonHermitianInput("Hamiltonian is not Hermitian to 1e-12")
         for name in ("e", "basis"):
             value = getattr(self, name)
             if value is not None:
-                if np.shape(value) != self.h.shape:
+                if np.shape(value) != h.shape:
                     raise ValueError(f"{name} must be N x N like h")
                 setattr(self, name, np.asarray(value))
+        u = self.basis
+        ok = u is None or (np.isrealobj(u) and np.all(abs(u.T @ u - np.eye(self.n)) <= 1e-12))
+        if not ok:  # a NaN fails too
+            raise ValueError("basis must be real orthogonal to 1e-12")
 
     @property
     def n(self) -> int:

@@ -63,17 +63,17 @@ class PolynomialPotential:
     """V(x) = sum_k coefficients[k] * x^k, natural units.
 
     Trailing zero coefficients are stripped so ``degree`` is well defined
-    (degree 0 for V == 0).
+    (degree 0 for V == 0).  A NaN or infinite coefficient raises ValueError.
     """
 
     coefficients: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        coeffs = tuple(float(c) for c in self.coefficients)
+        coeffs = tuple(float(c) for c in self.coefficients) or (0.0,)
+        if not np.all(np.isfinite(coeffs)):
+            raise ValueError(f"coefficients {coeffs} must be finite")
         while len(coeffs) > 1 and coeffs[-1] == 0.0:
             coeffs = coeffs[:-1]
-        if not coeffs:
-            coeffs = (0.0,)
         object.__setattr__(self, "coefficients", coeffs)
 
     @property

@@ -15,6 +15,9 @@ The inverse transform reads the same-parity entries back, so the round
 trip phase -> super -> phase is an exact discrete inverse pair up to the
 clipped corners of the (Q, q) square (negligible for states that decay
 before the domain boundary).
+
+Only densities are measured for Hermiticity here: ``BasisLiouvillian`` checks
+its h and that its U is orthogonal, and the exact route follows its E.
 """
 
 from __future__ import annotations
@@ -31,17 +34,6 @@ HERMITICITY_TOL = 1e-6
 # ``SuperDensity.hermiticity_defect``): their temporaries stay at
 # ROW_BLOCK x n instead of n x n.
 ROW_BLOCK = 32
-
-
-def is_hermitian(mat: np.ndarray, tol: float = 1e-12) -> bool:
-    """Relative Hermiticity test max|M - M^H| <= tol * max|M|.
-
-    The default 1e-12 is the bound for generators and Hamiltonians, where
-    it selects the eigh route of the exact evolution; densities are held to
-    the looser HERMITICITY_TOL.
-    """
-    scale = max(float(np.max(np.abs(mat))), 1e-300)
-    return bool(np.max(np.abs(mat - mat.conj().T)) <= tol * scale)
 
 
 @dataclass(frozen=True)
@@ -197,12 +189,13 @@ def super_to_phase(sd: SuperDensity, hbar: float = 1.0) -> PhaseDensity:
     """Inverse of phase_to_super (reads the exactly-rotated entries back).
 
     Raises HermiticityViolation if the input is not Hermitian to
-    ``HERMITICITY_TOL`` (relative to its largest magnitude); the output's
-    imaginary residue is checked and discarded.
+    ``HERMITICITY_TOL`` (relative to its largest magnitude) or holds a
+    NaN; the output's imaginary residue is checked and discarded.
     """
-    if not is_hermitian(sd.values, HERMITICITY_TOL):
+    defect, scale = sd.hermiticity_defect(), float(np.max(np.abs(sd.values)))
+    if not defect <= HERMITICITY_TOL * scale:  # "not <=" refuses a NaN
         raise HermiticityViolation(
-            f"hermiticity defect {sd.hermiticity_defect():.3e} exceeds tolerance"
+            f"hermiticity defect {defect:.3e} exceeds {HERMITICITY_TOL:g} of max|rho| {scale:.3e}"
         )
     n = sd.grid.n
     pgrid = PhaseGrid(sd.grid, hbar)

@@ -278,6 +278,9 @@ class TestScenarios:
             ["jc", "--init", "coherent:nan"],
             ["bipartite", "--alpha1", "nan"],
             ["bipartite", "--alpha2", "inf"],
+            ["evolve", "--potential", "quartic:nan"],
+            ["evolve", "--potential", "quartic:inf"],
+            ["superop", "--potential", "poly:0,inf"],
         ],
         ids=" ".join,
     )
@@ -531,11 +534,26 @@ class TestScenarios:
         assert run(["evolve", "--config", str(cfg), "--outdir", str(tmp_path)]) == EXIT_USAGE
         assert not (tmp_path / "evolve").exists()
 
-    def test_nan_run_fails_its_checks(self, tmp_path):
-        """A NaN potential leaves the first row finite and every later one
-        NaN: each margin keeps the NaN, so no check passes."""
-        argv = ["evolve", "--potential", "quartic:nan", "--grid-n", "64", "--steps", "20",
-                "--n-out", "5", "--outdir", str(tmp_path)]
+    @pytest.mark.parametrize("potential", [
+        '{"type": "polynomial", "coeffs": [0, NaN]}',
+        '{"type": "polynomial", "coeffs": [0, 0, Infinity]}',
+        '"quartic:nan"',
+    ])
+    def test_non_finite_config_potential_is_usage_error(self, tmp_path, potential):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(f'{{"scenario": "evolve", "potential": {potential}}}')
+        assert run(["evolve", "--config", str(cfg), "--outdir", str(tmp_path)]) == EXIT_USAGE
+        assert not (tmp_path / "evolve").exists()
+
+    def test_nan_run_fails_its_checks(self, tmp_path, monkeypatch):
+        """A NaN superpotential leaves the first row finite and every later
+        one NaN: each margin keeps the NaN, so no check passes."""
+        def nan_potential(v, kind, q_bra, q_ket):
+            return np.full(np.broadcast(q_bra, q_ket).shape, np.nan)
+
+        monkeypatch.setattr(evolution, "super_potential", nan_potential)
+        argv = ["evolve", "--grid-n", "64", "--steps", "20", "--n-out", "5",
+                "--outdir", str(tmp_path)]
         assert run(argv) == EXIT_VALIDATION
         manifest = json.loads((tmp_path / "evolve" / "evolve_manifest.json").read_text())
         assert manifest["checks"] and not any(manifest["checks"].values())

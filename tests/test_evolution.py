@@ -1,10 +1,10 @@
 import tracemalloc
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy.linalg
 
+from liouspace.entangle import BipartiteBasis, build_bipartite_liouvillian, relative_generator
 from liouspace.errors import EnergyDriftExceeded
 from liouspace.evolution import (
     CharacteristicsEnsemble,
@@ -23,7 +23,6 @@ from liouspace.superspace import (
     SuperDensity,
     SuperGrid,
     gaussian_super_density,
-    is_hermitian,
     moments,
 )
 
@@ -76,15 +75,31 @@ class TestEvolveExact:
         assert np.trace(rho).real * grid.dq == pytest.approx(moments(sd).trace, abs=1e-8)
         assert np.max(np.abs(rho - rho.conj().T)) < 1e-8
 
-    @pytest.mark.parametrize("defect, hermitian", [(0.5e-12, True), (2e-12, False)])
-    def test_hermiticity_tolerance_selects_path(self, monkeypatch, defect, hermitian):
-        # relative defect max|L - L^H| / max|L| == defect exactly
-        dense = np.diag([1.0, -0.5, 0.25]).astype(complex)
-        dense[0, 1] = defect
-        calls, eigh = [], np.linalg.eigh
-        monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(m) or eigh(m))
-        ExactEvolver(SimpleNamespace(dense=lambda: dense))
-        assert len(calls) == int(hermitian)  # eigh route, else expm per time
+    @pytest.mark.parametrize("e_kind, eigh_dtypes", [
+        ("none", [np.float64]),
+        ("real", [np.float64]),
+        ("real_in_complex_dtype", [np.complex128]),  # the values decide, not the dtype
+        ("tiny_imag", []),  # no tolerance: any imaginary part makes E complex
+        ("complex", []),
+    ])
+    def test_structure_of_e_selects_route(self, monkeypatch, e_kind, eigh_dtypes):
+        """E absent or real takes one eigh, of the float64 dense form for
+        real h, E and U, and propagate calls no expm; a complex E takes no
+        eigh and one expm per output time."""
+        rng = np.random.Generator(np.random.Philox(50))
+        h = rng.normal(size=(3, 3))
+        u, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+        e = rng.normal(size=(3, 3))
+        e = {"none": None, "real": e, "real_in_complex_dtype": e + 0j,
+             "tiny_imag": e + 1e-300j, "complex": e + 0.05j}[e_kind]
+        liou = BasisLiouvillian(h + h.T, e, u)
+        eighs, expms = [], []
+        eigh, expm = np.linalg.eigh, scipy.linalg.expm
+        monkeypatch.setattr(np.linalg, "eigh", lambda m: eighs.append(m.dtype) or eigh(m))
+        monkeypatch.setattr(scipy.linalg, "expm", lambda m: expms.append(m) or expm(m))
+        ExactEvolver(liou).propagate(random_hermitian(rng, 3), [0.3, 1.1])
+        assert eighs == eigh_dtypes
+        assert len(expms) == (0 if eigh_dtypes else 2)
 
     @pytest.mark.parametrize("route", ["eigh", "expm"])
     def test_one_call_over_an_uneven_grid_equals_per_time_expm(self, route):
@@ -100,12 +115,45 @@ class TestEvolveExact:
             p = JCParams(omega_e=1.1, omega=0.9, d_eg=0.08, n_max=3, eps_egeg=0.05 - 0.03j)
             liou, rho0 = jc_liouvillian(p), initial_jc_state("coherent:0.5", p.n_max)
         dense = liou.dense()
-        assert is_hermitian(dense) == (route == "eigh")  # what selects the route
+        # what selects the route: E absent or real
+        assert (liou.e is None or not np.any(np.imag(liou.e))) == (route == "eigh")
         states = ExactEvolver(liou).propagate(rho0, times)
         assert states.shape == (len(times), *rho0.shape)
         for t, rho in zip(times, states):
             want = scipy.linalg.expm(-1j * dense * t) @ rho0.reshape(-1)
             np.testing.assert_allclose(rho.reshape(-1), want, rtol=0, atol=1e-12)
+
+
+PROGRAM_BUILDERS = {
+    "grid_cl": lambda: grid_liouvillian(
+        PolynomialPotential.quartic(0.3), SuperGrid.centered(4.0, 8), SuperPotentialKind.CL
+    ),
+    "grid_qm": lambda: grid_liouvillian(
+        PolynomialPotential.quartic(0.3), SuperGrid.centered(4.0, 8), SuperPotentialKind.QM
+    ),
+    "relative": lambda: relative_generator(BipartiteBasis(n_levels=5), 0.05),
+    "bipartite_cl": lambda: build_bipartite_liouvillian(BipartiteBasis(n_levels=3), 0.05, "cl"),
+    "bipartite_qm": lambda: build_bipartite_liouvillian(BipartiteBasis(n_levels=3), 0.05, "qm"),
+    "jc_real_eps": lambda: jc_liouvillian(
+        JCParams(omega_e=1.1, omega=0.9, d_eg=0.08, n_max=3, eps_egeg=0.05)
+    ),
+    "jc_complex_eps": lambda: jc_liouvillian(
+        JCParams(omega_e=1.1, omega=0.9, d_eg=0.08, n_max=3, eps_egeg=0.05 - 0.03j)
+    ),
+}
+
+
+@pytest.mark.parametrize("name", PROGRAM_BUILDERS)
+def test_structure_of_e_is_hermiticity_of_every_program_generator(name):
+    """For each generator the package builds, the structural rule that
+    picks ExactEvolver's route (E absent or real) holds exactly when the
+    dense form is Hermitian to rounding."""
+    liou = PROGRAM_BUILDERS[name]()
+    dense = liou.dense()
+    defect = np.max(np.abs(dense - dense.conj().T)) / np.max(np.abs(dense))
+    structural = liou.e is None or not np.any(np.imag(liou.e))
+    assert structural == (name != "jc_complex_eps")
+    assert structural == (defect <= 1e-13)
 
 
 def random_structured(rng, n, e_kind):

@@ -179,9 +179,33 @@ class TestBasisLiouvillian:
             eig, np.sort_complex(np.array([-1.4, 0.0, 0.0, 1.4])), atol=1e-12
         )
 
-    def test_non_hermitian_rejected(self):
+    @pytest.mark.parametrize("h", [
+        np.array([[0.0, 1.0], [0.0, 0.0]]),
+        np.array([[np.nan, 0.0], [0.0, 1.0]]),
+    ], ids=["asymmetric", "nan"])
+    def test_non_hermitian_rejected(self, h):
         with pytest.raises(NonHermitianInput):
-            BasisLiouvillian(np.array([[0.0, 1.0], [0.0, 0.0]]))
+            BasisLiouvillian(h)
+
+    def test_hermiticity_of_h_is_relative_1e_12(self):
+        h = np.diag([4.0, -2.0, 1.0])
+        h[0, 1] = 0.5e-12 * 4.0  # passes at half the bound
+        BasisLiouvillian(h)
+        h[0, 1] = 2e-12 * 4.0
+        with pytest.raises(NonHermitianInput):
+            BasisLiouvillian(h)
+
+    @pytest.mark.parametrize("u", [
+        np.array([[1.0, 0.0], [0.0, 1.0 + 2e-12]]),  # U^T U is 4e-12 off
+        np.array([[1.0, 0.1], [0.0, 1.0]]),
+        np.array([[1.0, 0.0], [0.0, 1j]]),  # unitary, but not real
+        np.array([[1.0, 0.0], [0.0, np.nan]]),
+    ], ids=["scaled", "sheared", "complex", "nan"])
+    def test_basis_must_be_real_orthogonal(self, u):
+        """With a real orthogonal U, a real E gives a Hermitian generator,
+        which is what lets ExactEvolver read its route from E."""
+        with pytest.raises(ValueError, match="real orthogonal"):
+            BasisLiouvillian(np.eye(2), np.ones((2, 2)), u)
 
     @pytest.mark.parametrize("e_kind", ["none", "real", "complex"])
     @pytest.mark.parametrize("identity", [False, True], ids=["basis", "identity"])

@@ -56,6 +56,11 @@ class TestPolynomialPotential:
         direct = 1.0 - 2.0 * x + 0.5 * x**2 + 0.25 * x**3
         np.testing.assert_allclose(v.value(x), direct, rtol=1e-14)
 
+    @pytest.mark.parametrize("coeffs", [(np.nan,), (0.0, np.inf), (1.0, -np.inf, 0.0)])
+    def test_non_finite_coefficient_rejected(self, coeffs):
+        with pytest.raises(ValueError, match="finite"):
+            PolynomialPotential(coeffs)
+
 
 class TestSuperPotential:
     def test_quartic_cl_value(self):

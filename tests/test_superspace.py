@@ -116,6 +116,21 @@ class TestSuperToPhase:
         with pytest.raises(HermiticityViolation):
             super_to_phase(SuperDensity(grid64, vals))
 
+    @pytest.mark.parametrize("defect, ok", [(0.5e-6, True), (2e-6, False), (np.nan, False)])
+    def test_hermiticity_tolerance(self, defect, ok):
+        """The rule of ``moments``: max|rho - rho^H| within HERMITICITY_TOL
+        of max|rho|; a NaN density is refused.  The defect sits at an
+        entry of odd index sum, which the inverse transform never reads,
+        so only the Hermiticity guard can refuse it."""
+        vals = np.eye(4, dtype=complex)
+        vals[0, 1] = defect
+        sd = SuperDensity(SuperGrid.centered(2.0, 4), vals)
+        if ok:
+            assert super_to_phase(sd).values.dtype == np.float64
+        else:
+            with pytest.raises(HermiticityViolation, match="hermiticity defect"):
+                super_to_phase(sd)
+
 
 def fft_route_moments(sd, hbar=1.0):
     """Independent reference: spectral derivatives by FFT along each axis,
@@ -243,9 +258,11 @@ class TestMoments:
             return defect(self)
 
         monkeypatch.setattr(SuperDensity, "hermiticity_defect", counted)
-        monkeypatch.setattr(superspace, "is_hermitian", None)
-        moments(gaussian_super_density(grid64, 0.3, 0.2, 0.6, 0.7))
+        sd = gaussian_super_density(grid64, 0.3, 0.2, 0.6, 0.7)
+        moments(sd)
         assert len(calls) == 1
+        super_to_phase(sd)
+        assert len(calls) == 2
 
     def test_derivative_matrix_built_once_per_grid_and_read_only(self, grid64, monkeypatch):
         builds = []
