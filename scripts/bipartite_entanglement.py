@@ -26,7 +26,7 @@ COLUMNS = ["t", "purity_cl", "purity_qm", "min_eig_cl", "min_eig_qm"]
 def main() -> None:
     out = sys.argv[1] if len(sys.argv) > 1 else "bipartite_entanglement.csv"
     series, _, _ = compare_cl_qm_entanglement(
-        BipartiteBasis(n_levels=N_LEVELS), LAM, 0.0, 0.0, np.linspace(0.0, T_END, N_OUT + 1)
+        BipartiteBasis(n_levels=N_LEVELS), LAM, 0.0, 0.0, T_END, N_OUT
     )
     write_csv(out, np.column_stack([series[c] for c in COLUMNS]), header=COLUMNS)
     drop_cl = 1.0 - np.min(series["purity_cl"])

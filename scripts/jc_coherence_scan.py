@@ -18,6 +18,7 @@ import sys
 import numpy as np
 
 from liouspace import JCParams
+from liouspace.evolution import output_times
 from liouspace.jaynescummings import coherent_field_density, jc_series
 from liouspace.serialize import write_csv
 
@@ -32,11 +33,10 @@ def main() -> None:
     out = sys.argv[1] if len(sys.argv) > 1 else "jc_coherence_scan.csv"
     atom = np.array([[0.5, 0.35], [0.35, 0.5]], dtype=complex)
     rho0 = np.kron(atom, coherent_field_density(0.4, N_MAX))
-    times = np.linspace(0.0, T_END, N_OUT + 1)
-    header, columns = ["t"], [times]
+    header, columns = ["t"], [output_times(T_END, N_OUT)]
     for eps in EPS_VALUES:
         p = JCParams(omega_e=1.0, omega=1.0, d_eg=D_EG, n_max=N_MAX, eps_egeg=eps)
-        series, _, _ = jc_series(p, rho0, times)
+        series, _, _ = jc_series(p, rho0, T_END, N_OUT)
         tag = f"{eps.real:g}_{eps.imag:g}"
         header += [f"P_e[eps={tag}]", f"coh[eps={tag}]"]
         columns += [series["P_e"], series["abs_rho_eg00"]]

@@ -337,16 +337,6 @@ def run_propagator(ctx: RunContext) -> None:
     ctx.checks["first_order_matches_dyson_1e-3"] = defect < 1e-3
 
 
-def _time_grid(p: dict) -> np.ndarray:
-    """The steps + 1 evenly spaced output times from 0 to t."""
-    steps, t_end = int(p["steps"]), float(p["t"])
-    if steps < 1:
-        raise UsageError(f"steps={steps} must be >= 1")
-    if t_end <= 0:
-        raise UsageError(f"t={t_end:g} must be > 0")
-    return np.linspace(0.0, t_end, steps + 1)
-
-
 def run_jc(ctx: RunContext) -> None:
     p = ctx.params
     if _parse_complex_pair(p["eps_eegg"]) != 0:
@@ -361,8 +351,7 @@ def run_jc(ctx: RunContext) -> None:
         eps_egeg=_parse_complex_pair(p["eps"]),
     )
     rho0 = jc.initial_jc_state(str(p["init"]), params.n_max)
-    t_grid = _time_grid(p)
-    columns, ctx.solver_path, leak = jc.jc_series(params, rho0, t_grid)
+    columns, ctx.solver_path, leak = jc.jc_series(params, rho0, float(p["t"]), int(p["steps"]))
     ctx.generator_dim = params.dim**2
     _write_columns(ctx.path("jc_series.csv"), columns)
     ctx.margins.update(leak)
@@ -376,9 +365,9 @@ def run_jc(ctx: RunContext) -> None:
 def run_bipartite(ctx: RunContext) -> None:
     p = ctx.params
     basis = entangle.BipartiteBasis(n_levels=int(p["n_levels"]), omega=float(p["omega"]))
-    t_grid = _time_grid(p)
     columns, ctx.solver_path, leak = entangle.compare_cl_qm_entanglement(
-        basis, float(p["lam"]), complex(str(p["alpha1"])), complex(str(p["alpha2"])), t_grid
+        basis, float(p["lam"]), complex(str(p["alpha1"])), complex(str(p["alpha2"])),
+        float(p["t"]), int(p["steps"]),
     )
     ctx.generator_dim = basis.n_levels**2
     _write_columns(ctx.path("bipartite_series.csv"), columns)

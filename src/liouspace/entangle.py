@@ -44,7 +44,7 @@ from math import comb
 import numpy as np
 
 from .errors import TruncationLeak
-from .evolution import ExactEvolver
+from .evolution import ExactEvolver, output_times
 from .liouvillian import BasisLiouvillian
 from .jaynescummings import LEAK_THRESHOLD, coherent_field_density, fock_annihilation
 from .potential import PolynomialPotential, SuperPotentialKind, e_superoperator
@@ -63,7 +63,7 @@ class BipartiteBasis:
     def __post_init__(self) -> None:
         if self.n_levels < 2:
             raise ValueError("n_levels must be >= 2")
-        if self.omega <= 0:
+        if not self.omega > 0:
             raise ValueError("omega must be positive")
 
     def position_operator(self) -> np.ndarray:
@@ -136,10 +136,12 @@ SERIES_COLUMNS = (
 
 
 def compare_cl_qm_entanglement(
-    basis: BipartiteBasis, lam: float, alpha1: complex, alpha2: complex, t_grid
+    basis: BipartiteBasis, lam: float, alpha1: complex, alpha2: complex, t_end: float, steps: int
 ) -> tuple[dict[str, np.ndarray], str, dict[str, float]]:
     """Evolve the coherent product |alpha1>|alpha2> under both generators
-    through the relative mode; return (columns, solver_path, margins).
+    through the relative mode over ``evolution.output_times(t_end, steps)``
+    (ValueError unless t_end is finite and > 0 and steps >= 1); return
+    (columns, solver_path, margins).
 
     Only rho_r, on ``basis.n_levels`` = n_r levels, is evolved, from the
     truncated |alpha_r>; taking the alphas, not a state, admits no input
@@ -151,11 +153,11 @@ def compare_cl_qm_entanglement(
     (``evolution.ExactEvolver``), so n_r is held to 64 by the dense cap
     (DimensionTooLarge above it).  ``margins`` holds
     ``max_top_level_population_<kind>``, the worst top-level population of
-    rho_r over the output times.  Any grid works.  Raises TruncationLeak if
-    either run populates rho_r's top level beyond ``LEAK_THRESHOLD`` at any
-    time of the grid.
+    rho_r over the output times.  Raises TruncationLeak if either run
+    populates rho_r's top level beyond ``LEAK_THRESHOLD`` at any output
+    time.
     """
-    t = np.asarray(t_grid, dtype=float)
+    t = output_times(t_end, steps)
     alpha_r = (complex(alpha1) - complex(alpha2)) / np.sqrt(2.0)
     rho0 = coherent_field_density(alpha_r, basis.n_levels - 1)
     cl = relative_generator(basis, lam)

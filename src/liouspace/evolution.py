@@ -50,12 +50,22 @@ class EvolutionConfig:
     mass: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.t1 <= 0:
+        if not self.t1 > 0:
             raise ValueError("t1 must be positive")
         if self.n_steps < 1:
             raise ValueError("n_steps must be >= 1")
-        if self.mass <= 0 or self.hbar <= 0:
+        if not (self.mass > 0 and self.hbar > 0):
             raise ValueError("mass and hbar must be positive")
+
+
+def output_times(t_end: float, steps: int) -> np.ndarray:
+    """The steps + 1 evenly spaced output times from 0 to t_end.  Raises
+    ValueError unless t_end is finite and > 0 and steps >= 1."""
+    if not 0 < t_end < np.inf:
+        raise ValueError(f"t_end={t_end} must be finite and > 0")
+    if steps < 1:
+        raise ValueError(f"steps={steps} must be >= 1")
+    return np.linspace(0.0, t_end, steps + 1)
 
 
 class ExactEvolver:
@@ -91,12 +101,8 @@ class ExactEvolver:
 
             out = [expm(-1j * self._dense * t) @ vec for t in t_grid]
             return np.array(out, dtype=complex).reshape(-1, *rho0.shape)
-        # cos + i sin of the real angles: the values of a complex exp, in about
-        # half its time
-        angle = np.outer(t_grid, -self._w)
-        phases = np.empty(angle.shape, dtype=complex)
-        np.cos(angle, out=phases.real)
-        np.sin(angle, out=phases.imag)
+        phases = np.outer(t_grid, -self._w) * 1j
+        np.exp(phases, out=phases)
         phases *= self._u.conj().T @ vec
         return (phases @ self._u.T).reshape(-1, *rho0.shape)
 
@@ -172,14 +178,8 @@ def evolve_trotter(
         raise ValueError("observe_every must be >= 1")
     dt = config.t1 / config.n_steps
     pts = grid.points
-    angle = super_potential(v, kind, pts[:, None], pts[None, :])
-    angle *= -0.5 * dt / config.hbar
-    # cos + i sin of the real angles: the values of a complex exp, in about
-    # half its time
-    half = np.empty(angle.shape, dtype=complex)
-    np.cos(angle, out=half.real)
-    np.sin(angle, out=half.imag)
-    del angle
+    half = super_potential(v, kind, pts[:, None], pts[None, :]) * (-0.5j * dt / config.hbar)
+    np.exp(half, out=half)
     k2 = (2.0 * np.pi * np.fft.fftfreq(grid.n, grid.dq)) ** 2
     a = np.exp(-0.5j * dt * config.hbar / config.mass * k2)
     a_conj, a_col = a.conj(), a[:, None]

@@ -47,6 +47,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import NotConverged, TruncationLeak
+from .evolution import output_times
 from .liouvillian import BasisLiouvillian
 from .potential import COULOMB_EPS_REG, coulomb_e_of_radii
 
@@ -149,7 +150,7 @@ def jc_evolve_first_order(p: JCParams, rho0: np.ndarray, t: float) -> np.ndarray
     L1 the generator of the model with omega_e = omega = 0: the dipole
     commutator plus E-hat (``jc_liouvillian``).
     """
-    if t < 0:
+    if not t >= 0:
         raise ValueError("t must be non-negative")
     energy = np.diagonal(build_jc_hamiltonian(p)).real
     rho1 = jc_liouvillian(replace(p, omega_e=0.0, omega=0.0)).apply(rho0)
@@ -252,18 +253,15 @@ def _expm_stack(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _sector_powers(hb: np.ndarray, eb, rb: np.ndarray, t_grid: np.ndarray):
-    """Yield the (S, S, 2, 2) blocks of rho(t) for each t of the non-empty,
-    evenly spaced t_grid (ValueError if uneven); ``eb`` may be None.
+def _sector_powers(hb: np.ndarray, eb, rb: np.ndarray, dt: float, steps: int):
+    """Yield the (S, S, 2, 2) blocks of rho(j dt) for j = 0..steps; ``eb``
+    may be None.
 
     Block (k, l) follows i d/dt X = h_k X - X h_l + E_kl o X, a 4 x 4
     generator on the row-major vec X.  One batched expm of all of them at
-    the grid step (and one at t_grid[0] unless it is 0) advances every
-    block by powers.  The yielded array is overwritten two steps later.
+    dt advances every block by powers.  The yielded array is overwritten
+    two steps later.
     """
-    even = np.linspace(t_grid[0], t_grid[-1], t_grid.size)
-    if np.max(np.abs(t_grid - even)) > 1e-12 * max(1.0, float(np.max(np.abs(t_grid)))):
-        raise ValueError("t_grid must be evenly spaced")
     n, eye = len(hb), np.eye(2)
     # vec(h_k X) = kron(h_k, 1) vec X and vec(X h_l) = kron(1, h_l^T) vec X
     gen = (
@@ -273,20 +271,19 @@ def _sector_powers(hb: np.ndarray, eb, rb: np.ndarray, t_grid: np.ndarray):
     if eb is not None:
         gen[:, np.arange(4), np.arange(4)] += eb.reshape(n * n, 4)
     x = rb.reshape(n * n, 4, 1).astype(complex)
-    if t_grid[0] != 0.0:
-        x = _expm_stack(-1j * t_grid[0] * gen) @ x
-    step = _expm_stack(-1j * (even[1] - even[0] if t_grid.size > 1 else 0.0) * gen)
+    step = _expm_stack(-1j * dt * gen)
     spare = np.empty_like(x)
-    for j in range(t_grid.size):
+    for j in range(steps + 1):
         if j:
             x, spare = np.matmul(step, x, out=spare), x
         yield x.reshape(n, n, 2, 2)
 
 
 def jc_series(
-    p: JCParams, rho0: np.ndarray, t_grid
+    p: JCParams, rho0: np.ndarray, t_end: float, steps: int
 ) -> tuple[dict[str, np.ndarray], str, dict[str, float]]:
-    """Evolve rho0 over t_grid; return (columns, solver_path, margins).
+    """Evolve rho0 over ``evolution.output_times(t_end, steps)``; return
+    (columns, solver_path, margins).
 
     ``columns`` holds the series t, P_e, abs_rho_eg00, trace and purity, one
     entry per time, read off the sector blocks (see the module docstring)
@@ -294,21 +291,19 @@ def jc_series(
     sums of diagonal-block populations, and rho_{e0,g0} is one element of
     block (1, 0); the purity is the sum of the squared block norms.
     ``solver_path`` names the route.  Real eps_egeg takes "sector_phases":
-    each sector rotates in closed form, on any grid, and the purity stays
-    that of rho0, exact for that unitary evolution.  Complex eps_egeg takes
-    "sector_powers", powers of one batched expm of the block generators, on
-    an evenly spaced grid only.  An empty or (for complex eps_egeg) uneven
-    t_grid raises ValueError.  ``margins`` holds
-    ``max_fock_leak``, the worst top-Fock population over the output times.
+    each sector rotates in closed form, and the purity stays that of rho0,
+    exact for that unitary evolution.  Complex eps_egeg takes
+    "sector_powers", powers of one batched expm of the block generators at
+    the step t_end / steps.  ``output_times`` raises ValueError unless t_end
+    is finite and > 0 and steps >= 1.  ``margins`` holds ``max_fock_leak``,
+    the worst top-Fock population over the output times.
 
     Raises TruncationLeak before evolving if rho0 fills the top
     ``FOCK_LEAK_LEVELS`` Fock levels, and after it if the state does at any
     output time.
     """
+    t_grid = output_times(t_end, steps)
     check_fock_truncation(rho0, p.n_max)
-    t_grid = np.asarray(t_grid, dtype=float).reshape(-1)
-    if t_grid.size == 0:
-        raise ValueError("t_grid must not be empty")
     valid, hb, eb, rb = _sector_blocks(p, rho0)
     fock = np.arange(p.n_max + 2)[:, None] - np.arange(2)  # of each slot: k, k - 1
     # per slot, the weights of P_e, the trace and the top-Fock population
@@ -323,7 +318,7 @@ def jc_series(
     else:
         path, n = "sector_powers", t_grid.size
         pops, coherence, purity = np.empty((n, *valid.shape)), np.empty(n, complex), np.empty(n)
-        for j, blocks in enumerate(_sector_powers(hb, eb, rb, t_grid)):
+        for j, blocks in enumerate(_sector_powers(hb, eb, rb, t_end / steps, steps)):
             pops[j] = np.einsum("kkaa->ka", blocks).real
             coherence[j] = blocks[1, 0, ATOM_E, ATOM_G]
             purity[j] = np.vdot(blocks, blocks).real

@@ -41,7 +41,7 @@ class PropagatorPoint:
     hbar: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.mass <= 0 or self.hbar <= 0:
+        if not (self.mass > 0 and self.hbar > 0):
             raise ValueError("mass and hbar must be positive")
 
 
@@ -62,7 +62,7 @@ def free_propagator(x, y, duration: float, mass: float = 1.0, hbar: float = 1.0)
 
     Principal branch: (1/i)^(1/2) = exp(-i pi/4).
     """
-    if duration <= 0:
+    if not duration > 0:
         raise ValueError("free propagator needs T > 0")
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -174,7 +174,7 @@ def dyson_first_order_numeric(
     with deg // 2 + 1 nodes (exact to degree 2 (deg // 2) + 1) integrates
     it exactly.  Returns the correction term alone (zero for lam = 0).
     """
-    if pt.duration <= 0:
+    if not pt.duration > 0:
         raise ValueError("T must be positive")
     monomials = super_potential_monomials(PolynomialPotential.quartic(lam), kind)
     t_tot, m, hb = pt.duration, pt.mass, pt.hbar

@@ -49,7 +49,7 @@ class SuperGrid:
     n: int
 
     def __post_init__(self) -> None:
-        if self.q_max <= self.q_min:
+        if not self.q_max > self.q_min:
             raise ValueError("q_max must exceed q_min")
         if self.n < 2 or self.n % 2:
             raise ValueError("n must be a positive even integer")
@@ -77,7 +77,7 @@ class PhaseGrid:
     hbar: float
 
     def __post_init__(self) -> None:
-        if self.hbar <= 0:
+        if not self.hbar > 0:
             raise ValueError("hbar must be positive")
 
     @property

@@ -7,7 +7,6 @@ import scipy.sparse
 from scipy.sparse.linalg import expm_multiply
 
 from liouspace.entangle import (
-    SERIES_COLUMNS,
     BipartiteBasis,
     build_bipartite_liouvillian,
     compare_cl_qm_entanglement,
@@ -419,14 +418,14 @@ class TestCompare:
     def test_lambda_zero_series_identical_and_flat(self, basis4):
         # ground (x) ground: a truncated coherent state would itself carry
         # top-level weight and trip the leak guard
-        cols, _, _ = compare_cl_qm_entanglement(basis4, 0.0, 0.0, 0.0, np.linspace(0, 2, 5))
+        cols, _, _ = compare_cl_qm_entanglement(basis4, 0.0, 0.0, 0.0, 2.0, 4)
         np.testing.assert_allclose(cols["purity_cl"], cols["purity_qm"], rtol=0, atol=1e-12)
         np.testing.assert_allclose(cols["purity_qm"], 1.0, rtol=0, atol=1e-10)
 
     def test_small_coupling_entangles_and_conserves(self):
         # n_r 4 is too few: the CL run puts 3.2e-6 into the top level by t = 1.6
         cols, _, _ = compare_cl_qm_entanglement(
-            BipartiteBasis(n_levels=6), 0.0003, 0.0, 0.0, np.linspace(0, 2, 6)
+            BipartiteBasis(n_levels=6), 0.0003, 0.0, 0.0, 2.0, 5
         )
         assert list(cols) == [
             "t", "purity_cl", "purity_qm", "min_eig_cl", "min_eig_qm",
@@ -441,10 +440,10 @@ class TestCompare:
 
     def test_columns_equal_per_state_definitions(self):
         # six levels keep the truncated coherent state's top level below the guard
-        basis, times = BipartiteBasis(n_levels=6), np.linspace(0.0, 2.0, 9)
-        a1, a2 = 0.2, -0.1
-        cols, paths, margins = compare_cl_qm_entanglement(basis, 0.0003, a1, a2, times)
-        np.testing.assert_array_equal(cols["t"], times)
+        basis, a1, a2 = BipartiteBasis(n_levels=6), 0.2, -0.1
+        cols, paths, margins = compare_cl_qm_entanglement(basis, 0.0003, a1, a2, 2.0, 8)
+        times = cols["t"]
+        np.testing.assert_array_equal(times, np.linspace(0.0, 2.0, 9))
         assert paths == "eigh"
         assert set(margins) == {"max_top_level_population_cl", "max_top_level_population_qm"}
         n = basis.n_levels
@@ -489,19 +488,10 @@ class TestCompare:
     def test_truncation_leak_guard(self):
         basis = BipartiteBasis(n_levels=3)
         with pytest.raises(TruncationLeak, match="run leaked"):
-            compare_cl_qm_entanglement(basis, 0.2, 0.0, 0.0, np.linspace(0, 2, 5))
-
-    def test_uneven_grid_matches_even_grid(self):
-        """Both routes take any grid: an uneven one gives the rows of an
-        even one at the same times."""
-        basis = BipartiteBasis(n_levels=6)
-        uneven, _, _ = compare_cl_qm_entanglement(basis, 0.0003, 0.2, 0.0, [0.0, 0.5, 2.0])
-        even, _, _ = compare_cl_qm_entanglement(basis, 0.0003, 0.2, 0.0, np.linspace(0, 2, 5))
-        for name in SERIES_COLUMNS:
-            np.testing.assert_allclose(uneven[name], even[name][[0, 1, 4]], rtol=0, atol=1e-13)
+            compare_cl_qm_entanglement(basis, 0.2, 0.0, 0.0, 2.0, 4)
 
     def test_top_level_population_of_ground_state(self, basis4):
-        _, _, margins = compare_cl_qm_entanglement(basis4, 0.0, 0.0, 0.0, [0.0, 1.0])
+        _, _, margins = compare_cl_qm_entanglement(basis4, 0.0, 0.0, 0.0, 1.0, 1)
         for tag in ("cl", "qm"):
             assert margins[f"max_top_level_population_{tag}"] == pytest.approx(0.0, abs=1e-15)
 
@@ -575,8 +565,9 @@ class TestStructuredEvolution:
         purity_bound, eig_bound = SQUARE_GAP_BOUNDS[n_r]
         for (a1, a2, tag), (purity, least) in square.items():
             cols, _, _ = compare_cl_qm_entanglement(
-                BipartiteBasis(n_levels=n_r), 3e-4, a1, a2, times
+                BipartiteBasis(n_levels=n_r), 3e-4, a1, a2, times[-1], len(times) - 1
             )
+            np.testing.assert_array_equal(cols["t"], times)
             assert np.max(np.abs(cols[f"purity_{tag}"] - purity)) <= purity_bound
             assert np.max(np.abs(cols[f"min_eig_{tag}"] - least)) <= eig_bound
 

@@ -1,10 +1,16 @@
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from liouspace.entangle import BipartiteBasis, build_bipartite_liouvillian, relative_generator
+from liouspace.entangle import (
+    BipartiteBasis,
+    build_bipartite_liouvillian,
+    compare_cl_qm_entanglement,
+    relative_generator,
+)
 from liouspace.errors import EnergyDriftExceeded
 from liouspace.evolution import (
     CharacteristicsEnsemble,
@@ -16,10 +22,18 @@ from liouspace.evolution import (
     evolve_trotter,
     gaussian_ensemble,
 )
-from liouspace.jaynescummings import JCParams, initial_jc_state, jc_liouvillian
+from liouspace.jaynescummings import (
+    JCParams,
+    initial_jc_state,
+    jc_evolve_first_order,
+    jc_liouvillian,
+    jc_series,
+)
 from liouspace.liouvillian import BasisLiouvillian, grid_liouvillian
 from liouspace.potential import PolynomialPotential, SuperPotentialKind, super_potential
+from liouspace.superprop import PropagatorPoint, dyson_first_order_numeric, free_propagator
 from liouspace.superspace import (
+    PhaseGrid,
     SuperDensity,
     SuperGrid,
     gaussian_super_density,
@@ -265,6 +279,73 @@ class TestEvolutionConfig:
     def test_invalid_config_rejected(self, kwargs):
         with pytest.raises(ValueError):
             EvolutionConfig(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda nan: EvolutionConfig(t1=nan),
+        lambda nan: EvolutionConfig(t1=1.0, hbar=nan),
+        lambda nan: EvolutionConfig(t1=1.0, mass=nan),
+        lambda nan: BipartiteBasis(n_levels=4, omega=nan),
+        lambda nan: PropagatorPoint(0.0, 0.0, 0.0, 0.0, 1.0, mass=nan),
+        lambda nan: PropagatorPoint(0.0, 0.0, 0.0, 0.0, 1.0, hbar=nan),
+        lambda nan: SuperGrid(0.0, nan, 8),
+        lambda nan: PhaseGrid(SuperGrid.centered(1.0, 8), nan),
+        lambda nan: free_propagator(0.0, 0.0, nan),
+        lambda nan: dyson_first_order_numeric(
+            PropagatorPoint(0.0, 0.0, 0.0, 0.0, nan), 0.1, SuperPotentialKind.CL
+        ),
+        lambda nan: jc_evolve_first_order(
+            JCParams(omega_e=1.0, omega=1.0, d_eg=0.1, n_max=2), initial_jc_state("e0", 2), nan
+        ),
+    ],
+    ids=[
+        "config-t1", "config-hbar", "config-mass", "basis-omega", "point-mass", "point-hbar",
+        "grid-q-max", "phase-grid-hbar", "free-propagator-duration", "dyson-duration",
+        "jc-first-order-t",
+    ],
+)
+def test_sign_guards_refuse_nan(build):
+    with pytest.raises(ValueError):
+        build(float("nan"))
+
+
+class TestOutputTimes:
+    SERIES = {
+        "jc-real-eps": lambda t_end, steps: jc_series(
+            JCParams(omega_e=1.0, omega=1.0, d_eg=0.05, n_max=4, eps_egeg=0.01),
+            initial_jc_state("e0", 4), t_end, steps,
+        ),
+        "jc-complex-eps": lambda t_end, steps: jc_series(
+            JCParams(omega_e=1.0, omega=1.0, d_eg=0.05, n_max=4, eps_egeg=0.01 - 0.02j),
+            initial_jc_state("e0", 4), t_end, steps,
+        ),
+        "bipartite": lambda t_end, steps: compare_cl_qm_entanglement(
+            BipartiteBasis(n_levels=6), 3e-4, 0.0, 0.0, t_end, steps
+        ),
+    }
+
+    @pytest.mark.parametrize("series", SERIES)
+    @pytest.mark.parametrize(
+        "t_end, steps, message",
+        [
+            (0.0, 4, "t_end=0.0 must be finite and > 0"),
+            (-1.0, 4, "t_end=-1.0 must be finite and > 0"),
+            (float("nan"), 4, "t_end=nan must be finite and > 0"),
+            (float("inf"), 4, "t_end=inf must be finite and > 0"),
+            (1.0, 0, "steps=0 must be >= 1"),
+            (1.0, -1, "steps=-1 must be >= 1"),
+        ],
+    )
+    def test_series_refuse_bad_output_times(self, series, t_end, steps, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            self.SERIES[series](t_end, steps)
+
+    @pytest.mark.parametrize("series", SERIES)
+    def test_series_report_evenly_spaced_times_from_zero(self, series):
+        cols, _, _ = self.SERIES[series](1.0, 4)
+        np.testing.assert_array_equal(cols["t"], np.linspace(0.0, 1.0, 5))
 
 
 class TestEvolveOrdered:
