@@ -4,11 +4,11 @@ The Liouville equation, written on doubled coordinates rho(Q, q),
 differs from the von Neumann equation only by an antisymmetric
 superoperator E(Q, q) that vanishes for potentials of degree <= 2.
 This package builds both dynamics side by side: superoperator scalar
-functions, phase-space/superspace transforms, one Liouvillian class for
-the grid and basis models, exact and split-step evolution, the free
-superpropagator with first-order perturbation theory (validated against
-an independent Dyson quadrature), the Jaynes-Cummings model with a
-Coulomb superoperator, and bipartite entanglement diagnostics.
+functions, Gaussian superspace densities and their moments, one
+Liouvillian class for the grid and basis models, exact and split-step
+evolution, the free superpropagator with first-order perturbation theory
+(validated against an independent Dyson quadrature), the Jaynes-Cummings
+model with a Coulomb superoperator, and bipartite entanglement diagnostics.
 """
 
 __version__ = "0.1.0"
@@ -35,16 +35,11 @@ from .potential import (
     super_potential,
 )
 from .superspace import (
-    PhaseDensity,
-    PhaseGrid,
     Moments,
     SuperDensity,
     SuperGrid,
-    gaussian_phase_density,
     gaussian_super_density,
     moments,
-    phase_to_super,
-    super_to_phase,
 )
 from .liouvillian import (
     BasisLiouvillian,

@@ -258,10 +258,18 @@ def run_evolve(ctx: RunContext) -> None:
     cfg = evolution.EvolutionConfig(
         t1=t_end, n_steps=steps, hbar=hbar, mass=mass
     )
+    sigma_x, sigma_p = float(p["sigma_x"]), float(p["sigma_p"])
     sd = superspace.gaussian_super_density(
-        grid, float(p["x0"]), float(p["p0"]),
-        float(p["sigma_x"]), float(p["sigma_p"]), hbar,
+        grid, float(p["x0"]), float(p["p0"]), sigma_x, sigma_p, hbar,
     )
+    # a sharper Gaussian is a phase density but no quantum state: its operator
+    # has a negative eigenvalue and purity hbar / (2 sigma_x sigma_p) > 1; the
+    # 1e-12 lets a product that only rounds below the bound through
+    if kind is SuperPotentialKind.QM and sigma_x * sigma_p < (1 - 1e-12) * hbar / 2:
+        raise UsageError(
+            f"kind qm needs sigma_x * sigma_p >= hbar / 2, got "
+            f"{sigma_x:g} * {sigma_p:g} = {sigma_x * sigma_p:g} < {hbar / 2:g}"
+        )
 
     series = [(0.0, superspace.moments(sd, hbar))]
 

@@ -1,20 +1,9 @@
-"""Phase-space densities, superspace density matrices, and the maps between them.
+"""Superspace density matrices rho(Q, q) on a uniform grid, and their moments.
 
-A classical distribution rho(x, p) is carried to a density-matrix
-representation rho(Q, q) by a Fourier transform p -> y followed by the
-rotation Q = x + y/2, q = x - y/2.  The phase grid is *derived* from the
-super grid, ``PhaseGrid(sgrid, hbar)``, so the rotation lands exactly on
-grid points: the x grid coincides with the Q grid (spacing d), the y grid
-has spacing 2d, and the p grid is the discrete Fourier dual of the y grid
-(dp * dy = 2*pi*hbar / n).  Entries
-of rho(Q, q) whose midpoint (Q+q)/2 falls between x points are filled by
-spectral (band-limited) interpolation, which is exact for inputs whose x
-spectrum is resolved by the grid.
-
-The inverse transform reads the same-parity entries back, so the round
-trip phase -> super -> phase is an exact discrete inverse pair up to the
-clipped corners of the (Q, q) square (negligible for states that decay
-before the domain boundary).
+A classical phase density rho(x, p) becomes a density matrix rho(Q, q) by a
+Fourier transform p -> y followed by the rotation Q = x + y/2, q = x - y/2.
+Every run starts from a Gaussian, whose transform has the closed form
+``gaussian_super_density``.
 
 Only densities are measured for Hermiticity here: ``BasisLiouvillian`` checks
 its h and that its U is orthogonal, and the exact route follows its E.
@@ -67,64 +56,6 @@ class SuperGrid:
         return cls(-half_span, half_span, n)
 
 
-@dataclass(frozen=True)
-class PhaseGrid:
-    """The (x, p) grid of a SuperGrid's exact rotation: x is the Q grid,
-    and p the n points of spacing dp = 2 pi hbar / (n * 2 dq), the Fourier
-    dual of y = 2 dq k, centred on p = 0."""
-
-    grid: SuperGrid
-    hbar: float
-
-    def __post_init__(self) -> None:
-        if not self.hbar > 0:
-            raise ValueError("hbar must be positive")
-
-    @property
-    def n(self) -> int:
-        return self.grid.n
-
-    @property
-    def dx(self) -> float:
-        return self.grid.dq
-
-    @property
-    def dp(self) -> float:
-        return 2.0 * np.pi * self.hbar / (self.n * 2.0 * self.dx)
-
-    @property
-    def x(self) -> np.ndarray:
-        return self.grid.points
-
-    @property
-    def p(self) -> np.ndarray:
-        return self.dp * np.arange(self.n) - (self.n - 1) / 2.0 * self.dp
-
-
-@dataclass
-class PhaseDensity:
-    """Real-valued rho(x_i, p_j) samples on a PhaseGrid."""
-
-    grid: PhaseGrid
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != (self.grid.n, self.grid.n):
-            raise ValueError("values shape does not match grid")
-
-    def norm(self) -> float:
-        """Integral dx dp / (2 pi hbar) of the density."""
-        return self.moment(lambda x, p: 1.0)
-
-    def moment(self, fxp) -> float:
-        """Phase-space average of f(x, p) against the density."""
-        g = self.grid
-        xx, pp = np.meshgrid(g.x, g.p, indexing="ij")
-        w = g.dx * g.dp / (2.0 * np.pi * g.hbar)
-        return float(np.sum(fxp(xx, pp) * self.values) * w)
-
-
 @dataclass
 class SuperDensity:
     """Complex rho(Q_a, q_b) samples on a SuperGrid."""
@@ -144,75 +75,6 @@ class SuperDensity:
         return float(np.max([
             np.max(np.abs(rho[r] - rho[:, r].conj().T)) for r in _row_blocks(len(rho))
         ]))
-
-
-def _y_transform_matrix(pgrid: PhaseGrid) -> np.ndarray:
-    """Matrix E[j, c] = (dp / 2 pi hbar) exp(i p_j y_c / hbar) for y_c = (c-n+1)*d."""
-    n, hbar = pgrid.n, pgrid.hbar
-    y = pgrid.dx * (np.arange(2 * n - 1) - (n - 1))
-    return (pgrid.dp / (2.0 * np.pi * hbar)) * np.exp(
-        1j * np.outer(pgrid.p, y) / hbar
-    )
-
-
-def _half_shift(values: np.ndarray, axis: int = 0) -> np.ndarray:
-    """Band-limited interpolation of real samples to midpoints x_i + dx/2."""
-    n = values.shape[axis]
-    k = np.fft.fftfreq(n)  # cycles per sample
-    phase = np.exp(1j * np.pi * k)  # shift by half a sample
-    phase[n // 2] = 0.0  # real-symmetric treatment of the Nyquist mode
-    shape = [1] * values.ndim
-    shape[axis] = n
-    spec = np.fft.fft(values, axis=axis) * phase.reshape(shape)
-    return np.fft.ifft(spec, axis=axis).real
-
-
-def phase_to_super(pd: PhaseDensity) -> SuperDensity:
-    """Fourier transform p -> y, then rotate (x, y) -> (Q, q) = (x+y/2, x-y/2)
-    onto the super grid of ``pd.grid``."""
-    sgrid = pd.grid.grid
-    n = sgrid.n
-    emat = _y_transform_matrix(pd.grid)
-    rows_on = pd.values @ emat                      # rho(x_i, y_c)
-    rows_half = _half_shift(pd.values, axis=0) @ emat  # rho(x_i + d/2, y_c)
-
-    a = np.arange(n)
-    s = np.add.outer(a, a)          # a + b
-    c = np.subtract.outer(a, a) + (n - 1)  # y index for y = (a-b)*d
-    even = s % 2 == 0
-    vals_even = rows_on[s // 2, c]
-    vals_odd = rows_half[np.clip((s - 1) // 2, 0, n - 1), c]
-    return SuperDensity(sgrid, np.where(even, vals_even, vals_odd))
-
-
-def super_to_phase(sd: SuperDensity, hbar: float = 1.0) -> PhaseDensity:
-    """Inverse of phase_to_super (reads the exactly-rotated entries back).
-
-    Raises HermiticityViolation if the input is not Hermitian to
-    ``HERMITICITY_TOL`` (relative to its largest magnitude) or holds a
-    NaN; the output's imaginary residue is checked and discarded.
-    """
-    defect, scale = sd.hermiticity_defect(), float(np.max(np.abs(sd.values)))
-    if not defect <= HERMITICITY_TOL * scale:  # "not <=" refuses a NaN
-        raise HermiticityViolation(
-            f"hermiticity defect {defect:.3e} exceeds {HERMITICITY_TOL:g} of max|rho| {scale:.3e}"
-        )
-    n = sd.grid.n
-    pgrid = PhaseGrid(sd.grid, hbar)
-    k = np.arange(-n // 2, n // 2)
-    i = np.arange(n)
-    aa = np.add.outer(i, k)
-    bb = np.subtract.outer(i, k)
-    valid = (aa >= 0) & (aa < n) & (bb >= 0) & (bb < n)
-    rows = np.where(
-        valid, sd.values[np.clip(aa, 0, n - 1), np.clip(bb, 0, n - 1)], 0.0
-    )  # rho(x_i, y = 2kd); clipped corners assumed negligible
-    y = 2.0 * sd.grid.dq * k
-    inv = 2.0 * sd.grid.dq * np.exp(-1j * np.outer(y, pgrid.p) / hbar)
-    out = rows @ inv
-    if np.max(np.abs(out.imag)) > 1e-10 * max(float(np.max(np.abs(out.real))), 1e-300):
-        raise HermiticityViolation("inverse transform produced a non-real density")
-    return PhaseDensity(pgrid, out.real)
 
 
 def spectral_derivative_matrix(n: int, dq: float, order: int) -> np.ndarray:
@@ -257,7 +119,6 @@ class Moments:
     x: float
     p: float
     x2: float
-    xp_weyl: float
     purity: float
     hermiticity_defect: float
     boundary_mass: float
@@ -268,8 +129,7 @@ def moments(sd: SuperDensity, hbar: float = 1.0) -> Moments:
 
     With X = diag(q_a) and P = -i hbar D, D the spectral first derivative:
     Tr rho = sum_a rho_aa dq, <x^k> = sum_a q_a^k rho_aa dq,
-    <p> = Re sum_ac P_ac rho_ca dq, <xp>_Weyl = (1/2) Tr((XP + PX) rho)
-    = Re sum_ac P_ac (q_a + q_c)/2 rho_ca dq, and Tr rho^2 = dq^2 sum |rho|^2.
+    <p> = Re sum_ac P_ac rho_ca dq and Tr rho^2 = dq^2 sum |rho|^2.
     The same formulas hold for CL and QM densities.  The sums over the
     matrix run over blocks of ``ROW_BLOCK`` rows, so no n x n temporary is
     made, and np.max keeps a NaN of any block.
@@ -283,17 +143,13 @@ def moments(sd: SuperDensity, hbar: float = 1.0) -> Moments:
     rho, dq, q = sd.values, sd.grid.dq, sd.grid.points
     d = _first_derivative_matrix(sd.grid.n, dq)
     defect = sd.hermiticity_defect()
-    peak, purity, p, xp = [], 0.0, 0.0, 0.0
+    peak, purity, p = [], 0.0, 0.0
     for r in _row_blocks(len(rho)):
         block = rho[r]
         peak.append(np.max(np.abs(block)))
         purity += np.vdot(block, block).real
-        # Re(P_ac rho_ca) = hbar D_ac Im(rho_ca), since D is real: w holds
-        # rows r of w_ac = D_ac Im(rho_ca)
-        w = d[r] * rho[:, r].imag.T
-        p += w.sum()
-        # sum_ac w_ac (q_a + q_c) from the row and column sums of w
-        xp += q[r] @ w.sum(axis=1) + w.sum(axis=0) @ q
+        # Re(P_ac rho_ca) = hbar D_ac Im(rho_ca), since D is real
+        p += (d[r] * rho[:, r].imag.T).sum()
     scale = max(float(np.max(peak)), 1e-300)
     if defect > HERMITICITY_TOL * scale:
         raise HermiticityViolation(
@@ -309,34 +165,10 @@ def moments(sd: SuperDensity, hbar: float = 1.0) -> Moments:
         x=float((q @ diag).real * dq),
         p=float(hbar * p * dq),
         x2=float((q**2 @ diag).real * dq),
-        xp_weyl=float(0.5 * hbar * xp * dq),
         purity=float(purity * dq**2),
         hermiticity_defect=defect,
         boundary_mass=float(np.max([np.max(np.abs(edge)) for edge in ring])) / scale,
     )
-
-
-def _check_widths(sigma_x: float, sigma_p: float) -> None:
-    if not (sigma_x > 0 and sigma_p > 0):
-        raise ValueError(f"sigma_x={sigma_x:g} and sigma_p={sigma_p:g} must be > 0")
-
-
-def gaussian_phase_density(
-    grid: PhaseGrid,
-    x0: float,
-    p0: float,
-    sigma_x: float,
-    sigma_p: float,
-) -> PhaseDensity:
-    """Normalized Gaussian: integral dx dp/(2 pi hbar) rho = 1 (continuum).
-    Raises ValueError unless both widths are positive."""
-    _check_widths(sigma_x, sigma_p)
-    xx, pp = np.meshgrid(grid.x, grid.p, indexing="ij")
-    vals = np.exp(
-        -((xx - x0) ** 2) / (2 * sigma_x**2) - (pp - p0) ** 2 / (2 * sigma_p**2)
-    )
-    vals *= grid.hbar / (sigma_x * sigma_p)
-    return PhaseDensity(grid, vals)
 
 
 def gaussian_super_density(
@@ -347,13 +179,19 @@ def gaussian_super_density(
     sigma_p: float,
     hbar: float = 1.0,
 ) -> SuperDensity:
-    """Exact (Q, q) form of the Gaussian phase density above.
+    """(Q, q) form of the Gaussian phase density
+    W(x, p) = (hbar / (sx sp)) exp(-(x - x0)^2 / 2 sx^2 - (p - p0)^2 / 2 sp^2),
+    normalised to integral dx dp / (2 pi hbar) W = 1:
 
     rho(Q, q) = N exp(-(m - x0)^2 / 2 sx^2) exp(i p0 y / hbar - sp^2 y^2 / 2 hbar^2)
-    with m = (Q+q)/2, y = Q - q, N = 1/(sqrt(2 pi) sx).  Raises ValueError
-    unless both widths are positive.
+    with m = (Q+q)/2, y = Q - q, N = 1/(sqrt(2 pi) sx).  It is a quantum
+    state only when sx sp >= hbar / 2.  Raises ValueError unless both widths
+    are positive and hbar is finite and positive.
     """
-    _check_widths(sigma_x, sigma_p)
+    if not (sigma_x > 0 and sigma_p > 0):
+        raise ValueError(f"sigma_x={sigma_x:g} and sigma_p={sigma_p:g} must be > 0")
+    if not (np.isfinite(hbar) and hbar > 0):
+        raise ValueError(f"hbar={hbar:g} must be finite and > 0")
     pts = sgrid.points
     mid = 0.5 * np.add.outer(pts, pts)
     y = np.subtract.outer(pts, pts)

@@ -289,6 +289,19 @@ class TestScenarios:
         # a refused run leaves no scenario directory behind
         assert not (tmp_path / argv[0]).exists()
 
+    def test_qm_evolve_refuses_a_gaussian_that_is_no_state(self, tmp_path, capsys):
+        """The default widths give sigma_x sigma_p = 0.24 < hbar / 2: a phase
+        density, but an operator of purity 2.08."""
+        assert run(["evolve", "--kind", "qm", "--outdir", str(tmp_path)]) == EXIT_USAGE
+        assert "sigma_x * sigma_p >= hbar / 2" in capsys.readouterr().err
+        assert not (tmp_path / "evolve").exists()
+
+    # 0.36 * 1.3888888888888888 (25/18 to 17 digits) rounds to 0.49999999999999994
+    @pytest.mark.parametrize("sigma_x, sigma_p", [("0.5", "1.0"), ("0.36", "1.3888888888888888")])
+    def test_qm_evolve_runs_a_minimal_uncertainty_gaussian(self, tmp_path, sigma_x, sigma_p):
+        argv = ["evolve", "--kind", "qm", "--sigma-x", sigma_x, "--sigma-p", sigma_p]
+        assert run(argv + ["--outdir", str(tmp_path)]) == EXIT_OK
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -33,7 +33,6 @@ from liouspace.liouvillian import BasisLiouvillian, grid_liouvillian
 from liouspace.potential import PolynomialPotential, SuperPotentialKind, super_potential
 from liouspace.superprop import PropagatorPoint, dyson_first_order_numeric, free_propagator
 from liouspace.superspace import (
-    PhaseGrid,
     SuperDensity,
     SuperGrid,
     gaussian_super_density,
@@ -291,7 +290,9 @@ class TestEvolutionConfig:
         lambda nan: PropagatorPoint(0.0, 0.0, 0.0, 0.0, 1.0, mass=nan),
         lambda nan: PropagatorPoint(0.0, 0.0, 0.0, 0.0, 1.0, hbar=nan),
         lambda nan: SuperGrid(0.0, nan, 8),
-        lambda nan: PhaseGrid(SuperGrid.centered(1.0, 8), nan),
+        lambda nan: gaussian_super_density(
+            SuperGrid.centered(1.0, 8), 0.0, 0.0, 0.5, 1.0, hbar=nan
+        ),
         lambda nan: free_propagator(0.0, 0.0, nan),
         lambda nan: dyson_first_order_numeric(
             PropagatorPoint(0.0, 0.0, 0.0, 0.0, nan), 0.1, SuperPotentialKind.CL
@@ -302,7 +303,7 @@ class TestEvolutionConfig:
     ],
     ids=[
         "config-t1", "config-hbar", "config-mass", "basis-omega", "point-mass", "point-hbar",
-        "grid-q-max", "phase-grid-hbar", "free-propagator-duration", "dyson-duration",
+        "grid-q-max", "gaussian-hbar", "free-propagator-duration", "dyson-duration",
         "jc-first-order-t",
     ],
 )
