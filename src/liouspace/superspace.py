@@ -185,11 +185,14 @@ def gaussian_super_density(
 
     rho(Q, q) = N exp(-(m - x0)^2 / 2 sx^2) exp(i p0 y / hbar - sp^2 y^2 / 2 hbar^2)
     with m = (Q+q)/2, y = Q - q, N = 1/(sqrt(2 pi) sx).  It is a quantum
-    state only when sx sp >= hbar / 2.  Raises ValueError unless both widths
-    are positive and hbar is finite and positive.
+    state only when sx sp >= hbar / 2.  Raises ValueError unless x0 and p0
+    are finite, both widths are finite and positive, and hbar is finite and
+    positive.
     """
-    if not (sigma_x > 0 and sigma_p > 0):
-        raise ValueError(f"sigma_x={sigma_x:g} and sigma_p={sigma_p:g} must be > 0")
+    if not (np.isfinite(x0) and np.isfinite(p0)):
+        raise ValueError(f"x0={x0:g} and p0={p0:g} must be finite")
+    if not (np.isfinite(sigma_x) and np.isfinite(sigma_p) and sigma_x > 0 and sigma_p > 0):
+        raise ValueError(f"sigma_x={sigma_x:g} and sigma_p={sigma_p:g} must be finite and > 0")
     if not (np.isfinite(hbar) and hbar > 0):
         raise ValueError(f"hbar={hbar:g} must be finite and > 0")
     pts = sgrid.points

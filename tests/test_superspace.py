@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liouspace import superspace
 from liouspace.errors import HermiticityViolation
@@ -39,6 +41,27 @@ def p_quadrature_density(grid, x0, p0, sx, sp, hbar):
     ]
 
 
+def phase_space_moments(grid, x0, p0, sx, sp, hbar):
+    """Independent reference on the phase-space side: norm, <x>, <p> and
+    <x^2> of W(x, p) = (hbar/(sx sp)) exp(-(x-x0)^2/2sx^2 - (p-p0)^2/2sp^2)
+    as sums of W dx dp / (2 pi hbar) over the grid points in x and the
+    p points of ``p_quadrature_density``."""
+    p, dp = np.linspace(p0 - 12.0 * sp, p0 + 12.0 * sp, 1201, retstep=True)
+    trapezoid = np.full(p.size, dp)
+    trapezoid[[0, -1]] *= 0.5
+    x = grid.points
+    w = (hbar / (sx * sp)) * np.exp(
+        -((x[:, None] - x0) ** 2) / (2 * sx**2) - ((p[None, :] - p0) ** 2) / (2 * sp**2)
+    )
+    measure = w * grid.dq * trapezoid / (2.0 * np.pi * hbar)
+
+    def mean(f):
+        return float(np.sum(f * measure))
+
+    xx, pp = x[:, None], p[None, :]
+    return mean(1.0), mean(xx), mean(pp), mean(xx**2)
+
+
 class TestGrids:
     def test_odd_sizes_rejected(self):
         with pytest.raises(ValueError):
@@ -56,13 +79,25 @@ class TestGaussianSuperDensity:
         peak = np.max(np.abs(want))
         assert np.max(np.abs(sd.values - want)) < 1e-12 * peak
         assert sd.hermiticity_defect() < 1e-12 * peak
-        assert moments(sd, hbar).trace == pytest.approx(1.0, abs=1e-6)
 
     @pytest.mark.parametrize("sx, sp", [(0.0, 0.6), (-1.0, 0.6), (0.4, 0.0), (0.4, -1.0),
                                         (np.nan, 0.6)])
     def test_widths_must_be_positive(self, grid64, sx, sp):
-        with pytest.raises(ValueError, match="must be > 0"):
+        with pytest.raises(ValueError, match="must be finite and > 0"):
             gaussian_super_density(grid64, 1.0, 0.0, sx, sp)
+
+    @pytest.mark.parametrize(
+        "x0, p0, sx, sp",
+        [(0.0, 0.0, np.inf, 0.6), (0.0, 0.0, 0.4, np.inf), (np.nan, 0.0, 0.4, 0.6),
+         (0.0, -np.inf, 0.4, 0.6)],
+        ids=["sigma-x-inf", "sigma-p-inf", "x0-nan", "p0-inf"],
+    )
+    def test_centre_and_widths_must_be_finite(self, grid64, x0, p0, sx, sp):
+        """Without the guard an infinite sigma_x gave an all-zero density of
+        trace 0, an infinite sigma_p NaN entries, and a NaN x0 or an
+        infinite p0 an all-NaN density, none of them an error."""
+        with pytest.raises(ValueError, match="must be finite"):
+            gaussian_super_density(grid64, x0, p0, sx, sp)
 
     @pytest.mark.parametrize("hbar", [0.0, -1.0, np.nan, np.inf])
     def test_hbar_must_be_finite_and_positive(self, grid64, hbar):
@@ -138,6 +173,15 @@ class TestMoments:
         assert m.x == pytest.approx(1.5, abs=1e-4)
         assert m.p == pytest.approx(-0.5, abs=1e-4)
         assert m.x2 == pytest.approx(1.5**2 + 0.7**2, abs=1e-4)
+
+    def test_moments_match_phase_space_oracle(self):
+        grid = SuperGrid.centered(8.0, 64)
+        sd = gaussian_super_density(grid, 0.9, 0.7, 0.5, 0.8)
+        m = moments(sd)
+        _, x, p, x2 = phase_space_moments(grid, 0.9, 0.7, 0.5, 0.8, 1.0)
+        assert m.x == pytest.approx(x, abs=1e-6)
+        assert m.p == pytest.approx(p, abs=1e-6)
+        assert m.x2 == pytest.approx(x2, abs=1e-6)
 
     def test_symmetric_density_zero_moments(self, grid64):
         m = moments(gaussian_super_density(grid64, 0.0, 0.0, 0.6, 0.6))
@@ -221,6 +265,13 @@ class TestMoments:
 
 
 class TestTrace:
+    def test_normalized_gaussian(self, grid64):
+        sd = gaussian_super_density(grid64, 0.8, -0.4, 0.6, 0.7)
+        norm = phase_space_moments(grid64, 0.8, -0.4, 0.6, 0.7, 1.0)[0]
+        # quadrature oracle on the phase-space side
+        assert moments(sd).trace == pytest.approx(norm, abs=1e-12)
+        assert moments(sd).trace == pytest.approx(1.0, abs=1e-6)
+
     def test_linearity(self, grid64):
         sd = gaussian_super_density(grid64, 0.0, 0.0, 0.5, 0.5)
         assert moments(SuperDensity(grid64, 2.5 * sd.values)).trace == pytest.approx(
@@ -260,3 +311,29 @@ class TestPositivity:
             assert eig[0] > -1e-12
         else:
             assert eig[0] < -0.1
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    x0=st.floats(-1.0, 1.0),
+    p0=st.floats(-1.0, 1.0),
+    sx=st.floats(0.45, 0.9),
+    sp=st.floats(0.5, 0.8),
+    hbar=st.floats(0.7, 1.3),
+)
+def test_gaussian_family_matches_both_quadratures(x0, p0, sx, sp, hbar):
+    # the domain is wide enough that these states are band-limited: the
+    # y-content of rho lies inside the grid's spectral band and the x tails
+    # are below 1e-16 of the peak at the edges (checked at the strategy corners)
+    grid = SuperGrid.centered(10.0, 96)
+    sd = gaussian_super_density(grid, x0, p0, sx, sp, hbar)
+    peak = np.max(np.abs(sd.values))
+    want = p_quadrature_density(grid, x0, p0, sx, sp, hbar)
+    assert np.max(np.abs(sd.values - want)) < 1e-12 * peak
+    assert sd.hermiticity_defect() < 1e-12 * peak
+    m = moments(sd, hbar)
+    norm, x, p, x2 = phase_space_moments(grid, x0, p0, sx, sp, hbar)
+    assert m.trace == pytest.approx(norm, abs=1e-10)
+    assert m.x == pytest.approx(x, abs=1e-6)
+    assert m.p == pytest.approx(p, abs=1e-6)
+    assert m.x2 == pytest.approx(x2, abs=1e-6)
