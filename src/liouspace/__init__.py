@@ -19,7 +19,6 @@ from .errors import (
     HermiticityViolation,
     LiouspaceError,
     NonHermitianInput,
-    NotConverged,
     ParseError,
     TruncationLeak,
     UnknownKey,

@@ -19,7 +19,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -111,14 +110,14 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-@dataclass
-class ScenarioConfig:
-    scenario: str
-    params: dict
+def parse_config(path) -> tuple[str, dict]:
+    """Strict JSON config: {"scenario": ..., <subcommand parameters>}.
 
-
-def parse_config(path) -> ScenarioConfig:
-    """Strict JSON config: {"scenario": ..., <subcommand parameters>}."""
+    Returns the scenario and its defaults updated by the config.  Each value
+    has the type of its default, as the flag does: an integer where the
+    default is one, a number (an integer widens to float) for a float, a
+    string for a string, and ``potential`` also takes its object form.
+    """
     try:
         raw = json.loads(Path(path).read_text())
     except OSError as exc:
@@ -130,13 +129,20 @@ def parse_config(path) -> ScenarioConfig:
     scenario = raw.pop("scenario")
     if scenario not in DEFAULTS:
         raise ParseError(f"{path}: unknown scenario {scenario!r}")
-    allowed = DEFAULTS[scenario]
-    for key in raw:
-        if key not in allowed:
+    params = dict(DEFAULTS[scenario])
+    for key, value in raw.items():
+        if key not in params:
             raise UnknownKey(f"{path}: unknown key {key!r} for scenario {scenario!r}")
-    params = dict(allowed)
-    params.update(raw)
-    return ScenarioConfig(scenario=scenario, params=params)
+        kind = type(params[key])
+        if kind is float and type(value) is int:
+            value = float(value)
+        if type(value) is not kind and not (key == "potential" and type(value) is dict):
+            expected = {int: "an integer", float: "a number", str: "a string"}[kind]
+            if key == "potential":
+                expected += " or an object"
+            raise ParseError(f"{path}: {key}={json.dumps(value)} must be {expected}")
+        params[key] = value
+    return scenario, params
 
 
 def parse_potential_spec(spec) -> PolynomialPotential:
@@ -229,7 +235,7 @@ def _write_columns(path: Path, columns: dict[str, np.ndarray]) -> None:
 def run_superop(ctx: RunContext) -> None:
     p = ctx.params
     v = parse_potential_spec(p["potential"])
-    grid = SuperGrid.centered(float(p["grid_span"]), int(p["grid_n"]))
+    grid = SuperGrid.centered(p["grid_span"], p["grid_n"])
     op = grid_liouvillian(v, grid, SuperPotentialKind(p["kind"]))
     e = np.zeros((grid.n, grid.n)) if op.e is None else op.e
     pts = grid.points
@@ -248,20 +254,15 @@ def run_superop(ctx: RunContext) -> None:
 
 def run_evolve(ctx: RunContext) -> None:
     p = ctx.params
-    t_end, steps, n_out = float(p["t"]), int(p["steps"]), int(p["n_out"])
+    t_end, steps, n_out = p["t"], p["steps"], p["n_out"]
     if not 1 <= n_out <= steps or steps % n_out:
         raise UsageError(f"n_out={n_out} must lie in 1..steps and divide steps={steps}")
     v = parse_potential_spec(p["potential"])
     kind = SuperPotentialKind(p["kind"])
-    grid = SuperGrid.centered(float(p["grid_span"]), int(p["grid_n"]))
-    hbar, mass = float(p["hbar"]), float(p["mass"])
-    cfg = evolution.EvolutionConfig(
-        t1=t_end, n_steps=steps, hbar=hbar, mass=mass
-    )
-    sigma_x, sigma_p = float(p["sigma_x"]), float(p["sigma_p"])
-    sd = superspace.gaussian_super_density(
-        grid, float(p["x0"]), float(p["p0"]), sigma_x, sigma_p, hbar,
-    )
+    grid = SuperGrid.centered(p["grid_span"], p["grid_n"])
+    hbar, mass, sigma_x, sigma_p = p["hbar"], p["mass"], p["sigma_x"], p["sigma_p"]
+    cfg = evolution.EvolutionConfig(t1=t_end, n_steps=steps, hbar=hbar, mass=mass)
+    sd = superspace.gaussian_super_density(grid, p["x0"], p["p0"], sigma_x, sigma_p, hbar)
     # a sharper Gaussian is a phase density but no quantum state: its operator
     # has a negative eigenvalue and purity hbar / (2 sigma_x sigma_p) > 1; the
     # 1e-12 lets a product that only rounds below the bound through
@@ -289,7 +290,7 @@ def run_evolve(ctx: RunContext) -> None:
     ctx.outputs += ["evolve_final.csv", "evolve_final.json"]
     margins = ctx.margins
     # np.max, unlike max, keeps a NaN of any row, so a NaN run fails its checks
-    margins["max_trace_drift"] = np.max([abs(m.trace - series[0][1].trace) for _, m in series])
+    margins["max_trace_drift"] = np.max([abs(m.trace - 1.0) for _, m in series])
     margins["max_hermiticity_defect"] = np.max([m.hermiticity_defect for _, m in series])
     margins["max_boundary_mass"] = np.max([m.boundary_mass for _, m in series])
     ctx.checks["trace_conserved_1e-8"] = margins["max_trace_drift"] < 1e-8
@@ -299,16 +300,14 @@ def run_evolve(ctx: RunContext) -> None:
 
 def run_propagator(ctx: RunContext) -> None:
     p = ctx.params
-    rng = np.random.Generator(np.random.Philox(int(p["seed"])))
-    lam, t_end, n_points = float(p["lam"]), float(p["t"]), int(p["n_points"])
+    rng = np.random.Generator(np.random.Philox(p["seed"]))
+    lam, t_end, n_points = p["lam"], p["t"], p["n_points"]
     if n_points < 1:
         raise UsageError(f"n_points={n_points} must be >= 1")
     rows = []
     for _ in range(n_points):
-        ends = rng.uniform(-float(p["span"]), float(p["span"]), size=4)
-        pt = superprop.PropagatorPoint(
-            *ends, duration=t_end, mass=float(p["mass"]), hbar=float(p["hbar"])
-        )
+        ends = rng.uniform(-p["span"], p["span"], size=4)
+        pt = superprop.PropagatorPoint(*ends, duration=t_end, mass=p["mass"], hbar=p["hbar"])
         g0 = superprop.free_superpropagator(pt)
         gq = superprop.gamma_qm(pt)
         gc = superprop.gamma_cl(pt)
@@ -352,14 +351,14 @@ def run_jc(ctx: RunContext) -> None:
             "eps_eegg must be 0,0: E_ee,gg alone breaks the trace sum rule sum_a E_aa,cd = 0"
         )
     params = jc.JCParams(
-        omega_e=float(p["omega_e"]),
-        omega=float(p["omega"]),
-        d_eg=float(p["d"]),
-        n_max=int(p["n_max"]),
+        omega_e=p["omega_e"],
+        omega=p["omega"],
+        d_eg=p["d"],
+        n_max=p["n_max"],
         eps_egeg=_parse_complex_pair(p["eps"]),
     )
-    rho0 = jc.initial_jc_state(str(p["init"]), params.n_max)
-    columns, ctx.solver_path, leak = jc.jc_series(params, rho0, float(p["t"]), int(p["steps"]))
+    rho0 = jc.initial_jc_state(p["init"], params.n_max)
+    columns, ctx.solver_path, leak = jc.jc_series(params, rho0, p["t"], p["steps"])
     ctx.generator_dim = params.dim**2
     _write_columns(ctx.path("jc_series.csv"), columns)
     ctx.margins.update(leak)
@@ -372,10 +371,9 @@ def run_jc(ctx: RunContext) -> None:
 
 def run_bipartite(ctx: RunContext) -> None:
     p = ctx.params
-    basis = entangle.BipartiteBasis(n_levels=int(p["n_levels"]), omega=float(p["omega"]))
+    basis = entangle.BipartiteBasis(n_levels=p["n_levels"], omega=p["omega"])
     columns, ctx.solver_path, leak = entangle.compare_cl_qm_entanglement(
-        basis, float(p["lam"]), complex(str(p["alpha1"])), complex(str(p["alpha2"])),
-        float(p["t"]), int(p["steps"]),
+        basis, p["lam"], complex(p["alpha1"]), complex(p["alpha2"]), p["t"], p["steps"]
     )
     ctx.generator_dim = basis.n_levels**2
     _write_columns(ctx.path("bipartite_series.csv"), columns)
@@ -434,19 +432,13 @@ def run(argv=None) -> int:
         return EXIT_USAGE
     scenario = args.scenario
     try:
+        params = dict(DEFAULTS[scenario])
         if args.config:
-            cfg = parse_config(args.config)
-            if cfg.scenario != scenario:
-                raise UsageError(
-                    f"config is for scenario {cfg.scenario!r}, not {scenario!r}"
-                )
-            params = cfg.params
-        else:
-            params = dict(DEFAULTS[scenario])
-        for key in DEFAULTS[scenario]:
-            override = getattr(args, key, None)
-            if override is not None:
-                params[key] = override
+            config_scenario, params = parse_config(args.config)
+            if config_scenario != scenario:
+                raise UsageError(f"config is for scenario {config_scenario!r}, not {scenario!r}")
+        # flags win over the config; an unset flag is None
+        params.update((k, v) for k, v in vars(args).items() if k in params and v is not None)
         for key, value in params.items():
             # float flags take "nan" and "inf", and json reads NaN and Infinity
             if isinstance(value, float) and not np.isfinite(value):
@@ -463,7 +455,7 @@ def run(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ParseError, UnknownKey) as exc:
+    except ParseError as exc:  # UnknownKey included
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except TruncationLeak as exc:

@@ -63,8 +63,8 @@ class BipartiteBasis:
     def __post_init__(self) -> None:
         if self.n_levels < 2:
             raise ValueError("n_levels must be >= 2")
-        if not self.omega > 0:
-            raise ValueError("omega must be positive")
+        if not 0 < self.omega < np.inf:
+            raise ValueError(f"omega={self.omega} must be finite and > 0")
 
     def position_operator(self) -> np.ndarray:
         """Single-mode x = sqrt(1 / 2 omega) (a + a')."""

@@ -17,10 +17,6 @@ class DimensionTooLarge(LiouspaceError):
     """Dense representation requested beyond the supported size."""
 
 
-class NotConverged(LiouspaceError):
-    """Monte Carlo standard error above the requested tolerance after budget."""
-
-
 class EnergyDriftExceeded(LiouspaceError):
     """Symplectic integrator energy drift above the configured bound."""
 

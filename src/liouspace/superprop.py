@@ -41,8 +41,8 @@ class PropagatorPoint:
     hbar: float = 1.0
 
     def __post_init__(self) -> None:
-        if not (self.mass > 0 and self.hbar > 0):
-            raise ValueError("mass and hbar must be positive")
+        if not (0 < self.mass < np.inf and 0 < self.hbar < np.inf):
+            raise ValueError(f"mass={self.mass} and hbar={self.hbar} must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -62,8 +62,8 @@ def free_propagator(x, y, duration: float, mass: float = 1.0, hbar: float = 1.0)
 
     Principal branch: (1/i)^(1/2) = exp(-i pi/4).
     """
-    if not duration > 0:
-        raise ValueError("free propagator needs T > 0")
+    if not 0 < duration < np.inf:
+        raise ValueError(f"free propagator duration T={duration} must be finite and > 0")
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     amp = np.sqrt(mass / (2.0 * np.pi * hbar * duration)) * np.exp(-0.25j * np.pi)
@@ -174,8 +174,8 @@ def dyson_first_order_numeric(
     with deg // 2 + 1 nodes (exact to degree 2 (deg // 2) + 1) integrates
     it exactly.  Returns the correction term alone (zero for lam = 0).
     """
-    if not pt.duration > 0:
-        raise ValueError("T must be positive")
+    if not 0 < pt.duration < np.inf:
+        raise ValueError(f"T={pt.duration} must be finite and > 0")
     monomials = super_potential_monomials(PolynomialPotential.quartic(lam), kind)
     t_tot, m, hb = pt.duration, pt.mass, pt.hbar
 
@@ -196,11 +196,11 @@ def dyson_first_order_numeric(
 
 
 def apply_free_superpropagator(
-    sd: SuperDensity, duration: float, mass: float = 1.0, hbar: float = 1.0
+    sd: SuperDensity, duration: float, mass: float = 1.0
 ) -> SuperDensity:
     """rho(T) = dq^2 * G rho(0) G^dagger with the pointwise free kernel
-    G = G0(x_a, x_c; T) on the grid."""
+    G = G0(x_a, x_c; T) on the grid, at hbar = 1."""
     pts = sd.grid.points
-    g = free_propagator(pts[:, None], pts[None, :], duration, mass, hbar)
+    g = free_propagator(pts[:, None], pts[None, :], duration, mass)
     out = sd.grid.dq**2 * (g @ sd.values @ g.conj().T)
     return SuperDensity(sd.grid, out)

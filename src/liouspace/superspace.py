@@ -38,8 +38,8 @@ class SuperGrid:
     n: int
 
     def __post_init__(self) -> None:
-        if not self.q_max > self.q_min:
-            raise ValueError("q_max must exceed q_min")
+        if not -np.inf < self.q_min < self.q_max < np.inf:
+            raise ValueError(f"q_min={self.q_min} < q_max={self.q_max} must both be finite")
         if self.n < 2 or self.n % 2:
             raise ValueError("n must be a positive even integer")
 

@@ -72,10 +72,10 @@ class TestParseConfig:
     def test_minimal_config_gets_defaults(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"scenario": "jc", "d": 0.02}))
-        cfg = parse_config(path)
-        assert cfg.scenario == "jc"
-        assert cfg.params["d"] == 0.02
-        assert cfg.params["omega_e"] == 1.0  # default applied
+        scenario, params = parse_config(path)
+        assert scenario == "jc"
+        assert params["d"] == 0.02
+        assert params["omega_e"] == 1.0  # default applied
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -99,13 +99,42 @@ class TestParseConfig:
         """A manifest's config object parses back to the parameters it ran."""
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"scenario": "jc", "t": 0.25, "steps": 5}))
-        cfg = parse_config(path)
+        resolved = parse_config(path)
         assert run(["jc", "--config", str(path), "--outdir", str(tmp_path)]) == EXIT_OK
         manifest = json.loads((tmp_path / "jc" / "jc_manifest.json").read_text())
         emitted = tmp_path / "resolved.json"
         emitted.write_text(json.dumps(manifest["config"]))
-        again = parse_config(emitted)
-        assert (again.scenario, again.params) == (cfg.scenario, cfg.params)
+        assert parse_config(emitted) == resolved
+
+    @pytest.mark.parametrize(
+        "scenario, key, value",
+        [
+            ("jc", "steps", 200.9),
+            ("jc", "n_max", 4.7),
+            ("evolve", "t", True),
+            ("bipartite", "omega", "inf"),
+            ("propagator", "seed", 3.7),
+            # a string default stays a string, as on the command line
+            ("bipartite", "alpha1", 0.3),
+        ],
+    )
+    def test_value_of_another_type_than_its_flag_is_usage_error(
+        self, tmp_path, capsys, scenario, key, value
+    ):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"scenario": scenario, key: value}))
+        argv = [scenario, "--config", str(cfg), "--outdir", str(tmp_path)]
+        assert run(argv) == EXIT_USAGE
+        assert f"{key}={json.dumps(value)} must be" in capsys.readouterr().err
+        assert not (tmp_path / scenario).exists()
+
+    def test_integer_widens_to_a_float_value(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"scenario": "jc", "t": 1, "steps": 5}))
+        assert run(["jc", "--config", str(cfg), "--outdir", str(tmp_path)]) == EXIT_OK
+        config = json.loads((tmp_path / "jc" / "jc_manifest.json").read_text())["config"]
+        assert type(config["t"]) is float and config["t"] == 1.0
+        assert type(config["steps"]) is int
 
 
 class TestPotentialSpec:
@@ -472,7 +501,8 @@ class TestScenarios:
         "argv",
         [
             ["evolve", "--grid-n", "64", "--steps", "20", "--n-out", "5"],
-            # the Gaussian fills a narrow grid: boundary_mass_ok is false
+            # the Gaussian spills over a narrow grid (trace 0.9907):
+            # boundary_mass_ok and trace_conserved_1e-8 are false
             ["evolve", "--grid-n", "32", "--grid-span", "2", "--steps", "20", "--n-out", "5"],
             ["jc", "--n-max", "3", "--steps", "20"],
             # Im eps > 0 raises purity above 1: purity_at_most_1_1e-8 is false
@@ -498,6 +528,14 @@ class TestScenarios:
             assert isinstance(margins[margin], float)
             assert margins[margin] <= jc.LEAK_THRESHOLD, margin
         assert code == (EXIT_OK if all(manifest["checks"].values()) else EXIT_VALIDATION)
+
+    def test_evolve_trace_drift_is_measured_from_one(self, tmp_path):
+        """A Gaussian wholly off the grid has trace 0 in every row: its
+        drift from the normalisation 1 fails the check."""
+        assert run(["evolve", "--x0", "100", "--outdir", str(tmp_path)]) == EXIT_VALIDATION
+        manifest = json.loads((tmp_path / "evolve" / "evolve_manifest.json").read_text())
+        assert manifest["checks"]["trace_conserved_1e-8"] is False
+        assert manifest["margins"]["max_trace_drift"] == 1.0
 
     def test_consecutive_runs_keep_their_own_flags(self, tmp_path):
         """One parser serves every run of a process; a flag of one run does

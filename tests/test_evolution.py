@@ -280,25 +280,26 @@ class TestEvolutionConfig:
             EvolutionConfig(**kwargs)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])
 @pytest.mark.parametrize(
     "build",
     [
-        lambda nan: EvolutionConfig(t1=nan),
-        lambda nan: EvolutionConfig(t1=1.0, hbar=nan),
-        lambda nan: EvolutionConfig(t1=1.0, mass=nan),
-        lambda nan: BipartiteBasis(n_levels=4, omega=nan),
-        lambda nan: PropagatorPoint(0.0, 0.0, 0.0, 0.0, 1.0, mass=nan),
-        lambda nan: PropagatorPoint(0.0, 0.0, 0.0, 0.0, 1.0, hbar=nan),
-        lambda nan: SuperGrid(0.0, nan, 8),
-        lambda nan: gaussian_super_density(
-            SuperGrid.centered(1.0, 8), 0.0, 0.0, 0.5, 1.0, hbar=nan
+        lambda bad: EvolutionConfig(t1=bad),
+        lambda bad: EvolutionConfig(t1=1.0, hbar=bad),
+        lambda bad: EvolutionConfig(t1=1.0, mass=bad),
+        lambda bad: BipartiteBasis(n_levels=4, omega=bad),
+        lambda bad: PropagatorPoint(0.0, 0.0, 0.0, 0.0, 1.0, mass=bad),
+        lambda bad: PropagatorPoint(0.0, 0.0, 0.0, 0.0, 1.0, hbar=bad),
+        lambda bad: SuperGrid(0.0, bad, 8),
+        lambda bad: gaussian_super_density(
+            SuperGrid.centered(1.0, 8), 0.0, 0.0, 0.5, 1.0, hbar=bad
         ),
-        lambda nan: free_propagator(0.0, 0.0, nan),
-        lambda nan: dyson_first_order_numeric(
-            PropagatorPoint(0.0, 0.0, 0.0, 0.0, nan), 0.1, SuperPotentialKind.CL
+        lambda bad: free_propagator(0.0, 0.0, bad),
+        lambda bad: dyson_first_order_numeric(
+            PropagatorPoint(0.0, 0.0, 0.0, 0.0, bad), 0.1, SuperPotentialKind.CL
         ),
-        lambda nan: jc_evolve_first_order(
-            JCParams(omega_e=1.0, omega=1.0, d_eg=0.1, n_max=2), initial_jc_state("e0", 2), nan
+        lambda bad: jc_evolve_first_order(
+            JCParams(omega_e=1.0, omega=1.0, d_eg=0.1, n_max=2), initial_jc_state("e0", 2), bad
         ),
     ],
     ids=[
@@ -307,9 +308,9 @@ class TestEvolutionConfig:
         "jc-first-order-t",
     ],
 )
-def test_sign_guards_refuse_nan(build):
+def test_sign_guards_refuse_nan(build, bad):
     with pytest.raises(ValueError):
-        build(float("nan"))
+        build(bad)
 
 
 class TestOutputTimes:
@@ -707,10 +708,10 @@ class TestCharacteristics:
     def test_free_ballistic_exact(self):
         v = PolynomialPotential.free()
         ens = gaussian_ensemble(1024, 0.5, 1.5, 0.3, 0.3, seed=2)
-        out = evolve_characteristics(v, ens, 2.0, dt=0.01, mass=2.0)
+        out = evolve_characteristics(v, ens, 2.0, dt=0.01)
         mx0, mp0, _ = ens.moments()
         mx1, mp1, _ = out.moments()
-        assert mx1 == pytest.approx(mx0 + mp0 * 2.0 / 2.0, abs=1e-12)
+        assert mx1 == pytest.approx(mx0 + mp0 * 2.0, abs=1e-12)
         assert mp1 == pytest.approx(mp0, abs=1e-14)
 
     def test_energy_drift_guard(self):

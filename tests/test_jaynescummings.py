@@ -7,7 +7,7 @@ import scipy.linalg
 from scipy.integrate import quad
 
 from liouspace import jaynescummings as jc_module, liouvillian
-from liouspace.errors import DimensionTooLarge, NotConverged, TruncationLeak
+from liouspace.errors import DimensionTooLarge, TruncationLeak
 from liouspace.jaynescummings import (
     ATOM_E,
     ATOM_G,
@@ -557,12 +557,6 @@ class TestCoulombElements:
         two = coulomb_superop_element(S2, S1, S1, S1, mc_samples=2 * 10**5, seed=16)
         combined = np.hypot(one.stderr, two.stderr)
         assert abs(one.value + np.conj(two.value)) < 3.5 * combined
-
-    def test_not_converged_raises(self):
-        with pytest.raises(NotConverged):
-            coulomb_superop_element(
-                S1, S2, S1, S1, mc_samples=10**4, seed=17, tol=1e-9
-            )
 
     def test_minimum_samples_enforced(self):
         with pytest.raises(ValueError):

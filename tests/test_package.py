@@ -19,6 +19,18 @@ ALLOWED_UNUSED = {
 # stated reason; "Class.field" as in the failure message.
 ALLOWED_UNSET: dict[str, str] = {}
 
+# Defaulted parameters of public functions that no program code passes,
+# each kept for a stated reason; "function.parameter" as in the failure
+# message.
+_STRANG_ORACLE = (
+    "tests/test_evolution.py runs it at mass 1.3 and hbar 0.7 as the exact oracle "
+    "of the Strang route"
+)
+ALLOWED_UNPASSED = {
+    "grid_liouvillian.mass": _STRANG_ORACLE,
+    "grid_liouvillian.hbar": _STRANG_ORACLE,
+}
+
 
 def _parse(path: Path) -> ast.Module:
     return ast.parse(path.read_text(), filename=str(path))
@@ -126,11 +138,13 @@ def _dataclass_fields() -> dict[str, list[tuple[str, bool]]]:
     return found
 
 
-def _set_fields(fields: dict[str, list[tuple[str, bool]]]) -> set[str]:
-    """"Class.field" for every field some constructor call in src, scripts
-    or bench passes, by keyword or by position; *args counts as every
-    position and **kwargs as every keyword.  ``cls(...)`` in a class body
-    constructs that class."""
+def _passed(signatures: dict[str, list[tuple[str, bool]]]) -> set[str]:
+    """"name.parameter" for every parameter some call in src, scripts or
+    bench passes, by keyword or by position.  *args counts as every
+    position before the first parameter passed by keyword (a valid call
+    fills none after it), and **kwargs as every keyword.  ``cls(...)`` in
+    a class body constructs that class.  ``signatures`` lists each
+    callable's parameters in positional order, keyword-only ones last."""
     passed = set()
 
     def visit(node: ast.AST, owner: str | None) -> None:
@@ -139,14 +153,15 @@ def _set_fields(fields: dict[str, list[tuple[str, bool]]]) -> set[str]:
         if isinstance(node, ast.Call):
             name = _callee(node)
             name = owner if name == "cls" else name
-            if name in fields:
-                names = [f for f, _ in fields[name]]
+            if name in signatures:
+                names = [f for f, _ in signatures[name]]
+                keywords = {kw.arg for kw in node.keywords}
+                n_positions = len(node.args)
                 if any(isinstance(arg, ast.Starred) for arg in node.args):
-                    given = set(names)
-                else:
-                    given = set(names[: len(node.args)])
-                for kw in node.keywords:
-                    given |= set(names) if kw.arg is None else {kw.arg}
+                    n_positions = min(
+                        (names.index(k) for k in keywords if k in names), default=len(names)
+                    )
+                given = set(names) if None in keywords else set(names[:n_positions]) | keywords
                 passed.update(f"{name}.{f}" for f in given)
         for child in ast.iter_child_nodes(node):
             visit(child, owner)
@@ -164,9 +179,39 @@ def test_every_defaulted_field_is_set_by_program_code():
     defaulted = {
         f"{cls}.{name}" for cls, entries in fields.items() for name, default in entries if default
     }
-    unset = sorted(defaulted - _set_fields(fields) - set(ALLOWED_UNSET))
+    unset = sorted(defaulted - _passed(fields) - set(ALLOWED_UNSET))
     assert unset == []
     assert set(ALLOWED_UNSET) <= defaulted
+
+
+def _function_parameters() -> dict[str, list[tuple[str, bool]]]:
+    """The parameters of each public module-level package function, as
+    (name, has a default), positional ones in order and keyword-only last."""
+    found = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in _parse(path).body:
+            if not isinstance(node, ast.FunctionDef) or node.name.startswith("_"):
+                continue
+            args = node.args
+            positional = args.posonlyargs + args.args
+            n_plain = len(positional) - len(args.defaults)
+            found[node.name] = [(a.arg, i >= n_plain) for i, a in enumerate(positional)] + [
+                (a.arg, d is not None) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+            ]
+    return found
+
+
+def test_every_defaulted_parameter_is_passed_by_program_code():
+    """The same rule for the defaulted parameters of public functions: a
+    default that no call overrides is a constant posing as a parameter."""
+    params = _function_parameters()
+    defaulted = {
+        f"{func}.{name}" for func, entries in params.items() for name, default in entries
+        if default
+    }
+    unpassed = sorted(defaulted - _passed(params) - set(ALLOWED_UNPASSED))
+    assert unpassed == []
+    assert set(ALLOWED_UNPASSED) <= defaulted
 
 
 def test_cli_import_leaves_out_heavy_scipy_modules():
