@@ -78,7 +78,6 @@ from .jaynescummings import (
     jc_evolve_first_order,
     jc_liouvillian,
     jc_series,
-    partial_trace,
 )
 from .entangle import (
     BipartiteBasis,

@@ -43,10 +43,9 @@ from math import comb
 
 import numpy as np
 
-from .errors import TruncationLeak
 from .evolution import ExactEvolver, output_times
 from .liouvillian import BasisLiouvillian
-from .jaynescummings import LEAK_THRESHOLD, coherent_field_density, fock_annihilation
+from .jaynescummings import coherent_field_density, fock_annihilation, truncation_margin
 from .potential import PolynomialPotential, SuperPotentialKind, e_superoperator
 
 
@@ -153,9 +152,9 @@ def compare_cl_qm_entanglement(
     (``evolution.ExactEvolver``), so n_r is held to 64 by the dense cap
     (DimensionTooLarge above it).  ``margins`` holds
     ``max_top_level_population_<kind>``, the worst top-level population of
-    rho_r over the output times.  Raises TruncationLeak if either run
-    populates rho_r's top level beyond ``LEAK_THRESHOLD`` at any output
-    time.
+    rho_r over the output times.  Raises TruncationLeak
+    (``jaynescummings.truncation_margin``) if either run puts more than
+    ``LEAK_THRESHOLD``, or a NaN, in rho_r's top level at any output time.
     """
     t = output_times(t_end, steps)
     alpha_r = (complex(alpha1) - complex(alpha2)) / np.sqrt(2.0)
@@ -164,13 +163,9 @@ def compare_cl_qm_entanglement(
     columns, margins = {"t": t}, {}
     for tag, gen in (("cl", cl), ("qm", BasisLiouvillian(cl.h))):  # CL = QM + E
         states = ExactEvolver(gen).propagate(rho0, t)
-        leak = np.abs(states[:, -1, -1].real)
-        worst = int(np.argmax(leak))
-        if leak[worst] > LEAK_THRESHOLD:
-            raise TruncationLeak(
-                f"{tag} run leaked {leak[worst]:.3e} into the top level at t={t[worst]:g}"
-            )
-        margins[f"max_top_level_population_{tag}"] = float(leak[worst])
+        margins[f"max_top_level_population_{tag}"] = truncation_margin(
+            np.abs(states[:, -1, -1].real), t, f"{tag} population in the top level of rho_r"
+        )
         columns[f"purity_{tag}"] = loss_purity(states)
         herm = 0.5 * (states + np.swapaxes(states, 1, 2).conj())
         columns[f"min_eig_{tag}"] = np.linalg.eigvalsh(herm)[:, 0]

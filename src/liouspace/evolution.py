@@ -235,7 +235,9 @@ def gaussian_ensemble(
 ) -> CharacteristicsEnsemble:
     """Gaussian ensemble from a scrambled Sobol sequence, n rounded up to a
     power of 2: far lower moment noise than pseudo-random draws of equal
-    count."""
+    count.  Raises ValueError unless both widths are finite and > 0."""
+    if not (0 < sigma_x < np.inf and 0 < sigma_p < np.inf):
+        raise ValueError(f"sigma_x={sigma_x:g} and sigma_p={sigma_p:g} must be finite and > 0")
     from scipy.stats import norm, qmc
 
     m = int(np.ceil(np.log2(max(n, 2))))
@@ -249,18 +251,22 @@ def evolve_characteristics(
     v: PolynomialPotential,
     ensemble: CharacteristicsEnsemble,
     t: float,
-    dt: float | None = None,
+    dt: float,
 ) -> CharacteristicsEnsemble:
     """Leapfrog (velocity Verlet) transport of every sample for time t, at
-    mass 1.
+    mass 1, in round(t / dt) equal steps (at least one); t = 0 returns the
+    ensemble itself.
 
-    Raises EnergyDriftExceeded when the worst per-sample energy drift
-    rate exceeds ``ENERGY_DRIFT_TOL``.
+    Raises ValueError unless t is finite and >= 0 and dt is finite and > 0,
+    and EnergyDriftExceeded when the worst per-sample energy drift rate
+    exceeds ``ENERGY_DRIFT_TOL``.
     """
+    if not 0 <= t < np.inf:
+        raise ValueError(f"t={t} must be finite and >= 0")
+    if not 0 < dt < np.inf:
+        raise ValueError(f"dt={dt} must be finite and > 0")
     if t == 0.0:
         return ensemble
-    if dt is None:
-        dt = min(0.01, t / 100.0)
     n_steps = max(1, int(round(t / dt)))
     dt = t / n_steps
     x = ensemble.x.copy()
@@ -281,7 +287,7 @@ def evolve_characteristics(
             x += np.multiply(p, dt, out=kick)
     e1 = p**2 / 2 + v.value(x)
     scale = max(1.0, float(np.max(np.abs(e0))))
-    drift_rate = float(np.max(np.abs(e1 - e0))) / (scale * abs(t))
+    drift_rate = float(np.max(np.abs(e1 - e0))) / (scale * t)
     if drift_rate > ENERGY_DRIFT_TOL:
         raise EnergyDriftExceeded(
             f"energy drift {drift_rate:.3e} per unit time exceeds {ENERGY_DRIFT_TOL:g}; "

@@ -58,6 +58,23 @@ LEAK_THRESHOLD = 1e-6
 FOCK_LEAK_LEVELS = 2
 
 
+def truncation_margin(populations: np.ndarray, t_grid: np.ndarray, label: str) -> float:
+    """The worst of a series' per-time top-level ``populations`` at the times
+    ``t_grid``: the run's truncation margin.
+
+    Raises TruncationLeak, naming ``label`` and the time, at the first
+    population that is not <= ``LEAK_THRESHOLD``, so a NaN fails too.
+    """
+    bad = ~(populations <= LEAK_THRESHOLD)
+    if bad.any():
+        j = int(np.argmax(bad))
+        raise TruncationLeak(
+            f"{label}: the run leaked {populations[j]:.3e} at t={t_grid[j]:g}, "
+            f"not <= {LEAK_THRESHOLD:g}"
+        )
+    return float(np.max(populations))
+
+
 @dataclass(frozen=True)
 class JCParams:
     """Model parameters; omega_g == 0, omega_e is the transition frequency."""
@@ -88,17 +105,6 @@ class JCParams:
 def fock_annihilation(n_max: int) -> np.ndarray:
     """Real ladder operator a on Fock levels 0..n_max."""
     return np.diag(np.sqrt(np.arange(1, n_max + 1)), k=1)
-
-
-def partial_trace(rho: np.ndarray, dims: tuple[int, int], keep: int) -> np.ndarray:
-    """Factor ``keep`` (0 or 1) of densities on a dims[0] (x) dims[1] space:
-    the partial trace over the other factor, of one density or of each
-    density of a (..., N, N) stack."""
-    if keep not in (0, 1):
-        raise ValueError("keep must be 0 or 1")
-    rho = np.asarray(rho)
-    blocks = rho.reshape(*rho.shape[:-2], *dims, *dims)
-    return np.einsum("...anbn->...ab" if keep == 0 else "...nanb->...ab", blocks)
 
 
 def build_jc_hamiltonian(p: JCParams) -> np.ndarray:
@@ -155,21 +161,6 @@ def jc_evolve_first_order(p: JCParams, rho0: np.ndarray, t: float) -> np.ndarray
     energy = np.diagonal(build_jc_hamiltonian(p)).real
     rho1 = jc_liouvillian(replace(p, omega_e=0.0, omega=0.0)).apply(rho0)
     return np.exp(-1j * t * np.subtract.outer(energy, energy)) * (rho0 - 1j * t * rho1)
-
-
-def _raise_on_fock_leak(worst: float) -> None:
-    if worst > LEAK_THRESHOLD:
-        raise TruncationLeak(
-            f"population {worst:.3e} in the top {FOCK_LEAK_LEVELS} Fock levels "
-            f"exceeds {LEAK_THRESHOLD:g}; increase n_max"
-        )
-
-
-def check_fock_truncation(rho: np.ndarray, n_max: int) -> None:
-    """Abort when the top ``FOCK_LEAK_LEVELS`` Fock levels of any density
-    of a (..., dim, dim) stack hold more than ``LEAK_THRESHOLD``."""
-    field = partial_trace(rho, (2, n_max + 1), 1)[..., -FOCK_LEAK_LEVELS:, -FOCK_LEAK_LEVELS:]
-    _raise_on_fock_leak(np.max(np.einsum("...nn->...", field).real))
 
 
 def _sector_blocks(p: JCParams, rho0: np.ndarray):
@@ -298,12 +289,11 @@ def jc_series(
     is finite and > 0 and steps >= 1.  ``margins`` holds ``max_fock_leak``,
     the worst top-Fock population over the output times.
 
-    Raises TruncationLeak before evolving if rho0 fills the top
-    ``FOCK_LEAK_LEVELS`` Fock levels, and after it if the state does at any
-    output time.
+    Raises TruncationLeak (``truncation_margin``) if the top
+    ``FOCK_LEAK_LEVELS`` Fock levels hold more than ``LEAK_THRESHOLD``, or a
+    NaN, at any output time, t = 0 included.
     """
     t_grid = output_times(t_end, steps)
-    check_fock_truncation(rho0, p.n_max)
     valid, hb, eb, rb = _sector_blocks(p, rho0)
     fock = np.arange(p.n_max + 2)[:, None] - np.arange(2)  # of each slot: k, k - 1
     # per slot, the weights of P_e, the trace and the top-Fock population
@@ -323,8 +313,9 @@ def jc_series(
             coherence[j] = blocks[1, 0, ATOM_E, ATOM_G]
             purity[j] = np.vdot(blocks, blocks).real
         values = pops.reshape(n, -1) @ weights.reshape(-1, 3)
-    worst = float(np.max(values[:, 2]))
-    _raise_on_fock_leak(worst)
+    worst = truncation_margin(
+        values[:, 2], t_grid, f"population in the top {FOCK_LEAK_LEVELS} Fock levels"
+    )
     columns = {
         "t": t_grid,
         "P_e": values[:, 0],

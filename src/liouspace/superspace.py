@@ -19,9 +19,8 @@ import numpy as np
 from .errors import HermiticityViolation
 
 HERMITICITY_TOL = 1e-6
-# Rows per block of the reductions over a density (``moments``,
-# ``SuperDensity.hermiticity_defect``): their temporaries stay at
-# ROW_BLOCK x n instead of n x n.
+# Rows per block of the reductions over a density in ``moments``: their
+# temporaries stay at ROW_BLOCK x n instead of n x n.
 ROW_BLOCK = 32
 
 
@@ -67,14 +66,6 @@ class SuperDensity:
         self.values = np.asarray(self.values, dtype=complex)
         if self.values.shape != (self.grid.n, self.grid.n):
             raise ValueError("values shape does not match grid")
-
-    def hermiticity_defect(self) -> float:
-        """max|rho - rho^H|, reduced over blocks of ``ROW_BLOCK`` rows so no
-        n x n temporary is made; a NaN anywhere gives a NaN defect."""
-        rho = self.values
-        return float(np.max([
-            np.max(np.abs(rho[r] - rho[:, r].conj().T)) for r in _row_blocks(len(rho))
-        ]))
 
 
 def spectral_derivative_matrix(n: int, dq: float, order: int) -> np.ndarray:
@@ -142,15 +133,15 @@ def moments(sd: SuperDensity, hbar: float = 1.0) -> Moments:
     """
     rho, dq, q = sd.values, sd.grid.dq, sd.grid.points
     d = _first_derivative_matrix(sd.grid.n, dq)
-    defect = sd.hermiticity_defect()
-    peak, purity, p = [], 0.0, 0.0
+    peak, asym, purity, p = [], [], 0.0, 0.0
     for r in _row_blocks(len(rho)):
-        block = rho[r]
+        block, col = rho[r], rho[:, r].T
         peak.append(np.max(np.abs(block)))
+        asym.append(np.max(np.abs(block - col.conj())))
         purity += np.vdot(block, block).real
         # Re(P_ac rho_ca) = hbar D_ac Im(rho_ca), since D is real
-        p += (d[r] * rho[:, r].imag.T).sum()
-    scale = max(float(np.max(peak)), 1e-300)
+        p += (d[r] * col.imag).sum()
+    defect, scale = float(np.max(asym)), max(float(np.max(peak)), 1e-300)
     if defect > HERMITICITY_TOL * scale:
         raise HermiticityViolation(
             f"hermiticity defect {defect:.3e} exceeds {HERMITICITY_TOL:g} of max|rho| {scale:.3e}"

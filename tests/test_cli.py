@@ -364,12 +364,23 @@ class TestScenarios:
         )
         assert code == EXIT_GUARD
 
-    def test_jc_guard_abort_on_mid_run_leak(self, tmp_path):
-        """|e,2> at n_max 4 passes the check of rho0; the dipole then feeds
-        |g,3>, so the leak appears only in the evolved states."""
-        jc.check_fock_truncation(jc.initial_jc_state("e2", 4), 4)
+    def test_jc_guard_abort_on_mid_run_leak(self, tmp_path, capsys):
+        """|e,2> at n_max 4 holds nothing in the top Fock levels; the dipole
+        then feeds |g,3>, so the leak appears only in the evolved states."""
         code = run(["jc", "--init", "e2", "--n-max", "4", "--outdir", str(tmp_path)])
         assert code == EXIT_GUARD
+        assert "at t=0," not in capsys.readouterr().err
+        assert not (tmp_path / "jc").exists()
+
+    def test_jc_guard_abort_on_overflow(self, tmp_path):
+        """Im(eps) = 5 amplifies the eg coherence as exp(5 t), which
+        overflows the sector powers: the guard reads the NaN populations as
+        a leak and aborts, where a test of population > LEAK_THRESHOLD would
+        let the run end with NaN margins."""
+        with pytest.warns(RuntimeWarning):
+            code = run(["jc", "--eps", "0.01,5", "--t", "400", "--outdir", str(tmp_path)])
+        assert code == EXIT_GUARD
+        assert not (tmp_path / "jc").exists()
 
     def test_superop_outputs(self, tmp_path):
         code = run(

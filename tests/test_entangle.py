@@ -18,7 +18,7 @@ from liouspace import entangle, liouvillian, validate
 from liouspace.liouvillian import BasisLiouvillian
 from liouspace.errors import DimensionTooLarge, TruncationLeak
 from liouspace.evolution import EvolutionConfig, ExactEvolver, evolve_trotter
-from liouspace.jaynescummings import coherent_field_density, fock_annihilation, partial_trace
+from liouspace.jaynescummings import coherent_field_density, fock_annihilation
 from liouspace.potential import (
     MonomialClass,
     PolynomialPotential,
@@ -26,6 +26,7 @@ from liouspace.potential import (
     classify_bipartite_terms,
 )
 from liouspace.superspace import SuperGrid, gaussian_super_density, moments
+from oracles import partial_trace
 
 PURE_CLASSES = {MonomialClass.PURE_BRA, MonomialClass.PURE_KET}
 

@@ -691,7 +691,34 @@ class TestCharacteristics:
 
     def test_zero_time_returns_ensemble(self):
         ens = gaussian_ensemble(64, 0.2, 0.1, 0.5, 0.5, seed=4)
-        assert evolve_characteristics(PolynomialPotential.quartic(0.1), ens, 0.0) is ens
+        assert evolve_characteristics(PolynomialPotential.quartic(0.1), ens, 0.0, dt=0.01) is ens
+
+    @pytest.mark.parametrize(
+        "sigma_x, sigma_p",
+        [(-0.4, 0.6), (0.0, 0.6), (np.inf, 0.6), (np.nan, 0.6), (0.4, -0.6), (0.4, 0.0),
+         (0.4, np.inf)],
+    )
+    def test_widths_must_be_finite_and_positive(self, sigma_x, sigma_p):
+        with pytest.raises(ValueError, match="must be finite and > 0"):
+            gaussian_ensemble(64, 1.0, 0.0, sigma_x, sigma_p)
+
+    @pytest.mark.parametrize(
+        "t, dt, message",
+        [
+            (-1.0, 0.01, "t=-1.0 must be finite and >= 0"),
+            (np.nan, 0.01, "t=nan must be finite and >= 0"),
+            (np.inf, 0.01, "t=inf must be finite and >= 0"),
+            (1.0, 0.0, "dt=0.0 must be finite and > 0"),
+            (1.0, -0.01, "dt=-0.01 must be finite and > 0"),
+            (1.0, np.nan, "dt=nan must be finite and > 0"),
+            (1.0, np.inf, "dt=inf must be finite and > 0"),
+            (0.0, 0.0, "dt=0.0 must be finite and > 0"),
+        ],
+    )
+    def test_time_and_step_must_be_finite(self, t, dt, message):
+        ens = gaussian_ensemble(64, 1.0, 0.0, 0.4, 0.6, seed=4)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            evolve_characteristics(PolynomialPotential.quartic(0.1), ens, t, dt)
 
     def test_sobol_rounds_up_to_power_of_two(self):
         ens = gaussian_ensemble(1000, 0.0, 0.0, 1.0, 1.0, seed=6)

@@ -16,7 +16,6 @@ from liouspace.jaynescummings import (
     _expm_stack,
     _radial,
     build_jc_hamiltonian,
-    check_fock_truncation,
     coherent_field_density,
     coulomb_superop_element,
     hydrogen_psi,
@@ -24,14 +23,21 @@ from liouspace.jaynescummings import (
     jc_evolve_first_order,
     jc_liouvillian,
     jc_series,
-    partial_trace,
+    truncation_margin,
 )
 from liouspace.evolution import ExactEvolver
+from oracles import partial_trace
 
 
 def dense_states(p, rho0, times):
     """The model's states over times from the dense generator: the oracle."""
     return ExactEvolver(jc_liouvillian(p)).propagate(rho0, times)
+
+
+def top_fock_population(rho, n_max):
+    """Population of the top two Fock levels of a density, through the
+    partial trace over the atom."""
+    return np.trace(partial_trace(rho, (2, n_max + 1), 1)[-2:, -2:]).real
 
 
 S1 = HydrogenState(1, 0, 0)
@@ -165,14 +171,15 @@ class TestSeries:
 
     @pytest.mark.parametrize("eps_egeg", [0.0, -0.01j])
     def test_mid_run_leak_raises(self, eps_egeg):
-        """|e,2> at n_max 4 passes the check of rho0; the dipole then feeds
-        |g,3>, so only the evolved populations show the leak, on either
-        route."""
+        """|e,2> at n_max 4 holds nothing in the top Fock levels; the dipole
+        then feeds |g,3>, so only the evolved populations show the leak, on
+        either route."""
         p = JCParams(omega_e=1.0, omega=1.0, d_eg=0.05, n_max=4, eps_egeg=eps_egeg)
         rho0 = initial_jc_state("e2", p.n_max)
-        check_fock_truncation(rho0, p.n_max)
-        with pytest.raises(TruncationLeak, match="in the top 2 Fock levels"):
+        assert top_fock_population(rho0, p.n_max) == 0.0
+        with pytest.raises(TruncationLeak, match="in the top 2 Fock levels") as err:
             jc_series(p, rho0, 10.0, 200)
+        assert "at t=0," not in str(err.value)
 
     @pytest.mark.parametrize("eps_egeg", [0.01, 0.01 - 0.02j])
     def test_series_hold_no_state_stack(self, eps_egeg):
@@ -462,20 +469,48 @@ class TestPartialTrace:
 
 
 class TestGuards:
-    def test_truncation_leak_raises(self):
-        rho0 = initial_jc_state("coherent:2.5", 3)
-        with pytest.raises(TruncationLeak):
-            check_fock_truncation(rho0, 3)
+    @pytest.mark.parametrize("eps_egeg", [0.01, 0.01 - 0.02j])
+    def test_leaky_initial_state_raises_at_t_zero(self, eps_egeg):
+        """The series' own t = 0 row carries the check of rho0, on either
+        sector route."""
+        p = JCParams(omega_e=1.0, omega=1.0, d_eg=0.05, n_max=3, eps_egeg=eps_egeg)
+        rho0 = initial_jc_state("coherent:2.5", p.n_max)
+        assert f"{top_fock_population(rho0, p.n_max):.3e}" == "8.925e-01"
+        with pytest.raises(TruncationLeak, match=r"leaked 8\.925e-01 at t=0,"):
+            jc_series(p, rho0, 1.0, 10)
+
+    @pytest.mark.parametrize("eps_egeg", [0.01, 0.01 - 0.02j])
+    @pytest.mark.parametrize(
+        "spec, n_max", [("coherent:2.5", 3), ("coherent:0.7", 12), ("e2", 4)]
+    )
+    def test_first_row_equals_partial_trace_of_rho0(self, spec, n_max, eps_egeg):
+        """The t = 0 top-Fock population the guard reads equals that of rho0
+        through the partial trace, to the last bit."""
+        p = JCParams(omega_e=1.0, omega=1.0, d_eg=0.05, n_max=n_max, eps_egeg=eps_egeg)
+        rho0 = initial_jc_state(spec, n_max)
+        seen = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(jc_module, "truncation_margin", lambda pops, t, label: seen.append(pops))
+            jc_series(p, rho0, 1.0, 10)
+        assert seen[0][0] == top_fock_population(rho0, n_max)
 
     def test_truncation_ok_for_contained_state(self):
-        check_fock_truncation(initial_jc_state("e0", 4), 4)
+        p = JCParams(omega_e=1.0, omega=1.0, d_eg=0.05, n_max=4)
+        _, _, margins = jc_series(p, initial_jc_state("e0", 4), 10.0, 100)
+        assert margins["max_fock_leak"] == 0.0
 
-    def test_truncation_checks_every_state_of_a_stack(self):
-        contained = initial_jc_state("e0", 4)
-        stack = np.stack([contained, contained, initial_jc_state("g4", 4)])
-        check_fock_truncation(stack[:-1], 4)
-        with pytest.raises(TruncationLeak, match="1.000e\\+00"):
-            check_fock_truncation(stack, 4)
+    def test_guard_raises_at_the_first_bad_time(self):
+        t = np.array([0.0, 0.5, 1.0, 1.5])
+        assert truncation_margin(np.array([0.0, 1e-7, 1e-6, 0.0]), t, "x") == 1e-6
+        with pytest.raises(TruncationLeak, match=r"^top: the run leaked 2\.000e-06 at t=1,"):
+            truncation_margin(np.array([0.0, 1e-7, 2e-6, 1.0]), t, "top")
+
+    def test_guard_refuses_nan(self):
+        """NaN > LEAK_THRESHOLD is false, so a guard written that way lets
+        a run that overflowed pass."""
+        t = np.array([0.0, 0.5, 1.0])
+        with pytest.raises(TruncationLeak, match="leaked nan at t=0.5,"):
+            truncation_margin(np.array([0.0, np.nan, np.nan]), t, "top")
 
     def test_initial_state_specs(self):
         rho = initial_jc_state("g1", 2)

@@ -214,6 +214,31 @@ def test_every_defaulted_parameter_is_passed_by_program_code():
     assert set(ALLOWED_UNPASSED) <= defaulted
 
 
+def _raise_sites(exception: str) -> list[str]:
+    """"module:function" of each ``raise exception(...)`` in the package,
+    the function being the innermost one around it."""
+    sites = []
+
+    def visit(node: ast.AST, module: str, function: str) -> None:
+        if isinstance(node, ast.FunctionDef):
+            function = node.name
+        if isinstance(node, ast.Raise) and node.exc is not None and _callee(node.exc) == exception:
+            sites.append(f"{module}:{function}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, function)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        visit(_parse(path), path.name, "<module>")
+    return sites
+
+
+def test_truncation_leak_is_raised_by_the_one_guard():
+    """Every series reads its truncation off its own populations through
+    ``jaynescummings.truncation_margin``; a second raise site would be a
+    second guard, with its own idea of the bound and of a NaN."""
+    assert _raise_sites("TruncationLeak") == ["jaynescummings.py:truncation_margin"]
+
+
 def test_cli_import_leaves_out_heavy_scipy_modules():
     """scipy and each of its submodules cost start-up time and memory; the
     CLI must not load one before a route needs it."""
