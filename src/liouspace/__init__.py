@@ -55,6 +55,7 @@ from .evolution import (
     evolve_ordered,
     evolve_trotter,
     gaussian_ensemble,
+    grid_series,
 )
 from .superprop import (
     FirstOrderCoefficients,

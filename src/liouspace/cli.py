@@ -227,11 +227,6 @@ class RunContext:
         return path
 
 
-def _write_columns(path: Path, columns: dict[str, np.ndarray]) -> None:
-    """One CSV column per named array, in the dict's order."""
-    serialize.write_csv(path, np.column_stack(list(columns.values())), header=list(columns))
-
-
 def run_superop(ctx: RunContext) -> None:
     p = ctx.params
     v = parse_potential_spec(p["potential"])
@@ -252,16 +247,22 @@ def run_superop(ctx: RunContext) -> None:
     ctx.notes.append(f"max |E| on grid = {float(np.max(np.abs(e))):.6g}")
 
 
+def _record_series(ctx: RunContext, name: str, dim: int, columns, solver_path, margins) -> None:
+    """Write a library series' columns to ``name`` in the dict's order and
+    record its solver path, generator dimension, margins and trace check."""
+    serialize.write_csv(ctx.path(name), np.column_stack([*columns.values()]), header=[*columns])
+    ctx.solver_path, ctx.generator_dim = solver_path, dim
+    ctx.margins.update(margins)
+    ctx.checks["trace_conserved_1e-8"] = margins["max_trace_drift"] < 1e-8
+
+
 def run_evolve(ctx: RunContext) -> None:
     p = ctx.params
-    t_end, steps, n_out = p["t"], p["steps"], p["n_out"]
-    if not 1 <= n_out <= steps or steps % n_out:
-        raise UsageError(f"n_out={n_out} must lie in 1..steps and divide steps={steps}")
     v = parse_potential_spec(p["potential"])
     kind = SuperPotentialKind(p["kind"])
     grid = SuperGrid.centered(p["grid_span"], p["grid_n"])
     hbar, mass, sigma_x, sigma_p = p["hbar"], p["mass"], p["sigma_x"], p["sigma_p"]
-    cfg = evolution.EvolutionConfig(t1=t_end, n_steps=steps, hbar=hbar, mass=mass)
+    cfg = evolution.EvolutionConfig(t1=p["t"], n_steps=p["steps"], hbar=hbar, mass=mass)
     sd = superspace.gaussian_super_density(grid, p["x0"], p["p0"], sigma_x, sigma_p, hbar)
     # a sharper Gaussian is a phase density but no quantum state: its operator
     # has a negative eigenvalue and purity hbar / (2 sigma_x sigma_p) > 1; the
@@ -271,31 +272,12 @@ def run_evolve(ctx: RunContext) -> None:
             f"kind qm needs sigma_x * sigma_p >= hbar / 2, got "
             f"{sigma_x:g} * {sigma_p:g} = {sigma_x * sigma_p:g} < {hbar / 2:g}"
         )
-
-    series = [(0.0, superspace.moments(sd, hbar))]
-
-    def observe(k: int, state) -> None:
-        series.append((t_end * k / steps, superspace.moments(state, hbar)))
-
-    sd = evolution.evolve_trotter(
-        v, grid, kind, sd, cfg, observe=observe, observe_every=steps // n_out
-    )
-    ctx.solver_path, ctx.generator_dim = "trotter_strang", grid.n**2
-    serialize.write_csv(
-        ctx.path("evolve_series.csv"),
-        [(t, m.trace, m.x, m.p, m.x2, m.purity) for t, m in series],
-        header=["t", "trace", "x_mean", "p_mean", "x2_mean", "purity"],
-    )
+    *series, sd = evolution.grid_series(v, grid, kind, sd, cfg, p["n_out"])
+    _record_series(ctx, "evolve_series.csv", grid.n**2, *series)
     serialize.save_super_density(ctx.outdir / "evolve_final", sd, hbar, mass)
     ctx.outputs += ["evolve_final.csv", "evolve_final.json"]
-    margins = ctx.margins
-    # np.max, unlike max, keeps a NaN of any row, so a NaN run fails its checks
-    margins["max_trace_drift"] = np.max([abs(m.trace - 1.0) for _, m in series])
-    margins["max_hermiticity_defect"] = np.max([m.hermiticity_defect for _, m in series])
-    margins["max_boundary_mass"] = np.max([m.boundary_mass for _, m in series])
-    ctx.checks["trace_conserved_1e-8"] = margins["max_trace_drift"] < 1e-8
-    ctx.checks["hermiticity_1e-8"] = margins["max_hermiticity_defect"] < 1e-8
-    ctx.checks["boundary_mass_ok"] = margins["max_boundary_mass"] < 1e-6
+    ctx.checks["hermiticity_1e-8"] = ctx.margins["max_hermiticity_defect"] < 1e-8
+    ctx.checks["boundary_mass_ok"] = ctx.margins["max_boundary_mass"] < 1e-6
 
 
 def run_propagator(ctx: RunContext) -> None:
@@ -358,13 +340,8 @@ def run_jc(ctx: RunContext) -> None:
         eps_egeg=_parse_complex_pair(p["eps"]),
     )
     rho0 = jc.initial_jc_state(p["init"], params.n_max)
-    columns, ctx.solver_path, leak = jc.jc_series(params, rho0, p["t"], p["steps"])
-    ctx.generator_dim = params.dim**2
-    _write_columns(ctx.path("jc_series.csv"), columns)
-    ctx.margins.update(leak)
-    ctx.margins["max_trace_drift"] = np.max(np.abs(columns["trace"] - 1.0))
-    ctx.margins["max_purity"] = np.max(columns["purity"])
-    ctx.checks["trace_conserved_1e-8"] = ctx.margins["max_trace_drift"] < 1e-8
+    series = jc.jc_series(params, rho0, p["t"], p["steps"])
+    _record_series(ctx, "jc_series.csv", params.dim**2, *series)
     # a complex eps makes the generator non-Hermitian and can raise purity
     ctx.checks["purity_at_most_1_1e-8"] = ctx.margins["max_purity"] <= 1.0 + 1e-8
 
@@ -372,16 +349,10 @@ def run_jc(ctx: RunContext) -> None:
 def run_bipartite(ctx: RunContext) -> None:
     p = ctx.params
     basis = entangle.BipartiteBasis(n_levels=p["n_levels"], omega=p["omega"])
-    columns, ctx.solver_path, leak = entangle.compare_cl_qm_entanglement(
+    series = entangle.compare_cl_qm_entanglement(
         basis, p["lam"], complex(p["alpha1"]), complex(p["alpha2"]), p["t"], p["steps"]
     )
-    ctx.generator_dim = basis.n_levels**2
-    _write_columns(ctx.path("bipartite_series.csv"), columns)
-    ctx.margins.update(leak)
-    ctx.margins["max_trace_drift"] = np.max(
-        [columns["trace_drift_cl"], columns["trace_drift_qm"]]
-    )
-    ctx.checks["trace_conserved_1e-8"] = ctx.margins["max_trace_drift"] < 1e-8
+    _record_series(ctx, "bipartite_series.csv", basis.n_levels**2, *series)
 
 
 def run_validate(ctx: RunContext) -> None:

@@ -152,7 +152,8 @@ def compare_cl_qm_entanglement(
     (``evolution.ExactEvolver``), so n_r is held to 64 by the dense cap
     (DimensionTooLarge above it).  ``margins`` holds
     ``max_top_level_population_<kind>``, the worst top-level population of
-    rho_r over the output times.  Raises TruncationLeak
+    rho_r over the output times, and ``max_trace_drift`` that of either
+    kind's ``trace_drift``.  Raises TruncationLeak
     (``jaynescummings.truncation_margin``) if either run puts more than
     ``LEAK_THRESHOLD``, or a NaN, in rho_r's top level at any output time.
     """
@@ -170,6 +171,8 @@ def compare_cl_qm_entanglement(
         herm = 0.5 * (states + np.swapaxes(states, 1, 2).conj())
         columns[f"min_eig_{tag}"] = np.linalg.eigvalsh(herm)[:, 0]
         columns[f"trace_drift_{tag}"] = np.abs(np.trace(states, axis1=1, axis2=2).real - 1.0)
+    drifts = [columns["trace_drift_cl"], columns["trace_drift_qm"]]
+    margins["max_trace_drift"] = float(np.max(drifts))
     return {name: columns[name] for name in SERIES_COLUMNS}, "eigh", margins
 
 

@@ -2,11 +2,11 @@
 
 Covers the exact exponential exp(-i L t) of a ``BasisLiouvillian`` over a
 time grid (``ExactEvolver``, whose route follows E: one eigh when E is
-absent or real, else expm per time), a
-classical RK4 integrator for time-dependent generators (an oracle for the
-exact route), split-step Trotter evolution on (Q, q) grids, and the
-classical method-of-characteristics ensemble, which serves as the
-independent oracle for the grid dynamics.
+absent or real, else expm per time), a classical RK4 integrator for
+time-dependent generators (an oracle for the exact route), split-step
+Trotter evolution on (Q, q) grids with its one series of grid moments
+(``grid_series``), and the classical method-of-characteristics ensemble,
+which serves as the independent oracle for the grid dynamics.
 
 The grid routes take hbar and the mass from ``EvolutionConfig``.  Every
 generator is in units of hbar, i d/dt rho = L rho
@@ -29,7 +29,7 @@ import numpy as np
 from .errors import EnergyDriftExceeded
 from .potential import PolynomialPotential, SuperPotentialKind, super_potential
 from .liouvillian import BasisLiouvillian
-from .superspace import SuperDensity, SuperGrid
+from .superspace import SuperDensity, SuperGrid, moments
 
 # Largest per-sample energy drift rate of the leapfrog ensemble, per unit
 # time and relative to the energy scale.
@@ -140,13 +140,8 @@ def evolve_ordered(
 
 
 def evolve_trotter(
-    v: PolynomialPotential,
-    grid: SuperGrid,
-    kind: SuperPotentialKind,
-    rho0: SuperDensity,
-    config: EvolutionConfig,
-    *,
-    observe: Callable[[int, SuperDensity], None] | None = None,
+    v: PolynomialPotential, grid: SuperGrid, kind: SuperPotentialKind, rho0: SuperDensity,
+    config: EvolutionConfig, *, observe: Callable[[int, SuperDensity], None] | None = None,
     observe_every: int = 1,
 ) -> SuperDensity:
     """Split-step evolution alternating exact kinetic and potential phases.
@@ -163,13 +158,13 @@ def evolve_trotter(
     periodic, so mass at its boundary wraps around; ``superspace.moments``
     reports it as the boundary mass.
 
-    ``observe(k, state)``, if given, is called after every step k =
-    1..n_steps that is a multiple of ``observe_every``, with the state at
-    k dt, bit-identical to the result of a separate k-step call with the
-    same dt.  That state is a read-only view of the working array, valid
-    during the call only: an observer that keeps it must copy it.  The
-    returned state is the working array itself.  The phases are built
-    once per call: one call covers a run.  Raises ValueError unless
+    ``observe(k, state)``, the hook of ``grid_series``, is called if given
+    after every step k = 1..n_steps that is a multiple of ``observe_every``,
+    with the state at k dt, bit-identical to the result of a separate k-step
+    call with the same dt.  That state is a read-only view of the working
+    array, valid during the call only: an observer that keeps it must copy
+    it.  The returned state is the working array itself.  The phases are
+    built once per call: one call covers a run.  Raises ValueError unless
     ``config.method`` is TROTTER_STRANG and ``observe_every >= 1``.
     """
     if config.method is not EvolveMethod.TROTTER_STRANG:
@@ -200,6 +195,33 @@ def evolve_trotter(
         if observe is not None and k % observe_every == 0:
             observe(k, SuperDensity(grid, view))
     return SuperDensity(grid, rho)
+
+
+def grid_series(
+    v: PolynomialPotential, grid: SuperGrid, kind: SuperPotentialKind, rho0: SuperDensity,
+    config: EvolutionConfig, n_out: int,
+) -> tuple[dict[str, np.ndarray], str, dict[str, float], SuperDensity]:
+    """(columns, "trotter_strang", margins, final_state) of one
+    ``evolve_trotter`` run of rho0, with ``superspace.moments`` read at t = 0
+    and after every n_steps / n_out steps.  The columns are t, trace, x_mean,
+    p_mean, x2_mean and purity; the margins, the worst |trace - 1|,
+    Hermiticity defect and boundary mass by np.max, which keeps a NaN of any
+    row.  Raises ValueError unless n_out lies in 1..n_steps and divides it."""
+    steps = config.n_steps
+    if not 1 <= n_out <= steps or steps % n_out:
+        raise ValueError(f"n_out={n_out} must lie in 1..steps and divide steps={steps}")
+    rows = [(0.0, moments(rho0, config.hbar))]
+
+    def observe(k: int, state: SuperDensity) -> None:
+        rows.append((config.t1 * k / steps, moments(state, config.hbar)))
+
+    # config in 5th place, where the benchmark's step counter reads it
+    sd = evolve_trotter(v, grid, kind, rho0, config, observe=observe, observe_every=steps // n_out)
+    table = np.array([(t, m.trace, m.x, m.p, m.x2, m.purity, abs(m.trace - 1.0),
+                       m.hermiticity_defect, m.boundary_mass) for t, m in rows])
+    columns = dict(zip(("t", "trace", "x_mean", "p_mean", "x2_mean", "purity"), table[:, :6].T))
+    guards = ("max_trace_drift", "max_hermiticity_defect", "max_boundary_mass")
+    return columns, "trotter_strang", dict(zip(guards, np.max(table[:, 6:], axis=0).tolist())), sd
 
 
 @dataclass

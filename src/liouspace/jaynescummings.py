@@ -286,12 +286,13 @@ def jc_series(
     exact for that unitary evolution.  Complex eps_egeg takes
     "sector_powers", powers of one batched expm of the block generators at
     the step t_end / steps.  ``output_times`` raises ValueError unless t_end
-    is finite and > 0 and steps >= 1.  ``margins`` holds ``max_fock_leak``,
-    the worst top-Fock population over the output times.
+    is finite and > 0 and steps >= 1.  ``margins`` holds the worst top-Fock
+    population (``max_fock_leak``), |trace - 1| (``max_trace_drift``) and
+    purity (``max_purity``) over the output times.
 
     Raises TruncationLeak (``truncation_margin``) if the top
     ``FOCK_LEAK_LEVELS`` Fock levels hold more than ``LEAK_THRESHOLD``, or a
-    NaN, at any output time, t = 0 included.
+    NaN, at any output time, t = 0 included; "sector_powers" stops there.
     """
     t_grid = output_times(t_end, steps)
     valid, hb, eb, rb = _sector_blocks(p, rho0)
@@ -301,21 +302,21 @@ def jc_series(
         [valid & (np.arange(2) == ATOM_E), valid, valid & (fock >= p.fock_dim - FOCK_LEAK_LEVELS)],
         axis=-1,
     ).astype(float)
+    label = f"population in the top {FOCK_LEAK_LEVELS} Fock levels"
     if eb is None:
         path = "sector_phases"
         values, coherence = _phase_series(hb, rb, weights, t_grid)
         purity = np.full(t_grid.size, np.vdot(rb, rb).real)
     else:
-        path, n = "sector_powers", t_grid.size
+        path, n, flat = "sector_powers", t_grid.size, weights.reshape(-1, 3)
         pops, coherence, purity = np.empty((n, *valid.shape)), np.empty(n, complex), np.empty(n)
         for j, blocks in enumerate(_sector_powers(hb, eb, rb, t_end / steps, steps)):
             pops[j] = np.einsum("kkaa->ka", blocks).real
+            # stop at the first leak instead of powering NaN blocks to the end
+            truncation_margin(pops[j : j + 1].reshape(1, -1) @ flat[:, 2], t_grid[j : j + 1], label)
             coherence[j] = blocks[1, 0, ATOM_E, ATOM_G]
             purity[j] = np.vdot(blocks, blocks).real
-        values = pops.reshape(n, -1) @ weights.reshape(-1, 3)
-    worst = truncation_margin(
-        values[:, 2], t_grid, f"population in the top {FOCK_LEAK_LEVELS} Fock levels"
-    )
+        values = pops.reshape(n, -1) @ flat
     columns = {
         "t": t_grid,
         "P_e": values[:, 0],
@@ -323,7 +324,12 @@ def jc_series(
         "trace": values[:, 1],
         "purity": purity,
     }
-    return columns, path, {"max_fock_leak": worst}
+    margins = {
+        "max_fock_leak": truncation_margin(values[:, 2], t_grid, label),
+        "max_trace_drift": float(np.max(np.abs(values[:, 1] - 1.0))),
+        "max_purity": float(np.max(purity)),
+    }
+    return columns, path, margins
 
 
 def coherent_field_density(alpha: complex, n_max: int) -> np.ndarray:

@@ -372,6 +372,15 @@ class TestScenarios:
         assert "at t=0," not in capsys.readouterr().err
         assert not (tmp_path / "jc").exists()
 
+    def test_evolve_n_out_refusal_keeps_its_message(self, tmp_path, capsys):
+        """``evolution.grid_series`` refuses the n_out; the CLI reports it
+        as a usage error and makes no directory."""
+        argv = ["evolve", "--steps", "210", "--n-out", "50", "--outdir", str(tmp_path)]
+        assert run(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err == "usage error: n_out=50 must lie in 1..steps and divide steps=210\n"
+        assert not (tmp_path / "evolve").exists()
+
     def test_jc_guard_abort_on_overflow(self, tmp_path):
         """Im(eps) = 5 amplifies the eg coherence as exp(5 t), which
         overflows the sector powers: the guard reads the NaN populations as

@@ -446,7 +446,12 @@ class TestCompare:
         times = cols["t"]
         np.testing.assert_array_equal(times, np.linspace(0.0, 2.0, 9))
         assert paths == "eigh"
-        assert set(margins) == {"max_top_level_population_cl", "max_top_level_population_qm"}
+        assert set(margins) == {
+            "max_top_level_population_cl", "max_top_level_population_qm", "max_trace_drift"
+        }
+        assert margins["max_trace_drift"] == max(
+            np.max(cols["trace_drift_cl"]), np.max(cols["trace_drift_qm"])
+        )
         n = basis.n_levels
 
         def loss(rho):

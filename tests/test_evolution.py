@@ -11,6 +11,7 @@ from liouspace.entangle import (
     compare_cl_qm_entanglement,
     relative_generator,
 )
+from liouspace import evolution
 from liouspace.errors import EnergyDriftExceeded
 from liouspace.evolution import (
     CharacteristicsEnsemble,
@@ -21,6 +22,7 @@ from liouspace.evolution import (
     evolve_ordered,
     evolve_trotter,
     gaussian_ensemble,
+    grid_series,
 )
 from liouspace.jaynescummings import (
     JCParams,
@@ -646,6 +648,57 @@ class TestTrotter:
         out = evolve_trotter(PolynomialPotential.free(), grid, SuperPotentialKind.CL, sd, cfg)
         assert moments(sd).boundary_mass > 1e-10
         assert moments(out).boundary_mass > 1e-10
+
+
+class TestGridSeries:
+    @staticmethod
+    def case(kind):
+        grid = SuperGrid.centered(8.0, 64)
+        sd = gaussian_super_density(grid, 1.0, 0.3, 0.5, 1.0, hbar=0.8)
+        cfg = EvolutionConfig(t1=0.6, n_steps=12, hbar=0.8, mass=1.3)
+        return PolynomialPotential.quartic(0.1), grid, kind, sd, cfg
+
+    @pytest.mark.parametrize("kind", [SuperPotentialKind.CL, SuperPotentialKind.QM])
+    def test_equals_a_hand_rolled_observer(self, kind):
+        """The columns are the moments an observer written out by hand reads,
+        t = 0 included, and the margins their worst guard values."""
+        v, grid, kind, sd, cfg = self.case(kind)
+        rows = [(0.0, moments(sd, cfg.hbar))]
+
+        def observe(k, state):
+            rows.append((cfg.t1 * k / cfg.n_steps, moments(state, cfg.hbar)))
+
+        final = evolve_trotter(v, grid, kind, sd, cfg, observe=observe, observe_every=3)
+        columns, path, margins, state = grid_series(v, grid, kind, sd, cfg, 4)
+        assert path == "trotter_strang"
+        assert list(columns) == ["t", "trace", "x_mean", "p_mean", "x2_mean", "purity"]
+        want = [(t, m.trace, m.x, m.p, m.x2, m.purity) for t, m in rows]
+        assert np.array_equal(np.column_stack(list(columns.values())), want)
+        assert margins == {
+            "max_trace_drift": max(abs(m.trace - 1.0) for _, m in rows),
+            "max_hermiticity_defect": max(m.hermiticity_defect for _, m in rows),
+            "max_boundary_mass": max(m.boundary_mass for _, m in rows),
+        }
+        assert all(type(value) is float for value in margins.values())
+        assert np.array_equal(state.values, final.values)
+
+    def test_nan_row_reaches_every_margin(self, monkeypatch):
+        """A NaN superpotential leaves the t = 0 row finite and every later
+        one NaN.  Python's max would return the first row's value; each
+        margin keeps the NaN."""
+        def nan_potential(v, kind, q_bra, q_ket):
+            return np.full(np.broadcast(q_bra, q_ket).shape, np.nan)
+
+        monkeypatch.setattr(evolution, "super_potential", nan_potential)
+        columns, _, margins, _ = grid_series(*self.case(SuperPotentialKind.CL), 4)
+        assert np.isfinite(columns["trace"][0]) and np.all(np.isnan(columns["trace"][1:]))
+        assert len(margins) == 3 and all(np.isnan(value) for value in margins.values())
+
+    @pytest.mark.parametrize("n_out", [0, -4, 5, 13, 24])
+    def test_refuses_n_out_that_does_not_divide_the_steps(self, n_out):
+        with pytest.raises(ValueError) as err:
+            grid_series(*self.case(SuperPotentialKind.CL), n_out)
+        assert str(err.value) == f"n_out={n_out} must lie in 1..steps and divide steps=12"
 
 
 class TestUnitScaling:

@@ -166,8 +166,10 @@ class TestSeries:
         np.testing.assert_allclose(np.column_stack(list(cols.values())), want, rtol=0, atol=1e-13)
         top = [np.trace(rho.reshape(2, 7, 2, 7)[:, -2:, :, -2:].reshape(4, 4)).real
                for rho in states]
-        assert list(margins) == ["max_fock_leak"]
+        assert list(margins) == ["max_fock_leak", "max_trace_drift", "max_purity"]
         assert margins["max_fock_leak"] == pytest.approx(max(top), rel=0, abs=1e-14)
+        assert margins["max_trace_drift"] == np.max(np.abs(cols["trace"] - 1.0))
+        assert margins["max_purity"] == np.max(cols["purity"])
 
     @pytest.mark.parametrize("eps_egeg", [0.0, -0.01j])
     def test_mid_run_leak_raises(self, eps_egeg):
@@ -180,6 +182,25 @@ class TestSeries:
         with pytest.raises(TruncationLeak, match="in the top 2 Fock levels") as err:
             jc_series(p, rho0, 10.0, 200)
         assert "at t=0," not in str(err.value)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in matmul:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in matmul:RuntimeWarning")
+    def test_sector_powers_stop_at_the_first_leak(self, monkeypatch):
+        """Im(eps) = 5 amplifies the eg coherence as exp(5 t) and overflows
+        the powers at t = 144: the guard aborts there, and no later state is
+        formed."""
+        powers, times = jc_module._sector_powers, []
+
+        def recorded(hb, eb, rb, dt, steps):
+            for j, blocks in enumerate(powers(hb, eb, rb, dt, steps)):
+                times.append(j * dt)
+                yield blocks
+
+        monkeypatch.setattr(jc_module, "_sector_powers", recorded)
+        p = JCParams(omega_e=1.0, omega=1.0, d_eg=0.05, n_max=4, eps_egeg=0.01 + 5j)
+        with pytest.raises(TruncationLeak, match="leaked nan at t=144,"):
+            jc_series(p, initial_jc_state("e0", p.n_max), 400.0, 200)
+        assert times[-1] == 144.0
 
     @pytest.mark.parametrize("eps_egeg", [0.01, 0.01 - 0.02j])
     def test_series_hold_no_state_stack(self, eps_egeg):

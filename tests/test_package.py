@@ -239,6 +239,34 @@ def test_truncation_leak_is_raised_by_the_one_guard():
     assert _raise_sites("TruncationLeak") == ["jaynescummings.py:truncation_margin"]
 
 
+def _keyword_call_sites(function: str, keyword: str) -> list[str]:
+    """"path:caller" of each call in src or scripts that passes ``keyword``
+    to ``function``, the caller being the innermost function around it."""
+    sites = []
+
+    def visit(node: ast.AST, path: str, caller: str) -> None:
+        if isinstance(node, ast.FunctionDef):
+            caller = node.name
+        if (isinstance(node, ast.Call) and _callee(node) == function
+                and any(kw.arg == keyword for kw in node.keywords)):
+            sites.append(f"{path}:{caller}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, path, caller)
+
+    for top in ("src", "scripts"):
+        for path in sorted((ROOT / top).rglob("*.py")):
+            visit(_parse(path), path.relative_to(ROOT).as_posix(), "<module>")
+    return sites
+
+
+def test_one_call_observes_the_trotter_loop():
+    """``evolution.grid_series`` is the one series of grid moments; a second
+    observer of ``evolve_trotter`` would be a second series, with its own
+    times, moments and margins."""
+    sites = _keyword_call_sites("evolve_trotter", "observe")
+    assert sites == ["src/liouspace/evolution.py:grid_series"]
+
+
 def test_cli_import_leaves_out_heavy_scipy_modules():
     """scipy and each of its submodules cost start-up time and memory; the
     CLI must not load one before a route needs it."""

@@ -48,9 +48,8 @@ def test_script_writes_csv(tmp_path, monkeypatch, name, t_end, n_out, header):
     with open(out, newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == header
-    # quartic_cl_vs_qm writes the n_out evolved times, the others t = 0 too
-    n_rows = n_out if name == "quartic_cl_vs_qm" else n_out + 1
-    assert len(rows) == 1 + n_rows
+    assert len(rows) == 1 + n_out + 1  # t = 0 and the n_out evolved times
+    assert float(rows[1][0]) == 0.0
     assert all(len(row) == len(header) for row in rows[1:])
     assert float(rows[-1][0]) == pytest.approx(t_end, rel=1e-12)
     assert all(float(cell) == float(cell) for row in rows[1:] for cell in row)  # no NaN
