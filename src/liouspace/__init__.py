@@ -44,7 +44,6 @@ from .liouvillian import (
     BasisLiouvillian,
     grid_liouvillian,
     spectral_symmetry_defect,
-    spectrum,
 )
 from .evolution import (
     CharacteristicsEnsemble,
@@ -58,11 +57,9 @@ from .evolution import (
     grid_series,
 )
 from .superprop import (
-    FirstOrderCoefficients,
     PropagatorPoint,
     apply_free_superpropagator,
     dyson_first_order_numeric,
-    first_order_coefficients,
     first_order_superpropagator,
     free_propagator,
     free_superpropagator,

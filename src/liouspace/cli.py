@@ -31,6 +31,7 @@ from .liouvillian import grid_liouvillian
 from .potential import (
     PolynomialPotential,
     SuperPotentialKind,
+    e_superoperator,
     e_vanishes_identically,
     super_potential,
 )
@@ -115,8 +116,8 @@ def parse_config(path) -> tuple[str, dict]:
 
     Returns the scenario and its defaults updated by the config.  Each value
     has the type of its default, as the flag does: an integer where the
-    default is one, a number (an integer widens to float) for a float, a
-    string for a string, and ``potential`` also takes its object form.
+    default is one, a number (an integer widens to float) for a float, and a
+    string for a string, so ``potential`` is a spec such as "poly:0,0,0.5".
     """
     try:
         raw = json.loads(Path(path).read_text())
@@ -127,35 +128,29 @@ def parse_config(path) -> tuple[str, dict]:
     if not isinstance(raw, dict) or "scenario" not in raw:
         raise ParseError(f"{path}: config must be an object with a 'scenario' key")
     scenario = raw.pop("scenario")
-    if scenario not in DEFAULTS:
-        raise ParseError(f"{path}: unknown scenario {scenario!r}")
+    if type(scenario) is not str or scenario not in DEFAULTS:
+        raise ParseError(f"{path}: unknown scenario {json.dumps(scenario)}")
     params = dict(DEFAULTS[scenario])
     for key, value in raw.items():
         if key not in params:
             raise UnknownKey(f"{path}: unknown key {key!r} for scenario {scenario!r}")
-        kind = type(params[key])
+        default = params[key]
+        kind = type(default)
         if kind is float and type(value) is int:
             value = float(value)
-        if type(value) is not kind and not (key == "potential" and type(value) is dict):
+        if type(value) is not kind:
             expected = {int: "an integer", float: "a number", str: "a string"}[kind]
-            if key == "potential":
-                expected += " or an object"
-            raise ParseError(f"{path}: {key}={json.dumps(value)} must be {expected}")
+            raise ParseError(
+                f"{path}: {key}={json.dumps(value)} must be {expected}, "
+                f"like its default {json.dumps(default)}"
+            )
         params[key] = value
     return scenario, params
 
 
-def parse_potential_spec(spec) -> PolynomialPotential:
-    """Flag form "free" / "harmonic:k" / "quartic:lam" / "poly:c0,c1,...",
-    or the config-file object form {"type": "polynomial", "coeffs": [...]}."""
-    if isinstance(spec, dict):
-        kind = spec.get("type")
-        if kind == "polynomial":
-            try:
-                return PolynomialPotential(tuple(float(c) for c in spec["coeffs"]))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise UsageError(f"bad polynomial potential object: {exc}") from exc
-        raise UsageError(f"unknown potential type {kind!r}")
+def parse_potential_spec(spec: str) -> PolynomialPotential:
+    """A potential spec, in a flag and a config file alike: "free",
+    "harmonic:k", "quartic:lam" or "poly:c0,c1,..."."""
     name, _, arg = spec.partition(":")
     try:
         if name == "free":
@@ -230,20 +225,25 @@ class RunContext:
 def run_superop(ctx: RunContext) -> None:
     p = ctx.params
     v = parse_potential_spec(p["potential"])
+    kind = SuperPotentialKind(p["kind"])
     grid = SuperGrid.centered(p["grid_span"], p["grid_n"])
-    op = grid_liouvillian(v, grid, SuperPotentialKind(p["kind"]))
-    e = np.zeros((grid.n, grid.n)) if op.e is None else op.e
     pts = grid.points
+    if kind is SuperPotentialKind.CL:
+        e = e_superoperator(v, pts[:, None], pts[None, :])
+    else:
+        e = np.zeros((grid.n, grid.n))
     v_qm = super_potential(v, SuperPotentialKind.QM, pts[:, None], pts[None, :])
     serialize.save_real_matrix(ctx.path("superop_e.csv"), e)
     serialize.save_real_matrix(ctx.path("superop_vqm.csv"), v_qm)
     if grid.n <= 16:  # dense n^2 x n^2 export stays inspectable at this size
-        serialize.save_complex_matrix(ctx.path("superop_liouvillian.csv"), op.dense())
+        dense = grid_liouvillian(v, grid, kind).dense()
+        serialize.save_complex_matrix(ctx.path("superop_liouvillian.csv"), dense)
     else:
         ctx.notes.append("dense Liouvillian export skipped (grid_n > 16)")
     # a property of the potential, not a pass/fail result
     ctx.notes.append(f"e_vanishes_identically = {e_vanishes_identically(v)}")
-    ctx.checks["e_antisymmetric"] = bool(np.max(np.abs(e + e.T)) < 1e-12)
+    antisymmetry = np.max(np.abs(e + e.T))
+    ctx.checks["e_antisymmetric"] = bool(antisymmetry < validate_mod.E_ANTISYMMETRY_TOL)
     ctx.notes.append(f"max |E| on grid = {float(np.max(np.abs(e))):.6g}")
 
 
@@ -253,7 +253,7 @@ def _record_series(ctx: RunContext, name: str, dim: int, columns, solver_path, m
     serialize.write_csv(ctx.path(name), np.column_stack([*columns.values()]), header=[*columns])
     ctx.solver_path, ctx.generator_dim = solver_path, dim
     ctx.margins.update(margins)
-    ctx.checks["trace_conserved_1e-8"] = margins["max_trace_drift"] < 1e-8
+    ctx.checks["trace_conserved_1e-8"] = margins["max_trace_drift"] < validate_mod.CONSERVATION_TOL
 
 
 def run_evolve(ctx: RunContext) -> None:
@@ -276,7 +276,9 @@ def run_evolve(ctx: RunContext) -> None:
     _record_series(ctx, "evolve_series.csv", grid.n**2, *series)
     serialize.save_super_density(ctx.outdir / "evolve_final", sd, hbar, mass)
     ctx.outputs += ["evolve_final.csv", "evolve_final.json"]
-    ctx.checks["hermiticity_1e-8"] = ctx.margins["max_hermiticity_defect"] < 1e-8
+    ctx.checks["hermiticity_1e-8"] = (
+        ctx.margins["max_hermiticity_defect"] < validate_mod.CONSERVATION_TOL
+    )
     ctx.checks["boundary_mass_ok"] = ctx.margins["max_boundary_mass"] < 1e-6
 
 
@@ -323,7 +325,7 @@ def run_propagator(ctx: RunContext) -> None:
     )
     defect = np.max([row[-2:] for row in rows])
     ctx.margins["max_relative_defect"] = defect
-    ctx.checks["first_order_matches_dyson_1e-3"] = defect < 1e-3
+    ctx.checks["first_order_matches_dyson_1e-3"] = defect < validate_mod.DYSON_TOL
 
 
 def run_jc(ctx: RunContext) -> None:

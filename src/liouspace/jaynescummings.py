@@ -125,16 +125,6 @@ def build_jc_hamiltonian(p: JCParams) -> np.ndarray:
     return h
 
 
-def _coherence_mask(p: JCParams, value: complex) -> np.ndarray:
-    """dim x dim mask: ``value`` on both coherence blocks (eg and ge), 0 on
-    the atom-diagonal blocks."""
-    f = p.fock_dim
-    mask = np.zeros((2, f, 2, f), dtype=complex)
-    mask[ATOM_E, :, ATOM_G, :] = value
-    mask[ATOM_G, :, ATOM_E, :] = value
-    return mask.reshape(p.dim, p.dim)
-
-
 def jc_liouvillian(p: JCParams) -> BasisLiouvillian:
     """The model's generator as CL = QM + E: h = H_JC + Re(eps_egeg) P_e (x) 1
     and E = i Im(eps_egeg) on both coherence blocks, elementwise in the
@@ -145,7 +135,10 @@ def jc_liouvillian(p: JCParams) -> BasisLiouvillian:
     h = build_jc_hamiltonian(p) + shift
     if p.eps_egeg.imag == 0:
         return BasisLiouvillian(h)
-    return BasisLiouvillian(h, _coherence_mask(p, 1j * p.eps_egeg.imag))
+    f = p.fock_dim
+    e = np.zeros((2, f, 2, f), dtype=complex)  # 0 on the atom-diagonal blocks
+    e[ATOM_E, :, ATOM_G, :] = e[ATOM_G, :, ATOM_E, :] = 1j * p.eps_egeg.imag
+    return BasisLiouvillian(h, e.reshape(p.dim, p.dim))
 
 
 def jc_evolve_first_order(p: JCParams, rho0: np.ndarray, t: float) -> np.ndarray:
@@ -333,13 +326,20 @@ def jc_series(
 
 
 def coherent_field_density(alpha: complex, n_max: int) -> np.ndarray:
-    """|alpha><alpha| truncated to n_max and renormalized."""
+    """|alpha><alpha| truncated to n_max and renormalized.
+
+    The amplitudes alpha^n / sqrt(n!) are formed as logarithms and scaled
+    by the largest before exponentiating, so no |alpha| overflows them or
+    underflows all of them; alpha = 0 gives the vacuum exactly.
+    """
     if not np.isfinite(alpha):
         raise ValueError(f"alpha={alpha} must be finite")
     n = np.arange(n_max + 1)
-    log_fact = np.cumsum(np.log(np.maximum(n, 1)))
-    amp = np.exp(-0.5 * abs(alpha) ** 2 + n * np.log(complex(alpha)) - 0.5 * log_fact) \
-        if alpha != 0 else np.eye(n_max + 1)[0].astype(complex)
+    if alpha == 0:
+        amp = (n == 0).astype(complex)
+    else:
+        log_amp = n * np.log(complex(alpha)) - 0.5 * np.cumsum(np.log(np.maximum(n, 1)))
+        amp = np.exp(log_amp - np.max(log_amp.real))
     psi = amp / np.linalg.norm(amp)
     return np.outer(psi, psi.conj())
 

@@ -28,13 +28,6 @@ from .superspace import SuperGrid, spectral_derivative_matrix
 MAX_DENSE_VEC_DIM = 4096
 
 
-def check_dense_dim(vec_dim: int) -> None:
-    """Refuse a dense (vec_dim x vec_dim) superoperator above the cap;
-    call before allocating it."""
-    if vec_dim > MAX_DENSE_VEC_DIM:
-        raise DimensionTooLarge(f"vectorized dimension {vec_dim} exceeds {MAX_DENSE_VEC_DIM}")
-
-
 @dataclass
 class BasisLiouvillian:
     """L rho = h rho - rho h + U (E o (U^T rho U)) U^T in an N-dim basis.
@@ -88,7 +81,8 @@ class BasisLiouvillian:
         before allocating.
         """
         n = self.n
-        check_dense_dim(n * n)
+        if n * n > MAX_DENSE_VEC_DIM:
+            raise DimensionTooLarge(f"vectorized dimension {n * n} exceeds {MAX_DENSE_VEC_DIM}")
         eye = np.eye(n)
         gen = np.kron(self.h, eye) - np.kron(eye, self.h.T)
         if self.e is None:
@@ -119,11 +113,6 @@ def grid_liouvillian(
     if kind is SuperPotentialKind.CL:
         e = e_superoperator(v, pts[:, None], pts[None, :]) / hbar
     return BasisLiouvillian(h, e)
-
-
-def spectrum(liouville) -> np.ndarray:
-    """Eigenvalues of the dense superoperator (complex, unsorted)."""
-    return np.linalg.eigvals(liouville.dense())
 
 
 def spectral_symmetry_defect(eigvals: np.ndarray) -> float:

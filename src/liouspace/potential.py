@@ -89,9 +89,6 @@ class PolynomialPotential:
             return PolynomialPotential((0.0,))
         return PolynomialPotential(tuple(npoly.polyder(self.coefficients)))
 
-    def derivative_value(self, x):
-        return self.derivative().value(x)
-
     @classmethod
     def free(cls) -> "PolynomialPotential":
         return cls((0.0,))
@@ -116,7 +113,7 @@ def super_potential(v: PolynomialPotential, kind: SuperPotentialKind, q_bra, q_k
     q_ket = np.asarray(q_ket, dtype=float)
     if kind is SuperPotentialKind.QM:
         return v.value(q_bra) - v.value(q_ket)
-    return (q_bra - q_ket) * v.derivative_value(0.5 * (q_bra + q_ket))
+    return (q_bra - q_ket) * v.derivative().value(0.5 * (q_bra + q_ket))
 
 
 def e_superoperator(v: PolynomialPotential, q_bra, q_ket):

@@ -45,18 +45,6 @@ class PropagatorPoint:
             raise ValueError(f"mass={self.mass} and hbar={self.hbar} must be finite and > 0")
 
 
-@dataclass(frozen=True)
-class FirstOrderCoefficients:
-    c1: float
-    c2: float
-
-
-def first_order_coefficients(kind: SuperPotentialKind) -> FirstOrderCoefficients:
-    if kind is SuperPotentialKind.QM:
-        return FirstOrderCoefficients(1.0, 0.0)
-    return FirstOrderCoefficients(0.5, 0.5)
-
-
 def free_propagator(x, y, duration: float, mass: float = 1.0, hbar: float = 1.0):
     """G0(x, y; T) = (m / 2 pi i hbar T)^(1/2) exp(i m (x-y)^2 / 2 hbar T).
 
@@ -132,9 +120,12 @@ def gamma_cl(pt: PropagatorPoint) -> complex:
 def first_order_superpropagator(
     pt: PropagatorPoint, lam: float, kind: SuperPotentialKind
 ) -> complex:
-    """G0 * (1 - (i/hbar) lam [C1 Gamma_QM + C2 Gamma_CL])."""
-    coeff = first_order_coefficients(kind)
-    combo = coeff.c1 * gamma_qm(pt) + coeff.c2 * gamma_cl(pt)
+    """G0 * (1 - (i/hbar) lam [C1 Gamma_QM + C2 Gamma_CL]), with
+    (C1, C2) = (1, 0) for quantum and (1/2, 1/2) for classical dynamics."""
+    if kind is SuperPotentialKind.QM:
+        combo = gamma_qm(pt)
+    else:
+        combo = 0.5 * gamma_qm(pt) + 0.5 * gamma_cl(pt)
     return free_superpropagator(pt) * (1.0 - 1j * lam * combo / pt.hbar)
 
 

@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 
 import numpy as np
 import pytest
@@ -51,6 +52,20 @@ GUARD_MARGINS = {
     "jc": {"max_fock_leak"},
     "bipartite": {"max_top_level_population_cl", "max_top_level_population_qm"},
 }
+
+
+# one JSON value of each type, and the ones each flag type accepts
+JSON_VALUES = ["null", "true", "1", "1.5", '"x"', "[]", "{}"]
+ACCEPTED = {int: {"1"}, float: {"1", "1.5"}, str: {'"x"'}}
+# (scenario, key, value): the scenario key refuses all seven, and every
+# parameter the values of another type than its flag's
+WRONG_TYPE_CASES = [("evolve", "scenario", v) for v in JSON_VALUES] + [
+    (scenario, key, v)
+    for scenario, params in DEFAULTS.items()
+    for key, default in params.items()
+    for v in JSON_VALUES
+    if v not in ACCEPTED[type(default)]
+]
 
 
 def stub_check(ok):
@@ -128,6 +143,16 @@ class TestParseConfig:
         assert f"{key}={json.dumps(value)} must be" in capsys.readouterr().err
         assert not (tmp_path / scenario).exists()
 
+    @pytest.mark.parametrize("scenario, key, value", WRONG_TYPE_CASES)
+    def test_value_of_a_wrong_json_type_is_a_config_error(self, tmp_path, scenario, key, value):
+        """A list or object scenario once raised TypeError (unhashable) from
+        the DEFAULTS lookup, a traceback and exit 1."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"scenario": scenario, key: json.loads(value)}))
+        argv = [scenario, "--config", str(cfg), "--outdir", str(tmp_path / "out")]
+        assert run(argv) == EXIT_USAGE
+        assert not (tmp_path / "out").exists()
+
     def test_integer_widens_to_a_float_value(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"scenario": "jc", "t": 1, "steps": 5}))
@@ -148,16 +173,10 @@ class TestPotentialSpec:
         code = run(["evolve", "--potential", "cubic", "--outdir", str(tmp_path)])
         assert code == EXIT_USAGE
 
-    def test_config_object_form(self, tmp_path):
+    def test_config_spec_string(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(
-            json.dumps(
-                {
-                    "scenario": "superop",
-                    "potential": {"type": "polynomial", "coeffs": [0.0, 0.0, 0.5]},
-                    "grid_n": 16,
-                }
-            )
+            json.dumps({"scenario": "superop", "potential": "poly:0,0,0.5", "grid_n": 16})
         )
         code = run(["superop", "--config", str(cfg), "--outdir", str(tmp_path)])
         assert code == EXIT_OK
@@ -169,15 +188,17 @@ class TestPotentialSpec:
         # dense Liouvillian exported for small grids
         assert "superop_liouvillian.csv" in manifest["outputs"]
 
-    def test_coulomb_object_rejected_for_grid_scenarios(self, tmp_path):
+    @pytest.mark.parametrize("potential", [
+        {"type": "polynomial", "coeffs": [0.0, 0.0, 0.5]},
+        {"type": "coulomb", "e2": 1.0},
+    ])
+    def test_potential_object_must_be_a_string(self, tmp_path, capsys, potential):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(
-            json.dumps(
-                {"scenario": "superop", "potential": {"type": "coulomb", "e2": 1.0}}
-            )
-        )
+        cfg.write_text(json.dumps({"scenario": "superop", "potential": potential}))
         code = run(["superop", "--config", str(cfg), "--outdir", str(tmp_path)])
         assert code == EXIT_USAGE
+        assert 'must be a string, like its default "quartic:1.0"' in capsys.readouterr().err
+        assert not (tmp_path / "superop").exists()
 
 
 class TestScenarios:
@@ -363,6 +384,19 @@ class TestScenarios:
             ["jc", "--init", "coherent:2.5", "--n-max", "3", "--outdir", str(tmp_path)]
         )
         assert code == EXIT_GUARD
+
+    @pytest.mark.parametrize("argv", [
+        ["jc", "--init", "coherent:1e155"],
+        ["jc", "--init", "coherent:40"],
+        ["bipartite", "--alpha1", "1e160"],
+    ])
+    def test_far_coherent_state_aborts_on_a_finite_leak(self, tmp_path, capsys, argv):
+        """The coherent amplitudes once overflowed (an OverflowError
+        traceback) or underflowed to a NaN state (leaked nan)."""
+        assert run([*argv, "--outdir", str(tmp_path)]) == EXIT_GUARD
+        leaked = re.search(r"leaked (\S+) at t=0,", capsys.readouterr().err).group(1)
+        assert np.isfinite(float(leaked))
+        assert not (tmp_path / argv[0]).exists()
 
     def test_jc_guard_abort_on_mid_run_leak(self, tmp_path, capsys):
         """|e,2> at n_max 4 holds nothing in the top Fock levels; the dipole
@@ -606,8 +640,8 @@ class TestScenarios:
         assert not (tmp_path / "evolve").exists()
 
     @pytest.mark.parametrize("potential", [
-        '{"type": "polynomial", "coeffs": [0, NaN]}',
-        '{"type": "polynomial", "coeffs": [0, 0, Infinity]}',
+        '"poly:0,nan"',
+        '"poly:0,0,inf"',
         '"quartic:nan"',
     ])
     def test_non_finite_config_potential_is_usage_error(self, tmp_path, potential):

@@ -558,6 +558,28 @@ class TestGuards:
         mean_n = float(np.real(np.sum(np.arange(n_max + 1) * np.diag(rho))))
         assert mean_n == pytest.approx(abs(alpha) ** 2, abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "alpha, n_max", [(0.75, 12), (0.5 + 0.3j, 4), (0.1414, 5), (2.0, 30), (-0.4j, 8)]
+    )
+    def test_coherent_field_matches_the_direct_amplitudes(self, alpha, n_max):
+        """The log-scaled amplitudes against e^{-|alpha|^2/2} alpha^n / sqrt(n!)
+        taken directly, which moderate alphas keep in range."""
+        amp = np.exp(-0.5 * abs(alpha) ** 2) * np.array(
+            [alpha**k / math.sqrt(math.factorial(k)) for k in range(n_max + 1)]
+        )
+        psi = amp / np.linalg.norm(amp)
+        want = np.outer(psi, psi.conj())
+        np.testing.assert_allclose(coherent_field_density(alpha, n_max), want, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("alpha, top", [(40.0, 0.9925047), (1e155, 1.0), (-1e300, 1.0)])
+    def test_far_coherent_field_is_finite(self, alpha, top):
+        """e^{-|alpha|^2/2} alpha^n once overflowed (1e155) or underflowed to
+        a NaN state (40); the truncated state piles onto the top level."""
+        rho = coherent_field_density(alpha, 12)
+        assert np.all(np.isfinite(rho))
+        assert np.trace(rho).real == pytest.approx(1.0, abs=1e-14)
+        assert rho[-1, -1].real == pytest.approx(top, abs=1e-7)
+
 
 class TestHydrogenStates:
     def test_quantum_number_validation(self):

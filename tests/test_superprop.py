@@ -7,7 +7,6 @@ from liouspace.superprop import (
     PropagatorPoint,
     apply_free_superpropagator,
     dyson_first_order_numeric,
-    first_order_coefficients,
     first_order_superpropagator,
     free_moment_integral,
     free_propagator,
@@ -114,11 +113,24 @@ class TestGammaFunctions:
             assert gamma_qm(pt) == pytest.approx(-np.conj(gamma_qm(sw)), abs=1e-12)
             assert gamma_cl(pt) == pytest.approx(-np.conj(gamma_cl(sw)), abs=1e-12)
 
-    def test_coefficients(self):
-        assert first_order_coefficients(SuperPotentialKind.QM).c1 == 1.0
-        assert first_order_coefficients(SuperPotentialKind.QM).c2 == 0.0
-        assert first_order_coefficients(SuperPotentialKind.CL).c1 == 0.5
-        assert first_order_coefficients(SuperPotentialKind.CL).c2 == 0.5
+    @pytest.mark.parametrize(
+        "kind, c1_c2", [(SuperPotentialKind.QM, (1.0, 0.0)), (SuperPotentialKind.CL, (0.5, 0.5))]
+    )
+    def test_coefficients(self, kind, c1_c2):
+        """(C1, C2) solved from G = G0 (1 - (i/hbar) lam [C1 Gamma_QM +
+        C2 Gamma_CL]) at two points."""
+        lam = 0.3
+        pts = [
+            PropagatorPoint(0.4, -0.2, 0.9, 0.3, 0.7, hbar=1.1),
+            PropagatorPoint(-1.0, 0.5, 0.2, 0.8, 1.3, mass=0.9),
+        ]
+        combos = [
+            (1.0 - first_order_superpropagator(pt, lam, kind) / free_superpropagator(pt))
+            * pt.hbar / (1j * lam)
+            for pt in pts
+        ]
+        gammas = [[gamma_qm(pt), gamma_cl(pt)] for pt in pts]
+        np.testing.assert_allclose(np.linalg.solve(gammas, combos), c1_c2, rtol=0, atol=1e-12)
 
 
 class TestFirstOrder:
