@@ -31,7 +31,6 @@ from .liouvillian import grid_liouvillian
 from .potential import (
     PolynomialPotential,
     SuperPotentialKind,
-    e_superoperator,
     e_vanishes_identically,
     super_potential,
 )
@@ -225,25 +224,21 @@ class RunContext:
 def run_superop(ctx: RunContext) -> None:
     p = ctx.params
     v = parse_potential_spec(p["potential"])
-    kind = SuperPotentialKind(p["kind"])
     grid = SuperGrid.centered(p["grid_span"], p["grid_n"])
+    op = grid_liouvillian(v, grid, SuperPotentialKind(p["kind"]))
+    e = np.zeros((grid.n, grid.n)) if op.e is None else op.e
     pts = grid.points
-    if kind is SuperPotentialKind.CL:
-        e = e_superoperator(v, pts[:, None], pts[None, :])
-    else:
-        e = np.zeros((grid.n, grid.n))
     v_qm = super_potential(v, SuperPotentialKind.QM, pts[:, None], pts[None, :])
     serialize.save_real_matrix(ctx.path("superop_e.csv"), e)
     serialize.save_real_matrix(ctx.path("superop_vqm.csv"), v_qm)
     if grid.n <= 16:  # dense n^2 x n^2 export stays inspectable at this size
-        dense = grid_liouvillian(v, grid, kind).dense()
-        serialize.save_complex_matrix(ctx.path("superop_liouvillian.csv"), dense)
+        serialize.save_complex_matrix(ctx.path("superop_liouvillian.csv"), op.dense())
     else:
         ctx.notes.append("dense Liouvillian export skipped (grid_n > 16)")
     # a property of the potential, not a pass/fail result
     ctx.notes.append(f"e_vanishes_identically = {e_vanishes_identically(v)}")
-    antisymmetry = np.max(np.abs(e + e.T))
-    ctx.checks["e_antisymmetric"] = bool(antisymmetry < validate_mod.E_ANTISYMMETRY_TOL)
+    antisymmetry = validate_mod.e_antisymmetry_defect(e, e.T)
+    ctx.checks["e_antisymmetric"] = antisymmetry < validate_mod.E_ANTISYMMETRY_TOL
     ctx.notes.append(f"max |E| on grid = {float(np.max(np.abs(e))):.6g}")
 
 

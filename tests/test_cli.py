@@ -57,9 +57,9 @@ GUARD_MARGINS = {
 # one JSON value of each type, and the ones each flag type accepts
 JSON_VALUES = ["null", "true", "1", "1.5", '"x"', "[]", "{}"]
 ACCEPTED = {int: {"1"}, float: {"1", "1.5"}, str: {'"x"'}}
-# (scenario, key, value): the scenario key refuses all seven, and every
-# parameter the values of another type than its flag's
-WRONG_TYPE_CASES = [("evolve", "scenario", v) for v in JSON_VALUES] + [
+# (scenario, key, value): every parameter with each value of another type
+# than its flag's
+WRONG_TYPE_CASES = [
     (scenario, key, v)
     for scenario, params in DEFAULTS.items()
     for key, default in params.items()
@@ -110,6 +110,19 @@ class TestParseConfig:
         with pytest.raises(ParseError):
             parse_config(path)
 
+    @pytest.mark.parametrize("value", [v for v in JSON_VALUES if v != '"x"'])
+    def test_scenario_of_another_type_than_a_string_is_config_error(
+        self, tmp_path, capsys, value
+    ):
+        """A list or object scenario once raised TypeError (unhashable) from
+        the DEFAULTS lookup, a traceback and exit 1."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(f'{{"scenario": {value}}}')
+        argv = ["evolve", "--config", str(cfg), "--outdir", str(tmp_path / "out")]
+        assert run(argv) == EXIT_USAGE
+        assert f"unknown scenario {value}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_resolved_config_round_trips(self, tmp_path):
         """A manifest's config object parses back to the parameters it ran."""
         path = tmp_path / "cfg.json"
@@ -121,37 +134,16 @@ class TestParseConfig:
         emitted.write_text(json.dumps(manifest["config"]))
         assert parse_config(emitted) == resolved
 
-    @pytest.mark.parametrize(
-        "scenario, key, value",
-        [
-            ("jc", "steps", 200.9),
-            ("jc", "n_max", 4.7),
-            ("evolve", "t", True),
-            ("bipartite", "omega", "inf"),
-            ("propagator", "seed", 3.7),
-            # a string default stays a string, as on the command line
-            ("bipartite", "alpha1", 0.3),
-        ],
-    )
+    @pytest.mark.parametrize("scenario, key, value", WRONG_TYPE_CASES)
     def test_value_of_another_type_than_its_flag_is_usage_error(
         self, tmp_path, capsys, scenario, key, value
     ):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"scenario": scenario, key: value}))
+        cfg.write_text(f'{{"scenario": "{scenario}", "{key}": {value}}}')
         argv = [scenario, "--config", str(cfg), "--outdir", str(tmp_path)]
         assert run(argv) == EXIT_USAGE
-        assert f"{key}={json.dumps(value)} must be" in capsys.readouterr().err
+        assert f"{key}={value} must be" in capsys.readouterr().err
         assert not (tmp_path / scenario).exists()
-
-    @pytest.mark.parametrize("scenario, key, value", WRONG_TYPE_CASES)
-    def test_value_of_a_wrong_json_type_is_a_config_error(self, tmp_path, scenario, key, value):
-        """A list or object scenario once raised TypeError (unhashable) from
-        the DEFAULTS lookup, a traceback and exit 1."""
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"scenario": scenario, key: json.loads(value)}))
-        argv = [scenario, "--config", str(cfg), "--outdir", str(tmp_path / "out")]
-        assert run(argv) == EXIT_USAGE
-        assert not (tmp_path / "out").exists()
 
     def test_integer_widens_to_a_float_value(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -436,6 +428,19 @@ class TestScenarios:
         assert "e_vanishes_identically = True" in manifest["notes"]
         data = np.loadtxt(tmp_path / "superop" / "superop_e.csv", delimiter=",")
         assert np.max(np.abs(data)) < 1e-12
+
+    @pytest.mark.parametrize("grid_n", ["16", "32"])
+    def test_superop_refuses_an_overflowing_potential_before_any_output(
+        self, tmp_path, capsys, grid_n
+    ):
+        """V overflows to inf on the diagonal of h: the generator is built,
+        and refused, before the first CSV, at every grid size."""
+        argv = ["superop", "--potential", "poly:0,0,1e305", "--grid-span", "1000"]
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = run(argv + ["--grid-n", grid_n, "--outdir", str(tmp_path)])
+        assert code == EXIT_VALIDATION
+        assert "not Hermitian" in capsys.readouterr().err
+        assert not (tmp_path / "superop").exists()
 
     def test_propagator_outputs(self, tmp_path):
         code = run(
