@@ -238,6 +238,7 @@ def run_superop(ctx: RunContext) -> None:
     # a property of the potential, not a pass/fail result
     ctx.notes.append(f"e_vanishes_identically = {e_vanishes_identically(v)}")
     antisymmetry = validate_mod.e_antisymmetry_defect(e, e.T)
+    ctx.margins["max_e_antisymmetry_defect"] = antisymmetry
     ctx.checks["e_antisymmetric"] = antisymmetry < validate_mod.E_ANTISYMMETRY_TOL
     ctx.notes.append(f"max |E| on grid = {float(np.max(np.abs(e))):.6g}")
 
@@ -274,18 +275,22 @@ def run_evolve(ctx: RunContext) -> None:
     ctx.checks["hermiticity_1e-8"] = (
         ctx.margins["max_hermiticity_defect"] < validate_mod.CONSERVATION_TOL
     )
-    ctx.checks["boundary_mass_ok"] = ctx.margins["max_boundary_mass"] < 1e-6
+    ctx.checks["boundary_mass_ok"] = (
+        ctx.margins["max_boundary_mass"] < validate_mod.BOUNDARY_MASS_TOL
+    )
 
 
 def run_propagator(ctx: RunContext) -> None:
     p = ctx.params
     rng = np.random.Generator(np.random.Philox(p["seed"]))
-    lam, t_end, n_points = p["lam"], p["t"], p["n_points"]
+    lam, t_end, n_points, span = p["lam"], p["t"], p["n_points"], p["span"]
     if n_points < 1:
         raise UsageError(f"n_points={n_points} must be >= 1")
+    if span <= 0:
+        raise UsageError(f"span={span} must be > 0")
     rows = []
     for _ in range(n_points):
-        ends = rng.uniform(-p["span"], p["span"], size=4)
+        ends = rng.uniform(-span, span, size=4)
         pt = superprop.PropagatorPoint(*ends, duration=t_end, mass=p["mass"], hbar=p["hbar"])
         g0 = superprop.free_superpropagator(pt)
         gq = superprop.gamma_qm(pt)
@@ -340,7 +345,9 @@ def run_jc(ctx: RunContext) -> None:
     series = jc.jc_series(params, rho0, p["t"], p["steps"])
     _record_series(ctx, "jc_series.csv", params.dim**2, *series)
     # a complex eps makes the generator non-Hermitian and can raise purity
-    ctx.checks["purity_at_most_1_1e-8"] = ctx.margins["max_purity"] <= 1.0 + 1e-8
+    ctx.checks["purity_at_most_1_1e-8"] = (
+        ctx.margins["max_purity"] <= 1.0 + validate_mod.PURITY_TOL
+    )
 
 
 def run_bipartite(ctx: RunContext) -> None:

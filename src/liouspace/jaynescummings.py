@@ -86,8 +86,11 @@ class JCParams:
     eps_egeg: complex = 0.0
 
     def __post_init__(self) -> None:
-        if self.n_max < 1:
-            raise ValueError("n_max must be >= 1")
+        if self.n_max < FOCK_LEAK_LEVELS:
+            # below it the leak guard watches every Fock level, the vacuum too
+            raise ValueError(
+                f"n_max={self.n_max} must be >= FOCK_LEAK_LEVELS = {FOCK_LEAK_LEVELS}"
+            )
         for name in ("omega_e", "omega", "d_eg", "eps_egeg"):
             value = getattr(self, name)
             if not np.isfinite(value):

@@ -27,12 +27,17 @@ from . import (
 from .potential import MonomialClass, PolynomialPotential, SuperPotentialKind
 
 PURE_CLASSES = (MonomialClass.PURE_BRA, MonomialClass.PURE_KET)
-# Bounds used beyond this module: the CLI's manifest checks take the first
-# three, and the benchmark's grid oracle restates the last.  The CLI's check
-# names spell the first two (trace_conserved_1e-8, hermiticity_1e-8,
-# first_order_matches_dyson_1e-3), so changing either renames those checks.
+# Bounds used beyond this module: the CLI's manifest checks take all but
+# the last, and the benchmark's grid oracle restates the last.  The CLI's
+# check names spell CONSERVATION_TOL, DYSON_TOL and PURITY_TOL
+# (trace_conserved_1e-8, hermiticity_1e-8, first_order_matches_dyson_1e-3,
+# purity_at_most_1_1e-8), so changing one renames those checks.
 # Largest |trace - 1| and Hermiticity defect of an evolved state.
 CONSERVATION_TOL = 1e-8
+# Largest |rho| on the outermost ring of an evolved grid state.
+BOUNDARY_MASS_TOL = 1e-6
+# Largest excess of a basis state's purity over 1.
+PURITY_TOL = 1e-8
 # Largest |closed form - Dyson quadrature| / |first-order correction|.
 DYSON_TOL = 1e-3
 # Largest e_antisymmetry_defect, |E(Q, q) + E(q, Q)| relative to max(1, |E|).

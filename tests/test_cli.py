@@ -45,6 +45,9 @@ MARGIN_CHECKS = {
     "propagator": {
         "max_relative_defect": ("first_order_matches_dyson_1e-3", lambda v: v < 1e-3),
     },
+    "superop": {
+        "max_e_antisymmetry_defect": ("e_antisymmetric", lambda v: v < 1e-12),
+    },
 }
 # margins of the truncation guards, which abort a run (exit 2) instead of
 # failing a check: a finished run keeps each at or below LEAK_THRESHOLD
@@ -331,6 +334,23 @@ class TestScenarios:
         # a refused run leaves no scenario directory behind
         assert not (tmp_path / argv[0]).exists()
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["jc", "--n-max", "1", "--init", "g0"], "n_max=1 must be >= FOCK_LEAK_LEVELS = 2"),
+            (["propagator", "--span", "-1"], "span=-1.0 must be > 0"),
+            (["propagator", "--span", "0"], "span=0.0 must be > 0"),
+        ],
+        ids=["jc --n-max 1", "propagator --span -1", "propagator --span 0"],
+    )
+    def test_refusal_names_the_parameter(self, tmp_path, capsys, argv, message):
+        """jc --n-max 1 once aborted on the vacuum, whose Fock level the
+        leak guard watched (exit 2); propagator --span 0 ran on degenerate
+        points (exit 0), and --span -1 failed inside numpy."""
+        assert run(argv + ["--outdir", str(tmp_path)]) == EXIT_USAGE
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / argv[0]).exists()
+
     def test_qm_evolve_refuses_a_gaussian_that_is_no_state(self, tmp_path, capsys):
         """The default widths give sigma_x sigma_p = 0.24 < hbar / 2: a phase
         density, but an operator of purity 2.08."""
@@ -568,6 +588,7 @@ class TestScenarios:
             ["jc", "--n-max", "3", "--steps", "20", "--eps", "0.01,0.02"],
             ["bipartite", "--steps", "5"],
             ["propagator", "--n-points", "3"],
+            ["superop", "--grid-n", "16"],
         ],
         ids=" ".join,
     )
@@ -697,7 +718,7 @@ class TestScenarios:
         assert not any("thread request" in note for note in manifest["notes"])
         assert "seed" not in manifest
         assert "solver_path" not in manifest and "generator_dim" not in manifest
-        assert "margins" not in manifest
+        assert set(manifest["margins"]) == {"max_e_antisymmetry_defect"}
 
     def test_outdir_env_var(self, tmp_path, monkeypatch):
         monkeypatch.setenv("LIOUSPACE_OUTDIR", str(tmp_path / "env_out"))

@@ -81,9 +81,13 @@ class TestHamiltonian:
                 1j * 0.07 * np.sqrt(n + 1), abs=1e-14
             )
 
-    def test_empty_fock_space_rejected(self):
-        with pytest.raises(ValueError):
-            JCParams(omega_e=1.0, omega=1.0, d_eg=0.1, n_max=0)
+    @pytest.mark.parametrize("n_max", [0, jc_module.FOCK_LEAK_LEVELS - 1])
+    def test_fock_space_within_the_leak_guard_rejected(self, n_max):
+        """Below FOCK_LEAK_LEVELS the guard's top levels take in the vacuum,
+        so even the ground state would read as a leak."""
+        with pytest.raises(ValueError, match="FOCK_LEAK_LEVELS"):
+            JCParams(omega_e=1.0, omega=1.0, d_eg=0.1, n_max=n_max)
+        JCParams(omega_e=1.0, omega=1.0, d_eg=0.1, n_max=jc_module.FOCK_LEAK_LEVELS)
 
     @pytest.mark.parametrize("eps_egeg", [0.01 - 0.02j, 0.05 + 0.05j, -0.32j])
     def test_superoperator_keeps_trace_and_hermiticity(self, eps_egeg):
@@ -351,17 +355,17 @@ class TestExactEvolution:
             # omega_e = omega: every two-state sector is degenerate, w_k = 0
             (0.9, 0.0, 4, [[0.4, 0.2 - 0.3j], [0.2 + 0.3j, 0.6]]),
             (0.9, 0.08, 4, [[0.4, 0.0], [0.0, 0.6]]),
-            (1.1, 0.08, 1, [[0.0, 0.0], [0.0, 1.0]]),
+            (1.1, 0.08, 2, [[0.0, 0.0], [0.0, 1.0]]),
             (1.1, 0.08, 4, [[0.5, 0.5j], [-0.5j, 0.5]]),
         ],
-        ids=["d-zero", "resonant-d-zero", "resonant", "n-max-1", "atom-coherent"],
+        ids=["d-zero", "resonant-d-zero", "resonant", "n-max-2", "atom-coherent"],
     )
     def test_edge_cases_match_dense(self, omega_e, d_eg, n_max, atom, eps_egeg):
         p = JCParams(omega_e=omega_e, omega=0.9, d_eg=d_eg, n_max=n_max, eps_egeg=eps_egeg)
         field = np.zeros((p.fock_dim, p.fock_dim))
         field[0, 0] = 1.0
         rho0 = np.kron(np.asarray(atom, dtype=complex), field)
-        with pytest.MonkeyPatch.context() as mp:  # n_max 1: every level is a top level
+        with pytest.MonkeyPatch.context() as mp:  # n_max 2: |e,0> feeds |g,1>, a top level
             mp.setattr(jc_module, "LEAK_THRESHOLD", np.inf)
             cols, _, _ = jc_series(p, rho0, 4.0, 8)
         want = dense_states(p, rho0, cols["t"])
