@@ -427,7 +427,7 @@ def run(argv=None) -> int:
         RUNNERS[scenario](ctx)
         ctx.write_manifest()
         return EXIT_OK if all(ctx.checks.values()) else EXIT_VALIDATION
-    except UsageError as exc:
+    except (UsageError, ValueError) as exc:  # ValueError: a parameter the library rejects
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ParseError as exc:  # UnknownKey included
@@ -436,9 +436,6 @@ def run(argv=None) -> int:
     except TruncationLeak as exc:
         print(f"numerical guard abort: {exc}", file=sys.stderr)
         return EXIT_GUARD
-    except ValueError as exc:  # a parameter the library rejects
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except LiouspaceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

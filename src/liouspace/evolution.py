@@ -294,18 +294,13 @@ def evolve_characteristics(
     x = ensemble.x.copy()
     p = ensemble.p.copy()
     e0 = p**2 / 2 + v.value(x)
-    # force = -V'(x) in place, by the Horner steps of polyval
-    neg_dv = [-c for c in v.derivative().coefficients]
-    force, kick = np.empty_like(x), np.empty_like(x)
+    dv, kick = v.derivative(), np.empty_like(x)
     for step in range(n_steps + 1):
-        force.fill(neg_dv[-1])
-        for c in neg_dv[-2::-1]:
-            force *= x
-            force += c
+        slope = dv.value(x)  # V'(x), minus the force
         if step > 0:  # the closing half kick of the step before
-            p += np.multiply(force, 0.5 * dt, out=kick)
+            p -= np.multiply(slope, 0.5 * dt, out=kick)
         if step < n_steps:
-            p += np.multiply(force, 0.5 * dt, out=kick)
+            p -= np.multiply(slope, 0.5 * dt, out=kick)
             x += np.multiply(p, dt, out=kick)
     e1 = p**2 / 2 + v.value(x)
     scale = max(1.0, float(np.max(np.abs(e0))))

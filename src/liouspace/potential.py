@@ -81,8 +81,14 @@ class PolynomialPotential:
         return len(self.coefficients) - 1
 
     def value(self, x):
-        """Evaluate V(x) (Horner scheme, broadcasts over arrays)."""
-        return npoly.polyval(np.asarray(x, dtype=float), self.coefficients)
+        """V(x) by ``npoly.polyval``'s Horner steps, in place in one array."""
+        x = np.asarray(x, dtype=float)
+        out = x * 0
+        out += self.coefficients[-1]
+        for c in self.coefficients[-2::-1]:
+            out *= x
+            out += c
+        return out
 
     def derivative(self) -> "PolynomialPotential":
         if self.degree == 0:
@@ -107,13 +113,15 @@ class PolynomialPotential:
 def super_potential(v: PolynomialPotential, kind: SuperPotentialKind, q_bra, q_ket):
     """Superpotential V_kind(Q, q); broadcasts over array arguments.
 
-    QM: V(Q) - V(q).  CL: (Q - q) V'((Q + q)/2).
+    QM: V(Q) - V(q).  CL: (Q - q) V'((Q + q)/2), formed in place.
     """
     q_bra = np.asarray(q_bra, dtype=float)
     q_ket = np.asarray(q_ket, dtype=float)
     if kind is SuperPotentialKind.QM:
         return v.value(q_bra) - v.value(q_ket)
-    return (q_bra - q_ket) * v.derivative().value(0.5 * (q_bra + q_ket))
+    out = v.derivative().value(0.5 * (q_bra + q_ket))
+    out *= q_bra - q_ket  # two float arrays at most
+    return out
 
 
 def e_superoperator(v: PolynomialPotential, q_bra, q_ket):

@@ -41,6 +41,7 @@ class SuperGrid:
             raise ValueError(f"q_min={self.q_min} < q_max={self.q_max} must both be finite")
         if self.n < 2 or self.n % 2:
             raise ValueError("n must be a positive even integer")
+        _square("grid step dq", self.dq)  # moments scales the purity by dq^2
 
     @property
     def dq(self) -> float:
@@ -68,13 +69,16 @@ class SuperDensity:
             raise ValueError("values shape does not match grid")
 
 
+@functools.lru_cache(maxsize=8)
 def spectral_derivative_matrix(n: int, dq: float, order: int) -> np.ndarray:
-    """Dense periodic spectral d/dx (order 1) or d^2/dx^2 (order 2) on n points.
+    """Periodic spectral d/dx (order 1) or d^2/dx^2 (order 2) on n points.
 
     The matrix is circulant, D[a, c] = col[(a - c) mod n], and its column is
     one inverse FFT of (i k)^order.  Order 1 drops the unpaired Nyquist
     mode, so it is real antisymmetric; order 2 is real symmetric.  The
     column is (anti)symmetrised so the matrix has that symmetry exactly.
+    Row a is ext[n - a : 2n - a], ext = concat(D[0], D[0]): the matrix is a
+    read-only view of that length-2n vector, built once per grid and order.
     """
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")
@@ -84,17 +88,18 @@ def spectral_derivative_matrix(n: int, dq: float, order: int) -> np.ndarray:
     col = np.fft.ifft(1j * k if order == 1 else -(k**2)).real
     mirror = np.roll(col[::-1], 1)  # col[(-m) mod n]
     col = 0.5 * (col - mirror if order == 1 else col + mirror)
-    a = np.arange(n)
-    return col[np.subtract.outer(a, a) % n]
+    row0 = np.roll(col[::-1], 1)  # D[0, c] = col[(-c) mod n]
+    return np.lib.stride_tricks.sliding_window_view(np.concatenate((row0, row0)), n)[n:0:-1]
 
 
-@functools.lru_cache(maxsize=8)
-def _first_derivative_matrix(n: int, dq: float) -> np.ndarray:
-    """spectral_derivative_matrix(n, dq, 1), built once per grid and shared
-    read-only by every caller."""
-    d = spectral_derivative_matrix(n, dq, 1)
-    d.flags.writeable = False
-    return d
+def _square(name: str, value: float) -> float:
+    """value**2 of a finite value > 0 whose square is finite, else ValueError naming ``name``."""
+    if not 0 < value < np.inf:  # a NaN fails too
+        raise ValueError(f"{name}={value:g} must be finite and > 0")
+    try:
+        return float(value) ** 2
+    except OverflowError:
+        raise ValueError(f"{name}={value:g} is too large: its square overflows") from None
 
 
 def _row_blocks(n: int) -> list[slice]:
@@ -132,7 +137,7 @@ def moments(sd: SuperDensity, hbar: float = 1.0) -> Moments:
     max|rho|, which bounds the periodic wrap-around of the grid routes.
     """
     rho, dq, q = sd.values, sd.grid.dq, sd.grid.points
-    d = _first_derivative_matrix(sd.grid.n, dq)
+    d = spectral_derivative_matrix(sd.grid.n, dq, 1)
     peak, asym, purity, p = [], [], 0.0, 0.0
     for r in _row_blocks(len(rho)):
         block, col = rho[r], rho[:, r].T
@@ -163,12 +168,7 @@ def moments(sd: SuperDensity, hbar: float = 1.0) -> Moments:
 
 
 def gaussian_super_density(
-    sgrid: SuperGrid,
-    x0: float,
-    p0: float,
-    sigma_x: float,
-    sigma_p: float,
-    hbar: float = 1.0,
+    sgrid: SuperGrid, x0: float, p0: float, sigma_x: float, sigma_p: float, hbar: float = 1.0
 ) -> SuperDensity:
     """(Q, q) form of the Gaussian phase density
     W(x, p) = (hbar / (sx sp)) exp(-(x - x0)^2 / 2 sx^2 - (p - p0)^2 / 2 sp^2),
@@ -177,21 +177,28 @@ def gaussian_super_density(
     rho(Q, q) = N exp(-(m - x0)^2 / 2 sx^2) exp(i p0 y / hbar - sp^2 y^2 / 2 hbar^2)
     with m = (Q+q)/2, y = Q - q, N = 1/(sqrt(2 pi) sx).  It is a quantum
     state only when sx sp >= hbar / 2.  Raises ValueError unless x0 and p0
-    are finite, both widths are finite and positive, and hbar is finite and
-    positive.
+    are finite and sx, sp and hbar are finite and positive with finite
+    squares.
     """
     if not (np.isfinite(x0) and np.isfinite(p0)):
         raise ValueError(f"x0={x0:g} and p0={p0:g} must be finite")
-    if not (np.isfinite(sigma_x) and np.isfinite(sigma_p) and sigma_x > 0 and sigma_p > 0):
-        raise ValueError(f"sigma_x={sigma_x:g} and sigma_p={sigma_p:g} must be finite and > 0")
-    if not (np.isfinite(hbar) and hbar > 0):
-        raise ValueError(f"hbar={hbar:g} must be finite and > 0")
+    sx2, sp2 = _square("sigma_x", sigma_x), _square("sigma_p", sigma_p)
+    hbar2 = _square("hbar", hbar)
+    # the formula's operations in place, in one float and one complex array
     pts = sgrid.points
-    mid = 0.5 * np.add.outer(pts, pts)
-    y = np.subtract.outer(pts, pts)
-    vals = (
-        np.exp(-((mid - x0) ** 2) / (2 * sigma_x**2))
-        * np.exp(1j * p0 * y / hbar - sigma_p**2 * y**2 / (2 * hbar**2))
-        / (np.sqrt(2 * np.pi) * sigma_x)
-    )
+    buf = np.subtract.outer(pts, pts)  # y
+    vals = 1j * p0 * buf
+    vals /= hbar
+    buf **= 2
+    buf *= sp2
+    buf /= 2 * hbar2
+    vals -= buf
+    np.exp(vals, out=vals)
+    np.add.outer(pts, pts, out=buf)
+    buf *= 0.5  # m
+    buf -= x0
+    buf **= 2
+    buf /= -2 * sx2  # -(t / d) == t / -d exactly
+    vals *= np.exp(buf, out=buf)
+    vals /= np.sqrt(2 * np.pi) * sigma_x
     return SuperDensity(sgrid, vals)

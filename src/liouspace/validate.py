@@ -421,23 +421,16 @@ def _harmonic_cl_equals_qm() -> tuple[bool, str]:
     return err < 1e-10, f"max CL-QM deviation {err:.2e}"
 
 
+# Each check is named after its function, less the leading underscore.
 CHECKS: list[tuple[str, Callable[[], tuple[bool, str]]]] = [
-    ("superoperator_kill_switch", _superoperator_kill_switch),
-    ("quartic_identity", _quartic_identity),
-    ("free_transport", _free_transport),
-    ("cl_vs_characteristics_oracle", _cl_vs_characteristics_oracle),
-    ("gamma_validation", _gamma_validation),
-    ("spectral_symmetry", _spectral_symmetry),
-    ("conservation_suite", _conservation_suite),
-    ("jc_selection_rules", _jc_selection_rules),
-    ("jc_first_order_consistency", _jc_first_order_consistency),
-    ("vacuum_rabi", _vacuum_rabi),
-    ("bipartite_generator_audit", _bipartite_generator_audit),
-    ("trotter_convergence", _trotter_convergence),
-    ("e_antisymmetry", _e_antisymmetry),
-    ("commutator_identity", _commutator_identity),
-    ("superspace_moments", _superspace_moments),
-    ("harmonic_cl_equals_qm", _harmonic_cl_equals_qm),
+    (fn.__name__[1:], fn)
+    for fn in (
+        _superoperator_kill_switch, _quartic_identity, _free_transport,
+        _cl_vs_characteristics_oracle, _gamma_validation, _spectral_symmetry,
+        _conservation_suite, _jc_selection_rules, _jc_first_order_consistency, _vacuum_rabi,
+        _bipartite_generator_audit, _trotter_convergence, _e_antisymmetry,
+        _commutator_identity, _superspace_moments, _harmonic_cl_equals_qm,
+    )
 ]
 
 

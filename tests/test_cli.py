@@ -340,13 +340,21 @@ class TestScenarios:
             (["jc", "--n-max", "1", "--init", "g0"], "n_max=1 must be >= FOCK_LEAK_LEVELS = 2"),
             (["propagator", "--span", "-1"], "span=-1.0 must be > 0"),
             (["propagator", "--span", "0"], "span=0.0 must be > 0"),
+            (["evolve", "--sigma-p", "1e200"], "sigma_p=1e+200 is too large"),
+            (["evolve", "--sigma-x", "1e200"], "sigma_x=1e+200 is too large"),
+            (["evolve", "--hbar", "1e200"], "hbar=1e+200 is too large"),
+            (["evolve", "--grid-span", "1e300"], "grid step dq=1.5625e+298 is too large"),
         ],
-        ids=["jc --n-max 1", "propagator --span -1", "propagator --span 0"],
+        ids=["jc --n-max 1", "propagator --span -1", "propagator --span 0",
+             "evolve --sigma-p 1e200", "evolve --sigma-x 1e200", "evolve --hbar 1e200",
+             "evolve --grid-span 1e300"],
     )
     def test_refusal_names_the_parameter(self, tmp_path, capsys, argv, message):
         """jc --n-max 1 once aborted on the vacuum, whose Fock level the
         leak guard watched (exit 2); propagator --span 0 ran on degenerate
-        points (exit 0), and --span -1 failed inside numpy."""
+        points (exit 0), and --span -1 failed inside numpy.  The four evolve
+        argvs once died with an OverflowError traceback (exit 1) squaring a
+        width, hbar or the grid step."""
         assert run(argv + ["--outdir", str(tmp_path)]) == EXIT_USAGE
         assert message in capsys.readouterr().err
         assert not (tmp_path / argv[0]).exists()

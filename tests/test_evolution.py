@@ -11,7 +11,7 @@ from liouspace.entangle import (
     compare_cl_qm_entanglement,
     relative_generator,
 )
-from liouspace import evolution
+from liouspace import evolution, superspace
 from liouspace.errors import EnergyDriftExceeded
 from liouspace.evolution import (
     CharacteristicsEnsemble,
@@ -575,23 +575,33 @@ class TestTrotter:
         assert seen == [1, 2]
 
     @pytest.mark.parametrize("kind", [SuperPotentialKind.CL, SuperPotentialKind.QM])
-    def test_observed_run_holds_four_arrays_at_most(self, kind):
-        """Phases, state and the observer's moments together peak at four
-        n x n complex arrays above entry, the returned state included."""
-        n = 128
-        grid = SuperGrid.centered(8.0, n)
-        sd = gaussian_super_density(grid, 1.0, 0.0, 0.5, 0.6)
-        moments(sd)  # the derivative matrix it caches is not part of a run
+    def test_observed_run_holds_three_arrays_and_keeps_none(self, kind):
+        """From before the Gaussian through grid_series, the heap peaks at
+        the three n x n complex arrays of the loop (rho0, the state and the
+        half phase) plus row blocks, the Gaussian alone at one complex and
+        one float array, and nothing stays allocated after the run: D is
+        held as one length-2n vector."""
+        n = 512
+        array = n * n * np.dtype(complex).itemsize
+        grid, v = SuperGrid.centered(8.0, n), PolynomialPotential.quartic(0.1)
+        cfg = EvolutionConfig(t1=0.1, n_steps=4)
+        # first calls import lazily loaded modules, which are no part of a run
+        small = SuperGrid.centered(8.0, 16)
+        grid_series(v, small, kind, gaussian_super_density(small, 1.0, 0.0, 0.5, 1.0), cfg, 2)
+        superspace.spectral_derivative_matrix.cache_clear()
         tracemalloc.start()
         try:
-            evolve_trotter(
-                PolynomialPotential.quartic(0.1), grid, kind, sd,
-                EvolutionConfig(t1=0.1, n_steps=4), observe=lambda k, state: moments(state),
-            )
+            sd = gaussian_super_density(grid, 1.0, 0.0, 0.5, 1.0)
+            gaussian_peak = tracemalloc.get_traced_memory()[1]
+            out = grid_series(v, grid, kind, sd, cfg, 2)
             peak = tracemalloc.get_traced_memory()[1]
+            del sd, out
+            held = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        assert peak <= 4 * n * n * np.dtype(complex).itemsize
+        assert gaussian_peak <= 2.2 * array
+        assert peak <= 3.3 * array
+        assert held <= 0.01 * array
 
     def test_observe_every_observes_multiples_only(self):
         grid = SuperGrid.centered(8.0, 64)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npoly
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -95,6 +96,25 @@ class TestSuperPotential:
         got = super_potential(v, SuperPotentialKind.CL, qb, qk)
         want = 0.5 * lam * (qb**4 - qk**4 + 2 * (qb**3 * qk - qb * qk**3))
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("kind", list(SuperPotentialKind))
+    @pytest.mark.parametrize("degree", range(7))
+    def test_bit_identical_to_polyval(self, degree, kind):
+        """The in-place CL evaluation runs the operations of npoly.polyval,
+        so it keeps every bit, for scalar, outer and equal-shape arguments."""
+        rng = np.random.Generator(np.random.Philox(degree))
+        v = random_potential(rng, degree)
+        qb, qk = rng.uniform(-3.0, 3.0, size=(2, 24))
+        for bra, ket in ((1.3, -0.4), (qb[:, None], qk[None, :]), (qb, qk)):
+            bra, ket = np.asarray(bra, dtype=float), np.asarray(ket, dtype=float)
+            if kind is SuperPotentialKind.QM:
+                want = npoly.polyval(bra, v.coefficients) - npoly.polyval(ket, v.coefficients)
+            else:
+                dv = npoly.polyder(v.coefficients)
+                want = (bra - ket) * npoly.polyval(0.5 * (bra + ket), dv)
+            got = super_potential(v, kind, bra, ket)
+            assert np.shape(got) == np.shape(want) and type(got) is type(want)
+            np.testing.assert_array_equal(got, want)
 
     def test_monomial_expansion_resums(self):
         rng = np.random.Generator(np.random.Philox(2))

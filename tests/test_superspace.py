@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -67,6 +69,15 @@ class TestGrids:
         with pytest.raises(ValueError):
             SuperGrid(-1.0, 1.0, 15)
 
+    @pytest.mark.parametrize(
+        "half_span, message",
+        [(1e300, "dq=3.125e+298 is too large"), (1e308, "dq=inf must be finite and > 0")],
+    )
+    def test_step_whose_square_overflows_rejected(self, half_span, message):
+        """moments scales the purity by dq^2; 1e308 makes q_max - q_min infinite."""
+        with pytest.raises(ValueError, match=f"grid step {re.escape(message)}"):
+            SuperGrid.centered(half_span, 64)
+
 
 class TestGaussianSuperDensity:
     @pytest.mark.parametrize("x0, p0, sx, sp, hbar", [(0.8, -0.4, 0.6, 0.7, 1.0),
@@ -103,6 +114,18 @@ class TestGaussianSuperDensity:
     def test_hbar_must_be_finite_and_positive(self, grid64, hbar):
         with pytest.raises(ValueError, match="must be finite and > 0"):
             gaussian_super_density(grid64, 1.0, 0.0, 0.5, 1.0, hbar)
+
+    @pytest.mark.parametrize(
+        "sx, sp, hbar, name",
+        [(1e200, 0.6, 1.0, "sigma_x"), (0.4, 1e200, 1.0, "sigma_p"),
+         (0.4, 0.6, 1e200, "hbar"), (np.float64(1e200), 0.6, 1.0, "sigma_x")],
+        ids=["sigma-x", "sigma-p", "hbar", "sigma-x-float64"],
+    )
+    def test_square_that_overflows_names_the_parameter(self, grid64, sx, sp, hbar, name):
+        """A Python float's square raised OverflowError here; a float64 one
+        would pass as inf."""
+        with pytest.raises(ValueError, match=f"{name}=1e\\+200 is too large"):
+            gaussian_super_density(grid64, 1.0, 0.0, sx, sp, hbar)
 
 
 def fft_route_moments(sd, hbar=1.0):
@@ -232,23 +255,27 @@ class TestMoments:
         moments(sd)
         assert calls == [64]
 
-    def test_derivative_matrix_built_once_per_grid_and_read_only(self, grid64, monkeypatch):
-        builds = []
+    def test_derivative_matrix_built_once_per_grid_and_read_only(self, grid64):
+        """moments reads D as rows of one length-2n vector, built once per
+        grid and shared read-only."""
         build = superspace.spectral_derivative_matrix
-
-        def counted(n, dq, order):
-            builds.append((n, dq, order))
-            return build(n, dq, order)
-
-        monkeypatch.setattr(superspace, "spectral_derivative_matrix", counted)
-        superspace._first_derivative_matrix.cache_clear()
+        build.cache_clear()
         sd = gaussian_super_density(grid64, 0.3, 0.2, 0.6, 0.7)
         assert moments(sd) == moments(sd)
-        assert builds == [(64, grid64.dq, 1)]
-        d = superspace._first_derivative_matrix(64, grid64.dq)
-        np.testing.assert_array_equal(d, build(64, grid64.dq, 1))
+        assert (build.cache_info().misses, build.cache_info().currsize) == (1, 1)
+        d = build(64, grid64.dq, 1)
+        # consecutive rows start one element apart: the rows overlap in one vector
+        assert abs(d.strides[0]) == d.itemsize
         with pytest.raises(ValueError, match="read-only"):
             d[0, 1] = 0.0
+        # the circulant D[a, c] = col[(a - c) mod n], indexed in full
+        a = np.arange(64)
+        np.testing.assert_array_equal(d, d[:, 0][np.subtract.outer(a, a) % 64])
+        # independent of the construction: D f is the FFT derivative
+        f = np.random.Generator(np.random.Philox(4)).normal(size=64)
+        ik = 2j * np.pi * np.fft.fftfreq(64, grid64.dq)
+        ik[32] = 0.0
+        np.testing.assert_allclose(d @ f, np.fft.ifft(ik * np.fft.fft(f)).real, atol=1e-12)
 
     def test_imaginary_trace_raises(self, grid64):
         # diagonal imaginary parts of 1e-7 max|rho|: the relative Hermiticity
