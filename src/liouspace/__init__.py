@@ -43,6 +43,7 @@ from .superspace import (
 from .liouvillian import (
     BasisLiouvillian,
     grid_liouvillian,
+    grid_super_potential,
     spectral_symmetry_defect,
 )
 from .evolution import (

@@ -6,8 +6,9 @@ draws random numbers, so only it takes a seed.  Parameters resolve as
 defaults < config file < command-line flags; the fully resolved
 configuration is echoed into the JSON run manifest, which references every
 emitted data file.  Exit codes: 0 success, 1 validation failure (some
-manifest check is false; the manifest is still written) or a
-``LiouspaceError`` raised before any output (no manifest, no directory),
+manifest check is false; the manifest is still written), a
+``LiouspaceError`` raised before any output (no manifest, no directory) or
+a ``MemoryError`` (no manifest; one ``error:`` line, no traceback),
 2 numerical-guard abort, 64 usage error.
 """
 
@@ -27,13 +28,8 @@ from . import __version__
 from . import entangle, evolution, serialize, superprop, superspace, validate as validate_mod
 from . import jaynescummings as jc
 from .errors import LiouspaceError, ParseError, TruncationLeak, UnknownKey
-from .liouvillian import grid_liouvillian
-from .potential import (
-    PolynomialPotential,
-    SuperPotentialKind,
-    e_vanishes_identically,
-    super_potential,
-)
+from .liouvillian import grid_liouvillian, grid_super_potential
+from .potential import PolynomialPotential, SuperPotentialKind, e_vanishes_identically
 from .superspace import SuperGrid
 
 EXIT_OK = 0
@@ -227,8 +223,7 @@ def run_superop(ctx: RunContext) -> None:
     grid = SuperGrid.centered(p["grid_span"], p["grid_n"])
     op = grid_liouvillian(v, grid, SuperPotentialKind(p["kind"]))
     e = np.zeros((grid.n, grid.n)) if op.e is None else op.e
-    pts = grid.points
-    v_qm = super_potential(v, SuperPotentialKind.QM, pts[:, None], pts[None, :])
+    v_qm = grid_super_potential(v, grid, SuperPotentialKind.QM)
     serialize.save_real_matrix(ctx.path("superop_e.csv"), e)
     serialize.save_real_matrix(ctx.path("superop_vqm.csv"), v_qm)
     if grid.n <= 16:  # dense n^2 x n^2 export stays inspectable at this size
@@ -438,6 +433,9 @@ def run(argv=None) -> int:
         return EXIT_GUARD
     except LiouspaceError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except MemoryError as exc:  # numpy's names the size it could not allocate
+        print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
         return EXIT_VALIDATION
 
 

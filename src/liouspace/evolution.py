@@ -27,8 +27,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import EnergyDriftExceeded
-from .potential import PolynomialPotential, SuperPotentialKind, super_potential
-from .liouvillian import BasisLiouvillian
+from .potential import PolynomialPotential, SuperPotentialKind
+from .liouvillian import BasisLiouvillian, grid_super_potential
 from .superspace import SuperDensity, SuperGrid, moments
 
 # Largest per-sample energy drift rate of the leapfrog ensemble, per unit
@@ -153,7 +153,7 @@ def evolve_trotter(
     order.  The kinetic phase exp(-i dt (H_Q - H_q) / hbar) factorises as
     a[Q] conj(a)[q] with a = exp(-i dt hbar k^2 / 2m), so each 1-d FFT pass
     is followed by its axis's phase.  The half potential phase is formed
-    from ``super_potential`` V_kind(Q, q), with no generator; the loop
+    from ``grid_super_potential`` V_kind(Q, q), with no generator; the loop
     holds the state and that phase, two n x n complex arrays.  The grid is
     periodic, so mass at its boundary wraps around; ``superspace.moments``
     reports it as the boundary mass.
@@ -165,15 +165,15 @@ def evolve_trotter(
     array, valid during the call only: an observer that keeps it must copy
     it.  The returned state is the working array itself.  The phases are
     built once per call: one call covers a run.  Raises ValueError unless
-    ``config.method`` is TROTTER_STRANG and ``observe_every >= 1``.
+    ``config.method`` is TROTTER_STRANG and ``observe_every >= 1``, and
+    where V_kind overflows on the grid, before the first step.
     """
     if config.method is not EvolveMethod.TROTTER_STRANG:
         raise ValueError("config.method must be TROTTER_STRANG")
     if observe_every < 1:
         raise ValueError("observe_every must be >= 1")
     dt = config.t1 / config.n_steps
-    pts = grid.points
-    half = super_potential(v, kind, pts[:, None], pts[None, :]) * (-0.5j * dt / config.hbar)
+    half = grid_super_potential(v, grid, kind) * (-0.5j * dt / config.hbar)
     np.exp(half, out=half)
     k2 = (2.0 * np.pi * np.fft.fftfreq(grid.n, grid.dq)) ** 2
     a = np.exp(-0.5j * dt * config.hbar / config.mass * k2)

@@ -204,14 +204,21 @@ def _phase_series(hb: np.ndarray, rb: np.ndarray, weights: np.ndarray, t_grid: n
     k_rho = kk @ diag
     sq = np.einsum("kaa->ka", k_rho @ kk).real - pops
     cross = np.einsum("kaa->ka", k_rho).imag
+    # two (T, S) arrays: the angles turn into cos, then into 2 sin cos
     angle = np.outer(t_grid, w)
-    sin, cos = np.sin(angle), np.cos(angle)
-    values = np.einsum("ka,kaj->j", pops, weights) + (sin * sin) @ np.einsum(
+    sin = np.sin(angle)
+    sin_cos = np.cos(angle, out=angle)
+    cos1, sin1 = sin_cos[:, 1].copy(), sin[:, 1].copy()  # sector 1, for rho_{e0,g0}
+    sin_cos *= sin
+    sin_cos *= 2  # the bits of (2 sin) cos: doubling is exact
+    sin *= sin
+    # full-length products: row blocks of them can round differently
+    values = np.einsum("ka,kaj->j", pops, weights) + sin @ np.einsum(
         "ka,kaj->kj", sq, weights
-    ) + (2 * sin * cos) @ np.einsum("ka,kaj->kj", cross, weights)
+    ) + sin_cos @ np.einsum("ka,kaj->kj", cross, weights)
     r = rb[1, 0, :, ATOM_G]
     coherence = np.exp(-1j * (m[1] - hb[0, ATOM_G, ATOM_G].real) * t_grid) * (
-        cos[:, 1] * r[ATOM_E] - 1j * sin[:, 1] * (kk[1] @ r)[ATOM_E]
+        cos1 * r[ATOM_E] - 1j * sin1 * (kk[1] @ r)[ATOM_E]
     )
     return values, coherence
 

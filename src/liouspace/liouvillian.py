@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DimensionTooLarge, NonHermitianInput
-from .potential import PolynomialPotential, SuperPotentialKind, e_superoperator
+from .potential import PolynomialPotential, SuperPotentialKind, super_potential
 from .superspace import SuperGrid, spectral_derivative_matrix
 
 MAX_DENSE_VEC_DIM = 4096
@@ -104,15 +104,35 @@ def grid_liouvillian(
 
     ``h`` is the single-axis Hamiltonian (-(hbar^2/2m) D2 + diag V(chi)) / hbar
     with the spectral second-derivative matrix D2, and ``e`` the entrywise
-    E(Q_a, q_b) / hbar for CL, None for QM.
+    E(Q_a, q_b) / hbar = (V_CL - V_QM) / hbar for CL, None for QM.  Raises
+    ValueError (``grid_super_potential``) where V_QM, or for CL V_CL, overflows.
     """
-    pts = grid.points
+    v_qm = grid_super_potential(v, grid, SuperPotentialKind.QM)  # so V(chi) is finite
     d2 = spectral_derivative_matrix(grid.n, grid.dq, 2)
-    h = (-(hbar**2 / (2.0 * mass)) * d2 + np.diag(v.value(pts))) / hbar
+    h = (-(hbar**2 / (2.0 * mass)) * d2 + np.diag(v.value(grid.points))) / hbar
     e = None
     if kind is SuperPotentialKind.CL:
-        e = e_superoperator(v, pts[:, None], pts[None, :]) / hbar
+        e = (grid_super_potential(v, grid, kind) - v_qm) / hbar
     return BasisLiouvillian(h, e)
+
+
+def grid_super_potential(
+    v: PolynomialPotential, grid: SuperGrid, kind: SuperPotentialKind
+) -> np.ndarray:
+    """``super_potential`` V_kind(Q_a, q_b) on the grid points.  Raises
+    ValueError, where numpy would warn and go on in NaN, unless every value
+    is finite; a finite V_QM means a finite V at every point, its diagonal
+    being V(Q) - V(Q)."""
+    pts = grid.points
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = super_potential(v, kind, pts[:, None], pts[None, :])
+    if not np.isfinite(out).all():
+        spec = "poly:" + ",".join(map(repr, v.coefficients))
+        raise ValueError(
+            f"potential {spec} overflows on the grid [{grid.q_min:g}, {grid.q_max:g}): "
+            f"V_{kind.name} is not finite there"
+        )
+    return out
 
 
 def spectral_symmetry_defect(eigvals: np.ndarray) -> float:

@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from math import comb
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 # Radius at or below which |Q|, |q| or |Q + q| counts as the Coulomb singularity.
 COULOMB_EPS_REG = 1e-6
@@ -81,7 +80,8 @@ class PolynomialPotential:
         return len(self.coefficients) - 1
 
     def value(self, x):
-        """V(x) by ``npoly.polyval``'s Horner steps, in place in one array."""
+        """V(x) by Horner steps from the top coefficient, in place in one
+        array: the operations, and so the bits, of numpy's ``polyval``."""
         x = np.asarray(x, dtype=float)
         out = x * 0
         out += self.coefficients[-1]
@@ -91,9 +91,9 @@ class PolynomialPotential:
         return out
 
     def derivative(self) -> "PolynomialPotential":
-        if self.degree == 0:
-            return PolynomialPotential((0.0,))
-        return PolynomialPotential(tuple(npoly.polyder(self.coefficients)))
+        """V'(x), the coefficients k c_k: the bits of numpy's ``polyder``.
+        A constant leaves the empty tuple, which ``__post_init__`` reads as 0."""
+        return PolynomialPotential(tuple(k * c for k, c in enumerate(self.coefficients) if k))
 
     @classmethod
     def free(cls) -> "PolynomialPotential":

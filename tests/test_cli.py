@@ -1,6 +1,7 @@
 import csv
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -243,13 +244,13 @@ class TestScenarios:
 
     def test_evolve_forms_potential_phase_once(self, tmp_path, monkeypatch):
         calls = []
-        form = evolution.super_potential
+        form = evolution.grid_super_potential
 
         def counted(*args, **kwargs):
             calls.append(args)
             return form(*args, **kwargs)
 
-        monkeypatch.setattr(evolution, "super_potential", counted)
+        monkeypatch.setattr(evolution, "grid_super_potential", counted)
         code = run(
             ["evolve", "--grid-n", "64", "--steps", "20", "--n-out", "5",
              "--outdir", str(tmp_path)]
@@ -461,14 +462,51 @@ class TestScenarios:
     def test_superop_refuses_an_overflowing_potential_before_any_output(
         self, tmp_path, capsys, grid_n
     ):
-        """V overflows to inf on the diagonal of h: the generator is built,
-        and refused, before the first CSV, at every grid size."""
+        """V overflows to inf on the grid: the generator is built, and
+        refused, before the first CSV, at every grid size."""
         argv = ["superop", "--potential", "poly:0,0,1e305", "--grid-span", "1000"]
-        with np.errstate(over="ignore", invalid="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             code = run(argv + ["--grid-n", grid_n, "--outdir", str(tmp_path)])
-        assert code == EXIT_VALIDATION
-        assert "not Hermitian" in capsys.readouterr().err
+        assert code == EXIT_USAGE
+        assert "poly:0.0,0.0,1e+305 overflows on the grid [-1000, 1000)" in capsys.readouterr().err
         assert not (tmp_path / "superop").exists()
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["evolve", "--grid-span", "1e150"],
+             "poly:0.0,0.0,0.0,0.0,0.1 overflows on the grid [-1e+150, 1e+150): V_CL"),
+            (["evolve", "--potential", "quartic:1e306"],
+             "poly:0.0,0.0,0.0,0.0,1e+306 overflows on the grid [-8, 8): V_CL"),
+            (["superop", "--grid-span", "1e150"],
+             "poly:0.0,0.0,0.0,0.0,1.0 overflows on the grid [-1e+150, 1e+150): V_QM"),
+        ],
+        ids=["evolve --grid-span 1e150", "evolve --potential quartic:1e306",
+             "superop --grid-span 1e150"],
+    )
+    def test_overflowing_grid_potential_is_usage_error(self, tmp_path, capsys, argv, message):
+        """Each once printed numpy RuntimeWarnings and ran on NaN (evolve,
+        exit 1 with every margin NaN) or blamed the Hermiticity of h
+        (superop, exit 1)."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(argv + ["--outdir", str(tmp_path)])
+        assert code == EXIT_USAGE
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / argv[0]).exists()
+
+    def test_memory_error_is_one_error_line(self, tmp_path, capsys, monkeypatch):
+        """jc --n-max 100000 asks numpy for 149 GiB; the stand-in raises as
+        numpy does, without allocating."""
+        def refuse(spec, n_max):
+            raise MemoryError("Unable to allocate 149. GiB for an array")
+
+        monkeypatch.setattr(jc, "initial_jc_state", refuse)
+        assert run(["jc", "--outdir", str(tmp_path)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err == "error: out of memory: Unable to allocate 149. GiB for an array\n"
+        assert not (tmp_path / "jc").exists()
 
     def test_propagator_outputs(self, tmp_path):
         code = run(
@@ -685,12 +723,13 @@ class TestScenarios:
         assert not (tmp_path / "evolve").exists()
 
     def test_nan_run_fails_its_checks(self, tmp_path, monkeypatch):
-        """A NaN superpotential leaves the first row finite and every later
-        one NaN: each margin keeps the NaN, so no check passes."""
-        def nan_potential(v, kind, q_bra, q_ket):
-            return np.full(np.broadcast(q_bra, q_ket).shape, np.nan)
+        """A NaN superpotential, put past the overflow guard, leaves the
+        first row finite and every later one NaN: each margin keeps the NaN,
+        so no check passes."""
+        def nan_potential(v, grid, kind):
+            return np.full((grid.n, grid.n), np.nan)
 
-        monkeypatch.setattr(evolution, "super_potential", nan_potential)
+        monkeypatch.setattr(evolution, "grid_super_potential", nan_potential)
         argv = ["evolve", "--grid-n", "64", "--steps", "20", "--n-out", "5",
                 "--outdir", str(tmp_path)]
         assert run(argv) == EXIT_VALIDATION

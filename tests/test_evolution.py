@@ -693,13 +693,13 @@ class TestGridSeries:
         assert np.array_equal(state.values, final.values)
 
     def test_nan_row_reaches_every_margin(self, monkeypatch):
-        """A NaN superpotential leaves the t = 0 row finite and every later
-        one NaN.  Python's max would return the first row's value; each
-        margin keeps the NaN."""
-        def nan_potential(v, kind, q_bra, q_ket):
-            return np.full(np.broadcast(q_bra, q_ket).shape, np.nan)
+        """A NaN superpotential, put past the overflow guard, leaves the
+        t = 0 row finite and every later one NaN.  Python's max would return
+        the first row's value; each margin keeps the NaN."""
+        def nan_potential(v, grid, kind):
+            return np.full((grid.n, grid.n), np.nan)
 
-        monkeypatch.setattr(evolution, "super_potential", nan_potential)
+        monkeypatch.setattr(evolution, "grid_super_potential", nan_potential)
         columns, _, margins, _ = grid_series(*self.case(SuperPotentialKind.CL), 4)
         assert np.isfinite(columns["trace"][0]) and np.all(np.isnan(columns["trace"][1:]))
         assert len(margins) == 3 and all(np.isnan(value) for value in margins.values())

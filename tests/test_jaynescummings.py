@@ -26,7 +26,7 @@ from liouspace.jaynescummings import (
     truncation_margin,
 )
 from liouspace.evolution import ExactEvolver
-from oracles import partial_trace
+from oracles import partial_trace, phase_series_five_arrays
 
 
 def dense_states(p, rho0, times):
@@ -219,6 +219,34 @@ class TestSeries:
         finally:
             tracemalloc.stop()
         assert peak < 8e6
+
+    @pytest.mark.parametrize("n_max", [12, 40])
+    def test_phase_route_keeps_the_bits_of_five_arrays(self, monkeypatch, n_max):
+        """The two-array sector phases give every column and margin of the
+        five-array formula to the last bit."""
+        p = JCParams(omega_e=1.0, omega=1.0, d_eg=0.05, n_max=n_max, eps_egeg=0.01)
+        rho0 = initial_jc_state("coherent:0.7", n_max)
+        got = jc_series(p, rho0, 10.0, 2000)
+        monkeypatch.setattr(jc_module, "_phase_series", phase_series_five_arrays)
+        want = jc_series(p, rho0, 10.0, 2000)
+        assert got[1] == want[1] == "sector_phases" and got[2] == want[2]
+        for name in want[0]:
+            np.testing.assert_array_equal(got[0][name], want[0][name])
+
+    def test_phase_route_holds_two_time_arrays(self):
+        """n_max 40 over 20001 times: the traced peak stays within 2.6
+        (T, S) float arrays, S = n_max + 2 sectors (five arrays peaked at
+        4.19)."""
+        p = JCParams(omega_e=1.0, omega=1.0, d_eg=0.05, n_max=40, eps_egeg=0.01)
+        rho0 = initial_jc_state("coherent:0.7", p.n_max)
+        jc_series(p, rho0, 10.0, 20)  # lazy imports and caches stay out of the count
+        tracemalloc.start()
+        try:
+            jc_series(p, rho0, 200.0, 20000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.6 * 20001 * (p.n_max + 2) * 8
 
 
 class TestExactEvolution:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +8,12 @@ from hypothesis import strategies as st
 from liouspace import liouvillian
 from liouspace.errors import DimensionTooLarge, NonHermitianInput
 from liouspace.liouvillian import BasisLiouvillian, grid_liouvillian, spectral_symmetry_defect
-from liouspace.potential import PolynomialPotential, SuperPotentialKind, super_potential
+from liouspace.potential import (
+    PolynomialPotential,
+    SuperPotentialKind,
+    e_superoperator,
+    super_potential,
+)
 from liouspace.superspace import SuperGrid, gaussian_super_density, spectral_derivative_matrix
 
 
@@ -85,6 +92,28 @@ class TestGridGenerator:
             want = super_potential(v, SuperPotentialKind.CL, pts[a], pts[b])
             got = v.value(pts[a]) - v.value(pts[b]) + op.e[a, b]
             assert got == pytest.approx(want, abs=1e-12 * max(1.0, abs(want)))
+
+    @pytest.mark.parametrize("kind", list(SuperPotentialKind))
+    def test_grid_super_potential_keeps_the_bits_or_refuses_an_overflow(self, grid32, kind):
+        """A finite superpotential comes back bit for bit, and the generator's
+        E with it; one that overflows is a ValueError naming the potential
+        and the grid, with no numpy warning on the way."""
+        v = PolynomialPotential.quartic(0.8)
+        pts = grid32.points
+        want = super_potential(v, kind, pts[:, None], pts[None, :])
+        np.testing.assert_array_equal(liouvillian.grid_super_potential(v, grid32, kind), want)
+        if kind is SuperPotentialKind.CL:
+            e = e_superoperator(v, pts[:, None], pts[None, :])
+            np.testing.assert_array_equal(grid_liouvillian(v, grid32, kind).e, e)
+        wide = SuperGrid.centered(1e150, 32)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as err:
+                liouvillian.grid_super_potential(v, wide, kind)
+        assert str(err.value) == (
+            "potential poly:0.0,0.0,0.0,0.0,0.8 overflows on the grid [-1e+150, 1e+150): "
+            f"V_{kind.name} is not finite there"
+        )
 
     def test_e_antisymmetric(self, grid32):
         """E is formed without symmetrisation, and is exactly antisymmetric."""

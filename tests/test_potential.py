@@ -51,6 +51,16 @@ class TestPolynomialPotential:
         assert v.derivative().degree == v.degree - 1
         assert PolynomialPotential((5.0,)).derivative().degree == 0
 
+    @pytest.mark.parametrize("degree", range(7))
+    def test_derivative_bit_identical_to_polyder(self, degree):
+        """k c_k keeps every bit of numpy's polyder, the oracle left on the
+        test side so that the package does not import numpy.polynomial."""
+        rng = np.random.Generator(np.random.Philox(100 + degree))
+        v = random_potential(rng, degree)
+        np.testing.assert_array_equal(
+            v.derivative().coefficients, npoly.polyder(v.coefficients)
+        )
+
     def test_horner_matches_direct(self):
         v = PolynomialPotential((1.0, -2.0, 0.5, 0.25))
         x = np.linspace(-3, 3, 7)
