@@ -161,9 +161,10 @@ def dyson_first_order_numeric(
     superpotential is expanded into monomials x^i y^j by the potential
     module, and each (x, y) integral is reduced to Gaussian moments.  The
     moment of x^k is a polynomial of degree k in tau, so the tau integrand
-    has the monomials' largest total degree, and a Gauss-Legendre rule
-    with deg // 2 + 1 nodes (exact to degree 2 (deg // 2) + 1) integrates
-    it exactly.  Returns the correction term alone (zero for lam = 0).
+    has the monomials' largest total degree, at most 4 for the quartic, and
+    the 3-point Gauss-Legendre rule (nodes 0 and +-sqrt(3/5), weights 8/9
+    and 5/9; exact to degree 5) integrates it exactly.  Returns the
+    correction term alone (zero for lam = 0).
     """
     if not 0 < pt.duration < np.inf:
         raise ValueError(f"T={pt.duration} must be finite and > 0")
@@ -178,10 +179,10 @@ def dyson_first_order_numeric(
             acc += c * mx * np.conj(my)
         return acc
 
-    deg = max((i + j for i, j in monomials), default=0)
-    nodes, weights = np.polynomial.legendre.leggauss(deg // 2 + 1)
+    node = np.sqrt(3 / 5)
     integral = 0.5 * t_tot * sum(
-        w * reduced(0.5 * t_tot * (x + 1.0)) for x, w in zip(nodes, weights)
+        w * reduced(0.5 * t_tot * (x + 1.0))
+        for x, w in ((-node, 5 / 9), (0.0, 8 / 9), (node, 5 / 9))
     )
     return complex(-1j / hb * free_superpropagator(pt) * integral)
 

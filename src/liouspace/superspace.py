@@ -93,13 +93,17 @@ def spectral_derivative_matrix(n: int, dq: float, order: int) -> np.ndarray:
 
 
 def _square(name: str, value: float) -> float:
-    """value**2 of a finite value > 0 whose square is finite, else ValueError naming ``name``."""
+    """value**2 of a finite value > 0 whose square is finite and normal,
+    else ValueError naming ``name``."""
     if not 0 < value < np.inf:  # a NaN fails too
         raise ValueError(f"{name}={value:g} must be finite and > 0")
     try:
-        return float(value) ** 2
+        square = float(value) ** 2
     except OverflowError:
         raise ValueError(f"{name}={value:g} is too large: its square overflows") from None
+    if square < np.finfo(float).tiny:  # zero or subnormal
+        raise ValueError(f"{name}={value:g} is too small: its square underflows")
+    return square
 
 
 def _row_blocks(n: int) -> list[slice]:

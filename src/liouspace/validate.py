@@ -27,11 +27,8 @@ from . import (
 from .potential import MonomialClass, PolynomialPotential, SuperPotentialKind
 
 PURE_CLASSES = (MonomialClass.PURE_BRA, MonomialClass.PURE_KET)
-# Bounds used beyond this module: the CLI's manifest checks take all but
-# the last, and the benchmark's grid oracle restates the last.  The CLI's
-# check names spell CONSERVATION_TOL, DYSON_TOL and PURITY_TOL
-# (trace_conserved_1e-8, hermiticity_1e-8, first_order_matches_dyson_1e-3,
-# purity_at_most_1_1e-8), so changing one renames those checks.
+# MANIFEST_CHECKS takes all but the last of these bounds; the benchmark's
+# grid oracle restates the last.
 # Largest |trace - 1| and Hermiticity defect of an evolved state.
 CONSERVATION_TOL = 1e-8
 # Largest |rho| on the outermost ring of an evolved grid state.
@@ -44,6 +41,16 @@ DYSON_TOL = 1e-3
 E_ANTISYMMETRY_TOL = 1e-12
 # Largest gap of the grid CL moments from the leapfrog ensemble's.
 CHARACTERISTICS_TOL = 1e-3
+# Each margin a scenario records -> (its manifest check, the bound the margin
+# must stay below); a NaN fails.  The check names spell the bounds.
+MANIFEST_CHECKS = {
+    "max_trace_drift": ("trace_conserved_1e-8", CONSERVATION_TOL),
+    "max_hermiticity_defect": ("hermiticity_1e-8", CONSERVATION_TOL),
+    "max_boundary_mass": ("boundary_mass_ok", BOUNDARY_MASS_TOL),
+    "max_purity": ("purity_at_most_1_1e-8", 1.0 + PURITY_TOL),
+    "max_relative_defect": ("first_order_matches_dyson_1e-3", DYSON_TOL),
+    "max_e_antisymmetry_defect": ("e_antisymmetric", E_ANTISYMMETRY_TOL),
+}
 
 
 def e_antisymmetry_defect(e: np.ndarray, e_swapped: np.ndarray) -> float:

@@ -38,7 +38,7 @@ MARGIN_CHECKS = {
     },
     "jc": {
         "max_trace_drift": ("trace_conserved_1e-8", lambda v: v < 1e-8),
-        "max_purity": ("purity_at_most_1_1e-8", lambda v: v <= 1.0 + 1e-8),
+        "max_purity": ("purity_at_most_1_1e-8", lambda v: v < 1.0 + 1e-8),
     },
     "bipartite": {
         "max_trace_drift": ("trace_conserved_1e-8", lambda v: v < 1e-8),
@@ -56,6 +56,16 @@ GUARD_MARGINS = {
     "jc": {"max_fock_leak"},
     "bipartite": {"max_top_level_population_cl", "max_top_level_population_qm"},
 }
+
+
+def test_manifest_check_table_is_the_one_the_scenarios_write():
+    """Every row of validate.MANIFEST_CHECKS is a (margin, check) pair some
+    scenario writes, and no scenario writes a pair the table lacks; the
+    bounds above are restated independently, not read from the table."""
+    written = {(margin, check) for pairs in MARGIN_CHECKS.values()
+               for margin, (check, _) in pairs.items()}
+    table = {(margin, check) for margin, (check, _) in validate.MANIFEST_CHECKS.items()}
+    assert table == written
 
 
 # one JSON value of each type, and the ones each flag type accepts
@@ -345,18 +355,31 @@ class TestScenarios:
             (["evolve", "--sigma-x", "1e200"], "sigma_x=1e+200 is too large"),
             (["evolve", "--hbar", "1e200"], "hbar=1e+200 is too large"),
             (["evolve", "--grid-span", "1e300"], "grid step dq=1.5625e+298 is too large"),
+            (["evolve", "--hbar", "1e-170"], "hbar=1e-170 is too small"),
+            (["evolve", "--hbar", "1e-155"], "hbar=1e-155 is too small"),
+            (["evolve", "--grid-span", "1e-160"], "grid step dq=1.5625e-162 is too small"),
+            (["superop", "--grid-span", "1e-160", "--grid-n", "16"],
+             "grid step dq=1.25e-161 is too small"),
+            (["evolve", "--sigma-p", "1e-200"], "sigma_p=1e-200 is too small"),
         ],
         ids=["jc --n-max 1", "propagator --span -1", "propagator --span 0",
              "evolve --sigma-p 1e200", "evolve --sigma-x 1e200", "evolve --hbar 1e200",
-             "evolve --grid-span 1e300"],
+             "evolve --grid-span 1e300", "evolve --hbar 1e-170", "evolve --hbar 1e-155",
+             "evolve --grid-span 1e-160", "superop --grid-span 1e-160 --grid-n 16",
+             "evolve --sigma-p 1e-200"],
     )
     def test_refusal_names_the_parameter(self, tmp_path, capsys, argv, message):
         """jc --n-max 1 once aborted on the vacuum, whose Fock level the
         leak guard watched (exit 2); propagator --span 0 ran on degenerate
         points (exit 0), and --span -1 failed inside numpy.  The four evolve
-        argvs once died with an OverflowError traceback (exit 1) squaring a
-        width, hbar or the grid step."""
-        assert run(argv + ["--outdir", str(tmp_path)]) == EXIT_USAGE
+        argvs with a large value once died with an OverflowError traceback
+        (exit 1) squaring a width, hbar or the grid step.  A square that
+        underflows to zero or a subnormal once ran on with numpy warnings:
+        to NaN margins (exit 1), to exit 0 (hbar 1e-155), to "Hamiltonian is
+        not Hermitian" (superop) or to a y-flat density (sigma_p 1e-200)."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(argv + ["--outdir", str(tmp_path)]) == EXIT_USAGE
         assert message in capsys.readouterr().err
         assert not (tmp_path / argv[0]).exists()
 
@@ -647,6 +670,7 @@ class TestScenarios:
         expected = MARGIN_CHECKS[argv[0]]
         guards = GUARD_MARGINS.get(argv[0], set())
         assert set(margins) == set(expected) | guards
+        assert set(manifest["checks"]) == {check for check, _ in expected.values()}
         for margin, (check, holds) in expected.items():
             assert isinstance(margins[margin], float)
             assert holds(margins[margin]) is manifest["checks"][check], margin

@@ -214,15 +214,15 @@ def test_every_defaulted_parameter_is_passed_by_program_code():
     assert set(ALLOWED_UNPASSED) <= defaulted
 
 
-def _raise_sites(exception: str) -> list[str]:
-    """"module:function" of each ``raise exception(...)`` in the package,
-    the function being the innermost one around it."""
+def _package_sites(matches) -> list[str]:
+    """"module:function" of each node of the package for which ``matches``
+    holds, the function being the innermost one around it."""
     sites = []
 
     def visit(node: ast.AST, module: str, function: str) -> None:
         if isinstance(node, ast.FunctionDef):
             function = node.name
-        if isinstance(node, ast.Raise) and node.exc is not None and _callee(node.exc) == exception:
+        if matches(node):
             sites.append(f"{module}:{function}")
         for child in ast.iter_child_nodes(node):
             visit(child, module, function)
@@ -236,7 +236,34 @@ def test_truncation_leak_is_raised_by_the_one_guard():
     """Every series reads its truncation off its own populations through
     ``jaynescummings.truncation_margin``; a second raise site would be a
     second guard, with its own idea of the bound and of a NaN."""
-    assert _raise_sites("TruncationLeak") == ["jaynescummings.py:truncation_margin"]
+    sites = _package_sites(
+        lambda node: isinstance(node, ast.Raise) and node.exc is not None
+        and _callee(node.exc) == "TruncationLeak"
+    )
+    assert sites == ["jaynescummings.py:truncation_margin"]
+
+
+def _sets_a_check(node: ast.AST) -> bool:
+    """An assignment to ``<object>.checks[...]``."""
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+        targets = [node.target]
+    else:
+        return False
+    return any(
+        isinstance(t, ast.Subscript) and isinstance(t.value, ast.Attribute)
+        and t.value.attr == "checks"
+        for t in targets
+    )
+
+
+def test_manifest_checks_are_set_in_one_place():
+    """A scenario records margins; ``validate.MANIFEST_CHECKS`` turns each
+    into its check in ``RunContext.write_manifest``.  Only ``validate``'s
+    report, whose checks are the registry's own results, sets them itself;
+    a check set anywhere else would carry a second copy of its bound."""
+    assert _package_sites(_sets_a_check) == ["cli.py:write_manifest", "cli.py:run_validate"]
 
 
 def _keyword_call_sites(function: str, keyword: str) -> list[str]:
@@ -288,7 +315,9 @@ def test_cli_import_leaves_out_heavy_scipy_modules():
 def test_cli_and_its_runs_leave_out_numpy_polynomial_and_random(tmp_path):
     """numpy loads neither subpackage by itself, and neither the CLI
     import nor a jc, bipartite or evolve run needs one; numpy.polynomial
-    alone cost each run about 0.75 MB of peak memory and 2-4 ms."""
+    alone cost each run about 0.75 MB of peak memory and 2-4 ms.  A
+    propagator run, last, draws its points through numpy.random but needs
+    no numpy.polynomial either."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     probe = (
         "import sys; from liouspace.cli import run; "
@@ -300,12 +329,15 @@ def test_cli_and_its_runs_leave_out_numpy_polynomial_and_random(tmp_path):
         "run(['jc', '--steps', '20', '--eps', '0.01,-0.02', '--outdir', outdir]), "
         "run(['bipartite', '--steps', '4', '--outdir', outdir]), "
         "run(['evolve', '--grid-n', '64', '--steps', '4', '--n-out', '2', '--outdir', outdir])]; "
-        "print(codes, after_import, loaded())"
+        "after_runs = loaded(); "
+        "codes.append(run(['propagator', '--n-points', '2', '--outdir', outdir])); "
+        "print(codes, after_import, after_runs, "
+        "[m for m in loaded() if m.startswith('numpy.polynomial')])"
     )
     out = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "[0, 0, 0, 0] [] []"
+    assert out.stdout.strip() == "[0, 0, 0, 0, 0] [] [] []"
 
 
 def test_basis_routes_leave_out_scipy(tmp_path):
