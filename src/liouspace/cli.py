@@ -266,6 +266,7 @@ def run_evolve(ctx: RunContext) -> None:
         )
     *series, sd = evolution.grid_series(v, grid, kind, sd, cfg, p["n_out"])
     _record_series(ctx, "evolve_series.csv", grid.n**2, *series)
+    ctx.notes.append(f"strang_bands = {evolution.strang_bands(grid.n)}")
     serialize.save_super_density(ctx.outdir / "evolve_final", sd, hbar, mass)
     ctx.outputs += ["evolve_final.csv", "evolve_final.json"]
 

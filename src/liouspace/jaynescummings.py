@@ -198,7 +198,10 @@ def _phase_series(hb: np.ndarray, rb: np.ndarray, weights: np.ndarray, t_grid: n
     """
     m = 0.5 * (hb[:, 0, 0] + hb[:, 1, 1]).real
     w = np.hypot(0.5 * (hb[:, 0, 0] - hb[:, 1, 1]).real, np.abs(hb[:, 0, 1]))
+    # a subnormal w overflows the division and turns no phase: count it as 0
+    w[w < np.finfo(float).tiny] = 0.0
     kk = (hb - m[:, None, None] * np.eye(2)) / np.where(w > 0, w, 1.0)[:, None, None]
+    kk[w == 0] = 0.0
     diag = rb[np.arange(len(rb)), np.arange(len(rb))]
     pops = np.einsum("kaa->ka", diag).real
     k_rho = kk @ diag

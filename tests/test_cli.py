@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 import re
 import warnings
 
@@ -468,6 +469,27 @@ class TestScenarios:
             code = run(["jc", "--eps", "0.01,5", "--t", "400", "--outdir", str(tmp_path)])
         assert code == EXIT_GUARD
         assert not (tmp_path / "jc").exists()
+
+    @pytest.mark.parametrize("flag", ["--d", "--omega"])
+    def test_jc_subnormal_rotation_frequency_turns_no_phase(self, tmp_path, flag):
+        """A subnormal sector frequency w_k once overflowed the division by
+        it and aborted at t=0 on a NaN leak; it now counts as w_k = 0, so
+        at --d 1e-320 the resonant |e,0> keeps P_e = 1."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["jc", flag, "1e-320", "--outdir", str(tmp_path)]) == EXIT_OK
+        header, rows = read_csv(tmp_path / "jc" / "jc_series.csv")
+        if flag == "--d":
+            assert {row[header.index("P_e")] for row in rows} == {"1"}
+
+    @pytest.mark.parametrize("grid_n, bands", [(64, 1), (256, 2)])
+    def test_evolve_manifest_records_the_strang_bands(self, tmp_path, monkeypatch, grid_n, bands):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        argv = ["evolve", "--grid-n", str(grid_n), "--steps", "2", "--n-out", "1"]
+        assert run(argv + ["--outdir", str(tmp_path)]) == EXIT_OK
+        manifest = json.loads((tmp_path / "evolve" / "evolve_manifest.json").read_text())
+        assert evolution.strang_bands(grid_n) == bands
+        assert f"strang_bands = {bands}" in manifest["notes"]
 
     def test_superop_outputs(self, tmp_path):
         code = run(

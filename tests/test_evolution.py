@@ -1,4 +1,7 @@
+import os
 import re
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -658,6 +661,185 @@ class TestTrotter:
         out = evolve_trotter(PolynomialPotential.free(), grid, SuperPotentialKind.CL, sd, cfg)
         assert moments(sd).boundary_mass > 1e-10
         assert moments(out).boundary_mass > 1e-10
+
+
+def use_cpus(monkeypatch, count):
+    """Make the process look as if it may run on ``count`` CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+class TestStrangBands:
+    def test_count_follows_cpus_and_min_band(self, monkeypatch):
+        use_cpus(monkeypatch, 2)
+        band = evolution.MIN_BAND
+        assert [evolution.strang_bands(n) for n in (8, 2 * band - 1, 2 * band, 512)] == [1, 1, 2, 2]
+        use_cpus(monkeypatch, 1)
+        assert evolution.strang_bands(512) == 1
+        use_cpus(monkeypatch, 8)
+        assert evolution.strang_bands(4096) == evolution.MAX_BANDS == 2
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        assert evolution.strang_bands(384) == 2
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert evolution.strang_bands(384) == 1
+
+    @staticmethod
+    def case(n):
+        grid, v = SuperGrid.centered(8.0, n), PolynomialPotential.quartic(0.1)
+        return grid, v, gaussian_super_density(grid, 1.0, 0.2, 0.4, 1.3)
+
+    @pytest.mark.parametrize("kind", [SuperPotentialKind.CL, SuperPotentialKind.QM])
+    @pytest.mark.parametrize("n", [256, 384])
+    def test_bands_are_bit_identical_to_one(self, monkeypatch, kind, n):
+        """Final and observed states, observed both between steps and at the
+        last one, equal a one-band run's to the bit."""
+        grid, v, sd = self.case(n)
+        cfg = EvolutionConfig(t1=0.05, n_steps=6)
+        runs = []
+        for cpus in (1, 2):
+            use_cpus(monkeypatch, cpus)
+            assert evolution.strang_bands(n) == cpus
+            seen = {}
+            final = evolve_trotter(
+                v, grid, kind, sd, cfg, observe_every=2,
+                observe=lambda k, state: seen.setdefault(k, state.values.copy()),
+            )
+            runs.append((final.values, seen))
+        (one, seen_one), (banded, seen_banded) = runs
+        assert list(seen_one) == list(seen_banded) == [2, 4, 6]
+        assert np.array_equal(one, banded)
+        for k in seen_one:
+            assert np.array_equal(seen_one[k], seen_banded[k])
+
+    def test_concurrent_runs_under_fast_thread_switching(self, monkeypatch):
+        """Two banded runs at once, four threads on this suite's machines'
+        CPUs, with the interpreter switching threads every microsecond: a
+        lost or early hand-off would change the bits or hang, so the runs
+        have a time limit."""
+        grid, v, sd = self.case(2 * evolution.MIN_BAND)
+        cfg = EvolutionConfig(t1=0.1, n_steps=12)
+        use_cpus(monkeypatch, 1)
+        one = evolve_trotter(v, grid, SuperPotentialKind.CL, sd, cfg).values
+        use_cpus(monkeypatch, 2)
+        out = {}
+        runs = [
+            threading.Thread(target=lambda r=r: out.setdefault(r, evolve_trotter(
+                v, grid, SuperPotentialKind.CL, sd, cfg, observe=lambda k, state: None,
+                observe_every=5,
+            )))
+            for r in range(2)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for run in runs:
+                run.start()
+            for run in runs:
+                run.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(run.is_alive() for run in runs)
+        assert np.array_equal(out[0].values, one)
+        assert np.array_equal(out[1].values, one)
+
+    def test_caller_takes_back_a_band_the_helper_has_not_won(self, monkeypatch):
+        """A helper that reaches its first offer only after the loop's last
+        phase leaves every band 1 to the caller, which runs it without
+        waiting; the states keep their bits."""
+        grid, v, sd = self.case(256)
+        cfg = EvolutionConfig(t1=0.05, n_steps=4)
+        use_cpus(monkeypatch, 1)
+        one = evolve_trotter(v, grid, SuperPotentialKind.CL, sd, cfg).values
+        use_cpus(monkeypatch, 2)
+        loop_over = threading.Event()
+        helper = evolution._helper
+
+        def late_helper(*args):
+            loop_over.wait(timeout=60)
+            helper(*args)
+
+        monkeypatch.setattr(evolution, "_helper", late_helper)
+        ffts = []
+        fft = np.fft.fft
+
+        def recorded_fft(x, *args, **kwargs):
+            ffts.append(threading.current_thread() is threading.main_thread())
+            return fft(x, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "fft", recorded_fft)
+        seen = []
+        final = evolve_trotter(
+            v, grid, SuperPotentialKind.CL, sd, cfg,
+            observe=lambda k, state: (seen.append(k), k == 4 and loop_over.set()),
+        )
+        assert seen == [1, 2, 3, 4]
+        assert len(ffts) == 2 * 2 * 4 and all(ffts)
+        assert np.array_equal(final.values, one)
+
+    @pytest.mark.parametrize("n, helpers", [(128, 0), (256, 1)])
+    def test_helpers_run_during_the_call_only(self, monkeypatch, n, helpers):
+        use_cpus(monkeypatch, 2)
+        grid = SuperGrid.centered(8.0, n)
+        before = threading.active_count()
+        during = []
+        evolve_trotter(
+            PolynomialPotential.quartic(0.1), grid, SuperPotentialKind.CL,
+            gaussian_super_density(grid, 1.0, 0.0, 0.4, 0.6), EvolutionConfig(t1=0.01, n_steps=2),
+            observe=lambda k, state: during.append(threading.active_count()),
+        )
+        assert during == [before + helpers] * 2
+        assert threading.active_count() == before
+
+    def test_observer_that_raises_leaves_no_helper(self, monkeypatch):
+        use_cpus(monkeypatch, 2)
+        grid = SuperGrid.centered(8.0, 256)
+        before = threading.active_count()
+
+        def observe(k, state):
+            raise KeyError(k)
+
+        with pytest.raises(KeyError):
+            evolve_trotter(
+                PolynomialPotential.quartic(0.1), grid, SuperPotentialKind.CL,
+                gaussian_super_density(grid, 1.0, 0.0, 0.4, 0.6),
+                EvolutionConfig(t1=0.01, n_steps=4), observe=observe,
+            )
+        assert threading.active_count() == before
+
+    def test_helper_fault_reaches_the_caller(self, monkeypatch):
+        use_cpus(monkeypatch, 2)
+        fft = np.fft.fft
+
+        def fft_failing_off_the_main_thread(*args, **kwargs):
+            if threading.current_thread() is not threading.main_thread():
+                raise ArithmeticError("helper band")
+            return fft(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "fft", fft_failing_off_the_main_thread)
+        grid = SuperGrid.centered(8.0, 256)
+        before = threading.active_count()
+        with pytest.raises(ArithmeticError, match="helper band"):
+            evolve_trotter(
+                PolynomialPotential.quartic(0.1), grid, SuperPotentialKind.CL,
+                gaussian_super_density(grid, 1.0, 0.0, 0.4, 0.6),
+                EvolutionConfig(t1=0.01, n_steps=2),
+            )
+        assert threading.active_count() == before
+
+    def test_caller_errstate_holds_in_the_helper(self, monkeypatch):
+        """1e308 entries in the helper's rows alone overflow its first row
+        FFT.  Under the caller's np.errstate that raises FloatingPointError;
+        in numpy's default errstate the helper would warn, and the suite
+        raises that as a RuntimeWarning."""
+        use_cpus(monkeypatch, 2)
+        grid = SuperGrid.centered(8.0, 256)
+        values = np.zeros((grid.n, grid.n), dtype=complex)
+        values[grid.n // 2 :] = 1e308
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            evolve_trotter(
+                PolynomialPotential.quartic(0.1), grid, SuperPotentialKind.CL,
+                SuperDensity(grid, values), EvolutionConfig(t1=0.01, n_steps=2),
+            )
 
 
 class TestGridSeries:

@@ -390,3 +390,20 @@ def test_grid_evolve_leaves_out_scipy_fft_and_special(tmp_path):
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "0 []"
+
+
+def test_banded_grid_evolve_leaves_out_concurrent_futures(tmp_path):
+    """The Strang loop's helper bands are plain threads: concurrent.futures
+    alone would add about 0.68 MB to the peak memory of every run."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    probe = (
+        "import os, sys; os.sched_getaffinity = lambda pid: {0, 1}; "
+        "from liouspace import evolution; from liouspace.cli import run; "
+        "code = run(['evolve', '--grid-n', '256', '--steps', '4', '--n-out', '2', "
+        f"'--outdir', {str(tmp_path)!r}]); "
+        "print(code, evolution.strang_bands(256), 'concurrent.futures' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "0 2 False"
